@@ -102,9 +102,17 @@ class Tracer:
 
         return wrapper
 
-    def durations(self, name: str) -> List[float]:
-        """Durations of every span called ``name``, in start order."""
-        return [end - start for span, start, end, _ in self.spans if span == name]
+    def durations(self, name: str, at: Callable[[float], float] = float) -> List[float]:
+        """Durations of every span called ``name``, in start order.
+
+        ``at`` maps each start and end time first.
+        """
+        return [at(end) - at(start) for span, start, end, _ in self.spans if span == name]
+
+    def retime(self, at: Callable[[float], float]) -> None:
+        """Map every span's start and end time by ``at``, in place."""
+        for record in self.spans:
+            record[1], record[2] = at(record[1]), at(record[2])
 
     def self_times(self) -> Tuple[Dict[str, float], float]:
         """Per-span-name self time, and the summed duration of root spans."""

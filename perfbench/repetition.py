@@ -3,7 +3,8 @@
 ``run.py`` forks a fresh process for every repetition and calls :func:`run`
 in it, so every repetition has its own heap and its own peak resident
 memory.  With ``trace=True`` the layer wrappers of :mod:`layers` are
-installed around the run.
+installed around the run.  A :class:`hostclock.HostClock` probes the host
+speed throughout, and every span is re-timed in reference seconds.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import math
 import resource
 import statistics
 from contextlib import nullcontext
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
+from hostclock import HostClock
 from layers import Tracer, installed
 from workloads import WORKLOADS
 
@@ -101,7 +103,8 @@ def run(
     # The three root spans time the phases in every run; the layer wrappers
     # below them are installed only when tracing.
     tracer = Tracer()
-    with installed(tracer) if trace else nullcontext():
+    clock = HostClock()
+    with clock, installed(tracer) if trace else nullcontext():
         for _ in range(1 if trace else setups):
             with tracer.span("setup.build"):
                 scenario = build_registered_scenario(workload.scenario, **params)
@@ -113,15 +116,23 @@ def run(
         with tracer.span("evidence.drain"):
             ticks = plane.drain()
 
+    def phases(at: Callable[[float], float] = float) -> Tuple[float, float, float]:
+        """setup_s (median over the set-ups), run_s and drain_s."""
+        (run_s,) = tracer.durations("community.self", at)
+        (drain_s,) = tracer.durations("evidence.drain", at)
+        return statistics.median(tracer.durations("setup.build", at)), run_s, drain_s
+
+    wall_total_s = sum(phases(clock.wall_at))
+    tracer.retime(clock.reference_at)
+    setup_s, run_s, drain_s = phases()
     peers_final = len(simulation.peers)
-    setup_s = statistics.median(tracer.durations("setup.build"))
-    (run_s,) = tracer.durations("community.self")
-    (drain_s,) = tracer.durations("evidence.drain")
     report: Dict[str, Any] = {
         "setup_s": setup_s,
         "run_s": run_s,
         "drain_s": drain_s,
         "total_s": setup_s + run_s + drain_s,
+        "wall_total_s": wall_total_s,
+        "host_probe_s": clock.median_probe_s(),
         "attempted": result.accounts.attempted,
         "effective_delivery": result.evidence_effective_delivery_ratio,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

@@ -6,13 +6,12 @@ time, and reports medians.  This process imports the program once and never
 runs a workload itself, so a repetition starts from a heap that holds only
 the imported modules.
 
-Every time is reported at a fixed reference host speed.  On a shared
-virtual machine the CPU speed can drift by a third over minutes, so raw wall
-clocks from runs minutes apart disagree more than any regression bound
-allows.  The parent times a fixed probe loop (:func:`host_probe_s`) before
-and after each repetition, and scales the repetition's times by
-``REFERENCE_PROBE_S`` over the mean of the two probes.  The raw median is
-still reported as ``wall.total_s``.
+Every time is reported in seconds at a fixed reference host speed.  On a
+shared virtual machine the CPU speed changes within a second and drifts over
+minutes, so raw wall clocks disagree more than any regression bound allows.
+Each repetition probes the host speed every 50 ms while it runs and converts
+its times (see ``hostclock.py``).  The raw median is still reported as
+``wall.total_s``.
 
 With ``--trace 0`` repetition ``i`` builds its scenario from seed
 ``seed * SCENARIOS_PER_SEED + i % SCENARIOS_PER_SEED``, and the end-to-end
@@ -63,9 +62,6 @@ SETUPS_PER_REP = 5
 #: run past its 180-second limit.
 CHILD_TIMEOUT_S = 45
 LAST_START_S = 100
-#: Seconds :func:`host_probe_s` takes on a quiet 2-vCPU Intel Xeon virtual
-#: machine with CPython 3.11; times are reported at that speed.
-REFERENCE_PROBE_S = 0.25
 
 #: (name, unit, better) of every metric printed with ``--trace 0``.
 END_TO_END: List[Tuple[str, str, str]] = [
@@ -142,42 +138,6 @@ def per_layer_spec() -> List[Tuple[str, str, str]]:
         ("host.probe_s", "s", "lower"),
     ]
     return spec
-
-
-def host_probe_s() -> float:
-    """Seconds a fixed loop of dict updates and small numpy calls takes.
-
-    The loop resembles the simulation's mix of Python object work and
-    small-array numpy calls but runs none of its code, so a change to the
-    program cannot move it; only the host's speed does.
-    """
-    import numpy as np
-
-    keys = [f"peer-{index:04d}" for index in range(500)]
-    vector = np.arange(64, dtype=float)
-    table: Dict[str, float] = {}
-    total = 0.0
-    start = perf_counter()
-    for index in range(300_000):
-        key = keys[index % 500]
-        table[key] = table.get(key, 0.0) + index * 0.5
-        total += table[key] % 7.0
-    for _ in range(40_000):
-        total += float(np.clip(vector * 0.5, 0.0, 10.0).sum())
-    return perf_counter() - start
-
-
-def normalise(report: Dict[str, Any], probe_s: float) -> None:
-    """Scale a report's times to the reference host speed, in place."""
-    factor = REFERENCE_PROBE_S / probe_s
-    report["host_probe_s"] = probe_s
-    report["wall_total_s"] = report["total_s"]
-    for key in ("setup_s", "run_s", "drain_s", "total_s"):
-        report[key] *= factor
-    trace = report.get("trace")
-    if trace is not None:
-        trace["total_s"] *= factor
-        trace["self_s"] = {span: own * factor for span, own in trace["self_s"].items()}
 
 
 def _repetition_main(connection: Any, run: Callable[..., Dict[str, Any]], *args: Any) -> None:
@@ -324,14 +284,6 @@ def main() -> int:
     budget = args.seconds / 2 if args.trace else args.seconds
     minimum = MIN_TRACE_REPS if args.trace else MIN_REPS
     first_seed = args.seed * SCENARIOS_PER_SEED
-    probes = [host_probe_s()]
-
-    def measured(scenario_seed: int, **options: Any) -> Optional[Dict[str, Any]]:
-        report = run_repetition(run, args.workload, scenario_seed, **options)
-        probes.append(host_probe_s())
-        if report is not None:
-            normalise(report, (probes[-2] + probes[-1]) / 2)
-        return report
 
     reports: List[Tuple[int, Optional[Dict[str, Any]]]] = []
     started = last = perf_counter()
@@ -344,13 +296,13 @@ def main() -> int:
         ):
             break
         scenario_seed = first_seed + (0 if args.trace else len(reports) % SCENARIOS_PER_SEED)
-        reports.append((scenario_seed, measured(scenario_seed)))
+        reports.append((scenario_seed, run_repetition(run, args.workload, scenario_seed)))
     traced: List[Tuple[int, Optional[Dict[str, Any]]]] = []
     if args.trace:
         half_size = workload.size // 2
         traced = [
-            (first_seed, measured(first_seed, trace=True)),
-            (-1, measured(first_seed, trace=True, size=half_size)),
+            (first_seed, run_repetition(run, args.workload, first_seed, trace=True)),
+            (-1, run_repetition(run, args.workload, first_seed, trace=True, size=half_size)),
         ]
 
     # A scenario seed without a recorded reference takes the fingerprint of
