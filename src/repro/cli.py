@@ -262,18 +262,22 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
                             help="witnesses polled per exchange (default: "
                             "the scenario's own setting)")
     run_parser.add_argument("--shards", type=int, default=1,
-                            help="partition every trust backend by peer-id "
-                            "range across N shards (1 = unsharded; results "
-                            "are identical for any N)")
+                            help="partition the community's shared "
+                            "complaint store by peer-id range across N "
+                            "shards (1 = unsharded; results are identical "
+                            "for any N); each peer's own backends are "
+                            "always unsharded")
     run_parser.add_argument("--shard-router", choices=ROUTER_NAMES,
                             default="hash",
-                            help="shard routing strategy: uniform hash, "
+                            help="shard routing strategy of the shared "
+                            "complaint store: uniform hash, "
                             "contiguous key ranges (P-Grid style) or a "
                             "consistent-hash ring (hash-style assignment "
                             "that can split)")
     run_parser.add_argument("--rebalance", choices=("off", "auto"),
                             default=None,
-                            help="live shard rebalancing: 'auto' splits a "
+                            help="live rebalancing of the shared "
+                            "complaint store: 'auto' splits a "
                             "hot shard in place (through the snapshot "
                             "manifest) when it exceeds the skew threshold "
                             "or outgrows its row capacity; needs a "
@@ -287,8 +291,8 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
                             "share (rows / shard count) that triggers a "
                             "split (must be > 1)")
     run_parser.add_argument("--max-shards", type=int, default=16,
-                            help="upper bound on the shard count an "
-                            "auto-rebalanced backend may grow to")
+                            help="upper bound on the shard count the "
+                            "auto-rebalanced complaint store may grow to")
     run_parser.add_argument("--compact", action="store_true",
                             help="memory-bounded trust storage for very "
                             "large communities: chunked float32/int32 "
@@ -345,32 +349,18 @@ def _command_plan(args: argparse.Namespace) -> int:
     return 0 if plan.agreed else 1
 
 
-def _rebalance_line(scenario, simulation) -> Optional[str]:
-    """Aggregate live-split activity across every sharded backend of a run."""
-    backends = []
-    seen = set()
-    candidates = [scenario.complaint_store]
-    # Departed churn peers' backends may have split before leaving; count
-    # them too or the summary undercounts exactly on the churn scenarios.
-    for peer in list(simulation.peers) + list(simulation.departed_peers):
-        candidates.extend(peer.reputation.backends.values())
-    for candidate in candidates:
-        if isinstance(candidate, ShardedBackend) and id(candidate) not in seen:
-            seen.add(id(candidate))
-            backends.append(candidate)
-    if not backends:
+def _rebalance_line(store) -> Optional[str]:
+    """Live-split activity of the shared complaint store, if it rebalances.
+
+    The store is the only backend sharding and rebalancing apply to; each
+    peer's private backends are plain.
+    """
+    if not isinstance(store, ShardedBackend) or store.rebalance_policy is None:
         return None
-    splits = sum(len(backend.rebalance_events) for backend in backends)
-    pause = sum(backend.rebalance_seconds for backend in backends)
-    store = scenario.complaint_store
-    store_shards = (
-        f", store now {store.num_shards} shards"
-        if isinstance(store, ShardedBackend)
-        else ""
-    )
     return (
-        f"auto: {splits} live splits across {len(backends)} sharded "
-        f"backends{store_shards}, split pause {pause:.3f}s"
+        f"auto: {len(store.rebalance_events)} live splits, store now "
+        f"{store.num_shards} shards, split pause "
+        f"{store.rebalance_seconds:.3f}s"
     )
 
 
@@ -524,11 +514,7 @@ def _command_run(args: argparse.Namespace) -> int:
         args.scenario, scenario.trust_method, result,
         store=store,
         repair=scenario.config.evidence_repair,
-        rebalance_line=(
-            _rebalance_line(scenario, simulation)
-            if scenario.config.rebalance == "auto"
-            else None
-        ),
+        rebalance_line=_rebalance_line(store),
         telemetry_lines=telemetry_lines,
     )
     if args.workers > 0 and hasattr(store, "close"):

@@ -32,7 +32,6 @@ from repro.trust import (
     ComplaintTrustModel,
     DecayModel,
     ExponentialDecay,
-    RebalancePolicy,
     ScalarBetaBackendAdapter,
     TrustBackend,
     TrustObservation,
@@ -68,6 +67,10 @@ class ReputationManager:
     complaint_store:
         Shared (possibly distributed) complaint store, or a shared
         :class:`ComplaintTrustBackend` instance; defaults to a private store.
+        A shared backend keeps whatever layout it was built with (sharded,
+        rebalanced, worker-hosted).  The backends the manager creates
+        itself are always plain single-arena backends: they hold at most
+        one row per community member, so partitioning them buys nothing.
     prior_alpha, prior_beta:
         Prior of the Bayesian trust backends.
     decay:
@@ -88,24 +91,6 @@ class ReputationManager:
         parameters raises.
     decay_half_life:
         Half life of the DECAY method's backend.
-    shards:
-        Partition every backend this manager creates across ``shards``
-        inner backends (peer-id-range sharding via
-        :class:`~repro.trust.sharding.ShardedBackend`).  ``1`` (the
-        default) keeps the plain single-arena backends; a shared complaint
-        backend supplied from outside keeps whatever sharding it has.
-        Non-exponential decay models fall back to the scalar adapter,
-        which cannot be sharded.
-    shard_router:
-        Routing strategy for sharded backends (``"hash"``, ``"range"`` or
-        ``"ring"``).
-    rebalance:
-        Optional :class:`~repro.trust.sharding.RebalancePolicy` enabling
-        live shard splits under load for every backend this manager
-        creates (requires a splittable router, i.e. ``"range"`` or
-        ``"ring"``).  With a policy, backends are sharded even at
-        ``shards=1`` so they can grow in place.  A shared complaint
-        backend supplied from outside keeps whatever policy it has.
     compact:
         Use memory-bounded storage for every backend this manager creates:
         chunked, compact-dtype evidence arrays (float32 evidence, int32
@@ -119,13 +104,6 @@ class ReputationManager:
         creates enabled (the default).  Pass ``False`` to recompute scores
         on every query — the reference configuration cache correctness is
         measured against.
-    workers:
-        Host every sharded backend this manager creates in worker
-        processes (:class:`~repro.trust.workers.WorkerShardedBackend`):
-        ``True`` for real processes, ``"loopback"`` for the in-process
-        test transport.  Scores are unchanged; only the execution
-        placement differs.  A shared complaint backend supplied from
-        outside keeps whatever placement it has.
     """
 
     def __init__(
@@ -138,35 +116,21 @@ class ReputationManager:
         complaint_tolerance_factor: Optional[float] = None,
         complaint_metric_mode: Optional[str] = None,
         decay_half_life: float = 100.0,
-        shards: int = 1,
-        shard_router: str = "hash",
-        rebalance: Optional["RebalancePolicy"] = None,
         compact: bool = False,
         cache_scores: bool = True,
-        workers: "bool | str" = False,
     ):
         if not owner_id:
             raise ReputationError("owner_id must be non-empty")
-        if shards < 1:
-            raise ReputationError(f"shards must be >= 1, got {shards}")
         self._owner_id = owner_id
-        self._shards = shards
-        self._shard_router = shard_router
-        self._rebalance = rebalance
         self._compact = compact
         self._cache_scores = cache_scores
-        self._workers = workers
         if decay is None:
             beta_backend: TrustBackend = create_backend(
                 "beta",
                 prior_alpha=prior_alpha,
                 prior_beta=prior_beta,
-                shards=shards,
-                router=shard_router,
-                rebalance=rebalance,
                 compact=compact,
                 cache_scores=cache_scores,
-                workers=workers,
             )
         elif isinstance(decay, ExponentialDecay):
             beta_backend = create_backend(
@@ -174,12 +138,8 @@ class ReputationManager:
                 prior_alpha=prior_alpha,
                 prior_beta=prior_beta,
                 half_life=decay.half_life,
-                shards=shards,
-                router=shard_router,
-                rebalance=rebalance,
                 compact=compact,
                 cache_scores=cache_scores,
-                workers=workers,
             )
         else:
             beta_backend = ScalarBetaBackendAdapter(
@@ -216,10 +176,6 @@ class ReputationManager:
                     "ComplaintTrustBackend instead"
                 )
         else:
-            # A private complaint backend shards like the beta family; an
-            # external plain store cannot be partitioned from here (every
-            # shard would need the same store behind it), so it stays
-            # unsharded.
             complaint_backend = create_backend(
                 "complaint",
                 store=complaint_store,
@@ -231,12 +187,8 @@ class ReputationManager:
                     "balanced" if complaint_metric_mode is None
                     else complaint_metric_mode
                 ),
-                shards=shards if complaint_store is None else 1,
-                router=shard_router,
-                rebalance=rebalance if complaint_store is None else None,
                 compact=compact,
                 cache_scores=cache_scores,
-                workers=workers if complaint_store is None else False,
             )
         # The DECAY backend is materialised lazily on first use (most peers
         # never query it); recorded interactions are replayed into it then,
@@ -292,12 +244,8 @@ class ReputationManager:
                 prior_alpha=self._prior_alpha,
                 prior_beta=self._prior_beta,
                 half_life=self._decay_half_life,
-                shards=self._shards,
-                router=self._shard_router,
-                rebalance=self._rebalance,
                 compact=self._compact,
                 cache_scores=self._cache_scores,
-                workers=self._workers,
             )
             backend.update_many(
                 [self._observation_from(record) for record in self._interactions]

@@ -83,17 +83,6 @@ class CommunityConfig:
     #: Optional link-fault predicate ``(sender, recipient, now) -> bool``;
     #: a faulted link drops deterministically (partition scenarios).
     evidence_fault: Optional[Callable[[str, str, float], bool]] = None
-    #: Live shard rebalancing of the trust backends: ``"off"`` or
-    #: ``"auto"``.  The scenario builder constructs the backends (and their
-    #: :class:`~repro.trust.sharding.RebalancePolicy`) before the
-    #: simulation starts; the config records the knobs so the run summary
-    #: can report what actually ran.  Splits are score-invisible, so the
-    #: setting never changes a result — only the backend layout.
-    rebalance: str = "off"
-    #: Skew factor over the ideal per-shard share that triggers a split.
-    rebalance_threshold: float = 2.0
-    #: Upper bound on the shard count a rebalanced backend may grow to.
-    max_shards: int = 16
     #: Telemetry registry (:class:`repro.obs.MetricsRegistry`) the run
     #: reports into, or ``None`` for the zero-cost null recorder.  Purely
     #: observational: binding a registry never changes a result.
@@ -149,16 +138,6 @@ class CommunityConfig:
             raise SimulationError("retransmit_timeout must be > 0")
         if self.witness_count < 0:
             raise SimulationError("witness_count must be >= 0")
-        if self.rebalance not in ("off", "auto"):
-            raise SimulationError(
-                f"rebalance must be 'off' or 'auto', got {self.rebalance!r}"
-            )
-        if self.rebalance_threshold <= 1.0:
-            raise SimulationError(
-                f"rebalance_threshold must be > 1, got {self.rebalance_threshold}"
-            )
-        if self.max_shards < 1:
-            raise SimulationError(f"max_shards must be >= 1, got {self.max_shards}")
         if self.valuation_model is None:
             self.valuation_model = MarginValuationModel(
                 cost_low=1.0, cost_high=10.0, margin_low=-0.1, margin_high=0.6
@@ -286,8 +265,8 @@ class CommunitySimulation:
             )
         self._streams = RandomStreams(self._config.seed)
         #: Peers churned out of the community, retained for end-of-run
-        #: introspection (their trust backends — and any live splits those
-        #: performed — would otherwise vanish from run reporting).
+        #: introspection (the audit counts the evidence their backends
+        #: absorbed before they left).
         self._departed_peers: List[CommunityPeer] = []
         self._evidence = EvidencePlane(
             mode=self._config.evidence_mode,

@@ -16,12 +16,7 @@ from repro.simulation.behaviors import (
     TruthfulWitness,
     WitnessReportPolicy,
 )
-from repro.trust import (
-    BetaBelief,
-    ComplaintStore,
-    RebalancePolicy,
-    stack_witness_beliefs,
-)
+from repro.trust import BetaBelief, ComplaintStore, stack_witness_beliefs
 
 __all__ = ["CommunityPeer"]
 
@@ -47,9 +42,6 @@ class CommunityPeer:
         consumes_goods: bool = True,
         trust_method: str = TrustMethod.BETA,
         witness_policy: Optional[WitnessReportPolicy] = None,
-        shards: int = 1,
-        shard_router: str = "hash",
-        rebalance: Optional["RebalancePolicy"] = None,
         compact: bool = False,
         cache_scores: bool = True,
     ):
@@ -66,9 +58,6 @@ class CommunityPeer:
         self.reputation = ReputationManager(
             owner_id=peer_id,
             complaint_store=complaint_store,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance,
             compact=compact,
             cache_scores=cache_scores,
         )

@@ -23,7 +23,7 @@ from repro.simulation.behaviors import (
     RationalDefectorBehavior,
 )
 from repro.simulation.peer import CommunityPeer
-from repro.trust import ComplaintStore, RebalancePolicy
+from repro.trust import ComplaintStore
 
 __all__ = ["PopulationSpec", "build_population", "population_factory", "honesty_map"]
 
@@ -112,9 +112,6 @@ def build_population(
     complaint_store: Optional[ComplaintStore] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
-    shards: int = 1,
-    shard_router: str = "hash",
-    rebalance: Optional[RebalancePolicy] = None,
     compact: bool = False,
     cache_scores: bool = True,
 ) -> List[CommunityPeer]:
@@ -124,10 +121,10 @@ def build_population(
     reads from) that shared store, modelling the community-wide complaint
     system; otherwise each peer keeps a private store (direct evidence only).
     ``trust_method`` selects the trust backend every peer consults (one of
-    :data:`repro.reputation.manager.TrustMethod.ALL`); ``shards`` partitions
-    every peer's trust backends by peer-id range (1 = unsharded);
-    ``compact`` switches every peer's backends to memory-bounded chunked
-    float32/int32 storage (large-community mode).
+    :data:`repro.reputation.manager.TrustMethod.ALL`); ``compact`` switches
+    every peer's backends to memory-bounded chunked float32/int32 storage
+    (large-community mode).  Each peer's own backends are plain; only a
+    shared ``complaint_store`` may be sharded.
     """
     rng = random.Random(seed)
     peers: List[CommunityPeer] = []
@@ -140,9 +137,6 @@ def build_population(
                 complaint_store=complaint_store,
                 defection_penalty=spec.defection_penalty,
                 trust_method=trust_method,
-                shards=shards,
-                shard_router=shard_router,
-                rebalance=rebalance,
                 compact=compact,
                 cache_scores=cache_scores,
             )
@@ -155,9 +149,6 @@ def population_factory(
     complaint_store: Optional[ComplaintStore] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
-    shards: int = 1,
-    shard_router: str = "hash",
-    rebalance: Optional[RebalancePolicy] = None,
     compact: bool = False,
     cache_scores: bool = True,
 ) -> Callable[[int], CommunityPeer]:
@@ -173,9 +164,6 @@ def population_factory(
             complaint_store=complaint_store,
             defection_penalty=spec.defection_penalty,
             trust_method=trust_method,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance,
             compact=compact,
             cache_scores=cache_scores,
         )

@@ -142,13 +142,18 @@ def build_scenario(
     request is upgraded to async with gossip repair so anti-entropy can
     backfill the missed evidence); ``fluctuating-behaviour`` — "milking"
     peers build reputation honestly then defect in bursts (the decay
-    backend's forgetting against late evidence).  ``shards`` partitions
-    every trust backend (each peer's own and the community's shared
-    complaint store) by peer-id range across that many inner backends;
-    results are bit-identical to ``shards=1``.  ``rebalance="auto"``
-    additionally lets every sharded backend *split hot shards live* while
-    the community runs (the P-Grid path-split under churn): a shard
-    exceeding ``rebalance_threshold`` times the ideal per-shard share — or
+    backend's forgetting against late evidence).
+
+    The deployment knobs ``shards``, ``shard_router``, ``rebalance``,
+    ``rebalance_threshold``, ``max_shards`` and ``workers`` shape the
+    community's shared complaint store only; each peer's private beta,
+    decay and complaint backends are always plain single-arena backends
+    (they hold at most one row per community member).  ``shards``
+    partitions the store by peer-id range across that many inner
+    backends; results are bit-identical to ``shards=1``.
+    ``rebalance="auto"`` additionally lets the store *split hot shards
+    live* while the community runs (the P-Grid path-split under churn): a
+    shard exceeding ``rebalance_threshold`` times the ideal per-shard share — or
     outgrowing an absolute per-shard row capacity scaled to the community
     size, which is how a single-shard run starts splitting at all — is
     snapshotted and its rows redistributed onto two successor shards, up
@@ -169,8 +174,7 @@ def build_scenario(
     (:class:`~repro.trust.workers.WorkerShardedBackend`) so the store's
     updates and queries run in parallel across cores; the store is sharded
     ``max(shards, workers)`` ways and scores stay bit-identical to the
-    in-process run.  Per-peer private backends stay in-process — one
-    worker fleet per peer would oversubscribe any machine.
+    in-process run.
     ``telemetry`` binds a :class:`repro.obs.MetricsRegistry` to the shared
     complaint store and the community run (``None`` keeps the zero-cost
     null recorder); telemetry is purely observational and never changes a
@@ -186,6 +190,12 @@ def build_scenario(
         raise WorkloadError(
             f"rebalance must be 'off' or 'auto', got {rebalance!r}"
         )
+    if rebalance_threshold <= 1.0:
+        raise WorkloadError(
+            f"rebalance_threshold must be > 1, got {rebalance_threshold}"
+        )
+    if max_shards < 1:
+        raise WorkloadError(f"max_shards must be >= 1, got {max_shards}")
     if workers < 0:
         raise WorkloadError(f"workers must be >= 0, got {workers}")
     trust_method = _resolve_trust_method(backend)
@@ -210,8 +220,8 @@ def build_scenario(
     evidence_fault: Optional[Callable[[str, str, float], bool]] = None
     # One vectorized complaint backend shared by the whole community is the
     # community complaint store: every peer writes and reads through it, so
-    # counters are updated incrementally with no cache rebuilds.  With
-    # shards > 1 the store itself is partitioned by peer-id range.
+    # counters are updated incrementally with no cache rebuilds.  It is the
+    # only backend the sharding, rebalance and worker knobs apply to.
     shared_store = create_backend(
         "complaint",
         metric_mode="balanced",
@@ -312,9 +322,6 @@ def build_scenario(
             complaint_store=shared_store,
             seed=seed,
             trust_method=trust_method,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance_policy,
             compact=compact,
             cache_scores=cache_scores,
         )
@@ -400,9 +407,6 @@ def build_scenario(
             complaint_store=shared_store,
             seed=seed,
             trust_method=trust_method,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance_policy,
             compact=compact,
             cache_scores=cache_scores,
         )
@@ -527,9 +531,6 @@ def build_scenario(
         witness_count=(
             witness_count if witness_count is not None else scenario_witness_count
         ),
-        rebalance=rebalance,
-        rebalance_threshold=rebalance_threshold,
-        max_shards=max_shards,
         telemetry=telemetry,
     )
     peers = build_population(
@@ -537,9 +538,6 @@ def build_scenario(
         complaint_store=shared_store,
         seed=seed,
         trust_method=trust_method,
-        shards=shards,
-        shard_router=shard_router,
-        rebalance=rebalance_policy,
         compact=compact,
         cache_scores=cache_scores,
     )

@@ -1,14 +1,15 @@
 """Live rebalancing across the whole stack: forced splits change nothing.
 
 The acceptance bar for live shard rebalancing is the PR-3 sharding
-invariant extended through time: a run whose backends split hot shards
-*mid-run* (``rebalance="auto"`` with an aggressive threshold, so splits
-actually happen) produces the same trust state and the same economic
-outcome as the same-seed unsharded run — beta/decay trust snapshots agree
-within 1e-9 (they are bit-identical in practice; the tolerance is the
-stated contract) and complaint counts agree exactly — on the scenarios
-that stress the sharding layer: flash-crowd (growing id space), high-churn
-(turnover) and partition-heal (async evidence with gossip repair).
+invariant extended through time: a run whose shared complaint store
+splits hot shards *mid-run* (``rebalance="auto"`` with an aggressive
+threshold, so splits actually happen) produces the same trust state and
+the same economic outcome as the same-seed unsharded run — beta/decay
+trust snapshots agree within 1e-9 (they are bit-identical in practice;
+the tolerance is the stated contract) and complaint counts agree
+exactly — on the scenarios that stress the sharding layer: flash-crowd
+(growing id space), high-churn (turnover) and partition-heal (async
+evidence with gossip repair).  Peers' own backends never shard.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.reputation.manager import TrustMethod
 from repro.trust import ShardedBackend
+from repro.trust.sharding import HashShardRouter, RangeShardRouter, RingShardRouter
 from repro.workloads import build_scenario
 
 #: scenario -> the backend kind its rebalanced run exercises.
@@ -42,17 +44,8 @@ def _run(name, backend, seed, size, rounds, **sharding):
     return scenario, simulation, result, trust
 
 
-def _split_count(scenario, simulation) -> int:
-    backends = []
-    seen = set()
-    candidates = [scenario.complaint_store]
-    for peer in simulation.peers:
-        candidates.extend(peer.reputation.backends.values())
-    for candidate in candidates:
-        if isinstance(candidate, ShardedBackend) and id(candidate) not in seen:
-            seen.add(id(candidate))
-            backends.append(candidate)
-    return sum(len(backend.rebalance_events) for backend in backends)
+def _split_count(scenario) -> int:
+    return len(scenario.complaint_store.rebalance_events)
 
 
 def _assert_equivalent(baseline, rebalanced):
@@ -90,11 +83,11 @@ class TestForcedMidRunSplits:
         base_scenario, _, base_result, base_trust = _run(
             name, backend, seed=2, size=16, rounds=8
         )
-        reb_scenario, reb_sim, reb_result, reb_trust = _run(
+        reb_scenario, _, reb_result, reb_trust = _run(
             name, backend, seed=2, size=16, rounds=8,
             shards=2, rebalance="auto", rebalance_threshold=1.05, max_shards=32,
         )
-        assert _split_count(reb_scenario, reb_sim) > 0, (
+        assert _split_count(reb_scenario) > 0, (
             "the aggressive threshold should force mid-run splits"
         )
         _assert_equivalent((base_result, base_trust), (reb_result, reb_trust))
@@ -136,9 +129,9 @@ class TestForcedMidRunSplits:
         )
 
 
-def test_departed_peers_retained_for_split_reporting():
-    """Churned-out peers' backends stay reachable, so run summaries can
-    count the live splits they performed before leaving."""
+def test_only_the_shared_store_rebalances():
+    """Live splits happen in the shared complaint store; every peer's own
+    backends, live or churned out, stay plain."""
     scenario = build_scenario(
         "high-churn", size=16, rounds=12, seed=2,
         shards=2, rebalance="auto", rebalance_threshold=1.05, max_shards=32,
@@ -149,10 +142,37 @@ def test_departed_peers_retained_for_split_reporting():
     assert departed, "high-churn should have churned somebody out"
     live_ids = {peer.peer_id for peer in simulation.peers}
     assert live_ids.isdisjoint(peer.peer_id for peer in departed)
-    for peer in departed:
-        assert isinstance(
+    assert _split_count(scenario) > 0
+    for peer in simulation.peers + departed:
+        assert not isinstance(
             peer.reputation.backend_for(TrustMethod.BETA), ShardedBackend
         )
+
+
+def test_match_scoring_does_no_shard_routing(monkeypatch):
+    """Routing work follows store traffic, not consumers x suppliers.
+
+    Each consumer scores every supplier every round; were those reads
+    routed through sharded per-peer backends, ``shard_of`` calls would grow
+    with consumers x suppliers (15-60 per attempted exchange at this size).
+    Only the shared store routes, in batches, which stays below one call
+    per exchange.
+    """
+    calls = []
+    for router in (HashShardRouter, RangeShardRouter, RingShardRouter):
+        original = vars(router)["shard_of"]
+
+        def counted(self, peer_id, _original=original):
+            calls.append(peer_id)
+            return _original(self, peer_id)
+
+        monkeypatch.setattr(router, "shard_of", counted)
+    scenario = build_scenario(
+        "flash-crowd", size=60, rounds=5, seed=1, shards=2, rebalance="auto"
+    )
+    result = scenario.simulation().run()
+    assert result.accounts.attempted > 0
+    assert 0 < len(calls) <= result.accounts.attempted
 
 
 @settings(deadline=None, max_examples=8)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.reputation.manager import ReputationManager, TrustMethod
 from repro.reputation.records import InteractionRecord
-from repro.trust import ShardedBackend
+from repro.trust import ShardedBackend, create_backend
 from repro.workloads import build_scenario, scenario_names
 
 
@@ -88,18 +88,34 @@ class TestFlashCrowdScenario:
         assert baseline_trust == sharded_trust
 
 
-class TestShardedManager:
-    def test_manager_shards_all_backends(self):
-        manager = ReputationManager(owner_id="me", shards=4)
-        assert isinstance(manager.backend_for(TrustMethod.BETA), ShardedBackend)
-        assert isinstance(
-            manager.backend_for(TrustMethod.COMPLAINT), ShardedBackend
-        )
-        assert isinstance(manager.backend_for(TrustMethod.DECAY), ShardedBackend)
+class TestPlainPeerBackends:
+    """Sharding applies to the shared complaint store, never to a peer's own
+    backends."""
 
-    def test_sharded_manager_matches_unsharded(self):
-        plain = ReputationManager(owner_id="me")
-        sharded = ReputationManager(owner_id="me", shards=3)
+    def test_manager_backends_are_plain(self):
+        manager = ReputationManager(owner_id="me")
+        for method in (TrustMethod.BETA, TrustMethod.COMPLAINT, TrustMethod.DECAY):
+            assert not isinstance(manager.backend_for(method), ShardedBackend)
+
+    def test_sharded_scenario_shards_only_the_store(self):
+        scenario = build_scenario("high-churn", size=10, rounds=6, seed=3, shards=4)
+        simulation = scenario.simulation()
+        simulation.run()
+        store = scenario.complaint_store
+        assert isinstance(store, ShardedBackend) and store.num_shards == 4
+        for peer in simulation.peers + simulation.departed_peers:
+            backends = peer.reputation.backends
+            assert backends[TrustMethod.COMPLAINT] is store
+            assert not isinstance(backends[TrustMethod.BETA], ShardedBackend)
+
+    def test_manager_over_sharded_store_matches_plain_store(self):
+        plain = ReputationManager(
+            owner_id="me", complaint_store=create_backend("complaint")
+        )
+        sharded = ReputationManager(
+            owner_id="me",
+            complaint_store=create_backend("complaint", shards=3, router="range"),
+        )
         partners = [f"partner-{index}" for index in range(8)]
         for index, partner in enumerate(partners * 3):
             record = InteractionRecord(

@@ -266,18 +266,19 @@ class TestRunCommand:
         assert strip(outputs[0]) == strip(outputs[1])
 
     def test_invalid_rebalance_threshold_rejected(self, capsys):
-        exit_code = main(
-            [
-                "run",
-                "--scenario", "flash-crowd",
-                "--rebalance", "auto",
-                "--rebalance-threshold", "1.0",
-                "--size", "8",
-                "--rounds", "2",
-            ]
-        )
-        assert exit_code == 2
-        assert "threshold" in capsys.readouterr().err
+        for mode in ("auto", "off"):
+            exit_code = main(
+                [
+                    "run",
+                    "--scenario", "flash-crowd",
+                    "--rebalance", mode,
+                    "--rebalance-threshold", "1.0",
+                    "--size", "8",
+                    "--rounds", "2",
+                ]
+            )
+            assert exit_code == 2
+            assert "threshold" in capsys.readouterr().err
 
     def test_scenario_is_required(self):
         with pytest.raises(SystemExit):
