@@ -82,9 +82,19 @@ def figure_metrics(figure: Figure) -> Dict[str, Any]:
     }
 
 
-def bar(value: Any, limit: Any, ok: bool) -> Dict[str, Any]:
-    """One regression bar: the measured value, its bound, and the verdict."""
-    return {"value": _jsonable(value), "limit": _jsonable(limit), "ok": bool(ok)}
+def bar(value: Any, limit: Any, ok: bool, enforced: bool = True) -> Dict[str, Any]:
+    """One regression bar: the measured value, its bound, and the verdict.
+
+    ``ok`` is always the real verdict of ``value`` against ``limit``;
+    ``enforced=False`` records a bar that does not gate the run (e.g. a
+    parallel-speedup bar on a machine without the cores to meet it).
+    """
+    return {
+        "value": _jsonable(value),
+        "limit": _jsonable(limit),
+        "ok": bool(ok),
+        "enforced": bool(enforced),
+    }
 
 
 def emit_json(
@@ -96,12 +106,17 @@ def emit_json(
 
     ``metrics`` holds the experiment's measurements (typically
     :func:`table_metrics`); ``bars`` maps bar names to :func:`bar` entries.
-    The overall ``passed`` flag is the conjunction of every bar's verdict
-    (vacuously true without bars).  No timestamps or host details are
+    The overall ``passed`` flag is the conjunction of the *enforced* bars'
+    verdicts (vacuously true without any); unenforced bars are recorded
+    with their real ``ok`` but never fail the run.  No timestamps or host details are
     recorded, so the file is stable across reruns of unchanged code.
     """
     bars = bars or {}
-    passed = all(bool(entry.get("ok", True)) for entry in bars.values())
+    passed = all(
+        bool(entry.get("ok", True))
+        for entry in bars.values()
+        if entry.get("enforced", True)
+    )
     payload = {
         "name": name,
         "metrics": _jsonable(metrics),

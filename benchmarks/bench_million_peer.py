@@ -1,9 +1,11 @@
-"""Million-peer fast path — memory-bounded backends under a flash crowd.
+"""Million-peer fast path — a memory-bounded complaint store under a flash crowd.
 
 The scaling story of the compact storage layer: a synthetic flash-crowd
 observation stream (every tick a new wave of never-seen peers arrives on
-top of a growing base) is ingested into compact, sharded, score-cached
-backends, with a full score sweep over a query sample after every tick and
+top of a growing base, each observation filed by a random member) is
+ingested into a compact, sharded, score-cached complaint store — the
+community's shared store, the one backend that is ever sharded — with a
+full score sweep over a query sample after every tick and
 one *streaming* snapshot/restore mid-run — the four tentpole mechanisms
 (chunked compact arrays, dirty-row score caching, scatter/gather sharding,
 zero-copy snapshot streaming) exercised together at community sizes the
@@ -77,16 +79,19 @@ def _tick_pool_size(tick: int) -> int:
 
 def _tick_batch(rng: np.random.Generator, tick: int):
     pool = _tick_pool_size(tick)
+    observers = rng.integers(0, pool, OBS_PER_TICK)
     subjects = rng.integers(0, pool, OBS_PER_TICK)
     honest = rng.random(OBS_PER_TICK) < 0.7
     return [
         TrustObservation(
-            observer_id="bench-observer",
+            observer_id=_peer_name(observer),
             subject_id=_peer_name(subject),
             honest=bool(is_honest),
             timestamp=float(tick),
         )
-        for subject, is_honest in zip(subjects.tolist(), honest.tolist())
+        for observer, subject, is_honest in zip(
+            observers.tolist(), subjects.tolist(), honest.tolist()
+        )
     ]
 
 
@@ -97,7 +102,7 @@ def _query_sample(rng: np.random.Generator, tick: int):
 
 def _build_backend():
     return create_backend(
-        "beta", shards=SHARDS, router="ring", compact=True, cache_scores=True
+        "complaint", shards=SHARDS, router="ring", compact=True, cache_scores=True
     )
 
 
@@ -177,7 +182,7 @@ def build_table() -> Table:
         columns=["metric", "value"],
         title=(
             f"Million-peer fast path: {NUM_PEERS} peers, {NUM_TICKS} ticks x "
-            f"{OBS_PER_TICK} observations, {SHARDS} compact shards"
+            f"{OBS_PER_TICK} observations, {SHARDS} compact complaint shards"
         ),
     )
     table.add_row("peers interned", timed["rows"])

@@ -1,12 +1,13 @@
 """Live shard rebalancing — post-split balance and the cost of the splits.
 
 A flash-crowd workload grows the peer-id space monotonically: every tick a
-burst of never-seen ids joins the stream, so whatever partition owns the
-hot region of the key space keeps filling up.  With rebalancing off the
-layout is frozen at construction and the skew persists for the rest of the
-run; with ``RebalancePolicy`` auto-splitting, the backend snapshots a hot
-shard mid-run, redistributes its rows onto two successors and swaps the
-router's key table — the P-Grid path-split, live.
+burst of never-seen ids joins the complaint stream, so whatever partition
+of the shared complaint store owns the hot region of the key space keeps
+filling up.  With rebalancing off the layout is frozen at construction and
+the skew persists for the rest of the run; with ``RebalancePolicy``
+auto-splitting, the store snapshots a hot shard mid-run, re-files its
+complaint log onto two successors and swaps the router's key table — the
+P-Grid path-split, live.
 
 Two acceptance bars (enforced in CI via ``make bench-smoke``):
 
@@ -15,7 +16,7 @@ Two acceptance bars (enforced in CI via ``make bench-smoke``):
   (the policy's skew threshold is 1.5, so meeting 2/N leaves headroom for
   the min-rows floor on the last, smallest shards).
 * **split pause** — the cumulative wall time spent inside live splits
-  (snapshot + redistribute + swap) stays under 10% of the total run time;
+  (snapshot + re-file + swap) stays under 10% of the total run time;
   rebalancing must be a background maintenance cost, not a second
   workload.
 
@@ -27,7 +28,6 @@ router could never escape.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
@@ -36,14 +36,14 @@ from _harness import bar, emit, emit_json, run_once, table_metrics
 from repro.analysis.tables import Table
 from repro.trust import RebalancePolicy, ShardedBackend, TrustObservation
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-INITIAL_PEERS = 600 if SMOKE else 2_000
-ARRIVALS_PER_TICK = 300 if SMOKE else 1_000
-NUM_TICKS = 8 if SMOKE else 12
-# Enough per-tick work that the split pause is amortised the way a real
-# run amortises it; smoke still finishes in well under a second.
-OBSERVATIONS_PER_TICK = 4_000 if SMOKE else 8_000
-QUERIES_PER_TICK = 1_000 if SMOKE else 2_000
+# One scale for the full and the smoke pass: the whole stream runs in about
+# a second, and a smaller stream would not amortise the split pause the
+# way a real run does (the pause bar would measure the stream's size).
+INITIAL_PEERS = 2_000
+ARRIVALS_PER_TICK = 1_000
+NUM_TICKS = 12
+OBSERVATIONS_PER_TICK = 8_000
+QUERIES_PER_TICK = 2_000
 INITIAL_SHARDS = 4
 SEED = 31
 
@@ -85,7 +85,6 @@ def _flash_crowd_stream():
 
 def _drive(rebalance: bool, ticks):
     backend = ShardedBackend(
-        "beta",
         INITIAL_SHARDS,
         router="ring",
         rebalance=POLICY if rebalance else None,

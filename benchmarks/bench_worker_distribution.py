@@ -1,10 +1,10 @@
-"""Worker-distributed trust pipeline — throughput and crash recovery.
+"""Worker-distributed complaint store — throughput and crash recovery.
 
-The scaling claim of the worker layer: hosting each shard in its own
-process lifts the GIL's one-core cap on the trust pipeline, so an
+The scaling claim of the worker layer: hosting each shard of the shared
+complaint store in its own process lifts the GIL's one-core cap, so an
 update+query stream against a ``WorkerShardedBackend`` at 4 workers should
 sustain at least **1.5x** the end-to-end throughput of the in-process
-4-shard backend on the same 100k-peer flash-crowd stream — while staying
+4-shard store on the same 100k-peer flash-crowd stream — while staying
 bit-identical in every score it returns.  The recovery claim: a worker
 SIGKILLed mid-run is healed from its last checkpoint manifest plus the
 parent's journal backfill, restoring ``effective_delivery_ratio`` to 1.0
@@ -14,11 +14,15 @@ Scales:
 
 * **full / default** — the 100k-peer flash-crowd stream; the >= 1.5x
   speedup bar is enforced when the machine actually has >= 4 cores
-  (the measured ratio is always recorded; on smaller machines process
-  workers cannot beat the GIL and the bar is informational).
+  (the measured ratio and its real verdict are always recorded; on
+  smaller machines process workers cannot beat the GIL, so the bar is
+  written with ``enforced: false``).
 * **smoke** (``REPRO_BENCH_SMOKE=1``) — a scaled-down stream for CI;
   bit-identity and the kill-and-recover drill are still enforced, the
   speedup bar is recorded but never enforced (CI runners are small).
+
+Every observation is filed by a random member of the open id space, so
+complaints spread over every shard the way a community's filings do.
 
 A hard watchdog (SIGALRM) aborts the whole module if the worker pool ever
 deadlocks, so a hung pipe fails the job fast instead of hanging it.
@@ -84,16 +88,19 @@ def _tick_pool_size(tick: int) -> int:
 
 def _tick_batch(rng: np.random.Generator, tick: int):
     pool = _tick_pool_size(tick)
+    observers = rng.integers(0, pool, OBS_PER_TICK)
     subjects = rng.integers(0, pool, OBS_PER_TICK)
     honest = rng.random(OBS_PER_TICK) < 0.7
     return [
         TrustObservation(
-            observer_id="bench-observer",
+            observer_id=_peer_name(observer),
             subject_id=_peer_name(subject),
             honest=bool(is_honest),
             timestamp=float(tick),
         )
-        for subject, is_honest in zip(subjects.tolist(), honest.tolist())
+        for observer, subject, is_honest in zip(
+            observers.tolist(), subjects.tolist(), honest.tolist()
+        )
     ]
 
 
@@ -130,7 +137,7 @@ def _throughput(seconds: float) -> float:
 
 def _recovery_drill():
     """SIGKILL one worker mid-stream, heal, compare against a clean run."""
-    reference = create_backend("beta", shards=WORKERS)
+    reference = create_backend("complaint", shards=WORKERS)
     rng = np.random.default_rng(SEED)
     batches = [_tick_batch(rng, tick) for tick in range(NUM_TICKS)]
     queries = _query_sample(rng, NUM_TICKS - 1)
@@ -140,7 +147,7 @@ def _recovery_drill():
 
     kill_tick = NUM_TICKS // 2
     with create_backend(
-        "beta", shards=WORKERS, workers=True, recovery=True
+        "complaint", shards=WORKERS, workers=True, recovery=True
     ) as backend:
         for batch in batches[:kill_tick]:
             backend.update_many(batch)
@@ -166,9 +173,9 @@ def _recovery_drill():
 
 def build_table() -> Table:
     inproc_seconds, inproc_scores = _drive(
-        create_backend("beta", shards=WORKERS)
+        create_backend("complaint", shards=WORKERS)
     )
-    with create_backend("beta", shards=WORKERS, workers=True) as backend:
+    with create_backend("complaint", shards=WORKERS, workers=True) as backend:
         worker_seconds, worker_scores = _drive(backend)
     drill = _recovery_drill()
     speedup = inproc_seconds / worker_seconds
@@ -220,8 +227,8 @@ def test_worker_distribution(benchmark):
         table_metrics(table),
         bars={
             "update_query_speedup": bar(
-                round(speedup, 3), MIN_SPEEDUP,
-                speedup >= MIN_SPEEDUP if ENFORCE_SPEEDUP else True,
+                round(speedup, 3), MIN_SPEEDUP, speedup >= MIN_SPEEDUP,
+                enforced=ENFORCE_SPEEDUP,
             ),
             "scores_identical": bar(
                 table.meta["identical"], True, table.meta["identical"]

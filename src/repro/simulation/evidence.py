@@ -313,9 +313,11 @@ class EvidencePlane:
         Entries addressed to the departed peer (queued, in flight, or held
         only in journals) are counted as ``entries_expired`` rather than
         left dangling, the repair policy drops retransmit/gossip state that
-        targets it, and entries the peer *originated* that survive in no
-        remaining journal are written off too — so drain loops terminate and
-        the effective-delivery accounting stays honest under churn.
+        targets it, and unapplied entries whose origin is gone — this peer
+        or one that left earlier — and that survive in no remaining journal
+        are written off too (the departing peer may have held the last
+        copy), so drain loops terminate and the effective-delivery
+        accounting stays honest under churn.
         """
         self._peers.pop(peer_id, None)
         if self._network is None:
@@ -327,17 +329,19 @@ class EvidencePlane:
         self._journals.pop(peer_id, None)
         self._policy.on_peer_departed(peer_id)
         if self._policy.name != "off":
-            # Anything the departed peer originated loses its repair driver:
-            # under gossip it survives only if some remaining journal holds
-            # a copy; under retransmit only a copy already in flight can
-            # still land (application then reconciles the write-off).  With
-            # repair off, unapplied entries are the plain missing-evidence
+            # An entry whose origin has left has no repair driver: under
+            # gossip it survives only while some remaining journal holds a
+            # copy — and the departing peer's journal may have been the
+            # last one, even for an origin that left earlier; under
+            # retransmit only a copy already in flight can still land
+            # (application then reconciles the write-off).  With repair
+            # off, unapplied entries are the plain missing-evidence
             # baseline and stay on the ledger as such.
             orphaned = [
                 key
                 for keys in self._unapplied.values()
                 for key in keys
-                if key[0] == peer_id
+                if key[0] not in self._peers
                 and not (
                     self._policy.journaling
                     and any(

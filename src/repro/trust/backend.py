@@ -1526,13 +1526,14 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     """Instantiate a registered backend by name.
 
     ``shards=N`` (with an optional ``router="hash"|"range"|"ring"``) wraps
-    the backend in a :class:`~repro.trust.sharding.ShardedBackend`
-    partitioning the peer-id space across ``N`` inner backends of the
-    requested kind; ``shards=1`` (the default) returns the plain backend.
-    ``rebalance`` accepts a :class:`~repro.trust.sharding.RebalancePolicy`
-    enabling live shard splits under load — with a policy the backend is
-    sharded even at ``shards=1``, so a single-shard deployment can grow in
-    place as its population does.
+    a ``complaint`` backend in a
+    :class:`~repro.trust.sharding.ShardedBackend` partitioning the peer-id
+    space across ``N`` inner complaint backends; ``shards=1`` (the default)
+    returns the plain backend.  ``rebalance`` accepts a
+    :class:`~repro.trust.sharding.RebalancePolicy` enabling live shard
+    splits under load — with a policy the backend is sharded even at
+    ``shards=1``, so a single-shard deployment can grow in place as its
+    population does.
 
     ``workers=True`` hosts each shard in its own worker process instead
     (:class:`~repro.trust.workers.WorkerShardedBackend`): same interface,
@@ -1541,6 +1542,9 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     protocol on in-process threads (the deterministic test medium), and
     ``recovery=True`` journals writes so crashed workers can be healed
     (see :meth:`~repro.trust.workers.WorkerShardedBackend.heal_workers`).
+    Sharding, rebalance and workers apply to the ``complaint`` kind only —
+    it is the community's shared store; any other kind raises
+    :class:`~repro.exceptions.TrustModelError`.
 
     All remaining keyword parameters are forwarded to the backend factory
     (and, when sharded, to every shard).  The built-in backends accept
@@ -1560,12 +1564,16 @@ def create_backend(name: str, **params: object) -> TrustBackend:
         raise TrustModelError(
             f"unknown trust backend {name!r}; registered: {backend_names()}"
         )
+    if (shards > 1 or rebalance is not None or workers) and name != "complaint":
+        raise TrustModelError(
+            "only the complaint store can be sharded, rebalanced or hosted "
+            f"on workers; got backend kind {name!r}"
+        )
     if workers:
         from repro.trust.workers import WorkerShardedBackend
 
         transport = "loopback" if workers == "loopback" else "process"
         return WorkerShardedBackend(
-            name,
             shards,
             router=router,
             rebalance=rebalance,
@@ -1578,9 +1586,7 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     if shards > 1 or rebalance is not None:
         from repro.trust.sharding import ShardedBackend
 
-        return ShardedBackend(
-            name, shards, router=router, rebalance=rebalance, **params
-        )
+        return ShardedBackend(shards, router=router, rebalance=rebalance, **params)
     return factory(**params)
 
 

@@ -1,14 +1,16 @@
-"""Sharded trust backends: partition trust state by peer-id range.
+"""Sharded complaint store: partition complaint state by peer-id range.
 
 The paper's premise is that reputation data in a P2P community is too large
 and too decentralised to live on one node — that is why complaints are
 stored in P-Grid in the first place.  This module brings the same idea to
-the :class:`~repro.trust.backend.TrustBackend` layer: a
-:class:`ShardedBackend` splits the peer-id space across ``N`` inner backends
-of any registered kind (``beta``, ``complaint``, ``decay``, …) while
-presenting the *same* ``TrustBackend`` interface, so every consumer — the
-reputation manager, witness aggregation, matching, the community simulation
-— stays unchanged and shard-agnostic.
+the community's shared complaint store: a :class:`ShardedBackend` splits
+the peer-id space across ``N`` inner
+:class:`~repro.trust.backend.ComplaintTrustBackend` shards while presenting
+the *same* ``TrustBackend`` and ``ComplaintStore`` interfaces, so every
+consumer — the reputation manager, witness aggregation, the community
+simulation — stays unchanged and shard-agnostic.  Only the complaint kind
+is sharded: each peer's private beta and decay backends hold at most one
+row per community member and gain nothing from partitioning.
 
 Routing
 -------
@@ -45,12 +47,11 @@ backend keeps per-shard load counters (resident rows and routed evidence
 units), and when a shard exceeds the policy's skew threshold (or its
 absolute row capacity) it is split in place through the very same
 ``shard-NNNN/*`` snapshot manifest a re-sharding restore uses — snapshot
-the hot shard, redistribute its rows (beta/decay) or re-file its complaint
-log (complaint) onto two successor shards, and atomically swap the
-router's key intervals (``range``) or ring points (``ring``).  Row values
-are copied bit-for-bit and complaint logs are re-filed complaint-for-
-complaint, so results stay bit-identical to an unsharded run before,
-during and after every split — the sharding invariant survives churn.
+the hot shard, re-file its complaint log onto two successor shards, and
+atomically swap the router's key intervals (``range``) or ring points
+(``ring``).  Complaint logs are re-filed complaint-for-complaint, so
+results stay bit-identical to an unsharded run before, during and after
+every split — the sharding invariant survives churn.
 
 Semantics
 ---------
@@ -61,23 +62,25 @@ Semantics
   both peers' home shards; each shard counts only its own peer-id range
   (``ComplaintTrustBackend.restrict_rows``), so every home row sees all of
   its evidence and no shard holds half-counted foreign rows.
-* ``scores_for`` / ``trust_decisions`` / ``aggregate_witness_reports``
-  scatter the query (the witness-belief matrix splits column-wise) and
-  gather per-shard answers back into caller order.  For the complaint
-  family the community *median* reference is global state: the wrapper
-  pools every shard's home-subject metrics, takes one global median, and
-  hands it to each shard's explicit-reference scoring helpers — per-shard
-  medians would silently change the decision rule.
+* Every read is a list of ``(shard, op, args)`` requests run through one
+  :meth:`ShardedBackend._scatter_gather`, with ``op`` named in the
+  :data:`_COMPOSITES` table; a worker deployment runs the same table on
+  the far side of its transport.  ``scores_for`` / ``trust_decisions`` /
+  ``aggregate_witness_reports`` send each home shard its subjects (the
+  witness-belief matrix splits column-wise) and gather the answers back
+  into caller order.  The community *median* reference is global state:
+  the wrapper pools every shard's home-subject metrics, takes one global
+  median, and hands it to every shard's scoring rule — per-shard medians
+  would silently change the decision rule.
 * ``snapshot`` / ``restore`` produce a per-shard manifest: each shard
   serialises independently under a ``shard-NNNN/`` key prefix (the format a
   multi-worker deployment checkpoints in parallel), plus the router name
   *and its boundary state* needed to re-shard — a snapshot taken after
   live splits records the uneven layout, so its per-shard logs are
   interpreted correctly on restore.  Restoring into a *different* shard
-  count or router layout redistributes per-subject rows — or re-files the
-  complaint log — onto the new layout without score drift; restoring onto
-  a single shard, or onto more shards than there are peers (some shards
-  end up empty), both work.
+  count or router layout re-files the de-duplicated complaint log onto the
+  new layout without score drift; restoring onto a single shard, or onto
+  more shards than there are peers (some shards end up empty), both work.
 """
 
 from __future__ import annotations
@@ -87,7 +90,17 @@ import time
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -102,7 +115,6 @@ from repro.trust.backend import (
     TrustObservation,
     create_backend,
 )
-from repro.trust.beta import BetaBelief
 from repro.trust.evidence import Complaint
 
 __all__ = [
@@ -479,25 +491,54 @@ def _matrix_columns(
     return matrix[:, positions, :]
 
 
-#: Per-subject row keys of the row-partitioned backends, used to re-shard a
-#: snapshot into a different shard count.  Keys not listed here (``prior``,
-#: ``half_life``, …) are per-backend configuration copied from shard 0.
-_ROW_KEYS = {
-    "beta": ("alpha", "beta", "count"),
-    "decay": ("alpha", "beta", "ref", "count"),
+#: The shard read surface: how one complaint shard answers each read op the
+#: sharded wrapper scatters.  :meth:`ShardedBackend._scatter_gather` runs
+#: the table in process; a shard worker runs the same table on its side of
+#: the transport.  The score paths are fused: the wrapper pools the global
+#: median reference once and each shard maps its own metrics through the
+#: scoring or decision rule in one request.
+_COMPOSITES: Dict[str, Callable[..., Any]] = {
+    "ping": lambda backend: None,
+    "len": len,
+    "row_count": lambda backend: backend.row_count(),
+    "known_subjects": lambda backend: backend.known_subjects(),
+    "metric_values_in_store": lambda backend: backend.metric_values_in_store(),
+    "metric_scores": lambda backend, subjects, reference: backend.scores_from_metrics(
+        backend.metrics_for(subjects), reference
+    ),
+    "metric_decisions": (
+        lambda backend, subjects, reference: backend.decisions_from_metrics(
+            backend.metrics_for(subjects), reference
+        )
+    ),
+    "witness_scores": (
+        lambda backend, subjects, matrix, discounts, reference: (
+            backend.scores_from_metrics(
+                backend.witness_metrics_for(subjects, matrix, discounts), reference
+            )
+        )
+    ),
+    "counts": lambda backend, agent_id: backend.counts(agent_id),
+    "complaints_about": lambda backend, agent_id: backend.complaints_about(agent_id),
+    "complaints_by": lambda backend, agent_id: backend.complaints_by(agent_id),
+    "all_complaints": lambda backend: backend.all_complaints(),
+    "config": lambda backend: (backend.tolerance_factor, backend.metric_mode),
 }
-_ROW_DTYPES = {"alpha": np.float64, "beta": np.float64, "ref": np.float64,
-               "count": np.int64}
+
+
+def _dispatch(backend: ComplaintTrustBackend, op: str, args: Tuple) -> Any:
+    """Run one shard request: a read from :data:`_COMPOSITES`, else a method."""
+    composite = _COMPOSITES.get(op)
+    if composite is not None:
+        return composite(backend, *args)
+    return getattr(backend, op)(*args)
 
 
 class ShardedBackend(TrustBackend):
-    """N inner trust backends behind one ``TrustBackend`` interface.
+    """N complaint shards behind one ``TrustBackend`` interface.
 
     Parameters
     ----------
-    kind:
-        Registered backend name instantiated per shard (``beta``,
-        ``complaint``, ``decay``, or any :func:`register_backend` addition).
     num_shards:
         How many partitions to split the peer-id space into initially
         (rebalancing may grow the count up to the policy's ``max_shards``).
@@ -509,21 +550,23 @@ class ShardedBackend(TrustBackend):
         per-shard load after every write batch and splits hot shards in
         place (requires a splittable router, i.e. ``range`` or ``ring``).
     **shard_params:
-        Constructor parameters forwarded to every inner backend.
+        Constructor parameters forwarded to every inner
+        :class:`~repro.trust.backend.ComplaintTrustBackend`.
 
-    The complaint family gets special treatment in three places (global
-    median reference, two-shard complaint delivery, complaint-log
-    re-sharding); everything else is generic scatter/gather.  When the
-    inner backends implement the ``ComplaintStore`` protocol the wrapper
-    does too, so a sharded complaint backend can serve as a community's
-    shared complaint store exactly like an unsharded one.
+    Three mechanisms keep the sharded store bit-identical to one complaint
+    backend: the global median reference, two-shard complaint delivery,
+    and complaint-log re-filing on splits and re-sharding restores.  The
+    wrapper implements the ``ComplaintStore`` protocol, so it can serve as
+    a community's shared complaint store exactly like an unsharded one.
     """
 
     name = "sharded"
 
+    #: The one backend kind a sharded store holds (recorded in manifests).
+    kind = "complaint"
+
     def __init__(
         self,
-        kind: str,
         num_shards: int,
         router: object = "hash",
         rebalance: Optional[RebalancePolicy] = None,
@@ -541,7 +584,6 @@ class ShardedBackend(TrustBackend):
                 "sharded backends own their per-shard stores; "
                 "a shared store cannot back multiple shards"
             )
-        self._kind = kind
         self._shard_params: Dict[str, object] = dict(shard_params)
         if isinstance(router, ShardRouter):
             if router.num_shards != num_shards:
@@ -552,10 +594,9 @@ class ShardedBackend(TrustBackend):
             self._router = router
         else:
             self._router = create_router(str(router), num_shards)
-        self._shards: Tuple[TrustBackend, ...] = tuple(
+        self._shards: Tuple[ComplaintTrustBackend, ...] = tuple(
             self._create_shard() for _ in range(num_shards)
         )
-        self._complaint_family = self._detect_complaint_family()
         if rebalance is not None:
             if not isinstance(rebalance, RebalancePolicy):
                 raise TrustModelError(
@@ -567,10 +608,6 @@ class ShardedBackend(TrustBackend):
                     f"rebalancing requires a splittable router "
                     f"('range' or 'ring'), not {self._router.name!r}"
                 )
-            if not self._complaint_family and kind not in _ROW_KEYS:
-                raise TrustModelError(
-                    f"rebalancing is not supported for backend kind {kind!r}"
-                )
         self._rebalance = rebalance
         self._rebalance_events: List[RebalanceEvent] = []
         self._split_seconds = 0.0
@@ -581,56 +618,47 @@ class ShardedBackend(TrustBackend):
         # Routing is pure but hashing every id on every query adds up;
         # memoise per instance (invalidated whenever the router changes).
         self._route_cache: Dict[str, int] = {}
-        # Complaint family: a complaint is delivered to both involved peers'
-        # home shards; restricting each shard's counters to its own peer-id
-        # range keeps every shard's agent set and metric array exactly the
-        # home partition (see ComplaintTrustBackend.restrict_rows), so the
+        # A complaint is delivered to both involved peers' home shards;
+        # restricting each shard's counters to its own peer-id range keeps
+        # every shard's agent set and metric array exactly the home
+        # partition (see ComplaintTrustBackend.restrict_rows), so the
         # global median pools per-shard arrays at numpy speed.  The median
         # is cached per write version.
-        if self._complaint_family:
-            self._restrict_shard_rows()
+        self._restrict_shard_rows()
         self._writes = 0
         self._reference_cache: Tuple[int, float] = (-1, 0.0)
+        self._config_cache: Tuple[int, Tuple[float, str]] = (-1, (0.0, ""))
 
-    def _create_shard(self, **overrides: object) -> TrustBackend:
+    def _create_shard(self, **overrides: object) -> ComplaintTrustBackend:
         """Instantiate one inner shard (``shard_params`` merged with overrides).
 
         The single construction point for inner backends — initial shards,
-        split successors and re-sharded complaint shards all come through
-        here, so a subclass that hosts shards elsewhere (the worker-process
-        deployment in :mod:`repro.trust.workers`) overrides exactly one
-        method to change where every shard lives.
+        split successors and re-sharded shards all come through here, so a
+        subclass that hosts shards elsewhere (the worker-process deployment
+        in :mod:`repro.trust.workers`) overrides exactly one method to
+        change where every shard lives.
         """
         params = dict(self._shard_params)
         params.update(overrides)
-        shard = create_backend(self._kind, **params)
+        shard = create_backend(self.kind, **params)
         if self.telemetry.enabled:
             # Shards minted after bind_telemetry (splits, re-shards) report
             # through the same registry as the initial fleet.
             shard.bind_telemetry(self.telemetry)
         return shard
 
-    def _detect_complaint_family(self) -> bool:
-        """Whether the inner shards are complaint-family backends."""
-        return isinstance(self._shards[0], ComplaintTrustBackend)
-
     def _restrict_shard_rows(self) -> None:
         for index, shard in enumerate(self._shards):
             self._restrict_one(shard, index)
 
-    def _restrict_one(self, shard: TrustBackend, home: int) -> None:
-        shard.restrict_rows(  # type: ignore[attr-defined]
+    def _restrict_one(self, shard: ComplaintTrustBackend, home: int) -> None:
+        shard.restrict_rows(
             lambda agent, home=home: self.shard_index_of(agent) == home
         )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def kind(self) -> str:
-        """Registered name of the inner backends."""
-        return self._kind
-
     @property
     def num_shards(self) -> int:
         return len(self._shards)
@@ -640,7 +668,7 @@ class ShardedBackend(TrustBackend):
         return self._router
 
     @property
-    def shards(self) -> Tuple[TrustBackend, ...]:
+    def shards(self) -> Tuple[ComplaintTrustBackend, ...]:
         """The inner backends, indexable by shard index."""
         return self._shards
 
@@ -670,16 +698,14 @@ class ShardedBackend(TrustBackend):
         ``known_subjects()`` name tuples — this is polled after every write
         batch when a rebalance policy is active.
         """
-        return np.array(
-            [shard.row_count() for shard in self._shards], dtype=np.int64
-        )
+        return np.array(self._ask_all("row_count"), dtype=np.int64)
 
     def describe(self) -> str:
         suffix = ""
         if self._rebalance is not None:
             suffix = f", rebalance@{self._rebalance.threshold:g}"
         return (
-            f"sharded({len(self._shards)}x{self._kind}, "
+            f"sharded({len(self._shards)}x{self.kind}, "
             f"{self._router.name}{suffix})"
         )
 
@@ -693,7 +719,7 @@ class ShardedBackend(TrustBackend):
                 self._rebalance.threshold, self._rebalance.max_shards
             )
         return [
-            self._kind,
+            self.kind,
             "{} shards, {} router".format(len(self._shards), self._router.name),
             rebalance,
             "compact " + flag(self._shard_params.get("compact", False)),
@@ -738,15 +764,8 @@ class ShardedBackend(TrustBackend):
             self._route_cache[peer_id] = index
         return index
 
-    def _home_shard(self, peer_id: str) -> TrustBackend:
+    def _home_shard(self, peer_id: str) -> ComplaintTrustBackend:
         return self._shards[self.shard_index_of(peer_id)]
-
-    def _require_complaint_family(self) -> ComplaintTrustBackend:
-        if not self._complaint_family:
-            raise TrustModelError(
-                f"operation requires complaint-family shards, not {self._kind!r}"
-            )
-        return self._shards[0]  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Scatter helpers
@@ -803,7 +822,6 @@ class ShardedBackend(TrustBackend):
         cache_get = cache.get
         shard_of = self._router.shard_of
         buckets: List[Optional[List[TrustObservation]]] = [None] * len(self._shards)
-        complaint_family = self._complaint_family
         for observation in observations:
             subject_id = observation.subject_id
             home = cache_get(subject_id)
@@ -814,8 +832,7 @@ class ShardedBackend(TrustBackend):
                 bucket = buckets[home] = []
             bucket.append(observation)
             if (
-                complaint_family
-                and observation.complaint_filed
+                observation.complaint_filed
                 and observation.observer_id != observation.subject_id
             ):
                 # The complaint also increments the complainant's filed
@@ -844,7 +861,6 @@ class ShardedBackend(TrustBackend):
 
     def record_complaints(self, complaints: Sequence[Complaint]) -> None:
         """Scatter ready-made complaints to the accused's and filer's shards."""
-        self._require_complaint_family()
         buckets: Dict[int, List[Complaint]] = {}
         for complaint in complaints:
             home = self.shard_index_of(complaint.accused_id)
@@ -855,7 +871,7 @@ class ShardedBackend(TrustBackend):
         self._writes += 1
         for index in sorted(buckets):
             self._shard_updates[index] += len(buckets[index])
-            self._shards[index].record_complaints(buckets[index])  # type: ignore[attr-defined]
+            self._shards[index].record_complaints(buckets[index])
         self._maybe_rebalance()
 
     # ------------------------------------------------------------------
@@ -897,18 +913,13 @@ class ShardedBackend(TrustBackend):
 
         The hot shard is snapshotted through the same per-shard manifest
         format :meth:`snapshot` emits, the router's key table gains the new
-        shard (only the hot shard's keys move), the snapshot's rows are
-        redistributed (beta/decay) or its complaint log re-filed
-        (complaint) onto the two successors, and the shard table is swapped
-        atomically.  Scores are bit-identical before and after.
+        shard (only the hot shard's keys move), the snapshot's complaint
+        log is re-filed onto the two successors, and the shard table is
+        swapped atomically.  Scores are bit-identical before and after.
         """
         if not 0 <= index < len(self._shards):
             raise TrustModelError(
                 f"shard index {index} out of range [0, {len(self._shards)})"
-            )
-        if not self._complaint_family and self._kind not in _ROW_KEYS:
-            raise TrustModelError(
-                f"live splits are not supported for backend kind {self._kind!r}"
             )
         started = time.perf_counter()  # repro: allow(DET001) — split-pause timing, reported via the telemetry timings section only
         state = self._shards[index].snapshot()
@@ -917,14 +928,9 @@ class ShardedBackend(TrustBackend):
         new_index = self._router.split(index)
         self._route_cache.clear()
         try:
-            if self._complaint_family:
-                kept_shard, moved_shard, kept, moved = self._split_complaints(
-                    state, index, new_index
-                )
-            else:
-                kept_shard, moved_shard, kept, moved = self._split_rows(
-                    state, index, new_index
-                )
+            kept_shard, moved_shard, kept, moved = self._split_complaints(
+                state, index, new_index
+            )
         except Exception:
             # Roll the router back so a failed redistribution leaves the
             # backend exactly as it was: the shard table was never touched
@@ -959,87 +965,9 @@ class ShardedBackend(TrustBackend):
         )
         return new_index
 
-    def _row_states(
-        self,
-        shard_states: List[Dict[str, np.ndarray]],
-        num_targets: int,
-        position_of,
-    ) -> List[Dict[str, np.ndarray]]:
-        """Regroup row-partitioned shard snapshots into ``num_targets`` states.
-
-        The single redistribution engine behind both live splits and
-        re-sharding restores: rows are bucketed by ``position_of(peer_id)``
-        and each target gets a restorable shard state carrying shard 0's
-        configuration keys.  Row values are copied verbatim, so no score
-        can drift.
-        """
-        row_keys = _ROW_KEYS.get(self._kind)
-        if row_keys is None:
-            raise TrustModelError(
-                f"re-sharding is not supported for backend kind {self._kind!r}"
-            )
-        config_keys = [
-            key
-            for key in shard_states[0]
-            if key not in row_keys and key != "peer_ids"
-        ]
-        names: List[List[str]] = [[] for _ in range(num_targets)]
-        rows: List[Dict[str, List[float]]] = [
-            {key: [] for key in row_keys} for _ in range(num_targets)
-        ]
-        for shard_state in shard_states:
-            for row, peer_id in enumerate(shard_state["peer_ids"]):
-                peer_name = str(peer_id)
-                target = position_of(peer_name)
-                names[target].append(peer_name)
-                for key in row_keys:
-                    rows[target][key].append(shard_state[key][row])
-        states = []
-        for index in range(num_targets):
-            state = {
-                key: np.asarray(shard_states[0][key]) for key in config_keys
-            }
-            state["peer_ids"] = np.array(names[index], dtype=object)
-            for key in row_keys:
-                state[key] = np.array(rows[index][key], dtype=_ROW_DTYPES[key])
-            states.append(state)
-        return states
-
-    def _split_rows(
-        self, state: Dict[str, np.ndarray], kept_index: int, moved_index: int
-    ) -> Tuple[TrustBackend, TrustBackend, int, int]:
-        """Redistribute a beta/decay shard snapshot onto two successors."""
-
-        def position_of(peer_name: str) -> int:
-            home = self.shard_index_of(peer_name)
-            if home == kept_index:
-                return 0
-            if home == moved_index:
-                return 1
-            # A split may only rehome keys between the two successors;
-            # anything else is a router-invariant violation that would
-            # otherwise strand the row where queries never reach it.
-            raise TrustModelError(
-                f"split rehomed {peer_name!r} to shard {home}, outside "
-                f"successors ({kept_index}, {moved_index})"
-            )
-
-        states = self._row_states([state], 2, position_of)
-        successors = []
-        for shard_state in states:
-            successor = self._create_shard()
-            successor.restore(shard_state)
-            successors.append(successor)
-        return (
-            successors[0],
-            successors[1],
-            len(states[0]["peer_ids"]),
-            len(states[1]["peer_ids"]),
-        )
-
     def _complaint_shard_from_config(
         self, shard_state: Dict[str, np.ndarray], home_index: int
-    ) -> TrustBackend:
+    ) -> ComplaintTrustBackend:
         """A fresh, row-restricted complaint shard with a snapshot's config."""
         tolerance_factor, trust_scale = (
             float(value) for value in shard_state["config"]
@@ -1057,7 +985,7 @@ class ShardedBackend(TrustBackend):
 
     def _split_complaints(
         self, state: Dict[str, np.ndarray], kept_index: int, moved_index: int
-    ) -> Tuple[TrustBackend, TrustBackend, int, int]:
+    ) -> Tuple[ComplaintTrustBackend, ComplaintTrustBackend, int, int]:
         """Re-file a complaint shard's log onto two successor shards.
 
         Every complaint in the hot shard's store involves at least one peer
@@ -1090,39 +1018,71 @@ class ShardedBackend(TrustBackend):
         for side in (0, 1):
             if batches[side]:
                 successors[side].record_complaints(batches[side])
-        return (
-            successors[0],
-            successors[1],
-            successors[0].row_count(),
-            successors[1].row_count(),
+        kept, moved = self._scatter_gather(
+            [(successor, "row_count", ()) for successor in successors]
         )
+        return successors[0], successors[1], kept, moved
 
     # ------------------------------------------------------------------
-    # Reads (scatter the query, gather into caller order)
+    # Reads: one scatter/gather path
     # ------------------------------------------------------------------
+    def _scatter_gather(
+        self, requests: Sequence[Tuple[ComplaintTrustBackend, str, Tuple]]
+    ) -> List[Any]:
+        """Run ``(shard, op, args)`` read requests; replies in request order.
+
+        Every shard read comes through here, with ``op`` looked up in
+        :data:`_COMPOSITES`.  In process the requests simply run in turn;
+        the worker deployment overrides this one method to ask every
+        worker before collecting any reply.
+        """
+        return [_dispatch(shard, op, args) for shard, op, args in requests]
+
+    def _ask(self, shard: ComplaintTrustBackend, op: str, *args: Any) -> Any:
+        return self._scatter_gather([(shard, op, args)])[0]
+
+    def _ask_all(self, op: str) -> List[Any]:
+        """One argument-free ``op`` request per shard, in shard order."""
+        return self._scatter_gather([(shard, op, ()) for shard in self._shards])
+
+    def _gather_by_home(
+        self,
+        op: str,
+        subject_ids: Sequence[str],
+        out: np.ndarray,
+        matrix: "np.ndarray | SparseWitnessMatrix | None" = None,
+        extra: Tuple = (),
+    ) -> np.ndarray:
+        """Scatter a per-subject read to the home shards, gather into ``out``.
+
+        Each home shard gets its own subjects — plus, with ``matrix``, the
+        witness-matrix columns for them — then ``extra`` and the global
+        median reference.  ``out`` comes back filled in caller order.
+        """
+        if not len(subject_ids):
+            return out
+        groups = self._partition(subject_ids)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.observe("sharded.query_fanout", len(groups))
+        reference = self.reference_metric()
+        requests = []
+        for index, positions, subjects in groups:
+            args: Tuple = (subjects,)
+            if matrix is not None:
+                args += (_matrix_columns(matrix, positions),)
+            requests.append((self._shards[index], op, args + extra + (reference,)))
+        for (_, positions, _), reply in zip(groups, self._scatter_gather(requests)):
+            out[positions] = reply
+        return out
+
     def scores_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
-        out = np.zeros(len(subject_ids))
-        if not len(subject_ids):
-            return out
-        telemetry = self.telemetry
-        with telemetry.span("sharded.scores_for"):
-            groups = self._partition(subject_ids)
-            if telemetry.enabled:
-                telemetry.observe("sharded.query_fanout", len(groups))
-            if self._complaint_family:
-                reference = self.reference_metric()
-                for index, positions, subjects in groups:
-                    shard = self._shards[index]
-                    metrics = shard.metrics_for(subjects)  # type: ignore[attr-defined]
-                    out[positions] = shard.scores_from_metrics(  # type: ignore[attr-defined]
-                        metrics, reference
-                    )
-                return out
-            for index, positions, subjects in groups:
-                out[positions] = self._shards[index].scores_for(subjects, now=now)
-            return out
+        with self.telemetry.span("sharded.scores_for"):
+            return self._gather_by_home(
+                "metric_scores", subject_ids, np.zeros(len(subject_ids))
+            )
 
     def trust_decisions(
         self,
@@ -1130,23 +1090,12 @@ class ShardedBackend(TrustBackend):
         threshold: float = 0.5,
         now: Optional[float] = None,
     ) -> np.ndarray:
-        out = np.zeros(len(subject_ids), dtype=bool)
-        if not len(subject_ids):
-            return out
-        if self._complaint_family:
-            reference = self.reference_metric()
-            for index, positions, subjects in self._partition(subject_ids):
-                shard = self._shards[index]
-                metrics = shard.metrics_for(subjects)  # type: ignore[attr-defined]
-                out[positions] = shard.decisions_from_metrics(  # type: ignore[attr-defined]
-                    metrics, reference
-                )
-            return out
-        for index, positions, subjects in self._partition(subject_ids):
-            out[positions] = self._shards[index].trust_decisions(
-                subjects, threshold=threshold, now=now
-            )
-        return out
+        """Median-rule decisions (``threshold`` is ignored, as unsharded)."""
+        return self._gather_by_home(
+            "metric_decisions",
+            subject_ids,
+            np.zeros(len(subject_ids), dtype=bool),
+        )
 
     def aggregate_witness_reports(
         self,
@@ -1159,41 +1108,27 @@ class ShardedBackend(TrustBackend):
             len(subject_ids),
             witness_belief_matrix,
             discount_vector,
-            positive=not self._complaint_family,
+            positive=False,
         )
-        out = np.zeros(len(subject_ids))
-        if not len(subject_ids):
-            return out
-        if self._complaint_family:
-            reference = self.reference_metric()
-            for index, positions, subjects in self._partition(subject_ids):
-                shard = self._shards[index]
-                metrics = shard.witness_metrics_for(  # type: ignore[attr-defined]
-                    subjects, _matrix_columns(matrix, positions), discounts
-                )
-                out[positions] = shard.scores_from_metrics(  # type: ignore[attr-defined]
-                    metrics, reference
-                )
-            return out
-        # The witness-belief matrix splits column-wise: each shard sees
-        # every witness's reports about its own subjects only.
-        for index, positions, subjects in self._partition(subject_ids):
-            out[positions] = self._shards[index].aggregate_witness_reports(
-                subjects, _matrix_columns(matrix, positions), discounts, now=now
-            )
-        return out
+        return self._gather_by_home(
+            "witness_scores",
+            subject_ids,
+            np.zeros(len(subject_ids)),
+            matrix=matrix,
+            extra=(discounts,),
+        )
 
     def known_subjects(self) -> Tuple[str, ...]:
-        # Complaint shards are row-filtered to their home range, so a plain
-        # concatenation is the home partition for every backend family.
+        # Shards are row-filtered to their home range, so a plain
+        # concatenation is the home partition.
         return tuple(
             subject
-            for shard in self._shards
-            for subject in shard.known_subjects()
+            for partition in self._ask_all("known_subjects")
+            for subject in partition
         )
 
     def reference_metric(self) -> float:
-        """The *global* community median metric (complaint family only).
+        """The *global* community median metric.
 
         Pools every shard's (home-filtered) in-store metric array into one
         median — the same multiset an unsharded backend computes its
@@ -1201,65 +1136,60 @@ class ShardedBackend(TrustBackend):
         Cached per write version (one query batch recomputes it at most
         once).
         """
-        self._require_complaint_family()
         version, cached = self._reference_cache
         if version == self._writes:
             return cached
-        values = np.concatenate(
-            [
-                shard.metric_values_in_store()  # type: ignore[attr-defined]
-                for shard in self._shards
-            ]
-        )
+        values = np.concatenate(self._ask_all("metric_values_in_store"))
         reference = float(np.median(values)) if values.size else 0.0
         self._reference_cache = (self._writes, reference)
         return reference
-
-    # ------------------------------------------------------------------
-    # Scalar conveniences (delegate to the home shard)
-    # ------------------------------------------------------------------
-    def belief(self, subject_id: str, now: Optional[float] = None) -> BetaBelief:
-        return self._home_shard(subject_id).belief(subject_id, now=now)  # type: ignore[attr-defined]
-
-    def observation_count(self, subject_id: str) -> int:
-        return self._home_shard(subject_id).observation_count(subject_id)  # type: ignore[attr-defined]
 
     def trust(self, subject_id: str, now: Optional[float] = None) -> float:
         return self.score(subject_id, now=now)
 
     def counts(self, agent_id: str) -> Tuple[int, int]:
         """``(received, filed)`` complaint counts from the agent's home shard."""
-        self._require_complaint_family()
-        return self._home_shard(agent_id).counts(agent_id)  # type: ignore[attr-defined]
+        return self._ask(self._home_shard(agent_id), "counts", agent_id)
 
     def trustworthy(self, subject_id: str) -> bool:
         return bool(self.trust_decisions((subject_id,))[0])
 
     # ------------------------------------------------------------------
-    # ComplaintStore protocol (complaint family only) — a sharded backend
-    # can be a community's shared complaint store, like its inner kind.
+    # ComplaintStore protocol — a sharded store can be a community's
+    # shared complaint store, like a single complaint backend.
     # ------------------------------------------------------------------
+    def _scoring_config(self) -> Tuple[float, str]:
+        """Shard 0's ``(tolerance_factor, metric_mode)``.
+
+        Every shard shares one scoring configuration, and it changes only
+        when shards are rebuilt or restored from a manifest — each of which
+        bumps the write version — so it is cached per write version (every
+        community member's reputation manager reads it at construction).
+        """
+        version, config = self._config_cache
+        if version != self._writes:
+            config = self._ask(self._shards[0], "config")
+            self._config_cache = (self._writes, config)
+        return config
+
     @property
     def tolerance_factor(self) -> float:
-        return self._require_complaint_family().tolerance_factor
+        return self._scoring_config()[0]
 
     @property
     def metric_mode(self) -> str:
-        return self._require_complaint_family().metric_mode
+        return self._scoring_config()[1]
 
     def file_complaint(self, complaint: Complaint) -> None:
         self.record_complaints((complaint,))
 
     def complaints_about(self, agent_id: str) -> Sequence[Complaint]:
-        self._require_complaint_family()
-        return self._home_shard(agent_id).complaints_about(agent_id)  # type: ignore[attr-defined]
+        return self._ask(self._home_shard(agent_id), "complaints_about", agent_id)
 
     def complaints_by(self, agent_id: str) -> Sequence[Complaint]:
-        self._require_complaint_family()
-        return self._home_shard(agent_id).complaints_by(agent_id)  # type: ignore[attr-defined]
+        return self._ask(self._home_shard(agent_id), "complaints_by", agent_id)
 
     def known_agents(self) -> Sequence[str]:
-        self._require_complaint_family()
         return list(self.known_subjects())
 
     def all_complaints(self) -> Tuple[Complaint, ...]:
@@ -1270,18 +1200,17 @@ class ShardedBackend(TrustBackend):
         without comparing complaint values (identical duplicate filings are
         legitimate evidence and must survive).
         """
-        self._require_complaint_family()
-        complaints: List[Complaint] = []
-        for index, shard in enumerate(self._shards):
-            for complaint in shard.all_complaints():  # type: ignore[attr-defined]
-                if self.shard_index_of(complaint.accused_id) == index:
-                    complaints.append(complaint)
-        return tuple(complaints)
+        return tuple(
+            complaint
+            for index, log in enumerate(self._ask_all("all_complaints"))
+            for complaint in log
+            if self.shard_index_of(complaint.accused_id) == index
+        )
 
     def __len__(self) -> int:
         # Version stamp for change-tracking caches (cross-shard complaints
         # count twice — monotonicity is what matters, not the total).
-        return sum(len(shard) for shard in self._shards)  # type: ignore[arg-type]
+        return sum(self._ask_all("len"))
 
     # ------------------------------------------------------------------
     # Persistence: per-shard manifest, re-shardable
@@ -1298,7 +1227,7 @@ class ShardedBackend(TrustBackend):
         :meth:`snapshot` is simply ``dict`` of this stream.
         """
         yield "backend", np.array(self.name)
-        yield "kind", np.array(self._kind)
+        yield "kind", np.array(self.kind)
         yield "router", np.array(self._router.name)
         yield "num_shards", np.array([len(self._shards)])
         router_state = self._router.state()
@@ -1324,6 +1253,16 @@ class ShardedBackend(TrustBackend):
         """
         return dict(self.snapshot_items())
 
+    def _check_manifest(self, meta: Dict[str, np.ndarray]) -> None:
+        """Reject a manifest this backend cannot restore, before any change."""
+        self._check_snapshot_backend(meta)
+        kind = str(np.asarray(meta.get("kind")).item())
+        if kind != self.kind:
+            raise TrustModelError(
+                f"snapshot holds {kind!r} shards; sharded backends hold only "
+                f"the {self.kind!r} store"
+            )
+
     def restore_items(
         self, items: Iterable[Tuple[str, np.ndarray]]
     ) -> None:
@@ -1332,8 +1271,8 @@ class ShardedBackend(TrustBackend):
         When the stream's recorded router layout matches the live one, each
         shard is restored as soon as its ``shard-NNNN/`` group completes —
         the full manifest is never materialised.  A layout mismatch needs
-        the whole snapshot to redistribute rows, so the stream is drained
-        into :meth:`restore`.
+        the whole snapshot to re-file the complaint log, so the stream is
+        drained into :meth:`restore`.
         """
         iterator = iter(items)
         meta: Dict[str, np.ndarray] = {}
@@ -1343,13 +1282,7 @@ class ShardedBackend(TrustBackend):
                 first_shard = (key, value)
                 break
             meta[key] = value
-        self._check_snapshot_backend(meta)
-        kind = str(np.asarray(meta["kind"]).item())
-        if kind != self._kind:
-            raise TrustModelError(
-                f"snapshot holds {kind!r} shards, cannot restore into "
-                f"{self._kind!r} shards"
-            )
+        self._check_manifest(meta)
         old_router = create_router(
             str(np.asarray(meta["router"]).item()),
             int(meta["num_shards"][0]),
@@ -1404,13 +1337,7 @@ class ShardedBackend(TrustBackend):
         self._shard_updates = [0] * len(self._shards)
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
-        self._check_snapshot_backend(state)
-        kind = str(np.asarray(state["kind"]).item())
-        if kind != self._kind:
-            raise TrustModelError(
-                f"snapshot holds {kind!r} shards, cannot restore into "
-                f"{self._kind!r} shards"
-            )
+        self._check_manifest(state)
         prefixes = [str(prefix) for prefix in state["manifest"]]
         if len(prefixes) != int(state["num_shards"][0]):
             raise TrustModelError(
@@ -1452,26 +1379,15 @@ class ShardedBackend(TrustBackend):
     def _restore_resharded(
         self, old_router: ShardRouter, shard_states: List[Dict[str, np.ndarray]]
     ) -> None:
-        """Redistribute a snapshot taken under a different shard layout.
+        """Re-file a snapshot taken under a different shard layout.
 
         Handles any layout change: different shard count (more shards than
         peers leaves some shards empty; a single shard absorbs everything),
         different router strategy, or the uneven boundary tables a
-        rebalanced run checkpoints.
+        rebalanced run checkpoints.  The global complaint log is
+        de-duplicated by keeping each shard's accused-home complaints, then
+        re-filed onto fresh shards under the live layout.
         """
-        if self._complaint_family:
-            self._reshard_complaints(old_router, shard_states)
-            return
-        states = self._row_states(
-            shard_states, len(self._shards), self.shard_index_of
-        )
-        for shard, shard_state in zip(self._shards, states):
-            shard.restore(shard_state)
-
-    def _reshard_complaints(
-        self, old_router: ShardRouter, shard_states: List[Dict[str, np.ndarray]]
-    ) -> None:
-        """Re-file the de-duplicated global complaint log onto the new layout."""
         complaints: List[Complaint] = []
         for index, shard_state in enumerate(shard_states):
             for complainant, accused, timestamp in zip(

@@ -1,17 +1,23 @@
-"""Multi-worker shard distribution: one process per trust shard.
+"""Multi-worker shard distribution: one process per complaint-store shard.
 
-The paper's reputation system is distributed by construction — trust data
-lives on many peers, not in one address space — yet
+The paper's reputation system is distributed by construction — complaint
+data lives on many peers, not in one address space — yet
 :class:`~repro.trust.sharding.ShardedBackend` executes every shard inside
-the calling process, so the GIL caps the whole trust pipeline at one core.
-:class:`WorkerShardedBackend` lifts the same sharded layout across process
-boundaries: each shard lives in its own ``multiprocessing`` worker and the
-parent keeps only the router, so writes fan out over the transport and run
-concurrently across cores while queries scatter/gather into caller order.
+the calling process, so the GIL caps the shared complaint store at one
+core.  :class:`WorkerShardedBackend` lifts the same sharded layout across
+process boundaries: each complaint shard lives in its own
+``multiprocessing`` worker and the parent keeps only the router, so writes
+fan out over the transport and run concurrently across cores while queries
+scatter/gather into caller order.
 
-The deployment reuses the three mechanisms the sharded layer already has,
+The deployment reuses the mechanisms the sharded layer already has,
 unchanged, as its distribution protocol:
 
+* the sharded layer's read table (``_COMPOSITES``) is the wire protocol
+  for queries — the parent sends ``(op, args)`` requests and each worker
+  answers them from the same table the in-process backend uses, so the
+  only read code the worker layer owns is its ask-then-collect
+  ``_scatter_gather``;
 * the per-shard ``shard-NNNN/*`` snapshot manifest is the checkpoint and
   handoff format — a worker checkpoints by streaming its manifest through
   the parent, and a :class:`~repro.trust.sharding.RebalancePolicy` split
@@ -34,9 +40,8 @@ unchanged, as its distribution protocol:
 Score invisibility is non-negotiable and holds by construction: batches are
 partitioned by the same router, applied per shard in the same order, and
 gathered back into caller order, so a distributed same-seed run is
-bit-identical to the in-process sharded run (default layout; the documented
-~1e-5 relative tolerance applies to ``compact`` float32 evidence, exactly
-as in-process).
+bit-identical to the in-process sharded run — with the ``compact`` layout
+too, since complaint counts are small integers that float32 holds exactly.
 """
 
 from __future__ import annotations
@@ -68,19 +73,16 @@ from repro.distributed.transport import (
     loopback_pair,
 )
 from repro.exceptions import TrustModelError
-from repro.trust.aggregation import validate_witness_matrix
 from repro.trust.backend import (
     ComplaintTrustBackend,
     TrustBackend,
     TrustObservation,
-    create_backend,
 )
-from repro.trust.beta import BetaBelief
 from repro.trust.evidence import Complaint
 from repro.trust.sharding import (
     RebalancePolicy,
     ShardedBackend,
-    _matrix_columns,
+    _dispatch,
     create_router,
 )
 
@@ -301,31 +303,9 @@ _WRITE_DECODERS = {
     "record_complaints": _unpack_complaints,
 }
 
-#: Fused complaint-family query paths: the parent computes the global
-#: median reference once and each shard maps its own metrics through the
-#: scoring/decision rule in a single round trip (two RPCs fused into one).
-_COMPOSITES = {
-    "ping": lambda backend: None,
-    "len": lambda backend: len(backend),  # type: ignore[arg-type]
-    "metric_scores": lambda backend, subjects, reference: backend.scores_from_metrics(
-        backend.metrics_for(subjects), reference
-    ),
-    "metric_decisions": (
-        lambda backend, subjects, reference: backend.decisions_from_metrics(
-            backend.metrics_for(subjects), reference
-        )
-    ),
-    "witness_scores": (
-        lambda backend, subjects, matrix, discounts, reference: (
-            backend.scores_from_metrics(
-                backend.witness_metrics_for(subjects, matrix, discounts), reference
-            )
-        )
-    ),
-}
-
-
-def _apply_write(backend: TrustBackend, method: str, payload: Tuple) -> int:
+def _apply_write(
+    backend: ComplaintTrustBackend, method: str, payload: Tuple
+) -> int:
     decoder = _WRITE_DECODERS.get(method)
     if decoder is None:
         raise TrustModelError(f"unknown worker write op {method!r}")
@@ -334,24 +314,18 @@ def _apply_write(backend: TrustBackend, method: str, payload: Tuple) -> int:
     return len(batch)
 
 
-def _dispatch(backend: TrustBackend, method: str, args: Tuple) -> Any:
-    composite = _COMPOSITES.get(method)
-    if composite is not None:
-        return composite(backend, *args)
-    return getattr(backend, method)(*args)
-
-
-def _worker_main(transport: ShardTransport, kind: str, params: Dict[str, Any]) -> None:
-    """Serve one shard over ``transport`` until told to stop (or cut off).
+def _worker_main(transport: ShardTransport, params: Dict[str, Any]) -> None:
+    """Serve one complaint shard over ``transport`` until told to stop.
 
     Writes are fire-and-forget: the parent never waits for them, which is
     what lets a scattered batch run on every worker concurrently.  A write
     failure is held and surfaced on the next synchronous call, after which
     the worker keeps serving.  Calls and snapshot streams reply in FIFO
-    order — the only ordering the proxy relies on.
+    order — the only ordering the proxy relies on.  Calls are answered
+    through the sharded layer's read table (``_dispatch``).
     """
     try:
-        backend = create_backend(kind, **params)
+        backend = ComplaintTrustBackend(**params)
     except Exception as exc:  # constructor errors surface at the parent
         try:
             transport.send(("err", _stamp_remote_traceback(exc)))
@@ -359,12 +333,6 @@ def _worker_main(transport: ShardTransport, kind: str, params: Dict[str, Any]) -
             pass
         transport.close()
         return
-    meta: Dict[str, Any] = {
-        "complaint_family": isinstance(backend, ComplaintTrustBackend)
-    }
-    if meta["complaint_family"]:
-        meta["tolerance_factor"] = backend.tolerance_factor  # type: ignore[attr-defined]
-        meta["metric_mode"] = backend.metric_mode  # type: ignore[attr-defined]
     pending_error: Optional[Exception] = None
     # Worker-local op tallies shipped to the parent on demand via the
     # ``__stats__`` pseudo-call (see WorkerShardedBackend.worker_stats).
@@ -375,7 +343,7 @@ def _worker_main(transport: ShardTransport, kind: str, params: Dict[str, Any]) -
         "snapshots": 0,
     }
     try:
-        transport.send(("ready", meta))
+        transport.send(("ready",))
         while True:
             try:
                 message = transport.recv()
@@ -431,9 +399,9 @@ def _worker_main(transport: ShardTransport, kind: str, params: Dict[str, Any]) -
         transport.close()
 
 
-def _worker_entry(connection: Any, kind: str, params: Dict[str, Any]) -> None:
+def _worker_entry(connection: Any, params: Dict[str, Any]) -> None:
     """Top-level process target (spawn-safe: importable, picklable args)."""
-    _worker_main(PipeTransport(connection), kind, params)
+    _worker_main(PipeTransport(connection), params)
 
 
 def _tracker_from_digest(digest: "Digest") -> "SequenceTracker":
@@ -455,12 +423,13 @@ def _stop_proxies(registry: List["WorkerShardProxy"]) -> None:
 class WorkerShardProxy(TrustBackend):
     """The parent-side handle of one shard-hosting worker.
 
-    Presents the ``TrustBackend`` interface (plus the complaint-family
-    extras the sharded wrapper needs) by translating calls into transport
-    messages.  Writes are asynchronous sends; reads are synchronous
-    request/reply pairs, with the two-phase :meth:`ask`/:meth:`result`
-    split exposed so the owning backend can scatter a query to every
-    worker before collecting any reply.
+    Stands in for a complaint shard in the sharded wrapper's shard table.
+    Writes (``update_many`` / ``record_complaints``) are asynchronous
+    sends; every read is an ``(op, args)`` request from the sharded read
+    table, issued in two phases — :meth:`ask` then :meth:`result` — so the
+    owning backend can scatter a query to every worker before collecting
+    any reply.  Snapshot streaming, ``restore`` and ``restrict_rows`` round
+    out the surface the sharded layer drives directly.
     """
 
     name = "worker-shard"
@@ -508,10 +477,6 @@ class WorkerShardProxy(TrustBackend):
             raise TrustModelError(
                 f"worker {label!r} sent {reply[0]!r} instead of the ready handshake"
             )
-        meta = reply[1]
-        self.complaint_family: bool = bool(meta["complaint_family"])
-        self._tolerance_factor = meta.get("tolerance_factor")
-        self._metric_mode = meta.get("metric_mode")
 
     # -- liveness and transport plumbing --------------------------------
     def alive(self) -> bool:
@@ -635,112 +600,10 @@ class WorkerShardProxy(TrustBackend):
             return
         self._write("record_complaints", _pack_complaints(complaints))
 
-    def file_complaint(self, complaint: Complaint) -> None:
-        self.record_complaints((complaint,))
-
-    # -- reads ------------------------------------------------------------
-    def scores_for(
-        self, subject_ids: Sequence[str], now: Optional[float] = None
-    ) -> np.ndarray:
-        return self.call("scores_for", subject_ids, now)
-
-    def trust_decisions(
-        self,
-        subject_ids: Sequence[str],
-        threshold: float = 0.5,
-        now: Optional[float] = None,
-    ) -> np.ndarray:
-        return self.call("trust_decisions", subject_ids, threshold, now)
-
-    def aggregate_witness_reports(
-        self,
-        subject_ids: Sequence[str],
-        witness_belief_matrix: np.ndarray,
-        discount_vector: np.ndarray,
-        now: Optional[float] = None,
-    ) -> np.ndarray:
-        return self.call(
-            "aggregate_witness_reports",
-            subject_ids,
-            witness_belief_matrix,
-            discount_vector,
-            now,
-        )
-
-    def known_subjects(self) -> Tuple[str, ...]:
-        return tuple(self.call("known_subjects"))
-
-    def row_count(self) -> int:
-        return int(self.call("row_count"))
-
-    def belief(self, subject_id: str, now: Optional[float] = None) -> BetaBelief:
-        return self.call("belief", subject_id, now)
-
-    def observation_count(self, subject_id: str) -> int:
-        return int(self.call("observation_count", subject_id))
-
-    # -- complaint-family surface ----------------------------------------
-    @property
-    def tolerance_factor(self) -> float:
-        return self._tolerance_factor  # type: ignore[return-value]
-
-    @property
-    def metric_mode(self) -> str:
-        return self._metric_mode  # type: ignore[return-value]
-
+    # -- shard configuration -----------------------------------------------
     def restrict_rows(self, row_filter: HomeRowFilter) -> None:
         self.restrict_filter = row_filter
         self.call("restrict_rows", row_filter)
-
-    def metrics_for(self, subject_ids: Sequence[str]) -> np.ndarray:
-        return self.call("metrics_for", subject_ids)
-
-    def metric_values_in_store(self) -> np.ndarray:
-        return self.call("metric_values_in_store")
-
-    def witness_metrics_for(
-        self,
-        subject_ids: Sequence[str],
-        witness_belief_matrix: np.ndarray,
-        discount_vector: np.ndarray,
-    ) -> np.ndarray:
-        return self.call(
-            "witness_metrics_for",
-            subject_ids,
-            witness_belief_matrix,
-            discount_vector,
-        )
-
-    def scores_from_metrics(
-        self, metrics: np.ndarray, reference: float
-    ) -> np.ndarray:
-        return self.call("scores_from_metrics", metrics, reference)
-
-    def decisions_from_metrics(
-        self, metrics: np.ndarray, reference: float
-    ) -> np.ndarray:
-        return self.call("decisions_from_metrics", metrics, reference)
-
-    def reference_metric(self) -> float:
-        return float(self.call("reference_metric"))
-
-    def counts(self, agent_id: str) -> Tuple[int, int]:
-        return tuple(self.call("counts", agent_id))  # type: ignore[return-value]
-
-    def complaints_about(self, agent_id: str) -> Sequence[Complaint]:
-        return self.call("complaints_about", agent_id)
-
-    def complaints_by(self, agent_id: str) -> Sequence[Complaint]:
-        return self.call("complaints_by", agent_id)
-
-    def known_agents(self) -> Sequence[str]:
-        return self.call("known_agents")
-
-    def all_complaints(self) -> Tuple[Complaint, ...]:
-        return tuple(self.call("all_complaints"))
-
-    def __len__(self) -> int:
-        return int(self.call("len"))
 
     # -- persistence ------------------------------------------------------
     def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
@@ -844,7 +707,6 @@ class WorkerShardedBackend(ShardedBackend):
 
     def __init__(
         self,
-        kind: str,
         num_shards: int,
         router: object = "hash",
         rebalance: Optional[RebalancePolicy] = None,
@@ -874,7 +736,7 @@ class WorkerShardedBackend(ShardedBackend):
         else:
             self._mp_context = None
         super().__init__(
-            kind, num_shards, router=router, rebalance=rebalance, **shard_params
+            num_shards, router=router, rebalance=rebalance, **shard_params
         )
 
     # ------------------------------------------------------------------
@@ -888,7 +750,12 @@ class WorkerShardedBackend(ShardedBackend):
     def recovery(self) -> bool:
         return self._recovery
 
-    def _create_shard(self, **overrides: object) -> TrustBackend:
+    @property
+    def _proxies(self) -> Tuple[WorkerShardProxy, ...]:
+        """The shard table, typed as the proxies it holds here."""
+        return self._shards  # type: ignore[return-value]
+
+    def _create_shard(self, **overrides: object) -> WorkerShardProxy:
         params = dict(self._shard_params)
         params.update(overrides)
         label = f"worker-{next(self._spawn_counter):04d}"
@@ -903,7 +770,7 @@ class WorkerShardedBackend(ShardedBackend):
             parent_end, worker_end = loopback_pair()
             runner: Any = threading.Thread(
                 target=_worker_main,
-                args=(worker_end, self._kind, params),
+                args=(worker_end, params),
                 name=label,
                 daemon=True,
             )
@@ -913,7 +780,7 @@ class WorkerShardedBackend(ShardedBackend):
             parent_connection, child_connection = self._mp_context.Pipe()
             runner = self._mp_context.Process(
                 target=_worker_entry,
-                args=(child_connection, self._kind, params),
+                args=(child_connection, params),
                 name=label,
                 daemon=True,
             )
@@ -924,11 +791,8 @@ class WorkerShardedBackend(ShardedBackend):
             transport, runner, label, dict(params), journaling=self._recovery
         )
 
-    def _detect_complaint_family(self) -> bool:
-        return bool(self._shards[0].complaint_family)  # type: ignore[attr-defined]
-
-    def _restrict_one(self, shard: TrustBackend, home: int) -> None:
-        shard.restrict_rows(  # type: ignore[attr-defined]
+    def _restrict_one(self, shard: ComplaintTrustBackend, home: int) -> None:
+        shard.restrict_rows(
             HomeRowFilter(
                 self._router.name,
                 self._router.num_shards,
@@ -974,9 +838,7 @@ class WorkerShardedBackend(ShardedBackend):
         Under telemetry the barrier doubles as the stats ship-back point:
         each flush refreshes the parent-side cache of worker op tallies.
         """
-        self._scatter_gather(
-            [(shard, "ping", ()) for shard in self._shards]
-        )
+        self._ask_all("ping")
         if self.telemetry.enabled:
             self._last_worker_stats = self.worker_stats()
 
@@ -990,13 +852,11 @@ class WorkerShardedBackend(ShardedBackend):
         the telemetry cache refreshed by :meth:`flush`).
         """
         stats: Dict[str, Dict[str, int]] = {}
-        for proxy in self._shards:
-            if not proxy.alive():  # type: ignore[attr-defined]
+        for proxy in self._proxies:
+            if not proxy.alive():
                 continue
             try:
-                stats[proxy.label] = dict(  # type: ignore[attr-defined]
-                    proxy.call("__stats__")  # type: ignore[attr-defined]
-                )
+                stats[proxy.label] = dict(proxy.call("__stats__"))
             except (WorkerCrashError, TrustModelError):
                 continue
         return stats
@@ -1017,12 +877,10 @@ class WorkerShardedBackend(ShardedBackend):
                 view[label + "." + key] = value
         if self._recovery:
             view["journal_entries"] = sum(
-                len(proxy.journal)  # type: ignore[attr-defined]
-                for proxy in self._shards
+                len(proxy.journal) for proxy in self._proxies
             )
             view["journal_applied"] = sum(
-                len(proxy.applied)  # type: ignore[attr-defined]
-                for proxy in self._shards
+                len(proxy.applied) for proxy in self._proxies
             )
         return view
 
@@ -1039,13 +897,17 @@ class WorkerShardedBackend(ShardedBackend):
         return parts
 
     # ------------------------------------------------------------------
-    # Parallel scatter/gather plumbing
+    # The one read path: ask every worker, then collect
     # ------------------------------------------------------------------
     def _scatter_gather(
         self, requests: Sequence[Tuple[WorkerShardProxy, str, Tuple]]
     ) -> List[Any]:
         """Issue every request before collecting any reply.
 
+        The only read method this class defines: every query the sharded
+        layer makes arrives here as ``(shard, op, args)`` requests, and
+        each worker answers from the same read table the in-process
+        backend runs, so every shard computes its part concurrently.
         Failures are collected, not fast-raised: every successfully asked
         worker still gets its reply consumed, so one crashed or erroring
         shard cannot leave another proxy's channel holding a stale reply.
@@ -1072,146 +934,6 @@ class WorkerShardedBackend(ShardedBackend):
             raise error
         return results
 
-    # ------------------------------------------------------------------
-    # Reads: column-partitioned scatter, parallel workers, ordered gather
-    # ------------------------------------------------------------------
-    def scores_for(
-        self, subject_ids: Sequence[str], now: Optional[float] = None
-    ) -> np.ndarray:
-        out = np.zeros(len(subject_ids))
-        if not len(subject_ids):
-            return out
-        groups = self._partition(subject_ids)
-        if self._complaint_family:
-            reference = self.reference_metric()
-            requests = [
-                (self._shards[index], "metric_scores", (subjects, reference))
-                for index, _, subjects in groups
-            ]
-        else:
-            requests = [
-                (self._shards[index], "scores_for", (subjects, now))
-                for index, _, subjects in groups
-            ]
-        for (_, positions, _), scores in zip(
-            groups, self._scatter_gather(requests)
-        ):
-            out[positions] = scores
-        return out
-
-    def trust_decisions(
-        self,
-        subject_ids: Sequence[str],
-        threshold: float = 0.5,
-        now: Optional[float] = None,
-    ) -> np.ndarray:
-        out = np.zeros(len(subject_ids), dtype=bool)
-        if not len(subject_ids):
-            return out
-        groups = self._partition(subject_ids)
-        if self._complaint_family:
-            reference = self.reference_metric()
-            requests = [
-                (self._shards[index], "metric_decisions", (subjects, reference))
-                for index, _, subjects in groups
-            ]
-        else:
-            requests = [
-                (
-                    self._shards[index],
-                    "trust_decisions",
-                    (subjects, threshold, now),
-                )
-                for index, _, subjects in groups
-            ]
-        for (_, positions, _), decisions in zip(
-            groups, self._scatter_gather(requests)
-        ):
-            out[positions] = decisions
-        return out
-
-    def aggregate_witness_reports(
-        self,
-        subject_ids: Sequence[str],
-        witness_belief_matrix: np.ndarray,
-        discount_vector: np.ndarray,
-        now: Optional[float] = None,
-    ) -> np.ndarray:
-        matrix, discounts = validate_witness_matrix(
-            len(subject_ids),
-            witness_belief_matrix,
-            discount_vector,
-            positive=not self._complaint_family,
-        )
-        out = np.zeros(len(subject_ids))
-        if not len(subject_ids):
-            return out
-        groups = self._partition(subject_ids)
-        if self._complaint_family:
-            reference = self.reference_metric()
-            requests = [
-                (
-                    self._shards[index],
-                    "witness_scores",
-                    (
-                        subjects,
-                        _matrix_columns(matrix, positions),
-                        discounts,
-                        reference,
-                    ),
-                )
-                for index, positions, subjects in groups
-            ]
-        else:
-            requests = [
-                (
-                    self._shards[index],
-                    "aggregate_witness_reports",
-                    (subjects, _matrix_columns(matrix, positions), discounts, now),
-                )
-                for index, positions, subjects in groups
-            ]
-        for (_, positions, _), scores in zip(
-            groups, self._scatter_gather(requests)
-        ):
-            out[positions] = scores
-        return out
-
-    def known_subjects(self) -> Tuple[str, ...]:
-        partitions = self._scatter_gather(
-            [(shard, "known_subjects", ()) for shard in self._shards]
-        )
-        return tuple(
-            subject for partition in partitions for subject in partition
-        )
-
-    def reference_metric(self) -> float:
-        self._require_complaint_family()
-        version, cached = self._reference_cache
-        if version == self._writes:
-            return cached
-        values = np.concatenate(
-            self._scatter_gather(
-                [(shard, "metric_values_in_store", ()) for shard in self._shards]
-            )
-        )
-        reference = float(np.median(values)) if values.size else 0.0
-        self._reference_cache = (self._writes, reference)
-        return reference
-
-    def shard_row_counts(self) -> np.ndarray:
-        return np.array(
-            self._scatter_gather(
-                [(shard, "row_count", ()) for shard in self._shards]
-            ),
-            dtype=np.int64,
-        )
-
-    def __len__(self) -> int:
-        return sum(
-            self._scatter_gather([(shard, "len", ()) for shard in self._shards])
-        )
-
     def describe(self) -> str:
         suffix = ""
         if self._rebalance is not None:
@@ -1219,7 +941,7 @@ class WorkerShardedBackend(ShardedBackend):
         if self._recovery:
             suffix += ", recovery"
         return (
-            f"workers({len(self._shards)}x{self._kind}, "
+            f"workers({len(self._shards)}x{self.kind}, "
             f"{self._router.name}, {self._transport_kind}{suffix})"
         )
 
@@ -1233,8 +955,8 @@ class WorkerShardedBackend(ShardedBackend):
         # their new durable baseline (their journals start empty).
         self._reap()
         if self._recovery:
-            for proxy in (self._shards[index], self._shards[-1]):
-                self._rebaseline(proxy)  # type: ignore[arg-type]
+            for proxy in (self._proxies[index], self._proxies[-1]):
+                self._rebaseline(proxy)
         return new_index
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
@@ -1252,8 +974,8 @@ class WorkerShardedBackend(ShardedBackend):
     def _rebaseline_all(self) -> None:
         if not self._recovery:
             return
-        for proxy in self._shards:
-            self._rebaseline(proxy)  # type: ignore[arg-type]
+        for proxy in self._proxies:
+            self._rebaseline(proxy)
 
     def _rebaseline(self, proxy: WorkerShardProxy) -> None:
         """Reset a worker's recovery baseline to its current state."""
@@ -1274,9 +996,9 @@ class WorkerShardedBackend(ShardedBackend):
             )
 
     def _poll_liveness(self) -> None:
-        for proxy in self._shards:
-            if not proxy.alive():  # type: ignore[attr-defined]
-                proxy.mark_dead()  # type: ignore[attr-defined]
+        for proxy in self._proxies:
+            if not proxy.alive():
+                proxy.mark_dead()
 
     @property
     def effective_delivery_ratio(self) -> float:
@@ -1289,23 +1011,23 @@ class WorkerShardedBackend(ShardedBackend):
         if not self._recovery:
             return 1.0
         self._poll_liveness()
-        total = sum(len(proxy.journal) for proxy in self._shards)  # type: ignore[attr-defined]
+        total = sum(len(proxy.journal) for proxy in self._proxies)
         if total == 0:
             return 1.0
-        applied = sum(len(proxy.applied) for proxy in self._shards)  # type: ignore[attr-defined]
+        applied = sum(len(proxy.applied) for proxy in self._proxies)
         return applied / total
 
     def checkpoint(self) -> None:
         """Store every worker's manifest as its durable recovery baseline."""
         self._require_recovery()
-        for proxy in self._shards:
-            if not proxy.alive():  # type: ignore[attr-defined]
+        for proxy in self._proxies:
+            if not proxy.alive():
                 raise WorkerCrashError(
-                    f"cannot checkpoint: worker {proxy.label!r} is down"  # type: ignore[attr-defined]
+                    f"cannot checkpoint: worker {proxy.label!r} is down"
                 )
-            digest = proxy.applied.digest()  # type: ignore[attr-defined]
-            proxy.checkpoint_manifest = dict(proxy.snapshot_items())  # type: ignore[attr-defined]
-            proxy.checkpoint_digest = digest  # type: ignore[attr-defined]
+            digest = proxy.applied.digest()
+            proxy.checkpoint_manifest = dict(proxy.snapshot_items())
+            proxy.checkpoint_digest = digest
 
     def heal_workers(self) -> List[int]:
         """Respawn every dead worker and gossip-backfill its journal gap.
@@ -1321,11 +1043,11 @@ class WorkerShardedBackend(ShardedBackend):
         self._require_recovery()
         self._poll_liveness()
         healed: List[int] = []
-        shards = list(self._shards)
+        shards = list(self._proxies)
         for index, proxy in enumerate(shards):
-            if not proxy.dead:  # type: ignore[attr-defined]
+            if not proxy.dead:
                 continue
-            shards[index] = self._respawn_from(proxy)  # type: ignore[arg-type]
+            shards[index] = self._respawn_from(proxy)
             healed.append(index)
         if healed:
             self._shards = tuple(shards)

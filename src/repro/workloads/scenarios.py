@@ -156,7 +156,7 @@ def build_scenario(
     shard exceeding ``rebalance_threshold`` times the ideal per-shard share — or
     outgrowing an absolute per-shard row capacity scaled to the community
     size, which is how a single-shard run starts splitting at all — is
-    snapshotted and its rows redistributed onto two successor shards, up
+    snapshotted and its complaint log re-filed onto two successor shards, up
     to ``max_shards``.  Splitting needs a splittable router, so a ``hash``
     request is upgraded to ``ring`` (consistent hashing — same hash-style
     assignment, but a split moves only the hot shard's keys).  Splits are

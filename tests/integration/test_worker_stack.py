@@ -14,7 +14,6 @@ import os
 import signal
 
 import numpy as np
-import pytest
 
 from repro.trust import TrustObservation, create_backend
 from repro.workloads import build_scenario
@@ -42,15 +41,14 @@ def _batches(seed, ticks=6, per_tick=150):
 
 
 class TestKillAndRecover:
-    @pytest.mark.parametrize("kind", ["beta", "complaint"])
-    def test_sigkill_mid_run_heals_to_identical_state(self, kind):
+    def test_sigkill_mid_run_heals_to_identical_state(self):
         batches = _batches(11)
-        reference = create_backend(kind, shards=3)
+        reference = create_backend("complaint", shards=3)
         for batch in batches:
             reference.update_many(batch)
 
         with create_backend(
-            kind, shards=3, workers=True, recovery=True
+            "complaint", shards=3, workers=True, recovery=True
         ) as backend:
             for batch in batches[:3]:
                 backend.update_many(batch)
@@ -70,18 +68,17 @@ class TestKillAndRecover:
             assert np.array_equal(
                 backend.scores_for(PEERS), reference.scores_for(PEERS)
             )
-            if kind == "complaint":
-                assert backend.all_complaints() == reference.all_complaints()
-                for peer in PEERS[:12]:
-                    assert backend.counts(peer) == reference.counts(peer)
+            assert backend.all_complaints() == reference.all_complaints()
+            for peer in PEERS[:12]:
+                assert backend.counts(peer) == reference.counts(peer)
 
     def test_kill_before_any_checkpoint_recovers_from_journal_alone(self):
         batches = _batches(12)
-        reference = create_backend("beta", shards=2)
+        reference = create_backend("complaint", shards=2)
         for batch in batches:
             reference.update_many(batch)
         with create_backend(
-            "beta", shards=2, workers=True, recovery=True
+            "complaint", shards=2, workers=True, recovery=True
         ) as backend:
             for batch in batches[:2]:
                 backend.update_many(batch)
@@ -100,7 +97,7 @@ class TestKillAndRecover:
 
     def test_heal_without_casualties_is_a_no_op(self):
         with create_backend(
-            "beta", shards=2, workers="loopback", recovery=True
+            "complaint", shards=2, workers="loopback", recovery=True
         ) as backend:
             backend.update_many(_batches(13, ticks=1)[0])
             assert backend.heal_workers() == []

@@ -389,6 +389,29 @@ class TestChurnHardening:
         assert ticks < 60
         assert counters.missing_entries == 0
 
+    def test_last_journal_holder_leaving_after_origin_writes_entry_off(self):
+        # The origin leaves while a relay still journals its entry; when
+        # that relay leaves too, no copy survives anywhere and the entry
+        # must be written off rather than keep the drain spinning.
+        plane = EvidencePlane(
+            mode="async",
+            latency_model=FixedLatency(1.0),
+            repair="gossip",
+            gossip_period=1.0,
+            fault=lambda sender, recipient, now: True,  # every link cut
+        )
+        for peer_id in ("origin", "recipient", "relay"):
+            plane.register_peer(CommunityPeer(peer_id))
+        plane.submit_records("recipient", [_record()], sender_id="origin")
+        (key,) = plane.journals["origin"].keys()
+        plane.ingest_entry("relay", plane.journals["origin"].get(key), 0.0)
+        plane.unregister_peer("origin")  # the relay's copy keeps it alive
+        assert plane.counters.entries_expired == 0
+        plane.unregister_peer("relay")  # the last copy leaves
+        assert plane.counters.entries_expired == 1
+        assert plane.counters.missing_entries == 0
+        assert plane.drain(max_ticks=20) == 0
+
     def test_async_churned_community_run_keeps_ledger_consistent(self):
         scenario = build_scenario(
             "high-churn", size=12, rounds=10, seed=4,

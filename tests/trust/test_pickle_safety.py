@@ -23,6 +23,7 @@ from repro.trust import (
     create_backend,
     create_router,
 )
+from repro.trust.backend import ComplaintTrustBackend
 
 SAMPLE_IDS = [f"peer-{index:03d}" for index in range(64)]
 
@@ -109,13 +110,15 @@ def _observations(seed, count=200):
     ]
 
 
-@pytest.mark.parametrize("kind", ["beta", "decay", "complaint"])
+@pytest.mark.parametrize("metric_mode", ComplaintTrustBackend.METRIC_MODES)
 @pytest.mark.parametrize("split_once", [False, True])
-def test_manifest_pickle_round_trip(kind, split_once):
+def test_manifest_pickle_round_trip(split_once, metric_mode):
     """Every manifest entry — including post-split uneven layouts —
     survives the wire unchanged, and the pickled manifest restores into an
     identical backend."""
-    backend = create_backend(kind, shards=3, router="range")
+    backend = create_backend(
+        "complaint", shards=3, router="range", metric_mode=metric_mode
+    )
     backend.update_many(_observations(5))
     if split_once:
         backend.split_shard(0)
@@ -128,8 +131,11 @@ def test_manifest_pickle_round_trip(kind, split_once):
             np.asarray(restored), np.asarray(value)
         ), key
         assert np.asarray(restored).dtype == np.asarray(value).dtype, key
-    replica = create_backend(kind, shards=backend.num_shards, router="range")
+    replica = create_backend(
+        "complaint", shards=backend.num_shards, router="range"
+    )
     replica.restore(copy)
+    assert replica.metric_mode == metric_mode
     assert np.array_equal(
         replica.scores_for(SAMPLE_IDS), backend.scores_for(SAMPLE_IDS)
     )

@@ -1,12 +1,12 @@
 """Live shard rebalancing: splittable routers, in-place splits, restores.
 
 Pins the rebalancing contract of :class:`~repro.trust.sharding.
-ShardedBackend`: a live split — snapshot the hot shard, redistribute its
-rows / re-file its complaint log onto two successors, swap the router's
-key table — is *score-invisible* for every backend kind, only the split
-shard's keys ever move, and the per-shard manifest round-trips the uneven
-post-split layout (including onto one shard, or onto more shards than
-there are peers).  Also the regression tests for the range router's
+ShardedBackend`: a live split — snapshot the hot shard, re-file its
+complaint log onto two successors, swap the router's key table — is
+*score-invisible* under every metric mode, only the split shard's keys
+ever move, and the per-shard manifest round-trips the uneven post-split
+layout (including onto one shard, or onto more shards than there are
+peers).  Also the regression tests for the range router's
 key-space coverage: ids minted after construction (flash-crowd arrivals)
 must route deterministically and stably, never through an out-of-range
 fallback.
@@ -27,9 +27,10 @@ from repro.trust import (
     create_backend,
     create_router,
 )
+from repro.trust.backend import ComplaintTrustBackend
 from repro.trust.sharding import _KEY_SPACE, shard_key
 
-KINDS = ("beta", "complaint", "decay")
+METRIC_MODES = ComplaintTrustBackend.METRIC_MODES
 SPLITTABLE = (RangeShardRouter, RingShardRouter)
 
 
@@ -130,10 +131,10 @@ class TestRangeRouterCoverage:
 
     def test_assignment_stable_across_snapshot_restore(self):
         peers, observations = _observation_stream()
-        original = ShardedBackend("beta", 4, router="range")
+        original = ShardedBackend(4, router="range")
         original.update_many(observations)
         original.split_shard(1)  # uneven layout: the state must travel
-        restored = ShardedBackend("beta", 5, router="range")
+        restored = ShardedBackend(5, router="range")
         restored.restore(original.snapshot())
         # The restored backend re-routes with its own (default, even) table;
         # scores must match regardless, and ids minted only after the
@@ -141,7 +142,7 @@ class TestRangeRouterCoverage:
         np.testing.assert_array_equal(
             original.scores_for(peers), restored.scores_for(peers)
         )
-        twin = ShardedBackend("beta", 5, router="range")
+        twin = ShardedBackend(5, router="range")
         twin.restore(original.snapshot())
         for counter in range(200):
             late_id = f"flash-new-{counter}"
@@ -173,13 +174,13 @@ class TestRangeRouterCoverage:
             assert router.shard_of(peer) == (shard_key(peer) * 7) >> 32
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("metric_mode", METRIC_MODES)
 @pytest.mark.parametrize("router", ("range", "ring"))
 class TestLiveSplit:
-    def test_mid_stream_split_is_bit_invisible(self, kind, router):
+    def test_mid_stream_split_is_bit_invisible(self, router, metric_mode):
         peers, observations = _observation_stream()
-        plain = create_backend(kind)
-        sharded = ShardedBackend(kind, 2, router=router)
+        plain = create_backend("complaint", metric_mode=metric_mode)
+        sharded = ShardedBackend(2, router=router, metric_mode=metric_mode)
         half = len(observations) // 2
         for backend in (plain, sharded):
             backend.update_many(observations[:half])
@@ -203,9 +204,9 @@ class TestLiveSplit:
         )
         assert sorted(plain.known_subjects()) == sorted(sharded.known_subjects())
 
-    def test_split_event_accounting(self, kind, router):
+    def test_split_event_accounting(self, router, metric_mode):
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, 2, router=router)
+        sharded = ShardedBackend(2, router=router, metric_mode=metric_mode)
         sharded.update_many(observations)
         rows_before = sharded.shard_row_counts()
         hot = int(np.argmax(rows_before))
@@ -218,10 +219,12 @@ class TestLiveSplit:
         assert sharded.rebalance_seconds > 0.0
         assert len(sharded.shard_update_counts) == 3
 
-    def test_snapshot_after_split_restores_everywhere(self, kind, router):
+    def test_snapshot_after_split_restores_everywhere(
+        self, router, metric_mode
+    ):
         """The uneven post-split manifest restores onto any layout."""
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, 3, router=router)
+        sharded = ShardedBackend(3, router=router, metric_mode=metric_mode)
         sharded.update_many(observations)
         sharded.split_shard(int(np.argmax(sharded.shard_row_counts())))
         state = sharded.snapshot()
@@ -230,11 +233,10 @@ class TestLiveSplit:
         # Onto a single shard, onto more shards than peers, onto the other
         # router, and onto the very same (uneven) layout.
         targets = [
-            ShardedBackend(kind, 1, router=router),
-            ShardedBackend(kind, 64, router=router),
-            ShardedBackend(kind, 2, router="hash"),
+            ShardedBackend(1, router=router),
+            ShardedBackend(64, router=router),
+            ShardedBackend(2, router="hash"),
             ShardedBackend(
-                kind,
                 sharded.num_shards,
                 router=create_router(router, sharded.num_shards,
                                      state=sharded.router.state()),
@@ -242,13 +244,16 @@ class TestLiveSplit:
         ]
         for target in targets:
             target.restore(state)
+            assert target.metric_mode == metric_mode
             np.testing.assert_array_equal(expected, target.scores_for(peers))
             np.testing.assert_array_equal(
                 sharded.trust_decisions(peers), target.trust_decisions(peers)
             )
 
-    def test_restore_onto_more_shards_than_live_peers(self, kind, router):
-        sharded = ShardedBackend(kind, 2, router=router)
+    def test_restore_onto_more_shards_than_live_peers(
+        self, router, metric_mode
+    ):
+        sharded = ShardedBackend(2, router=router, metric_mode=metric_mode)
         sharded.update_many(
             [
                 TrustObservation("a", "b", False, timestamp=1.0,
@@ -256,14 +261,15 @@ class TestLiveSplit:
                 TrustObservation("b", "c", True, timestamp=2.0),
             ]
         )
-        wide = ShardedBackend(kind, 32, router=router)
+        wide = ShardedBackend(32, router=router)
         wide.restore(sharded.snapshot())
+        assert wide.metric_mode == metric_mode
         queries = ("a", "b", "c", "nobody")
         np.testing.assert_array_equal(
             sharded.scores_for(queries), wide.scores_for(queries)
         )
         # Empty shards must snapshot and restore cleanly too.
-        again = ShardedBackend(kind, 1, router=router)
+        again = ShardedBackend(1, router=router)
         again.restore(wide.snapshot())
         np.testing.assert_array_equal(
             sharded.scores_for(queries), again.scores_for(queries)
@@ -274,7 +280,7 @@ class TestComplaintSplitIntegrity:
     def test_split_preserves_counts_log_and_reference(self):
         peers, observations = _observation_stream(seed=29)
         plain = create_backend("complaint")
-        sharded = ShardedBackend("complaint", 2, router="range")
+        sharded = ShardedBackend(2, router="range")
         plain.update_many(observations)
         sharded.update_many(observations)
         sharded.split_shard(0)
@@ -306,25 +312,26 @@ class TestAutoRebalance:
 
     def test_rebalance_requires_splittable_router(self):
         with pytest.raises(TrustModelError):
-            ShardedBackend("beta", 2, router="hash", rebalance=RebalancePolicy())
+            ShardedBackend(2, router="hash", rebalance=RebalancePolicy())
 
     def test_rebalance_rejects_non_policy(self):
         with pytest.raises(TrustModelError):
-            ShardedBackend("beta", 2, router="range", rebalance="auto")
+            ShardedBackend(2, router="range", rebalance="auto")
 
     def test_create_backend_wraps_single_shard_for_rebalance(self):
         backend = create_backend(
-            "beta", shards=1, router="ring", rebalance=RebalancePolicy()
+            "complaint", shards=1, router="ring", rebalance=RebalancePolicy()
         )
         assert isinstance(backend, ShardedBackend)
         assert backend.num_shards == 1
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_auto_splits_are_score_invisible(self, kind):
+    @pytest.mark.parametrize("metric_mode", METRIC_MODES)
+    def test_auto_splits_are_score_invisible(self, metric_mode):
         peers, observations = _observation_stream(n_observations=600, n_peers=80)
-        plain = create_backend(kind)
+        plain = create_backend("complaint", metric_mode=metric_mode)
         auto = create_backend(
-            kind,
+            "complaint",
+            metric_mode=metric_mode,
             shards=1,
             router="ring",
             rebalance=RebalancePolicy(
@@ -349,9 +356,9 @@ class TestAutoRebalance:
         policy = RebalancePolicy(
             threshold=2.0, split_rows=16, min_shard_rows=4, max_shards=8
         )
-        auto = ShardedBackend("beta", 1, router="range", rebalance=policy)
+        auto = ShardedBackend(1, router="range", rebalance=policy)
         observations = [
-            TrustObservation("obs", f"subject-{index:04d}", True,
+            TrustObservation("obs", f"subject-{index:04d}", False,
                              timestamp=float(index))
             for index in range(400)
         ]
@@ -376,10 +383,10 @@ class TestAutoRebalance:
         )
         # Four ring points put ~43% of the key space on one shard (1.74x
         # the ideal quarter), so the skew trigger has real work to do.
-        auto = ShardedBackend("beta", 4, router="ring", rebalance=policy)
+        auto = ShardedBackend(4, router="ring", rebalance=policy)
         observations = [
             TrustObservation("obs", f"member-{index:05d}", index % 3 != 0,
-                             timestamp=float(index))
+                             timestamp=float(index), files_complaint=True)
             for index in range(1500)
         ]
         for start in range(0, len(observations), 100):
@@ -390,11 +397,11 @@ class TestAutoRebalance:
         assert share <= 2.0 / auto.num_shards
 
     def test_restore_does_not_trigger_splits(self):
-        source = ShardedBackend("complaint", 4, router="range")
+        source = ShardedBackend(4, router="range")
         _, observations = _observation_stream(seed=5)
         source.update_many(observations)
         policy = RebalancePolicy(threshold=1.05, min_shard_rows=2, max_shards=32)
-        target = ShardedBackend("complaint", 2, router="range", rebalance=policy)
+        target = ShardedBackend(2, router="range", rebalance=policy)
         target.restore(source.snapshot())
         assert target.rebalance_events == ()
         assert target.num_shards == 2
@@ -404,7 +411,7 @@ class TestAutoRebalance:
         import repro.trust.sharding as sharding_module
 
         peers, observations = _observation_stream()
-        sharded = ShardedBackend("beta", 2, router="range")
+        sharded = ShardedBackend(2, router="range")
         sharded.update_many(observations)
         expected = sharded.scores_for(peers)
 
@@ -432,14 +439,15 @@ class TestAutoRebalance:
             router.split(1)  # owns only the width-1 interval [1, 2)
         assert issubclass(ShardSplitError, TrustModelError)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_restore_is_not_a_load_signal(self, kind):
-        # A resharded restore re-files evidence internally (the complaint
-        # family routes its whole log through record_complaints); none of
-        # that may read as routed update traffic.
-        source = ShardedBackend(kind, 4, router="range")
+    @pytest.mark.parametrize("metric_mode", METRIC_MODES)
+    def test_restore_is_not_a_load_signal(self, metric_mode):
+        # A resharded restore re-files evidence internally (the whole
+        # complaint log goes through record_complaints); none of that may
+        # read as routed update traffic.
+        source = ShardedBackend(4, router="range", metric_mode=metric_mode)
         _, observations = _observation_stream(seed=9)
         source.update_many(observations)
-        target = ShardedBackend(kind, 2, router="ring")
+        target = ShardedBackend(2, router="ring")
         target.restore(source.snapshot())
+        assert target.metric_mode == metric_mode
         assert target.shard_update_counts == (0, 0)

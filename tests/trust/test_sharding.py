@@ -1,14 +1,15 @@
-"""Sharded-versus-unsharded equivalence for every backend kind.
+"""Sharded-versus-unsharded equivalence for the complaint store.
 
 The contract of :class:`~repro.trust.sharding.ShardedBackend` is that
 partitioning the peer-id space is invisible: updates, score queries,
 trust decisions, witness aggregation and snapshot round-trips (including
 re-sharding onto a different shard count) all produce *bit-identical*
-results to the plain backend.  These tests pin that contract for the
-``beta``, ``complaint`` and ``decay`` kinds at 1, 3 and 8 shards, all
-three router strategies (``hash``, ``range`` and the consistent-hash
-``ring``), plus the empty-shard and single-peer-shard edges.  Live
-splitting and rebalancing have their own contract in
+results to one plain complaint backend.  These tests pin that contract at
+1, 3 and 8 shards, all three router strategies (``hash``, ``range`` and
+the consistent-hash ``ring``) and all three metric modes (``product``,
+``received`` and ``balanced``), plus the empty-shard and single-peer-shard
+edges, the manifest format, and the guard that only the complaint kind is
+sharded.  Live splitting and rebalancing have their own contract in
 ``test_rebalance.py``.
 """
 
@@ -24,21 +25,22 @@ from repro.trust import (
     ROUTER_NAMES,
     HashShardRouter,
     RangeShardRouter,
+    RebalancePolicy,
     ShardedBackend,
     TrustObservation,
     create_backend,
     create_router,
 )
-from repro.trust.backend import BetaTrustBackend, ComplaintTrustBackend
+from repro.trust.backend import ComplaintTrustBackend
 from repro.trust.evidence import Complaint
 
-KINDS = ("beta", "complaint", "decay")
 SHARD_COUNTS = (1, 3, 8)
+METRIC_MODES = ComplaintTrustBackend.METRIC_MODES
 
 
 def _observation_stream(n_observations=240, n_peers=24, seed=11):
     """A deterministic evidence stream with honest, dishonest and spurious-
-    complaint observations (so all three backend kinds get real work)."""
+    complaint observations."""
     rng = random.Random(seed)
     peers = [f"peer-{index:03d}" for index in range(n_peers)]
     observations = []
@@ -69,14 +71,18 @@ def _query_ids(peers):
     return list(peers) + ["stranger-a", "stranger-b", peers[0], peers[-1]]
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("metric_mode", METRIC_MODES)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("router", ROUTER_NAMES)
 class TestShardedEquivalence:
-    def test_scores_and_decisions_bit_identical(self, kind, shards, router):
+    def test_scores_and_decisions_bit_identical(
+        self, shards, router, metric_mode
+    ):
         peers, observations = _observation_stream()
-        plain = create_backend(kind)
-        sharded = ShardedBackend(kind, shards, router=router)
+        plain = create_backend("complaint", metric_mode=metric_mode)
+        sharded = ShardedBackend(
+            shards, router=router, metric_mode=metric_mode
+        )
         _feed(plain, observations)
         _feed(sharded, observations)
         queries = _query_ids(peers)
@@ -91,20 +97,21 @@ class TestShardedEquivalence:
         assert sorted(plain.known_subjects()) == sorted(sharded.known_subjects())
         assert plain.scores_snapshot() == sharded.scores_snapshot()
 
-    def test_witness_aggregation_bit_identical(self, kind, shards, router):
+    def test_witness_aggregation_bit_identical(
+        self, shards, router, metric_mode
+    ):
         peers, observations = _observation_stream()
-        plain = create_backend(kind)
-        sharded = ShardedBackend(kind, shards, router=router)
+        plain = create_backend("complaint", metric_mode=metric_mode)
+        sharded = ShardedBackend(
+            shards, router=router, metric_mode=metric_mode
+        )
         _feed(plain, observations)
         _feed(sharded, observations)
         queries = _query_ids(peers)
         generator = np.random.default_rng(5)
-        if kind == "complaint":
-            matrix = generator.integers(
-                0, 6, size=(4, len(queries), 2)
-            ).astype(np.float64)
-        else:
-            matrix = generator.uniform(1.0, 8.0, size=(4, len(queries), 2))
+        matrix = generator.integers(
+            0, 6, size=(4, len(queries), 2)
+        ).astype(np.float64)
         discounts = generator.uniform(0.0, 1.0, size=4)
         np.testing.assert_array_equal(
             plain.aggregate_witness_reports(queries, matrix, discounts),
@@ -117,17 +124,22 @@ class TestShardedEquivalence:
             sharded.aggregate_witness_reports(queries, empty, np.zeros(0)),
         )
 
-    def test_snapshot_round_trip(self, kind, shards, router):
+    def test_snapshot_round_trip(
+        self, shards, router, metric_mode
+    ):
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, shards, router=router)
+        sharded = ShardedBackend(
+            shards, router=router, metric_mode=metric_mode
+        )
         _feed(sharded, observations)
         state = sharded.snapshot()
         assert all(isinstance(value, np.ndarray) for value in state.values())
         assert len(state["manifest"]) == shards
         assert int(state["num_shards"][0]) == shards
 
-        restored = ShardedBackend(kind, shards, router=router)
+        restored = ShardedBackend(shards, router=router)
         restored.restore(state)
+        assert restored.metric_mode == metric_mode
         queries = _query_ids(peers)
         np.testing.assert_array_equal(
             sharded.scores_for(queries), restored.scores_for(queries)
@@ -140,17 +152,22 @@ class TestShardedEquivalence:
             sharded.scores_for(queries), restored.scores_for(queries)
         )
 
-    def test_restore_into_different_shard_count(self, kind, shards, router):
+    def test_restore_into_different_shard_count(
+        self, shards, router, metric_mode
+    ):
         """Re-sharding via the manifest must not drift any score."""
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, shards, router=router)
+        sharded = ShardedBackend(
+            shards, router=router, metric_mode=metric_mode
+        )
         _feed(sharded, observations)
         state = sharded.snapshot()
         queries = _query_ids(peers)
         expected = sharded.scores_for(queries)
         for new_shards in (1, 2, 5):
-            resharded = ShardedBackend(kind, new_shards, router=router)
+            resharded = ShardedBackend(new_shards, router=router)
             resharded.restore(state)
+            assert resharded.metric_mode == metric_mode
             np.testing.assert_array_equal(expected, resharded.scores_for(queries))
             np.testing.assert_array_equal(
                 sharded.trust_decisions(queries),
@@ -159,10 +176,10 @@ class TestShardedEquivalence:
 
 
 class TestEdges:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_mostly_empty_shards(self, kind):
+    @pytest.mark.parametrize("metric_mode", METRIC_MODES)
+    def test_mostly_empty_shards(self, metric_mode):
         """More shards than peers: empty shards answer and snapshot cleanly."""
-        sharded = ShardedBackend(kind, 8)
+        sharded = ShardedBackend(8, metric_mode=metric_mode)
         observations = [
             TrustObservation("a", "b", False, timestamp=1.0),
             TrustObservation("b", "c", True, timestamp=2.0),
@@ -172,16 +189,16 @@ class TestEdges:
         assert len(occupied) < 8
         scores = sharded.scores_for(("a", "b", "c", "nobody"))
         assert scores.shape == (4,)
-        restored = ShardedBackend(kind, 8)
+        restored = ShardedBackend(8)
         restored.restore(sharded.snapshot())
         np.testing.assert_array_equal(
             scores, restored.scores_for(("a", "b", "c", "nobody"))
         )
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_single_peer_per_shard(self, kind):
-        plain = create_backend(kind)
-        sharded = ShardedBackend(kind, 2)
+    @pytest.mark.parametrize("metric_mode", METRIC_MODES)
+    def test_single_peer_per_shard(self, metric_mode):
+        plain = create_backend("complaint", metric_mode=metric_mode)
+        sharded = ShardedBackend(2, metric_mode=metric_mode)
         observations = [
             TrustObservation("solo-1", "solo-2", False, timestamp=1.0),
             TrustObservation("solo-2", "solo-1", True, timestamp=2.0),
@@ -194,7 +211,7 @@ class TestEdges:
         )
 
     def test_empty_query_batches(self):
-        sharded = ShardedBackend("beta", 3)
+        sharded = ShardedBackend(3)
         assert sharded.scores_for(()).shape == (0,)
         assert sharded.trust_decisions(()).shape == (0,)
         sharded.update_many(())
@@ -235,22 +252,41 @@ class TestRouters:
 
     def test_router_shard_count_mismatch_rejected(self):
         with pytest.raises(TrustModelError):
-            ShardedBackend("beta", 4, router=HashShardRouter(3))
+            ShardedBackend(4, router=HashShardRouter(3))
 
 
 class TestFactoryAndGuards:
     def test_create_backend_shards_knob(self):
-        sharded = create_backend("beta", shards=4, prior_alpha=2.0)
+        sharded = create_backend("complaint", shards=4, metric_mode="balanced")
         assert isinstance(sharded, ShardedBackend)
         assert sharded.num_shards == 4
-        assert sharded.kind == "beta"
-        assert isinstance(create_backend("beta", shards=1), BetaTrustBackend)
+        assert sharded.kind == "complaint"
+        assert sharded.metric_mode == "balanced"
+        assert isinstance(
+            create_backend("complaint", shards=1), ComplaintTrustBackend
+        )
         with pytest.raises(TrustModelError):
-            create_backend("beta", shards=0)
+            create_backend("complaint", shards=0)
+
+    @pytest.mark.parametrize("kind", ("beta", "decay", "scalar-beta"))
+    @pytest.mark.parametrize(
+        "knobs",
+        (
+            {"shards": 2},
+            {"rebalance": RebalancePolicy()},
+            {"workers": "loopback"},
+        ),
+        ids=("shards", "rebalance", "workers"),
+    )
+    def test_only_the_complaint_kind_is_sharded(self, kind, knobs):
+        with pytest.raises(TrustModelError, match=repr(kind)):
+            create_backend(kind, **knobs)
+        # The same kinds stay available unsharded.
+        assert not isinstance(create_backend(kind), ShardedBackend)
 
     def test_nested_sharding_rejected(self):
         with pytest.raises(TrustModelError):
-            ShardedBackend("beta", 2, shards=2)
+            ShardedBackend(2, shards=2)
 
     def test_shared_store_behind_shards_rejected(self):
         # One store behind every shard would double-count cross-shard
@@ -260,27 +296,118 @@ class TestFactoryAndGuards:
         with pytest.raises(TrustModelError):
             create_backend("complaint", shards=4, store=LocalComplaintStore())
 
-    def test_snapshot_kind_mismatch_rejected(self):
-        sharded = ShardedBackend("beta", 2)
-        sharded.update(TrustObservation("a", "b", True))
+    @pytest.mark.parametrize("kind", ("beta", "decay"))
+    def test_non_complaint_manifest_rejected(self, kind):
+        sharded = ShardedBackend(2)
+        sharded.update(TrustObservation("a", "b", False))
         state = sharded.snapshot()
-        other = ShardedBackend("decay", 2)
-        with pytest.raises(TrustModelError):
-            other.restore(state)
+        state["kind"] = np.array(kind)
+        target = ShardedBackend(2)
+        with pytest.raises(TrustModelError, match=repr(kind)):
+            target.restore(state)
+        with pytest.raises(TrustModelError, match=repr(kind)):
+            target.restore_items(state.items())
+        # The rejected restores changed nothing.
+        assert target.known_subjects() == ()
 
-    def test_complaint_protocol_guarded_on_beta_family(self):
-        sharded = ShardedBackend("beta", 2)
-        with pytest.raises(TrustModelError):
-            sharded.file_complaint(Complaint("a", "b"))
-        with pytest.raises(TrustModelError):
-            sharded.reference_metric()
+
+class TestManifestFormat:
+    """The sharded complaint manifest is a stable on-disk format."""
+
+    SHARD_KEYS = {
+        "backend": "<U9",
+        "peer_ids": "object",
+        "config": "float64",
+        "metric_mode": "<U7",
+        "received": "float64",
+        "filed": "float64",
+        "in_store": "bool",
+        "complainants": "object",
+        "accused": "object",
+        "timestamps": "float64",
+    }
+
+    def test_key_set_and_dtypes_are_pinned(self):
+        sharded = ShardedBackend(2, router="range")
+        _feed(sharded, _observation_stream()[1])
+        state = sharded.snapshot()
+        expected = {
+            "backend": "<U7",
+            "kind": "<U9",
+            "router": "<U5",
+            "num_shards": "int64",
+            "router_state": "int64",
+            "manifest": "object",
+        }
+        for prefix in ("shard-0000", "shard-0001"):
+            for key, dtype in self.SHARD_KEYS.items():
+                expected[f"{prefix}/{key}"] = dtype
+        assert {key: str(value.dtype) for key, value in state.items()} == expected
+        assert str(state["backend"]) == "sharded"
+        assert str(state["kind"]) == "complaint"
+        assert list(state["manifest"]) == ["shard-0000", "shard-0001"]
+
+    def test_handwritten_manifest_restores(self):
+        """A manifest spelled out key by key (as older runs wrote it)."""
+
+        def shard(peers, received, filed, log):
+            return {
+                "backend": np.array("complaint"),
+                "peer_ids": np.array(peers, dtype=object),
+                "config": np.array([5.0, 3.0]),
+                "metric_mode": np.array("product"),
+                "received": np.array(received, dtype=np.float64),
+                "filed": np.array(filed, dtype=np.float64),
+                "in_store": np.ones(len(peers), dtype=bool),
+                "complainants": np.array([c for c, _, _ in log], dtype=object),
+                "accused": np.array([a for _, a, _ in log], dtype=object),
+                "timestamps": np.array([t for _, _, t in log]),
+            }
+
+        router = create_router("hash", 2)
+        log = [("victim", "cheat", 1.0), ("cheat", "victim", 2.0),
+               ("victim", "cheat", 3.0)]
+        homes = {peer: router.shard_of(peer) for peer in ("victim", "cheat")}
+        state = {
+            "backend": np.array("sharded"),
+            "kind": np.array("complaint"),
+            "router": np.array("hash"),
+            "num_shards": np.array([2]),
+            "manifest": np.array(["shard-0000", "shard-0001"], dtype=object),
+        }
+        counts = {"victim": (1.0, 2.0), "cheat": (2.0, 1.0)}
+        for index in range(2):
+            peers = [peer for peer, home in homes.items() if home == index]
+            entries = shard(
+                peers,
+                [counts[peer][0] for peer in peers],
+                [counts[peer][1] for peer in peers],
+                [entry for entry in log if index in (homes[entry[0]], homes[entry[1]])],
+            )
+            for key, value in entries.items():
+                state[f"shard-{index:04d}/{key}"] = value
+        plain = create_backend("complaint", tolerance_factor=5.0)
+        for complainant, accused, timestamp in log:
+            plain.file_complaint(Complaint(complainant, accused, timestamp))
+        for target_shards in (2, 3):
+            restored = ShardedBackend(target_shards)
+            assert restored.tolerance_factor == 4.0
+            restored.restore(state)
+            # The manifest's scoring configuration replaces the default.
+            assert restored.tolerance_factor == 5.0
+            for peer in ("victim", "cheat"):
+                assert restored.counts(peer) == plain.counts(peer)
+            np.testing.assert_array_equal(
+                restored.scores_for(["victim", "cheat", "nobody"]),
+                plain.scores_for(["victim", "cheat", "nobody"]),
+            )
 
 
 class TestShardedComplaintStore:
     """A sharded complaint backend is a drop-in community complaint store."""
 
     def test_complaint_store_protocol(self):
-        sharded = ShardedBackend("complaint", 3, metric_mode="balanced")
+        sharded = ShardedBackend(3, metric_mode="balanced")
         sharded.file_complaint(Complaint("victim", "cheat", timestamp=1.0))
         sharded.file_complaint(Complaint("victim", "cheat", timestamp=1.0))
         sharded.file_complaint(Complaint("other", "cheat", timestamp=2.0))
@@ -293,7 +420,7 @@ class TestShardedComplaintStore:
 
     def test_all_complaints_deduplicates_cross_shard_copies(self):
         plain = ComplaintTrustBackend()
-        sharded = ShardedBackend("complaint", 4)
+        sharded = ShardedBackend(4)
         rng = random.Random(3)
         peers = [f"agent-{index}" for index in range(12)]
         filed = []
@@ -315,10 +442,11 @@ class TestShardedComplaintStore:
             for c in plain.all_complaints()
         )
 
-    def test_global_reference_matches_unsharded(self):
+    @pytest.mark.parametrize("metric_mode", METRIC_MODES)
+    def test_global_reference_matches_unsharded(self, metric_mode):
         peers, observations = _observation_stream(seed=23)
-        plain = create_backend("complaint")
-        sharded = ShardedBackend("complaint", 5)
+        plain = create_backend("complaint", metric_mode=metric_mode)
+        sharded = ShardedBackend(5, metric_mode=metric_mode)
         _feed(plain, observations)
         _feed(sharded, observations)
         assert plain.reference_metric() == sharded.reference_metric()
@@ -339,8 +467,8 @@ class TestShardedComplaintStore:
     ),
     shards=st.integers(min_value=2, max_value=6),
 )
-def test_property_sharded_beta_matches_plain(data, shards):
-    """Any observation stream: sharded beta scores equal plain bit for bit."""
+def test_property_sharded_complaint_matches_plain(data, shards):
+    """Any observation stream: sharded scores equal plain bit for bit."""
     observations = [
         TrustObservation(
             observer_id=f"w-{observer}",
@@ -351,11 +479,14 @@ def test_property_sharded_beta_matches_plain(data, shards):
         )
         for index, (observer, subject, honest, weight) in enumerate(data)
     ]
-    plain = create_backend("beta")
-    sharded = ShardedBackend("beta", shards)
+    plain = create_backend("complaint")
+    sharded = ShardedBackend(shards)
     plain.update_many(observations)
     sharded.update_many(observations)
-    queries = [f"p-{index}" for index in range(10)]
+    queries = [f"p-{index}" for index in range(10)] + ["w-0"]
     np.testing.assert_array_equal(
         plain.scores_for(queries), sharded.scores_for(queries)
+    )
+    np.testing.assert_array_equal(
+        plain.trust_decisions(queries), sharded.trust_decisions(queries)
     )

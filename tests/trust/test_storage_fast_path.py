@@ -3,9 +3,9 @@
 Four mechanisms are pinned here:
 
 * **dirty-row score caching** (``cache_scores=True``, the default) must be
-  *bit-identical* to the uncached read path on every backend kind, sharded
-  and unsharded, under arbitrary interleavings of updates and queries —
-  the cache only skips recomputation, never changes it;
+  *bit-identical* to the uncached read path on every backend kind (and on
+  the sharded complaint store), under arbitrary interleavings of updates
+  and queries — the cache only skips recomputation, never changes it;
 * **compact storage** (``compact=True``) keeps beta-family scores within a
   documented float32 accumulation tolerance of the float64 layout and is
   exactly equal for the complaint backend (its counts are small integers,
@@ -30,6 +30,8 @@ from repro.trust.sharding import ShardedBackend
 from repro.trust.storage import ChunkedArray
 
 KINDS = ("beta", "decay", "complaint")
+#: (kind, shards) layouts: only the complaint store is ever sharded.
+LAYOUTS = tuple((kind, 1) for kind in KINDS) + (("complaint", 3),)
 #: Documented tolerance of compact (float32) beta-family scores; scores are
 #: probabilities in [0, 1], so this is an absolute bound.
 COMPACT_SCORE_TOLERANCE = 1e-5
@@ -69,7 +71,8 @@ def _to_observations(stream):
 def _build(kind, shards, **params):
     if shards == 1:
         return create_backend(kind, **params)
-    return ShardedBackend(kind, shards, **params)
+    assert kind == "complaint"
+    return ShardedBackend(shards, **params)
 
 
 def _drive_interleaved(backend, observations, chunk=7):
@@ -92,8 +95,7 @@ def _drive_interleaved(backend, observations, chunk=7):
 
 
 class TestDirtyRowCacheBitIdentity:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("shards", (1, 3))
+    @pytest.mark.parametrize("kind,shards", LAYOUTS)
     @settings(max_examples=40, deadline=None)
     @given(stream=event_streams)
     def test_cached_equals_uncached(self, kind, shards, stream):
@@ -138,13 +140,12 @@ class TestDirtyRowCacheBitIdentity:
 
 class TestCompactTolerance:
     @pytest.mark.parametrize("kind", ("beta", "decay"))
-    @pytest.mark.parametrize("shards", (1, 3))
     @settings(max_examples=30, deadline=None)
     @given(stream=event_streams)
-    def test_beta_family_within_tolerance(self, kind, shards, stream):
+    def test_beta_family_within_tolerance(self, kind, stream):
         observations = _to_observations(stream)
-        compact = _build(kind, shards, compact=True)
-        default = _build(kind, shards)
+        compact = _build(kind, 1, compact=True)
+        default = _build(kind, 1)
         delta = np.abs(
             _drive_interleaved(compact, observations)
             - _drive_interleaved(default, observations)
@@ -182,9 +183,13 @@ class TestStreamingSnapshots:
                 np.asarray(streamed[key]), np.asarray(snapshot[key])
             ), key
 
-    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
-        "source_shards,target_shards", ((1, 1), (4, 4), (4, 2), (2, 4))
+        "kind,source_shards,target_shards",
+        tuple((kind, 1, 1) for kind in KINDS)
+        + tuple(
+            ("complaint", source, target)
+            for source, target in ((4, 4), (4, 2), (2, 4))
+        ),
     )
     @pytest.mark.parametrize("target_compact", (False, True))
     def test_roundtrip_across_layouts(
@@ -207,11 +212,11 @@ class TestStreamingSnapshots:
 
     def test_streaming_restore_is_incremental_per_shard(self):
         """Same-layout streaming restore loads one shard at a time."""
-        source = _build("beta", 4)
+        source = _build("complaint", 4)
         source.update_many(
-            _to_observations([(i % 6, True, 1.0, 0.0, False) for i in range(30)])
+            _to_observations([(i % 6, True, 1.0, 0.0, True) for i in range(30)])
         )
-        target = _build("beta", 4)
+        target = _build("complaint", 4)
 
         seen = []
 

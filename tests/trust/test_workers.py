@@ -1,4 +1,4 @@
-"""Unit tests for the worker-distributed sharded backend.
+"""Unit tests for the worker-distributed sharded complaint store.
 
 Most tests run on the loopback transport: same protocol, same pickled
 wire format, no forking — and deterministic.  A small set exercises real
@@ -17,9 +17,10 @@ from repro.trust import (
     WorkerShardedBackend,
     create_backend,
 )
+from repro.trust.backend import ComplaintTrustBackend
 
 PEERS = [f"peer-{index:03d}" for index in range(80)]
-KINDS = ("beta", "decay", "complaint")
+METRIC_MODES = ComplaintTrustBackend.METRIC_MODES
 
 
 def observations(seed, count=300, complaints=True):
@@ -40,16 +41,16 @@ def observations(seed, count=300, complaints=True):
     ]
 
 
-def loopback(kind, **params):
-    return create_backend(kind, workers="loopback", **params)
+def loopback(**params):
+    return create_backend("complaint", workers="loopback", **params)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_loopback_scores_bit_identical(kind):
+@pytest.mark.parametrize("metric_mode", METRIC_MODES)
+def test_loopback_scores_bit_identical(metric_mode):
     obs = observations(1)
-    reference = create_backend(kind, shards=4)
+    reference = create_backend("complaint", shards=4, metric_mode=metric_mode)
     reference.update_many(obs)
-    with loopback(kind, shards=4) as backend:
+    with loopback(shards=4, metric_mode=metric_mode) as backend:
         backend.update_many(obs)
         backend.flush()
         assert np.array_equal(
@@ -59,19 +60,39 @@ def test_loopback_scores_bit_identical(kind):
             backend.trust_decisions(PEERS), reference.trust_decisions(PEERS)
         )
         assert backend.known_subjects() == reference.known_subjects()
-        if kind == "complaint":  # __len__ is ComplaintStore protocol
-            assert len(backend) == len(reference)
+        assert len(backend) == len(reference)
+        assert backend.reference_metric() == reference.reference_metric()
+        assert np.array_equal(
+            backend.shard_row_counts(), reference.shard_row_counts()
+        )
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_loopback_witness_aggregation_matches(kind):
+def test_worker_backend_reads_only_through_scatter_gather():
+    """The worker layer owns one read method; the rest is inherited."""
+    for read in (
+        "scores_for",
+        "trust_decisions",
+        "aggregate_witness_reports",
+        "known_subjects",
+        "reference_metric",
+        "shard_row_counts",
+        "counts",
+        "all_complaints",
+        "__len__",
+    ):
+        assert read not in vars(WorkerShardedBackend), read
+    assert "_scatter_gather" in vars(WorkerShardedBackend)
+
+
+@pytest.mark.parametrize("metric_mode", METRIC_MODES)
+def test_loopback_witness_aggregation_matches(metric_mode):
     obs = observations(2)
-    reference = create_backend(kind, shards=3)
+    reference = create_backend("complaint", shards=3, metric_mode=metric_mode)
     reference.update_many(obs)
     rng = np.random.default_rng(3)
     matrix = np.abs(rng.normal(size=(4, len(PEERS), 2)))
     discounts = np.full(4, 0.5)
-    with loopback(kind, shards=3) as backend:
+    with loopback(shards=3, metric_mode=metric_mode) as backend:
         backend.update_many(obs)
         assert np.array_equal(
             backend.aggregate_witness_reports(PEERS, matrix, discounts),
@@ -79,11 +100,12 @@ def test_loopback_witness_aggregation_matches(kind):
         )
 
 
-def test_complaint_store_protocol_over_workers():
+@pytest.mark.parametrize("metric_mode", METRIC_MODES)
+def test_complaint_store_protocol_over_workers(metric_mode):
     obs = observations(4)
-    reference = create_backend("complaint", shards=4)
+    reference = create_backend("complaint", shards=4, metric_mode=metric_mode)
     reference.update_many(obs)
-    with loopback("complaint", shards=4) as backend:
+    with loopback(shards=4, metric_mode=metric_mode) as backend:
         backend.update_many(obs)
         assert backend.all_complaints() == reference.all_complaints()
         for peer in PEERS[:10]:
@@ -92,20 +114,18 @@ def test_complaint_store_protocol_over_workers():
                 reference.complaints_about(peer)
             )
         assert backend.tolerance_factor == reference.tolerance_factor
-        assert backend.metric_mode == reference.metric_mode
+        assert backend.metric_mode == reference.metric_mode == metric_mode
 
 
 def test_rebalance_split_is_worker_handoff():
     policy = RebalancePolicy(split_rows=24, max_shards=6)
-    obs = observations(5, complaints=False)
+    obs = observations(5)
     reference = create_backend(
-        "beta", shards=2, router="range", rebalance=policy
+        "complaint", shards=2, router="range", rebalance=policy
     )
     reference.update_many(obs)
     assert reference.num_shards > 2  # the stream actually forced splits
-    with loopback(
-        "beta", shards=2, router="range", rebalance=policy
-    ) as backend:
+    with loopback(shards=2, router="range", rebalance=policy) as backend:
         backend.update_many(obs)
         assert backend.num_shards == reference.num_shards
         assert np.array_equal(
@@ -117,21 +137,21 @@ def test_rebalance_split_is_worker_handoff():
 
 def test_streaming_snapshot_interops_with_in_process_backend():
     obs = observations(6)
-    with loopback("decay", shards=3) as backend:
+    with loopback(shards=3) as backend:
         backend.update_many(obs)
         expected = backend.scores_for(PEERS)
-        replica = ShardedBackend("decay", 3)
+        replica = ShardedBackend(3)
         replica.restore_items(backend.snapshot_items())
         assert np.array_equal(replica.scores_for(PEERS), expected)
         # And the reverse direction: in-process snapshot into workers.
-        with loopback("decay", shards=3) as second:
+        with loopback(shards=3) as second:
             second.restore_items(replica.snapshot_items())
             assert np.array_equal(second.scores_for(PEERS), expected)
 
 
 def test_worker_error_surfaces_and_backend_stays_usable():
-    with loopback("beta", shards=2) as backend:
-        backend.update_many(observations(7, complaints=False))
+    with loopback(shards=2) as backend:
+        backend.update_many(observations(7))
         with pytest.raises(Exception):
             backend.restore({"backend": np.array("nonsense")})
         # The failed call must not desync the reply channel.
@@ -148,7 +168,7 @@ def test_worker_error_carries_remote_traceback():
     """
     from repro.trust.workers import RemoteWorkerTraceback
 
-    with loopback("beta", shards=2) as backend:
+    with loopback(shards=2) as backend:
         proxy = backend.shards[0]
         with pytest.raises(AttributeError) as excinfo:
             proxy.call("no_such_method")
@@ -160,7 +180,7 @@ def test_worker_error_carries_remote_traceback():
 
 
 def test_write_error_held_until_next_call():
-    with loopback("beta", shards=1) as backend:
+    with loopback(shards=1) as backend:
         proxy = backend.shards[0]
         proxy._write("bogus-method", ())
         with pytest.raises(TrustModelError):
@@ -170,7 +190,7 @@ def test_write_error_held_until_next_call():
 
 
 def test_dead_worker_raises_without_recovery():
-    backend = loopback("beta", shards=2)
+    backend = loopback(shards=2)
     backend.shards[0].stop()
     with pytest.raises(WorkerCrashError):
         backend.scores_for(PEERS)
@@ -178,7 +198,7 @@ def test_dead_worker_raises_without_recovery():
 
 
 def test_close_is_idempotent_and_stops_workers():
-    backend = loopback("beta", shards=2)
+    backend = loopback(shards=2)
     proxies = list(backend.shards)
     backend.close()
     assert backend.closed
@@ -187,19 +207,20 @@ def test_close_is_idempotent_and_stops_workers():
 
 
 def test_create_backend_wiring():
-    with create_backend("beta", shards=2, workers="loopback") as backend:
+    with create_backend("complaint", shards=2, workers="loopback") as backend:
         assert isinstance(backend, WorkerShardedBackend)
         assert backend.transport_kind == "loopback"
         assert backend.name == "sharded"  # snapshot-interop contract
+        assert backend.kind == "complaint"
     with pytest.raises(TrustModelError):
-        create_backend("beta", shards=2, recovery=True)  # needs workers
+        create_backend("complaint", shards=2, recovery=True)  # needs workers
 
 
 def test_process_transport_end_to_end():
     obs = observations(8)
-    reference = create_backend("beta", shards=2)
+    reference = create_backend("complaint", shards=2)
     reference.update_many(obs)
-    with create_backend("beta", shards=2, workers=True) as backend:
+    with create_backend("complaint", shards=2, workers=True) as backend:
         assert backend.transport_kind == "process"
         backend.update_many(obs)
         backend.flush()
@@ -207,19 +228,26 @@ def test_process_transport_end_to_end():
             backend.scores_for(PEERS), reference.scores_for(PEERS)
         )
         snapshot = dict(backend.snapshot_items())
-    replica = ShardedBackend("beta", 2)
+    replica = ShardedBackend(2)
     replica.restore(snapshot)
     assert np.array_equal(
         replica.scores_for(PEERS), reference.scores_for(PEERS)
     )
 
 
-def test_compact_layout_within_float32_tolerance():
-    obs = observations(9, complaints=False)
-    reference = create_backend("beta", shards=4, compact=True)
+@pytest.mark.parametrize("metric_mode", METRIC_MODES)
+def test_compact_layout_is_exact(metric_mode):
+    # Complaint counts are small integers, exact in float32, so the compact
+    # worker store matches both compact and default in-process stores.
+    obs = observations(9)
+    reference = create_backend("complaint", shards=4, metric_mode=metric_mode)
     reference.update_many(obs)
-    with loopback("beta", shards=4, compact=True) as backend:
+    compact = create_backend(
+        "complaint", shards=4, compact=True, metric_mode=metric_mode
+    )
+    compact.update_many(obs)
+    with loopback(shards=4, compact=True, metric_mode=metric_mode) as backend:
         backend.update_many(obs)
-        np.testing.assert_allclose(
-            backend.scores_for(PEERS), reference.scores_for(PEERS), rtol=1e-5
-        )
+        scores = backend.scores_for(PEERS)
+        assert np.array_equal(scores, compact.scores_for(PEERS))
+        assert np.array_equal(scores, reference.scores_for(PEERS))
