@@ -36,8 +36,10 @@ bench:
 # the two-shard complaint delivery plus scatter/gather), live-rebalance
 # balance and split-pause bars (bench_shard_rebalance: max shard share
 # <= 2/N after auto splits at < 10% pause cost), the evidence-repair
-# convergence/overhead bars (bench_evidence_repair: gossip >= 0.99
-# effective delivery at < 3x message overhead under 20% loss) and the
+# convergence/overhead/compactness bars (bench_evidence_repair: gossip
+# >= 0.99 effective delivery at < 3x message overhead under 20% loss, and
+# gossip_digest_compact: zero explicit digest extras once a gossip run
+# with witness traffic has settled) and the
 # worker-distribution bars (bench_worker_distribution: score bit-identity
 # and the kill-and-recover drill healing to effective_delivery_ratio 1.0;
 # the >= 1.5x speedup bar at 4 workers is enforced on >= 4-core machines

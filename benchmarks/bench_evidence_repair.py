@@ -17,11 +17,20 @@ trade:
 * **convergence lag** — p50/p95 rounds from entry emission to final
   application.
 
+A fourth run repeats gossip with every party polling 3 witnesses, so
+transient witness traffic interleaves with each origin's evidence; once its
+journals agree after the drain, it reports the **digest extras** — explicit
+sequence numbers past the contiguous prefix, summed over every journal.
+
 Enforced bars: the gossip policy must reach **>= 0.99 effective delivery**
 within the drain budget at **< 3x message overhead** vs no-repair (the
 retransmit policy must also fully recover, but its one-ack-per-delivery
-protocol is allowed to cost more), and the no-repair baseline must actually
-lose evidence — otherwise the experiment proves nothing.
+protocol is allowed to cost more), the no-repair baseline must actually
+lose evidence — otherwise the experiment proves nothing — and the settled
+witness run's digests must carry **zero extras** (``gossip_digest_compact``:
+witness traffic never punches holes into the journaled sequence space, so
+a converged origin is summarised as ``(n, frozenset())``).  The extras
+count is deterministic, not a timing.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ LOSS = 0.2
 LATENCY = 1.0
 SEED = 7
 POLICIES = ("off", "retransmit", "gossip")
+#: Label and witness count of the gossip run with witness traffic on.
+WITNESS_RUN = "gossip+witnesses"
+WITNESS_COUNT = 3
 #: Extra ticks past the horizon a policy gets to converge.
 MAX_DRAIN_TICKS = 40 if SMOKE else 60
 
@@ -49,7 +61,7 @@ REQUIRED_EFFECTIVE = 0.99
 MAX_OVERHEAD = 3.0
 
 
-def _run_policy(policy: str):
+def _run_policy(policy: str, witness_count=None):
     scenario = build_scenario(
         "p2p-file-trading",
         size=SIZE,
@@ -66,11 +78,33 @@ def _run_policy(policy: str):
         gossip_period=2.0,
         gossip_fanout=1,
         retransmit_timeout=2.0,
+        witness_count=witness_count,
     )
     simulation = scenario.simulation(TrustAwareStrategy())
     result = simulation.run()
     drain_ticks = simulation.evidence_plane.drain(max_ticks=MAX_DRAIN_TICKS)
-    return result.evidence_counters, drain_ticks
+    return simulation.evidence_plane, result.evidence_counters, drain_ticks
+
+
+def _settled_extras(plane, clock: float):
+    """Explicit digest extras over every journal, once the journals agree.
+
+    The drain stops when every entry is applied; journals still missing
+    relayed copies keep gossiping here (at most ``MAX_DRAIN_TICKS`` more
+    ticks) so that only holes the sequence space itself leaves are counted.
+    """
+    journals = list(plane.journals.values())
+    for _ in range(MAX_DRAIN_TICKS):
+        digests = [journal.digest() for journal in journals]
+        if all(digest == digests[0] for digest in digests):
+            break
+        clock += 1.0
+        plane.advance(clock)
+    return sum(
+        len(extras)
+        for journal in journals
+        for _, extras in journal.digest().values()
+    )
 
 
 def build_table() -> Table:
@@ -85,6 +119,7 @@ def build_table() -> Table:
             "lag p50",
             "lag p95",
             "dups suppressed",
+            "digest extras",
         ],
         title=(
             f"Evidence repair at {LOSS:.0%} loss: {SIZE} peers, {ROUNDS} "
@@ -92,21 +127,29 @@ def build_table() -> Table:
         ),
     )
     baseline_sent = None
-    for policy in POLICIES:
-        counters, drain_ticks = _run_policy(policy)
+    runs = [(policy, policy, None) for policy in POLICIES]
+    runs.append((WITNESS_RUN, "gossip", WITNESS_COUNT))
+    for label, policy, witness_count in runs:
+        plane, counters, drain_ticks = _run_policy(policy, witness_count)
         if baseline_sent is None:
             baseline_sent = counters.sent
-        table.add_row(
-            policy,
+        row = [
+            label,
             counters.sent,
-            round(counters.sent / baseline_sent, 2),
+            # Witness polling adds traffic of its own: no overhead figure.
+            "-" if witness_count else round(counters.sent / baseline_sent, 2),
             round(counters.delivery_ratio, 4),
             round(counters.effective_delivery_ratio, 4),
             drain_ticks,
             round(counters.convergence_lag_p50, 2),
             round(counters.convergence_lag_p95, 2),
             counters.duplicates_suppressed,
-        )
+        ]
+        if plane.repair_policy.journaling:
+            row.append(_settled_extras(plane, ROUNDS + drain_ticks))
+        else:
+            row.append("-")
+        table.add_row(*row)
     return table
 
 
@@ -117,6 +160,7 @@ def test_evidence_repair_convergence(benchmark):
     effective = {policy: rows[policy][4] for policy in POLICIES}
     overhead = {policy: rows[policy][2] for policy in POLICIES}
     drain = {policy: rows[policy][5] for policy in POLICIES}
+    extras = rows[WITNESS_RUN][9]
     emit_json(
         "evidence_repair",
         table_metrics(table),
@@ -140,6 +184,7 @@ def test_evidence_repair_convergence(benchmark):
                 drain["retransmit"], MAX_DRAIN_TICKS,
                 drain["retransmit"] < MAX_DRAIN_TICKS,
             ),
+            "gossip_digest_compact": bar(extras, 0, extras == 0),
         },
     )
     # The baseline must actually lose evidence at 20% loss...
@@ -153,3 +198,5 @@ def test_evidence_repair_convergence(benchmark):
     # traffic is costlier by design, so no overhead bar here).
     assert effective["retransmit"] >= REQUIRED_EFFECTIVE
     assert drain["retransmit"] < MAX_DRAIN_TICKS
+    # Witness traffic leaves no hole in any settled digest.
+    assert extras == 0

@@ -187,8 +187,10 @@ class EvidencePlane:
         self._repair_rng = (
             repair_rng if repair_rng is not None else random.Random(1)
         )
-        #: Monotone per-origin sequence counters for entry naming.
+        #: Per-origin sequence counters for entry naming: journaled entries
+        #: count up from 1, transient (witness) entries down from -1.
         self._seq: Dict[str, int] = {}
+        self._transient_seq: Dict[str, int] = {}
         #: Per-holder journals (only maintained for journaling policies).
         self._journals: Dict[str, EvidenceJournal] = {}
         #: Keys of persistent entries already applied (dedup guard).
@@ -515,8 +517,12 @@ class EvidencePlane:
         payload,
         transient: bool = False,
     ) -> EvidenceEntry:
-        seq = self._seq.get(origin_id, 0) + 1
-        self._seq[origin_id] = seq
+        if transient:
+            seq = self._transient_seq.get(origin_id, 0) - 1
+            self._transient_seq[origin_id] = seq
+        else:
+            seq = self._seq.get(origin_id, 0) + 1
+            self._seq[origin_id] = seq
         assert self._engine is not None and self._network is not None
         entry = EvidenceEntry(
             origin_id=origin_id,
@@ -579,33 +585,41 @@ class EvidencePlane:
     def ingest_entry(
         self, holder_id: str, entry: EvidenceEntry, now: float
     ) -> None:
-        """Fold a gossip-relayed entry into ``holder_id``'s journal.
+        """Fold one gossip-relayed entry into ``holder_id``'s journal."""
+        self.ingest_entries(holder_id, (entry,), now)
 
-        The holder stores (and will relay) the entry regardless of who it is
-        addressed to; it is *applied* only when the holder is the recipient
-        (or, for complaint entries, forwarded to the sink so the filing pays
-        the same network path every direct complaint does).
+    def ingest_entries(
+        self, holder_id: str, entries: Sequence[EvidenceEntry], now: float
+    ) -> None:
+        """Fold a batch of gossip-relayed entries into ``holder_id``'s journal.
+
+        The holder stores (and will relay) every entry regardless of who it
+        is addressed to; a fresh entry is *applied* only when the holder is
+        its recipient (or, for complaint entries, forwarded to the sink so
+        the filing pays the same network path every direct complaint does).
+        The whole batch is journaled first and the fresh entries are then
+        handled in batch order; applying never reads a journal, so this is
+        the entry-by-entry outcome.
         """
-        if entry.transient:
-            return
-        counters = self._network.counters if self._network is not None else None
-        fresh = self.journal_for(holder_id).add(entry)
-        if not fresh:
-            if counters is not None:
-                counters.duplicates_suppressed += 1
-            return
-        if entry.recipient_id == holder_id:
-            self._apply_entry(entry, now)
-        elif (
-            entry.recipient_id == COMPLAINT_SINK
-            and entry.key not in self._applied
-        ):
-            # A relayed complaint is forwarded to the community store by the
-            # first holder to learn of it — through the network, so a
-            # partitioned holder still cannot reach the store until heal.
-            self.repair_send(
-                holder_id, COMPLAINT_SINK, entry, kind=entry.kind
+        fresh = self.journal_for(holder_id).add_many(entries)
+        if self._network is not None:
+            self._network.counters.duplicates_suppressed += (
+                len(entries) - len(fresh)
             )
+        for entry in fresh:
+            if entry.recipient_id == holder_id:
+                self._apply_entry(entry, now)
+            elif (
+                entry.recipient_id == COMPLAINT_SINK
+                and entry.key not in self._applied
+            ):
+                # A relayed complaint is forwarded to the community store by
+                # the first holder to learn of it — through the network, so
+                # a partitioned holder still cannot reach the store until
+                # heal.
+                self.repair_send(
+                    holder_id, COMPLAINT_SINK, entry, kind=entry.kind
+                )
 
     # ------------------------------------------------------------------
     # Message handling (async deliveries)

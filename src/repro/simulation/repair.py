@@ -11,7 +11,14 @@ evidence units.  On top of that identity three mechanisms compose:
 * an append-only :class:`EvidenceJournal` per peer storing every entry the
   peer has originated or learned of, summarised by a compact per-origin
   digest (highest contiguous sequence number + explicit holes set), so two
-  peers can compare what they know in one small message;
+  peers can compare what they know in one small message.  Each origin
+  names its entries from two sequence spaces: journaled evidence counts up
+  from 1 and transient witness traffic counts down from -1, so the
+  journaled space is dense and a converged origin's digest is just
+  ``(n, frozenset())``.  Digests are cached and rebuilt only for the
+  origins that changed, and the digest comparisons skip every origin whose
+  digest matches the partner's, so anti-entropy costs what changed rather
+  than the whole history;
 * a pluggable :class:`RepairPolicy` — ``off`` (today's fire-and-forget),
   ``retransmit`` (recipients ack every delivered entry, origins re-send
   unacked entries with capped exponential backoff), and ``gossip``
@@ -41,7 +48,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exceptions import SimulationError
 
@@ -66,6 +83,8 @@ REPAIR_POLICIES = ("off", "retransmit", "gossip")
 #: A per-origin digest: (highest contiguous seq, explicit extras beyond it).
 Digest = Tuple[int, frozenset]
 
+_EMPTY_DIGEST: Digest = (0, frozenset())
+
 
 @dataclass(frozen=True)
 class EvidenceEntry:
@@ -73,11 +92,14 @@ class EvidenceEntry:
 
     ``origin_id`` is the peer that emitted the entry (the counterparty of an
     interaction for observation batches, the filer for complaints, the
-    requester/witness for witness traffic); ``seq`` is assigned from the
-    origin's monotone counter, so the pair is a community-wide unique,
-    gap-detectable name.  ``transient`` marks request/reply traffic (witness
-    polling) that is acked and deduped but never journaled or gossiped —
-    a stale witness reply is not evidence worth replicating.
+    requester/witness for witness traffic).  ``seq`` comes from one of two
+    per-origin counters: journaled evidence counts up ``1, 2, 3, ...`` and
+    transient request/reply traffic (witness polling) counts down
+    ``-1, -2, ...``, so the pair is a community-wide unique name and the
+    journaled sequence space of every origin stays dense — a hole in it is
+    always a real loss.  ``transient`` entries are acked and deduped but
+    never journaled or gossiped: a stale witness reply is not evidence
+    worth replicating.
     """
 
     origin_id: str
@@ -98,15 +120,27 @@ class SequenceTracker:
 
     Kept as the highest contiguous prefix (``1..contiguous`` all seen) plus
     an explicit set of extras beyond it; the holes between them are exactly
-    what a repair partner needs to fill.  This is the compact form the
-    digest messages carry.
+    what a repair partner needs to fill.  ``contiguous + 1`` is never an
+    extra.  This is the compact form the digest messages carry; the digest
+    tuple is cached until the next :meth:`add`, so ``contiguous`` and
+    ``extras`` are read-only outside this class (build a tracker from a
+    digest with :meth:`from_digest`).
     """
 
-    __slots__ = ("contiguous", "extras")
+    __slots__ = ("contiguous", "extras", "_digest")
 
     def __init__(self) -> None:
         self.contiguous = 0
         self.extras: set = set()
+        self._digest: Optional[Digest] = None
+
+    @classmethod
+    def from_digest(cls, digest: Digest) -> "SequenceTracker":
+        """A tracker that knows exactly what ``digest`` claims."""
+        tracker = cls()
+        tracker.contiguous = digest[0]
+        tracker.extras = set(digest[1])
+        return tracker
 
     def add(self, seq: int) -> bool:
         """Record ``seq``; returns ``False`` when it was already known."""
@@ -119,6 +153,7 @@ class SequenceTracker:
                 self.extras.remove(self.contiguous)
         else:
             self.extras.add(seq)
+        self._digest = None
         return True
 
     def __contains__(self, seq: int) -> bool:
@@ -127,19 +162,11 @@ class SequenceTracker:
     def __len__(self) -> int:
         return self.contiguous + len(self.extras)
 
-    def known_seqs(self) -> Iterator[int]:
-        """All known sequence numbers in ascending order."""
-        yield from range(1, self.contiguous + 1)
-        yield from sorted(self.extras)
-
     def digest(self) -> Digest:
-        return (self.contiguous, frozenset(self.extras))
-
-    @staticmethod
-    def covers(digest: Digest, seq: int) -> bool:
-        """Whether a digest claims knowledge of ``seq``."""
-        contiguous, extras = digest
-        return seq <= contiguous or seq in extras
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = (self.contiguous, frozenset(self.extras))
+        return digest
 
 
 class EvidenceJournal:
@@ -149,42 +176,75 @@ class EvidenceJournal:
     relay third-party evidence onward) plus one :class:`SequenceTracker` per
     origin.  ``digest()`` summarises the whole journal for an anti-entropy
     exchange; ``entries_missing_from`` / ``is_missing_any`` are the two
-    sides of the digest comparison.
+    sides of the digest comparison.  Both skip every origin whose digest
+    equals the partner's and scan only above the partner's contiguous
+    prefix, so a converged exchange costs one pass over the digest.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, int], EvidenceEntry] = {}
+        #: origin -> seq -> entry, each origin's entries in insertion order.
+        self._held: Dict[str, Dict[int, EvidenceEntry]] = {}
         self._trackers: Dict[str, SequenceTracker] = {}
+        #: The last built digest; never mutated once handed out.
+        self._digest: Dict[str, Digest] = {}
+        #: Origins added to since ``_digest`` was built (insertion-ordered).
+        self._touched: Dict[str, None] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._held.values()))
 
     def __contains__(self, key: Tuple[str, int]) -> bool:
-        return key in self._entries
+        held = self._held.get(key[0])
+        return held is not None and key[1] in held
 
     def get(self, key: Tuple[str, int]) -> EvidenceEntry:
-        return self._entries[key]
+        return self._held[key[0]][key[1]]
 
     def keys(self) -> Tuple[Tuple[str, int], ...]:
-        """Every ``(origin, seq)`` key this journal holds (insertion order)."""
-        return tuple(self._entries)
+        """Every ``(origin, seq)`` key held, per origin in insertion order."""
+        return tuple(
+            (origin, seq) for origin, held in self._held.items() for seq in held
+        )
 
     def add(self, entry: EvidenceEntry) -> bool:
         """Store an entry; returns ``False`` when it was already journaled."""
-        tracker = self._trackers.get(entry.origin_id)
-        if tracker is None:
-            tracker = self._trackers[entry.origin_id] = SequenceTracker()
-        if not tracker.add(entry.seq):
-            return False
-        self._entries[entry.key] = entry
-        return True
+        return bool(self.add_many((entry,)))
+
+    def add_many(self, entries: Sequence[EvidenceEntry]) -> List[EvidenceEntry]:
+        """Store ``entries``; returns the ones that were new, in order."""
+        fresh: List[EvidenceEntry] = []
+        for entry in entries:
+            if entry.transient:
+                raise SimulationError(
+                    f"transient entry {entry.key} cannot be journaled"
+                )
+            origin, seq = entry.origin_id, entry.seq
+            held = self._held.get(origin)
+            if held is None:
+                held = self._held[origin] = {}
+                self._trackers[origin] = SequenceTracker()
+            elif seq in held:
+                continue
+            held[seq] = entry
+            self._trackers[origin].add(seq)
+            self._touched[origin] = None
+            fresh.append(entry)
+        return fresh
 
     def digest(self) -> Dict[str, Digest]:
-        """Compact per-origin summary of everything this journal holds."""
-        return {
-            origin: tracker.digest()
-            for origin, tracker in self._trackers.items()
-        }
+        """Compact per-origin summary of everything this journal holds.
+
+        Rebuilds only the origins touched since the last call, into a new
+        dict: a digest already handed out (say, riding a message) never
+        changes afterwards.
+        """
+        if self._touched:
+            digest = dict(self._digest)
+            for origin in self._touched:
+                digest[origin] = self._trackers[origin].digest()
+            self._touched.clear()
+            self._digest = digest
+        return self._digest
 
     def entries_missing_from(
         self, their_digest: Mapping[str, Digest]
@@ -192,41 +252,43 @@ class EvidenceJournal:
         """Entries this journal holds that ``their_digest`` does not cover.
 
         Returned in deterministic ``(origin, seq)`` order — the push half of
-        an anti-entropy exchange.
+        an anti-entropy exchange.  Origins whose digests match are skipped
+        outright; the rest are scanned only above the partner's contiguous
+        prefix.
         """
+        differing = self.digest().items() - their_digest.items()
         missing: List[EvidenceEntry] = []
-        for origin in sorted(self._trackers):
+        for origin in sorted(origin for origin, _ in differing):
             tracker = self._trackers[origin]
-            theirs = their_digest.get(origin)
-            if theirs is not None:
-                their_contiguous, their_extras = theirs
-                # Fast path for the converged steady state: when the
-                # partner's digest covers this whole origin, skip the
-                # per-seq scan (O(extras) instead of O(known seqs)).
-                if tracker.contiguous <= their_contiguous and all(
-                    seq <= their_contiguous or seq in their_extras
-                    for seq in tracker.extras
-                ):
-                    continue
-            for seq in tracker.known_seqs():
-                if theirs is None or not SequenceTracker.covers(theirs, seq):
-                    missing.append(self._entries[(origin, seq)])
+            held = self._held[origin]
+            floor, their_extras = their_digest.get(origin, _EMPTY_DIGEST)
+            seqs: Iterable[int] = range(floor + 1, tracker.contiguous + 1)
+            if their_extras:
+                seqs = [seq for seq in seqs if seq not in their_extras]
+            missing.extend(map(held.__getitem__, seqs))
+            if tracker.extras:
+                missing.extend(
+                    held[seq]
+                    for seq in sorted(tracker.extras)
+                    if seq > floor and seq not in their_extras
+                )
         return missing
 
     def is_missing_any(self, their_digest: Mapping[str, Digest]) -> bool:
         """Whether ``their_digest`` claims entries this journal lacks."""
-        for origin, (contiguous, extras) in their_digest.items():
+        for origin, (contiguous, extras) in (
+            their_digest.items() - self.digest().items()
+        ):
             mine = self._trackers.get(origin)
             if mine is None:
                 if contiguous > 0 or extras:
                     return True
-                continue
-            for seq in range(mine.contiguous + 1, contiguous + 1):
-                if seq not in mine.extras:
-                    return True
-            for seq in extras:
-                if seq not in mine:
-                    return True
+            elif contiguous > mine.contiguous or any(
+                seq not in mine for seq in extras
+            ):
+                # Their prefix passing ours means they hold ours + 1,
+                # which is never one of our extras.
+                return True
         return False
 
 
@@ -340,8 +402,11 @@ class RetransmitPolicy(RepairPolicy):
             self._pending.pop(key, None)
 
     def on_round(self, now: float) -> None:
-        for key in sorted(self._pending):
-            state = self._pending[key]
+        # Grouped by origin, each origin's entries in emission order: a
+        # stable sort on the origin alone (transient seqs count down, so a
+        # sort on the whole key would not be emission order).
+        pending = sorted(self._pending.items(), key=lambda item: item[0][0])
+        for _, state in pending:
             if state.deadline > now:
                 continue
             self._plane.resend_entry(state.entry)
@@ -405,11 +470,15 @@ class GossipPolicy(RepairPolicy):
         if len(peer_ids) < 2:
             return
         rng = plane.repair_rng
-        for peer_id in peer_ids:
-            others = [other for other in peer_ids if other != peer_id]
-            partners = rng.sample(others, min(self._fanout, len(others)))
+        others = len(peer_ids) - 1
+        fanout = min(self._fanout, others)
+        for position, peer_id in enumerate(peer_ids):
+            # Sampling indices into "everyone but me" draws exactly what
+            # sampling that list would, without building it per peer.
+            picks = rng.sample(range(others), fanout)
             digest = plane.journal_for(peer_id).digest()
-            for partner_id in partners:
+            for pick in picks:
+                partner_id = peer_ids[pick + 1 if pick >= position else pick]
                 plane.repair_send(
                     peer_id, partner_id, (peer_id, digest), kind="repair-digest"
                 )
@@ -437,8 +506,7 @@ class GossipPolicy(RepairPolicy):
                 )
         elif message.kind == "repair-entries":
             sender_id, entries, their_digest = message.payload
-            for entry in entries:
-                plane.ingest_entry(holder_id, entry, now)
+            plane.ingest_entries(holder_id, entries, now)
             if their_digest is not None:
                 push_back = journal.entries_missing_from(their_digest)
                 if push_back:

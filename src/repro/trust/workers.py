@@ -404,13 +404,6 @@ def _worker_entry(connection: Any, params: Dict[str, Any]) -> None:
     _worker_main(PipeTransport(connection), params)
 
 
-def _tracker_from_digest(digest: "Digest") -> "SequenceTracker":
-    tracker = _repair().SequenceTracker()
-    tracker.contiguous = digest[0]
-    tracker.extras = set(digest[1])
-    return tracker
-
-
 def _stop_proxies(registry: List["WorkerShardProxy"]) -> None:
     for proxy in list(registry):
         proxy.stop()
@@ -500,7 +493,9 @@ class WorkerShardProxy(TrustBackend):
             return
         self.dead = True
         if self.applied is not None:
-            self.applied = _tracker_from_digest(self.checkpoint_digest)
+            self.applied = _repair().SequenceTracker.from_digest(
+                self.checkpoint_digest
+            )
 
     def _crash(self, cause: Optional[BaseException]) -> WorkerCrashError:
         self.mark_dead()
@@ -1067,7 +1062,9 @@ class WorkerShardedBackend(ShardedBackend):
             replacement.restore(proxy.checkpoint_manifest)
         replacement.journal = proxy.journal
         replacement.seq = proxy.seq
-        replacement.applied = _tracker_from_digest(proxy.checkpoint_digest)
+        replacement.applied = _repair().SequenceTracker.from_digest(
+            proxy.checkpoint_digest
+        )
         replacement.checkpoint_manifest = proxy.checkpoint_manifest
         replacement.checkpoint_digest = proxy.checkpoint_digest
         assert proxy.journal is not None

@@ -72,6 +72,48 @@ class TestKillAndRecover:
             for peer in PEERS[:12]:
                 assert backend.counts(peer) == reference.counts(peer)
 
+    def test_second_kill_after_a_post_heal_checkpoint_heals_again(self):
+        # Checkpoint -> kill -> heal, twice.  The second checkpoint must
+        # record what each worker really holds by then: the healed worker
+        # (replayed backfill included) and a worker checkpointed before,
+        # or the second heal replays from a stale baseline.
+        batches = _batches(14, ticks=8)
+        reference = create_backend("complaint", shards=3)
+        for batch in batches:
+            reference.update_many(batch)
+        with create_backend(
+            "complaint", shards=3, workers=True, recovery=True
+        ) as backend:
+            # Batches [start, kill) land before the checkpoint, [kill, stop)
+            # while the victims are down.
+            for start, kill, stop, victims in (
+                (0, 2, 4, [1]),
+                (4, 5, 7, [1, 2]),
+            ):
+                for batch in batches[start:kill]:
+                    backend.update_many(batch)
+                backend.flush()
+                backend.checkpoint()
+                for index in victims:
+                    victim = backend.shards[index]
+                    os.kill(victim.runner.pid, signal.SIGKILL)
+                    victim.runner.join(10)
+                for batch in batches[kill:stop]:
+                    backend.update_many(batch)
+                assert backend.effective_delivery_ratio < 1.0
+                assert backend.heal_workers() == victims
+                backend.flush()
+                assert backend.effective_delivery_ratio == 1.0
+            for batch in batches[7:]:
+                backend.update_many(batch)
+            backend.flush()
+            assert np.array_equal(
+                backend.scores_for(PEERS), reference.scores_for(PEERS)
+            )
+            assert backend.all_complaints() == reference.all_complaints()
+            for peer in PEERS[:12]:
+                assert backend.counts(peer) == reference.counts(peer)
+
     def test_kill_before_any_checkpoint_recovers_from_journal_alone(self):
         batches = _batches(12)
         reference = create_backend("complaint", shards=2)

@@ -33,7 +33,7 @@ from repro.simulation.repair import (
     SequenceTracker,
     create_repair_policy,
 )
-from repro.workloads import build_scenario
+from repro.workloads import build_registered_scenario, build_scenario
 
 
 def _record(supplier="s", consumer="c", supplier_honest=True, consumer_honest=True,
@@ -64,6 +64,12 @@ def _entry(origin, seq, recipient="r", kind="evidence", payload=(), emitted_at=0
     )
 
 
+def _covers(digest, seq):
+    """Whether a ``(contiguous, extras)`` digest claims ``seq``."""
+    contiguous, extras = digest
+    return seq <= contiguous or seq in extras
+
+
 class TestSequenceTracker:
     def test_contiguous_prefix_collapses(self):
         tracker = SequenceTracker()
@@ -79,13 +85,12 @@ class TestSequenceTracker:
         assert not tracker.add(1)
         assert len(tracker) == 2
 
-    def test_known_seqs_ordered_across_holes(self):
+    def test_digest_ordered_across_holes(self):
         tracker = SequenceTracker()
         for seq in (1, 4, 6):
             tracker.add(seq)
-        assert list(tracker.known_seqs()) == [1, 4, 6]
-        digest = tracker.digest()
-        assert [seq for seq in range(1, 7) if not SequenceTracker.covers(digest, seq)] == [2, 3, 5]
+        assert tracker.digest() == (1, frozenset({4, 6}))
+        assert [seq for seq in range(1, 7) if not _covers(tracker.digest(), seq)] == [2, 3, 5]
 
     def test_digest_covers_exactly_known(self):
         tracker = SequenceTracker()
@@ -93,7 +98,7 @@ class TestSequenceTracker:
             tracker.add(seq)
         digest = tracker.digest()
         for seq in range(1, 8):
-            assert SequenceTracker.covers(digest, seq) == (seq in tracker)
+            assert _covers(digest, seq) == (seq in tracker)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=40), max_size=40))
@@ -102,11 +107,35 @@ class TestSequenceTracker:
         for seq in seqs:
             tracker.add(seq)
         expected = set(seqs)
-        assert set(tracker.known_seqs()) == expected
+        assert {seq for seq in range(1, 45) if seq in tracker} == expected
         assert len(tracker) == len(expected)
         digest = tracker.digest()
         for seq in range(1, 45):
-            assert SequenceTracker.covers(digest, seq) == (seq in expected)
+            assert _covers(digest, seq) == (seq in expected)
+
+    def test_digest_is_cached_until_the_next_add(self):
+        tracker = SequenceTracker()
+        tracker.add(2)
+        digest = tracker.digest()
+        assert tracker.digest() is digest
+        assert not tracker.add(2)
+        assert tracker.digest() is digest
+        tracker.add(1)
+        assert tracker.digest() == (2, frozenset())
+        assert digest == (0, frozenset({2}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=30), max_size=30))
+    def test_from_digest_round_trips(self, seqs):
+        tracker = SequenceTracker()
+        for seq in seqs:
+            tracker.add(seq)
+        rebuilt = SequenceTracker.from_digest(tracker.digest())
+        assert rebuilt.digest() == tracker.digest()
+        assert len(rebuilt) == len(tracker)
+        for seq in range(1, 35):
+            assert rebuilt.add(seq) == tracker.add(seq)
+            assert rebuilt.digest() == tracker.digest()
 
 
 class TestEvidenceJournal:
@@ -154,6 +183,203 @@ class TestEvidenceJournal:
         assert journal_a.digest() == journal_b.digest()
         assert not journal_a.is_missing_any(journal_b.digest())
         assert not journal_b.is_missing_any(journal_a.digest())
+
+
+def _named_entries(emissions):
+    """Journaled entries a gossip plane names for ``(origin, transient)`` emissions.
+
+    Transient emissions are witness requests: they draw sequence numbers
+    from the origin too, interleaved with the journaled evidence.
+    """
+    plane = EvidencePlane(
+        mode="async", latency_model=FixedLatency(1.0), repair="gossip"
+    )
+    origins = ("a", "b", "c", "d")
+    for origin in origins:
+        plane.register_peer(CommunityPeer(origin))
+    for index, transient in emissions:
+        origin, other = origins[index], origins[(index + 1) % len(origins)]
+        if transient:
+            plane.request_witness_reports(origin, [other], ("x",))
+        else:
+            plane.submit_records(other, [_record()], sender_id=origin)
+    entries = []
+    for origin, journal in plane.journals.items():
+        keys = journal.keys()
+        # The journaled sequence space stays dense: 1..n, no holes.
+        assert journal.digest() == {origin: (len(keys), frozenset())}
+        entries.extend(journal.get(key) for key in keys)
+    return entries
+
+
+def _brute_missing(keys, digest):
+    return sorted(
+        key for key in keys
+        if key[0] not in digest or not _covers(digest[key[0]], key[1])
+    )
+
+
+def _brute_missing_any(keys, digest):
+    claimed = {
+        (origin, seq)
+        for origin, (contiguous, extras) in digest.items()
+        for seq in (*range(1, contiguous + 1), *extras)
+    }
+    return bool(claimed - set(keys))
+
+
+def _digest_of(keys):
+    trackers = {}
+    for origin, seq in keys:
+        trackers.setdefault(origin, SequenceTracker()).add(seq)
+    return {origin: tracker.digest() for origin, tracker in trackers.items()}
+
+
+class TestDigestScanOracle:
+    """The skipping scans against brute-force set differences."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        emissions=st.lists(
+            st.tuples(st.integers(0, 3), st.booleans()), max_size=30
+        ),
+        data=st.data(),
+    )
+    def test_missing_scans_match_brute_force(self, emissions, data):
+        entries = _named_entries(emissions)
+        count = len(entries)
+        flags = st.lists(st.booleans(), min_size=count, max_size=count)
+        order = data.draw(st.permutations(entries))
+        in_ours, in_theirs = data.draw(flags), data.draw(flags)
+        ours, theirs = EvidenceJournal(), EvidenceJournal()
+        ours.add_many([entry for entry, flag in zip(order, in_ours) if flag])
+        theirs_entries = [
+            entry for entry, flag in zip(order, in_theirs) if flag
+        ]
+        stale_at = data.draw(st.integers(0, len(theirs_entries)))
+        theirs.add_many(theirs_entries[:stale_at])
+        stale = theirs.digest()
+        for entry in theirs_entries[stale_at:]:
+            theirs.add(entry)
+        for mine, other in ((ours, theirs), (theirs, ours)):
+            for digest in (stale, other.digest()):
+                keys = mine.keys()
+                assert [
+                    entry.key for entry in mine.entries_missing_from(digest)
+                ] == _brute_missing(keys, digest)
+                assert mine.is_missing_any(digest) == _brute_missing_any(
+                    keys, digest
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from("abc"), st.integers(1, 10)),
+                max_size=8,
+            ),
+            max_size=6,
+        )
+    )
+    def test_handed_out_digest_never_changes(self, batches):
+        journal = EvidenceJournal()
+        handed = []
+        for batch in batches:
+            digest = journal.digest()
+            handed.append((digest, dict(digest)))
+            journal.add_many([_entry(origin, seq) for origin, seq in batch])
+            journal.add(_entry("a", 1))
+        for digest, copy in handed:
+            assert digest == copy
+        assert journal.digest() == _digest_of(journal.keys())
+
+    def test_transient_entries_are_never_journaled(self):
+        journal = EvidenceJournal()
+        transient = dataclasses.replace(_entry("a", -1), transient=True)
+        with pytest.raises(SimulationError):
+            journal.add(transient)
+        with pytest.raises(SimulationError):
+            journal.add_many([_entry("a", 1), transient])
+        assert ("a", -1) not in journal
+
+
+class TestDigestCompactness:
+    """A converged gossip run's digests are all ``(n, frozenset())``."""
+
+    ROUNDS = 4
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_settled_digests_carry_no_explicit_extras(self, seed):
+        scenario = build_registered_scenario(
+            "sybil-coalition", backend="beta", size=40, rounds=self.ROUNDS,
+            seed=seed, evidence_mode="async", evidence_latency=1.0,
+            evidence_loss=0.2, evidence_repair="gossip", witness_count=3,
+        )
+        simulation = scenario.simulation()
+        simulation.run()
+        plane = simulation.evidence_plane
+        clock = self.ROUNDS + plane.drain()
+        journals = plane.journals
+        # Witness traffic interleaves with every origin's evidence, yet an
+        # origin's own journal has no holes.
+        for origin, journal in journals.items():
+            contiguous, extras = journal.digest()[origin]
+            assert contiguous > 0 and not extras
+        # Once anti-entropy has carried every entry everywhere, no digest
+        # names a hole.
+        for _ in range(40):
+            digests = [journal.digest() for journal in journals.values()]
+            if all(digest == digests[0] for digest in digests):
+                break
+            clock += 1
+            plane.advance(float(clock))
+        else:
+            pytest.fail("journals did not converge")
+        emitted = {
+            origin: journal.digest()[origin][0]
+            for origin, journal in journals.items()
+        }
+        assert digests[0] == {
+            origin: (emitted[origin], frozenset()) for origin in digests[0]
+        }
+
+
+class TestMessageIdentityPins:
+    """Final traffic of two witness-heavy async runs, message for message.
+
+    Journal, digest and ingest internals may change how fast repair runs,
+    never what it sends: the retransmission order, the gossip exchanges and
+    what counts as a duplicate are all pinned here.
+    """
+
+    PINS = {
+        "retransmit": dict(
+            sent=2348, dropped=449, repair_messages=1620,
+            duplicates_suppressed=323, entries_emitted=174,
+            entries_applied=174, entries_expired=0,
+        ),
+        "gossip": dict(
+            sent=1261, dropped=228, repair_messages=562,
+            duplicates_suppressed=3707, entries_emitted=168,
+            entries_applied=168, entries_expired=0,
+        ),
+    }
+
+    @pytest.mark.parametrize("repair", sorted(PINS))
+    def test_final_counters_are_pinned(self, repair):
+        scenario = build_registered_scenario(
+            "sybil-coalition", backend="beta", size=20, rounds=4, seed=7,
+            evidence_mode="async", evidence_latency=1.0, evidence_loss=0.2,
+            evidence_repair=repair, witness_count=3,
+        )
+        simulation = scenario.simulation()
+        result = simulation.run()
+        simulation.evidence_plane.drain()
+        counters = result.evidence_counters
+        assert {
+            name: getattr(counters, name) for name in self.PINS[repair]
+        } == self.PINS[repair]
+        assert counters.effective_delivery_ratio == 1.0
 
 
 class TestPolicyFactory:
@@ -328,6 +554,48 @@ class TestGossipRecovery:
         ticks = plane.drain(max_ticks=50)
         assert plane.counters.effective_delivery_ratio == 1.0
         assert ticks < 10
+
+
+class _SamplingPlane:
+    """Just enough of a plane for ``GossipPolicy.on_round`` to pick partners."""
+
+    def __init__(self, peer_ids, seed):
+        self._peer_ids = tuple(peer_ids)
+        self.repair_rng = random.Random(seed)
+        self.sent = []
+
+    def registered_ids(self):
+        return self._peer_ids
+
+    def journal_for(self, peer_id):
+        return EvidenceJournal()
+
+    def repair_send(self, sender_id, recipient_id, payload, kind):
+        self.sent.append((sender_id, recipient_id))
+
+
+class TestGossipPartnerSampling:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.text("abcdefgh", min_size=1, max_size=3), max_size=12),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_partners_match_sampling_the_others_list(self, peers, fanout, seed):
+        peer_ids = sorted(peers)
+        plane = _SamplingPlane(peer_ids, seed)
+        policy = create_repair_policy("gossip", gossip_fanout=fanout)
+        policy.bind(plane)
+        policy.on_round(1.0)
+        rng = random.Random(seed)
+        expected = []
+        if len(peer_ids) >= 2:
+            for peer_id in peer_ids:
+                others = [other for other in peer_ids if other != peer_id]
+                for partner_id in rng.sample(others, min(fanout, len(others))):
+                    expected.append((peer_id, partner_id))
+        assert plane.sent == expected
+        assert plane.repair_rng.getstate() == rng.getstate()
 
 
 class TestChurnHardening:
