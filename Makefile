@@ -9,15 +9,15 @@ export PYTHONPATH := src
 test:
 	$(PY) -m pytest -x -q
 
-# Static contract analysis (repro check): determinism, wire-safety,
-# telemetry discipline, N+1 lint, exception hygiene and canonical dtypes
+# Static contract analysis (repro check): determinism, telemetry
+# discipline, N+1 lint, exception hygiene and canonical dtypes
 # over src/repro/, gated against the committed (empty) baseline.  Exits
 # non-zero on any new finding; dependency-free, so it runs anywhere the
 # tests do.
 check:
 	$(PY) -m repro.cli check --baseline check_baseline.json
 
-# Strict mypy over repro.obs, repro.distributed and repro.trust.backend
+# Strict mypy over repro.obs and repro.trust.backend
 # (config in pyproject.toml).  Needs mypy: pip install -e .[dev] first.
 # CI runs this on the newest Python only.
 typecheck:
@@ -39,13 +39,7 @@ bench:
 # convergence/overhead/compactness bars (bench_evidence_repair: gossip
 # >= 0.99 effective delivery at < 3x message overhead under 20% loss, and
 # gossip_digest_compact: zero explicit digest extras once a gossip run
-# with witness traffic has settled) and the
-# worker-distribution bars (bench_worker_distribution: score bit-identity
-# and the kill-and-recover drill healing to effective_delivery_ratio 1.0;
-# the >= 1.5x speedup bar at 4 workers is enforced on >= 4-core machines
-# in the full pass and recorded with "enforced": false elsewhere).  A
-# BENCH_*.json "passed" flag covers enforced bars only.  The worker bench
-# carries its own SIGALRM watchdog so a deadlocked worker pool fails fast
-# instead of hanging the run.
+# with witness traffic has settled).  A BENCH_*.json "passed" flag covers
+# enforced bars only.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PY) -m pytest benchmarks -x -q

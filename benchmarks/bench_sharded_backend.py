@@ -1,9 +1,8 @@
 """Sharded complaint-store overhead — scatter/gather cost and working-set split.
 
 ``ShardedBackend`` buys horizontal partitioning of the community's shared
-complaint store (each shard's arrays hold only its own peer-id range, so a
-community larger than one node's memory can spread its complaint state
-across workers) at the cost of routing every batch: updates scatter by
+complaint store (each shard's arrays hold only its own peer-id range)
+at the cost of routing every batch: updates scatter by
 home shard and queries gather per-shard vectors back into caller order.
 This experiment prices that indirection on the workload shape the
 community simulation produces — a stream of observations ingested in
@@ -19,8 +18,8 @@ Two numbers matter:
   an intrinsic write amplification on top of scatter/gather, so the bound
   is that amplification + 1.
 * **max shard share** — the largest shard's fraction of the resident
-  complaint rows: how much of the working set one worker would actually
-  hold (1/N is the ideal split).
+  complaint rows: how much of the working set one shard actually holds
+  (1/N is the ideal split).
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """Contract-enforcing static analysis for the repro codebase.
 
 The ROADMAP states invariants that runtime tests only catch after the
-fact: sharded/worker/compact runs must stay bit-identical to the baseline
-(determinism), everything crossing a
-:class:`~repro.distributed.transport.ShardTransport` must survive a pickle
-round trip (wire-safety), and ``telemetry=off`` must stay architecturally
-free (``NULL_REGISTRY`` discipline).  This package enforces those
+fact: sharded/compact runs must stay bit-identical to the baseline
+(determinism), and ``telemetry=off`` must stay architecturally free
+(``NULL_REGISTRY`` discipline).  This package enforces those
 contracts *statically*: a dependency-free AST engine walks every module
 under ``src/repro/``, dispatches typed visitors per rule, honours inline
 suppressions (``# repro: allow(RULE-ID) — reason``) and a committed
@@ -18,14 +16,11 @@ Shipped rules (see :mod:`repro.check.registry`):
 DET001    no nondeterminism in simulation/trust paths (wall clocks,
           unseeded RNGs, ``os.urandom``; monotonic clocks only inside
           ``repro.obs`` timing sections)
-WIRE001   classes in the wire-type registry must be statically
-          pickle-safe (no lambdas, locks, open files, generators or
-          local closures in their persisted fields)
 TEL001    telemetry discipline outside ``repro.obs``: no per-call
           metric-name construction, no direct ``MetricsRegistry()``
 PERF001   N+1 lint — scalar backend/decision calls inside loops where a
           batched API exists
-EXC001    ``except Exception`` in worker/transport code must re-raise,
+EXC001    ``except Exception`` in the sharded store must re-raise,
           forward the error, or carry a justified allow-marker
 DTYPE001  snapshot paths emit canonical flat float64/int64 (compact
           float32/int32 layouts live in ``trust/storage.py`` only)
@@ -54,7 +49,6 @@ from repro.check.registry import (
     rules_by_id,
 )
 from repro.check.report import render_json, render_text
-from repro.check.wire_registry import WIRE_TYPES
 
 __all__ = [
     "CheckResult",
@@ -62,7 +56,6 @@ __all__ = [
     "Rule",
     "Source",
     "RULE_IDS",
-    "WIRE_TYPES",
     "apply_baseline",
     "default_rules",
     "fingerprint",

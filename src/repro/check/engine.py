@@ -1,8 +1,8 @@
 """The rule-dispatch core of ``repro check``.
 
 A :class:`Source` is one parsed module: its AST, its dotted module name
-(derived from the scanned package root, so ``src/repro/trust/workers.py``
-checks as ``repro.trust.workers``) and its inline suppression table.  A
+(derived from the scanned package root, so ``src/repro/trust/sharding.py``
+checks as ``repro.trust.sharding``) and its inline suppression table.  A
 :class:`Rule` contributes an ``applies_to`` scope predicate and a
 ``check`` pass producing :class:`Finding`s; :func:`run_check` walks a
 tree, runs every applicable rule, filters suppressed and baselined
@@ -187,7 +187,7 @@ def module_name(path: Path, root: Path) -> str:
 
     When the root directory is itself a package (it contains an
     ``__init__.py``), its name heads the dotted path — scanning
-    ``src/repro`` therefore yields ``repro.trust.workers`` style names,
+    ``src/repro`` therefore yields ``repro.trust.sharding`` style names,
     which is what rule scopes are written against.
     """
     relative = path.relative_to(root)

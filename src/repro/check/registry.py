@@ -2,8 +2,7 @@
 
 ``default_rules()`` builds one fresh instance of every shipped rule;
 ``rules_by_id`` maps ids to classes so ``repro check --rule ID`` and the
-tests can instantiate rules individually (``WIRE001`` additionally
-accepts a custom wire-type registry for fixture runs).
+tests can instantiate rules individually.
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ from repro.check.rules.dtype import CanonicalDtypeRule
 from repro.check.rules.exceptions import ExceptionHygieneRule
 from repro.check.rules.perf import NPlusOneRule
 from repro.check.rules.telemetry import TelemetryRule
-from repro.check.rules.wire import WireSafetyRule
 
 __all__ = ["RULE_CLASSES", "RULE_IDS", "default_rules", "rules_by_id", "rule_summaries"]
 
 RULE_CLASSES: Tuple[Type[Rule], ...] = (
     DeterminismRule,
-    WireSafetyRule,
     TelemetryRule,
     NPlusOneRule,
     ExceptionHygieneRule,

@@ -1,10 +1,9 @@
 """DTYPE001 — canonical float64/int64 outside the compact-storage module.
 
 Snapshots are the interchange format of the whole system: compact and
-default layouts, different shard counts, in-process and worker-hosted
-backends all round-trip through the same canonical *flat float64/int64*
-manifest — that is what makes compact↔default and re-sharded restores
-exact.  The only module allowed to traffic in narrow dtypes is
+default layouts and different shard counts all round-trip through the
+same canonical *flat float64/int64* manifest — that is what makes
+compact↔default and re-sharded restores exact.  The only module allowed to traffic in narrow dtypes is
 ``trust/storage.py``, where the compact ``ChunkedArray`` layout lives
 and where widening back to canonical happens.  A ``float32`` literal
 anywhere else is either a snapshot path about to emit a non-canonical

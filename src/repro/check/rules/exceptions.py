@@ -1,27 +1,23 @@
-"""EXC001 — no silent ``except Exception`` in worker/transport code.
+"""EXC001 — no silent ``except Exception`` in the sharded store.
 
-The worker protocol's whole error model is that failures *surface*: a
-worker-side write error is held and raised at the next synchronous call,
-a dead transport raises :class:`WorkerCrashError`, and crash recovery
-depends on the parent learning that a worker is gone.  A broad handler
-that swallows silently breaks every one of those paths — a scatter that
-"succeeds" against a dead worker is exactly how score divergence sneaks
-past the bit-identity tests.
+The sharded complaint store's error model is that failures *surface*: a
+live split that fails part-way rolls the router back and re-raises, and a
+manifest the store cannot restore raises before anything changes.  A
+broad handler that swallows silently breaks that — a split that
+"succeeds" with half its complaint log re-filed is exactly how score
+divergence sneaks past the bit-identity tests.
 
-In ``repro.trust.workers``, ``repro.trust.sharding`` and
-``repro.distributed.*``, every ``except Exception`` / ``except
+In ``repro.trust.sharding``, every ``except Exception`` / ``except
 BaseException`` / bare ``except`` handler must do at least one of:
 
 * re-raise (a ``raise`` anywhere in the handler body);
 * forward the exception — reference the bound name in a call or
-  assignment (sending it over the error channel, holding it as the
-  pending error, chaining it onto another raise);
+  assignment (chaining it onto another raise, recording it);
 * carry a justified ``# repro: allow(EXC001)`` marker explaining why
   dropping the error is correct there.
 
-Narrow handlers (``except (BrokenPipeError, EOFError, OSError)``) are
-out of scope — naming the expected failure set is the fix this rule
-pushes toward.
+Narrow handlers (``except (KeyError, ValueError)``) are out of scope —
+naming the expected failure set is the fix this rule pushes toward.
 """
 
 from __future__ import annotations
@@ -68,14 +64,10 @@ def _handler_discharges(handler: ast.ExceptHandler) -> bool:
 
 class ExceptionHygieneRule(Rule):
     rule_id = "EXC001"
-    summary = "broad except swallows errors in worker/transport code"
+    summary = "broad except swallows errors in the sharded store"
 
     def applies_to(self, source: Source) -> bool:
-        return source.in_package(
-            "repro.trust.workers",
-            "repro.trust.sharding",
-            "repro.distributed",
-        )
+        return source.in_package("repro.trust.sharding")
 
     def check(self, source: Source) -> Iterator[Finding]:
         for node in ast.walk(source.tree):
@@ -89,6 +81,5 @@ class ExceptionHygieneRule(Rule):
                 source,
                 node,
                 "broad except swallows the error silently; name the "
-                "expected exception types, re-raise, or forward it over "
-                "the worker error channel",
+                "expected exception types, re-raise, or forward it",
             )

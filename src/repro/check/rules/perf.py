@@ -3,9 +3,8 @@
 Every batched API in this codebase exists because its scalar counterpart
 was measured as the bottleneck (~30×/17×/400× for backend update/query,
 ~380× for witness aggregation — see ``BENCH_backend_batch.json``).  A
-scalar call re-introduced inside a loop quietly undoes that: one RPC per
-peer against a worker-hosted backend, one numpy dispatch per row against
-a compact one.  This rule flags known scalar methods called inside
+scalar call re-introduced inside a loop quietly undoes that: one numpy
+dispatch per row instead of one per batch.  This rule flags known scalar methods called inside
 ``for``/``while`` bodies or comprehensions when a batched equivalent
 exists on the same interface:
 

@@ -302,14 +302,6 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
                             "float64 layout (complaint counts are exact) "
                             "and decisions on the registered scenarios "
                             "are unchanged")
-    run_parser.add_argument("--workers", type=int, default=0, metavar="N",
-                            help="host the community's shared complaint "
-                            "store in N shard-worker processes (one shard "
-                            "per process; the store is sharded "
-                            "max(--shards, N) ways) so trust updates and "
-                            "queries run in parallel across cores; scores "
-                            "are bit-identical to the in-process run "
-                            "(0 = in-process, the default)")
     run_parser.add_argument("--cache-scores", choices=("on", "off"),
                             default="on",
                             help="dirty-row score cache on every trust "
@@ -376,8 +368,8 @@ def _print_result(
     print(f"Scenario:          {scenario_name}")
     if store is not None:
         # One canonical config string from the store itself — the effective
-        # backend deployment (shards, router, rebalance, compact, caching,
-        # workers, recovery), not a re-derivation from CLI flags.
+        # backend deployment (shards, router, rebalance, compact, caching),
+        # not a re-derivation from CLI flags.
         print(f"Backend:           {backend} (store: {store.describe_config()})")
     else:
         print(f"Backend:           {backend}")
@@ -471,7 +463,6 @@ def _build_scenario_from_args(
         max_shards=args.max_shards,
         compact=args.compact,
         cache_scores=args.cache_scores == "on",
-        workers=args.workers,
         telemetry=telemetry,
     )
     if args.rebalance is not None:
@@ -517,8 +508,6 @@ def _command_run(args: argparse.Namespace) -> int:
         rebalance_line=_rebalance_line(store),
         telemetry_lines=telemetry_lines,
     )
-    if args.workers > 0 and hasattr(store, "close"):
-        store.close()  # stop the worker fleet before the interpreter exits
     return 0
 
 
@@ -561,8 +550,6 @@ def _command_audit(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"report written to {args.json}")
-    if args.workers > 0 and hasattr(store, "close"):
-        store.close()  # stop the worker fleet before the interpreter exits
     return 0 if report.passed else 1
 
 

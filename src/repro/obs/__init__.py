@@ -2,7 +2,7 @@
 
 ``repro.obs`` is a dependency-free leaf package — it imports nothing from
 the rest of ``repro`` (stdlib only), so every layer of the pipeline
-(trust backends, worker transport, evidence plane, simulation loop) can
+(trust backends, sharded store, evidence plane, simulation loop) can
 instrument itself through :class:`~repro.obs.metrics.MetricsRegistry`
 without creating import cycles.
 
@@ -12,8 +12,8 @@ Two modules:
     The telemetry substrate: namespaced counters / gauges / fixed-bucket
     histograms, a ``span(name, **tags)`` context manager for nested
     timing traces, and registry *views* that re-home existing ad-hoc
-    counters (``NetworkCounters``, rebalance tallies, worker journal
-    stats) into one ``snapshot()``.  ``NULL_REGISTRY`` makes
+    counters (``NetworkCounters``, rebalance and scatter tallies) into
+    one ``snapshot()``.  ``NULL_REGISTRY`` makes
     ``telemetry=off`` a true no-op.
 
 ``audit``

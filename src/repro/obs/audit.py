@@ -457,7 +457,7 @@ def inject_dropped_entry(store: Any) -> ComplaintTuple:
     Round-trips the store through its snapshot with one filed complaint
     deleted from its log (and that filing's counters decremented),
     simulating an applied entry whose state write was lost.  Works on
-    plain, sharded and worker-hosted stores: in a sharded manifest each
+    plain and sharded stores: in a sharded manifest each
     cross-shard complaint is stored twice, so the dropped row is taken
     from its *accused-home* shard — the copy :meth:`all_complaints`
     reports.  Returns the dropped filing; a subsequent :func:`reconcile`

@@ -173,7 +173,7 @@ class MetricsRegistry:
     """Namespaced counters, gauges, histograms, spans, and views.
 
     Names are dotted (``evidence.entries_emitted``,
-    ``worker.rpc.in_flight.max``).  Span paths nest with ``/`` so a
+    ``sharded.update_fanout``).  Span paths nest with ``/`` so a
     trace of ``exchange.round`` containing ``backend.update_many``
     aggregates under ``exchange.round/backend.update_many``.
     """

@@ -68,7 +68,7 @@ class ReputationManager:
         Shared (possibly distributed) complaint store, or a shared
         :class:`ComplaintTrustBackend` instance; defaults to a private store.
         A shared backend keeps whatever layout it was built with (sharded,
-        rebalanced, worker-hosted).  The backends the manager creates
+        rebalanced).  The backends the manager creates
         itself are always plain single-arena backends: they hold at most
         one row per community member, so partitioning them buys nothing.
     prior_alpha, prior_beta:

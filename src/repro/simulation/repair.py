@@ -123,8 +123,7 @@ class SequenceTracker:
     what a repair partner needs to fill.  ``contiguous + 1`` is never an
     extra.  This is the compact form the digest messages carry; the digest
     tuple is cached until the next :meth:`add`, so ``contiguous`` and
-    ``extras`` are read-only outside this class (build a tracker from a
-    digest with :meth:`from_digest`).
+    ``extras`` are read-only outside this class.
     """
 
     __slots__ = ("contiguous", "extras", "_digest")
@@ -133,14 +132,6 @@ class SequenceTracker:
         self.contiguous = 0
         self.extras: set = set()
         self._digest: Optional[Digest] = None
-
-    @classmethod
-    def from_digest(cls, digest: Digest) -> "SequenceTracker":
-        """A tracker that knows exactly what ``digest`` claims."""
-        tracker = cls()
-        tracker.contiguous = digest[0]
-        tracker.extras = set(digest[1])
-        return tracker
 
     def add(self, seq: int) -> bool:
         """Record ``seq``; returns ``False`` when it was already known."""

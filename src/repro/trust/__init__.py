@@ -75,18 +75,6 @@ from repro.trust.metrics import (
     root_mean_squared_error,
 )
 
-# Imported last: the worker layer reaches into repro.simulation.repair for
-# its journal/digest wire format, and repro.simulation imports back from
-# this package — every other trust name must be bound before the cycle
-# re-enters.
-from repro.trust.workers import (
-    WORKER_TRANSPORTS,
-    HomeRowFilter,
-    WorkerCrashError,
-    WorkerShardedBackend,
-    WorkerShardProxy,
-)
-
 __all__ = [
     # backend layer
     "TrustBackend",
@@ -110,12 +98,6 @@ __all__ = [
     "RebalanceEvent",
     "ShardSplitError",
     "ShardedBackend",
-    # worker distribution
-    "WorkerShardedBackend",
-    "WorkerShardProxy",
-    "WorkerCrashError",
-    "HomeRowFilter",
-    "WORKER_TRANSPORTS",
     # evidence
     "InteractionOutcome",
     "Observation",

@@ -454,11 +454,10 @@ class TrustBackend:
     def describe_config(self) -> str:
         """The full effective configuration as one canonical line.
 
-        Reports kind, sharding, router, rebalance, storage layout, score
-        cache, worker placement, and recovery — the single source the run
-        summary prints instead of re-deriving the line from CLI flags.
-        Layered backends (sharded, worker-hosted) override
-        :meth:`_config_parts` to fill in their placement.
+        Reports kind, sharding, router, rebalance, storage layout and score
+        cache — the single source the run summary prints instead of
+        re-deriving the line from CLI flags.  The sharded store overrides
+        :meth:`_config_parts` to fill in its layout.
         """
         return ", ".join(self._config_parts())
 
@@ -472,8 +471,6 @@ class TrustBackend:
             "rebalance off",
             "compact " + flag(bool(getattr(self, "compact", False))),
             "cache-scores " + flag(bool(getattr(self, "_cache_scores", True))),
-            "workers 0",
-            "recovery off",
         ]
 
 
@@ -1535,15 +1532,8 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     ``shards=1``, so a single-shard deployment can grow in place as its
     population does.
 
-    ``workers=True`` hosts each shard in its own worker process instead
-    (:class:`~repro.trust.workers.WorkerShardedBackend`): same interface,
-    same scores, but writes and column-partitioned queries run in parallel
-    across cores.  ``workers="loopback"`` keeps the identical message
-    protocol on in-process threads (the deterministic test medium), and
-    ``recovery=True`` journals writes so crashed workers can be healed
-    (see :meth:`~repro.trust.workers.WorkerShardedBackend.heal_workers`).
-    Sharding, rebalance and workers apply to the ``complaint`` kind only —
-    it is the community's shared store; any other kind raises
+    Sharding and rebalance apply to the ``complaint`` kind only — it is
+    the community's shared store; any other kind raises
     :class:`~repro.exceptions.TrustModelError`.
 
     All remaining keyword parameters are forwarded to the backend factory
@@ -1555,8 +1545,6 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     shards = int(params.pop("shards", 1))  # type: ignore[arg-type]
     router = params.pop("router", "hash")
     rebalance = params.pop("rebalance", None)
-    workers = params.pop("workers", False)
-    recovery = bool(params.pop("recovery", False))
     if shards < 1:
         raise TrustModelError(f"shards must be >= 1, got {shards}")
     factory = _BACKEND_FACTORIES.get(name)
@@ -1564,25 +1552,11 @@ def create_backend(name: str, **params: object) -> TrustBackend:
         raise TrustModelError(
             f"unknown trust backend {name!r}; registered: {backend_names()}"
         )
-    if (shards > 1 or rebalance is not None or workers) and name != "complaint":
+    if (shards > 1 or rebalance is not None) and name != "complaint":
         raise TrustModelError(
-            "only the complaint store can be sharded, rebalanced or hosted "
-            f"on workers; got backend kind {name!r}"
+            "only the complaint store can be sharded or rebalanced; "
+            f"got backend kind {name!r}"
         )
-    if workers:
-        from repro.trust.workers import WorkerShardedBackend
-
-        transport = "loopback" if workers == "loopback" else "process"
-        return WorkerShardedBackend(
-            shards,
-            router=router,
-            rebalance=rebalance,
-            transport=transport,
-            recovery=recovery,
-            **params,
-        )
-    if recovery:
-        raise TrustModelError("recovery=True requires workers=True")
     if shards > 1 or rebalance is not None:
         from repro.trust.sharding import ShardedBackend
 

@@ -62,22 +62,18 @@ Semantics
   both peers' home shards; each shard counts only its own peer-id range
   (``ComplaintTrustBackend.restrict_rows``), so every home row sees all of
   its evidence and no shard holds half-counted foreign rows.
-* Every read is a list of ``(shard, op, args)`` requests run through one
-  :meth:`ShardedBackend._scatter_gather`, with ``op`` named in the
-  :data:`_COMPOSITES` table; a worker deployment runs the same table on
-  the far side of its transport.  ``scores_for`` / ``trust_decisions`` /
-  ``aggregate_witness_reports`` send each home shard its subjects (the
-  witness-belief matrix splits column-wise) and gather the answers back
-  into caller order.  The community *median* reference is global state:
-  the wrapper pools every shard's home-subject metrics, takes one global
-  median, and hands it to every shard's scoring rule — per-shard medians
-  would silently change the decision rule.
+* ``scores_for`` / ``trust_decisions`` / ``aggregate_witness_reports``
+  ask each home shard about its own subjects (the witness-belief matrix
+  splits column-wise) and gather the answers back into caller order.  The
+  community *median* reference is global state: the wrapper pools every
+  shard's home-subject metrics, takes one global median, and hands it to
+  every shard's scoring rule — per-shard medians would silently change the
+  decision rule.
 * ``snapshot`` / ``restore`` produce a per-shard manifest: each shard
-  serialises independently under a ``shard-NNNN/`` key prefix (the format a
-  multi-worker deployment checkpoints in parallel), plus the router name
-  *and its boundary state* needed to re-shard — a snapshot taken after
-  live splits records the uneven layout, so its per-shard logs are
-  interpreted correctly on restore.  Restoring into a *different* shard
+  serialises independently under a ``shard-NNNN/`` key prefix, plus the
+  router name *and its boundary state* needed to re-shard — a snapshot
+  taken after live splits records the uneven layout, so its per-shard logs
+  are interpreted correctly on restore.  Restoring into a *different* shard
   count or router layout re-files the de-duplicated complaint log onto the
   new layout without score drift; restoring onto a single shard, or onto
   more shards than there are peers (some shards end up empty), both work.
@@ -91,7 +87,6 @@ import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterable,
@@ -491,49 +486,6 @@ def _matrix_columns(
     return matrix[:, positions, :]
 
 
-#: The shard read surface: how one complaint shard answers each read op the
-#: sharded wrapper scatters.  :meth:`ShardedBackend._scatter_gather` runs
-#: the table in process; a shard worker runs the same table on its side of
-#: the transport.  The score paths are fused: the wrapper pools the global
-#: median reference once and each shard maps its own metrics through the
-#: scoring or decision rule in one request.
-_COMPOSITES: Dict[str, Callable[..., Any]] = {
-    "ping": lambda backend: None,
-    "len": len,
-    "row_count": lambda backend: backend.row_count(),
-    "known_subjects": lambda backend: backend.known_subjects(),
-    "metric_values_in_store": lambda backend: backend.metric_values_in_store(),
-    "metric_scores": lambda backend, subjects, reference: backend.scores_from_metrics(
-        backend.metrics_for(subjects), reference
-    ),
-    "metric_decisions": (
-        lambda backend, subjects, reference: backend.decisions_from_metrics(
-            backend.metrics_for(subjects), reference
-        )
-    ),
-    "witness_scores": (
-        lambda backend, subjects, matrix, discounts, reference: (
-            backend.scores_from_metrics(
-                backend.witness_metrics_for(subjects, matrix, discounts), reference
-            )
-        )
-    ),
-    "counts": lambda backend, agent_id: backend.counts(agent_id),
-    "complaints_about": lambda backend, agent_id: backend.complaints_about(agent_id),
-    "complaints_by": lambda backend, agent_id: backend.complaints_by(agent_id),
-    "all_complaints": lambda backend: backend.all_complaints(),
-    "config": lambda backend: (backend.tolerance_factor, backend.metric_mode),
-}
-
-
-def _dispatch(backend: ComplaintTrustBackend, op: str, args: Tuple) -> Any:
-    """Run one shard request: a read from :data:`_COMPOSITES`, else a method."""
-    composite = _COMPOSITES.get(op)
-    if composite is not None:
-        return composite(backend, *args)
-    return getattr(backend, op)(*args)
-
-
 class ShardedBackend(TrustBackend):
     """N complaint shards behind one ``TrustBackend`` interface.
 
@@ -595,7 +547,7 @@ class ShardedBackend(TrustBackend):
         else:
             self._router = create_router(str(router), num_shards)
         self._shards: Tuple[ComplaintTrustBackend, ...] = tuple(
-            self._create_shard() for _ in range(num_shards)
+            self._create_shard(home) for home in range(num_shards)
         )
         if rebalance is not None:
             if not isinstance(rebalance, RebalancePolicy):
@@ -618,43 +570,31 @@ class ShardedBackend(TrustBackend):
         # Routing is pure but hashing every id on every query adds up;
         # memoise per instance (invalidated whenever the router changes).
         self._route_cache: Dict[str, int] = {}
-        # A complaint is delivered to both involved peers' home shards;
-        # restricting each shard's counters to its own peer-id range keeps
-        # every shard's agent set and metric array exactly the home
-        # partition (see ComplaintTrustBackend.restrict_rows), so the
-        # global median pools per-shard arrays at numpy speed.  The median
-        # is cached per write version.
-        self._restrict_shard_rows()
+        # The global median reference is cached per write version.
         self._writes = 0
         self._reference_cache: Tuple[int, float] = (-1, 0.0)
-        self._config_cache: Tuple[int, Tuple[float, str]] = (-1, (0.0, ""))
 
-    def _create_shard(self, **overrides: object) -> ComplaintTrustBackend:
-        """Instantiate one inner shard (``shard_params`` merged with overrides).
+    def _create_shard(self, home: int, **overrides: object) -> ComplaintTrustBackend:
+        """A fresh inner shard homing ``home``'s peer-id range.
 
         The single construction point for inner backends — initial shards,
-        split successors and re-sharded shards all come through here, so a
-        subclass that hosts shards elsewhere (the worker-process deployment
-        in :mod:`repro.trust.workers`) overrides exactly one method to
-        change where every shard lives.
+        split successors and re-sharded shards all come through here, with
+        ``shard_params`` merged with ``overrides``.  A complaint is
+        delivered to both involved peers' home shards; restricting each
+        shard's counters to its own range keeps every shard's agent set and
+        metric array exactly the home partition (see
+        ``ComplaintTrustBackend.restrict_rows``), so the global median
+        pools per-shard arrays at numpy speed.
         """
         params = dict(self._shard_params)
         params.update(overrides)
         shard = create_backend(self.kind, **params)
+        shard.restrict_rows(lambda agent: self.shard_index_of(agent) == home)
         if self.telemetry.enabled:
             # Shards minted after bind_telemetry (splits, re-shards) report
             # through the same registry as the initial fleet.
             shard.bind_telemetry(self.telemetry)
         return shard
-
-    def _restrict_shard_rows(self) -> None:
-        for index, shard in enumerate(self._shards):
-            self._restrict_one(shard, index)
-
-    def _restrict_one(self, shard: ComplaintTrustBackend, home: int) -> None:
-        shard.restrict_rows(
-            lambda agent, home=home: self.shard_index_of(agent) == home
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -698,7 +638,9 @@ class ShardedBackend(TrustBackend):
         ``known_subjects()`` name tuples — this is polled after every write
         batch when a rebalance policy is active.
         """
-        return np.array(self._ask_all("row_count"), dtype=np.int64)
+        return np.array(
+            [shard.row_count() for shard in self._shards], dtype=np.int64
+        )
 
     def describe(self) -> str:
         suffix = ""
@@ -724,8 +666,6 @@ class ShardedBackend(TrustBackend):
             rebalance,
             "compact " + flag(self._shard_params.get("compact", False)),
             "cache-scores " + flag(self._shard_params.get("cache_scores", True)),
-            "workers 0",
-            "recovery off",
         ]
 
     def bind_telemetry(self, registry) -> None:
@@ -975,13 +915,12 @@ class ShardedBackend(TrustBackend):
         # The snapshot's scoring configuration overrides whatever the shard
         # params carry; layout/caching knobs (compact, cache_scores) are
         # deployment configuration and stay with this wrapper's params.
-        shard = self._create_shard(
+        return self._create_shard(
+            home_index,
             tolerance_factor=tolerance_factor,
             trust_scale=trust_scale,
             metric_mode=str(np.asarray(shard_state["metric_mode"]).item()),
         )
-        self._restrict_one(shard, home_index)
-        return shard
 
     def _split_complaints(
         self, state: Dict[str, np.ndarray], kept_index: int, moved_index: int
@@ -1018,46 +957,30 @@ class ShardedBackend(TrustBackend):
         for side in (0, 1):
             if batches[side]:
                 successors[side].record_complaints(batches[side])
-        kept, moved = self._scatter_gather(
-            [(successor, "row_count", ()) for successor in successors]
+        return (
+            successors[0],
+            successors[1],
+            successors[0].row_count(),
+            successors[1].row_count(),
         )
-        return successors[0], successors[1], kept, moved
 
     # ------------------------------------------------------------------
-    # Reads: one scatter/gather path
+    # Reads
     # ------------------------------------------------------------------
-    def _scatter_gather(
-        self, requests: Sequence[Tuple[ComplaintTrustBackend, str, Tuple]]
-    ) -> List[Any]:
-        """Run ``(shard, op, args)`` read requests; replies in request order.
-
-        Every shard read comes through here, with ``op`` looked up in
-        :data:`_COMPOSITES`.  In process the requests simply run in turn;
-        the worker deployment overrides this one method to ask every
-        worker before collecting any reply.
-        """
-        return [_dispatch(shard, op, args) for shard, op, args in requests]
-
-    def _ask(self, shard: ComplaintTrustBackend, op: str, *args: Any) -> Any:
-        return self._scatter_gather([(shard, op, args)])[0]
-
-    def _ask_all(self, op: str) -> List[Any]:
-        """One argument-free ``op`` request per shard, in shard order."""
-        return self._scatter_gather([(shard, op, ()) for shard in self._shards])
-
     def _gather_by_home(
         self,
-        op: str,
         subject_ids: Sequence[str],
         out: np.ndarray,
-        matrix: "np.ndarray | SparseWitnessMatrix | None" = None,
-        extra: Tuple = (),
+        answer: Callable[
+            [ComplaintTrustBackend, List[str], np.ndarray, float], np.ndarray
+        ],
     ) -> np.ndarray:
-        """Scatter a per-subject read to the home shards, gather into ``out``.
+        """Ask each home shard about its own subjects; fill ``out`` in caller order.
 
-        Each home shard gets its own subjects — plus, with ``matrix``, the
-        witness-matrix columns for them — then ``extra`` and the global
-        median reference.  ``out`` comes back filled in caller order.
+        ``answer(shard, subjects, positions, reference)`` maps one home
+        shard's subjects (at ``positions`` in the caller's sequence) through
+        the shard's scoring or decision rule against the global median
+        reference.
         """
         if not len(subject_ids):
             return out
@@ -1066,14 +989,10 @@ class ShardedBackend(TrustBackend):
         if telemetry.enabled:
             telemetry.observe("sharded.query_fanout", len(groups))
         reference = self.reference_metric()
-        requests = []
         for index, positions, subjects in groups:
-            args: Tuple = (subjects,)
-            if matrix is not None:
-                args += (_matrix_columns(matrix, positions),)
-            requests.append((self._shards[index], op, args + extra + (reference,)))
-        for (_, positions, _), reply in zip(groups, self._scatter_gather(requests)):
-            out[positions] = reply
+            out[positions] = answer(
+                self._shards[index], subjects, positions, reference
+            )
         return out
 
     def scores_for(
@@ -1081,7 +1000,11 @@ class ShardedBackend(TrustBackend):
     ) -> np.ndarray:
         with self.telemetry.span("sharded.scores_for"):
             return self._gather_by_home(
-                "metric_scores", subject_ids, np.zeros(len(subject_ids))
+                subject_ids,
+                np.zeros(len(subject_ids)),
+                lambda shard, subjects, _, reference: shard.scores_from_metrics(
+                    shard.metrics_for(subjects), reference
+                ),
             )
 
     def trust_decisions(
@@ -1092,9 +1015,11 @@ class ShardedBackend(TrustBackend):
     ) -> np.ndarray:
         """Median-rule decisions (``threshold`` is ignored, as unsharded)."""
         return self._gather_by_home(
-            "metric_decisions",
             subject_ids,
             np.zeros(len(subject_ids), dtype=bool),
+            lambda shard, subjects, _, reference: shard.decisions_from_metrics(
+                shard.metrics_for(subjects), reference
+            ),
         )
 
     def aggregate_witness_reports(
@@ -1111,20 +1036,21 @@ class ShardedBackend(TrustBackend):
             positive=False,
         )
         return self._gather_by_home(
-            "witness_scores",
             subject_ids,
             np.zeros(len(subject_ids)),
-            matrix=matrix,
-            extra=(discounts,),
+            lambda shard, subjects, positions, reference: shard.scores_from_metrics(
+                shard.witness_metrics_for(
+                    subjects, _matrix_columns(matrix, positions), discounts
+                ),
+                reference,
+            ),
         )
 
     def known_subjects(self) -> Tuple[str, ...]:
         # Shards are row-filtered to their home range, so a plain
         # concatenation is the home partition.
         return tuple(
-            subject
-            for partition in self._ask_all("known_subjects")
-            for subject in partition
+            subject for shard in self._shards for subject in shard.known_subjects()
         )
 
     def reference_metric(self) -> float:
@@ -1139,7 +1065,9 @@ class ShardedBackend(TrustBackend):
         version, cached = self._reference_cache
         if version == self._writes:
             return cached
-        values = np.concatenate(self._ask_all("metric_values_in_store"))
+        values = np.concatenate(
+            [shard.metric_values_in_store() for shard in self._shards]
+        )
         reference = float(np.median(values)) if values.size else 0.0
         self._reference_cache = (self._writes, reference)
         return reference
@@ -1149,7 +1077,7 @@ class ShardedBackend(TrustBackend):
 
     def counts(self, agent_id: str) -> Tuple[int, int]:
         """``(received, filed)`` complaint counts from the agent's home shard."""
-        return self._ask(self._home_shard(agent_id), "counts", agent_id)
+        return self._home_shard(agent_id).counts(agent_id)
 
     def trustworthy(self, subject_id: str) -> bool:
         return bool(self.trust_decisions((subject_id,))[0])
@@ -1158,36 +1086,23 @@ class ShardedBackend(TrustBackend):
     # ComplaintStore protocol — a sharded store can be a community's
     # shared complaint store, like a single complaint backend.
     # ------------------------------------------------------------------
-    def _scoring_config(self) -> Tuple[float, str]:
-        """Shard 0's ``(tolerance_factor, metric_mode)``.
-
-        Every shard shares one scoring configuration, and it changes only
-        when shards are rebuilt or restored from a manifest — each of which
-        bumps the write version — so it is cached per write version (every
-        community member's reputation manager reads it at construction).
-        """
-        version, config = self._config_cache
-        if version != self._writes:
-            config = self._ask(self._shards[0], "config")
-            self._config_cache = (self._writes, config)
-        return config
-
+    # Every shard shares one scoring configuration; shard 0 reports it.
     @property
     def tolerance_factor(self) -> float:
-        return self._scoring_config()[0]
+        return self._shards[0].tolerance_factor
 
     @property
     def metric_mode(self) -> str:
-        return self._scoring_config()[1]
+        return self._shards[0].metric_mode
 
     def file_complaint(self, complaint: Complaint) -> None:
         self.record_complaints((complaint,))
 
     def complaints_about(self, agent_id: str) -> Sequence[Complaint]:
-        return self._ask(self._home_shard(agent_id), "complaints_about", agent_id)
+        return self._home_shard(agent_id).complaints_about(agent_id)
 
     def complaints_by(self, agent_id: str) -> Sequence[Complaint]:
-        return self._ask(self._home_shard(agent_id), "complaints_by", agent_id)
+        return self._home_shard(agent_id).complaints_by(agent_id)
 
     def known_agents(self) -> Sequence[str]:
         return list(self.known_subjects())
@@ -1202,15 +1117,15 @@ class ShardedBackend(TrustBackend):
         """
         return tuple(
             complaint
-            for index, log in enumerate(self._ask_all("all_complaints"))
-            for complaint in log
+            for index, shard in enumerate(self._shards)
+            for complaint in shard.all_complaints()
             if self.shard_index_of(complaint.accused_id) == index
         )
 
     def __len__(self) -> int:
         # Version stamp for change-tracking caches (cross-shard complaints
         # count twice — monotonicity is what matters, not the total).
-        return sum(self._ask_all("len"))
+        return sum(len(shard) for shard in self._shards)
 
     # ------------------------------------------------------------------
     # Persistence: per-shard manifest, re-shardable
@@ -1245,8 +1160,7 @@ class ShardedBackend(TrustBackend):
         """Serialise every shard independently under a ``shard-NNNN/`` prefix.
 
         The manifest (shard prefixes, router name *and boundary state*,
-        inner kind) is what a multi-worker deployment needs to checkpoint
-        shards in parallel and to restore onto a different shard layout.
+        inner kind) is what a restore onto a different shard layout needs.
         The router state matters once live splits have run: the shards are
         no longer equal-width, and re-filing a snapshot's complaint logs
         needs the exact key table they were written under.

@@ -107,7 +107,6 @@ def build_scenario(
     max_shards: int = 16,
     compact: bool = False,
     cache_scores: bool = True,
-    workers: int = 0,
     telemetry: Optional[object] = None,
 ) -> ScenarioSpec:
     """Construct one of the named scenarios.
@@ -145,7 +144,7 @@ def build_scenario(
     backend's forgetting against late evidence).
 
     The deployment knobs ``shards``, ``shard_router``, ``rebalance``,
-    ``rebalance_threshold``, ``max_shards`` and ``workers`` shape the
+    ``rebalance_threshold`` and ``max_shards`` shape the
     community's shared complaint store only; each peer's private beta,
     decay and complaint backends are always plain single-arena backends
     (they hold at most one row per community member).  ``shards``
@@ -169,12 +168,7 @@ def build_scenario(
     remain exact); decisions on the registered scenarios are unchanged.
     ``cache_scores=False`` disables the dirty-row score cache on every
     trust backend in the scenario (the reference configuration the cache is
-    validated against).  ``workers=N`` (N >= 1) hosts the community's
-    shared complaint store in N shard-worker processes
-    (:class:`~repro.trust.workers.WorkerShardedBackend`) so the store's
-    updates and queries run in parallel across cores; the store is sharded
-    ``max(shards, workers)`` ways and scores stay bit-identical to the
-    in-process run.
+    validated against).
     ``telemetry`` binds a :class:`repro.obs.MetricsRegistry` to the shared
     complaint store and the community run (``None`` keeps the zero-cost
     null recorder); telemetry is purely observational and never changes a
@@ -196,8 +190,6 @@ def build_scenario(
         )
     if max_shards < 1:
         raise WorkloadError(f"max_shards must be >= 1, got {max_shards}")
-    if workers < 0:
-        raise WorkloadError(f"workers must be >= 0, got {workers}")
     trust_method = _resolve_trust_method(backend)
     rebalance_policy: Optional[RebalancePolicy] = None
     if rebalance == "auto":
@@ -221,16 +213,15 @@ def build_scenario(
     # One vectorized complaint backend shared by the whole community is the
     # community complaint store: every peer writes and reads through it, so
     # counters are updated incrementally with no cache rebuilds.  It is the
-    # only backend the sharding, rebalance and worker knobs apply to.
+    # only backend the sharding and rebalance knobs apply to.
     shared_store = create_backend(
         "complaint",
         metric_mode="balanced",
-        shards=max(shards, workers) if workers else shards,
+        shards=shards,
         router=shard_router,
         rebalance=rebalance_policy,
         compact=compact,
         cache_scores=cache_scores,
-        workers=workers > 0,
     )
     if telemetry is not None and getattr(telemetry, "enabled", False):
         shared_store.bind_telemetry(telemetry)

@@ -110,14 +110,14 @@ def test_rule_filter_limits_to_selected_rule(make_tree):
 
 
 def test_module_name_includes_package_root(make_tree):
-    root = make_tree({"trust/workers.py": "X = 1\n"})
+    root = make_tree({"trust/sharding.py": "X = 1\n"})
     sources = scan_tree(root)
     names = {source.module for source in sources}
-    assert "repro.trust.workers" in names
+    assert "repro.trust.sharding" in names
     assert "repro.trust" in names  # the __init__.py
     assert "repro" in names
-    workers = next(s for s in sources if s.module == "repro.trust.workers")
-    assert module_name(workers.path, root) == "repro.trust.workers"
+    sharding = next(s for s in sources if s.module == "repro.trust.sharding")
+    assert module_name(sharding.path, root) == "repro.trust.sharding"
 
 
 def test_baseline_round_trip(make_tree, tmp_path):

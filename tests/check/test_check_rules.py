@@ -6,7 +6,6 @@ from repro.check.rules.dtype import CanonicalDtypeRule
 from repro.check.rules.exceptions import ExceptionHygieneRule
 from repro.check.rules.perf import NPlusOneRule
 from repro.check.rules.telemetry import TelemetryRule
-from repro.check.rules.wire import WireSafetyRule
 
 
 def rule_ids(result):
@@ -97,95 +96,6 @@ def test_det001_exempts_repro_obs(make_tree):
         }
     )
     assert run_check(root, [DeterminismRule()]).clean
-
-
-# ---------------------------------------------------------------------------
-# WIRE001 — wire-safety (custom registry keeps fixtures self-contained)
-# ---------------------------------------------------------------------------
-WIRE_REGISTRY = {"repro.trust.messages": frozenset({"Request"})}
-
-
-def test_wire001_flags_unpicklable_fields(make_tree):
-    root = make_tree(
-        {
-            "trust/messages.py": """\
-            import threading
-
-            class Request:
-                def __init__(self, payload):
-                    self.payload = payload
-                    self.transform = lambda value: value + 1
-                    self.lock = threading.Lock()
-            """
-        }
-    )
-    result = run_check(root, [WireSafetyRule(registry=WIRE_REGISTRY)])
-    messages = sorted(finding.message for finding in result.findings)
-    assert len(messages) == 2
-    assert "lambda" in messages[0]
-    assert "thread lock" in messages[1]
-
-
-def test_wire001_flags_local_closure(make_tree):
-    root = make_tree(
-        {
-            "trust/messages.py": """\
-            class Request:
-                def __init__(self, base):
-                    def bump(value):
-                        return value + base
-
-                    self.transform = bump
-            """
-        }
-    )
-    result = run_check(root, [WireSafetyRule(registry=WIRE_REGISTRY)])
-    assert len(result.findings) == 1
-    assert "module-local function" in result.findings[0].message
-
-
-def test_wire001_getstate_declares_the_wire_shape(make_tree):
-    root = make_tree(
-        {
-            "trust/messages.py": """\
-            import threading
-
-            class Request:
-                def __init__(self, payload):
-                    self.payload = payload
-                    self._lock = threading.Lock()  # excluded from pickled state
-
-                def __getstate__(self):
-                    return {"payload": self.payload}
-
-                def __setstate__(self, state):
-                    self.payload = state["payload"]
-                    self._lock = threading.Lock()
-            """
-        }
-    )
-    assert run_check(root, [WireSafetyRule(registry=WIRE_REGISTRY)]).clean
-
-
-def test_wire001_flags_registry_drift(make_tree):
-    root = make_tree({"trust/messages.py": "class Other:\n    pass\n"})
-    result = run_check(root, [WireSafetyRule(registry=WIRE_REGISTRY)])
-    assert len(result.findings) == 1
-    assert "registry drift" in result.findings[0].message
-
-
-def test_wire001_clean_fixture(make_tree):
-    root = make_tree(
-        {
-            "trust/messages.py": """\
-            class Request:
-                def __init__(self, payload, tags):
-                    self.payload = payload
-                    self.tags = tuple(tags)
-            """
-        }
-    )
-    assert run_check(root, [WireSafetyRule(registry=WIRE_REGISTRY)]).clean
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +229,11 @@ def test_perf001_loop_iter_is_not_loop_hot(make_tree):
 def test_exc001_flags_silent_broad_except(make_tree):
     root = make_tree(
         {
-            "trust/workers_fixture.py": "",
-            "distributed/fixture.py": """\
-            def drain(transport):
+            "trust/sharding_fixture.py": "",
+            "trust/sharding.py": """\
+            def split(shard):
                 try:
-                    transport.recv()
+                    shard.snapshot()
                 except Exception:
                     pass
             """,
@@ -331,25 +241,25 @@ def test_exc001_flags_silent_broad_except(make_tree):
     )
     result = run_check(root, [ExceptionHygieneRule()])
     assert len(result.findings) == 1
-    assert result.findings[0].path == "distributed/fixture.py"
+    assert result.findings[0].path == "trust/sharding.py"
 
 
 def test_exc001_reraise_and_forward_discharge(make_tree):
     root = make_tree(
         {
-            "distributed/fixture.py": """\
-            def reraises(transport):
+            "trust/sharding.py": """\
+            def reraises(shard):
                 try:
-                    transport.recv()
+                    shard.snapshot()
                 except Exception:
-                    transport.close()
+                    shard.rollback()
                     raise
 
-            def forwards(transport):
+            def forwards(shard, errors):
                 try:
-                    transport.recv()
+                    shard.snapshot()
                 except Exception as exc:
-                    transport.send(("err", exc))
+                    errors.append(exc)
             """
         }
     )
@@ -359,11 +269,11 @@ def test_exc001_reraise_and_forward_discharge(make_tree):
 def test_exc001_narrow_handlers_are_out_of_scope(make_tree):
     root = make_tree(
         {
-            "distributed/fixture.py": """\
-            def drain(transport):
+            "trust/sharding.py": """\
+            def lookup(table, key):
                 try:
-                    transport.recv()
-                except (EOFError, OSError):
+                    return table[key]
+                except (KeyError, IndexError):
                     pass
             """
         }
@@ -371,7 +281,7 @@ def test_exc001_narrow_handlers_are_out_of_scope(make_tree):
     assert run_check(root, [ExceptionHygieneRule()]).clean
 
 
-def test_exc001_only_governs_worker_transport_modules(make_tree):
+def test_exc001_only_governs_the_sharded_store(make_tree):
     root = make_tree(
         {
             "simulation/fixture.py": """\
@@ -450,10 +360,10 @@ def test_default_rules_compose_over_one_tree(make_tree):
             def draw():
                 return random.random()
             """,
-            "distributed/fixture.py": """\
-            def drain(transport):
+            "trust/sharding.py": """\
+            def split(shard):
                 try:
-                    transport.recv()
+                    shard.snapshot()
                 except Exception:
                     pass
             """,

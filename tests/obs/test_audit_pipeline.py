@@ -63,14 +63,10 @@ class TestCleanRunsReconcile:
         )
         assert report.passed, report.render()
 
-    def test_worker_hosted_store_reconciles(self):
-        scenario, simulation, trail = run_audited(
-            "flash-crowd", size=12, rounds=3, seed=4, shards=2, workers=2
+    def test_rebalanced_sharded_store_reconciles(self):
+        report = audit(
+            *run_audited("flash-crowd", size=12, rounds=3, seed=4, shards=2)
         )
-        try:
-            report = audit(scenario, simulation, trail)
-        finally:
-            scenario.complaint_store.close()
         assert report.passed, report.render()
 
 
@@ -118,16 +114,12 @@ class TestInjectedFaultsAreDetected:
         assert divergence["peer"] == injected[1]
         assert "shard" in divergence
 
-    def test_drop_detected_on_worker_hosted_store(self):
+    def test_drop_detected_on_sharded_store(self):
         scenario, simulation, trail = run_audited(
-            "flash-crowd", size=12, rounds=3, seed=6, shards=2, workers=2
+            "flash-crowd", size=12, rounds=3, seed=6, shards=2
         )
-        store = scenario.complaint_store
-        try:
-            injected = inject_dropped_entry(store)
-            report = audit(scenario, simulation, trail)
-        finally:
-            store.close()
+        injected = inject_dropped_entry(scenario.complaint_store)
+        report = audit(scenario, simulation, trail)
         assert not report.checks["complaint_store"]["ok"]
         flagged = {
             divergence["peer"]

@@ -120,34 +120,6 @@ class TestViewsEqualLegacyAttributes:
             key = "sharded.shard_updates.{:04d}".format(index)
             assert metrics[key] == routed
 
-    def test_worker_view_reports_the_fleet(self):
-        registry = MetricsRegistry()
-        scenario = build_registered_scenario(
-            "ebay",
-            size=10,
-            rounds=3,
-            seed=3,
-            shards=2,
-            workers=2,
-            telemetry=registry,
-        )
-        store = scenario.complaint_store
-        try:
-            scenario.simulation().run()
-            store.flush()  # ships per-worker stats back over the transport
-            metrics = registry.snapshot()["metrics"]
-        finally:
-            store.close()
-        assert metrics["worker.workers"] == 2
-        per_worker = [
-            key
-            for key in metrics
-            if key.startswith("worker.") and key.endswith(".writes")
-        ]
-        assert len(per_worker) == 2
-        assert all(metrics[key] >= 0 for key in per_worker)
-        assert metrics["worker.rpc.calls"] > 0
-
     def test_audit_trail_view_matches_ledger(self):
         from repro.obs import EvidenceAuditTrail
 

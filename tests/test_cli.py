@@ -407,6 +407,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ("run", "audit"))
+    def test_worker_flag_is_rejected(self, command, capsys):
+        """The shared store runs in-process only; there is no worker knob."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, "--scenario", "flash-crowd", "--workers", "2"]
+            )
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_strategy_choices_cover_all_baselines(self):
         parser = build_parser()
         args = parser.parse_args(["scenario", "ebay", "--strategy", "alternating"])

@@ -274,15 +274,23 @@ class TestFactoryAndGuards:
         (
             {"shards": 2},
             {"rebalance": RebalancePolicy()},
-            {"workers": "loopback"},
         ),
-        ids=("shards", "rebalance", "workers"),
+        ids=("shards", "rebalance"),
     )
     def test_only_the_complaint_kind_is_sharded(self, kind, knobs):
         with pytest.raises(TrustModelError, match=repr(kind)):
             create_backend(kind, **knobs)
         # The same kinds stay available unsharded.
         assert not isinstance(create_backend(kind), ShardedBackend)
+
+    @pytest.mark.parametrize("knob", ({"workers": 2}, {"recovery": True}),
+                             ids=("workers", "recovery"))
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_unknown_deployment_knobs_are_not_swallowed(self, shards, knob):
+        # Every shard is built from the forwarded params, so a knob no
+        # backend accepts fails loudly instead of being silently dropped.
+        with pytest.raises(TypeError, match=next(iter(knob))):
+            create_backend("complaint", shards=shards, **knob)
 
     def test_nested_sharding_rejected(self):
         with pytest.raises(TrustModelError):
@@ -309,6 +317,24 @@ class TestFactoryAndGuards:
             target.restore_items(state.items())
         # The rejected restores changed nothing.
         assert target.known_subjects() == ()
+
+
+def test_describe_config_pins_the_store_line():
+    """The run summary's Backend line, for a plain and a rebalanced store."""
+    assert create_backend("complaint").describe_config() == (
+        "complaint, unsharded, rebalance off, compact off, cache-scores on"
+    )
+    rebalanced = create_backend(
+        "complaint",
+        shards=2,
+        router="ring",
+        rebalance=RebalancePolicy(threshold=1.5, max_shards=8),
+        compact=True,
+    )
+    assert rebalanced.describe_config() == (
+        "complaint, 2 shards, ring router, rebalance auto@1.5 (max 8), "
+        "compact on, cache-scores on"
+    )
 
 
 class TestManifestFormat:
