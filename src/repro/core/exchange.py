@@ -16,13 +16,18 @@ quantities the safety analysis revolves around are derived:
 * the *consumer's temptation* to defect, ``remaining_payment - Vc(remaining)``
   (positive when the outstanding payment exceeds the value still to be
   received).
+
+:class:`ExchangeState` is the reference model of one state.  A sequence's
+planner and executor read its :class:`TemptationProfile` instead, which
+holds the same per-state quantities, bit for bit, from one walk over the
+actions.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core.goods import Good, GoodsBundle
 from repro.core.numeric import EPSILON, approx_eq, non_negative, total
@@ -33,6 +38,7 @@ __all__ = [
     "ActionKind",
     "ExchangeAction",
     "ExchangeState",
+    "TemptationProfile",
     "ExchangeSequence",
 ]
 
@@ -250,6 +256,98 @@ class ExchangeState:
         return self.consumer_temptation
 
 
+@dataclass(frozen=True)
+class TemptationProfile:
+    """Per-state quantities of one exchange schedule.
+
+    Entry ``i`` of every field describes the state after the first ``i``
+    actions (entry 0 is the initial state), so each field has one entry more
+    than the schedule has actions.  Every entry equals the matching
+    :class:`ExchangeState` property of a replay bit for bit.
+    """
+
+    supplier_temptation: Tuple[float, ...]
+    consumer_temptation: Tuple[float, ...]
+    supplier_utility: Tuple[float, ...]
+    consumer_utility: Tuple[float, ...]
+    paid: Tuple[float, ...]
+    delivered: Tuple[int, ...]
+
+    @classmethod
+    def build(
+        cls,
+        bundle: GoodsBundle,
+        price: float,
+        actions: Sequence[ExchangeAction],
+    ) -> "TemptationProfile":
+        """Walk ``actions`` once from the initial state of ``bundle`` at ``price``.
+
+        The actions must deliver each good at most once (as a validated
+        :class:`ExchangeSequence` does).  A payment beyond the outstanding
+        amount raises :class:`InvalidActionError`, as
+        :meth:`ExchangeState.apply` does.
+
+        The valuations still to be delivered and those already delivered are
+        kept in bundle order, with the goods on the other side zeroed, and
+        summed with :func:`total` after each delivery.  Adding an exact 0.0
+        leaves a plain or a compensated float sum unchanged, so every total
+        equals the replay's sum over the goods themselves.
+        """
+        position = {good.good_id: index for index, good in enumerate(bundle)}
+        costs = [good.supplier_cost for good in bundle]
+        values = [good.consumer_value for good in bundle]
+        remaining_costs = list(costs)
+        remaining_values = list(values)
+        delivered_costs = [0.0] * len(costs)
+        delivered_values = [0.0] * len(values)
+        remaining_cost = total(remaining_costs)
+        remaining_value = total(remaining_values)
+        delivered_cost = delivered_value = 0.0
+        paid = 0.0
+        delivered = 0
+        remaining_payment = non_negative(price - paid)
+        supplier_temptation = [remaining_cost - remaining_payment]
+        consumer_temptation = [remaining_payment - remaining_value]
+        supplier_utility = [paid - delivered_cost]
+        consumer_utility = [delivered_value - paid]
+        paid_after = [paid]
+        delivered_after = [delivered]
+        for action in actions:
+            if action.kind is ActionKind.DELIVER:
+                index = position[action.good_id]  # type: ignore[index]
+                remaining_costs[index] = remaining_values[index] = 0.0
+                delivered_costs[index] = costs[index]
+                delivered_values[index] = values[index]
+                remaining_cost = total(remaining_costs)
+                remaining_value = total(remaining_values)
+                delivered_cost = total(delivered_costs)
+                delivered_value = total(delivered_values)
+                delivered += 1
+            else:
+                new_paid = paid + action.amount
+                if new_paid > price + EPSILON:
+                    raise InvalidActionError(
+                        f"payment of {action.amount:.3f} exceeds the outstanding "
+                        f"amount ({remaining_payment:.3f})"
+                    )
+                paid = min(new_paid, price)
+                remaining_payment = non_negative(price - paid)
+            supplier_temptation.append(remaining_cost - remaining_payment)
+            consumer_temptation.append(remaining_payment - remaining_value)
+            supplier_utility.append(paid - delivered_cost)
+            consumer_utility.append(delivered_value - paid)
+            paid_after.append(paid)
+            delivered_after.append(delivered)
+        return cls(
+            supplier_temptation=tuple(supplier_temptation),
+            consumer_temptation=tuple(consumer_temptation),
+            supplier_utility=tuple(supplier_utility),
+            consumer_utility=tuple(consumer_utility),
+            paid=tuple(paid_after),
+            delivered=tuple(delivered_after),
+        )
+
+
 class ExchangeSequence:
     """A complete schedule of deliveries and payments for one exchange.
 
@@ -258,7 +356,7 @@ class ExchangeSequence:
     payments must add up to the agreed price.
     """
 
-    __slots__ = ("_bundle", "_price", "_actions")
+    __slots__ = ("_bundle", "_price", "_actions", "_profile")
 
     def __init__(
         self,
@@ -269,12 +367,13 @@ class ExchangeSequence:
         self._bundle = bundle
         self._price = float(price)
         self._actions: Tuple[ExchangeAction, ...] = tuple(actions)
+        self._profile: Optional[TemptationProfile] = None
         self._validate()
 
     def _validate(self) -> None:
         if self._price < 0:
             raise InvalidSequenceError(f"price must be >= 0, got {self._price}")
-        delivered: List[str] = []
+        delivered: Set[str] = set()
         paid = 0.0
         for action in self._actions:
             if action.kind is ActionKind.DELIVER:
@@ -287,11 +386,11 @@ class ExchangeSequence:
                     raise InvalidSequenceError(
                         f"sequence delivers good {action.good_id!r} twice"
                     )
-                delivered.append(action.good_id)
+                delivered.add(action.good_id)
             else:
                 paid += action.amount
         if len(delivered) != len(self._bundle):
-            missing = set(self._bundle.good_ids) - set(delivered)
+            missing = set(self._bundle.good_ids) - delivered
             raise InvalidSequenceError(
                 f"sequence does not deliver all goods; missing: {sorted(missing)}"
             )
@@ -373,27 +472,36 @@ class ExchangeSequence:
         return state
 
     @property
+    def profile(self) -> TemptationProfile:
+        """The schedule's per-state temptations and utilities, built once."""
+        if self._profile is None:
+            self._profile = TemptationProfile.build(
+                self._bundle, self._price, self._actions
+            )
+        return self._profile
+
+    @property
     def max_supplier_temptation(self) -> float:
         """Largest supplier temptation reached anywhere in the schedule."""
-        return max(state.supplier_temptation for state in self.states())
+        return max(self.profile.supplier_temptation)
 
     @property
     def max_consumer_temptation(self) -> float:
         """Largest consumer temptation reached anywhere in the schedule."""
-        return max(state.consumer_temptation for state in self.states())
+        return max(self.profile.consumer_temptation)
 
     def describe(self) -> str:
         """Multi-line human readable rendering of the schedule."""
+        profile = self.profile
         lines = [
             f"Exchange of {len(self._bundle)} goods for {self._price:.3f}",
         ]
-        for index, (action, state) in enumerate(
-            zip(self._actions, list(self.states())[1:]), start=1
-        ):
+        for index, action in enumerate(self._actions, start=1):
+            remaining_payment = non_negative(self._price - profile.paid[index])
             lines.append(
                 f"  {index:3d}. {action.describe():<40s} "
-                f"remaining payment={state.remaining_payment:8.3f}  "
-                f"temptation(s)={state.supplier_temptation:8.3f}  "
-                f"temptation(c)={state.consumer_temptation:8.3f}"
+                f"remaining payment={remaining_payment:8.3f}  "
+                f"temptation(s)={profile.supplier_temptation[index]:8.3f}  "
+                f"temptation(c)={profile.consumer_temptation[index]:8.3f}"
             )
         return "\n".join(lines)

@@ -8,7 +8,7 @@ and :class:`CommunityAccounts` aggregates them per round and overall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.exchange import Role
 from repro.exceptions import MarketplaceError
@@ -81,14 +81,25 @@ class Ledger:
     def entries_of(self, agent_id: str) -> Tuple[LedgerEntry, ...]:
         return tuple(entry for entry in self._entries if entry.agent_id == agent_id)
 
+    def _victim_loss_entries(self) -> Iterator[LedgerEntry]:
+        """Entries in which a defection victim lost value, in entry order."""
+        return (e for e in self._entries if e.was_victim and e.payoff < 0)
+
+    def victim_losses_by_agent(self) -> Dict[str, float]:
+        """:meth:`victim_losses` of every agent with a loss, in one pass."""
+        losses: Dict[str, float] = {}
+        for entry in self._victim_loss_entries():
+            agent_id = entry.agent_id
+            losses[agent_id] = losses.get(agent_id, 0.0) + -entry.payoff
+        return losses
+
     def victim_losses(self, agent_id: Optional[str] = None) -> float:
         """Total negative payoff suffered while being a defection victim."""
+        if agent_id is not None:
+            return self.victim_losses_by_agent().get(agent_id, 0.0)
         losses = 0.0
-        for entry in self._entries:
-            if agent_id is not None and entry.agent_id != agent_id:
-                continue
-            if entry.was_victim and entry.payoff < 0:
-                losses += -entry.payoff
+        for entry in self._victim_loss_entries():
+            losses += -entry.payoff
         return losses
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.exchange import ExchangeSequence, ExchangeState, Role
+from repro.core.exchange import ExchangeSequence, Role
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.simulation.behaviors import BehaviorModel
@@ -65,37 +65,38 @@ def execute_sequence(
 
     The defecting party keeps its current holdings; payoffs of both sides are
     the realised utilities at that point (which is exactly the exposure the
-    safety analysis bounds).
+    safety analysis bounds).  Every quantity is read from the sequence's
+    :attr:`~repro.core.exchange.ExchangeSequence.profile` at the state
+    before the step.
     """
-    state = ExchangeState.initial(sequence.bundle, sequence.price)
+    profile = sequence.profile
     for step_index, action in enumerate(sequence.actions):
         actor = action.actor
-        behavior = (
-            supplier_behavior if actor is Role.SUPPLIER else consumer_behavior
-        )
-        temptation = state.temptation_of(actor)
+        if actor is Role.SUPPLIER:
+            behavior = supplier_behavior
+            temptation = profile.supplier_temptation[step_index]
+        else:
+            behavior = consumer_behavior
+            temptation = profile.consumer_temptation[step_index]
         continuation_gain = max(0.0, -temptation)
         if behavior.will_defect(temptation, continuation_gain, rng, time):
-            return TransactionResult(
-                completed=False,
-                defector=actor,
-                defection_step=step_index,
-                supplier_payoff=state.supplier_utility,
-                consumer_payoff=state.consumer_utility,
-                price=sequence.price,
-                paid=state.paid,
-                goods_delivered=len(state.delivered_ids),
-                goods_total=len(sequence.bundle),
-            )
-        state = state.apply(action)
+            return _result(sequence, step_index, actor)
+    return _result(sequence, len(sequence), None)
+
+
+def _result(
+    sequence: ExchangeSequence, step: int, defector: Optional[Role]
+) -> TransactionResult:
+    """The outcome of stopping in the state before action ``step``."""
+    profile = sequence.profile
     return TransactionResult(
-        completed=True,
-        defector=None,
-        defection_step=None,
-        supplier_payoff=state.supplier_utility,
-        consumer_payoff=state.consumer_utility,
+        completed=defector is None,
+        defector=defector,
+        defection_step=None if defector is None else step,
+        supplier_payoff=profile.supplier_utility[step],
+        consumer_payoff=profile.consumer_utility[step],
         price=sequence.price,
-        paid=state.paid,
-        goods_delivered=len(state.delivered_ids),
+        paid=profile.paid[step],
+        goods_delivered=profile.delivered[step],
         goods_total=len(sequence.bundle),
     )

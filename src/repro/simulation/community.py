@@ -235,8 +235,9 @@ class CommunityResult:
 
     def honest_losses(self, honesty_threshold: float = 0.99) -> float:
         """Losses honest peers suffered as victims of defection."""
+        losses = self.ledger.victim_losses_by_agent()
         return sum(
-            self.ledger.victim_losses(peer_id)
+            losses.get(peer_id, 0.0)
             for peer_id in self.honest_peer_ids(honesty_threshold)
         )
 
@@ -268,6 +269,9 @@ class CommunitySimulation:
         #: introspection (the audit counts the evidence their backends
         #: absorbed before they left).
         self._departed_peers: List[CommunityPeer] = []
+        #: ``peer_id -> peer`` for :meth:`peer_by_id`, built on first use
+        #: and dropped whenever churn changes the population.
+        self._peer_index: Optional[Dict[str, CommunityPeer]] = None
         self._evidence = EvidencePlane(
             mode=self._config.evidence_mode,
             latency=self._config.evidence_latency,
@@ -305,10 +309,12 @@ class CommunitySimulation:
         return self._evidence
 
     def peer_by_id(self, peer_id: str) -> CommunityPeer:
-        for peer in self._peers:
-            if peer.peer_id == peer_id:
-                return peer
-        raise SimulationError(f"unknown peer {peer_id!r}")
+        if self._peer_index is None:
+            self._peer_index = {peer.peer_id: peer for peer in self._peers}
+        try:
+            return self._peer_index[peer_id]
+        except KeyError:
+            raise SimulationError(f"unknown peer {peer_id!r}") from None
 
     # ------------------------------------------------------------------
     # Running
@@ -382,6 +388,7 @@ class CommunitySimulation:
         event = self._churn.apply(
             self._peers, round_index, self._streams("churn"), factory
         )
+        self._peer_index = None
         for peer_id in event.departed:
             self._departed_peers.append(by_id[peer_id])
             self._evidence.unregister_peer(peer_id)

@@ -27,6 +27,15 @@ def small_population(dishonest=0.3, size=10, shared_store=None, penalty=0.0):
     return build_population(spec, complaint_store=shared_store, seed=1)
 
 
+def per_peer_scan(ledger, agent_id):
+    """The per-peer ``Ledger.victim_losses`` scan this module pins against."""
+    losses = 0.0
+    for entry in ledger.entries:
+        if entry.agent_id == agent_id and entry.was_victim and entry.payoff < 0:
+            losses += -entry.payoff
+    return losses
+
+
 class TestCommunityConfig:
     def test_defaults_valid(self):
         config = CommunityConfig()
@@ -183,3 +192,38 @@ class TestCommunitySimulation:
         simulation = CommunitySimulation(peers, GoodsFirstStrategy())
         with pytest.raises(SimulationError):
             simulation.peer_by_id("ghost")
+
+    def test_peer_lookup_follows_churn(self):
+        peers = small_population(size=10)
+        churn = ChurnModel(departure_probability=0.3, arrival_rate=2.0, min_population=4)
+        simulation = CommunitySimulation(
+            peers,
+            GoodsFirstStrategy(),
+            CommunityConfig(rounds=6, seed=4),
+            churn=churn,
+            peer_factory=lambda index: CommunityPeer(f"new-{index}"),
+        )
+        simulation.run()
+        assert simulation.departed_peers
+        assert any(peer.peer_id.startswith("new-") for peer in simulation.peers)
+        for peer in simulation.peers:
+            assert simulation.peer_by_id(peer.peer_id) is peer
+        for peer in simulation.departed_peers:
+            with pytest.raises(SimulationError):
+                simulation.peer_by_id(peer.peer_id)
+
+    def test_honest_losses_equal_per_peer_ledger_sum(self):
+        peers = small_population(dishonest=0.4, size=12)
+        config = CommunityConfig(rounds=10, seed=5)
+        result = CommunitySimulation(peers, GoodsFirstStrategy(), config).run()
+        per_peer = sum(
+            per_peer_scan(result.ledger, peer_id)
+            for peer_id in result.honest_peer_ids()
+        )
+        assert per_peer > 0
+        assert result.honest_losses() == per_peer
+        by_agent = result.ledger.victim_losses_by_agent()
+        for entry in result.ledger.entries:
+            expected = per_peer_scan(result.ledger, entry.agent_id)
+            assert by_agent.get(entry.agent_id, 0.0) == expected
+            assert result.ledger.victim_losses(entry.agent_id) == expected
