@@ -102,7 +102,7 @@ def _query_sample(rng: np.random.Generator, tick: int):
 
 def _build_backend():
     return create_backend(
-        "complaint", shards=SHARDS, router="ring", compact=True, cache_scores=True
+        "complaint", shards=SHARDS, router="ring", compact=True
     )
 
 

@@ -16,6 +16,7 @@ exposure is needed.  For every workload and price position the table reports
 from __future__ import annotations
 
 import random
+import zlib
 
 from _harness import bar, emit, emit_json, run_once, table_metrics
 
@@ -45,7 +46,8 @@ def build_table() -> Table:
     for workload_name in WORKLOADS:
         model = valuation_workload(workload_name)
         for position in PRICE_POSITIONS:
-            rng = random.Random(hash((workload_name, position)) % (2**31))
+            # crc32, unlike hash() of a str, is the same in every process.
+            rng = random.Random(zlib.crc32(f"{workload_name}:{position}".encode()))
             fully_safe = 0
             with_reputation = 0
             tolerances = []

@@ -11,11 +11,9 @@ manifest or evidence math about to fork from the bit-identical baseline.
 
 Flagged outside ``repro.trust.storage``: ``np.float32`` / ``np.int32``
 (and 16-bit variants) attribute references, and ``dtype="float32"`` /
-``dtype="int32"`` string keywords.  The compact-layout *selection*
-branches in ``trust/backend.py`` (``np.float32 if compact else
-np.float64``) are the sanctioned exception and carry justified
-``# repro: allow(DTYPE001)`` markers — their snapshots still widen to
-canonical through the storage helpers.
+``dtype="int32"`` string keywords.  The compact dtypes are declared once,
+next to their canonical dtypes, in ``storage.COLUMNS``; backends name
+columns and never select a dtype themselves.
 """
 
 from __future__ import annotations

@@ -302,14 +302,6 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
                             "float64 layout (complaint counts are exact) "
                             "and decisions on the registered scenarios "
                             "are unchanged")
-    run_parser.add_argument("--cache-scores", choices=("on", "off"),
-                            default="on",
-                            help="dirty-row score cache on every trust "
-                            "backend: cached rows are only recomputed "
-                            "after new evidence touches them (default "
-                            "on; 'off' recomputes every query — the "
-                            "reference configuration the cache is "
-                            "validated against)")
 
 
 def _default_price(bundle: GoodsBundle, price: Optional[float]) -> float:
@@ -462,7 +454,6 @@ def _build_scenario_from_args(
         rebalance_threshold=args.rebalance_threshold,
         max_shards=args.max_shards,
         compact=args.compact,
-        cache_scores=args.cache_scores == "on",
         telemetry=telemetry,
     )
     if args.rebalance is not None:

@@ -99,11 +99,6 @@ class ReputationManager:
         (complaint counts are exactly representable, so the complaint
         method is unaffected).  A shared complaint backend supplied from
         outside keeps whatever layout it has.
-    cache_scores:
-        Keep the dirty-row score cache of every backend this manager
-        creates enabled (the default).  Pass ``False`` to recompute scores
-        on every query — the reference configuration cache correctness is
-        measured against.
     """
 
     def __init__(
@@ -117,20 +112,17 @@ class ReputationManager:
         complaint_metric_mode: Optional[str] = None,
         decay_half_life: float = 100.0,
         compact: bool = False,
-        cache_scores: bool = True,
     ):
         if not owner_id:
             raise ReputationError("owner_id must be non-empty")
         self._owner_id = owner_id
         self._compact = compact
-        self._cache_scores = cache_scores
         if decay is None:
             beta_backend: TrustBackend = create_backend(
                 "beta",
                 prior_alpha=prior_alpha,
                 prior_beta=prior_beta,
                 compact=compact,
-                cache_scores=cache_scores,
             )
         elif isinstance(decay, ExponentialDecay):
             beta_backend = create_backend(
@@ -139,7 +131,6 @@ class ReputationManager:
                 prior_beta=prior_beta,
                 half_life=decay.half_life,
                 compact=compact,
-                cache_scores=cache_scores,
             )
         else:
             beta_backend = ScalarBetaBackendAdapter(
@@ -188,7 +179,6 @@ class ReputationManager:
                     else complaint_metric_mode
                 ),
                 compact=compact,
-                cache_scores=cache_scores,
             )
         # The DECAY backend is materialised lazily on first use (most peers
         # never query it); recorded interactions are replayed into it then,
@@ -245,7 +235,6 @@ class ReputationManager:
                 prior_beta=self._prior_beta,
                 half_life=self._decay_half_life,
                 compact=self._compact,
-                cache_scores=self._cache_scores,
             )
             backend.update_many(
                 [self._observation_from(record) for record in self._interactions]

@@ -23,6 +23,7 @@ from repro.exceptions import ReputationError, TrustModelError
 from repro.pgrid.network import PGridNetwork
 from repro.reputation.records import InteractionRecord, Rating
 from repro.trust import Complaint, ComplaintTrustBackend
+from repro.trust.backend import complaint_log_items, complaints_from_snapshot
 
 __all__ = ["LocalReputationStore", "DistributedReputationStore"]
 
@@ -244,15 +245,10 @@ class DistributedReputationStore:
         restore re-inserts the evidence into whatever network the store is
         bound to.
         """
-        complaints = self.all_complaints()
         return {
             "store": np.array("distributed-reputation"),
             "known_agents": np.array(list(self._known_agents), dtype=object),
-            "complainants": np.array(
-                [c.complainant_id for c in complaints], dtype=object
-            ),
-            "accused": np.array([c.accused_id for c in complaints], dtype=object),
-            "timestamps": np.array([c.timestamp for c in complaints]),
+            **dict(complaint_log_items(self.all_complaints())),
         }
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
@@ -277,18 +273,10 @@ class DistributedReputationStore:
                 "holds evidence (inserts are append-only and would duplicate)"
             )
         self._known_agents = [str(agent) for agent in state["known_agents"]]
-        for complainant, accused, timestamp in zip(
-            state["complainants"], state["accused"], state["timestamps"]
-        ):
-            payload = _complaint_to_payload(
-                Complaint(
-                    complainant_id=str(complainant),
-                    accused_id=str(accused),
-                    timestamp=float(timestamp),
-                )
-            )
-            self._network.insert(self.ABOUT_PREFIX + str(accused), payload)
-            self._network.insert(self.BY_PREFIX + str(complainant), payload)
+        for complaint in complaints_from_snapshot(state):
+            payload = _complaint_to_payload(complaint)
+            self._network.insert(self.ABOUT_PREFIX + complaint.accused_id, payload)
+            self._network.insert(self.BY_PREFIX + complaint.complainant_id, payload)
 
     def trust_backend(self, **params) -> ComplaintTrustBackend:
         """A complaint trust backend over the distributed complaint data.

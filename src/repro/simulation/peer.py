@@ -43,7 +43,6 @@ class CommunityPeer:
         trust_method: str = TrustMethod.BETA,
         witness_policy: Optional[WitnessReportPolicy] = None,
         compact: bool = False,
-        cache_scores: bool = True,
     ):
         if not peer_id:
             raise SimulationError("peer_id must be non-empty")
@@ -59,7 +58,6 @@ class CommunityPeer:
             owner_id=peer_id,
             complaint_store=complaint_store,
             compact=compact,
-            cache_scores=cache_scores,
         )
         self.defection_penalty = defection_penalty
         self.supplies_goods = supplies_goods

@@ -18,12 +18,12 @@ methods:
   direct evidence in one vectorized pass — the evidence-plane query path that
   replaces merging scalar beliefs witness by witness,
 
-all backed by contiguous numpy arrays indexed through an interned peer-id
-table instead of per-peer dict-of-list lookups.  Long runs can checkpoint a
-backend with :meth:`TrustBackend.snapshot` (a dict of numpy arrays including
-the interned peer-id table) and resume via :meth:`TrustBackend.restore`.  The simulation layer queues
-observations during a tick and flushes them in one ``update_many`` call; the
-decision layer reads whole score vectors for candidate partners.
+all backed by one :class:`~repro.trust.storage.EvidenceTable` per backend:
+declared numpy columns over an interned peer-id table, which also keeps the
+always-on dirty-row score cache.  :meth:`TrustBackend.snapshot` (a dict of
+numpy arrays including the peer-id table) and :meth:`TrustBackend.restore`
+checkpoint a backend.  The simulation layer flushes a tick's observations
+in one ``update_many`` call; the decision layer reads whole score vectors.
 
 Three backends are provided and discoverable through a small registry
 (mirroring the scenario registry in :mod:`repro.workloads.registry`):
@@ -39,10 +39,10 @@ Three backends are provided and discoverable through a small registry
     protocol so it can *be* the community's shared complaint store (the fast
     path) or wrap an existing store (compatibility path).
 ``decay``
-    Exponentially decay-weighted beta evidence with O(1) online updates.
-    Mathematically identical to ``BetaTrustModel`` with
-    :class:`~repro.trust.decay.ExponentialDecay`, but it maintains running
-    decayed sums instead of rescanning the observation log at query time.
+    The ``beta`` kernel plus a reference-time column: exponentially
+    decay-weighted evidence with O(1) online updates, identical to
+    ``BetaTrustModel`` with :class:`~repro.trust.decay.ExponentialDecay`
+    but keeping running decayed sums instead of rescanning a log.
 
 Every backend agrees with its scalar reference implementation on identical
 observation streams (see ``tests/trust/test_backend.py``), which is the
@@ -62,6 +62,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -71,7 +72,6 @@ import numpy as np
 
 from repro.exceptions import TrustModelError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.trust import storage
 from repro.trust.aggregation import (
     SparseWitnessMatrix,
     WitnessReport,
@@ -84,9 +84,13 @@ from repro.trust.beta import BetaBelief, BetaTrustModel
 from repro.trust.complaint import ComplaintStore, LocalComplaintStore
 from repro.trust.evidence import Complaint, Observation
 from repro.trust.storage import (
+    EvidenceTable,
     gather,
     gather_f64,
-    materialize,
+    get_item,
+    multiply_at,
+    prefix_chunks,
+    prefix_view,
     scatter_add,
     scatter_max,
     scatter_set,
@@ -103,6 +107,8 @@ __all__ = [
     "register_backend",
     "create_backend",
     "backend_names",
+    "complaint_log_items",
+    "complaints_from_snapshot",
 ]
 
 
@@ -162,112 +168,6 @@ class TrustObservation:
         )
 
 
-class _PeerIndex:
-    """Interns peer-id strings to dense integer indices."""
-
-    __slots__ = ("_ids", "_names")
-
-    def __init__(self) -> None:
-        self._ids: Dict[str, int] = {}
-        self._names: List[str] = []
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def intern(self, name: str) -> int:
-        index = self._ids.get(name)
-        if index is None:
-            index = len(self._names)
-            self._ids[name] = index
-            self._names.append(name)
-        return index
-
-    def intern_many(self, names: Sequence[str]) -> np.ndarray:
-        """Row indices for ``names``, interning unseen ids (batch fast path).
-
-        The common steady-state batch repeats already-known subjects, so the
-        lookup is one C-level ``map`` over the id dict; only when that trips
-        over an unseen id are the *unique* new names interned (one dict
-        insert per distinct id, not per occurrence) before the single-pass
-        lookup is retried.  First-occurrence order is preserved, so the
-        index assignment is identical to interning one observation at a
-        time.
-        """
-        getitem = self._ids.__getitem__
-        count = len(names)
-        try:
-            return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
-        except KeyError:
-            intern = self.intern
-            for name in dict.fromkeys(names):
-                intern(name)
-            return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
-
-    def lookup_many(self, names: Sequence[str]) -> np.ndarray:
-        """Row indices for ``names`` with ``-1`` marking unknown ids."""
-        getitem = self._ids.__getitem__
-        count = len(names)
-        try:
-            # Fast path: every id known — one C-level pass, no generator.
-            return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
-        except KeyError:
-            get = self._ids.get
-            return np.fromiter(
-                (-1 if (i := get(s)) is None else i for s in names),
-                dtype=np.int64,
-                count=count,
-            )
-
-    def get(self, name: str) -> Optional[int]:
-        return self._ids.get(name)
-
-    def name(self, index: int) -> str:
-        return self._names[index]
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._names)
-
-    @classmethod
-    def from_names(cls, names: Iterable[str]) -> "_PeerIndex":
-        """Rebuild an index from a snapshot's name table (order-preserving)."""
-        index = cls()
-        for name in names:
-            index.intern(str(name))
-        return index
-
-
-def _scores_via_cache(
-    cache: storage.EvidenceArray,
-    generations: storage.EvidenceArray,
-    generation: int,
-    rows: np.ndarray,
-    prior_score: float,
-    compute: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Answer a score query from a dirty-row cache, recomputing stale rows.
-
-    ``generations[row] == generation`` marks a cache hit; anything else
-    (zero for never-scored or freshly invalidated rows, an older generation
-    after a decay backend's ``now`` changed) is recomputed through
-    ``compute`` — which applies exactly the uncached per-row formula, so the
-    cached answer is bit-identical to the uncached one.  Unknown subjects
-    (``row == -1``) score the prior without touching the cache.
-    """
-    out = np.full(len(rows), prior_score)
-    known = rows >= 0
-    if not known.any():
-        return out
-    known_rows = rows[known]
-    hits = gather(generations, known_rows)
-    stale_mask = hits != generation
-    if stale_mask.any():
-        stale = np.unique(known_rows[stale_mask])
-        scatter_set(cache, stale, compute(stale))
-        scatter_set(generations, stale, generation)
-    out[known] = gather(cache, known_rows)
-    return out
-
-
 class TrustBackend:
     """Interface all trust backends implement (the pluggable layer).
 
@@ -292,6 +192,10 @@ class TrustBackend:
     def score(self, subject_id: str, now: Optional[float] = None) -> float:
         """Trust estimate in ``[0, 1]`` for one subject."""
         return float(self.scores_for((subject_id,), now=now)[0])
+
+    def trust(self, subject_id: str, now: Optional[float] = None) -> float:
+        """Scalar-model-compatible alias of :meth:`score`."""
+        return self.score(subject_id, now=now)
 
     def scores_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
@@ -368,7 +272,7 @@ class TrustBackend:
         backend-specific; every snapshot carries a ``"backend"`` entry naming
         the producing backend so mismatched restores fail loudly.
         """
-        raise NotImplementedError
+        return dict(self.snapshot_items())
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
         """Replace the backend's state with a :meth:`snapshot` payload."""
@@ -385,7 +289,7 @@ class TrustBackend:
         the next write batch.  ``dict(backend.snapshot_items())`` equals
         :meth:`snapshot`.
         """
-        yield from self.snapshot().items()
+        raise NotImplementedError
 
     def restore_items(
         self, items: Iterable[Tuple[str, np.ndarray]]
@@ -454,77 +358,65 @@ class TrustBackend:
     def describe_config(self) -> str:
         """The full effective configuration as one canonical line.
 
-        Reports kind, sharding, router, rebalance, storage layout and score
-        cache — the single source the run summary prints instead of
-        re-deriving the line from CLI flags.  The sharded store overrides
+        Reports kind, sharding, router, rebalance and storage layout — the
+        single source the run summary prints instead of re-deriving the
+        line from CLI flags.  The sharded store overrides
         :meth:`_config_parts` to fill in its layout.
         """
         return ", ".join(self._config_parts())
 
     def _config_parts(self) -> List[str]:
-        def flag(value: bool) -> str:
-            return "on" if value else "off"
-
+        compact = bool(getattr(self, "compact", False))
         return [
             self.name,
             "unsharded",
             "rebalance off",
-            "compact " + flag(bool(getattr(self, "compact", False))),
-            "cache-scores " + flag(bool(getattr(self, "_cache_scores", True))),
+            "compact " + ("on" if compact else "off"),
         ]
 
 
 class BetaTrustBackend(TrustBackend):
-    """Vectorized beta-Bernoulli trust (no decay).
+    """Vectorized beta-Bernoulli trust: the beta-family kernel (no decay).
 
-    Maintains per-subject evidence pseudo-counts in two contiguous float
-    arrays; the posterior mean ``(prior_alpha + a) / (prior + a + b)`` is the
-    trust estimate.  Equivalent to
-    :class:`~repro.trust.beta.BetaTrustModel` without a decay model, but
-    updates and queries are O(batch) numpy operations instead of per-peer
-    list appends and rescans.
+    Keeps per-subject evidence pseudo-counts in an
+    :class:`~repro.trust.storage.EvidenceTable` (columns ``alpha``,
+    ``beta``, ``count``); the posterior mean
+    ``(prior_alpha + a) / (prior + a + b)`` is the trust estimate.
+    Equivalent to :class:`~repro.trust.beta.BetaTrustModel` without a decay
+    model, but updates and queries are O(batch) numpy operations instead of
+    per-peer list appends and rescans.  :class:`DecayTrustBackend` is this
+    kernel plus a reference-time column and a decay factor.
 
     ``compact=True`` switches the evidence columns to the memory-bounded
     layout (float32 pseudo-counts, int32 observation counts, chunked growth
     that never copies the table; see :mod:`repro.trust.storage`).  Scores
     then carry float32 evidence rounding — documented tolerance 1e-6
     relative — while the default layout stays bit-for-bit the historical
-    float64 path.  ``cache_scores=True`` (the default) answers repeated
-    queries from a per-row score cache invalidated by ``update_many``
-    (dirty-row invalidation); cached scores are bit-identical to uncached
-    ones.
+    float64 path.  Repeated queries are answered from the table's dirty-row
+    score cache, which ``update_many`` invalidates row by row; cached
+    scores are bit-identical to the per-row formula.
     """
 
     name = "beta"
+
+    #: Evidence columns, in snapshot order.
+    COLUMNS: Tuple[str, ...] = ("alpha", "beta", "count")
+
+    #: Whether scores depend on the query time (a new ``now`` then
+    #: invalidates every cached score); undecayed scores do not.
+    DECAYS = False
 
     def __init__(
         self,
         prior_alpha: float = 1.0,
         prior_beta: float = 1.0,
         compact: bool = False,
-        cache_scores: bool = True,
     ) -> None:
         if prior_alpha <= 0 or prior_beta <= 0:
             raise TrustModelError("priors must be positive")
         self._prior_alpha = prior_alpha
         self._prior_beta = prior_beta
-        self._compact = bool(compact)
-        self._cache_scores = bool(cache_scores)
-        # Compact-layout dtype *selection*: snapshots still widen to the
-        # canonical flat float64/int64 manifest via the storage helpers.
-        self._evidence_dtype = np.float32 if compact else np.float64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._count_dtype = np.int32 if compact else np.int64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._index = _PeerIndex()
-        self._alpha = storage.make_array(self._evidence_dtype, compact)
-        self._beta = storage.make_array(self._evidence_dtype, compact)
-        self._count = storage.make_array(self._count_dtype, compact)
-        self._reset_cache()
-
-    def _reset_cache(self) -> None:
-        self._score_cache = storage.make_array(np.float64, self._compact)
-        self._cache_gen = storage.make_array(np.int64, self._compact)
-        self._generation = 1
-        self._prior_score = self._prior_alpha / (self._prior_alpha + self._prior_beta)
+        self._table = EvidenceTable(self.COLUMNS, compact)
 
     @property
     def prior(self) -> BetaBelief:
@@ -532,301 +424,80 @@ class BetaTrustBackend(TrustBackend):
 
     @property
     def compact(self) -> bool:
-        return self._compact
-
-    def _ensure_capacity(self) -> None:
-        size = len(self._index)
-        self._alpha = storage.grow(self._alpha, size)
-        self._beta = storage.grow(self._beta, size)
-        self._count = storage.grow(self._count, size)
-        self._score_cache = storage.grow(self._score_cache, size)
-        self._cache_gen = storage.grow(self._cache_gen, size)
+        return self._table.compact
 
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
         if not observations:
             return
-        self._record_update(len(observations))
-        idx = self._index.intern_many([o.subject_id for o in observations])
-        self._ensure_capacity()
-        weights = np.fromiter(
-            (o.weight for o in observations), dtype=np.float64, count=len(observations)
-        )
-        honest = np.fromiter(
-            (o.honest for o in observations), dtype=bool, count=len(observations)
-        )
-        scatter_add(self._alpha, idx[honest], weights[honest])
-        scatter_add(self._beta, idx[~honest], weights[~honest])
-        scatter_add(self._count, idx, 1)
-        scatter_set(self._cache_gen, np.unique(idx), 0)
+        n = len(observations)
+        self._record_update(n)
+        table = self._table
+        idx = table.intern_many([o.subject_id for o in observations])
+        weights = np.fromiter((o.weight for o in observations), dtype=np.float64, count=n)
+        honest = np.fromiter((o.honest for o in observations), dtype=bool, count=n)
+        touched = np.unique(idx)
+        weights = self._evidence_weights(observations, idx, touched, weights)
+        scatter_add(table["alpha"], idx[honest], weights[honest])
+        scatter_add(table["beta"], idx[~honest], weights[~honest])
+        scatter_add(table["count"], idx, 1)
+        table.invalidate(touched)
+
+    def _evidence_weights(
+        self,
+        observations: Sequence[TrustObservation],
+        idx: np.ndarray,
+        touched: np.ndarray,
+        weights: np.ndarray,
+    ) -> np.ndarray:
+        """Evidence each observation adds to its row (undecayed: its weight)."""
+        return weights
+
+    def _decay_factor(
+        self, rows: np.ndarray, now: Optional[float]
+    ) -> Optional[np.ndarray]:
+        """Per-row factor applied to stored evidence at ``now`` (none here)."""
+        return None
+
+    def _posterior(
+        self, rows: np.ndarray, now: Optional[float]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior ``(alpha, beta)`` of known ``rows`` at ``now``."""
+        alpha = gather_f64(self._table["alpha"], rows)
+        beta = gather_f64(self._table["beta"], rows)
+        factor = self._decay_factor(rows, now)
+        if factor is not None:
+            alpha = alpha * factor
+            beta = beta * factor
+        return self._prior_alpha + alpha, self._prior_beta + beta
 
     def beliefs_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior ``(alpha, beta)`` vectors aligned with ``subject_ids``."""
-        rows = self._index.lookup_many(subject_ids)
-        alpha = np.full(len(rows), self._prior_alpha)
-        beta = np.full(len(rows), self._prior_beta)
-        known = rows >= 0
-        alpha[known] += gather_f64(self._alpha, rows[known])
-        beta[known] += gather_f64(self._beta, rows[known])
-        return alpha, beta
-
-    def _row_scores(self, rows: np.ndarray, now: Optional[float]) -> np.ndarray:
-        """Uncached per-row score formula (the dirty-row recompute kernel)."""
-        alpha = self._prior_alpha + gather_f64(self._alpha, rows)
-        beta = self._prior_beta + gather_f64(self._beta, rows)
-        return alpha / (alpha + beta)
-
-    def scores_for(
-        self, subject_ids: Sequence[str], now: Optional[float] = None
-    ) -> np.ndarray:
-        self._record_query(len(subject_ids))
-        if self._cache_scores:
-            rows = self._index.lookup_many(subject_ids)
-            return _scores_via_cache(
-                self._score_cache,
-                self._cache_gen,
-                self._generation,
-                rows,
-                self._prior_score,
-                lambda stale: self._row_scores(stale, now),
-            )
-        alpha, beta = self.beliefs_for(subject_ids, now=now)
-        return alpha / (alpha + beta)
-
-    def aggregate_witness_reports(
-        self,
-        subject_ids: Sequence[str],
-        witness_belief_matrix: np.ndarray,
-        discount_vector: np.ndarray,
-        now: Optional[float] = None,
-    ) -> np.ndarray:
-        alpha, beta = self.beliefs_for(subject_ids, now=now)
-        alpha, beta = combine_beta_evidence_matrix(
-            alpha, beta, witness_belief_matrix, discount_vector
-        )
-        return alpha / (alpha + beta)
-
-    def belief(self, subject_id: str, now: Optional[float] = None) -> BetaBelief:
-        """Posterior :class:`BetaBelief` (prior when the subject is unknown)."""
-        row = self._index.get(subject_id)
-        if row is None:
-            return self.prior
-        return BetaBelief(
-            self._prior_alpha + float(storage.get_item(self._alpha, row)),
-            self._prior_beta + float(storage.get_item(self._beta, row)),
-        )
-
-    def trust(self, subject_id: str, now: Optional[float] = None) -> float:
-        """Scalar-model-compatible alias of :meth:`score`."""
-        return self.score(subject_id, now=now)
-
-    def observation_count(self, subject_id: str) -> int:
-        row = self._index.get(subject_id)
-        return 0 if row is None else int(storage.get_item(self._count, row))
-
-    def known_subjects(self) -> Tuple[str, ...]:
-        return self._index.names()
-
-    def row_count(self) -> int:
-        return len(self._index)
-
-    def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
-        # Evidence columns are emitted in the canonical float64/int64
-        # snapshot dtypes regardless of storage layout, so compact and
-        # default backends (and any shard mix of the two) share one
-        # restorable, re-shardable format.
-        size = len(self._index)
-        yield "backend", np.array(self.name)
-        yield "peer_ids", np.array(self._index.names(), dtype=object)
-        yield "prior", np.array([self._prior_alpha, self._prior_beta])
-        yield "alpha", materialize(self._alpha, size, np.float64)
-        yield "beta", materialize(self._beta, size, np.float64)
-        yield "count", materialize(self._count, size, np.int64)
-
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        return dict(self.snapshot_items())
-
-    def restore(self, state: Dict[str, np.ndarray]) -> None:
-        self._check_snapshot_backend(state)
-        self._prior_alpha, self._prior_beta = (float(p) for p in state["prior"])
-        self._index = _PeerIndex.from_names(state["peer_ids"])
-        self._alpha = storage.storage_from(
-            np.asarray(state["alpha"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._beta = storage.storage_from(
-            np.asarray(state["beta"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._count = storage.storage_from(
-            np.asarray(state["count"], dtype=np.int64),
-            self._count_dtype,
-            self._compact,
-        )
-        self._reset_cache()
-        self._ensure_capacity()
-
-
-class DecayTrustBackend(TrustBackend):
-    """Beta trust with exponential evidence decay, updated online in O(1).
-
-    Keeps, per subject, the honest/dishonest evidence sums *normalised at the
-    newest observation's timestamp* (the subject's reference time).  Because
-    exponential decay is multiplicative, the accumulators can be renormalised
-    incrementally — no observation log and no rescan.  Scoring at ``now``
-    applies one further decay factor ``0.5 ** ((now - ref) / half_life)``.
-
-    Equivalent to ``BetaTrustModel(decay=ExponentialDecay(half_life))``
-    queried at any ``now >= ref``; scoring with ``now=None`` evaluates at the
-    reference time (the newest evidence).
-
-    ``compact=True`` selects the memory-bounded layout (float32 evidence
-    sums, int32 counts, chunked growth); the reference-time column stays
-    float64 so long simulations never lose timestamp precision.
-    ``cache_scores=True`` adds the dirty-row score cache; because decayed
-    scores depend on the query time, the cache is additionally keyed by
-    ``now`` — a query at a new ``now`` lazily recomputes only the rows it
-    actually touches.
-    """
-
-    name = "decay"
-
-    def __init__(
-        self,
-        prior_alpha: float = 1.0,
-        prior_beta: float = 1.0,
-        half_life: float = 100.0,
-        compact: bool = False,
-        cache_scores: bool = True,
-    ) -> None:
-        if prior_alpha <= 0 or prior_beta <= 0:
-            raise TrustModelError("priors must be positive")
-        if half_life <= 0:
-            raise TrustModelError(f"half_life must be > 0, got {half_life}")
-        self._prior_alpha = prior_alpha
-        self._prior_beta = prior_beta
-        self._half_life = half_life
-        self._compact = bool(compact)
-        self._cache_scores = bool(cache_scores)
-        # Compact-layout dtype *selection*: snapshots still widen to the
-        # canonical flat float64/int64 manifest via the storage helpers.
-        self._evidence_dtype = np.float32 if compact else np.float64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._count_dtype = np.int32 if compact else np.int64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._index = _PeerIndex()
-        self._alpha = storage.make_array(self._evidence_dtype, compact)
-        self._beta = storage.make_array(self._evidence_dtype, compact)
-        self._ref = storage.make_array(np.float64, compact)
-        self._count = storage.make_array(self._count_dtype, compact)
-        self._reset_cache()
-
-    def _reset_cache(self) -> None:
-        self._score_cache = storage.make_array(np.float64, self._compact)
-        self._cache_gen = storage.make_array(np.int64, self._compact)
-        self._generation = 1
-        self._cache_now: Optional[float] = None
-        self._prior_score = self._prior_alpha / (self._prior_alpha + self._prior_beta)
-
-    @property
-    def half_life(self) -> float:
-        return self._half_life
-
-    @property
-    def compact(self) -> bool:
-        return self._compact
-
-    def _ensure_capacity(self) -> None:
-        size = len(self._index)
-        self._alpha = storage.grow(self._alpha, size)
-        self._beta = storage.grow(self._beta, size)
-        self._ref = storage.grow(self._ref, size)
-        self._count = storage.grow(self._count, size)
-        self._score_cache = storage.grow(self._score_cache, size)
-        self._cache_gen = storage.grow(self._cache_gen, size)
-
-    def update_many(self, observations: Sequence[TrustObservation]) -> None:
-        if not observations:
-            return
-        self._record_update(len(observations))
-        n = len(observations)
-        idx = self._index.intern_many([o.subject_id for o in observations])
-        self._ensure_capacity()
-        weights = np.fromiter((o.weight for o in observations), dtype=np.float64, count=n)
-        times = np.fromiter(
-            (o.timestamp for o in observations), dtype=np.float64, count=n
-        )
-        honest = np.fromiter((o.honest for o in observations), dtype=bool, count=n)
-
-        # Advance each touched subject's reference time to the newest
-        # timestamp seen, renormalising the existing accumulators, then add
-        # every observation decayed from its own timestamp to the new
-        # reference.  The result is order-independent, so the whole batch
-        # vectorizes.
-        touched = np.unique(idx)
-        old_ref = gather(self._ref, touched)
-        scatter_max(self._ref, idx, times)
-        factor = np.power(0.5, (gather(self._ref, touched) - old_ref) / self._half_life)
-        storage.multiply_at(self._alpha, touched, factor)
-        storage.multiply_at(self._beta, touched, factor)
-        contribution = weights * np.power(
-            0.5, (gather(self._ref, idx) - times) / self._half_life
-        )
-        scatter_add(self._alpha, idx[honest], contribution[honest])
-        scatter_add(self._beta, idx[~honest], contribution[~honest])
-        scatter_add(self._count, idx, 1)
-        scatter_set(self._cache_gen, touched, 0)
-
-    def _decay_to(self, rows: np.ndarray, now: Optional[float]) -> np.ndarray:
-        if now is None:
-            return np.ones(len(rows))
-        age = np.maximum(0.0, now - gather(self._ref, rows))
-        return np.power(0.5, age / self._half_life)
-
-    def beliefs_for(
-        self, subject_ids: Sequence[str], now: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Decayed posterior ``(alpha, beta)`` vectors for ``subject_ids``."""
-        rows = self._index.lookup_many(subject_ids)
+        rows = self._table.index.lookup_many(subject_ids)
         alpha = np.full(len(rows), self._prior_alpha)
         beta = np.full(len(rows), self._prior_beta)
         known = rows >= 0
         if known.any():
-            factor = self._decay_to(rows[known], now)
-            alpha[known] += gather_f64(self._alpha, rows[known]) * factor
-            beta[known] += gather_f64(self._beta, rows[known]) * factor
+            alpha[known], beta[known] = self._posterior(rows[known], now)
         return alpha, beta
 
     def _row_scores(self, rows: np.ndarray, now: Optional[float]) -> np.ndarray:
         """Uncached per-row score formula (the dirty-row recompute kernel)."""
-        factor = self._decay_to(rows, now)
-        alpha = self._prior_alpha + gather_f64(self._alpha, rows) * factor
-        beta = self._prior_beta + gather_f64(self._beta, rows) * factor
+        alpha, beta = self._posterior(rows, now)
         return alpha / (alpha + beta)
 
     def scores_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
         self._record_query(len(subject_ids))
-        if self._cache_scores:
-            # Decayed scores are a function of (row evidence, now): a new
-            # query time invalidates every cached entry at once by bumping
-            # the generation; rows are then recomputed lazily as queried.
-            if now != self._cache_now:
-                self._cache_now = now
-                self._generation += 1
-            rows = self._index.lookup_many(subject_ids)
-            return _scores_via_cache(
-                self._score_cache,
-                self._cache_gen,
-                self._generation,
-                rows,
-                self._prior_score,
-                lambda stale: self._row_scores(stale, now),
-            )
-        alpha, beta = self.beliefs_for(subject_ids, now=now)
-        return alpha / (alpha + beta)
+        table = self._table
+        return table.cached_scores(
+            table.index.lookup_many(subject_ids),
+            self._prior_alpha / (self._prior_alpha + self._prior_beta),
+            lambda stale: self._row_scores(stale, now),
+            key=now if self.DECAYS else None,
+        )
 
     def aggregate_witness_reports(
         self,
@@ -844,69 +515,129 @@ class DecayTrustBackend(TrustBackend):
         return alpha / (alpha + beta)
 
     def belief(self, subject_id: str, now: Optional[float] = None) -> BetaBelief:
-        row = self._index.get(subject_id)
-        if row is None:
-            return BetaBelief(self._prior_alpha, self._prior_beta)
-        factor = float(self._decay_to(np.array([row]), now)[0])
-        return BetaBelief(
-            self._prior_alpha + float(storage.get_item(self._alpha, row)) * factor,
-            self._prior_beta + float(storage.get_item(self._beta, row)) * factor,
-        )
+        """Posterior :class:`BetaBelief` (prior when the subject is unknown).
 
-    def trust(self, subject_id: str, now: Optional[float] = None) -> float:
-        return self.score(subject_id, now=now)
+        The scalar read witnesses answer from, so it stays on scalar
+        indexing rather than the batch path.
+        """
+        row = self._table.index.get(subject_id)
+        if row is None:
+            return self.prior
+        alpha = float(get_item(self._table["alpha"], row))
+        beta = float(get_item(self._table["beta"], row))
+        factor = self._decay_factor(np.array([row]), now) if self.DECAYS else None
+        if factor is not None:
+            alpha, beta = alpha * float(factor[0]), beta * float(factor[0])
+        return BetaBelief(self._prior_alpha + alpha, self._prior_beta + beta)
 
     def observation_count(self, subject_id: str) -> int:
-        row = self._index.get(subject_id)
-        return 0 if row is None else int(storage.get_item(self._count, row))
+        row = self._table.index.get(subject_id)
+        return 0 if row is None else int(get_item(self._table["count"], row))
 
     def known_subjects(self) -> Tuple[str, ...]:
-        return self._index.names()
+        return self._table.index.names()
 
     def row_count(self) -> int:
-        return len(self._index)
+        return len(self._table)
+
+    def _config_items(self) -> Iterator[Tuple[str, np.ndarray]]:
+        yield "prior", np.array([self._prior_alpha, self._prior_beta])
+
+    def _restore_config(self, state: Dict[str, np.ndarray]) -> None:
+        self._prior_alpha, self._prior_beta = (float(p) for p in state["prior"])
 
     def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
-        # Canonical float64/int64 snapshot dtypes regardless of layout; see
-        # BetaTrustBackend.snapshot_items.
-        size = len(self._index)
         yield "backend", np.array(self.name)
-        yield "peer_ids", np.array(self._index.names(), dtype=object)
-        yield "prior", np.array([self._prior_alpha, self._prior_beta])
-        yield "half_life", np.array([self._half_life])
-        yield "alpha", materialize(self._alpha, size, np.float64)
-        yield "beta", materialize(self._beta, size, np.float64)
-        yield "ref", materialize(self._ref, size, np.float64)
-        yield "count", materialize(self._count, size, np.int64)
-
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        return dict(self.snapshot_items())
+        yield "peer_ids", self._table.peer_ids()
+        yield from self._config_items()
+        yield from self._table.column_items()
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
         self._check_snapshot_backend(state)
-        self._prior_alpha, self._prior_beta = (float(p) for p in state["prior"])
+        self._restore_config(state)
+        self._table.restore(state)
+
+
+class DecayTrustBackend(BetaTrustBackend):
+    """Beta trust with exponential evidence decay, updated online in O(1).
+
+    Keeps, per subject, the honest/dishonest evidence sums *normalised at the
+    newest observation's timestamp* (the subject's reference time, the extra
+    ``ref`` column).  Because exponential decay is multiplicative, the
+    accumulators can be renormalised incrementally — no observation log and
+    no rescan.  Scoring at ``now`` applies one further decay factor
+    ``0.5 ** ((now - ref) / half_life)``.
+
+    Equivalent to ``BetaTrustModel(decay=ExponentialDecay(half_life))``
+    queried at any ``now >= ref``; scoring with ``now=None`` evaluates at the
+    reference time (the newest evidence).
+
+    ``compact=True`` selects the memory-bounded layout; the reference-time
+    column stays float64 so long simulations never lose timestamp
+    precision.  Decayed scores depend on the query time, so the score cache
+    is keyed by ``now``: a query at a new ``now`` lazily recomputes only
+    the rows it actually touches.
+    """
+
+    name = "decay"
+
+    COLUMNS = ("alpha", "beta", "ref", "count")
+    DECAYS = True
+
+    def __init__(
+        self,
+        prior_alpha: float = 1.0,
+        prior_beta: float = 1.0,
+        half_life: float = 100.0,
+        compact: bool = False,
+    ) -> None:
+        super().__init__(prior_alpha, prior_beta, compact)
+        if half_life <= 0:
+            raise TrustModelError(f"half_life must be > 0, got {half_life}")
+        self._half_life = half_life
+
+    @property
+    def half_life(self) -> float:
+        return self._half_life
+
+    def _evidence_weights(
+        self,
+        observations: Sequence[TrustObservation],
+        idx: np.ndarray,
+        touched: np.ndarray,
+        weights: np.ndarray,
+    ) -> np.ndarray:
+        # Advance each touched subject's reference time to the newest
+        # timestamp seen, renormalising the existing accumulators, then add
+        # every observation decayed from its own timestamp to the new
+        # reference.  The result is order-independent, so the whole batch
+        # vectorizes.
+        times = np.fromiter(
+            (o.timestamp for o in observations), dtype=np.float64, count=len(idx)
+        )
+        ref = self._table["ref"]
+        old_ref = gather(ref, touched)
+        scatter_max(ref, idx, times)
+        factor = np.power(0.5, (gather(ref, touched) - old_ref) / self._half_life)
+        multiply_at(self._table["alpha"], touched, factor)
+        multiply_at(self._table["beta"], touched, factor)
+        return weights * np.power(0.5, (gather(ref, idx) - times) / self._half_life)
+
+    def _decay_factor(
+        self, rows: np.ndarray, now: Optional[float]
+    ) -> Optional[np.ndarray]:
+        if now is None:
+            return None
+        age = np.maximum(0.0, now - gather(self._table["ref"], rows))
+        return np.power(0.5, age / self._half_life)
+
+    def _config_items(self) -> Iterator[Tuple[str, np.ndarray]]:
+        yield from super()._config_items()
+        yield "half_life", np.array([self._half_life])
+
+    def _restore_config(self, state: Dict[str, np.ndarray]) -> None:
+        super()._restore_config(state)
         self._half_life = float(state["half_life"][0])
-        self._index = _PeerIndex.from_names(state["peer_ids"])
-        self._alpha = storage.storage_from(
-            np.asarray(state["alpha"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._beta = storage.storage_from(
-            np.asarray(state["beta"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._ref = storage.storage_from(
-            np.asarray(state["ref"], dtype=np.float64), np.float64, self._compact
-        )
-        self._count = storage.storage_from(
-            np.asarray(state["count"], dtype=np.int64),
-            self._count_dtype,
-            self._compact,
-        )
-        self._reset_cache()
-        self._ensure_capacity()
 
 
 class ComplaintTrustBackend(TrustBackend):
@@ -932,6 +663,9 @@ class ComplaintTrustBackend(TrustBackend):
 
     METRIC_MODES = ("product", "received", "balanced")
 
+    #: Counter columns, in snapshot order.
+    COLUMNS: Tuple[str, ...] = ("received", "filed", "in_store")
+
     def __init__(
         self,
         store: Optional[ComplaintStore] = None,
@@ -939,7 +673,6 @@ class ComplaintTrustBackend(TrustBackend):
         trust_scale: float = 3.0,
         metric_mode: str = "product",
         compact: bool = False,
-        cache_scores: bool = True,
     ) -> None:
         if tolerance_factor <= 0:
             raise TrustModelError(
@@ -956,21 +689,13 @@ class ComplaintTrustBackend(TrustBackend):
         self._trust_scale = trust_scale
         self._metric_mode = metric_mode
         self._row_filter: Optional[Callable[[str], bool]] = None
-        self._index = _PeerIndex()
-        # Complaint counts are small integers, exactly representable in
-        # float32 up to 2**24, so the compact layout loses no precision here.
-        self._compact = bool(compact)
-        self._cache_scores = bool(cache_scores)
-        self._count_dtype = np.float32 if compact else np.float64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._received = storage.make_array(self._count_dtype, compact)
-        self._filed = storage.make_array(self._count_dtype, compact)
-        self._in_store = storage.make_array(np.bool_, compact)
-        self._cached_reference = 0.0
-        self._reference_valid = False
-        self._sized = hasattr(self._store, "__len__")
-        self._synced_len = 0 if self._sized else None
-        if self._sized and len(self._store) > 0:  # type: ignore[arg-type]
-            self._synced_len = -1  # force initial rebuild
+        self._table = EvidenceTable(self.COLUMNS, compact)
+        self._reference_cache: Optional[float] = None
+        # Sized stores are change-tracked by length (-1 forces an initial
+        # rebuild over a non-empty store); unsized ones are never synced.
+        self._synced_len: Optional[int] = None
+        if hasattr(self._store, "__len__"):
+            self._synced_len = -1 if len(self._store) else 0  # type: ignore[arg-type]
 
     # -- configuration ---------------------------------------------------
     @property
@@ -983,7 +708,7 @@ class ComplaintTrustBackend(TrustBackend):
 
     @property
     def compact(self) -> bool:
-        return self._compact
+        return self._table.compact
 
     def restrict_rows(self, row_filter: Callable[[str], bool]) -> None:
         """Maintain complaint counters only for agents passing ``row_filter``.
@@ -996,7 +721,7 @@ class ComplaintTrustBackend(TrustBackend):
         partition.  The underlying store still persists every delivered
         complaint.  Must be configured before any evidence arrives.
         """
-        if len(self._index) or (self._sized and len(self._store)):  # type: ignore[arg-type]
+        if len(self._table) or (self._synced_len is not None and len(self._store)):  # type: ignore[arg-type]
             raise TrustModelError(
                 "restrict_rows must be configured before evidence arrives"
             )
@@ -1016,7 +741,7 @@ class ComplaintTrustBackend(TrustBackend):
         return self._store.known_agents()
 
     def __len__(self) -> int:
-        if self._sized:
+        if self._synced_len is not None:
             return len(self._store)  # type: ignore[arg-type]
         return len(self._store.known_agents())
 
@@ -1042,38 +767,43 @@ class ComplaintTrustBackend(TrustBackend):
 
     def _ingest(self, complaints: Sequence[Complaint]) -> None:
         """Persist a batch of complaints and keep the counters consistent."""
+        if self._synced_len is not None:
+            self._sync()
+        for complaint in complaints:
+            self._store.file_complaint(complaint)  # repro: allow(PERF001) — ComplaintStore has no batch ingest; this loop implements record_complaints
         if self._synced_len is None:
             # Unsized store: counters are recounted from the store on every
             # read anyway, so writes only persist (incrementing here would be
             # dead work and syncing would trigger a full remote recount per
             # write).
-            for complaint in complaints:
-                self._store.file_complaint(complaint)  # repro: allow(PERF001) — ComplaintStore has no batch ingest; this loop implements record_complaints
             return
-        self._sync()
-        for complaint in complaints:
-            self._store.file_complaint(complaint)  # repro: allow(PERF001) — ComplaintStore has no batch ingest; this loop implements record_complaints
-        row_filter = self._row_filter
+        accused, filed_by = self._count(complaints)
+        in_store = self._table["in_store"]
+        scatter_set(in_store, accused, True)
+        scatter_set(in_store, filed_by, True)
+        self._synced_len += len(complaints)
+        self._reference_cache = None
+
+    def _count(
+        self, complaints: Sequence[Complaint]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Add a batch to the received/filed counters; return the rows hit.
+
+        Agents failing the row filter are skipped.  Unseen agents are
+        interned all accused first, then all complainants, in batch order.
+        """
         accused_ids = [c.accused_id for c in complaints]
         filed_ids = [c.complainant_id for c in complaints]
+        row_filter = self._row_filter
         if row_filter is not None:
             accused_ids = [agent for agent in accused_ids if row_filter(agent)]
             filed_ids = [agent for agent in filed_ids if row_filter(agent)]
-        accused = self._index.intern_many(accused_ids)
-        filed_by = self._index.intern_many(filed_ids)
-        self._ensure_capacity()
-        scatter_add(self._received, accused, 1.0)
-        scatter_add(self._filed, filed_by, 1.0)
-        scatter_set(self._in_store, accused, True)
-        scatter_set(self._in_store, filed_by, True)
-        self._synced_len += len(complaints)
-        self._reference_valid = False
-
-    def _ensure_capacity(self) -> None:
-        size = len(self._index)
-        self._received = storage.grow(self._received, size)
-        self._filed = storage.grow(self._filed, size)
-        self._in_store = storage.grow(self._in_store, size)
+        table = self._table
+        accused = table.intern_many(accused_ids)
+        filed_by = table.intern_many(filed_ids)
+        scatter_add(table["received"], accused, 1.0)
+        scatter_add(table["filed"], filed_by, 1.0)
+        return accused, filed_by
 
     # -- cache consistency ------------------------------------------------
     def _sync(self) -> None:
@@ -1087,44 +817,24 @@ class ComplaintTrustBackend(TrustBackend):
             self._synced_len = current
 
     def _rebuild(self) -> None:
-        agents = list(self._store.known_agents())
+        store = self._store
+        known = list(store.known_agents())
+        agents = known
         if self._row_filter is not None:
-            agents = [agent for agent in agents if self._row_filter(agent)]
-        for agent_id in agents:
-            self._index.intern(agent_id)
-        self._ensure_capacity()
-        storage.fill(self._received, 0.0)
-        storage.fill(self._filed, 0.0)
-        storage.fill(self._in_store, False)
-        complaints: Optional[Iterable[Complaint]] = None
-        if hasattr(self._store, "all_complaints"):
-            complaints = self._store.all_complaints()  # type: ignore[attr-defined]
-        if complaints is not None:
-            intern = self._index.intern
-            row_filter = self._row_filter
-            for complaint in complaints:
-                if row_filter is None or row_filter(complaint.accused_id):
-                    accused = intern(complaint.accused_id)
-                    self._ensure_capacity()
-                    storage.add_item(self._received, accused, 1.0)
-                if row_filter is None or row_filter(complaint.complainant_id):
-                    complainant = intern(complaint.complainant_id)
-                    self._ensure_capacity()
-                    storage.add_item(self._filed, complainant, 1.0)
+            agents = [agent for agent in known if self._row_filter(agent)]
+        # Interning every known agent first fixes the row order, whatever
+        # order the complaint log then counts them in.
+        table = self._table
+        rows = table.intern_many(agents)
+        table.zero()
+        if hasattr(store, "all_complaints"):
+            complaints = store.all_complaints()  # type: ignore[attr-defined]
         else:
-            for agent_id in agents:
-                row = self._index.intern(agent_id)
-                storage.set_item(
-                    self._received,
-                    row,
-                    float(len(self._store.complaints_about(agent_id))),
-                )
-                storage.set_item(
-                    self._filed, row, float(len(self._store.complaints_by(agent_id)))
-                )
-        for agent_id in agents:
-            storage.set_item(self._in_store, self._index.intern(agent_id), True)
-        self._reference_valid = False
+            # Every complaint has exactly one accused: this lists the log once.
+            complaints = [c for agent in known for c in store.complaints_about(agent)]
+        self._count(complaints)
+        scatter_set(table["in_store"], rows, True)
+        self._reference_cache = None
 
     # -- assessment -------------------------------------------------------
     def _metric_of(self, received: np.ndarray, filed: np.ndarray) -> np.ndarray:
@@ -1135,20 +845,29 @@ class ComplaintTrustBackend(TrustBackend):
             return received.copy()
         return received * (1.0 + filed)
 
-    def _metrics(self) -> np.ndarray:
-        size = len(self._index)
-        return self._metric_of(
-            storage.prefix_view(self._received, size).astype(np.float64, copy=False),
-            storage.prefix_view(self._filed, size).astype(np.float64, copy=False),
+    def _in_store_metrics(self) -> np.ndarray:
+        table = self._table
+        size = len(table)
+        metrics = self._metric_of(
+            prefix_view(table["received"], size).astype(np.float64, copy=False),
+            prefix_view(table["filed"], size).astype(np.float64, copy=False),
         )
+        return metrics[prefix_view(table["in_store"], size)]
 
-    def _rows_for(self, subject_ids: Sequence[str]) -> np.ndarray:
-        """Array rows for ``subject_ids`` (-1 marks unknown subjects)."""
-        return self._index.lookup_many(subject_ids)
+    def _counts_of(self, subject_ids: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(received, filed)`` count vectors, zero for unknown subjects.
 
-    def _scores_from_metrics(self, metrics: np.ndarray) -> np.ndarray:
-        """Map decision metrics to [0, 1] trust against the community reference."""
-        return self.scores_from_metrics(metrics, reference=self._reference())
+        Only the queried rows are gathered, so a query against a
+        million-row table costs O(query), not O(table).
+        """
+        self._sync()
+        rows = self._table.index.lookup_many(subject_ids)
+        received = np.zeros(len(rows))
+        filed = np.zeros(len(rows))
+        known = rows >= 0
+        received[known] = gather_f64(self._table["received"], rows[known])
+        filed[known] = gather_f64(self._table["filed"], rows[known])
+        return received, filed
 
     def scores_from_metrics(
         self, metrics: np.ndarray, reference: float
@@ -1171,31 +890,13 @@ class ComplaintTrustBackend(TrustBackend):
         return metrics <= self._tolerance_factor
 
     def metrics_for(self, subject_ids: Sequence[str]) -> np.ndarray:
-        """Per-subject decision metrics (0 for unknown subjects).
-
-        Computed row-locally: only the queried rows are gathered and pushed
-        through the metric, so a query against a million-row table costs
-        O(query), not O(table).  The metric is elementwise, so this equals
-        the historical compute-all-then-gather result bit for bit.
-        """
-        self._sync()
-        rows = self._rows_for(subject_ids)
-        subject_metrics = np.zeros(len(rows))
-        known = rows >= 0
-        if known.any():
-            known_rows = rows[known]
-            subject_metrics[known] = self._metric_of(
-                gather_f64(self._received, known_rows),
-                gather_f64(self._filed, known_rows),
-            )
-        return subject_metrics
+        """Per-subject decision metrics (0 for unknown subjects)."""
+        return self._metric_of(*self._counts_of(subject_ids))
 
     def metric_values_in_store(self) -> np.ndarray:
         """Metric values of every in-store agent (the median's input)."""
         self._sync()
-        return self._metrics()[
-            storage.prefix_view(self._in_store, len(self._index))
-        ]
+        return self._in_store_metrics()
 
     def reference_metric(self) -> float:
         """The community's median complaint metric (0 when no data)."""
@@ -1206,32 +907,28 @@ class ComplaintTrustBackend(TrustBackend):
         # The median is the one whole-table pass on the query path; it only
         # changes when evidence does, so it is cached until the next write
         # (or store rebuild) invalidates it.
-        if self._cache_scores and self._reference_valid:
-            return self._cached_reference
-        metrics = self._metrics()[
-            storage.prefix_view(self._in_store, len(self._index))
-        ]
-        reference = 0.0 if metrics.size == 0 else float(np.median(metrics))
-        self._cached_reference = reference
-        self._reference_valid = True
-        return reference
+        if self._reference_cache is None:
+            metrics = self._in_store_metrics()
+            self._reference_cache = float(np.median(metrics)) if metrics.size else 0.0
+        return self._reference_cache
 
     def counts(self, agent_id: str) -> Tuple[int, int]:
         """``(received, filed)`` complaint counts for one agent."""
         self._sync()
-        row = self._index.get(agent_id)
+        row = self._table.index.get(agent_id)
         if row is None:
             return (0, 0)
         return (
-            int(storage.get_item(self._received, row)),
-            int(storage.get_item(self._filed, row)),
+            int(get_item(self._table["received"], row)),
+            int(get_item(self._table["filed"], row)),
         )
 
     def scores_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
         self._record_query(len(subject_ids))
-        return self._scores_from_metrics(self.metrics_for(subject_ids))
+        metrics = self.metrics_for(subject_ids)
+        return self.scores_from_metrics(metrics, self._reference())
 
     def witness_metrics_for(
         self,
@@ -1243,13 +940,7 @@ class ComplaintTrustBackend(TrustBackend):
         matrix, discounts = validate_witness_matrix(
             len(subject_ids), witness_belief_matrix, discount_vector, positive=False
         )
-        self._sync()
-        rows = self._rows_for(subject_ids)
-        received = np.zeros(len(rows))
-        filed = np.zeros(len(rows))
-        known = rows >= 0
-        received[known] = gather_f64(self._received, rows[known])
-        filed[known] = gather_f64(self._filed, rows[known])
+        received, filed = self._counts_of(subject_ids)
         if matrix.shape[0] > 0:
             reported = witness_report_sums(matrix, discounts)
             received = received + reported[:, 0]
@@ -1280,10 +971,7 @@ class ComplaintTrustBackend(TrustBackend):
         metrics = self.witness_metrics_for(
             subject_ids, witness_belief_matrix, discount_vector
         )
-        return self._scores_from_metrics(metrics)
-
-    def trust(self, subject_id: str, now: Optional[float] = None) -> float:
-        return self.score(subject_id, now=now)
+        return self.scores_from_metrics(metrics, self._reference())
 
     def trust_decisions(
         self,
@@ -1308,20 +996,18 @@ class ComplaintTrustBackend(TrustBackend):
         # The synced index/_in_store pair already holds the store's agent
         # set; answering from it avoids the store's O(complaints x agents)
         # rescan on the fast path.
-        size = len(self._index)
-        in_store = storage.prefix_view(self._in_store, size)
-        names = self._index.names()
-        return tuple(names[row] for row in range(size) if in_store[row])
+        table = self._table
+        names = table.index.names()
+        in_store = prefix_view(table["in_store"], len(table))
+        return tuple(names[row] for row in np.flatnonzero(in_store))
 
     def row_count(self) -> int:
         self._sync()
-        size = len(self._index)
-        if isinstance(self._in_store, storage.ChunkedArray):
-            return sum(
-                int(np.count_nonzero(chunk))
-                for _, chunk in self._in_store.iter_prefix(size)
-            )
-        return int(np.count_nonzero(self._in_store[:size]))
+        table = self._table
+        return sum(
+            int(np.count_nonzero(chunk))
+            for _, chunk in prefix_chunks(table["in_store"], len(table))
+        )
 
     def all_complaints(self) -> Tuple[Complaint, ...]:
         """Every complaint in the underlying store (requires enumeration)."""
@@ -1331,7 +1017,7 @@ class ComplaintTrustBackend(TrustBackend):
             )
         return tuple(self._store.all_complaints())  # type: ignore[attr-defined]
 
-    def snapshot(self) -> Dict[str, np.ndarray]:
+    def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
         """Counters plus the full complaint log (needed for the round-trip).
 
         Requires a store exposing ``all_complaints``: the local store, this
@@ -1341,29 +1027,18 @@ class ComplaintTrustBackend(TrustBackend):
         do, so distributed complaint state checkpoints through the same
         path.
         """
-        return dict(self.snapshot_items())
-
-    def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
         if not hasattr(self._store, "all_complaints"):
             raise TrustModelError(
                 "complaint store does not expose all_complaints(); "
                 "snapshot it through its own persistence instead"
             )
         self._sync()
-        size = len(self._index)
         yield "backend", np.array(self.name)
-        yield "peer_ids", np.array(self._index.names(), dtype=object)
+        yield "peer_ids", self._table.peer_ids()
         yield "config", np.array([self._tolerance_factor, self._trust_scale])
         yield "metric_mode", np.array(self._metric_mode)
-        yield "received", materialize(self._received, size, np.float64)
-        yield "filed", materialize(self._filed, size, np.float64)
-        yield "in_store", materialize(self._in_store, size, np.bool_)
-        complaints = self.all_complaints()
-        yield "complainants", np.array(
-            [c.complainant_id for c in complaints], dtype=object
-        )
-        yield "accused", np.array([c.accused_id for c in complaints], dtype=object)
-        yield "timestamps", np.array([c.timestamp for c in complaints])
+        yield from self._table.column_items()
+        yield from complaint_log_items(self.all_complaints())
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
         """Restore counters and refill a private local complaint store.
@@ -1377,36 +1052,30 @@ class ComplaintTrustBackend(TrustBackend):
             float(v) for v in state["config"]
         )
         self._metric_mode = str(np.asarray(state["metric_mode"]).item())
-        self._index = _PeerIndex.from_names(state["peer_ids"])
-        self._received = storage.storage_from(
-            np.asarray(state["received"], dtype=np.float64),
-            self._count_dtype,
-            self._compact,
-        )
-        self._filed = storage.storage_from(
-            np.asarray(state["filed"], dtype=np.float64),
-            self._count_dtype,
-            self._compact,
-        )
-        self._in_store = storage.storage_from(
-            np.asarray(state["in_store"], dtype=bool), np.bool_, self._compact
-        )
-        self._reference_valid = False
+        self._table.restore(state)
+        self._reference_cache = None
         store = LocalComplaintStore()
-        for complainant, accused, timestamp in zip(
-            state["complainants"], state["accused"], state["timestamps"]
-        ):
-            store.file_complaint(  # repro: allow(PERF001) — cold restore path re-filing the snapshot log into a fresh store
-                Complaint(
-                    complainant_id=str(complainant),
-                    accused_id=str(accused),
-                    timestamp=float(timestamp),
-                )
-            )
+        for complaint in complaints_from_snapshot(state):
+            store.file_complaint(complaint)  # repro: allow(PERF001) — cold restore path re-filing the snapshot log into a fresh store
         self._store = store
-        self._sized = True
         self._synced_len = len(store)
-        self._ensure_capacity()
+
+
+def complaint_log_items(
+    complaints: Sequence[Complaint],
+) -> Iterator[Tuple[str, np.ndarray]]:
+    """A complaint log as the snapshot's three log columns, in filing order."""
+    yield "complainants", np.array([c.complainant_id for c in complaints], dtype=object)
+    yield "accused", np.array([c.accused_id for c in complaints], dtype=object)
+    yield "timestamps", np.array([c.timestamp for c in complaints])
+
+
+def complaints_from_snapshot(state: Mapping[str, np.ndarray]) -> List[Complaint]:
+    """The complaint log held in a snapshot's log columns, in filing order."""
+    return [
+        Complaint(complainant_id=str(c), accused_id=str(a), timestamp=float(t))
+        for c, a, t in zip(state["complainants"], state["accused"], state["timestamps"])
+    ]
 
 
 class ScalarBetaBackendAdapter(TrustBackend):
@@ -1539,8 +1208,7 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     All remaining keyword parameters are forwarded to the backend factory
     (and, when sharded, to every shard).  The built-in backends accept
     ``compact=True`` for the memory-bounded evidence layout (narrow dtypes +
-    chunked growth; see :mod:`repro.trust.storage`) and ``cache_scores``
-    (default ``True``) for the dirty-row score cache.
+    chunked growth; see :mod:`repro.trust.storage`).
     """
     shards = int(params.pop("shards", 1))  # type: ignore[arg-type]
     router = params.pop("router", "hash")

@@ -108,6 +108,7 @@ from repro.trust.backend import (
     ComplaintTrustBackend,
     TrustBackend,
     TrustObservation,
+    complaints_from_snapshot,
     create_backend,
 )
 from repro.trust.evidence import Complaint
@@ -652,9 +653,6 @@ class ShardedBackend(TrustBackend):
         )
 
     def _config_parts(self) -> List[str]:
-        def flag(value: object) -> str:
-            return "on" if value else "off"
-
         rebalance = "rebalance off"
         if self._rebalance is not None:
             rebalance = "rebalance auto@{:g} (max {})".format(
@@ -664,8 +662,7 @@ class ShardedBackend(TrustBackend):
             self.kind,
             "{} shards, {} router".format(len(self._shards), self._router.name),
             rebalance,
-            "compact " + flag(self._shard_params.get("compact", False)),
-            "cache-scores " + flag(self._shard_params.get("cache_scores", True)),
+            "compact " + ("on" if self._shard_params.get("compact") else "off"),
         ]
 
     def bind_telemetry(self, registry) -> None:
@@ -913,8 +910,8 @@ class ShardedBackend(TrustBackend):
             float(value) for value in shard_state["config"]
         )
         # The snapshot's scoring configuration overrides whatever the shard
-        # params carry; layout/caching knobs (compact, cache_scores) are
-        # deployment configuration and stay with this wrapper's params.
+        # params carry; the storage layout (compact) is deployment
+        # configuration and stays with this wrapper's params.
         return self._create_shard(
             home_index,
             tolerance_factor=tolerance_factor,
@@ -938,14 +935,7 @@ class ShardedBackend(TrustBackend):
             self._complaint_shard_from_config(state, moved_index),
         )
         batches: Tuple[List[Complaint], List[Complaint]] = ([], [])
-        for complainant, accused, timestamp in zip(
-            state["complainants"], state["accused"], state["timestamps"]
-        ):
-            complaint = Complaint(
-                complainant_id=str(complainant),
-                accused_id=str(accused),
-                timestamp=float(timestamp),
-            )
+        for complaint in complaints_from_snapshot(state):
             targets = {
                 self.shard_index_of(complaint.accused_id),
                 self.shard_index_of(complaint.complainant_id),
@@ -1072,9 +1062,6 @@ class ShardedBackend(TrustBackend):
         self._reference_cache = (self._writes, reference)
         return reference
 
-    def trust(self, subject_id: str, now: Optional[float] = None) -> float:
-        return self.score(subject_id, now=now)
-
     def counts(self, agent_id: str) -> Tuple[int, int]:
         """``(received, filed)`` complaint counts from the agent's home shard."""
         return self._home_shard(agent_id).counts(agent_id)
@@ -1139,7 +1126,10 @@ class ShardedBackend(TrustBackend):
         prefix manifest.  Shard columns are materialised one at a time, so
         checkpointing a million-row sharded table holds at most one
         evidence column in memory beyond the consumer's own buffering —
-        :meth:`snapshot` is simply ``dict`` of this stream.
+        :meth:`snapshot` is simply ``dict`` of this stream.  The router
+        state matters once live splits have run: the shards are no longer
+        equal-width, and re-filing a snapshot's complaint logs needs the
+        exact key table they were written under.
         """
         yield "backend", np.array(self.name)
         yield "kind", np.array(self.kind)
@@ -1155,17 +1145,6 @@ class ShardedBackend(TrustBackend):
             for key, value in shard.snapshot_items():
                 yield f"{prefix}/{key}", value
         yield "manifest", np.array(prefixes, dtype=object)
-
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        """Serialise every shard independently under a ``shard-NNNN/`` prefix.
-
-        The manifest (shard prefixes, router name *and boundary state*,
-        inner kind) is what a restore onto a different shard layout needs.
-        The router state matters once live splits have run: the shards are
-        no longer equal-width, and re-filing a snapshot's complaint logs
-        needs the exact key table they were written under.
-        """
-        return dict(self.snapshot_items())
 
     def _check_manifest(self, meta: Dict[str, np.ndarray]) -> None:
         """Reject a manifest this backend cannot restore, before any change."""
@@ -1302,21 +1281,12 @@ class ShardedBackend(TrustBackend):
         de-duplicated by keeping each shard's accused-home complaints, then
         re-filed onto fresh shards under the live layout.
         """
-        complaints: List[Complaint] = []
-        for index, shard_state in enumerate(shard_states):
-            for complainant, accused, timestamp in zip(
-                shard_state["complainants"],
-                shard_state["accused"],
-                shard_state["timestamps"],
-            ):
-                if old_router.shard_of(str(accused)) == index:
-                    complaints.append(
-                        Complaint(
-                            complainant_id=str(complainant),
-                            accused_id=str(accused),
-                            timestamp=float(timestamp),
-                        )
-                    )
+        complaints = [
+            complaint
+            for index, shard_state in enumerate(shard_states)
+            for complaint in complaints_from_snapshot(shard_state)
+            if old_router.shard_of(complaint.accused_id) == index
+        ]
         self._shards = tuple(
             self._complaint_shard_from_config(shard_states[0], index)
             for index in range(len(self._shards))

@@ -19,21 +19,36 @@ The helpers (:func:`gather`, :func:`scatter_add`, …) dispatch on the array
 type so backend code reads identically for both layouts.  Chunked operations
 group indices by chunk with one stable sort and then run the same numpy
 kernels per chunk; duplicate-index semantics (``np.add.at`` accumulation,
-last-write-wins assignment) are preserved.
+last-write-wins assignment) are preserved.  Backends keep their columns
+in an :class:`EvidenceTable`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 __all__ = [
     "CHUNK_SIZE",
+    "COLUMNS",
     "ChunkedArray",
     "EvidenceArray",
+    "EvidenceTable",
+    "PeerIndex",
     "make_array",
-    "storage_from",
     "grow",
     "gather",
     "gather_f64",
@@ -43,8 +58,6 @@ __all__ = [
     "multiply_at",
     "fill",
     "get_item",
-    "set_item",
-    "add_item",
     "materialize",
     "prefix_view",
     "prefix_chunks",
@@ -76,14 +89,6 @@ class ChunkedArray:
         self._chunk_size = chunk_size
         self._shift = chunk_size.bit_length() - 1
         self._mask = chunk_size - 1
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
-    @property
-    def chunk_size(self) -> int:
-        return self._chunk_size
 
     def __len__(self) -> int:
         return len(self._chunks) * self._chunk_size
@@ -123,34 +128,30 @@ class ChunkedArray:
             out[mask] = chunk[within]
         return out
 
-    def scatter_add(self, idx: np.ndarray, values) -> None:
+    def _groups(self, idx: np.ndarray, values) -> Iterator:
+        """Yield ``(chunk, within-chunk positions, their values)`` groups."""
         if len(idx) == 0:
             return
         scalar = np.ndim(values) == 0
         for chunk, within, mask in self._split(idx):
-            np.add.at(chunk, within, values if scalar else values[mask])
+            yield chunk, within, values if scalar else values[mask]
+
+    def scatter_add(self, idx: np.ndarray, values) -> None:
+        for chunk, within, group in self._groups(idx, values):
+            np.add.at(chunk, within, group)
 
     def scatter_max(self, idx: np.ndarray, values) -> None:
-        if len(idx) == 0:
-            return
-        scalar = np.ndim(values) == 0
-        for chunk, within, mask in self._split(idx):
-            np.maximum.at(chunk, within, values if scalar else values[mask])
+        for chunk, within, group in self._groups(idx, values):
+            np.maximum.at(chunk, within, group)
 
     def scatter_set(self, idx: np.ndarray, values) -> None:
-        if len(idx) == 0:
-            return
-        scalar = np.ndim(values) == 0
-        for chunk, within, mask in self._split(idx):
-            chunk[within] = values if scalar else values[mask]
+        for chunk, within, group in self._groups(idx, values):
+            chunk[within] = group
 
     def multiply_at(self, idx: np.ndarray, factors) -> None:
         """In-place multiply at (unique) indices."""
-        if len(idx) == 0:
-            return
-        scalar = np.ndim(factors) == 0
-        for chunk, within, mask in self._split(idx):
-            chunk[within] *= factors if scalar else factors[mask]
+        for chunk, within, group in self._groups(idx, factors):
+            chunk[within] *= group
 
     # -- whole-array operations ------------------------------------------
     def fill(self, value) -> None:
@@ -184,25 +185,11 @@ class ChunkedArray:
 EvidenceArray = Union[np.ndarray, ChunkedArray]
 
 
-def make_array(dtype: np.dtype, chunked: bool, chunk_size: int = CHUNK_SIZE) -> EvidenceArray:
+def make_array(dtype: np.dtype, chunked: bool) -> EvidenceArray:
     """An empty evidence column in the requested layout."""
     if chunked:
-        return ChunkedArray(dtype, chunk_size=chunk_size)
+        return ChunkedArray(dtype)
     return np.zeros(0, dtype=dtype)
-
-
-def storage_from(
-    values: np.ndarray, dtype: np.dtype, chunked: bool
-) -> EvidenceArray:
-    """An evidence column initialised from a snapshot array (cast to ``dtype``)."""
-    values = np.asarray(values)
-    array = make_array(dtype, chunked)
-    array = grow(array, len(values))
-    if isinstance(array, ChunkedArray):
-        array.assign_prefix(values.astype(dtype, copy=False))
-    else:
-        array[: len(values)] = values
-    return array
 
 
 def grow(array: EvidenceArray, size: int) -> EvidenceArray:
@@ -276,20 +263,6 @@ def get_item(array: EvidenceArray, index: int):
     return array[index]
 
 
-def set_item(array: EvidenceArray, index: int, value) -> None:
-    if isinstance(array, ChunkedArray):
-        array.scatter_set(np.array([index], dtype=np.int64), value)
-    else:
-        array[index] = value
-
-
-def add_item(array: EvidenceArray, index: int, value) -> None:
-    if isinstance(array, ChunkedArray):
-        array.scatter_add(np.array([index], dtype=np.int64), value)
-    else:
-        array[index] += value
-
-
 def materialize(
     array: EvidenceArray, size: int, dtype: Optional[np.dtype] = None
 ) -> np.ndarray:
@@ -316,3 +289,230 @@ def prefix_chunks(array: EvidenceArray, size: int) -> Iterator:
         yield from array.iter_prefix(size)
     elif size > 0:
         yield 0, array[:size]
+
+
+class PeerIndex:
+    """Interns peer-id strings to dense integer indices."""
+
+    __slots__ = ("_ids", "_names")
+
+    def __init__(self) -> None:
+        self._ids: Dict[str, int] = {}
+        self._names: List[str] = []
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def intern(self, name: str) -> int:
+        index = self._ids.get(name)
+        if index is None:
+            index = len(self._names)
+            self._ids[name] = index
+            self._names.append(name)
+        return index
+
+    def intern_many(self, names: Sequence[str]) -> np.ndarray:
+        """Row indices for ``names``, interning unseen ids (batch fast path).
+
+        The common steady-state batch repeats already-known subjects, so the
+        lookup is one C-level ``map`` over the id dict; only when that trips
+        over an unseen id are the *unique* new names interned (one dict
+        insert per distinct id, not per occurrence) before the single-pass
+        lookup is retried.  First-occurrence order is preserved, so the
+        index assignment is identical to interning one observation at a
+        time.
+        """
+        getitem = self._ids.__getitem__
+        count = len(names)
+        try:
+            return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
+        except KeyError:
+            intern = self.intern
+            for name in dict.fromkeys(names):
+                intern(name)
+            return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
+
+    def lookup_many(self, names: Sequence[str]) -> np.ndarray:
+        """Row indices for ``names`` with ``-1`` marking unknown ids."""
+        getitem = self._ids.__getitem__
+        count = len(names)
+        try:
+            # Fast path: every id known — one C-level pass, no generator.
+            return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
+        except KeyError:
+            get = self._ids.get
+            return np.fromiter(
+                (-1 if (i := get(s)) is None else i for s in names),
+                dtype=np.int64,
+                count=count,
+            )
+
+    def get(self, name: str) -> Optional[int]:
+        return self._ids.get(name)
+
+    def names(self) -> Tuple[str, ...]:
+        return tuple(self._names)
+
+    @classmethod
+    def from_names(cls, names: Iterable[Any]) -> "PeerIndex":
+        """Rebuild an index from a snapshot's name table (order-preserving)."""
+        index = cls()
+        for name in names:
+            index.intern(str(name))
+        return index
+
+
+#: The declared evidence columns: ``(name, canonical dtype, compact dtype)``.
+#: Snapshots carry the canonical dtype, so compact and default tables share
+#: one format.  Complaint counts are exact in float32 up to 2**24; the decay
+#: reference time stays float64 so long runs keep timestamp precision.
+COLUMNS: Tuple[Tuple[str, type, type], ...] = (
+    ("alpha", np.float64, np.float32),
+    ("beta", np.float64, np.float32),
+    ("ref", np.float64, np.float64),
+    ("count", np.int64, np.int32),
+    ("received", np.float64, np.float32),
+    ("filed", np.float64, np.float32),
+    ("in_store", np.bool_, np.bool_),
+)
+
+#: ``name -> (canonical, compact)`` dtypes, indexable by ``compact``.
+_DTYPES: Dict[str, Tuple[type, type]] = {
+    name: (canonical, compact) for name, canonical, compact in COLUMNS
+}
+
+#: Zero-length flat columns, shared by every new flat table (building one
+#: table per peer must stay cheap): an empty column holds nothing to write
+#: into, and growth replaces it with a fresh array.
+_EMPTY_FLAT: Dict[str, np.ndarray] = {
+    name: np.zeros(0, dtype=canonical) for name, canonical, _ in COLUMNS
+}
+
+
+class EvidenceTable:
+    """Per-subject evidence columns over one interned peer index.
+
+    Holds some of the declared :data:`COLUMNS`, in the owning backend's
+    snapshot order, flat or chunked (``compact=True``, compact dtypes).
+    Rows are the peer index's dense ids; all columns grow together.
+
+    It also keeps the *dirty-row score cache*, allocated on the first
+    :meth:`cached_scores` call: one score and generation per row.
+    :meth:`invalidate` marks rows a write touched, and a new ``key`` (the
+    query time, for decayed scores) invalidates every row at once.
+    """
+
+    def __init__(self, names: Tuple[str, ...], compact: bool = False) -> None:
+        self.compact = bool(compact)
+        if self.compact:
+            self._columns = {name: ChunkedArray(_DTYPES[name][True]) for name in names}
+        else:
+            self._columns = {name: _EMPTY_FLAT[name] for name in names}
+        self._reset(PeerIndex(), 0)
+
+    def _reset(self, index: PeerIndex, capacity: int) -> None:
+        self.index = index
+        #: Rows every column (and the score cache) can hold.
+        self._capacity = capacity
+        self._scores: Optional[EvidenceArray] = None
+        self._score_generations: Optional[EvidenceArray] = None
+        self._generation = 1
+        self._score_key: object = None
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, name: str) -> EvidenceArray:
+        return self._columns[name]
+
+    def ensure_capacity(self) -> None:
+        """Grow every column (and the score cache) to cover every row."""
+        size = len(self.index)
+        if size <= self._capacity:
+            return
+        columns = self._columns
+        for name, array in columns.items():
+            columns[name] = grow(array, size)
+        if self._scores is not None and self._score_generations is not None:
+            self._scores = grow(self._scores, size)
+            self._score_generations = grow(self._score_generations, size)
+        # Columns grow in lockstep, so they share one capacity.
+        self._capacity = len(next(iter(columns.values())))
+
+    def intern_many(self, names: Sequence[str]) -> np.ndarray:
+        """Rows for ``names``, interning unseen ids and growing the columns."""
+        rows = self.index.intern_many(names)
+        self.ensure_capacity()
+        return rows
+
+    def zero(self) -> None:
+        """Reset every column to zero (``False``) without dropping rows."""
+        for array in self._columns.values():
+            fill(array, 0)
+
+    # -- dirty-row score cache -------------------------------------------
+    def invalidate(self, rows: np.ndarray) -> None:
+        """Mark ``rows`` dirty: their next :meth:`cached_scores` recomputes."""
+        if self._score_generations is not None:
+            scatter_set(self._score_generations, rows, 0)
+
+    def cached_scores(
+        self,
+        rows: np.ndarray,
+        prior_score: float,
+        compute: Callable[[np.ndarray], np.ndarray],
+        key: object = None,
+    ) -> np.ndarray:
+        """Scores for ``rows`` (-1 = unknown), recomputing only stale rows.
+
+        A row is stale unless its generation equals the table's; stale rows
+        go through ``compute``, the backend's per-row formula, so a cached
+        score is bit-identical to a recomputed one.  Unknown subjects score
+        ``prior_score`` without touching the cache.
+        """
+        if key != self._score_key:
+            self._score_key = key
+            self._generation += 1
+        out = np.full(len(rows), prior_score)
+        known = rows >= 0
+        if not known.any():
+            return out
+        if self._scores is None or self._score_generations is None:
+            self._scores = grow(make_array(np.float64, self.compact), self._capacity)
+            self._score_generations = grow(
+                make_array(np.int64, self.compact), self._capacity
+            )
+        known_rows = rows[known]
+        stale_mask = gather(self._score_generations, known_rows) != self._generation
+        if stale_mask.any():
+            stale = np.unique(known_rows[stale_mask])
+            scatter_set(self._scores, stale, compute(stale))
+            scatter_set(self._score_generations, stale, self._generation)
+        out[known] = gather(self._scores, known_rows)
+        return out
+
+    # -- snapshots ---------------------------------------------------------
+    def peer_ids(self) -> np.ndarray:
+        """The interned id table, in row order (the snapshot's ``peer_ids``)."""
+        return np.array(self.index.names(), dtype=object)
+
+    def column_items(self) -> Iterator[Tuple[str, np.ndarray]]:
+        """``(name, rows)`` per column: fresh canonical-dtype copies, in order."""
+        size = len(self.index)
+        for name, array in self._columns.items():
+            yield name, materialize(array, size, _DTYPES[name][0])
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Load ``peer_ids`` and every column from a snapshot; drop the cache."""
+        index = PeerIndex.from_names(state["peer_ids"])
+        size = len(index)
+        for name in self._columns:
+            canonical, dtype = _DTYPES[name][0], _DTYPES[name][self.compact]
+            values = np.asarray(state[name], dtype=canonical).astype(dtype, copy=False)
+            column = grow(make_array(dtype, self.compact), size)
+            if isinstance(column, ChunkedArray):
+                column.assign_prefix(values)
+            else:
+                column[:size] = values
+            self._columns[name] = column
+        self._reset(index, len(column))

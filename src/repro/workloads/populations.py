@@ -113,7 +113,6 @@ def build_population(
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
     compact: bool = False,
-    cache_scores: bool = True,
 ) -> List[CommunityPeer]:
     """Build the peers described by ``spec``.
 
@@ -138,7 +137,6 @@ def build_population(
                 defection_penalty=spec.defection_penalty,
                 trust_method=trust_method,
                 compact=compact,
-                cache_scores=cache_scores,
             )
         )
     return peers
@@ -150,7 +148,6 @@ def population_factory(
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
     compact: bool = False,
-    cache_scores: bool = True,
 ) -> Callable[[int], CommunityPeer]:
     """A factory for churn arrivals drawing behaviours from the same spec."""
     rng = random.Random(seed + 1)
@@ -165,7 +162,6 @@ def population_factory(
             defection_penalty=spec.defection_penalty,
             trust_method=trust_method,
             compact=compact,
-            cache_scores=cache_scores,
         )
 
     return factory

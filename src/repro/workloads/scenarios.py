@@ -106,7 +106,6 @@ def build_scenario(
     rebalance_threshold: float = 2.0,
     max_shards: int = 16,
     compact: bool = False,
-    cache_scores: bool = True,
     telemetry: Optional[object] = None,
 ) -> ScenarioSpec:
     """Construct one of the named scenarios.
@@ -166,9 +165,6 @@ def build_scenario(
     arrays that grow without copying — trading bit-identity for a
     documented float32 tolerance on beta-family scores (complaint counters
     remain exact); decisions on the registered scenarios are unchanged.
-    ``cache_scores=False`` disables the dirty-row score cache on every
-    trust backend in the scenario (the reference configuration the cache is
-    validated against).
     ``telemetry`` binds a :class:`repro.obs.MetricsRegistry` to the shared
     complaint store and the community run (``None`` keeps the zero-cost
     null recorder); telemetry is purely observational and never changes a
@@ -221,7 +217,6 @@ def build_scenario(
         router=shard_router,
         rebalance=rebalance_policy,
         compact=compact,
-        cache_scores=cache_scores,
     )
     if telemetry is not None and getattr(telemetry, "enabled", False):
         shared_store.bind_telemetry(telemetry)
@@ -314,7 +309,6 @@ def build_scenario(
             seed=seed,
             trust_method=trust_method,
             compact=compact,
-            cache_scores=cache_scores,
         )
     elif name == "collusive-witness":
         spec = PopulationSpec(
@@ -399,7 +393,6 @@ def build_scenario(
             seed=seed,
             trust_method=trust_method,
             compact=compact,
-            cache_scores=cache_scores,
         )
     elif name == "partition-heal":
         # Two cliques (even/odd peer index) lose every cross-partition
@@ -530,7 +523,6 @@ def build_scenario(
         seed=seed,
         trust_method=trust_method,
         compact=compact,
-        cache_scores=cache_scores,
     )
     if name == "sybil-coalition":
         coalition_peers = [

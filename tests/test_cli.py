@@ -417,6 +417,16 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ("run", "audit"))
+    def test_cache_scores_flag_is_rejected(self, command, capsys):
+        """The score cache is always on; there is no cache knob."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, "--scenario", "ebay", "--cache-scores", "on"]
+            )
+        assert excinfo.value.code == 2
+        assert "--cache-scores" in capsys.readouterr().err
+
     def test_strategy_choices_cover_all_baselines(self):
         parser = build_parser()
         args = parser.parse_args(["scenario", "ebay", "--strategy", "alternating"])

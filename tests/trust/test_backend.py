@@ -333,6 +333,15 @@ class TestRegistry:
         with pytest.raises(TrustModelError):
             create_backend("tarot")
 
+    @pytest.mark.parametrize(
+        "kind,shards",
+        (("beta", 1), ("decay", 1), ("complaint", 1), ("complaint", 2)),
+    )
+    def test_removed_cache_scores_option_is_rejected(self, kind, shards):
+        """The score cache is always on; there is no knob left to pass."""
+        with pytest.raises(TypeError, match="cache_scores"):
+            create_backend(kind, shards=shards, cache_scores=True)
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(TrustModelError):
             register_backend("beta", BetaTrustBackend)

@@ -15,7 +15,9 @@ from repro.trust.backend import (
     ComplaintTrustBackend,
     DecayTrustBackend,
     TrustObservation,
+    create_backend,
 )
+from repro.trust.beta import BetaBelief
 from repro.trust.complaint import LocalComplaintStore
 from repro.trust.evidence import Complaint
 
@@ -185,3 +187,140 @@ class TestSnapshotSafety:
         restored = ComplaintTrustBackend()
         restored.restore(ComplaintTrustBackend().snapshot())
         assert restored.score("nobody") == pytest.approx(1.0)
+
+
+class TestSnapshotFormat:
+    """The per-backend snapshot layout is a stable on-disk format.
+
+    Key order and dtypes are pinned for every kind and both storage layouts
+    (``compact=True`` still writes the canonical float64/int64/bool
+    columns), and a manifest spelled out key by key restores and answers
+    the hand-computed scores.
+    """
+
+    LAYOUTS = {
+        "beta": [
+            ("backend", "<U4"),
+            ("peer_ids", "object"),
+            ("prior", "float64"),
+            ("alpha", "float64"),
+            ("beta", "float64"),
+            ("count", "int64"),
+        ],
+        "decay": [
+            ("backend", "<U5"),
+            ("peer_ids", "object"),
+            ("prior", "float64"),
+            ("half_life", "float64"),
+            ("alpha", "float64"),
+            ("beta", "float64"),
+            ("ref", "float64"),
+            ("count", "int64"),
+        ],
+        "complaint": [
+            ("backend", "<U9"),
+            ("peer_ids", "object"),
+            ("config", "float64"),
+            ("metric_mode", "<U7"),
+            ("received", "float64"),
+            ("filed", "float64"),
+            ("in_store", "bool"),
+            ("complainants", "object"),
+            ("accused", "object"),
+            ("timestamps", "float64"),
+        ],
+    }
+
+    @pytest.mark.parametrize("compact", (False, True))
+    @pytest.mark.parametrize("kind", ("beta", "decay", "complaint"))
+    def test_key_order_and_dtypes_are_pinned(self, kind, compact):
+        backend = create_backend(kind, compact=compact)
+        backend.update_many(_observations())
+        items = [(key, str(value.dtype)) for key, value in backend.snapshot_items()]
+        assert items == self.LAYOUTS[kind]
+        assert list(backend.snapshot()) == [key for key, _ in self.LAYOUTS[kind]]
+        state = backend.snapshot()
+        rows = len(state["peer_ids"])
+        for key in ("alpha", "beta", "ref", "count", "received", "filed", "in_store"):
+            if key in state:
+                assert state[key].shape == (rows,), key
+
+    @staticmethod
+    def _assert_same_state(actual, expected):
+        assert list(actual) == list(expected)
+        for key, value in expected.items():
+            assert actual[key].dtype == value.dtype, key
+            assert np.array_equal(actual[key], value), key
+
+    @pytest.mark.parametrize("compact", (False, True))
+    def test_handwritten_beta_manifest_restores(self, compact):
+        state = {
+            "backend": np.array("beta"),
+            "peer_ids": np.array(["bob", "carol"], dtype=object),
+            "prior": np.array([2.0, 1.0]),
+            "alpha": np.array([3.0, 0.0]),
+            "beta": np.array([1.0, 2.0]),
+            "count": np.array([2, 1], dtype=np.int64),
+        }
+        backend = create_backend("beta", compact=compact)
+        backend.restore(state)
+        assert backend.known_subjects() == ("bob", "carol")
+        assert backend.prior == BetaBelief(2.0, 1.0)
+        assert backend.scores_for(("bob", "carol", "stranger")).tolist() == [
+            5.0 / 7.0, 2.0 / 5.0, 2.0 / 3.0
+        ]
+        assert backend.observation_count("bob") == 2
+        assert backend.observation_count("stranger") == 0
+        self._assert_same_state(backend.snapshot(), state)
+
+    @pytest.mark.parametrize("compact", (False, True))
+    def test_handwritten_decay_manifest_restores(self, compact):
+        state = {
+            "backend": np.array("decay"),
+            "peer_ids": np.array(["bob"], dtype=object),
+            "prior": np.array([1.0, 1.0]),
+            "half_life": np.array([10.0]),
+            "alpha": np.array([4.0]),
+            "beta": np.array([0.0]),
+            "ref": np.array([5.0]),
+            "count": np.array([1], dtype=np.int64),
+        }
+        backend = create_backend("decay", compact=compact)
+        backend.restore(state)
+        assert backend.half_life == 10.0
+        # One half-life after the reference time the evidence halves.
+        assert backend.score("bob", now=15.0) == 3.0 / 4.0
+        assert backend.score("bob") == 5.0 / 6.0
+        assert backend.belief("bob", now=15.0) == BetaBelief(3.0, 1.0)
+        self._assert_same_state(backend.snapshot(), state)
+        backend.update(TrustObservation("alice", "bob", False, timestamp=15.0))
+        assert backend.belief("bob", now=15.0) == BetaBelief(3.0, 2.0)
+        assert backend.observation_count("bob") == 2
+
+    @pytest.mark.parametrize("compact", (False, True))
+    def test_handwritten_complaint_manifest_restores(self, compact):
+        log = [("victim", "cheat", 1.0), ("cheat", "victim", 2.0),
+               ("victim", "cheat", 3.0)]
+        state = {
+            "backend": np.array("complaint"),
+            "peer_ids": np.array(["cheat", "victim"], dtype=object),
+            "config": np.array([4.0, 3.0]),
+            "metric_mode": np.array("product"),
+            "received": np.array([2.0, 1.0]),
+            "filed": np.array([1.0, 2.0]),
+            "in_store": np.array([True, True]),
+            "complainants": np.array([c for c, _, _ in log], dtype=object),
+            "accused": np.array([a for _, a, _ in log], dtype=object),
+            "timestamps": np.array([t for _, _, t in log]),
+        }
+        backend = create_backend("complaint", compact=compact)
+        backend.restore(state)
+        assert backend.counts("cheat") == (2, 1)
+        assert backend.counts("victim") == (1, 2)
+        assert len(backend.complaints_about("cheat")) == 2
+        # Both metrics are 2, so the median reference is 2 and the trust
+        # scale is 3 * 2.
+        assert backend.reference_metric() == 2.0
+        assert backend.score("cheat") == float(np.exp(-2.0 / 6.0))
+        assert backend.score("stranger") == 1.0
+        self._assert_same_state(backend.snapshot(), state)

@@ -234,7 +234,6 @@ class TestShardConstruction:
             trust_scale=2.0,
             metric_mode="received",
             compact=compact,
-            cache_scores=False,
         )
         observations = _observation_stream(seed=11)
         plain = create_backend("complaint", **params)
@@ -248,8 +247,7 @@ class TestShardConstruction:
             assert shard.tolerance_factor == 6.0
             assert shard.metric_mode == "received"
             assert shard.describe_config() == (
-                f"complaint, unsharded, rebalance off, compact {flag}, "
-                "cache-scores off"
+                f"complaint, unsharded, rebalance off, compact {flag}"
             )
         queries = _shuffled_queries()
         np.testing.assert_array_equal(

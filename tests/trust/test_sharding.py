@@ -322,7 +322,7 @@ class TestFactoryAndGuards:
 def test_describe_config_pins_the_store_line():
     """The run summary's Backend line, for a plain and a rebalanced store."""
     assert create_backend("complaint").describe_config() == (
-        "complaint, unsharded, rebalance off, compact off, cache-scores on"
+        "complaint, unsharded, rebalance off, compact off"
     )
     rebalanced = create_backend(
         "complaint",
@@ -333,7 +333,7 @@ def test_describe_config_pins_the_store_line():
     )
     assert rebalanced.describe_config() == (
         "complaint, 2 shards, ring router, rebalance auto@1.5 (max 8), "
-        "compact on, cache-scores on"
+        "compact on"
     )
 
 

@@ -2,10 +2,11 @@
 
 Four mechanisms are pinned here:
 
-* **dirty-row score caching** (``cache_scores=True``, the default) must be
-  *bit-identical* to the uncached read path on every backend kind (and on
-  the sharded complaint store), under arbitrary interleavings of updates
-  and queries — the cache only skips recomputation, never changes it;
+* **dirty-row score caching** (always on) must be *bit-identical* to the
+  reference formulas on every backend kind (and on the sharded complaint
+  store), under arbitrary interleavings of updates and queries — the cache
+  only skips recomputation, never changes it — and must recompute only
+  the rows a query asks for that a write or a new ``now`` made stale;
 * **compact storage** (``compact=True``) keeps beta-family scores within a
   documented float32 accumulation tolerance of the float64 layout and is
   exactly equal for the complaint backend (its counts are small integers,
@@ -25,9 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trust.backend import TrustObservation, create_backend
-from repro.trust.backend import _PeerIndex
 from repro.trust.sharding import ShardedBackend
-from repro.trust.storage import ChunkedArray
+from repro.trust.storage import ChunkedArray, PeerIndex
 
 KINDS = ("beta", "decay", "complaint")
 #: (kind, shards) layouts: only the complaint store is ever sharded.
@@ -94,48 +94,136 @@ def _drive_interleaved(backend, observations, chunk=7):
     return np.concatenate(outputs) if outputs else np.zeros(0)
 
 
+def _reference_scores(backend, subject_ids, now):
+    """The uncached formulas the score cache must reproduce bit for bit.
+
+    Beta family: the posterior mean ``alpha / (alpha + beta)`` of
+    ``beliefs_for``.  Complaint: each subject's metric (from its home shard
+    when sharded) mapped through ``scores_from_metrics`` against the median
+    of every in-store metric value.
+    """
+    if backend.name in ("beta", "decay"):
+        alpha, beta = backend.beliefs_for(subject_ids, now=now)
+        return alpha / (alpha + beta)
+    if isinstance(backend, ShardedBackend):
+        shards = backend.shards
+        metrics = np.array(
+            [
+                shards[backend.shard_index_of(subject)].metrics_for((subject,))[0]
+                for subject in subject_ids
+            ]
+        )
+    else:
+        shards = (backend,)
+        metrics = backend.metrics_for(subject_ids)
+    values = np.concatenate([shard.metric_values_in_store() for shard in shards])
+    reference = float(np.median(values)) if values.size else 0.0
+    return shards[0].scores_from_metrics(metrics, reference)
+
+
+def _assert_cache_matches_reference(backend, observations, chunk=7):
+    """Interleave write batches with queries; every answer must be exact.
+
+    Queries between writes populate the cache and the next write must
+    invalidate exactly the touched rows; the second query at ``now=None``
+    switches the decay backend's cache key back and forth.
+    """
+    for start in range(0, len(observations) + 1, chunk):
+        batch = observations[start:start + chunk]
+        if batch:
+            backend.update_many(batch)
+        now = max((o.timestamp for o in observations[:start + chunk]), default=0.0)
+        for subjects, at in ((SUBJECTS, now), (SUBJECTS[:2], None)):
+            expected = _reference_scores(backend, subjects, at)
+            assert np.array_equal(backend.scores_for(subjects, now=at), expected)
+
+
 class TestDirtyRowCacheBitIdentity:
     @pytest.mark.parametrize("kind,shards", LAYOUTS)
     @settings(max_examples=40, deadline=None)
     @given(stream=event_streams)
-    def test_cached_equals_uncached(self, kind, shards, stream):
-        observations = _to_observations(stream)
-        cached = _build(kind, shards, cache_scores=True)
-        uncached = _build(kind, shards, cache_scores=False)
-        assert np.array_equal(
-            _drive_interleaved(cached, observations),
-            _drive_interleaved(uncached, observations),
+    def test_cached_equals_reference_formula(self, kind, shards, stream):
+        _assert_cache_matches_reference(
+            _build(kind, shards), _to_observations(stream)
         )
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=25, deadline=None)
     @given(stream=event_streams)
-    def test_cached_compact_equals_uncached_compact(self, kind, stream):
+    def test_cached_compact_equals_reference_formula(self, kind, stream):
         """The cache must also be exact on top of the compact layout."""
-        observations = _to_observations(stream)
-        cached = _build(kind, 1, compact=True, cache_scores=True)
-        uncached = _build(kind, 1, compact=True, cache_scores=False)
-        assert np.array_equal(
-            _drive_interleaved(cached, observations),
-            _drive_interleaved(uncached, observations),
+        _assert_cache_matches_reference(
+            _build(kind, 1, compact=True), _to_observations(stream)
         )
 
     def test_decay_cache_tracks_now(self):
         """Changing ``now`` between queries must never serve stale decays."""
-        cached = create_backend("decay", cache_scores=True)
-        uncached = create_backend("decay", cache_scores=False)
-        for backend in (cached, uncached):
-            backend.update_many(
-                [
-                    TrustObservation("o", "s0", True, timestamp=0.0, weight=5.0),
-                    TrustObservation("o", "s1", False, timestamp=10.0, weight=2.0),
-                ]
-            )
+        backend = create_backend("decay")
+        backend.update_many(
+            [
+                TrustObservation("o", "s0", True, timestamp=0.0, weight=5.0),
+                TrustObservation("o", "s1", False, timestamp=10.0, weight=2.0),
+            ]
+        )
+        subjects = ("s0", "s1", "missing")
         for now in (10.0, 50.0, 50.0, 10.0, 200.0):
             assert np.array_equal(
-                cached.scores_for(("s0", "s1", "missing"), now=now),
-                uncached.scores_for(("s0", "s1", "missing"), now=now),
+                backend.scores_for(subjects, now=now),
+                _reference_scores(backend, subjects, now),
             )
+
+
+class TestScoreCacheWork:
+    """Deterministic work counts: rows recomputed per score query."""
+
+    @staticmethod
+    def _count_recomputed_rows(backend):
+        recomputed = []
+        formula = backend._row_scores
+
+        def counting(rows, now):
+            recomputed.append(len(rows))
+            return formula(rows, now)
+
+        backend._row_scores = counting
+        return recomputed
+
+    @staticmethod
+    def _seeded(kind):
+        backend = create_backend(kind)
+        backend.update_many(
+            _to_observations(
+                [(i, i % 2 == 0, 1.0, float(i), False) for i in range(len(SUBJECTS))]
+            )
+        )
+        return backend
+
+    def test_beta_repeat_query_at_a_new_now_recomputes_nothing(self):
+        backend = self._seeded("beta")
+        recomputed = self._count_recomputed_rows(backend)
+        first = backend.scores_for(SUBJECTS, now=1.0)
+        assert sum(recomputed) == len(SUBJECTS)
+        recomputed.clear()
+        for now in (2.0, 50.0, None):
+            assert np.array_equal(backend.scores_for(SUBJECTS, now=now), first)
+        assert recomputed == []
+        backend.update(TrustObservation("o", SUBJECTS[3], False, timestamp=9.0))
+        backend.scores_for(SUBJECTS, now=60.0)
+        assert recomputed == [1]
+
+    def test_decay_recomputes_only_the_rows_asked_for(self):
+        backend = self._seeded("decay")
+        recomputed = self._count_recomputed_rows(backend)
+        backend.scores_for(SUBJECTS, now=10.0)
+        assert sum(recomputed) == len(SUBJECTS)
+        recomputed.clear()
+        backend.scores_for(SUBJECTS[:2], now=20.0)
+        assert recomputed == [2]
+        backend.scores_for(SUBJECTS[:2], now=20.0)
+        assert recomputed == [2]
+        backend.update(TrustObservation("o", SUBJECTS[0], True, timestamp=15.0))
+        backend.scores_for(SUBJECTS[:2], now=20.0)
+        assert recomputed == [2, 1]
 
 
 class TestCompactTolerance:
@@ -291,8 +379,8 @@ class TestInternMany:
         )
     )
     def test_matches_sequential_intern(self, names):
-        batched = _PeerIndex()
-        sequential = _PeerIndex()
+        batched = PeerIndex()
+        sequential = PeerIndex()
         batched_rows = batched.intern_many(names)
         sequential_rows = np.array(
             [sequential.intern(name) for name in names], dtype=np.int64
@@ -308,7 +396,7 @@ class TestInternMany:
         ),
     )
     def test_lookup_many_matches_scalar(self, known, queries):
-        index = _PeerIndex()
+        index = PeerIndex()
         index.intern_many(known)
         rows = index.lookup_many(queries)
         expected = np.array(
