@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test check typecheck bench bench-smoke perf
+.PHONY: test check typecheck bench bench-smoke perf perf-layers
 
 test:
 	$(PY) -m pytest -x -q
@@ -58,3 +58,18 @@ perf:
 	  case "$$line" in *'"correct": true'*) ;; *) status=1 ;; esac; \
 	done; \
 	exit $$status
+
+# Per-layer attribution of one workload: perfbench/run.py --trace 1, seed 0,
+# 20 s.  Prints one "name value" line per layer self time (*_s), share of
+# the traced total (*_share) and fitted scaling exponent (scale.*), and
+# fails unless the run reports "correct": true.
+#   make perf-layers WORKLOAD=flash-sync
+perf-layers:
+	@test -n "$(WORKLOAD)" || { echo "usage: make perf-layers WORKLOAD=<name>"; exit 2; }
+	@line=$$($(PY) perfbench/run.py --workload $(WORKLOAD) --seed 0 \
+	  --seconds 20 --trace 1 | tail -n 1); \
+	echo "$$line" | $(PY) -c 'import json, sys; \
+	result = json.loads(sys.stdin.read()); \
+	[print(name, metric["value"]) for name, metric in result["metrics"].items() \
+	 if name.endswith(("_s", "_share")) or name.startswith("scale.")]; \
+	sys.exit(0 if result["correct"] else 1)'

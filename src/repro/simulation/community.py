@@ -28,6 +28,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.negotiation import split_surplus_price
 from repro.core.valuation import MarginValuationModel, ValuationModel
 from repro.exceptions import NegotiationError, SimulationError
@@ -309,12 +311,15 @@ class CommunitySimulation:
         return self._evidence
 
     def peer_by_id(self, peer_id: str) -> CommunityPeer:
-        if self._peer_index is None:
-            self._peer_index = {peer.peer_id: peer for peer in self._peers}
         try:
-            return self._peer_index[peer_id]
+            return self._index_peers()[peer_id]
         except KeyError:
             raise SimulationError(f"unknown peer {peer_id!r}") from None
+
+    def _index_peers(self) -> Dict[str, CommunityPeer]:
+        if self._peer_index is None:
+            self._peer_index = {peer.peer_id: peer for peer in self._peers}
+        return self._peer_index
 
     # ------------------------------------------------------------------
     # Running
@@ -384,16 +389,19 @@ class CommunitySimulation:
         if self._churn is None or not self._churn.is_active:
             return None
         factory = self._peer_factory or (lambda _index: None)  # pragma: no cover
-        by_id = {peer.peer_id: peer for peer in self._peers}
+        # ``apply`` removes departed peers from ``self._peers``; the index of
+        # the population before churn still resolves them until it is dropped.
+        self._index_peers()
         event = self._churn.apply(
             self._peers, round_index, self._streams("churn"), factory
         )
-        self._peer_index = None
         for peer_id in event.departed:
-            self._departed_peers.append(by_id[peer_id])
+            self._departed_peers.append(self.peer_by_id(peer_id))
             self._evidence.unregister_peer(peer_id)
+        self._peer_index = None
+        arrived = set(event.arrived)
         for peer in self._peers:
-            if peer.peer_id in event.arrived:
+            if peer.peer_id in arrived:
                 self._evidence.register_peer(peer)
         return event
 
@@ -424,23 +432,16 @@ class CommunitySimulation:
         rng = self._streams("matching")
         if self._config.matching == "trust":
             now = float(round_index)
-            supplier_ids = sorted({listing.supplier_id for listing in listings})
-            # One vectorized backend read per consumer instead of one scalar
-            # trust lookup per (consumer, listing) pair.
-            cached: Dict[str, Dict[str, float]] = {}
-            for consumer_id in consumer_ids:
-                scores = self.peer_by_id(consumer_id).trust_in_many(
+            # One batched backend read per consumer fills its score row,
+            # asked in listing order so column j is listing j's supplier
+            # (each supplier posts at most one listing per round).
+            supplier_ids = [listing.supplier_id for listing in listings]
+            scores = np.empty((len(consumer_ids), len(listings)))
+            for row, consumer_id in enumerate(consumer_ids):
+                scores[row] = self.peer_by_id(consumer_id).trust_in_many(
                     supplier_ids, now=now
                 )
-                cached[consumer_id] = {
-                    supplier_id: float(score)
-                    for supplier_id, score in zip(supplier_ids, scores)
-                }
-
-            def trust_of(consumer_id: str, supplier_id: str) -> float:
-                return cached[consumer_id][supplier_id]
-
-            return trust_weighted_matching(consumer_ids, listings, trust_of, rng)
+            return trust_weighted_matching(consumer_ids, listings, scores, rng)
         return random_matching(consumer_ids, listings, rng)
 
     def _prepare_match(

@@ -151,7 +151,7 @@ class CommunityPeer:
         for subject_id in subject_ids:
             if subject_id == self.peer_id:
                 continue
-            belief = backend.belief(subject_id)  # repro: allow(PERF001) — witness replies need per-subject (alpha, beta) pairs; no batched belief API exists
+            belief = backend.belief(subject_id)  # repro: allow(PERF001) — each witness request names one subject, so a batched beliefs_for read buys nothing
             reported = self.witness_policy.report(subject_id, belief)
             forged = (
                 reported.alpha != belief.alpha or reported.beta != belief.beta

@@ -25,6 +25,7 @@ in an :class:`EvidenceTable`.
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     Any,
     Callable,
@@ -333,19 +334,16 @@ class PeerIndex:
             return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
 
     def lookup_many(self, names: Sequence[str]) -> np.ndarray:
-        """Row indices for ``names`` with ``-1`` marking unknown ids."""
-        getitem = self._ids.__getitem__
-        count = len(names)
-        try:
-            # Fast path: every id known — one C-level pass, no generator.
-            return np.fromiter(map(getitem, names), dtype=np.int64, count=count)
-        except KeyError:
-            get = self._ids.get
-            return np.fromiter(
-                (-1 if (i := get(s)) is None else i for s in names),
-                dtype=np.int64,
-                count=count,
-            )
+        """Row indices for ``names`` with ``-1`` marking unknown ids.
+
+        One C-level ``map`` of ``dict.get`` with a ``-1`` default, known and
+        unknown ids alike.
+        """
+        return np.fromiter(
+            map(self._ids.get, names, itertools.repeat(-1)),
+            dtype=np.int64,
+            count=len(names),
+        )
 
     def get(self, name: str) -> Optional[int]:
         return self._ids.get(name)

@@ -9,7 +9,6 @@ profile-based ``execute_sequence`` must return the identical result after
 making the identical behaviour calls.
 """
 
-import math
 import random
 from unittest import mock
 
@@ -26,7 +25,6 @@ from repro.core.exchange import (
     TemptationProfile,
 )
 from repro.core.goods import Good, GoodsBundle
-from repro.core.numeric import total
 from repro.core.planner import PaymentPolicy, build_sequence
 from repro.core.safety import ExchangeRequirements
 from repro.exceptions import InvalidActionError
@@ -39,31 +37,7 @@ from repro.simulation.behaviors import (
     ProbabilisticBehavior,
     RationalDefectorBehavior,
 )
-
-
-def compensated_total(values):
-    """``sum`` as Python 3.12 computes it for floats (Neumaier summation)."""
-    result = 0.0
-    compensation = 0.0
-    for value in values:
-        value = float(value)
-        step = result + value
-        if abs(result) >= abs(value):
-            compensation += (result - step) + value
-        else:
-            compensation += (value - step) + result
-        result = step
-    if compensation and math.isfinite(compensation):
-        result += compensation
-    return result
-
-
-#: Both summation strategies the profile must match a replay under: this
-#: interpreter's ``sum`` and the compensated one of Python 3.12.
-SUMMATIONS = [
-    pytest.param(total, id="builtin-sum"),
-    pytest.param(compensated_total, id="compensated-sum"),
-]
+from summation import SUMMATIONS
 
 
 def replay_profile(sequence):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.goods import GoodsBundle
@@ -100,7 +101,7 @@ class TestTrustWeightedMatching:
             matches = trust_weighted_matching(
                 ["consumer"],
                 listings,
-                trust_of=lambda c, s: 0.9 if s == "trusted" else 0.05,
+                scores=np.array([[0.9, 0.05]]),
                 rng=random.Random(seed),
                 exploration=0.05,
             )
@@ -113,22 +114,30 @@ class TestTrustWeightedMatching:
         matches = trust_weighted_matching(
             ["consumer"],
             listings,
-            trust_of=lambda c, s: 0.0,
+            scores=np.zeros((1, 1)),
             rng=random.Random(1),
             exploration=0.1,
         )
         assert len(matches) == 1
 
-    def test_invalid_exploration(self):
+    @pytest.mark.parametrize("exploration", [-0.1, float("nan")])
+    def test_invalid_exploration(self, exploration):
         with pytest.raises(MarketplaceError):
             trust_weighted_matching(
-                ["c"], [make_listing("s")], lambda c, s: 0.5, random.Random(0),
-                exploration=-0.1,
+                ["c"], [make_listing("s")], np.full((1, 1), 0.5), random.Random(0),
+                exploration=exploration,
             )
 
     def test_no_self_trade(self):
         listings = [make_listing("alice")]
         matches = trust_weighted_matching(
-            ["alice"], listings, lambda c, s: 1.0, random.Random(0)
+            ["alice"], listings, np.ones((1, 1)), random.Random(0)
         )
         assert matches == []
+
+    def test_score_matrix_shape_is_checked(self):
+        listings = [make_listing("s1"), make_listing("s2")]
+        with pytest.raises(MarketplaceError):
+            trust_weighted_matching(
+                ["c1", "c2"], listings, np.ones((2, 1)), random.Random(0)
+            )

@@ -1,0 +1,39 @@
+"""Float summation strategies shared by the bit-identity oracle tests.
+
+Python 3.12 made the built-in ``sum`` of floats compensated (Neumaier
+summation), so code that totals floats with ``sum`` can round differently
+on 3.12 than on earlier interpreters.  An oracle that claims bit-identity
+for such code runs under both: this interpreter's ``sum`` and an emulation
+of 3.12's, by patching the module's ``total`` helper.
+"""
+
+import math
+
+import pytest
+
+from repro.core.numeric import total
+
+
+def compensated_total(values):
+    """``sum`` as Python 3.12 computes it for floats (Neumaier summation)."""
+    result = 0.0
+    compensation = 0.0
+    for value in values:
+        value = float(value)
+        step = result + value
+        if abs(result) >= abs(value):
+            compensation += (result - step) + value
+        else:
+            compensation += (value - step) + result
+        result = step
+    if compensation and math.isfinite(compensation):
+        result += compensation
+    return result
+
+
+#: Both summation strategies an oracle must hold under: this interpreter's
+#: ``sum`` and the compensated one of Python 3.12.
+SUMMATIONS = [
+    pytest.param(total, id="builtin-sum"),
+    pytest.param(compensated_total, id="compensated-sum"),
+]
