@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test check typecheck bench bench-smoke perf perf-layers
+.PHONY: test check typecheck examples bench bench-smoke perf perf-layers
 
 test:
 	$(PY) -m pytest -x -q
@@ -22,6 +22,14 @@ check:
 # CI runs this on the newest Python only.
 typecheck:
 	$(PY) -m mypy --config-file pyproject.toml
+
+# Run every script under examples/ (about 5 s in total), printing each
+# name; the target fails on the first script that exits non-zero.
+examples:
+	@for script in examples/*.py; do \
+	  echo "$$script"; \
+	  $(PY) $$script > /dev/null || exit 1; \
+	done
 
 # Full benchmark/experiment suite: regenerates every table and figure under
 # benchmarks/results/.

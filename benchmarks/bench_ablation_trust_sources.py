@@ -18,9 +18,9 @@ from _harness import bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.marketplace import TrustAwareStrategy
-from repro.reputation.manager import TrustMethod
 from repro.simulation.community import CommunityConfig, CommunitySimulation
-from repro.trust.complaint import LocalComplaintStore
+from repro.simulation.peer import TrustMethod
+from repro.trust import create_backend
 from repro.trust.metrics import classification_report, mean_absolute_error
 from repro.workloads.populations import PopulationSpec, build_population
 from repro.workloads.valuations import valuation_workload
@@ -39,7 +39,8 @@ def run_with_trust_method(method: str):
         probabilistic_fraction=0.0,
         false_complaint_probability=0.4,
     )
-    peers = build_population(spec, complaint_store=LocalComplaintStore(), seed=SEED)
+    shared_store = create_backend("complaint", metric_mode="balanced")
+    peers = build_population(spec, complaint_store=shared_store, seed=SEED)
     for peer in peers:
         peer.trust_method = method
     config = CommunityConfig(
@@ -60,11 +61,11 @@ def evaluate(method: str):
     false_rejects = []
     honest_peers = [peer for peer in peers if peer.true_honesty >= 0.99]
     for peer in honest_peers:
+        beta = peer.backend_for("beta")
         estimates = {
-            subject_id: peer.reputation.trust_estimate(subject_id, method=method)
+            subject_id: peer.trust_in(subject_id)
             for subject_id in truth
-            if subject_id != peer.peer_id
-            and peer.reputation.interaction_count(subject_id) > 0
+            if subject_id != peer.peer_id and beta.observation_count(subject_id) > 0
         }
         if not estimates:
             continue

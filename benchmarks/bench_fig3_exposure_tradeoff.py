@@ -21,7 +21,7 @@ from repro.analysis.figures import Figure
 from repro.core.decision import ExpectedLossBudgetPolicy
 from repro.marketplace import TrustAwareStrategy
 from repro.simulation.community import CommunityConfig, CommunitySimulation
-from repro.trust.complaint import LocalComplaintStore
+from repro.trust import create_backend
 from repro.workloads.populations import PopulationSpec, build_population
 from repro.workloads.valuations import valuation_workload
 
@@ -39,7 +39,8 @@ def run_with_budget(budget_fraction: float):
         dishonest_fraction=DISHONEST_FRACTION,
         probabilistic_fraction=0.0,
     )
-    peers = build_population(spec, complaint_store=LocalComplaintStore(), seed=SEED)
+    shared_store = create_backend("complaint", metric_mode="balanced")
+    peers = build_population(spec, complaint_store=shared_store, seed=SEED)
     for peer in peers:
         peer.trust_method = "combined"
     strategy = TrustAwareStrategy(

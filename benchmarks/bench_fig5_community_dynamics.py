@@ -18,7 +18,7 @@ from repro.analysis.figures import Figure
 from repro.baselines import GoodsFirstStrategy
 from repro.marketplace import TrustAwareStrategy
 from repro.simulation.community import CommunityConfig, CommunitySimulation
-from repro.trust.complaint import LocalComplaintStore
+from repro.trust import create_backend
 from repro.workloads.populations import PopulationSpec, build_population
 from repro.workloads.valuations import valuation_workload
 
@@ -36,7 +36,8 @@ def run(strategy):
         probabilistic_fraction=0.0,
         false_complaint_probability=0.2,
     )
-    peers = build_population(spec, complaint_store=LocalComplaintStore(), seed=SEED)
+    shared_store = create_backend("complaint", metric_mode="balanced")
+    peers = build_population(spec, complaint_store=shared_store, seed=SEED)
     # Community-wide learning: peers combine their own experience with the
     # shared complaint store, so one victim's complaint protects everyone.
     for peer in peers:

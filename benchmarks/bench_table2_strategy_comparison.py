@@ -28,7 +28,7 @@ from repro.baselines import (
 )
 from repro.marketplace import TrustAwareStrategy
 from repro.simulation.community import CommunityConfig, CommunitySimulation
-from repro.trust.complaint import LocalComplaintStore
+from repro.trust import create_backend
 from repro.workloads.populations import PopulationSpec, build_population
 from repro.workloads.valuations import valuation_workload
 
@@ -57,7 +57,8 @@ def run_community(strategy, dishonest_fraction: float):
         probabilistic_fraction=0.0,
         false_complaint_probability=0.3,
     )
-    peers = build_population(spec, complaint_store=LocalComplaintStore(), seed=SEED)
+    shared_store = create_backend("complaint", metric_mode="balanced")
+    peers = build_population(spec, complaint_store=shared_store, seed=SEED)
     # The scenario wires a community-wide complaint store; peers combine it
     # with their own experience when estimating trust (the full Figure-1 loop).
     for peer in peers:

@@ -22,7 +22,8 @@ from repro.core.decision import ExpectedLossBudgetPolicy
 from repro.core.negotiation import AlternatingOffersNegotiation
 from repro.core.trust_aware import plan_trust_aware_exchange
 from repro.marketplace import TrustAwareStrategy, execute_sequence
-from repro.reputation import InteractionRecord, ReputationManager
+from repro.reputation import InteractionRecord
+from repro.simulation import CommunityPeer
 from repro.simulation.behaviors import HonestBehavior, RationalDefectorBehavior
 from repro.workloads import build_scenario, workload_bundle
 
@@ -32,11 +33,10 @@ def single_auction() -> None:
     print("Part 1: one auction with a seller of mixed reputation")
     print("=" * 70)
 
-    # The buyer's reputation manager has seen the seller behave well eight
-    # times and badly twice.
-    buyer_reputation = ReputationManager("buyer")
+    # The buyer has seen the seller behave well eight times and badly twice.
+    buyer = CommunityPeer("buyer")
     for index in range(10):
-        buyer_reputation.record_interaction(
+        buyer.observe_outcome(
             InteractionRecord(
                 supplier_id="seller",
                 consumer_id="buyer",
@@ -46,7 +46,7 @@ def single_auction() -> None:
                 timestamp=float(index),
             )
         )
-    trust_in_seller = buyer_reputation.trust_estimate("seller")
+    trust_in_seller = buyer.trust_in("seller")
     print(f"Buyer's trust in the seller: {trust_in_seller:.3f}")
 
     # The auctioned goods and the negotiated price.

@@ -21,15 +21,16 @@ Most users only need the re-exports below; the subpackages are:
     (:mod:`repro.trust.beta`, :mod:`repro.trust.complaint`) remain as the
     behavioural references the backends are property-tested against.
 ``repro.reputation``
-    Reputation management: records, stores, reporting, manager façade.  The
-    manager routes every trust read/write through the backend layer and
-    ingests evidence in batches (``record_many``).
+    Reputation management: interaction records and ratings, local and
+    P-Grid-backed stores, and witness reporting.
 ``repro.pgrid``
     Decentralised binary-trie storage substrate for reputation data.
 ``repro.simulation``
     Discrete-event simulator: engine, network, peers, behaviours, community.
-    The community loop queues interaction outcomes per round and flushes
-    them to the trust backends in one batch per peer per tick.
+    Each peer owns its trust backends (beta, complaint, lazy decay) and one
+    trust-method dispatch over them; the community loop queues interaction
+    outcomes per round and flushes them to each peer's backends in one batch
+    per tick.
 ``repro.marketplace``
     Listings, matching, exchange execution with defection, accounting.
 ``repro.baselines``
@@ -43,13 +44,15 @@ Most users only need the re-exports below; the subpackages are:
 
 Layering (arrows point at dependencies)::
 
-    cli ─> workloads(registry) ─> simulation ─> reputation ─> trust.backend
-     │           │                    │             │              │
-     │           └─> marketplace ─> core <──────────┘              │
-     └─> analysis                                     pgrid <── reputation.store
+    cli ─> workloads(registry) ─> simulation(peer) ─> trust.backend
+     │           │                    │                    ^
+     │           │                    └─> reputation ──────┘
+     │           └─> marketplace ─> core
+     └─> analysis                 pgrid <── reputation.store
 
-``trust.backend`` is the narrow waist: every consumer above it reads and
-writes trust through the backend interface, never through the scalar model
+``trust.backend`` is the narrow waist: every consumer above it — above all
+the simulated peer, which holds its backends directly — reads and writes
+trust through the backend interface, never through the scalar model
 internals.
 """
 

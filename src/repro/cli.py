@@ -70,7 +70,7 @@ from repro.obs import (
     inject_dropped_entry,
     reconcile,
 )
-from repro.reputation.manager import TrustMethod
+from repro.simulation.peer import TrustMethod
 from repro.simulation.repair import REPAIR_POLICIES
 from repro.trust import ROUTER_NAMES, ShardedBackend
 from repro.workloads import (

@@ -400,7 +400,7 @@ def collect_audit_inputs(simulation: Any, store: Any = None) -> Dict[str, Any]:
     departed = list(getattr(simulation, "departed_peers", ()))
     everyone = peers + departed
     if store is None and everyone:
-        store = everyone[0].reputation.backend_for("complaint")
+        store = everyone[0].backend_for("complaint")
     store_complaints: List[ComplaintTuple] = []
     if store is not None:
         store_complaints = [
@@ -415,7 +415,7 @@ def collect_audit_inputs(simulation: Any, store: Any = None) -> Dict[str, Any]:
         }
     observation_totals: Dict[str, int] = {}
     for peer in everyone:
-        backend = peer.reputation.backend_for("beta")
+        backend = peer.backend_for("beta")
         observation_totals[peer.peer_id] = sum(
             backend.observation_count(subject)
             for subject in backend.known_subjects()

@@ -2,11 +2,12 @@
 
 Implements the "reputation management" box of the paper's reference model
 (Figure 1): interaction records and ratings, local and P-Grid-backed stores,
-witness reporting, and the per-peer :class:`ReputationManager` façade that
-closes the feedback loop between interactions and trust estimates.
+and witness reporting.  Each simulated peer
+(:class:`~repro.simulation.peer.CommunityPeer`) closes the feedback loop
+between interactions and trust estimates itself, over its own trust
+backends.
 """
 
-from repro.reputation.manager import ReputationManager, TrustMethod
 from repro.reputation.records import InteractionRecord, Rating
 from repro.reputation.reporting import (
     WitnessPool,
@@ -23,6 +24,4 @@ __all__ = [
     "WitnessPool",
     "collect_witness_reports",
     "indirect_belief",
-    "ReputationManager",
-    "TrustMethod",
 ]

@@ -10,14 +10,17 @@ Collection has two shapes:
 * the scalar path — :func:`collect_witness_reports` returns
   :class:`~repro.trust.aggregation.WitnessReport` objects for one subject,
   merged via :func:`~repro.trust.aggregation.combine_beta_evidence`; and
-* the batched path — :func:`collect_witness_matrix` assembles one
+* the batched path — :func:`collect_witness_matrix` assembles one dense
   witness-belief matrix ``(n_witnesses, n_subjects, 2)`` for a whole query
   batch, which a trust backend folds into its direct evidence in a single
-  ``aggregate_witness_reports`` call (:func:`indirect_scores`).
+  ``aggregate_witness_reports`` call.
 
 Both discount every witness's evidence by the requester's trust in that
-witness; the batched path is the evidence-plane default and the scalar path
-remains the property-tested reference.
+witness; :func:`indirect_belief` runs the batched path, and the scalar
+path remains the property-tested reference.  The simulated community does
+not poll a :class:`WitnessPool`: its peers exchange reports through the
+evidence plane and aggregate their inboxes
+(:meth:`~repro.simulation.peer.CommunityPeer.trust_in_with_witnesses`).
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ from repro.exceptions import ReputationError
 from repro.trust import (
     BetaBelief,
     BetaTrustModel,
-    SparseWitnessMatrix,
     WitnessReport,
     combine_beta_evidence_matrix,
     stack_witness_beliefs,
-    stack_witness_beliefs_sparse,
 )
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "collect_witness_reports",
     "collect_witness_matrix",
     "indirect_belief",
-    "indirect_scores",
 ]
 
 
@@ -112,14 +112,11 @@ class WitnessMatrix:
     ``(alpha, beta)`` about ``subject_ids[s]`` — the uniform prior ``(1, 1)``
     when the witness had nothing to report (zero evidence, contributes
     nothing).  ``discounts[w]`` is the requester's trust in the witness.
-    ``matrix`` is a dense ``(W, S, 2)`` array or, when collected with
-    ``sparse=True``, a :class:`~repro.trust.SparseWitnessMatrix` storing only
-    actual reports — every backend accepts either.
     """
 
     subject_ids: Sequence[str]
     witness_ids: Sequence[str]
-    matrix: "np.ndarray | SparseWitnessMatrix"
+    matrix: np.ndarray
     discounts: np.ndarray
 
     @property
@@ -171,7 +168,6 @@ def collect_witness_matrix(
     witness_trusts: Optional[Mapping[str, float]] = None,
     exclude: Optional[Iterable[str]] = None,
     rng: Optional[random.Random] = None,
-    sparse: bool = False,
 ) -> WitnessMatrix:
     """Ask every available witness about a whole batch of subjects at once.
 
@@ -181,12 +177,6 @@ def collect_witness_matrix(
     witness-belief matrix ready for ``aggregate_witness_reports``.  A witness
     never reports about itself, and subjects it has no observations about
     get the uniform prior (zero evidence).
-
-    ``sparse=True`` assembles a :class:`~repro.trust.SparseWitnessMatrix`
-    instead of the dense array — at community scale most (witness, subject)
-    pairs carry no report, so the dense matrix is mostly the neutral entry
-    and its memory grows as W x S while the sparse one grows with the
-    number of actual reports.
     """
     # A fixed-seed fallback keeps callers that omit ``rng`` reproducible
     # (DET001): an unseeded Random() here silently broke same-seed runs
@@ -216,24 +206,9 @@ def collect_witness_matrix(
         witness_ids.append(witness_id)
         rows.append(row)
         discounts.append(trusts.get(witness_id, 1.0))
-    if sparse:
-        matrix: "np.ndarray | SparseWitnessMatrix" = (
-            stack_witness_beliefs_sparse(rows)
-            if rows
-            else SparseWitnessMatrix(
-                witness_count=0,
-                subject_count=len(subject_ids),
-                indptr=np.zeros(1, dtype=np.int64),
-                cols=np.zeros(0, dtype=np.int64),
-                data=np.zeros((0, 2)),
-            )
-        )
-    else:
-        matrix = (
-            stack_witness_beliefs(rows)
-            if rows
-            else np.zeros((0, len(subject_ids), 2))
-        )
+    matrix = (
+        stack_witness_beliefs(rows) if rows else np.zeros((0, len(subject_ids), 2))
+    )
     return WitnessMatrix(
         subject_ids=tuple(subject_ids),
         witness_ids=tuple(witness_ids),
@@ -275,33 +250,3 @@ def indirect_belief(
     )
     return BetaBelief(float(alpha[0]), float(beta[0]))
 
-
-def indirect_scores(
-    subject_ids: Sequence[str],
-    backend,
-    pool: WitnessPool,
-    witness_trusts: Optional[Mapping[str, float]] = None,
-    exclude: Optional[Iterable[str]] = None,
-    rng: Optional[random.Random] = None,
-    now: Optional[float] = None,
-    sparse: bool = False,
-) -> np.ndarray:
-    """Witness-augmented trust scores for a whole query batch.
-
-    Assembles the witness-belief matrix once and hands it to
-    ``backend.aggregate_witness_reports`` — one vectorized aggregation call
-    per batch instead of one scalar merge per (subject, witness) pair.
-    ``backend`` is any beta-family :class:`~repro.trust.backend.TrustBackend`.
-    ``sparse=True`` collects the reports in sparse (CSR) form end to end.
-    """
-    collected = collect_witness_matrix(
-        subject_ids,
-        pool,
-        witness_trusts=witness_trusts,
-        exclude=exclude,
-        rng=rng,
-        sparse=sparse,
-    )
-    return backend.aggregate_witness_reports(
-        subject_ids, collected.matrix, collected.discounts, now=now
-    )

@@ -447,7 +447,7 @@ class EvidencePlane:
     ) -> None:
         """Route a complaint filing through the plane to the complaint system."""
         if self._network is None:
-            filer.reputation.file_complaint(accused_id, timestamp=timestamp)
+            filer.file_complaint(accused_id, timestamp=timestamp)
             if self._audit is not None:
                 self._audit.on_applied(
                     None,
@@ -693,7 +693,7 @@ class EvidencePlane:
                 applied = True
         elif entry.kind == "complaint":
             filer, accused_id, timestamp = entry.payload
-            filer.reputation.file_complaint(accused_id, timestamp=timestamp)
+            filer.file_complaint(accused_id, timestamp=timestamp)
             complaint = (filer.peer_id, accused_id, float(timestamp))
             applied = True
         if not applied:

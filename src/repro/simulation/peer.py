@@ -1,14 +1,14 @@
-"""A community member: behaviour, reputation management and risk attitude."""
+"""A community member: behaviour, trust backends and risk attitude."""
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from repro.core.exchange import Role
 from repro.exceptions import SimulationError
-from repro.reputation.manager import ReputationManager, TrustMethod
 from repro.reputation.records import InteractionRecord
 from repro.simulation.behaviors import (
     BehaviorModel,
@@ -16,27 +16,58 @@ from repro.simulation.behaviors import (
     TruthfulWitness,
     WitnessReportPolicy,
 )
-from repro.trust import BetaBelief, ComplaintStore, stack_witness_beliefs
+from repro.trust import (
+    BetaBelief,
+    TrustBackend,
+    TrustObservation,
+    create_backend,
+    stack_witness_beliefs,
+)
 
-__all__ = ["CommunityPeer"]
+__all__ = ["CommunityPeer", "TrustMethod"]
+
+_Read = TypeVar("_Read")
+
+
+class TrustMethod:
+    """Names of the trust estimation methods a peer can use.
+
+    ``BETA``, ``COMPLAINT`` and ``DECAY`` select the corresponding
+    :class:`~repro.trust.backend.TrustBackend`; ``COMBINED`` is the
+    conservative minimum of the beta and complaint estimates.
+    """
+
+    BETA = "beta"
+    COMPLAINT = "complaint"
+    COMBINED = "combined"
+    DECAY = "decay"
+
+    ALL = (BETA, COMPLAINT, COMBINED, DECAY)
 
 
 class CommunityPeer:
     """One member of the simulated online community.
 
-    A peer bundles the three per-member pieces of the reference model: its
-    actual behaviour (ground truth, used when executing exchanges), its
-    reputation/trust management state (the :class:`ReputationManager`), and
-    the economic parameters the decision layer needs (its reputation
-    continuation value, i.e. how much future business a defection would
-    destroy for it).
+    A peer bundles the three per-member pieces of the reference model
+    (Figure 1 of the paper): its actual behaviour (ground truth, used when
+    executing exchanges), its trust state, and the economic parameters the
+    decision layer needs (its reputation continuation value, i.e. how much
+    future business a defection would destroy for it).
+
+    The trust state is one backend per :class:`TrustMethod`: a private
+    ``beta`` backend, the ``complaint`` backend (``complaint_store``, the
+    community's shared one, or else a private balanced-metric backend), and
+    a ``decay`` backend (half-life 100) built on the first DECAY read from
+    the replayed outcome history — most peers never read it.  ``compact``
+    switches the backends the peer builds itself to memory-bounded storage;
+    a shared complaint backend keeps whatever layout it was built with.
     """
 
     def __init__(
         self,
         peer_id: str,
         behavior: Optional[BehaviorModel] = None,
-        complaint_store: Optional[ComplaintStore] = None,
+        complaint_store: Optional[TrustBackend] = None,
         defection_penalty: float = 0.0,
         supplies_goods: bool = True,
         consumes_goods: bool = True,
@@ -52,13 +83,25 @@ class CommunityPeer:
             raise SimulationError(
                 f"trust_method must be one of {TrustMethod.ALL}, got {trust_method!r}"
             )
+        if complaint_store is None:
+            complaint_store = create_backend(
+                "complaint", metric_mode="balanced", compact=compact
+            )
+        elif not isinstance(complaint_store, TrustBackend):
+            raise SimulationError(
+                "complaint_store must be a complaint TrustBackend such as "
+                'create_backend("complaint", metric_mode="balanced"), got '
+                f"{type(complaint_store).__name__}"
+            )
         self.peer_id = peer_id
         self.behavior: BehaviorModel = behavior if behavior is not None else HonestBehavior()
-        self.reputation = ReputationManager(
-            owner_id=peer_id,
-            complaint_store=complaint_store,
-            compact=compact,
-        )
+        self._compact = compact
+        self._beta = create_backend("beta", compact=compact)
+        self._complaint = complaint_store
+        self._decay: Optional[TrustBackend] = None
+        # Every observation this peer has made, replayed into the decay
+        # backend when it is built; dropped from then on.
+        self._history: List[TrustObservation] = []
         self.defection_penalty = defection_penalty
         self.supplies_goods = supplies_goods
         self.consumes_goods = consumes_goods
@@ -82,29 +125,120 @@ class CommunityPeer:
         )
 
     # ------------------------------------------------------------------
+    # Trust backends and the one trust-method dispatch
+    # ------------------------------------------------------------------
+    def backend_for(self, method: str) -> TrustBackend:
+        """The backend answering ``method`` (BETA, COMPLAINT or DECAY)."""
+        if method == TrustMethod.BETA:
+            return self._beta
+        if method == TrustMethod.COMPLAINT:
+            return self._complaint
+        if method == TrustMethod.DECAY:
+            if self._decay is None:
+                self._decay = create_backend(
+                    "decay", half_life=100.0, compact=self._compact
+                )
+                self._decay.update_many(self._history)
+                self._history = []
+            return self._decay
+        raise SimulationError(
+            f"unknown trust method {method!r}; valid names: {TrustMethod.ALL}"
+        )
+
+    def _by_method(
+        self,
+        read: Callable[[TrustBackend], _Read],
+        read_complaint: Callable[[TrustBackend], _Read],
+        combine: Callable[[_Read, _Read], _Read],
+    ) -> _Read:
+        """Answer a trust read with the peer's configured method.
+
+        ``read`` queries a beta-family backend, ``read_complaint`` the
+        complaint backend; COMBINED ``combine``s (the minimum of) both.
+        """
+        method = self.trust_method
+        if method == TrustMethod.COMBINED:
+            return combine(read(self._beta), read_complaint(self._complaint))
+        if method == TrustMethod.COMPLAINT:
+            return read_complaint(self._complaint)
+        return read(self.backend_for(method))
+
+    # ------------------------------------------------------------------
     # Trust interface used by the community orchestration
     # ------------------------------------------------------------------
     def trust_in(self, partner_id: str, now: Optional[float] = None) -> float:
         """Current trust estimate in a partner using the peer's configured method."""
-        return self.reputation.trust_estimate(
-            partner_id, method=self.trust_method, now=now
+        return self._by_method(
+            lambda backend: backend.score(partner_id, now=now),
+            lambda complaint: complaint.score(partner_id),
+            min,
         )
 
     def trust_in_many(
         self, partner_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
         """Vectorized trust estimates for a batch of prospective partners."""
-        return self.reputation.trust_scores(
-            partner_ids, method=self.trust_method, now=now
+        return self._by_method(
+            lambda backend: backend.scores_for(partner_ids, now=now),
+            lambda complaint: complaint.scores_for(partner_ids),
+            np.minimum,
+        )
+
+    def _observation_from(self, record: InteractionRecord) -> TrustObservation:
+        """The record as one observation about this peer's partner."""
+        if self.peer_id == record.supplier_id:
+            partner_role = Role.CONSUMER
+        elif self.peer_id == record.consumer_id:
+            partner_role = Role.SUPPLIER
+        else:
+            raise SimulationError(
+                f"peer {self.peer_id!r} is not a participant of the record"
+            )
+        return TrustObservation(
+            observer_id=self.peer_id,
+            subject_id=record.participant(partner_role),
+            honest=record.honest(partner_role),
+            timestamp=record.timestamp,
+            weight=max(1.0, record.value) if record.value > 0 else 1.0,
         )
 
     def observe_outcome(self, record: InteractionRecord) -> None:
-        """Feed an interaction outcome back into the peer's reputation state."""
-        self.reputation.record_interaction(record)
+        """Feed an interaction outcome back into the peer's trust backends."""
+        self.observe_outcomes((record,))
 
     def observe_outcomes(self, records: Sequence[InteractionRecord]) -> None:
-        """Feed a batch of outcomes back in one backend flush per backend."""
-        self.reputation.record_many(records)
+        """Feed a batch of outcomes back in one flush per backend.
+
+        Every record is converted (and checked to involve this peer) before
+        any backend is written, so a bad record leaves the peer untouched.
+        A partner's defection files a complaint through the complaint
+        backend; the peer's own defection does not.
+        """
+        observations = [self._observation_from(record) for record in records]
+        if not observations:
+            return
+        self._beta.update_many(observations)
+        self._complaint.update_many(observations)
+        if self._decay is None:
+            self._history.extend(observations)
+        else:
+            self._decay.update_many(observations)
+
+    def file_complaint(self, accused_id: str, timestamp: float = 0.0) -> None:
+        """File a complaint about ``accused_id`` through the complaint backend.
+
+        Used for the spurious complaints of malicious behaviour models and
+        for complaints delivered by the evidence plane.
+        """
+        self._complaint.update(
+            TrustObservation(
+                observer_id=self.peer_id,
+                subject_id=accused_id,
+                honest=True,
+                timestamp=timestamp,
+                files_complaint=True,
+            )
+        )
 
     def maybe_file_false_complaint(
         self,
@@ -129,7 +263,7 @@ class CommunityPeer:
         if via is not None:
             via(self, partner_id, timestamp)
         else:
-            self.reputation.file_complaint(partner_id, timestamp=timestamp)
+            self.file_complaint(partner_id, timestamp=timestamp)
         return True
 
     # ------------------------------------------------------------------
@@ -146,7 +280,7 @@ class CommunityPeer:
         evidence about are omitted, except that a forging policy may still
         fabricate a report about them.
         """
-        backend = self.reputation.backend_for(TrustMethod.BETA)
+        backend = self._beta
         reports: List[Tuple[str, float, float]] = []
         for subject_id in subject_ids:
             if subject_id == self.peer_id:
@@ -200,35 +334,29 @@ class CommunityPeer:
 
         Reports are assembled into a witness-belief matrix and aggregated by
         the beta-family backend in one vectorized call, each witness
-        discounted by this peer's *own* current trust in it — the
-        second-hand evidence path of the paper's reference model.  With an
-        empty inbox (or a complaint-only trust method) this equals
-        :meth:`trust_in`.
+        discounted by this peer's *own* current beta trust in it — the
+        second-hand evidence path of the paper's reference model (COMBINED
+        takes the minimum with the complaint estimate).  With an empty inbox
+        (or a complaint-only trust method) this equals :meth:`trust_in`.
         """
-        if not self._witness_inbox.get(partner_id):
-            return self.trust_in(partner_id, now=now)
-        if self.trust_method == TrustMethod.COMPLAINT:
+        if (
+            not self._witness_inbox.get(partner_id)
+            or self.trust_method == TrustMethod.COMPLAINT
+        ):
             return self.trust_in(partner_id, now=now)
         witness_ids, matrix = self._witness_matrix_for(partner_id)
-        beta_backend = self.reputation.backend_for(TrustMethod.BETA)
         discounts = np.clip(
-            beta_backend.scores_for(witness_ids, now=now), 0.0, 1.0
+            self._beta.scores_for(witness_ids, now=now), 0.0, 1.0
         )
-        method = (
-            TrustMethod.BETA
-            if self.trust_method == TrustMethod.COMBINED
-            else self.trust_method
+        return self._by_method(
+            lambda backend: float(
+                backend.aggregate_witness_reports(
+                    (partner_id,), matrix, discounts, now=now
+                )[0]
+            ),
+            lambda complaint: complaint.score(partner_id),
+            min,
         )
-        backend = self.reputation.backend_for(method)
-        augmented = float(
-            backend.aggregate_witness_reports(
-                (partner_id,), matrix, discounts, now=now
-            )[0]
-        )
-        if self.trust_method == TrustMethod.COMBINED:
-            complaint = self.reputation.backend_for(TrustMethod.COMPLAINT)
-            return min(augmented, float(complaint.score(partner_id)))
-        return augmented
 
     @property
     def true_honesty(self) -> float:

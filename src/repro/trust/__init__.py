@@ -27,14 +27,12 @@ from repro.trust.backend import (
     register_backend,
 )
 from repro.trust.aggregation import (
-    SparseWitnessMatrix,
     WitnessReport,
     combine_beta_evidence,
     combine_beta_evidence_matrix,
     pessimistic_trust,
     reports_to_matrix,
     stack_witness_beliefs,
-    stack_witness_beliefs_sparse,
     validate_witness_matrix,
     weighted_mean_trust,
     witness_report_sums,
@@ -123,8 +121,6 @@ __all__ = [
     "combine_beta_evidence",
     "combine_beta_evidence_matrix",
     "stack_witness_beliefs",
-    "stack_witness_beliefs_sparse",
-    "SparseWitnessMatrix",
     "witness_report_sums",
     "reports_to_matrix",
     "validate_witness_matrix",

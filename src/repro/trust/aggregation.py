@@ -16,24 +16,12 @@ Two data paths are provided:
   backends' ``aggregate_witness_reports`` methods build on this core; the
   scalar function remains the behavioural reference the batched path is
   property-tested against.
-
-At community scale most witnesses have nothing to report about most
-subjects, so the dense ``(W, S, 2)`` matrix is almost entirely the neutral
-"no report" entry.  :class:`SparseWitnessMatrix` is the CSR-style
-counterpart (per-witness row pointers + subject columns + ``(value, value)``
-data) that stores only actual reports; every aggregation entry point
-(:func:`validate_witness_matrix`, :func:`combine_beta_evidence_matrix`,
-:func:`witness_report_sums` and the backends built on them) accepts either
-representation.  Sparse aggregation sums per-report contributions with
-``np.add.at`` instead of a dense ``einsum``, so results agree with the dense
-path to floating-point summation order (documented tolerance, not
-bit-identity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,12 +30,9 @@ from repro.trust.beta import BetaBelief
 
 __all__ = [
     "WitnessReport",
-    "SparseWitnessMatrix",
-    "WitnessMatrixLike",
     "combine_beta_evidence",
     "combine_beta_evidence_matrix",
     "stack_witness_beliefs",
-    "stack_witness_beliefs_sparse",
     "reports_to_matrix",
     "validate_witness_matrix",
     "witness_report_sums",
@@ -88,162 +73,12 @@ def combine_beta_evidence(
     return combined
 
 
-@dataclass(frozen=True)
-class SparseWitnessMatrix:
-    """CSR-style witness-report matrix: only actual reports are stored.
-
-    Witness ``w``'s reports live at ``cols[indptr[w]:indptr[w+1]]`` (subject
-    positions) and ``data[indptr[w]:indptr[w+1]]`` (``(alpha, beta)`` pairs
-    for the beta family, ``(received, filed)`` counts for the complaint
-    scheme).  A (witness, subject) pair with no stored entry means "nothing
-    to report": the uniform prior for beliefs, zero counts for complaints —
-    either way it contributes nothing to aggregation, which is exactly why
-    it need not be stored.  ``neutral`` records the dense fill value so
-    :meth:`to_dense` round-trips.
-    """
-
-    witness_count: int
-    subject_count: int
-    indptr: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-    neutral: Tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise TrustModelError(
-                f"sparse witness data must have shape (nnz, 2), got {data.shape}"
-            )
-        if indptr.ndim != 1 or indptr.shape[0] != self.witness_count + 1:
-            raise TrustModelError(
-                f"indptr must have shape (witness_count + 1,), got {indptr.shape}"
-            )
-        if indptr[0] != 0 or indptr[-1] != len(cols) or (np.diff(indptr) < 0).any():
-            raise TrustModelError("indptr must be monotone from 0 to nnz")
-        if len(cols) != len(data):
-            raise TrustModelError("cols and data lengths disagree")
-        if cols.size and (
-            (cols < 0).any() or (cols >= self.subject_count).any()
-        ):
-            raise TrustModelError("sparse witness columns out of subject range")
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """Dense-equivalent shape, so shape-based call sites work unchanged."""
-        return (self.witness_count, self.subject_count, 2)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.cols)
-
-    def row_indices(self) -> np.ndarray:
-        """Witness index of every stored entry (the CSR row expansion)."""
-        return np.repeat(
-            np.arange(self.witness_count, dtype=np.int64), np.diff(self.indptr)
-        )
-
-    @classmethod
-    def from_entries(
-        cls,
-        witness_count: int,
-        subject_count: int,
-        witness_rows: np.ndarray,
-        subject_cols: np.ndarray,
-        data: np.ndarray,
-        neutral: Tuple[float, float] = (1.0, 1.0),
-    ) -> "SparseWitnessMatrix":
-        """Build from COO-style triplets (stable-sorted into CSR rows)."""
-        rows = np.asarray(witness_rows, dtype=np.int64)
-        cols = np.asarray(subject_cols, dtype=np.int64)
-        values = np.asarray(data, dtype=np.float64)
-        if rows.size and ((rows < 0).any() or (rows >= witness_count).any()):
-            raise TrustModelError("sparse witness rows out of witness range")
-        order = np.argsort(rows, kind="stable")
-        counts = np.bincount(rows, minlength=witness_count)
-        indptr = np.zeros(witness_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(
-            witness_count=witness_count,
-            subject_count=subject_count,
-            indptr=indptr,
-            cols=cols[order],
-            data=values[order],
-            neutral=neutral,
-        )
-
-    @classmethod
-    def from_dense(
-        cls, matrix: np.ndarray, neutral: Tuple[float, float] = (1.0, 1.0)
-    ) -> "SparseWitnessMatrix":
-        """Sparsify a dense ``(W, S, 2)`` matrix (entries equal to ``neutral``
-        are dropped)."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 3 or matrix.shape[2] != 2:
-            raise TrustModelError(
-                f"witness matrix must have shape (W, S, 2), got {matrix.shape}"
-            )
-        mask = (matrix[:, :, 0] != neutral[0]) | (matrix[:, :, 1] != neutral[1])
-        rows, cols = np.nonzero(mask)
-        counts = np.bincount(rows, minlength=matrix.shape[0])
-        indptr = np.zeros(matrix.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(
-            witness_count=matrix.shape[0],
-            subject_count=matrix.shape[1],
-            indptr=indptr,
-            cols=cols.astype(np.int64),
-            data=matrix[rows, cols],
-            neutral=neutral,
-        )
-
-    def to_dense(self) -> np.ndarray:
-        """Materialise the dense ``(W, S, 2)`` equivalent."""
-        matrix = np.empty((self.witness_count, self.subject_count, 2))
-        matrix[:, :, 0] = self.neutral[0]
-        matrix[:, :, 1] = self.neutral[1]
-        if self.nnz:
-            matrix[self.row_indices(), self.cols] = self.data
-        return matrix
-
-    def select_columns(self, positions: np.ndarray) -> "SparseWitnessMatrix":
-        """Restrict to ``positions`` (renumbered 0..len-1) — the sparse
-        counterpart of ``matrix[:, positions, :]`` used by shard partitioning."""
-        positions = np.asarray(positions, dtype=np.int64)
-        lookup = np.full(self.subject_count, -1, dtype=np.int64)
-        lookup[positions] = np.arange(len(positions), dtype=np.int64)
-        new_cols = lookup[self.cols] if self.nnz else self.cols
-        keep = new_cols >= 0
-        kept_rows = self.row_indices()[keep]
-        counts = np.bincount(kept_rows, minlength=self.witness_count)
-        indptr = np.zeros(self.witness_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return SparseWitnessMatrix(
-            witness_count=self.witness_count,
-            subject_count=len(positions),
-            indptr=indptr,
-            cols=new_cols[keep],
-            data=self.data[keep],
-            neutral=self.neutral,
-        )
-
-
-#: Either witness-report representation, accepted by every aggregation entry
-#: point (and the backends' ``aggregate_witness_reports``).
-WitnessMatrixLike = Union[np.ndarray, SparseWitnessMatrix]
-
-
 def validate_witness_matrix(
     subject_count: int,
-    witness_belief_matrix: "WitnessMatrixLike",
+    witness_belief_matrix: np.ndarray,
     discount_vector: np.ndarray,
     positive: bool = True,
-) -> Tuple["WitnessMatrixLike", np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Validate and canonicalise a ``(W, S, 2)`` belief matrix + discounts.
 
     Returns float64 views/copies of both arrays.  ``W`` (the number of
@@ -251,33 +86,8 @@ def validate_witness_matrix(
     degrades to direct evidence only.  ``positive`` is the beta-family rule
     (``(alpha, beta)`` parameters must be strictly positive); complaint-count
     reports pass ``positive=False`` and only need to be non-negative.
-
-    A :class:`SparseWitnessMatrix` passes through structurally unchanged
-    (only its stored entries are range-checked — absent entries are neutral
-    by construction).
     """
     discounts = np.asarray(discount_vector, dtype=np.float64)
-    if isinstance(witness_belief_matrix, SparseWitnessMatrix):
-        sparse = witness_belief_matrix
-        if sparse.subject_count != subject_count:
-            raise TrustModelError(
-                f"witness matrix covers {sparse.subject_count} subjects, "
-                f"query names {subject_count}"
-            )
-        if discounts.ndim != 1 or discounts.shape[0] != sparse.witness_count:
-            raise TrustModelError(
-                f"discount_vector must have shape ({sparse.witness_count},), "
-                f"got {discounts.shape}"
-            )
-        if sparse.nnz and positive and (sparse.data <= 0).any():
-            raise TrustModelError(
-                "witness beliefs must have positive (alpha, beta)"
-            )
-        if sparse.nnz and not positive and (sparse.data < 0).any():
-            raise TrustModelError("witness reports must be non-negative")
-        if discounts.size and ((discounts < 0) | (discounts > 1)).any():
-            raise TrustModelError("discounts must lie in [0, 1]")
-        return sparse, discounts
     matrix = np.asarray(witness_belief_matrix, dtype=np.float64)
     if matrix.ndim != 3 or matrix.shape[2] != 2:
         raise TrustModelError(
@@ -331,26 +141,14 @@ def combine_beta_evidence_matrix(
 
 
 def witness_report_sums(
-    matrix: "WitnessMatrixLike", discounts: np.ndarray, evidence: bool = False
+    matrix: np.ndarray, discounts: np.ndarray, evidence: bool = False
 ) -> np.ndarray:
     """Discount-weighted per-subject report sums, shape ``(S, 2)``.
 
     ``evidence=True`` first subtracts the uniform prior from each report
     (``clip(x - 1, 0, ...)`` — the beta-family evidence rule); ``False``
-    sums raw report values (the complaint-count rule).  Dense matrices use
-    the historical ``einsum`` (bit-identical to the pre-sparse path); sparse
-    matrices accumulate per stored report with ``np.add.at``, which agrees
-    with the dense sum to floating-point summation order.
+    sums raw report values (the complaint-count rule).
     """
-    if isinstance(matrix, SparseWitnessMatrix):
-        values = matrix.data
-        if evidence:
-            values = np.clip(values - 1.0, 0.0, None)
-        sums = np.zeros((matrix.subject_count, 2))
-        if matrix.nnz:
-            weights = np.repeat(discounts, np.diff(matrix.indptr))
-            np.add.at(sums, matrix.cols, weights[:, None] * values)
-        return sums
     values = np.clip(matrix - 1.0, 0.0, None) if evidence else matrix
     return np.einsum("w,wsk->sk", discounts, values)
 
@@ -378,38 +176,6 @@ def stack_witness_beliefs(
                 matrix[row, column, 0] = belief.alpha
                 matrix[row, column, 1] = belief.beta
     return matrix
-
-
-def stack_witness_beliefs_sparse(
-    witness_beliefs: Sequence[Sequence[Optional[BetaBelief]]],
-) -> SparseWitnessMatrix:
-    """Sparse counterpart of :func:`stack_witness_beliefs`.
-
-    Only non-``None`` beliefs are stored; a ``None`` ("nothing to report")
-    is the implicit neutral ``(1, 1)`` entry, so
-    ``stack_witness_beliefs_sparse(rows).to_dense()`` equals
-    ``stack_witness_beliefs(rows)``.
-    """
-    witness_count = len(witness_beliefs)
-    subject_count = len(witness_beliefs[0]) if witness_beliefs else 0
-    cols: list = []
-    data: list = []
-    indptr = np.zeros(witness_count + 1, dtype=np.int64)
-    for row, beliefs in enumerate(witness_beliefs):
-        if len(beliefs) != subject_count:
-            raise TrustModelError("ragged witness belief rows")
-        for column, belief in enumerate(beliefs):
-            if belief is not None:
-                cols.append(column)
-                data.append((belief.alpha, belief.beta))
-        indptr[row + 1] = len(cols)
-    return SparseWitnessMatrix(
-        witness_count=witness_count,
-        subject_count=subject_count,
-        indptr=indptr,
-        cols=np.asarray(cols, dtype=np.int64),
-        data=np.asarray(data, dtype=np.float64).reshape(len(data), 2),
-    )
 
 
 def reports_to_matrix(

@@ -73,7 +73,6 @@ import numpy as np
 from repro.exceptions import TrustModelError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.trust.aggregation import (
-    SparseWitnessMatrix,
     WitnessReport,
     combine_beta_evidence,
     combine_beta_evidence_matrix,
@@ -1081,10 +1080,9 @@ def complaints_from_snapshot(state: Mapping[str, np.ndarray]) -> List[Complaint]
 class ScalarBetaBackendAdapter(TrustBackend):
     """Adapts a scalar :class:`BetaTrustModel` to the backend interface.
 
-    Used for decay models the vectorized backends cannot express online
-    (e.g. :class:`~repro.trust.decay.SlidingWindowDecay`) and as the scalar
-    reference in the batched-versus-scalar benchmark.  Every batch method
-    degrades to a Python loop over the wrapped model.
+    A reference only: the scalar baseline of the batched-versus-scalar
+    benchmarks and agreement tests.  No simulation path builds one.  Every
+    batch method degrades to a Python loop over the wrapped model.
     """
 
     name = "scalar-beta"
@@ -1130,8 +1128,6 @@ class ScalarBetaBackendAdapter(TrustBackend):
         matrix, discounts = validate_witness_matrix(
             len(subject_ids), witness_belief_matrix, discount_vector
         )
-        if isinstance(matrix, SparseWitnessMatrix):
-            matrix = matrix.to_dense()
         scores = np.zeros(len(subject_ids))
         for column, subject_id in enumerate(subject_ids):
             reports = [

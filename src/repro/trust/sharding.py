@@ -7,7 +7,7 @@ the community's shared complaint store: a :class:`ShardedBackend` splits
 the peer-id space across ``N`` inner
 :class:`~repro.trust.backend.ComplaintTrustBackend` shards while presenting
 the *same* ``TrustBackend`` and ``ComplaintStore`` interfaces, so every
-consumer — the reputation manager, witness aggregation, the community
+consumer — the community's peers, witness aggregation, the community
 simulation — stays unchanged and shard-agnostic.  Only the complaint kind
 is sharded: each peer's private beta and decay backends hold at most one
 row per community member and gain nothing from partitioning.
@@ -100,10 +100,7 @@ from typing import (
 import numpy as np
 
 from repro.exceptions import TrustModelError
-from repro.trust.aggregation import (
-    SparseWitnessMatrix,
-    validate_witness_matrix,
-)
+from repro.trust.aggregation import validate_witness_matrix
 from repro.trust.backend import (
     ComplaintTrustBackend,
     TrustBackend,
@@ -476,15 +473,6 @@ class RebalanceEvent:
     rows_moved: int
     num_shards_after: int
     seconds: float
-
-
-def _matrix_columns(
-    matrix: "np.ndarray | SparseWitnessMatrix", positions: np.ndarray
-):
-    """Column-select a witness matrix in either representation."""
-    if isinstance(matrix, SparseWitnessMatrix):
-        return matrix.select_columns(positions)
-    return matrix[:, positions, :]
 
 
 class ShardedBackend(TrustBackend):
@@ -1030,7 +1018,7 @@ class ShardedBackend(TrustBackend):
             np.zeros(len(subject_ids)),
             lambda shard, subjects, positions, reference: shard.scores_from_metrics(
                 shard.witness_metrics_for(
-                    subjects, _matrix_columns(matrix, positions), discounts
+                    subjects, matrix[:, positions, :], discounts
                 ),
                 reference,
             ),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import WorkloadError
-from repro.reputation.manager import TrustMethod
 from repro.simulation.behaviors import (
     BehaviorModel,
     FluctuatingBehavior,
@@ -22,8 +21,8 @@ from repro.simulation.behaviors import (
     ProbabilisticBehavior,
     RationalDefectorBehavior,
 )
-from repro.simulation.peer import CommunityPeer
-from repro.trust import ComplaintStore
+from repro.simulation.peer import CommunityPeer, TrustMethod
+from repro.trust import TrustBackend
 
 __all__ = ["PopulationSpec", "build_population", "population_factory", "honesty_map"]
 
@@ -109,18 +108,20 @@ class PopulationSpec:
 
 def build_population(
     spec: PopulationSpec,
-    complaint_store: Optional[ComplaintStore] = None,
+    complaint_store: Optional[TrustBackend] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
     compact: bool = False,
 ) -> List[CommunityPeer]:
     """Build the peers described by ``spec``.
 
-    When ``complaint_store`` is supplied every peer files complaints into (and
-    reads from) that shared store, modelling the community-wide complaint
-    system; otherwise each peer keeps a private store (direct evidence only).
+    When ``complaint_store`` (a complaint backend such as
+    ``create_backend("complaint", metric_mode="balanced")``) is supplied
+    every peer files complaints into (and reads from) that shared store,
+    modelling the community-wide complaint system; otherwise each peer keeps
+    a private store (direct evidence only).
     ``trust_method`` selects the trust backend every peer consults (one of
-    :data:`repro.reputation.manager.TrustMethod.ALL`); ``compact`` switches
+    :data:`repro.simulation.peer.TrustMethod.ALL`); ``compact`` switches
     every peer's backends to memory-bounded chunked float32/int32 storage
     (large-community mode).  Each peer's own backends are plain; only a
     shared ``complaint_store`` may be sharded.
@@ -144,7 +145,7 @@ def build_population(
 
 def population_factory(
     spec: PopulationSpec,
-    complaint_store: Optional[ComplaintStore] = None,
+    complaint_store: Optional[TrustBackend] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
     compact: bool = False,

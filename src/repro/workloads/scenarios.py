@@ -21,13 +21,12 @@ from typing import Callable, List, Optional
 
 from repro.exceptions import WorkloadError
 from repro.marketplace.strategy import ExchangeStrategy, TrustAwareStrategy
-from repro.reputation.manager import TrustMethod
 from repro.simulation.behaviors import CoalitionWitness, RationalDefectorBehavior
 from repro.simulation.churn import ChurnModel
 from repro.simulation.community import CommunityConfig, CommunitySimulation
 from repro.simulation.evidence import COMPLAINT_SINK
-from repro.simulation.peer import CommunityPeer
-from repro.trust import ComplaintStore, RebalancePolicy, create_backend
+from repro.simulation.peer import CommunityPeer, TrustMethod
+from repro.trust import RebalancePolicy, TrustBackend, create_backend
 from repro.workloads.populations import (
     PopulationSpec,
     build_population,
@@ -58,7 +57,7 @@ class ScenarioSpec:
     name: str
     peers: List[CommunityPeer]
     config: CommunityConfig
-    complaint_store: ComplaintStore
+    complaint_store: TrustBackend
     trust_method: str = TrustMethod.BETA
     churn: Optional[ChurnModel] = None
     peer_factory: Optional[Callable[[int], CommunityPeer]] = None

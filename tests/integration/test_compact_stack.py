@@ -10,7 +10,6 @@ and default, and compares the economic outcome and the trust snapshots.
 
 import pytest
 
-from repro.reputation.manager import TrustMethod
 from repro.workloads import build_scenario, scenario_names
 
 #: Beta-family scores under the compact layout stay within this absolute
@@ -24,10 +23,9 @@ def _run(name, compact, size=10, rounds=6, seed=3, **params):
     )
     simulation = scenario.simulation()
     result = simulation.run()
+    method = "beta" if scenario.trust_method == "combined" else scenario.trust_method
     trust = {
-        peer.peer_id: peer.reputation.trust_snapshot(
-            method=scenario.trust_method
-        )
+        peer.peer_id: peer.backend_for(method).scores_snapshot()
         for peer in simulation.peers
     }
     return result, trust

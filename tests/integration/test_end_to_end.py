@@ -24,12 +24,13 @@ from repro.core.safety import ExchangeRequirements
 from repro.core.trust_aware import plan_trust_aware_exchange
 from repro.marketplace import TrustAwareStrategy, execute_sequence
 from repro.pgrid import PGridNetwork
-from repro.reputation import DistributedReputationStore, ReputationManager
+from repro.reputation import DistributedReputationStore
 from repro.reputation.records import InteractionRecord
 from repro.simulation.behaviors import HonestBehavior, RationalDefectorBehavior
 from repro.simulation.community import CommunityConfig, CommunitySimulation
 from repro.simulation.peer import CommunityPeer
-from repro.trust.complaint import ComplaintTrustModel, LocalComplaintStore
+from repro.trust import create_backend
+from repro.trust.complaint import ComplaintTrustModel
 from repro.trust.metrics import mean_absolute_error
 from repro.workloads import PopulationSpec, build_population, build_scenario
 
@@ -84,7 +85,7 @@ class TestSafeExchangeClaims:
 
 class TestReputationLoop:
     def test_community_learns_to_avoid_defectors(self):
-        shared = LocalComplaintStore()
+        shared = create_backend("complaint", metric_mode="balanced")
         spec = PopulationSpec(
             size=16,
             honest_fraction=0.625,
@@ -97,7 +98,7 @@ class TestReputationLoop:
         # Honest peers' estimates of the dishonest peers drop well below the
         # estimates of honest peers.
         honest_peer = next(p for p in peers if p.true_honesty == 1.0)
-        estimates = honest_peer.reputation.trust_snapshot()
+        estimates = honest_peer.backend_for("beta").scores_snapshot()
         dishonest_ids = [p.peer_id for p in peers if p.true_honesty == 0.0]
         honest_ids = [
             p.peer_id for p in peers
@@ -129,7 +130,7 @@ class TestReputationLoop:
         config = CommunityConfig(rounds=60, seed=7)
         result = CommunitySimulation(peers, GoodsFirstStrategy(), config).run()
         observer = peers[0]
-        estimates = observer.reputation.trust_snapshot()
+        estimates = observer.backend_for("beta").scores_snapshot()
         truth = {k: v for k, v in result.true_honesty.items() if k in estimates}
         error = mean_absolute_error(estimates, truth)
         assert error < 0.3
@@ -172,13 +173,17 @@ class TestDistributedReputation:
         assessment = model.assess_from_reports("cheater", reports)
         assert assessment.counts.received == 6
 
-    def test_reputation_manager_on_distributed_store(self):
+    def test_peers_on_distributed_store(self):
         network = PGridNetwork([f"s{i}" for i in range(8)], seed=9)
         network.build("balanced")
-        store = DistributedReputationStore(network)
-        alice = ReputationManager("alice", complaint_store=store)
-        bob = ReputationManager("bob", complaint_store=store)
-        alice.record_interaction(
+        shared = create_backend(
+            "complaint",
+            store=DistributedReputationStore(network),
+            metric_mode="balanced",
+        )
+        alice = CommunityPeer("alice", complaint_store=shared)
+        bob = CommunityPeer("bob", complaint_store=shared, trust_method="complaint")
+        alice.observe_outcome(
             InteractionRecord(
                 supplier_id="mallory",
                 consumer_id="alice",
@@ -188,5 +193,5 @@ class TestDistributedReputation:
             )
         )
         # Bob has never met Mallory but the shared distributed store tells him.
-        assert bob.trust_estimate("mallory", method="complaint") < 1.0
+        assert bob.trust_in("mallory") < 1.0
         assert network.total_stored_values() > 0

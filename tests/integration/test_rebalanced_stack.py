@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.reputation.manager import TrustMethod
+from repro.simulation.peer import TrustMethod
 from repro.trust import ShardedBackend
 from repro.trust.sharding import HashShardRouter, RangeShardRouter, RingShardRouter
 from repro.workloads import build_scenario
@@ -38,7 +38,7 @@ def _run(name, backend, seed, size, rounds, **sharding):
     result = simulation.run()
     method = TrustMethod.BETA if backend == "combined" else backend
     trust = {
-        peer.peer_id: peer.reputation.trust_snapshot(method=method)
+        peer.peer_id: peer.backend_for(method).scores_snapshot()
         for peer in simulation.peers
     }
     return scenario, simulation, result, trust
@@ -145,7 +145,7 @@ def test_only_the_shared_store_rebalances():
     assert _split_count(scenario) > 0
     for peer in simulation.peers + departed:
         assert not isinstance(
-            peer.reputation.backend_for(TrustMethod.BETA), ShardedBackend
+            peer.backend_for(TrustMethod.BETA), ShardedBackend
         )
 
 

@@ -1,4 +1,4 @@
-"""Sharding across the whole stack: scenarios, manager, evidence, CLI knob.
+"""Sharding across the whole stack: scenarios, peers, evidence, CLI knob.
 
 The acceptance bar for the sharded-backend refactor is that ``--shards N``
 is *invisible* end to end: every scenario, run with any backend kind,
@@ -9,8 +9,8 @@ the trust state lives in one arena or is partitioned across N shards.
 import numpy as np
 import pytest
 
-from repro.reputation.manager import ReputationManager, TrustMethod
 from repro.reputation.records import InteractionRecord
+from repro.simulation.peer import CommunityPeer, TrustMethod
 from repro.trust import ShardedBackend, create_backend
 from repro.workloads import build_scenario, scenario_names
 
@@ -23,7 +23,7 @@ def _run_scenario(name, backend, shards, size=10, rounds=6, seed=3):
     result = simulation.run()
     method = TrustMethod.BETA if backend == "combined" else backend
     trust = {
-        peer.peer_id: peer.reputation.trust_snapshot(method=method)
+        peer.peer_id: peer.backend_for(method).scores_snapshot()
         for peer in simulation.peers
     }
     return result, trust
@@ -92,10 +92,10 @@ class TestPlainPeerBackends:
     """Sharding applies to the shared complaint store, never to a peer's own
     backends."""
 
-    def test_manager_backends_are_plain(self):
-        manager = ReputationManager(owner_id="me")
+    def test_peer_backends_are_plain(self):
+        peer = CommunityPeer("me")
         for method in (TrustMethod.BETA, TrustMethod.COMPLAINT, TrustMethod.DECAY):
-            assert not isinstance(manager.backend_for(method), ShardedBackend)
+            assert not isinstance(peer.backend_for(method), ShardedBackend)
 
     def test_sharded_scenario_shards_only_the_store(self):
         scenario = build_scenario("high-churn", size=10, rounds=6, seed=3, shards=4)
@@ -104,16 +104,15 @@ class TestPlainPeerBackends:
         store = scenario.complaint_store
         assert isinstance(store, ShardedBackend) and store.num_shards == 4
         for peer in simulation.peers + simulation.departed_peers:
-            backends = peer.reputation.backends
-            assert backends[TrustMethod.COMPLAINT] is store
-            assert not isinstance(backends[TrustMethod.BETA], ShardedBackend)
+            assert peer.backend_for(TrustMethod.COMPLAINT) is store
+            assert not isinstance(
+                peer.backend_for(TrustMethod.BETA), ShardedBackend
+            )
 
-    def test_manager_over_sharded_store_matches_plain_store(self):
-        plain = ReputationManager(
-            owner_id="me", complaint_store=create_backend("complaint")
-        )
-        sharded = ReputationManager(
-            owner_id="me",
+    def test_peer_over_sharded_store_matches_plain_store(self):
+        plain = CommunityPeer("me", complaint_store=create_backend("complaint"))
+        sharded = CommunityPeer(
+            "me",
             complaint_store=create_backend("complaint", shards=3, router="range"),
         )
         partners = [f"partner-{index}" for index in range(8)]
@@ -126,14 +125,14 @@ class TestPlainPeerBackends:
                 value=5.0,
                 timestamp=float(index),
             )
-            plain.record_interaction(record)
-            sharded.record_interaction(record)
+            plain.observe_outcome(record)
+            sharded.observe_outcome(record)
         for method in TrustMethod.ALL:
+            plain.trust_method = sharded.trust_method = method
             np.testing.assert_array_equal(
-                plain.trust_scores(partners, method=method),
-                sharded.trust_scores(partners, method=method),
+                plain.trust_in_many(partners), sharded.trust_in_many(partners)
             )
-        for partner in partners:
-            assert plain.is_trustworthy(
-                partner, method=TrustMethod.COMPLAINT
-            ) == sharded.is_trustworthy(partner, method=TrustMethod.COMPLAINT)
+        np.testing.assert_array_equal(
+            plain.backend_for(TrustMethod.COMPLAINT).trust_decisions(partners),
+            sharded.backend_for(TrustMethod.COMPLAINT).trust_decisions(partners),
+        )

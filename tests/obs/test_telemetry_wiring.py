@@ -20,7 +20,7 @@ def _fingerprint(name, telemetry, **params):
     scenario = build_registered_scenario(name, telemetry=telemetry, **params)
     result = scenario.simulation().run()
     trust = {
-        peer.peer_id: sorted(peer.reputation.trust_snapshot().items())
+        peer.peer_id: sorted(peer.backend_for("beta").scores_snapshot().items())
         for peer in scenario.peers
     }
     complaints = sorted(

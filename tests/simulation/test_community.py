@@ -12,7 +12,7 @@ from repro.simulation.community import (
     CommunitySimulation,
 )
 from repro.simulation.peer import CommunityPeer
-from repro.trust.complaint import LocalComplaintStore
+from repro.trust import create_backend
 from repro.workloads.populations import PopulationSpec, build_population
 
 
@@ -121,10 +121,13 @@ class TestCommunitySimulation:
         assert result.honest_losses() <= 1e-9
 
     def test_trust_aware_reduces_losses_compared_to_naive(self):
-        shared = LocalComplaintStore()
+        shared = create_backend("complaint", metric_mode="balanced")
         config = CommunityConfig(rounds=25, seed=13)
         naive = CommunitySimulation(
-            small_population(dishonest=0.4, shared_store=LocalComplaintStore()),
+            small_population(
+                dishonest=0.4,
+                shared_store=create_backend("complaint", metric_mode="balanced"),
+            ),
             GoodsFirstStrategy(),
             config,
         ).run()

@@ -43,13 +43,20 @@ def _record(supplier="s", consumer="c", supplier_honest=True, consumer_honest=Tr
     )
 
 
+def _observed(peer):
+    """Outcomes the peer has recorded: one beta observation each."""
+    beta = peer.backend_for("beta")
+    return sum(beta.observation_count(subject) for subject in beta.known_subjects())
+
+
+
 class TestSyncPlane:
     def test_records_applied_immediately(self):
         plane = EvidencePlane(mode="sync")
         peer = CommunityPeer("c")
         plane.register_peer(peer)
         plane.submit_records("c", [_record(supplier_honest=False)])
-        assert peer.reputation.interaction_count() == 1
+        assert _observed(peer) == 1
         assert plane.counters is None
         assert plane.pending_messages == 0
 
@@ -69,7 +76,7 @@ class TestSyncPlane:
         peer = CommunityPeer("p")
         plane.register_peer(peer)
         plane.submit_complaint(peer, "villain", timestamp=1.0)
-        assert peer.reputation.complaint_model.counts("villain").received == 1
+        assert peer.backend_for("complaint").counts("villain")[0] == 1
 
 
 class TestAsyncPlane:
@@ -85,11 +92,11 @@ class TestAsyncPlane:
         peer = CommunityPeer("c")
         plane.register_peer(peer)
         plane.submit_records("c", [_record()])
-        assert peer.reputation.interaction_count() == 0
+        assert _observed(peer) == 0
         plane.advance(1.0)
-        assert peer.reputation.interaction_count() == 0
+        assert _observed(peer) == 0
         plane.advance(2.0)
-        assert peer.reputation.interaction_count() == 1
+        assert _observed(peer) == 1
         assert plane.counters.delivered == 1
 
     def test_lost_evidence_never_arrives(self):
@@ -101,7 +108,7 @@ class TestAsyncPlane:
         plane.advance(100.0)
         counters = plane.counters
         assert counters.dropped > 0
-        assert counters.delivered == peer.reputation.interaction_count()
+        assert counters.delivered == _observed(peer)
         assert counters.delivered + counters.dropped == counters.sent
 
     def test_witness_round_trip_pays_two_legs(self):
@@ -124,7 +131,7 @@ class TestAsyncPlane:
         plane.submit_records("c", [_record()])
         plane.unregister_peer("c")
         plane.advance(5.0)
-        assert peer.reputation.interaction_count() == 0
+        assert _observed(peer) == 0
         assert plane.counters.undeliverable == 1
 
     def test_complaints_route_through_the_sink(self):
@@ -132,15 +139,15 @@ class TestAsyncPlane:
         peer = CommunityPeer("p")
         plane.register_peer(peer)
         plane.submit_complaint(peer, "villain", timestamp=0.0)
-        assert peer.reputation.complaint_model.counts("villain").received == 0
+        assert peer.backend_for("complaint").counts("villain")[0] == 0
         plane.advance(1.0)
-        assert peer.reputation.complaint_model.counts("villain").received == 1
+        assert peer.backend_for("complaint").counts("villain")[0] == 1
 
     def test_complaint_from_departed_filer_still_lands(self):
         # The complaint store is community-shared: a filing already in
         # flight reaches it even when the filer churns out before delivery.
         plane = self._plane(latency=2.0)
-        store = CommunityPeer("store-holder").reputation.complaint_model.store
+        store = CommunityPeer("store-holder").backend_for("complaint")
         filer = CommunityPeer("f", complaint_store=store)
         plane.register_peer(filer)
         plane.submit_complaint(filer, "villain", timestamp=0.0)
@@ -227,13 +234,13 @@ class TestCommunityIntegration:
         )
         result = simulation.run()
         errors = [
-            abs(observer.reputation.trust_estimate(subject.peer_id) - subject.true_honesty)
+            abs(observer.backend_for("beta").score(subject.peer_id) - subject.true_honesty)
             for observer in scenario.peers
             for subject in scenario.peers
             if observer is not subject
         ]
         recorded = sum(
-            peer.reputation.interaction_count() for peer in scenario.peers
+            _observed(peer) for peer in scenario.peers
         )
         return result, float(np.mean(errors)), recorded
 

@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 from repro.exceptions import SimulationError
 from repro.baselines import GoodsFirstStrategy
 from repro.marketplace.strategy import TrustAwareStrategy
-from repro.reputation.manager import TrustMethod
 from repro.reputation.records import InteractionRecord
 from repro.simulation.behaviors import FluctuatingBehavior
 from repro.simulation.community import CommunityConfig, CommunitySimulation
 from repro.simulation.evidence import EvidencePlane
 from repro.simulation.network import FixedLatency
-from repro.simulation.peer import CommunityPeer
+from repro.simulation.peer import CommunityPeer, TrustMethod
 from repro.simulation.repair import (
     REPAIR_POLICIES,
     EvidenceEntry,
@@ -51,6 +50,13 @@ def _record(supplier="s", consumer="c", supplier_honest=True, consumer_honest=Tr
         value=5.0,
         timestamp=timestamp,
     )
+
+
+def _observed(peer):
+    """Outcomes the peer has recorded: one beta observation each."""
+    beta = peer.backend_for("beta")
+    return sum(beta.observation_count(subject) for subject in beta.known_subjects())
+
 
 
 def _entry(origin, seq, recipient="r", kind="evidence", payload=(), emitted_at=0.0):
@@ -410,7 +416,7 @@ class TestDedupIdempotency:
         plane.submit_records("c", [_record()], sender_id="s")
         plane.advance(1.0)  # original delivered; retransmit already queued
         plane.drain(max_ticks=20)
-        assert peer.reputation.interaction_count() == 1
+        assert _observed(peer) == 1
         counters = plane.counters
         assert counters.duplicates_suppressed >= 1
         assert counters.entries_applied == 1
@@ -428,7 +434,7 @@ class TestDedupIdempotency:
         plane.register_peer(filer)
         plane.submit_complaint(filer, "villain", timestamp=0.0)
         plane.drain(max_ticks=20)
-        assert filer.reputation.complaint_model.counts("villain").received == 1
+        assert filer.backend_for("complaint").counts("villain")[0] == 1
         assert plane.counters.duplicates_suppressed >= 1
 
 
@@ -462,7 +468,7 @@ class TestRetransmitRecovery:
         assert counters.repair_messages > 0
         assert counters.dropped > 0  # loss really happened and was repaired
         assert ticks < 200
-        assert sum(p.reputation.interaction_count() for p in peers) == 40
+        assert sum(_observed(p) for p in peers) == 40
 
     def test_backoff_is_capped(self):
         policy = create_repair_policy("retransmit", retransmit_timeout=1.0)
@@ -531,7 +537,7 @@ class TestGossipRecovery:
         plane.drain(max_ticks=200)
         counters = plane.counters
         assert counters.effective_delivery_ratio == 1.0
-        assert peers[0].reputation.complaint_model.counts("villain").received == 8
+        assert peers[0].backend_for("complaint").counts("villain")[0] == 8
 
     def test_zero_loss_gossip_stays_quietly_converged(self):
         plane, peers = self._community_plane(loss=0.0)
@@ -621,7 +627,7 @@ class TestChurnHardening:
         assert counters.entries_expired == 1  # the churner's mail
         assert counters.missing_entries == 0
         assert counters.effective_delivery_ratio == pytest.approx(0.5)
-        assert stay.reputation.interaction_count() == 1
+        assert _observed(stay) == 1
 
     def test_gossip_orphaned_origin_is_written_off(self):
         # An entry whose origin departs before any surviving journal holds a
@@ -734,11 +740,11 @@ class TestConvergenceToSyncState:
         by_id_async = {peer.peer_id: peer for peer in async_peers}
         for peer_id in ids:
             others = [other for other in ids if other != peer_id]
-            sync_scores = by_id_sync[peer_id].reputation.trust_scores(
-                others, method=method, now=12.0
+            sync_scores = by_id_sync[peer_id].backend_for(method).scores_for(
+                others, now=12.0
             )
-            async_scores = by_id_async[peer_id].reputation.trust_scores(
-                others, method=method, now=12.0
+            async_scores = by_id_async[peer_id].backend_for(method).scores_for(
+                others, now=12.0
             )
             np.testing.assert_allclose(
                 async_scores, sync_scores, rtol=0, atol=1e-9
@@ -751,15 +757,10 @@ class TestConvergenceToSyncState:
         )
         assert result.evidence_effective_delivery_ratio == 1.0
         ids = sorted(peer.peer_id for peer in sync_peers)
-        sync_model = sync_peers[0].reputation.complaint_model
-        async_model = async_peers[0].reputation.complaint_model
+        sync_store = sync_peers[0].backend_for("complaint")
+        async_store = async_peers[0].backend_for("complaint")
         for peer_id in ids:
-            sync_counts = sync_model.counts(peer_id)
-            async_counts = async_model.counts(peer_id)
-            assert (sync_counts.received, sync_counts.filed) == (
-                async_counts.received,
-                async_counts.filed,
-            )
+            assert sync_store.counts(peer_id) == async_store.counts(peer_id)
 
     def test_lossless_repair_off_matches_sync_too(self):
         # The pre-repair pinning: repair off + zero loss must not change
@@ -767,10 +768,7 @@ class TestConvergenceToSyncState:
         sync_peers, _ = _trust_free_run("sync")
         async_peers, _ = _trust_free_run("async", latency=1e-6)
         for sync_peer, async_peer in zip(sync_peers, async_peers):
-            assert (
-                sync_peer.reputation.interaction_count()
-                == async_peer.reputation.interaction_count()
-            )
+            assert _observed(sync_peer) == _observed(async_peer)
 
 
 class TestPartitionHealScenario:

@@ -9,7 +9,7 @@ from repro.reputation.records import InteractionRecord
 from repro.simulation.behaviors import HonestBehavior, RationalDefectorBehavior
 from repro.simulation.churn import ChurnModel
 from repro.simulation.peer import CommunityPeer
-from repro.trust.complaint import LocalComplaintStore
+from repro.trust import create_backend
 
 
 class TestCommunityPeer:
@@ -44,7 +44,7 @@ class TestCommunityPeer:
             behavior=RationalDefectorBehavior(false_complaint_probability=1.0),
         )
         assert malicious.maybe_file_false_complaint("victim", rng)
-        complaints = malicious.reputation.complaint_model.store.complaints_by("mallory")
+        complaints = malicious.backend_for("complaint").complaints_by("mallory")
         assert len(complaints) == 1
 
     def test_false_complaint_never_about_self(self):
@@ -56,7 +56,7 @@ class TestCommunityPeer:
         assert not malicious.maybe_file_false_complaint("mallory", rng)
 
     def test_shared_complaint_store(self):
-        shared = LocalComplaintStore()
+        shared = create_backend("complaint", metric_mode="balanced")
         alice = CommunityPeer("alice", complaint_store=shared)
         bob = CommunityPeer("bob", complaint_store=shared)
         alice.observe_outcome(
@@ -67,9 +67,9 @@ class TestCommunityPeer:
                 defector="supplier",
             )
         )
-        # Bob's manager reads the same store, so a third peer would see it too.
+        # Bob reads the same backend, so a third peer would see it too.
         assert len(shared.complaints_about("bob")) == 1
-        assert bob.reputation.complaint_model.counts("bob").received == 1
+        assert bob.backend_for("complaint").counts("bob")[0] == 1
 
 
 class TestChurnModel:

@@ -88,7 +88,7 @@ class TestDocstrings:
             "repro.core.gametheory",
             "repro.trust.beta",
             "repro.trust.complaint",
-            "repro.reputation.manager",
+            "repro.reputation.reporting",
             "repro.pgrid.network",
             "repro.simulation.community",
             "repro.marketplace.protocol",

@@ -7,8 +7,7 @@ shard — initial, split successor or re-sharded — is built by one
 constructor that merges the wrapper's shard parameters with a manifest's
 scoring configuration.  These tests pin both halves against one plain
 complaint backend: the complaint-store protocol under every router and
-metric mode, the compact layout, sparse witness matrices, gather order
-after live splits, the per-write-version reference cache, the
+metric mode, the compact layout, gather order after live splits, the per-write-version reference cache, the
 configuration and telemetry binding of shards minted after construction,
 restores across router strategies, and streamed manifests of uneven
 post-split layouts.
@@ -27,7 +26,6 @@ from repro.trust import (
     create_backend,
     create_router,
 )
-from repro.trust.aggregation import SparseWitnessMatrix
 from repro.trust.backend import ComplaintTrustBackend
 from repro.trust.evidence import Complaint
 
@@ -136,25 +134,6 @@ class TestComplaintStoreProtocol:
             plain.aggregate_witness_reports(queries, matrix, discounts),
             compact.aggregate_witness_reports(queries, matrix, discounts),
         )
-
-
-@pytest.mark.parametrize("router", ROUTER_NAMES)
-def test_sparse_witness_matrix_gathers_like_dense(router):
-    observations = _observation_stream(seed=6)
-    plain = create_backend("complaint")
-    sharded = ShardedBackend(3, router=router)
-    _feed(plain, observations)
-    _feed(sharded, observations)
-    queries = _shuffled_queries(seed=2)
-    dense, discounts = _witness_inputs(len(queries), seed=8)
-    sparse = SparseWitnessMatrix.from_dense(dense, neutral=(0.0, 0.0))
-    expected = plain.aggregate_witness_reports(queries, dense, discounts)
-    np.testing.assert_array_equal(
-        expected, sharded.aggregate_witness_reports(queries, dense, discounts)
-    )
-    np.testing.assert_array_equal(
-        expected, sharded.aggregate_witness_reports(queries, sparse, discounts)
-    )
 
 
 @pytest.mark.parametrize("metric_mode", METRIC_MODES)

@@ -20,6 +20,7 @@ from repro.trust.aggregation import (
     reports_to_matrix,
     stack_witness_beliefs,
     validate_witness_matrix,
+    witness_report_sums,
 )
 from repro.trust.backend import (
     BetaTrustBackend,
@@ -284,3 +285,48 @@ class TestMatrixHelpers:
             validate_witness_matrix(3, np.ones((2, 3, 2)), np.ones(3))
         with pytest.raises(TrustModelError):
             validate_witness_matrix(1, np.ones((1, 1, 2)), np.array([1.5]))
+
+
+class TestReportSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=1_000),
+        witness_count=st.integers(min_value=0, max_value=8),
+    )
+    def test_sums_match_a_per_witness_loop(self, seed, witness_count):
+        """Evidence sums drop the (1, 1) prior; raw sums keep every count."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.uniform(1.0, 20.0, size=(witness_count, 3, 2))
+        matrix[rng.random((witness_count, 3)) < 0.4] = 1.0
+        discounts = rng.random(witness_count)
+        evidence = np.zeros((3, 2))
+        raw = np.zeros((3, 2))
+        for row, discount in zip(matrix, discounts):
+            evidence += discount * np.maximum(row - 1.0, 0.0)
+            raw += discount * row
+        np.testing.assert_allclose(
+            witness_report_sums(matrix, discounts, evidence=True), evidence
+        )
+        np.testing.assert_allclose(
+            witness_report_sums(matrix, discounts, evidence=False), raw
+        )
+
+    def test_uniform_prior_rows_carry_no_evidence(self):
+        sums = witness_report_sums(np.ones((4, 2, 2)), np.ones(4), evidence=True)
+        assert np.array_equal(sums, np.zeros((2, 2)))
+
+    def test_count_rule_accepts_zero_reports_beta_rule_does_not(self):
+        zeros = np.zeros((2, 1, 2))
+        matrix, discounts = validate_witness_matrix(
+            1, zeros, np.ones(2), positive=False
+        )
+        assert matrix.dtype == np.float64 and discounts.dtype == np.float64
+        with pytest.raises(TrustModelError, match="positive"):
+            validate_witness_matrix(1, zeros, np.ones(2))
+
+    def test_empty_witness_set_is_valid(self):
+        matrix, discounts = validate_witness_matrix(3, np.zeros((0, 3, 2)), [])
+        assert matrix.shape == (0, 3, 2) and discounts.shape == (0,)
+        assert np.array_equal(
+            witness_report_sums(matrix, discounts), np.zeros((3, 2))
+        )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import WorkloadError
-from repro.reputation.manager import TrustMethod
+from repro.simulation.peer import TrustMethod
 from repro.trust.backend import BACKEND_NAMES, ComplaintTrustBackend
 from repro.workloads.registry import (
     ScenarioDefinition,
@@ -90,7 +90,7 @@ class TestScenarioWiring:
         scenario = build_scenario("ebay", size=6, rounds=2, seed=1)
         assert isinstance(scenario.complaint_store, ComplaintTrustBackend)
         backends = {
-            id(peer.reputation.backend_for(TrustMethod.COMPLAINT))
+            id(peer.backend_for(TrustMethod.COMPLAINT))
             for peer in scenario.peers
         }
         # All peers share the single community complaint backend.

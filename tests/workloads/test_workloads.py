@@ -11,7 +11,7 @@ from repro.simulation.behaviors import (
     ProbabilisticBehavior,
     RationalDefectorBehavior,
 )
-from repro.trust.complaint import LocalComplaintStore
+from repro.trust import create_backend
 from repro.workloads.populations import (
     PopulationSpec,
     build_population,
@@ -88,9 +88,9 @@ class TestPopulationSpec:
         assert len({peer.peer_id for peer in peers}) == 30
 
     def test_shared_complaint_store_wired(self):
-        store = LocalComplaintStore()
+        store = create_backend("complaint", metric_mode="balanced")
         peers = build_population(PopulationSpec(size=4), complaint_store=store, seed=1)
-        assert all(peer.reputation.complaint_model.store is store for peer in peers)
+        assert all(peer.backend_for("complaint") is store for peer in peers)
 
     def test_defection_penalty_applied(self):
         peers = build_population(
