@@ -21,8 +21,8 @@ Most users only need the re-exports below; the subpackages are:
     (:mod:`repro.trust.beta`, :mod:`repro.trust.complaint`) remain as the
     behavioural references the backends are property-tested against.
 ``repro.reputation``
-    Reputation management: interaction records and ratings, local and
-    P-Grid-backed stores, and witness reporting.
+    Reputation management: interaction records, the P-Grid-backed
+    complaint store, and witness reporting.
 ``repro.pgrid``
     Decentralised binary-trie storage substrate for reputation data.
 ``repro.simulation``
@@ -40,7 +40,7 @@ Most users only need the re-exports below; the subpackages are:
     registry (:mod:`repro.workloads.registry`) the CLI's
     ``list-scenarios`` / ``run`` subcommands are driven by.
 ``repro.analysis``
-    Statistics, table/series rendering and experiment helpers.
+    Summary statistics and table/series rendering.
 
 Layering (arrows point at dependencies)::
 

@@ -1,11 +1,5 @@
-"""Analysis toolkit: statistics, tables, figures and experiment helpers."""
+"""Analysis toolkit: summary statistics, table and figure rendering."""
 
-from repro.analysis.experiments import (
-    ExperimentRegistry,
-    SweepResult,
-    replicate,
-    sweep,
-)
 from repro.analysis.figures import Figure, Series
 from repro.analysis.stats import SummaryStats, confidence_interval, summarize
 from repro.analysis.tables import Table
@@ -17,8 +11,4 @@ __all__ = [
     "Table",
     "Series",
     "Figure",
-    "SweepResult",
-    "sweep",
-    "replicate",
-    "ExperimentRegistry",
 ]

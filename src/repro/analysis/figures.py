@@ -10,7 +10,7 @@ without any plotting dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.exceptions import AnalysisError
 
@@ -45,9 +45,6 @@ class Figure:
         self.x_label = x_label
         self.y_label = y_label
         self._series: List[Series] = []
-
-    def add_series(self, series: Series) -> None:
-        self._series.append(series)
 
     def new_series(self, label: str) -> Series:
         series = Series(label=label)

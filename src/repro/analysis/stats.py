@@ -10,7 +10,7 @@ from repro.exceptions import AnalysisError
 
 try:  # pragma: no cover - depends on environment
     from scipy.stats import t as _student_t
-except Exception:  # pragma: no cover
+except ImportError:  # pragma: no cover
     _student_t = None
 
 __all__ = ["SummaryStats", "summarize", "confidence_interval"]

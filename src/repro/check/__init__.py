@@ -20,7 +20,7 @@ TEL001    telemetry discipline outside ``repro.obs``: no per-call
           metric-name construction, no direct ``MetricsRegistry()``
 PERF001   N+1 lint — scalar backend/decision calls inside loops where a
           batched API exists
-EXC001    ``except Exception`` in the sharded store must re-raise,
+EXC001    ``except Exception`` anywhere in the package must re-raise,
           forward the error, or carry a justified allow-marker
 DTYPE001  snapshot paths emit canonical flat float64/int64 (compact
           float32/int32 layouts live in ``trust/storage.py`` only)
@@ -46,7 +46,6 @@ from repro.check.registry import (
     RULE_IDS,
     default_rules,
     rule_summaries,
-    rules_by_id,
 )
 from repro.check.report import render_json, render_text
 
@@ -64,7 +63,6 @@ __all__ = [
     "render_json",
     "render_text",
     "rule_summaries",
-    "rules_by_id",
     "run_check",
     "scan_tree",
     "write_baseline",

@@ -1,8 +1,7 @@
 """Rule registry: the shipped contract set, discoverable by id.
 
 ``default_rules()`` builds one fresh instance of every shipped rule;
-``rules_by_id`` maps ids to classes so ``repro check --rule ID`` and the
-tests can instantiate rules individually.
+``repro check --rule ID`` filters their findings to the named rules.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.check.rules.exceptions import ExceptionHygieneRule
 from repro.check.rules.perf import NPlusOneRule
 from repro.check.rules.telemetry import TelemetryRule
 
-__all__ = ["RULE_CLASSES", "RULE_IDS", "default_rules", "rules_by_id", "rule_summaries"]
+__all__ = ["RULE_CLASSES", "RULE_IDS", "default_rules", "rule_summaries"]
 
 RULE_CLASSES: Tuple[Type[Rule], ...] = (
     DeterminismRule,
@@ -34,10 +33,6 @@ RULE_IDS: Tuple[str, ...] = tuple(cls.rule_id for cls in RULE_CLASSES) + (
 def default_rules() -> List[Rule]:
     """Fresh instances of every shipped rule."""
     return [cls() for cls in RULE_CLASSES]
-
-
-def rules_by_id() -> Dict[str, Type[Rule]]:
-    return {cls.rule_id: cls for cls in RULE_CLASSES}
 
 
 def rule_summaries() -> Dict[str, str]:

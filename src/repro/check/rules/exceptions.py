@@ -1,13 +1,15 @@
-"""EXC001 — no silent ``except Exception`` in the sharded store.
+"""EXC001 — no silent ``except Exception`` anywhere in the package.
 
-The sharded complaint store's error model is that failures *surface*: a
-live split that fails part-way rolls the router back and re-raises, and a
-manifest the store cannot restore raises before anything changes.  A
-broad handler that swallows silently breaks that — a split that
-"succeeds" with half its complaint log re-filed is exactly how score
-divergence sneaks past the bit-identity tests.
+The library's error model is that failures *surface*.  In the sharded
+complaint store, for example, a live split that fails part-way rolls the
+router back and re-raises, and a manifest the store cannot restore raises
+before anything changes.  A broad handler that swallows silently breaks
+that — a split that "succeeds" with half its complaint log re-filed is
+exactly how score divergence sneaks past the bit-identity tests — and an
+optional import guarded by ``except Exception`` hides real import-time
+bugs behind the fallback.
 
-In ``repro.trust.sharding``, every ``except Exception`` / ``except
+In every ``repro`` module, every ``except Exception`` / ``except
 BaseException`` / bare ``except`` handler must do at least one of:
 
 * re-raise (a ``raise`` anywhere in the handler body);
@@ -64,10 +66,10 @@ def _handler_discharges(handler: ast.ExceptHandler) -> bool:
 
 class ExceptionHygieneRule(Rule):
     rule_id = "EXC001"
-    summary = "broad except swallows errors in the sharded store"
+    summary = "broad except swallows errors silently"
 
     def applies_to(self, source: Source) -> bool:
-        return source.in_package("repro.trust.sharding")
+        return source.in_package("repro")
 
     def check(self, source: Source) -> Iterator[Finding]:
         for node in ast.walk(source.tree):

@@ -45,7 +45,6 @@ from repro.core.planner import (
     plan_delivery_order,
     plan_delivery_order_quadratic,
     plan_exchange,
-    plan_exchange_or_raise,
     required_total_tolerance,
 )
 from repro.core.safety import (
@@ -53,8 +52,6 @@ from repro.core.safety import (
     SafetyReport,
     SafetyViolation,
     StateVerdict,
-    feasible_start_price_range,
-    payment_bounds,
     rational_price_range,
     state_verdict,
     verify_sequence,
@@ -69,7 +66,6 @@ from repro.core.valuation import (
     BimodalValuationModel,
     CorrelatedValuationModel,
     MarginValuationModel,
-    TabularValuationModel,
     UniformValuationModel,
     ValuationModel,
     make_bundle,
@@ -84,7 +80,6 @@ __all__ = [
     "MarginValuationModel",
     "CorrelatedValuationModel",
     "BimodalValuationModel",
-    "TabularValuationModel",
     "make_bundle",
     # exchange state machine
     "Role",
@@ -97,11 +92,9 @@ __all__ = [
     "StateVerdict",
     "SafetyViolation",
     "SafetyReport",
-    "payment_bounds",
     "state_verdict",
     "verify_sequence",
     "rational_price_range",
-    "feasible_start_price_range",
     # planning
     "PaymentPolicy",
     "plan_delivery_order",
@@ -109,7 +102,6 @@ __all__ = [
     "order_is_feasible",
     "build_sequence",
     "plan_exchange",
-    "plan_exchange_or_raise",
     "exists_feasible_sequence",
     "brute_force_delivery_order",
     "required_total_tolerance",

@@ -139,15 +139,6 @@ class ExchangeState:
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def remaining_ids(self) -> Tuple[str, ...]:
-        """Ids of the goods not yet delivered, in bundle order."""
-        return tuple(
-            good.good_id
-            for good in self.bundle
-            if good.good_id not in self.delivered_ids
-        )
-
-    @property
     def remaining_goods(self) -> Tuple[Good, ...]:
         """The goods not yet delivered, in bundle order."""
         return tuple(

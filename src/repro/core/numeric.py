@@ -34,25 +34,6 @@ def approx_lt(a: float, b: float, eps: float = EPSILON) -> bool:
     return a < b - eps
 
 
-def approx_gt(a: float, b: float, eps: float = EPSILON) -> bool:
-    """Return ``True`` when ``a > b`` by more than the tolerance ``eps``."""
-    return a > b + eps
-
-
-def clamp(value: float, lower: float, upper: float) -> float:
-    """Clamp ``value`` into the closed interval ``[lower, upper]``.
-
-    Raises ``ValueError`` when the interval is empty beyond tolerance.
-    """
-    if lower > upper + EPSILON:
-        raise ValueError(f"empty interval: [{lower}, {upper}]")
-    if value < lower:
-        return lower
-    if value > upper:
-        return upper
-    return value
-
-
 def non_negative(value: float) -> float:
     """Snap tiny negative rounding artefacts to zero, keep real values."""
     if -EPSILON < value < 0.0:

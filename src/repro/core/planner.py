@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "order_is_feasible",
     "build_sequence",
     "plan_exchange",
-    "plan_exchange_or_raise",
     "exists_feasible_sequence",
     "max_prefix_demand",
     "max_prefix_demand_batch",
@@ -310,23 +309,6 @@ def plan_exchange(
     if order is None:
         return None
     return build_sequence(bundle, price, requirements, order, payment_policy)
-
-
-def plan_exchange_or_raise(
-    bundle: GoodsBundle,
-    price: float,
-    requirements: ExchangeRequirements,
-    payment_policy: PaymentPolicy = PaymentPolicy.LAZY,
-) -> ExchangeSequence:
-    """Like :func:`plan_exchange` but raising :class:`NoSafeSequenceError`."""
-    sequence = plan_exchange(bundle, price, requirements, payment_policy)
-    if sequence is None:
-        raise NoSafeSequenceError(
-            "no exchange sequence satisfies the given requirements "
-            f"(price={price:.3f}, total allowance="
-            f"{requirements.total_allowance:.3f})"
-        )
-    return sequence
 
 
 def exists_feasible_sequence(

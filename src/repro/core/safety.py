@@ -28,8 +28,8 @@ planner (:mod:`repro.core.planner`) and the verification helpers below use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.core.exchange import ExchangeSequence, ExchangeState, Role
 from repro.core.goods import GoodsBundle
@@ -41,11 +41,9 @@ __all__ = [
     "StateVerdict",
     "SafetyViolation",
     "SafetyReport",
-    "payment_bounds",
     "state_verdict",
     "verify_sequence",
     "rational_price_range",
-    "feasible_start_price_range",
 ]
 
 
@@ -121,18 +119,6 @@ class ExchangeRequirements:
     def fully_safe(cls) -> "ExchangeRequirements":
         """Non-strict fully safe exchange (no temptation ever positive)."""
         return cls()
-
-    def with_exposures(
-        self,
-        consumer_accepted_exposure: float,
-        supplier_accepted_exposure: float,
-    ) -> "ExchangeRequirements":
-        """Return a copy with the trust-aware exposure bounds replaced."""
-        return replace(
-            self,
-            consumer_accepted_exposure=consumer_accepted_exposure,
-            supplier_accepted_exposure=supplier_accepted_exposure,
-        )
 
     # ------------------------------------------------------------------
     # Allowances used by planner and verification
@@ -289,24 +275,6 @@ def verify_sequence(
     )
 
 
-def payment_bounds(
-    remaining_supplier_cost: float,
-    remaining_consumer_value: float,
-    requirements: ExchangeRequirements,
-) -> Tuple[float, float]:
-    """The interval the *remaining payment* must lie in for a given remainder.
-
-    Returns ``(lower, upper)`` where ``lower = Vs(R) - allowance_supplier``
-    and ``upper = Vc(R) + allowance_consumer``; these are the paper's
-    ``Pmin``/``Pmax`` bounds generalised with the temptation allowances.  The
-    lower bound is additionally clipped at zero because payments cannot be
-    refunded.
-    """
-    lower = remaining_supplier_cost - requirements.supplier_temptation_allowance
-    upper = remaining_consumer_value + requirements.consumer_temptation_allowance
-    return max(0.0, lower), upper
-
-
 def rational_price_range(bundle: GoodsBundle) -> Tuple[float, float]:
     """Prices that give both partners a non-negative gain from completion.
 
@@ -322,18 +290,3 @@ def rational_price_range(bundle: GoodsBundle) -> Tuple[float, float]:
             f"{low:.3f} exceeds total consumer value {high:.3f}"
         )
     return low, high
-
-
-def feasible_start_price_range(
-    bundle: GoodsBundle, requirements: ExchangeRequirements
-) -> Tuple[float, float]:
-    """Prices for which the *initial* state already satisfies the requirements.
-
-    The initial state has the full bundle outstanding and the full price
-    outstanding, so the price must lie between ``Vs(all) - allowance_s`` and
-    ``Vc(all) + allowance_c`` (and be non-negative).
-    """
-    lower, upper = payment_bounds(
-        bundle.total_supplier_cost, bundle.total_consumer_value, requirements
-    )
-    return lower, upper

@@ -18,7 +18,7 @@ This module wires the three steps together behind a single façade,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.decision import (
     DecisionMaker,
@@ -37,39 +37,7 @@ __all__ = [
     "TrustAwarePlan",
     "TrustAwareExchangePlanner",
     "plan_trust_aware_exchange",
-    "partner_models_from_backend",
 ]
-
-
-def partner_models_from_backend(
-    backend,
-    supplier_id: str,
-    consumer_id: str,
-    supplier_decision_maker: DecisionMaker,
-    consumer_decision_maker: DecisionMaker,
-    now: Optional[float] = None,
-    supplier_defection_penalty: float = 0.0,
-    consumer_defection_penalty: float = 0.0,
-) -> Tuple["PartnerModel", "PartnerModel"]:
-    """Build both parties' :class:`PartnerModel` from one trust backend.
-
-    ``backend`` is a :class:`~repro.trust.backend.TrustBackend`; both trust
-    estimates are fetched in a single batched ``scores_for`` call (supplier's
-    trust in the consumer first, then the consumer's trust in the supplier)
-    and clamped into ``[0, 1]`` before entering the decision layer.
-    """
-    scores = backend.scores_for((consumer_id, supplier_id), now=now)
-    supplier = PartnerModel(
-        trust_in_partner=min(1.0, max(0.0, float(scores[0]))),
-        decision_maker=supplier_decision_maker,
-        defection_penalty=supplier_defection_penalty,
-    )
-    consumer = PartnerModel(
-        trust_in_partner=min(1.0, max(0.0, float(scores[1]))),
-        decision_maker=consumer_decision_maker,
-        defection_penalty=consumer_defection_penalty,
-    )
-    return supplier, consumer
 
 
 @dataclass(frozen=True)
@@ -171,63 +139,6 @@ class TrustAwareExchangePlanner:
     @property
     def payment_policy(self) -> PaymentPolicy:
         return self._payment_policy
-
-    def requirements_for(
-        self,
-        bundle: GoodsBundle,
-        price: float,
-        supplier: PartnerModel,
-        consumer: PartnerModel,
-    ) -> ExchangeRequirements:
-        """Derive the exchange requirements from the two partner models.
-
-        The consumer's accepted exposure bounds the *supplier's* temptation
-        (it is the consumer who is exposed when the supplier is tempted) and
-        vice versa; each side's defection penalty relaxes its own temptation
-        bound because defection would destroy that much future business.
-        """
-        supplier_gain = max(0.0, price - bundle.total_supplier_cost)
-        consumer_gain = max(0.0, bundle.total_consumer_value - price)
-        consumer_exposure = consumer.decision_maker.assess(
-            consumer.trust_in_partner, consumer_gain
-        ).accepted_exposure
-        supplier_exposure = supplier.decision_maker.assess(
-            supplier.trust_in_partner, supplier_gain
-        ).accepted_exposure
-        return ExchangeRequirements(
-            supplier_defection_penalty=supplier.defection_penalty,
-            consumer_defection_penalty=consumer.defection_penalty,
-            consumer_accepted_exposure=consumer_exposure,
-            supplier_accepted_exposure=supplier_exposure,
-            strict=self._strict,
-            strict_margin=self._strict_margin,
-        )
-
-    def plan_from_backend(
-        self,
-        backend,
-        bundle: GoodsBundle,
-        price: float,
-        supplier_id: str,
-        consumer_id: str,
-        supplier_decision_maker: DecisionMaker,
-        consumer_decision_maker: DecisionMaker,
-        now: Optional[float] = None,
-        supplier_defection_penalty: float = 0.0,
-        consumer_defection_penalty: float = 0.0,
-    ) -> TrustAwarePlan:
-        """Plan an exchange with both trust estimates read from ``backend``."""
-        supplier, consumer = partner_models_from_backend(
-            backend,
-            supplier_id,
-            consumer_id,
-            supplier_decision_maker,
-            consumer_decision_maker,
-            now=now,
-            supplier_defection_penalty=supplier_defection_penalty,
-            consumer_defection_penalty=consumer_defection_penalty,
-        )
-        return self.plan(bundle, price, supplier, consumer)
 
     def plan(
         self,

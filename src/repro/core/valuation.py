@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.goods import Good, GoodsBundle
 from repro.exceptions import WorkloadError
@@ -24,7 +24,6 @@ __all__ = [
     "CorrelatedValuationModel",
     "MarginValuationModel",
     "BimodalValuationModel",
-    "TabularValuationModel",
     "make_bundle",
 ]
 
@@ -172,27 +171,6 @@ class BimodalValuationModel(ValuationModel):
             low, high = self.small_cost
         cost = rng.uniform(low, high)
         return cost, cost * (1.0 + self.margin)
-
-
-class TabularValuationModel(ValuationModel):
-    """A fixed table of valuations, cycled when more items are requested.
-
-    Useful in tests and examples where exact valuations matter.
-    """
-
-    def __init__(self, rows: Sequence[Tuple[float, float]]):
-        if not rows:
-            raise WorkloadError("TabularValuationModel requires at least one row")
-        self._rows: Tuple[Tuple[float, float], ...] = tuple(
-            (float(cost), float(value)) for cost, value in rows
-        )
-
-    @property
-    def rows(self) -> Tuple[Tuple[float, float], ...]:
-        return self._rows
-
-    def sample_item(self, rng: random.Random, index: int) -> Tuple[float, float]:
-        return self._rows[index % len(self._rows)]
 
 
 def make_bundle(

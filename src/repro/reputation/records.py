@@ -1,32 +1,23 @@
-"""Reputation records: what gets collected and spread about past behaviour.
+"""Reputation records: what gets collected about past behaviour.
 
 The reputation management module of the reference model (Figure 1) "collects
 information about the past behavior of the members of the community ... as
-well as makes this information available for others to use".  Two record
-types are collected here:
-
-* :class:`InteractionRecord` — the full outcome of one exchange between a
-  supplier and a consumer (who, what value, whether it completed, who
-  defected).  Interaction records feed the Bayesian trust model and the
-  accounting of the experiments.
-* :class:`Rating` — a graded judgement derived from an interaction, the unit
-  that is actually reported to other peers / stored in the distributed
-  reputation store.
-
-Both records serialise to compact JSON strings so they can be stored as
-opaque values in the P-Grid substrate.
+well as makes this information available for others to use".  The record
+collected here is the :class:`InteractionRecord`: the full outcome of one
+exchange between a supplier and a consumer (who, what value, whether it
+completed, who defected).  Interaction records feed the peers' trust
+backends and the accounting of the experiments.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.exchange import Role
 from repro.exceptions import ReputationError
 
-__all__ = ["InteractionRecord", "Rating"]
+__all__ = ["InteractionRecord"]
 
 
 @dataclass(frozen=True)
@@ -69,68 +60,3 @@ class InteractionRecord:
 
     def participant(self, role: Role) -> str:
         return self.supplier_id if role is Role.SUPPLIER else self.consumer_id
-
-    # ------------------------------------------------------------------
-    # Serialisation (for distributed storage)
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "InteractionRecord":
-        try:
-            data = json.loads(payload)
-            return cls(**data)
-        except (ValueError, TypeError) as exc:
-            raise ReputationError(f"invalid interaction record payload: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Rating:
-    """A graded judgement one peer reports about another."""
-
-    rater_id: str
-    subject_id: str
-    score: float  # 1.0 = fully satisfactory, 0.0 = defection
-    timestamp: float = 0.0
-    transaction_value: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.rater_id or not self.subject_id:
-            raise ReputationError("rater_id and subject_id must be non-empty")
-        if not 0.0 <= self.score <= 1.0:
-            raise ReputationError(f"score must lie in [0, 1], got {self.score}")
-        if self.transaction_value < 0:
-            raise ReputationError(
-                f"transaction_value must be >= 0, got {self.transaction_value}"
-            )
-
-    @property
-    def positive(self) -> bool:
-        """Whether the rating counts as a positive (honest) experience."""
-        return self.score >= 0.5
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Rating":
-        try:
-            data = json.loads(payload)
-            return cls(**data)
-        except (ValueError, TypeError) as exc:
-            raise ReputationError(f"invalid rating payload: {exc}") from exc
-
-    @classmethod
-    def from_interaction(
-        cls, record: InteractionRecord, rated_role: Role
-    ) -> "Rating":
-        """Derive the rating the counterparty gives to ``rated_role``."""
-        rater_role = rated_role.other
-        return cls(
-            rater_id=record.participant(rater_role),
-            subject_id=record.participant(rated_role),
-            score=1.0 if record.honest(rated_role) else 0.0,
-            timestamp=record.timestamp,
-            transaction_value=record.value,
-        )

@@ -24,6 +24,7 @@ evidence.  Witness reports (second-hand evidence) ride the same plane when
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -101,15 +102,15 @@ class CommunityConfig:
             raise SimulationError(
                 f"matching must be 'random' or 'trust', got {self.matching!r}"
             )
-        if self.defection_penalty < 0:
-            raise SimulationError("defection_penalty must be >= 0")
+        if not 0.0 <= self.defection_penalty < math.inf:
+            raise SimulationError("defection_penalty must be finite and >= 0")
         if self.evidence_mode not in EVIDENCE_MODES:
             raise SimulationError(
                 f"evidence_mode must be one of {EVIDENCE_MODES}, "
                 f"got {self.evidence_mode!r}"
             )
-        if self.evidence_latency < 0:
-            raise SimulationError("evidence_latency must be >= 0")
+        if not 0.0 <= self.evidence_latency < math.inf:
+            raise SimulationError("evidence_latency must be finite and >= 0")
         if not 0.0 <= self.evidence_loss < 1.0:
             raise SimulationError("evidence_loss must lie in [0, 1)")
         if self.evidence_mode == "sync" and (
@@ -132,12 +133,12 @@ class CommunityConfig:
             raise SimulationError(
                 "evidence_repair/evidence_fault require evidence_mode='async'"
             )
-        if self.gossip_period <= 0:
-            raise SimulationError("gossip_period must be > 0")
+        if not 0.0 < self.gossip_period < math.inf:
+            raise SimulationError("gossip_period must be finite and > 0")
         if self.gossip_fanout < 1:
             raise SimulationError("gossip_fanout must be >= 1")
-        if self.retransmit_timeout <= 0:
-            raise SimulationError("retransmit_timeout must be > 0")
+        if not 0.0 < self.retransmit_timeout < math.inf:
+            raise SimulationError("retransmit_timeout must be finite and > 0")
         if self.witness_count < 0:
             raise SimulationError("witness_count must be >= 0")
         if self.valuation_model is None:

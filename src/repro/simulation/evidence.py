@@ -44,6 +44,7 @@ behaves exactly as before the repair subsystem existed.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
@@ -159,8 +160,10 @@ class EvidencePlane:
             raise SimulationError(
                 f"evidence mode must be one of {EVIDENCE_MODES}, got {mode!r}"
             )
-        if latency < 0:
-            raise SimulationError(f"evidence latency must be >= 0, got {latency}")
+        if not 0.0 <= latency < math.inf:
+            raise SimulationError(
+                f"evidence latency must be finite and >= 0, got {latency}"
+            )
         if not 0.0 <= loss < 1.0:
             raise SimulationError(f"evidence loss must lie in [0, 1), got {loss}")
         if isinstance(repair, RepairPolicy):
@@ -267,10 +270,6 @@ class EvidencePlane:
         every event to reconcile afterwards (see :mod:`repro.obs.audit`).
         """
         self._audit = trail
-
-    @property
-    def audit_trail(self):
-        return self._audit
 
     def bind_telemetry(self, registry) -> None:
         """Report the plane's traffic through a metrics registry.

@@ -30,11 +30,8 @@ from repro.trust.aggregation import (
     WitnessReport,
     combine_beta_evidence,
     combine_beta_evidence_matrix,
-    pessimistic_trust,
-    reports_to_matrix,
     stack_witness_beliefs,
     validate_witness_matrix,
-    weighted_mean_trust,
     witness_report_sums,
 )
 from repro.trust.beta import BetaBelief, BetaTrustModel
@@ -46,7 +43,7 @@ from repro.trust.complaint import (
     LocalComplaintStore,
     aggregate_witness_reports,
 )
-from repro.trust.decay import DecayModel, ExponentialDecay, NoDecay, SlidingWindowDecay
+from repro.trust.decay import DecayModel, ExponentialDecay, NoDecay
 from repro.trust.sharding import (
     ROUTER_NAMES,
     HashShardRouter,
@@ -59,18 +56,11 @@ from repro.trust.sharding import (
     ShardSplitError,
     create_router,
 )
-from repro.trust.evidence import (
-    Complaint,
-    EvidenceLog,
-    InteractionOutcome,
-    Observation,
-)
+from repro.trust.evidence import Complaint, InteractionOutcome, Observation
 from repro.trust.metrics import (
     ClassificationReport,
-    brier_score,
     classification_report,
     mean_absolute_error,
-    root_mean_squared_error,
 )
 
 __all__ = [
@@ -100,12 +90,10 @@ __all__ = [
     "InteractionOutcome",
     "Observation",
     "Complaint",
-    "EvidenceLog",
     # decay
     "DecayModel",
     "NoDecay",
     "ExponentialDecay",
-    "SlidingWindowDecay",
     # beta model
     "BetaBelief",
     "BetaTrustModel",
@@ -122,14 +110,9 @@ __all__ = [
     "combine_beta_evidence_matrix",
     "stack_witness_beliefs",
     "witness_report_sums",
-    "reports_to_matrix",
     "validate_witness_matrix",
-    "weighted_mean_trust",
-    "pessimistic_trust",
     # metrics
     "mean_absolute_error",
-    "root_mean_squared_error",
-    "brier_score",
     "ClassificationReport",
     "classification_report",
 ]

@@ -33,11 +33,8 @@ __all__ = [
     "combine_beta_evidence",
     "combine_beta_evidence_matrix",
     "stack_witness_beliefs",
-    "reports_to_matrix",
     "validate_witness_matrix",
     "witness_report_sums",
-    "weighted_mean_trust",
-    "pessimistic_trust",
 ]
 
 
@@ -176,60 +173,3 @@ def stack_witness_beliefs(
                 matrix[row, column, 0] = belief.alpha
                 matrix[row, column, 1] = belief.beta
     return matrix
-
-
-def reports_to_matrix(
-    reports: Sequence[WitnessReport],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Convert single-subject :class:`WitnessReport` objects to matrix form.
-
-    Returns ``(matrix, discounts)`` with the matrix shaped ``(W, 1, 2)`` —
-    the bridge from the scalar collection API to the batched aggregation
-    path.
-    """
-    matrix = np.ones((len(reports), 1, 2))
-    discounts = np.zeros(len(reports))
-    for row, report in enumerate(reports):
-        matrix[row, 0, 0] = report.belief.alpha
-        matrix[row, 0, 1] = report.belief.beta
-        discounts[row] = report.witness_trust
-    return matrix, discounts
-
-
-def weighted_mean_trust(
-    estimates: Sequence[Tuple[float, float]]
-) -> float:
-    """Weighted mean of ``(trust_estimate, weight)`` pairs.
-
-    Raises when no estimate carries positive weight.
-    """
-    total_weight = 0.0
-    weighted_sum = 0.0
-    for estimate, weight in estimates:
-        if not 0.0 <= estimate <= 1.0:
-            raise TrustModelError(f"trust estimate must lie in [0, 1], got {estimate}")
-        if weight < 0:
-            raise TrustModelError(f"weights must be non-negative, got {weight}")
-        total_weight += weight
-        weighted_sum += estimate * weight
-    if total_weight <= 0:
-        raise TrustModelError("at least one estimate with positive weight is required")
-    return weighted_sum / total_weight
-
-
-def pessimistic_trust(
-    direct: Optional[float], indirect: Optional[float]
-) -> float:
-    """Combine direct and indirect trust pessimistically (minimum).
-
-    A conservative rule used by the safe-only baselines: trust a partner only
-    as much as the most pessimistic available source suggests.  When neither
-    source is available the neutral value ``0.5`` is returned.
-    """
-    candidates = [value for value in (direct, indirect) if value is not None]
-    for value in candidates:
-        if not 0.0 <= value <= 1.0:
-            raise TrustModelError(f"trust values must lie in [0, 1], got {value}")
-    if not candidates:
-        return 0.5
-    return min(candidates)

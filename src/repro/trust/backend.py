@@ -35,9 +35,8 @@ Three backends are provided and discoverable through a small registry
 ``complaint``
     The complaint-based P-Grid scheme of Aberer & Despotovic (CIKM 2001):
     complaints received × complaints filed against a community median
-    reference.  Implements the :class:`~repro.trust.complaint.ComplaintStore`
-    protocol so it can *be* the community's shared complaint store (the fast
-    path) or wrap an existing store (compatibility path).
+    reference.  The backend keeps its own counters and complaint log; one
+    instance shared by every peer is the community's complaint store.
 ``decay``
     The ``beta`` kernel plus a reference-time column: exponentially
     decay-weighted evidence with O(1) online updates, identical to
@@ -80,8 +79,7 @@ from repro.trust.aggregation import (
     witness_report_sums,
 )
 from repro.trust.beta import BetaBelief, BetaTrustModel
-from repro.trust.complaint import ComplaintStore, LocalComplaintStore
-from repro.trust.evidence import Complaint, Observation
+from repro.trust.evidence import Complaint
 from repro.trust.storage import (
     EvidenceTable,
     gather,
@@ -154,17 +152,6 @@ class TrustObservation:
         if self.files_complaint is not None:
             return self.files_complaint
         return not self.honest
-
-    @classmethod
-    def from_observation(cls, observation: Observation) -> "TrustObservation":
-        """Convert a legacy :class:`~repro.trust.evidence.Observation`."""
-        return cls(
-            observer_id=observation.observer_id,
-            subject_id=observation.subject_id,
-            honest=observation.is_honest,
-            timestamp=observation.timestamp,
-            weight=observation.weight,
-        )
 
 
 class TrustBackend:
@@ -648,14 +635,10 @@ class ComplaintTrustBackend(TrustBackend):
     :class:`~repro.trust.complaint.ComplaintTrustModel` (exponential decay
     around the community median reference).
 
-    The backend implements the :class:`ComplaintStore` protocol, so it can be
-    shared directly as a community's complaint store — the fast path, where
-    every write updates the counters incrementally.  When constructed around
-    an *existing* store it acts as a consistent cache: sized stores (those
-    with ``__len__``) are change-tracked and the counters are rebuilt only
-    when another writer touched the store; unsized stores (e.g. the
-    P-Grid-backed distributed store) are re-counted on every scoring query,
-    which matches the cost of the scalar model it replaces.
+    The backend owns its evidence: the counter table plus the complaint
+    log in filing order, which :meth:`all_complaints` and the snapshot
+    expose.  One backend shared by every peer is the community's complaint
+    store; every write updates the counters incrementally.
     """
 
     name = "complaint"
@@ -667,7 +650,6 @@ class ComplaintTrustBackend(TrustBackend):
 
     def __init__(
         self,
-        store: Optional[ComplaintStore] = None,
         tolerance_factor: float = 4.0,
         trust_scale: float = 3.0,
         metric_mode: str = "product",
@@ -683,18 +665,13 @@ class ComplaintTrustBackend(TrustBackend):
             raise TrustModelError(
                 f"metric_mode must be one of {self.METRIC_MODES}, got {metric_mode!r}"
             )
-        self._store: ComplaintStore = store if store is not None else LocalComplaintStore()
         self._tolerance_factor = tolerance_factor
         self._trust_scale = trust_scale
         self._metric_mode = metric_mode
         self._row_filter: Optional[Callable[[str], bool]] = None
         self._table = EvidenceTable(self.COLUMNS, compact)
         self._reference_cache: Optional[float] = None
-        # Sized stores are change-tracked by length (-1 forces an initial
-        # rebuild over a non-empty store); unsized ones are never synced.
-        self._synced_len: Optional[int] = None
-        if hasattr(self._store, "__len__"):
-            self._synced_len = -1 if len(self._store) else 0  # type: ignore[arg-type]
+        self._log: List[Complaint] = []
 
     # -- configuration ---------------------------------------------------
     @property
@@ -717,34 +694,19 @@ class ComplaintTrustBackend(TrustBackend):
         leave half-counted *foreign* rows behind; restricting each shard to
         its own peer-id range keeps the counter arrays, the in-store agent
         set and therefore the community-reference metric exactly the home
-        partition.  The underlying store still persists every delivered
-        complaint.  Must be configured before any evidence arrives.
+        partition.  The complaint log still keeps every delivered complaint.
+        Must be configured before any evidence arrives.
         """
-        if len(self._table) or (self._synced_len is not None and len(self._store)):  # type: ignore[arg-type]
+        if self._log:
             raise TrustModelError(
                 "restrict_rows must be configured before evidence arrives"
             )
         self._row_filter = row_filter
 
-    # -- ComplaintStore protocol -----------------------------------------
+    # -- writes ----------------------------------------------------------
     def file_complaint(self, complaint: Complaint) -> None:
         self._ingest((complaint,))
 
-    def complaints_about(self, agent_id: str) -> Sequence[Complaint]:
-        return self._store.complaints_about(agent_id)
-
-    def complaints_by(self, agent_id: str) -> Sequence[Complaint]:
-        return self._store.complaints_by(agent_id)
-
-    def known_agents(self) -> Sequence[str]:
-        return self._store.known_agents()
-
-    def __len__(self) -> int:
-        if self._synced_len is not None:
-            return len(self._store)  # type: ignore[arg-type]
-        return len(self._store.known_agents())
-
-    # -- writes ----------------------------------------------------------
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
         self._record_update(len(observations))
         complaints = [
@@ -765,22 +727,12 @@ class ComplaintTrustBackend(TrustBackend):
             self._ingest(complaints)
 
     def _ingest(self, complaints: Sequence[Complaint]) -> None:
-        """Persist a batch of complaints and keep the counters consistent."""
-        if self._synced_len is not None:
-            self._sync()
-        for complaint in complaints:
-            self._store.file_complaint(complaint)  # repro: allow(PERF001) — ComplaintStore has no batch ingest; this loop implements record_complaints
-        if self._synced_len is None:
-            # Unsized store: counters are recounted from the store on every
-            # read anyway, so writes only persist (incrementing here would be
-            # dead work and syncing would trigger a full remote recount per
-            # write).
-            return
+        """Log a batch of complaints and add it to the counters."""
+        self._log.extend(complaints)
         accused, filed_by = self._count(complaints)
         in_store = self._table["in_store"]
         scatter_set(in_store, accused, True)
         scatter_set(in_store, filed_by, True)
-        self._synced_len += len(complaints)
         self._reference_cache = None
 
     def _count(
@@ -803,37 +755,6 @@ class ComplaintTrustBackend(TrustBackend):
         scatter_add(table["received"], accused, 1.0)
         scatter_add(table["filed"], filed_by, 1.0)
         return accused, filed_by
-
-    # -- cache consistency ------------------------------------------------
-    def _sync(self) -> None:
-        """Rebuild the counters when the underlying store changed under us."""
-        if self._synced_len is None:
-            self._rebuild()
-            return
-        current = len(self._store)  # type: ignore[arg-type]
-        if current != self._synced_len:
-            self._rebuild()
-            self._synced_len = current
-
-    def _rebuild(self) -> None:
-        store = self._store
-        known = list(store.known_agents())
-        agents = known
-        if self._row_filter is not None:
-            agents = [agent for agent in known if self._row_filter(agent)]
-        # Interning every known agent first fixes the row order, whatever
-        # order the complaint log then counts them in.
-        table = self._table
-        rows = table.intern_many(agents)
-        table.zero()
-        if hasattr(store, "all_complaints"):
-            complaints = store.all_complaints()  # type: ignore[attr-defined]
-        else:
-            # Every complaint has exactly one accused: this lists the log once.
-            complaints = [c for agent in known for c in store.complaints_about(agent)]
-        self._count(complaints)
-        scatter_set(table["in_store"], rows, True)
-        self._reference_cache = None
 
     # -- assessment -------------------------------------------------------
     def _metric_of(self, received: np.ndarray, filed: np.ndarray) -> np.ndarray:
@@ -859,7 +780,6 @@ class ComplaintTrustBackend(TrustBackend):
         Only the queried rows are gathered, so a query against a
         million-row table costs O(query), not O(table).
         """
-        self._sync()
         rows = self._table.index.lookup_many(subject_ids)
         received = np.zeros(len(rows))
         filed = np.zeros(len(rows))
@@ -894,18 +814,16 @@ class ComplaintTrustBackend(TrustBackend):
 
     def metric_values_in_store(self) -> np.ndarray:
         """Metric values of every in-store agent (the median's input)."""
-        self._sync()
         return self._in_store_metrics()
 
     def reference_metric(self) -> float:
         """The community's median complaint metric (0 when no data)."""
-        self._sync()
         return self._reference()
 
     def _reference(self) -> float:
         # The median is the one whole-table pass on the query path; it only
         # changes when evidence does, so it is cached until the next write
-        # (or store rebuild) invalidates it.
+        # (or restore) invalidates it.
         if self._reference_cache is None:
             metrics = self._in_store_metrics()
             self._reference_cache = float(np.median(metrics)) if metrics.size else 0.0
@@ -913,7 +831,6 @@ class ComplaintTrustBackend(TrustBackend):
 
     def counts(self, agent_id: str) -> Tuple[int, int]:
         """``(received, filed)`` complaint counts for one agent."""
-        self._sync()
         row = self._table.index.get(agent_id)
         if row is None:
             return (0, 0)
@@ -991,17 +908,12 @@ class ComplaintTrustBackend(TrustBackend):
         return bool(self.trust_decisions((subject_id,))[0])
 
     def known_subjects(self) -> Tuple[str, ...]:
-        self._sync()
-        # The synced index/_in_store pair already holds the store's agent
-        # set; answering from it avoids the store's O(complaints x agents)
-        # rescan on the fast path.
         table = self._table
         names = table.index.names()
         in_store = prefix_view(table["in_store"], len(table))
         return tuple(names[row] for row in np.flatnonzero(in_store))
 
     def row_count(self) -> int:
-        self._sync()
         table = self._table
         return sum(
             int(np.count_nonzero(chunk))
@@ -1009,43 +921,20 @@ class ComplaintTrustBackend(TrustBackend):
         )
 
     def all_complaints(self) -> Tuple[Complaint, ...]:
-        """Every complaint in the underlying store (requires enumeration)."""
-        if not hasattr(self._store, "all_complaints"):
-            raise TrustModelError(
-                "complaint store does not expose all_complaints()"
-            )
-        return tuple(self._store.all_complaints())  # type: ignore[attr-defined]
+        """Every complaint the backend holds, in filing order."""
+        return tuple(self._log)
 
     def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
-        """Counters plus the full complaint log (needed for the round-trip).
-
-        Requires a store exposing ``all_complaints``: the local store, this
-        backend's own fast path, and the P-Grid-backed
-        :class:`~repro.reputation.store.DistributedReputationStore` (which
-        enumerates its complaint log through ordinary P-Grid queries) all
-        do, so distributed complaint state checkpoints through the same
-        path.
-        """
-        if not hasattr(self._store, "all_complaints"):
-            raise TrustModelError(
-                "complaint store does not expose all_complaints(); "
-                "snapshot it through its own persistence instead"
-            )
-        self._sync()
+        """Counters plus the full complaint log (needed for the round-trip)."""
         yield "backend", np.array(self.name)
         yield "peer_ids", self._table.peer_ids()
         yield "config", np.array([self._tolerance_factor, self._trust_scale])
         yield "metric_mode", np.array(self._metric_mode)
         yield from self._table.column_items()
-        yield from complaint_log_items(self.all_complaints())
+        yield from complaint_log_items(self._log)
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore counters and refill a private local complaint store.
-
-        The restored backend owns a fresh :class:`LocalComplaintStore` with
-        the snapshot's complaint log; callers sharing a store community-wide
-        re-share the restored backend itself (it *is* a complaint store).
-        """
+        """Replace the counters and the complaint log with a snapshot's."""
         self._check_snapshot_backend(state)
         self._tolerance_factor, self._trust_scale = (
             float(v) for v in state["config"]
@@ -1053,11 +942,7 @@ class ComplaintTrustBackend(TrustBackend):
         self._metric_mode = str(np.asarray(state["metric_mode"]).item())
         self._table.restore(state)
         self._reference_cache = None
-        store = LocalComplaintStore()
-        for complaint in complaints_from_snapshot(state):
-            store.file_complaint(complaint)  # repro: allow(PERF001) — cold restore path re-filing the snapshot log into a fresh store
-        self._store = store
-        self._synced_len = len(store)
+        self._log = complaints_from_snapshot(state)
 
 
 def complaint_log_items(

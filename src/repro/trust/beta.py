@@ -29,7 +29,7 @@ from repro.trust.evidence import Observation
 
 try:  # pragma: no cover - exercised implicitly depending on environment
     from scipy.stats import beta as _scipy_beta
-except Exception:  # pragma: no cover
+except ImportError:  # pragma: no cover
     _scipy_beta = None
 
 __all__ = ["BetaBelief", "BetaTrustModel"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import TrustModelError
 
-__all__ = ["DecayModel", "NoDecay", "ExponentialDecay", "SlidingWindowDecay"]
+__all__ = ["DecayModel", "NoDecay", "ExponentialDecay"]
 
 
 class DecayModel(abc.ABC):
@@ -53,19 +53,3 @@ class ExponentialDecay(DecayModel):
         if age < 0:
             raise TrustModelError(f"age must be >= 0, got {age}")
         return math.pow(0.5, age / self.half_life)
-
-
-@dataclass
-class SlidingWindowDecay(DecayModel):
-    """Evidence counts fully inside a window and not at all outside it."""
-
-    window: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise TrustModelError(f"window must be > 0, got {self.window}")
-
-    def weight(self, age: float) -> float:
-        if age < 0:
-            raise TrustModelError(f"age must be >= 0, got {age}")
-        return 1.0 if age <= self.window else 0.0

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
 
 from repro.exceptions import TrustModelError
 
-__all__ = ["InteractionOutcome", "Observation", "Complaint", "EvidenceLog"]
+__all__ = ["InteractionOutcome", "Observation", "Complaint"]
 
 
 class InteractionOutcome(enum.Enum):
@@ -96,68 +95,3 @@ class Complaint:
             raise TrustModelError("complainant_id and accused_id must be non-empty")
         if self.complainant_id == self.accused_id:
             raise TrustModelError("a peer cannot file a complaint about itself")
-
-
-class EvidenceLog:
-    """Append-only, queryable log of observations held by one peer."""
-
-    def __init__(self) -> None:
-        self._observations: List[Observation] = []
-
-    def record(self, observation: Observation) -> None:
-        """Append an observation to the log."""
-        self._observations.append(observation)
-
-    def __len__(self) -> int:
-        return len(self._observations)
-
-    def __iter__(self):
-        return iter(self._observations)
-
-    def about(self, subject_id: str) -> Tuple[Observation, ...]:
-        """All observations about the given subject, oldest first."""
-        return tuple(
-            observation
-            for observation in self._observations
-            if observation.subject_id == subject_id
-        )
-
-    def by(self, observer_id: str) -> Tuple[Observation, ...]:
-        """All observations made by the given observer, oldest first."""
-        return tuple(
-            observation
-            for observation in self._observations
-            if observation.observer_id == observer_id
-        )
-
-    def subjects(self) -> Tuple[str, ...]:
-        """Distinct subjects appearing in the log, in first-seen order."""
-        seen: List[str] = []
-        for observation in self._observations:
-            if observation.subject_id not in seen:
-                seen.append(observation.subject_id)
-        return tuple(seen)
-
-    def counts(self, subject_id: str) -> Tuple[int, int]:
-        """Return ``(honest, dishonest)`` observation counts for a subject."""
-        honest = 0
-        dishonest = 0
-        for observation in self.about(subject_id):
-            if observation.is_honest:
-                honest += 1
-            else:
-                dishonest += 1
-        return honest, dishonest
-
-    def since(self, timestamp: float) -> Tuple[Observation, ...]:
-        """Observations with ``timestamp`` greater than or equal to the bound."""
-        return tuple(
-            observation
-            for observation in self._observations
-            if observation.timestamp >= timestamp
-        )
-
-    def extend(self, observations: Iterable[Observation]) -> None:
-        """Append many observations at once."""
-        for observation in observations:
-            self.record(observation)

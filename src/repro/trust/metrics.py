@@ -7,16 +7,13 @@ well its accept/reject decisions separate honest from dishonest peers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.exceptions import AnalysisError
 
 __all__ = [
     "mean_absolute_error",
-    "root_mean_squared_error",
-    "brier_score",
     "ClassificationReport",
     "classification_report",
 ]
@@ -37,28 +34,6 @@ def mean_absolute_error(
     """Mean absolute error between estimated and true honesty probabilities."""
     pairs = _paired(estimates, truths)
     return sum(abs(estimate - truth) for estimate, truth in pairs) / len(pairs)
-
-
-def root_mean_squared_error(
-    estimates: Mapping[str, float], truths: Mapping[str, float]
-) -> float:
-    """Root mean squared error between estimates and truths."""
-    pairs = _paired(estimates, truths)
-    return math.sqrt(
-        sum((estimate - truth) ** 2 for estimate, truth in pairs) / len(pairs)
-    )
-
-
-def brier_score(
-    estimates: Mapping[str, float], outcomes: Mapping[str, bool]
-) -> float:
-    """Brier score of trust estimates against realised honest/dishonest outcomes."""
-    common = sorted(set(estimates) & set(outcomes))
-    if not common:
-        raise AnalysisError("estimates and outcomes share no subjects")
-    return sum(
-        (estimates[key] - (1.0 if outcomes[key] else 0.0)) ** 2 for key in common
-    ) / len(common)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ stored in P-Grid in the first place.  This module brings the same idea to
 the community's shared complaint store: a :class:`ShardedBackend` splits
 the peer-id space across ``N`` inner
 :class:`~repro.trust.backend.ComplaintTrustBackend` shards while presenting
-the *same* ``TrustBackend`` and ``ComplaintStore`` interfaces, so every
+the *same* interface as one complaint backend, so every
 consumer — the community's peers, witness aggregation, the community
 simulation — stays unchanged and shard-agnostic.  Only the complaint kind
 is sharded: each peer's private beta and decay backends hold at most one
@@ -497,8 +497,9 @@ class ShardedBackend(TrustBackend):
     Three mechanisms keep the sharded store bit-identical to one complaint
     backend: the global median reference, two-shard complaint delivery,
     and complaint-log re-filing on splits and re-sharding restores.  The
-    wrapper implements the ``ComplaintStore`` protocol, so it can serve as
-    a community's shared complaint store exactly like an unsharded one.
+    wrapper files and lists complaints like one complaint backend, so it
+    can serve as a community's shared complaint store exactly like an
+    unsharded one.
     """
 
     name = "sharded"
@@ -517,14 +518,6 @@ class ShardedBackend(TrustBackend):
             raise TrustModelError(f"num_shards must be >= 1, got {num_shards}")
         if "shards" in shard_params:
             raise TrustModelError("nested sharding is not supported")
-        if shard_params.get("store") is not None:
-            # One store behind every shard would persist cross-shard
-            # complaints twice (each delivery files into the same log) and
-            # double-count them on any rebuild.
-            raise TrustModelError(
-                "sharded backends own their per-shard stores; "
-                "a shared store cannot back multiple shards"
-            )
         self._shard_params: Dict[str, object] = dict(shard_params)
         if isinstance(router, ShardRouter):
             if router.num_shards != num_shards:
@@ -1058,7 +1051,7 @@ class ShardedBackend(TrustBackend):
         return bool(self.trust_decisions((subject_id,))[0])
 
     # ------------------------------------------------------------------
-    # ComplaintStore protocol — a sharded store can be a community's
+    # Complaint filing and listing — a sharded store can be a community's
     # shared complaint store, like a single complaint backend.
     # ------------------------------------------------------------------
     # Every shard shares one scoring configuration; shard 0 reports it.
@@ -1072,15 +1065,6 @@ class ShardedBackend(TrustBackend):
 
     def file_complaint(self, complaint: Complaint) -> None:
         self.record_complaints((complaint,))
-
-    def complaints_about(self, agent_id: str) -> Sequence[Complaint]:
-        return self._home_shard(agent_id).complaints_about(agent_id)
-
-    def complaints_by(self, agent_id: str) -> Sequence[Complaint]:
-        return self._home_shard(agent_id).complaints_by(agent_id)
-
-    def known_agents(self) -> Sequence[str]:
-        return list(self.known_subjects())
 
     def all_complaints(self) -> Tuple[Complaint, ...]:
         """The global complaint log, each complaint exactly once.
@@ -1096,11 +1080,6 @@ class ShardedBackend(TrustBackend):
             for complaint in shard.all_complaints()
             if self.shard_index_of(complaint.accused_id) == index
         )
-
-    def __len__(self) -> int:
-        # Version stamp for change-tracking caches (cross-shard complaints
-        # count twice — monotonicity is what matters, not the total).
-        return sum(len(shard) for shard in self._shards)
 
     # ------------------------------------------------------------------
     # Persistence: per-shard manifest, re-shardable

@@ -57,7 +57,6 @@ __all__ = [
     "scatter_max",
     "scatter_set",
     "multiply_at",
-    "fill",
     "get_item",
     "materialize",
     "prefix_view",
@@ -155,10 +154,6 @@ class ChunkedArray:
             chunk[within] *= group
 
     # -- whole-array operations ------------------------------------------
-    def fill(self, value) -> None:
-        for chunk in self._chunks:
-            chunk[:] = value
-
     def materialize(self, size: int, dtype: Optional[np.dtype] = None) -> np.ndarray:
         """Contiguous copy of the first ``size`` entries, optionally cast."""
         out = np.empty(size, dtype=self._dtype if dtype is None else dtype)
@@ -249,13 +244,6 @@ def multiply_at(array: EvidenceArray, idx: np.ndarray, factors) -> None:
         array.multiply_at(idx, factors)
     else:
         array[idx] *= factors
-
-
-def fill(array: EvidenceArray, value) -> None:
-    if isinstance(array, ChunkedArray):
-        array.fill(value)
-    else:
-        array[:] = value
 
 
 def get_item(array: EvidenceArray, index: int):
@@ -442,11 +430,6 @@ class EvidenceTable:
         rows = self.index.intern_many(names)
         self.ensure_capacity()
         return rows
-
-    def zero(self) -> None:
-        """Reset every column to zero (``False``) without dropping rows."""
-        for array in self._columns.values():
-            fill(array, 0)
 
     # -- dirty-row score cache -------------------------------------------
     def invalidate(self, rows: np.ndarray) -> None:

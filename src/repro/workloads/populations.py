@@ -8,6 +8,7 @@ dishonest peers additionally pollute the complaint store.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -63,16 +64,17 @@ class PopulationSpec:
             self.probabilistic_fraction,
             self.fluctuating_fraction,
         )
-        if any(fraction < 0 for fraction in fractions):
-            raise WorkloadError("population fractions must be non-negative")
+        # ``>= 0`` is false for NaN; an infinite fraction fails the sum check.
+        if not all(fraction >= 0 for fraction in fractions):
+            raise WorkloadError("population fractions must be non-negative numbers")
         if sum(fractions) > 1.0 + 1e-9:
             raise WorkloadError("population fractions must sum to at most 1")
         if not 0.0 <= self.probabilistic_honesty <= 1.0:
             raise WorkloadError("probabilistic_honesty must lie in [0, 1]")
         if not 0.0 <= self.false_complaint_probability <= 1.0:
             raise WorkloadError("false_complaint_probability must lie in [0, 1]")
-        if self.defection_penalty < 0:
-            raise WorkloadError("defection_penalty must be >= 0")
+        if not 0.0 <= self.defection_penalty < math.inf:
+            raise WorkloadError("defection_penalty must be finite and >= 0")
 
     def behavior_for(self, index: int, rng: random.Random) -> BehaviorModel:
         """Assign a behaviour to the ``index``-th peer (deterministic slots).

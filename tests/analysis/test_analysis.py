@@ -1,8 +1,7 @@
-"""Unit tests for the analysis toolkit (stats, tables, figures, experiments)."""
+"""Unit tests for the analysis toolkit (stats, tables, figures)."""
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRegistry, replicate, sweep
 from repro.analysis.figures import Figure, Series
 from repro.analysis.stats import confidence_interval, summarize
 from repro.analysis.tables import Table
@@ -137,39 +136,3 @@ class TestFigure:
             Figure("empty").render_table()
         with pytest.raises(AnalysisError):
             Figure("empty").render_ascii()
-
-
-class TestExperiments:
-    def test_sweep_preserves_order(self):
-        result = sweep("x", [1, 2, 3], lambda x: x * x)
-        assert result.values == (1, 2, 3)
-        assert result.results == (1, 4, 9)
-        assert result.as_pairs() == [(1, 1), (2, 4), (3, 9)]
-
-    def test_sweep_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            sweep("x", [], lambda x: x)
-
-    def test_replicate(self):
-        stats = replicate(lambda seed: float(seed % 3), seeds=range(9))
-        assert stats.count == 9
-        assert stats.mean == pytest.approx(1.0)
-
-    def test_replicate_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            replicate(lambda seed: 1.0, seeds=[])
-
-    def test_registry(self):
-        registry = ExperimentRegistry()
-
-        @registry.register("table1", "safe existence")
-        def table1():
-            return 42
-
-        assert registry.run("table1") == 42
-        assert registry.ids() == ["table1"]
-        assert registry.description("table1") == "safe existence"
-        with pytest.raises(AnalysisError):
-            registry.run("unknown")
-        with pytest.raises(AnalysisError):
-            registry.register("table1", "duplicate")(lambda: None)

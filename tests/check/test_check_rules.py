@@ -281,7 +281,7 @@ def test_exc001_narrow_handlers_are_out_of_scope(make_tree):
     assert run_check(root, [ExceptionHygieneRule()]).clean
 
 
-def test_exc001_only_governs_the_sharded_store(make_tree):
+def test_exc001_governs_the_whole_package(make_tree):
     root = make_tree(
         {
             "simulation/fixture.py": """\
@@ -290,6 +290,30 @@ def test_exc001_only_governs_the_sharded_store(make_tree):
                     thing()
                 except Exception:
                     pass
+            """,
+            "analysis/optional.py": """\
+            try:
+                import scipy
+            except BaseException:
+                scipy = None
+            """,
+        }
+    )
+    result = run_check(root, [ExceptionHygieneRule()])
+    assert [finding.path for finding in result.findings] == [
+        "analysis/optional.py",
+        "simulation/fixture.py",
+    ]
+
+
+def test_exc001_narrow_optional_import_is_out_of_scope(make_tree):
+    root = make_tree(
+        {
+            "analysis/optional.py": """\
+            try:
+                import scipy
+            except ImportError:
+                scipy = None
             """
         }
     )

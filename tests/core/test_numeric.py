@@ -6,10 +6,8 @@ from repro.core.numeric import (
     EPSILON,
     approx_eq,
     approx_ge,
-    approx_gt,
     approx_le,
     approx_lt,
-    clamp,
     non_negative,
     total,
 )
@@ -36,27 +34,9 @@ class TestComparisons:
         assert not approx_lt(1.0, 1.0)
         assert not approx_lt(1.0 - EPSILON / 2, 1.0)
 
-    def test_approx_gt_strict(self):
-        assert approx_gt(1.1, 1.0)
-        assert not approx_gt(1.0, 1.0)
-        assert not approx_gt(1.0 + EPSILON / 2, 1.0)
-
     def test_custom_epsilon(self):
         assert approx_le(1.05, 1.0, eps=0.1)
         assert not approx_le(1.05, 1.0, eps=0.01)
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(0.5, 0.0, 1.0) == 0.5
-
-    def test_below_and_above(self):
-        assert clamp(-1.0, 0.0, 1.0) == 0.0
-        assert clamp(2.0, 0.0, 1.0) == 1.0
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            clamp(0.5, 1.0, 0.0)
 
 
 class TestNonNegative:

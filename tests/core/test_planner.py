@@ -14,7 +14,6 @@ from repro.core.planner import (
     plan_delivery_order,
     plan_delivery_order_quadratic,
     plan_exchange,
-    plan_exchange_or_raise,
     required_total_tolerance,
 )
 from repro.core.safety import ExchangeRequirements, verify_sequence
@@ -224,14 +223,6 @@ class TestBuildSequence:
 
 
 class TestPlanExchange:
-    def test_plan_exchange_or_raise(self):
-        bundle = single_item_bundle()
-        with pytest.raises(NoSafeSequenceError):
-            plan_exchange_or_raise(bundle, 7.0, ExchangeRequirements())
-        requirements = ExchangeRequirements(consumer_accepted_exposure=5.0)
-        sequence = plan_exchange_or_raise(bundle, 7.0, requirements)
-        assert verify_sequence(sequence, requirements).safe
-
     def test_exists_feasible_sequence(self):
         bundle = single_item_bundle()
         assert not exists_feasible_sequence(bundle, 7.0, ExchangeRequirements())

@@ -6,8 +6,6 @@ from repro.core.exchange import ExchangeAction, ExchangeSequence, ExchangeState,
 from repro.core.goods import Good, GoodsBundle
 from repro.core.safety import (
     ExchangeRequirements,
-    feasible_start_price_range,
-    payment_bounds,
     rational_price_range,
     state_verdict,
     verify_sequence,
@@ -75,15 +73,6 @@ class TestExchangeRequirements:
         assert reputation.consumer_defection_penalty == 3.0
         safe = ExchangeRequirements.fully_safe()
         assert safe.total_allowance == 0.0
-
-    def test_with_exposures(self):
-        base = ExchangeRequirements.with_reputation(1.0, 1.0)
-        updated = base.with_exposures(
-            consumer_accepted_exposure=2.0, supplier_accepted_exposure=3.0
-        )
-        assert updated.consumer_accepted_exposure == 2.0
-        assert updated.supplier_accepted_exposure == 3.0
-        assert updated.supplier_defection_penalty == 1.0
 
 
 class TestStateVerdict:
@@ -189,19 +178,6 @@ class TestVerifySequence:
 
 
 class TestPriceRanges:
-    def test_payment_bounds(self):
-        requirements = ExchangeRequirements(
-            consumer_accepted_exposure=1.0, supplier_accepted_exposure=2.0
-        )
-        lower, upper = payment_bounds(5.0, 8.0, requirements)
-        assert lower == pytest.approx(4.0)
-        assert upper == pytest.approx(10.0)
-
-    def test_payment_bounds_clip_at_zero(self):
-        requirements = ExchangeRequirements(consumer_accepted_exposure=10.0)
-        lower, _upper = payment_bounds(5.0, 8.0, requirements)
-        assert lower == 0.0
-
     def test_rational_price_range(self, bundle):
         low, high = rational_price_range(bundle)
         assert low == pytest.approx(5.0)
@@ -213,11 +189,3 @@ class TestPriceRanges:
         )
         with pytest.raises(InvalidPriceError):
             rational_price_range(bundle)
-
-    def test_feasible_start_price_range(self, bundle):
-        requirements = ExchangeRequirements(
-            consumer_accepted_exposure=1.0, supplier_accepted_exposure=2.0
-        )
-        lower, upper = feasible_start_price_range(bundle, requirements)
-        assert lower == pytest.approx(4.0)
-        assert upper == pytest.approx(12.0)

@@ -73,12 +73,12 @@ class TestTrustAwarePlanner:
 
     def test_more_trust_means_more_exposure_accepted(self, hard_bundle):
         planner = TrustAwareExchangePlanner()
-        low = planner.requirements_for(
+        low = planner.plan(
             hard_bundle, 9.0, make_partner(0.5), make_partner(0.5)
-        )
-        high = planner.requirements_for(
+        ).requirements
+        high = planner.plan(
             hard_bundle, 9.0, make_partner(0.5), make_partner(0.9)
-        )
+        ).requirements
         assert (
             high.consumer_accepted_exposure > low.consumer_accepted_exposure
         )
@@ -194,11 +194,11 @@ class TestConvenienceFunction:
 
 
 class TestEquivalenceWithManualRequirements:
-    def test_requirements_for_equals_manual_construction(self, easy_bundle):
+    def test_plan_requirements_equal_manual_construction(self, easy_bundle):
         planner = TrustAwareExchangePlanner()
         supplier = make_partner(0.7, FractionalGainPolicy(fraction=0.5), penalty=1.0)
         consumer = make_partner(0.6, FractionalGainPolicy(fraction=0.5), penalty=2.0)
-        requirements = planner.requirements_for(easy_bundle, 6.0, supplier, consumer)
+        requirements = planner.plan(easy_bundle, 6.0, supplier, consumer).requirements
         supplier_gain = 6.0 - easy_bundle.total_supplier_cost
         consumer_gain = easy_bundle.total_consumer_value - 6.0
         expected = ExchangeRequirements(
@@ -215,63 +215,3 @@ class TestEquivalenceWithManualRequirements:
         )
         assert requirements.supplier_defection_penalty == pytest.approx(1.0)
         assert requirements.consumer_defection_penalty == pytest.approx(2.0)
-
-
-class TestBackendDrivenPlanning:
-    def test_plan_from_backend_matches_manual_partner_models(self, hard_bundle):
-        from repro.core.trust_aware import partner_models_from_backend
-        from repro.trust.backend import BetaTrustBackend, TrustObservation
-
-        backend = BetaTrustBackend()
-        backend.update_many(
-            [
-                TrustObservation("supplier", "consumer", True, weight=8.0),
-                TrustObservation("consumer", "supplier", True, weight=8.0),
-            ]
-        )
-        supplier_maker = DecisionMaker(risk_policy=ExpectedLossBudgetPolicy())
-        consumer_maker = DecisionMaker(risk_policy=ExpectedLossBudgetPolicy())
-        planner = TrustAwareExchangePlanner()
-        via_backend = planner.plan_from_backend(
-            backend,
-            hard_bundle,
-            9.0,
-            supplier_id="supplier",
-            consumer_id="consumer",
-            supplier_decision_maker=supplier_maker,
-            consumer_decision_maker=consumer_maker,
-        )
-        supplier, consumer = partner_models_from_backend(
-            backend, "supplier", "consumer", supplier_maker, consumer_maker
-        )
-        manual = planner.plan(hard_bundle, 9.0, supplier, consumer)
-        assert supplier.trust_in_partner == pytest.approx(
-            backend.score("consumer")
-        )
-        assert consumer.trust_in_partner == pytest.approx(
-            backend.score("supplier")
-        )
-        assert via_backend.agreed == manual.agreed
-        assert via_backend.requirements.consumer_accepted_exposure == pytest.approx(
-            manual.requirements.consumer_accepted_exposure
-        )
-
-    def test_plan_from_backend_unknown_peers_use_prior(self, hard_bundle):
-        from repro.trust.backend import BetaTrustBackend
-
-        backend = BetaTrustBackend()
-        plan = TrustAwareExchangePlanner().plan_from_backend(
-            backend,
-            hard_bundle,
-            9.0,
-            supplier_id="s",
-            consumer_id="c",
-            supplier_decision_maker=DecisionMaker(
-                risk_policy=ExpectedLossBudgetPolicy()
-            ),
-            consumer_decision_maker=DecisionMaker(
-                risk_policy=ExpectedLossBudgetPolicy()
-            ),
-        )
-        assert plan.supplier_assessment.trust == pytest.approx(0.5)
-        assert plan.consumer_assessment.trust == pytest.approx(0.5)

@@ -8,7 +8,6 @@ from repro.core.valuation import (
     BimodalValuationModel,
     CorrelatedValuationModel,
     MarginValuationModel,
-    TabularValuationModel,
     UniformValuationModel,
     make_bundle,
 )
@@ -75,18 +74,6 @@ class TestBimodalValuationModel:
     def test_invalid_fraction(self):
         with pytest.raises(WorkloadError):
             BimodalValuationModel(big_fraction=1.5)
-
-
-class TestTabularValuationModel:
-    def test_cycles_rows(self):
-        model = TabularValuationModel([(1.0, 2.0), (3.0, 4.0)])
-        bundle = make_bundle(model, 4, seed=0)
-        costs = [good.supplier_cost for good in bundle]
-        assert costs == [1.0, 3.0, 1.0, 3.0]
-
-    def test_empty_rows_rejected(self):
-        with pytest.raises(WorkloadError):
-            TabularValuationModel([])
 
 
 class TestMakeBundle:

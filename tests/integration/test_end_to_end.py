@@ -173,14 +173,10 @@ class TestDistributedReputation:
         assessment = model.assess_from_reports("cheater", reports)
         assert assessment.counts.received == 6
 
-    def test_peers_on_distributed_store(self):
+    def test_peer_complaints_replicate_onto_distributed_store(self):
         network = PGridNetwork([f"s{i}" for i in range(8)], seed=9)
         network.build("balanced")
-        shared = create_backend(
-            "complaint",
-            store=DistributedReputationStore(network),
-            metric_mode="balanced",
-        )
+        shared = create_backend("complaint", metric_mode="balanced")
         alice = CommunityPeer("alice", complaint_store=shared)
         bob = CommunityPeer("bob", complaint_store=shared, trust_method="complaint")
         alice.observe_outcome(
@@ -192,6 +188,12 @@ class TestDistributedReputation:
                 value=5.0,
             )
         )
-        # Bob has never met Mallory but the shared distributed store tells him.
+        # Bob has never met Mallory but the shared complaint store tells him.
         assert bob.trust_in("mallory") < 1.0
+        # Filed into P-Grid, the same log supports the same trust value.
+        store = DistributedReputationStore(network)
+        for complaint in shared.all_complaints():
+            store.file_complaint(complaint)
         assert network.total_stored_values() > 0
+        model = ComplaintTrustModel(store=store, metric_mode="balanced")
+        assert model.trust("mallory") == pytest.approx(bob.trust_in("mallory"))

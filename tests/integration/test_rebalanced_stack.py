@@ -66,8 +66,8 @@ def _assert_equivalent(baseline, rebalanced):
 
 
 def _assert_complaint_counts_exact(base_store, rebalanced_store):
-    base_agents = sorted(base_store.known_agents())
-    assert base_agents == sorted(rebalanced_store.known_agents())
+    base_agents = sorted(base_store.known_subjects())
+    assert base_agents == sorted(rebalanced_store.known_subjects())
     for agent in base_agents:
         assert base_store.counts(agent) == rebalanced_store.counts(agent)
     assert base_store.reference_metric() == rebalanced_store.reference_metric()

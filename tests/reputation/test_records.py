@@ -1,10 +1,10 @@
-"""Unit tests for reputation records (interaction records and ratings)."""
+"""Unit tests for interaction records."""
 
 import pytest
 
 from repro.core.exchange import Role
 from repro.exceptions import ReputationError
-from repro.reputation.records import InteractionRecord, Rating
+from repro.reputation.records import InteractionRecord
 
 
 class TestInteractionRecord:
@@ -52,57 +52,3 @@ class TestInteractionRecord:
             InteractionRecord(
                 supplier_id="s", consumer_id="c", completed=True, value=-1.0
             )
-
-    def test_json_round_trip(self):
-        record = InteractionRecord(
-            supplier_id="s",
-            consumer_id="c",
-            completed=False,
-            defector="consumer",
-            value=4.5,
-            timestamp=7.0,
-        )
-        assert InteractionRecord.from_json(record.to_json()) == record
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ReputationError):
-            InteractionRecord.from_json("not json at all {")
-        with pytest.raises(ReputationError):
-            InteractionRecord.from_json('{"unexpected": 1}')
-
-
-class TestRating:
-    def test_valid_rating(self):
-        rating = Rating(rater_id="a", subject_id="b", score=0.9)
-        assert rating.positive
-
-    def test_negative_rating(self):
-        rating = Rating(rater_id="a", subject_id="b", score=0.0)
-        assert not rating.positive
-
-    def test_invalid_score(self):
-        with pytest.raises(ReputationError):
-            Rating(rater_id="a", subject_id="b", score=1.5)
-
-    def test_json_round_trip(self):
-        rating = Rating(
-            rater_id="a", subject_id="b", score=1.0, timestamp=2.0, transaction_value=5.0
-        )
-        assert Rating.from_json(rating.to_json()) == rating
-
-    def test_from_interaction_rates_the_defector_badly(self):
-        record = InteractionRecord(
-            supplier_id="s",
-            consumer_id="c",
-            completed=False,
-            defector="supplier",
-            value=12.0,
-            timestamp=1.0,
-        )
-        rating_of_supplier = Rating.from_interaction(record, rated_role=Role.SUPPLIER)
-        assert rating_of_supplier.rater_id == "c"
-        assert rating_of_supplier.subject_id == "s"
-        assert rating_of_supplier.score == 0.0
-        rating_of_consumer = Rating.from_interaction(record, rated_role=Role.CONSUMER)
-        assert rating_of_consumer.rater_id == "s"
-        assert rating_of_consumer.score == 1.0

@@ -1,43 +1,13 @@
-"""Unit tests for local and distributed reputation stores."""
+"""Unit tests for the distributed (P-Grid-backed) reputation store."""
 
+import numpy as np
 import pytest
 
 from repro.pgrid.network import PGridNetwork
-from repro.reputation.records import InteractionRecord, Rating
-from repro.reputation.store import DistributedReputationStore, LocalReputationStore
+from repro.reputation.store import DistributedReputationStore
+from repro.trust.backend import ComplaintTrustBackend, complaints_from_snapshot
 from repro.trust.complaint import ComplaintTrustModel
 from repro.trust.evidence import Complaint
-
-
-class TestLocalReputationStore:
-    def test_ratings(self):
-        store = LocalReputationStore()
-        store.add_rating(Rating(rater_id="a", subject_id="b", score=1.0))
-        store.add_rating(Rating(rater_id="b", subject_id="a", score=0.0))
-        assert len(store.ratings_about("b")) == 1
-        assert len(store.ratings_by("b")) == 1
-
-    def test_records(self):
-        store = LocalReputationStore()
-        store.add_record(
-            InteractionRecord(supplier_id="s", consumer_id="c", completed=True)
-        )
-        assert len(store.records_involving("s")) == 1
-        assert len(store.records_involving("x")) == 0
-        assert len(store.records) == 1
-
-    def test_complaint_store_protocol(self):
-        store = LocalReputationStore()
-        store.file_complaint(Complaint("victim", "cheat"))
-        assert len(store.complaints_about("cheat")) == 1
-        assert len(store.complaints_by("victim")) == 1
-        assert "cheat" in store.known_agents()
-
-    def test_usable_by_complaint_trust_model(self):
-        store = LocalReputationStore()
-        model = ComplaintTrustModel(store=store, metric_mode="balanced")
-        model.file_complaint("a", "b")
-        assert model.counts("b").received == 1
 
 
 def build_distributed_store(peers=16, seed=1):
@@ -62,13 +32,6 @@ class TestDistributedReputationStore:
         store.file_complaint(Complaint("a", "b"))
         assert set(store.known_agents()) == {"a", "b"}
 
-    def test_rating_round_trip(self):
-        store = build_distributed_store()
-        store.add_rating(Rating(rater_id="a", subject_id="b", score=1.0))
-        ratings = store.ratings_about("b")
-        assert len(ratings) == 1
-        assert ratings[0].rater_id == "a"
-
     def test_complaint_reports_per_replica(self):
         network = PGridNetwork([f"p{i}" for i in range(24)], seed=2)
         network.build("balanced", depth=3)
@@ -79,6 +42,14 @@ class TestDistributedReputationStore:
         assert reports
         # Honest replicas all report the same counts.
         assert all(report[0] == 3 for report in reports)
+
+    def test_complaint_reports_capped_by_max_replicas(self):
+        network = PGridNetwork([f"p{i}" for i in range(24)], seed=2)
+        network.build("balanced", depth=3)
+        store = DistributedReputationStore(network)
+        store.file_complaint(Complaint("victim", "cheat"))
+        assert len(store.complaint_reports_about("cheat")) > 1
+        assert store.complaint_reports_about("cheat", max_replicas=1) == [(1, 0)]
 
     def test_works_with_complaint_trust_model(self):
         store = build_distributed_store()
@@ -132,6 +103,17 @@ class TestDistributedStoreCheckpointing:
                 store.complaints_by(agent)
             )
 
+    def test_snapshot_log_uses_the_backend_log_columns(self):
+        store = build_distributed_store()
+        self._populate(store)
+        state = store.snapshot()
+        assert complaints_from_snapshot(state) == list(store.all_complaints())
+        backend = ComplaintTrustBackend()
+        backend.record_complaints(store.all_complaints())
+        backend_state = backend.snapshot()
+        for key in ("complainants", "accused", "timestamps"):
+            assert np.array_equal(state[key], backend_state[key]), key
+
     def test_restore_rejects_foreign_snapshot(self):
         store = build_distributed_store()
         with pytest.raises(Exception):
@@ -147,17 +129,19 @@ class TestDistributedStoreCheckpointing:
             store.restore(state)
         assert len(store.complaints_about("cheat")) == 5
 
-    def test_complaint_backend_snapshots_distributed_state(self):
-        """The PR-2 leftover: backend snapshot()/restore() over P-Grid."""
+    def test_complaint_log_replays_into_a_backend(self):
+        """The enumerated P-Grid log feeds a complaint backend, which round-trips."""
         store = build_distributed_store()
         self._populate(store)
-        backend = store.trust_backend(metric_mode="balanced")
+        backend = ComplaintTrustBackend(metric_mode="balanced")
+        backend.record_complaints(store.all_complaints())
         state = backend.snapshot()
 
-        restored = store.trust_backend(metric_mode="balanced")
+        restored = ComplaintTrustBackend(metric_mode="balanced")
         restored.restore(state)
         queries = ("cheat", "victim-0", "victim-1", "nobody")
         assert list(restored.scores_for(queries)) == list(
             backend.scores_for(queries)
         )
         assert restored.counts("cheat") == backend.counts("cheat") == (5, 1)
+        assert restored.all_complaints() == store.all_complaints()

@@ -1,5 +1,7 @@
 """Tests of the end-to-end community simulation."""
 
+import math
+
 import pytest
 
 from repro.baselines import GoodsFirstStrategy, SafeOnlyStrategy
@@ -50,6 +52,23 @@ class TestCommunityConfig:
             CommunityConfig(matching="psychic")
         with pytest.raises(SimulationError):
             CommunityConfig(supplier_surplus_share=2.0)
+        # Non-finite values fail like out-of-range ones instead of running
+        # on NaN event times (or dividing by an infinite mean later).
+        for bad in (math.inf, math.nan):
+            with pytest.raises(SimulationError):
+                CommunityConfig(evidence_mode="async", evidence_latency=bad)
+            with pytest.raises(SimulationError):
+                CommunityConfig(defection_penalty=bad)
+            with pytest.raises(SimulationError):
+                CommunityConfig(
+                    evidence_mode="async", evidence_repair="gossip", gossip_period=bad
+                )
+            with pytest.raises(SimulationError):
+                CommunityConfig(
+                    evidence_mode="async",
+                    evidence_repair="retransmit",
+                    retransmit_timeout=bad,
+                )
 
 
 class TestCommunitySimulation:

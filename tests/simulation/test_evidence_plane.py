@@ -6,6 +6,7 @@ measurably staler trust state than the synchronous flush it replaces.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestAsyncPlane:
         plane.submit_complaint(filer, "villain", timestamp=0.0)
         plane.unregister_peer("f")
         plane.advance(5.0)
-        assert len(store.complaints_about("villain")) == 1
+        assert [c.accused_id for c in store.all_complaints()] == ["villain"]
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(SimulationError):
@@ -162,6 +163,9 @@ class TestAsyncPlane:
             EvidencePlane(mode="async", loss=1.0)
         with pytest.raises(SimulationError):
             EvidencePlane(mode="async", latency=-1.0)
+        for latency in (math.inf, math.nan):
+            with pytest.raises(SimulationError):
+                EvidencePlane(mode="async", latency=latency)
         assert EVIDENCE_MODES == ("sync", "async")
 
 

@@ -401,6 +401,33 @@ class TestRunCommand:
         )
         assert exit_code == 2
 
+    @pytest.mark.parametrize("command", ("run", "audit"))
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["--evidence-mode", "async", "--evidence-latency", "inf"],
+            ["--evidence-mode", "async", "--evidence-latency", "nan"],
+            ["--dishonest", "nan"],
+            ["--dishonest", "inf"],
+            ["--evidence-mode", "async", "--evidence-repair", "gossip",
+             "--gossip-period", "nan"],
+            ["--evidence-mode", "async", "--evidence-repair", "retransmit",
+             "--retransmit-timeout", "nan"],
+        ),
+        ids=("latency-inf", "latency-nan", "dishonest-nan", "dishonest-inf",
+             "gossip-period-nan", "retransmit-timeout-nan"),
+    )
+    def test_non_finite_inputs_rejected(self, command, flags, capsys):
+        """A non-finite number is a usage error, not a traceback or a NaN run."""
+        exit_code = main(
+            [command, "--scenario", "ebay", "--size", "8", "--rounds", "2", *flags]
+        )
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestParser:
     def test_requires_subcommand(self):

@@ -6,8 +6,6 @@ from repro.exceptions import TrustModelError
 from repro.trust.aggregation import (
     WitnessReport,
     combine_beta_evidence,
-    pessimistic_trust,
-    weighted_mean_trust,
 )
 from repro.trust.beta import BetaBelief
 
@@ -52,35 +50,3 @@ class TestCombineBetaEvidence:
     def test_no_reports_returns_direct(self):
         direct = BetaBelief(3.0, 2.0)
         assert combine_beta_evidence(direct, []).mean == pytest.approx(direct.mean)
-
-
-class TestWeightedMeanTrust:
-    def test_weighted_average(self):
-        value = weighted_mean_trust([(1.0, 1.0), (0.0, 3.0)])
-        assert value == pytest.approx(0.25)
-
-    def test_zero_total_weight_rejected(self):
-        with pytest.raises(TrustModelError):
-            weighted_mean_trust([(0.5, 0.0)])
-
-    def test_invalid_estimate_rejected(self):
-        with pytest.raises(TrustModelError):
-            weighted_mean_trust([(1.5, 1.0)])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(TrustModelError):
-            weighted_mean_trust([(0.5, -1.0)])
-
-
-class TestPessimisticTrust:
-    def test_takes_minimum(self):
-        assert pessimistic_trust(0.8, 0.3) == pytest.approx(0.3)
-
-    def test_handles_missing_sources(self):
-        assert pessimistic_trust(None, 0.7) == pytest.approx(0.7)
-        assert pessimistic_trust(0.4, None) == pytest.approx(0.4)
-        assert pessimistic_trust(None, None) == pytest.approx(0.5)
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(TrustModelError):
-            pessimistic_trust(1.2, 0.5)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import TrustModelError
-from repro.trust.decay import ExponentialDecay, NoDecay, SlidingWindowDecay
+from repro.trust.decay import ExponentialDecay, NoDecay
 
 
 class TestNoDecay:
@@ -38,14 +38,3 @@ class TestExponentialDecay:
     def test_invalid_half_life(self):
         with pytest.raises(TrustModelError):
             ExponentialDecay(half_life=0.0)
-
-
-class TestSlidingWindowDecay:
-    def test_window_boundary(self):
-        decay = SlidingWindowDecay(window=10.0)
-        assert decay.weight(10.0) == 1.0
-        assert decay.weight(10.1) == 0.0
-
-    def test_invalid_window(self):
-        with pytest.raises(TrustModelError):
-            SlidingWindowDecay(window=0.0)

@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import TrustModelError
 from repro.trust.evidence import (
     Complaint,
-    EvidenceLog,
     InteractionOutcome,
     Observation,
 )
@@ -47,50 +46,3 @@ class TestComplaint:
     def test_empty_ids_rejected(self):
         with pytest.raises(TrustModelError):
             Complaint(complainant_id="", accused_id="b")
-
-
-class TestEvidenceLog:
-    def make_log(self):
-        log = EvidenceLog()
-        log.record(Observation.honest("me", "alice", timestamp=1.0))
-        log.record(Observation.dishonest("me", "alice", timestamp=2.0))
-        log.record(Observation.honest("me", "bob", timestamp=3.0))
-        log.record(Observation.honest("other", "alice", timestamp=4.0))
-        return log
-
-    def test_len_and_iter(self):
-        log = self.make_log()
-        assert len(log) == 4
-        assert len(list(log)) == 4
-
-    def test_about(self):
-        log = self.make_log()
-        about_alice = log.about("alice")
-        assert len(about_alice) == 3
-        assert all(obs.subject_id == "alice" for obs in about_alice)
-
-    def test_by(self):
-        log = self.make_log()
-        assert len(log.by("me")) == 3
-        assert len(log.by("other")) == 1
-
-    def test_subjects_in_first_seen_order(self):
-        log = self.make_log()
-        assert log.subjects() == ("alice", "bob")
-
-    def test_counts(self):
-        log = self.make_log()
-        assert log.counts("alice") == (2, 1)
-        assert log.counts("bob") == (1, 0)
-        assert log.counts("unknown") == (0, 0)
-
-    def test_since(self):
-        log = self.make_log()
-        assert len(log.since(3.0)) == 2
-
-    def test_extend(self):
-        log = EvidenceLog()
-        log.extend(
-            [Observation.honest("me", "x"), Observation.dishonest("me", "y")]
-        )
-        assert len(log) == 2

@@ -4,10 +4,8 @@ import pytest
 
 from repro.exceptions import AnalysisError
 from repro.trust.metrics import (
-    brier_score,
     classification_report,
     mean_absolute_error,
-    root_mean_squared_error,
 )
 
 
@@ -17,18 +15,10 @@ class TestErrorMetrics:
         truths = {"a": 1.0, "b": 0.0}
         assert mean_absolute_error(estimates, truths) == pytest.approx(0.2)
 
-    def test_rmse_at_least_mae(self):
-        estimates = {"a": 0.9, "b": 0.1, "c": 0.5}
-        truths = {"a": 1.0, "b": 0.0, "c": 1.0}
-        assert root_mean_squared_error(estimates, truths) >= mean_absolute_error(
-            estimates, truths
-        )
-
     def test_perfect_estimates(self):
         estimates = {"a": 1.0, "b": 0.0}
         truths = {"a": 1.0, "b": 0.0}
         assert mean_absolute_error(estimates, truths) == 0.0
-        assert root_mean_squared_error(estimates, truths) == 0.0
 
     def test_only_common_subjects_used(self):
         estimates = {"a": 0.5, "z": 0.9}
@@ -38,16 +28,6 @@ class TestErrorMetrics:
     def test_disjoint_subjects_rejected(self):
         with pytest.raises(AnalysisError):
             mean_absolute_error({"a": 0.5}, {"b": 0.5})
-
-    def test_brier_score(self):
-        estimates = {"a": 1.0, "b": 0.0}
-        outcomes = {"a": True, "b": False}
-        assert brier_score(estimates, outcomes) == pytest.approx(0.0)
-        assert brier_score({"a": 0.5}, {"a": True}) == pytest.approx(0.25)
-
-    def test_brier_score_disjoint_rejected(self):
-        with pytest.raises(AnalysisError):
-            brier_score({"a": 0.5}, {"b": True})
 
 
 class TestClassificationReport:

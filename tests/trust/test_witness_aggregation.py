@@ -17,7 +17,6 @@ from repro.trust.aggregation import (
     WitnessReport,
     combine_beta_evidence,
     combine_beta_evidence_matrix,
-    reports_to_matrix,
     stack_witness_beliefs,
     validate_witness_matrix,
     witness_report_sums,
@@ -262,12 +261,13 @@ class TestComplaintAggregation:
 
 
 class TestMatrixHelpers:
-    def test_reports_to_matrix_round_trip(self):
+    def test_stacked_reports_match_scalar_combination(self):
         reports = [
             WitnessReport("w0", BetaBelief(4.0, 2.0), witness_trust=0.5),
             WitnessReport("w1", BetaBelief(1.0, 9.0), witness_trust=1.0),
         ]
-        matrix, discounts = reports_to_matrix(reports)
+        matrix = stack_witness_beliefs([[report.belief] for report in reports])
+        discounts = np.array([report.witness_trust for report in reports])
         assert matrix.shape == (2, 1, 2)
         alpha, beta = combine_beta_evidence_matrix(
             np.array([1.0]), np.array([1.0]), matrix, discounts

@@ -114,7 +114,7 @@ class TestScenarioWiring:
         assert 0.9 in probabilities
         scenario.simulation().run()
         # The coalition's spurious complaints land in the shared store.
-        assert len(scenario.complaint_store) > 0
+        assert len(scenario.complaint_store.all_complaints()) > 0
 
     def test_mixed_goods_bundles_are_heterogeneous(self):
         import random

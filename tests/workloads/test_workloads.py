@@ -1,5 +1,7 @@
 """Unit tests for valuation workloads, populations and scenarios."""
 
+import math
+
 import pytest
 
 from repro.exceptions import WorkloadError
@@ -105,6 +107,11 @@ class TestPopulationSpec:
             PopulationSpec(size=1)
         with pytest.raises(WorkloadError):
             PopulationSpec(size=10, honest_fraction=-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(WorkloadError):
+                PopulationSpec(size=10, dishonest_fraction=bad)
+            with pytest.raises(WorkloadError):
+                PopulationSpec(size=10, defection_penalty=bad)
 
     def test_honesty_map(self):
         peers = build_population(
