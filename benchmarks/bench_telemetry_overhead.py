@@ -10,8 +10,12 @@ lookup and a false ``enabled`` check) and is pinned bit-identical by
 ``tests/obs/test_telemetry_wiring.py`` — this benchmark guards the *on*
 path so instrumentation creep never silently taxes the pipeline.
 
-Method: interleaved off/summary pairs, min-of-repeats on each arm (min is
-robust to scheduler noise), overhead = summary/off - 1.  A sanity check
+Method: interleaved off/summary pairs after one warm-up pair, the arm that
+runs first alternating from pair to pair.  Each run is timed in reference
+seconds by ``perfbench/hostclock.py``'s ``HostClock``, which probes the
+host's speed while the runs go on, so a host that slows down or speeds up
+between the two runs of a pair does not show as overhead.  The overhead is
+the median of the per-pair ratios summary/off, minus 1.  A sanity check
 first asserts the instrumented run actually recorded the hot-path metrics
 it claims to measure.
 
@@ -23,8 +27,11 @@ enforced at both scales; the measured fraction lands in
 
 from __future__ import annotations
 
+import importlib.util
 import os
-import time
+import statistics
+from pathlib import Path
+from time import perf_counter
 
 from _harness import bar, emit, emit_json, run_once, table_metrics
 
@@ -37,11 +44,14 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 if SMOKE:
     SIZE = 24
     ROUNDS = 8
-    REPEATS = 5
+    # A smoke run lasts about 0.1 s, two or three host-speed probes, so
+    # one pair's ratio scatters by a few percent; more pairs steady the
+    # median.
+    PAIRS = 25
 else:
     SIZE = 60
     ROUNDS = 20
-    REPEATS = 5
+    PAIRS = 9
 
 SEED = 11
 MAX_OVERHEAD = 0.05
@@ -63,28 +73,46 @@ def _run(registry):
     return result.accounts.attempted
 
 
-def _measure():
-    """Interleaved min-of-REPEATS for the off and summary arms."""
-    best_off = float("inf")
-    best_summary = float("inf")
-    attempted_off = attempted_summary = 0
-    last_snapshot = {}
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        attempted_off = _run(None)
-        best_off = min(best_off, time.perf_counter() - start)
+def _host_clock():
+    """``perfbench/hostclock.py``'s ``HostClock``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "hostclock.py"
+    spec = importlib.util.spec_from_file_location("perfbench_hostclock", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HostClock()
 
-        registry = MetricsRegistry()
-        start = time.perf_counter()
-        attempted_summary = _run(registry)
-        best_summary = min(best_summary, time.perf_counter() - start)
-        last_snapshot = registry.snapshot()["metrics"]
+
+def _measure():
+    """Median per-pair overhead over PAIRS interleaved off/summary pairs."""
+    clock = _host_clock()
+    # (arm, start, end) of every measured run, in run order.
+    runs = []
+    attempted = {}
+    last_snapshot = {}
+    with clock:
+        for pair in range(PAIRS + 1):
+            arms = ("off", "summary") if pair % 2 else ("summary", "off")
+            for arm in arms:
+                registry = MetricsRegistry() if arm == "summary" else None
+                start = perf_counter()
+                attempted[arm] = _run(registry)
+                end = perf_counter()
+                if pair:  # pair 0 warms up
+                    runs.append((arm, start, end))
+                if registry is not None:
+                    last_snapshot = registry.snapshot()["metrics"]
+    seconds = {"off": [], "summary": []}
+    for arm, start, end in runs:
+        seconds[arm].append(clock.reference_at(end) - clock.reference_at(start))
+    ratios = [
+        summary / off for off, summary in zip(seconds["off"], seconds["summary"])
+    ]
     return {
-        "off_seconds": best_off,
-        "summary_seconds": best_summary,
-        "overhead_fraction": best_summary / best_off - 1.0,
-        "attempted_off": attempted_off,
-        "attempted_summary": attempted_summary,
+        "off_seconds": statistics.median(seconds["off"]),
+        "summary_seconds": statistics.median(seconds["summary"]),
+        "overhead_fraction": statistics.median(ratios) - 1.0,
+        "attempted_off": attempted["off"],
+        "attempted_summary": attempted["summary"],
         "snapshot_metrics": last_snapshot,
     }
 
@@ -94,9 +122,11 @@ def build_table() -> Table:
     table = Table(
         title=(
             "Telemetry overhead — flash-crowd, {} peers x {} rounds "
-            "(min of {})".format(SIZE, ROUNDS, REPEATS)
+            "(median of {} interleaved pairs, reference seconds)".format(
+                SIZE, ROUNDS, PAIRS
+            )
         ),
-        columns=("mode", "best seconds", "overhead"),
+        columns=("mode", "median seconds", "overhead"),
     )
     table.add_row("off", "{:.4f}".format(measured["off_seconds"]), "-")
     table.add_row(

@@ -4,20 +4,25 @@ Every batched API in this codebase exists because its scalar counterpart
 was measured as the bottleneck (~30×/17×/400× for backend update/query,
 ~380× for witness aggregation — see ``BENCH_backend_batch.json``).  A
 scalar call re-introduced inside a loop quietly undoes that: one numpy
-dispatch per row instead of one per batch.  This rule flags known scalar methods called inside
-``for``/``while`` bodies or comprehensions when a batched equivalent
-exists on the same interface:
+dispatch per row instead of one per batch.  This rule flags known scalar
+methods and functions called inside ``for``/``while`` bodies or
+comprehensions when a batched equivalent exists on the same interface:
 
-==================  =====================
+==================  =======================
 scalar call         batched equivalent
-==================  =====================
+==================  =======================
 ``assess``          ``assess_many``
+``decide``          ``decide_many``
 ``belief``          ``scores_for``
 ``file_complaint``  ``record_complaints``
 ``counts``          ``metrics_for``
 ``trust_decision``  ``trust_decisions``
 ``score_of``        ``scores_for``
-==================  =====================
+``plan_exchange``   ``plan_exchange_batch``
+==================  =======================
+
+A call matches by the name it is made through, ``obj.plan_exchange(...)``
+and ``plan_exchange(...)`` alike.
 
 Loops that *implement* a batched API in terms of the scalar one (the
 reference adapters) are the sanctioned exception — they carry a
@@ -35,11 +40,13 @@ __all__ = ["NPlusOneRule", "SCALAR_TO_BATCH"]
 
 SCALAR_TO_BATCH = {
     "assess": "assess_many",
+    "decide": "decide_many",
     "belief": "scores_for",
     "file_complaint": "record_complaints",
     "counts": "metrics_for",
     "trust_decision": "trust_decisions",
     "score_of": "scores_for",
+    "plan_exchange": "plan_exchange_batch",
 }
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor)
@@ -93,13 +100,18 @@ class _LoopVisitor(ast.NodeVisitor):
         self._visit_comp(node, [node.key, node.value])
 
     def visit_Call(self, node: ast.Call) -> None:
-        if (
-            self.depth > 0
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in SCALAR_TO_BATCH
-        ):
+        if self.depth > 0 and _called_name(node) in SCALAR_TO_BATCH:
             self.hits.append(node)
         self.generic_visit(node)
+
+
+def _called_name(call: ast.Call) -> "str | None":
+    """The name a call is made through: ``f`` of ``f(...)`` or ``obj.f(...)``."""
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return None
 
 
 class NPlusOneRule(Rule):
@@ -115,12 +127,12 @@ class NPlusOneRule(Rule):
         visitor = _LoopVisitor()
         visitor.visit(source.tree)
         for call in visitor.hits:
-            scalar = call.func.attr  # type: ignore[union-attr]
+            scalar = _called_name(call)
             yield self.finding(
                 source,
                 call,
-                "scalar .{}() inside a loop; batch the whole iteration "
-                "through .{}() (or justify the scalar reference path with "
+                "scalar {}() inside a loop; batch the whole iteration "
+                "through {}() (or justify the scalar reference path with "
                 "# repro: allow(PERF001))".format(
                     scalar, SCALAR_TO_BATCH[scalar]
                 ),

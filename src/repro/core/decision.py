@@ -125,8 +125,10 @@ class FractionalGainPolicy(RiskPolicy):
     fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.fraction < 0.0:
-            raise DecisionError(f"fraction must be >= 0, got {self.fraction}")
+        if not 0.0 <= self.fraction < math.inf:
+            raise DecisionError(
+                f"fraction must be finite and >= 0, got {self.fraction}"
+            )
 
     def accepted_exposure(self, trust: float, potential_gain: float) -> float:
         _validate_inputs(trust, potential_gain)
@@ -156,11 +158,12 @@ class ExpectedLossBudgetPolicy(RiskPolicy):
     absolute_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.budget_fraction < 0.0:
+        if not 0.0 <= self.budget_fraction < math.inf:
             raise DecisionError(
-                f"budget_fraction must be >= 0, got {self.budget_fraction}"
+                "budget_fraction must be finite and >= 0, got "
+                f"{self.budget_fraction}"
             )
-        if self.absolute_cap is not None and self.absolute_cap < 0.0:
+        if self.absolute_cap is not None and not self.absolute_cap >= 0.0:
             raise DecisionError(
                 f"absolute_cap must be >= 0, got {self.absolute_cap}"
             )
@@ -243,9 +246,9 @@ class CaraPolicy(RiskPolicy):
     absolute_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.risk_aversion <= 0.0:
+        if not 0.0 < self.risk_aversion < math.inf:
             raise DecisionError(
-                f"risk_aversion must be > 0, got {self.risk_aversion}"
+                f"risk_aversion must be finite and > 0, got {self.risk_aversion}"
             )
 
     def accepted_exposure(self, trust: float, potential_gain: float) -> float:
@@ -278,9 +281,10 @@ class TrustThresholdPolicy(RiskPolicy):
             raise DecisionError(
                 f"trust_threshold must lie in [0, 1], got {self.trust_threshold}"
             )
-        if self.exposure_if_trusted < 0.0:
+        if not 0.0 <= self.exposure_if_trusted < math.inf:
             raise DecisionError(
-                f"exposure_if_trusted must be >= 0, got {self.exposure_if_trusted}"
+                "exposure_if_trusted must be finite and >= 0, got "
+                f"{self.exposure_if_trusted}"
             )
 
     def accepted_exposure(self, trust: float, potential_gain: float) -> float:
@@ -357,6 +361,32 @@ class DecisionMaker:
         screen many prospective partners in one pass.
         """
         return self.risk_policy.accepted_exposures(trusts, potential_gains)
+
+    def decide_many(
+        self,
+        trusts: Sequence[float],
+        potential_gains: Sequence[float],
+        planned_exposures: Sequence[float],
+    ) -> np.ndarray:
+        """Elementwise :meth:`decide`: which of a batch of exchanges to accept.
+
+        Applies :meth:`decide`'s gates to every element with the same
+        expected-utility expression and the same ``1e-9`` tolerances, so
+        entry ``i`` is ``decide(trusts[i], potential_gains[i],
+        planned_exposures[i]).accept``.
+        """
+        trusts_array, gains_array = _validate_arrays(trusts, potential_gains)
+        planned = np.asarray(planned_exposures, dtype=np.float64)
+        accepted = self.assess_many(trusts_array, gains_array)
+        expected_utility = trusts_array * gains_array - (1.0 - trusts_array) * (
+            np.where(planned > 0.0, planned, 0.0)
+        )
+        # Each gate negates decide's rejecting comparison, NaN included.
+        accept = ~(trusts_array < self.min_trust)
+        accept &= ~(planned > accepted + 1e-9)
+        if self.require_nonnegative_expected_utility:
+            accept &= ~(expected_utility < -1e-9)
+        return accept
 
     def decide(
         self,

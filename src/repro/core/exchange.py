@@ -20,17 +20,20 @@ quantities the safety analysis revolves around are derived:
 :class:`ExchangeState` is the reference model of one state.  A sequence's
 planner and executor read its :class:`TemptationProfile` instead, which
 holds the same per-state quantities, bit for bit, from one walk over the
-actions.
+actions (or, for a batch of planned schedules, from one array pass over all
+of them).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterator, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.goods import Good, GoodsBundle
-from repro.core.numeric import EPSILON, approx_eq, non_negative, total
+from repro.core.numeric import EPSILON, approx_eq, non_negative, total, total_rows
 from repro.exceptions import InvalidActionError, InvalidSequenceError
 
 __all__ = [
@@ -338,13 +341,116 @@ class TemptationProfile:
             delivered=tuple(delivered_after),
         )
 
+    @classmethod
+    def build_many(
+        cls,
+        costs: np.ndarray,
+        values: np.ndarray,
+        order: np.ndarray,
+        prices: np.ndarray,
+        payments: np.ndarray,
+        paying: np.ndarray,
+    ) -> List["TemptationProfile"]:
+        """:meth:`build` for ``m`` schedules of ``k`` goods each, as arrays.
+
+        Row ``i`` describes the schedule the planner builds: before its
+        ``p``-th delivery it pays ``payments[i, p]`` if ``paying[i, p]``,
+        then delivers bundle item ``order[i, p]``; at the end it pays
+        ``payments[i, k]`` if ``paying[i, k]``.  ``costs`` and ``values``
+        are the ``(m, k)`` valuations in bundle order, ``prices`` the ``m``
+        prices, and ``payments``/``paying`` have shape ``(m, k + 1)``.
+
+        The totals after ``j`` deliveries are ``(m, k + 1)`` arrays, each
+        entry the :func:`~repro.core.numeric.total_rows` of the zero-masked
+        valuations in bundle order, so they round as :meth:`build`'s
+        :func:`total` calls do.  The payment walk and the per-state
+        differences are the same float operations, one column at a time, so
+        every profile equals :meth:`build`'s bit for bit.
+        """
+        count, size = costs.shape
+        rows = np.arange(count)[:, None]
+        step = np.empty_like(order)
+        step[rows, order] = np.arange(size)
+        # delivered[n, i, j]: bundle item n of row i is among the first j
+        # deliveries.  The item axis leads, so the totals over it read
+        # contiguous memory.
+        delivered = (step.T[:, :, None] < np.arange(size + 1))[:, None]
+        valuations = np.stack([costs.T, values.T], axis=1)[..., None]
+        remaining_cost, remaining_value, delivered_cost, delivered_value = (
+            total_rows(
+                np.concatenate(
+                    [
+                        np.where(delivered, 0.0, valuations),
+                        np.where(delivered, valuations, 0.0),
+                    ],
+                    axis=1,
+                ),
+                axis=0,
+            )
+        )
+
+        # State columns: the initial state, then per delivery p a payment
+        # state and a delivery state, then the final payment state.
+        deliveries = [0]
+        active = [np.ones(count, dtype=bool)]
+        paid = np.zeros(count)
+        paid_after = [paid]
+        for position in range(size + 1):
+            paying_now = paying[:, position]
+            new_paid = paid + payments[:, position]
+            over = paying_now & (new_paid > prices + EPSILON)
+            if over.any():
+                row = int(np.flatnonzero(over)[0])
+                raise InvalidActionError(
+                    f"payment of {payments[row, position]:.3f} exceeds the "
+                    f"outstanding amount "
+                    f"({non_negative(prices[row] - paid[row]):.3f})"
+                )
+            paid = np.where(
+                paying_now, np.where(prices < new_paid, prices, new_paid), paid
+            )
+            deliveries.append(position)
+            active.append(paying_now)
+            paid_after.append(paid)
+            if position < size:
+                deliveries.append(position + 1)
+                active.append(np.ones(count, dtype=bool))
+                paid_after.append(paid)
+        columns = np.array(deliveries)
+        is_state = np.stack(active, axis=1)
+        paid_matrix = np.stack(paid_after, axis=1)
+        remaining_payment = prices[:, None] - paid_matrix
+        remaining_payment = np.where(
+            (remaining_payment > -EPSILON) & (remaining_payment < 0.0),
+            0.0,
+            remaining_payment,
+        )
+        fields = [
+            remaining_cost[:, columns] - remaining_payment,
+            remaining_payment - remaining_value[:, columns],
+            paid_matrix - delivered_cost[:, columns],
+            delivered_value[:, columns] - paid_matrix,
+            paid_matrix,
+            np.broadcast_to(columns, is_state.shape),
+        ]
+        flat = [field[is_state].tolist() for field in fields]
+        ends = np.cumsum(is_state.sum(axis=1)).tolist()
+        starts = [0] + ends[:-1]
+        return [
+            cls(*(tuple(entries[start:end]) for entries in flat))
+            for start, end in zip(starts, ends)
+        ]
+
 
 class ExchangeSequence:
     """A complete schedule of deliveries and payments for one exchange.
 
     The sequence is validated on construction: every good of the bundle must
     be delivered exactly once, every payment must be positive and the
-    payments must add up to the agreed price.
+    payments must add up to the agreed price.  A planner that has already
+    built the schedule's profile (:meth:`TemptationProfile.build_many`)
+    passes it as ``profile``; it must equal what :meth:`TemptationProfile.build`
+    returns for the actions.
     """
 
     __slots__ = ("_bundle", "_price", "_actions", "_profile")
@@ -354,11 +460,12 @@ class ExchangeSequence:
         bundle: GoodsBundle,
         price: float,
         actions: Sequence[ExchangeAction],
+        profile: Optional[TemptationProfile] = None,
     ):
         self._bundle = bundle
         self._price = float(price)
         self._actions: Tuple[ExchangeAction, ...] = tuple(actions)
-        self._profile: Optional[TemptationProfile] = None
+        self._profile: Optional[TemptationProfile] = profile
         self._validate()
 
     def _validate(self) -> None:

@@ -94,7 +94,7 @@ class GoodsBundle:
     are created with :meth:`subset` and :meth:`without`.
     """
 
-    __slots__ = ("_goods", "_by_id")
+    __slots__ = ("_goods", "_by_id", "_total_supplier_cost", "_total_consumer_value")
 
     def __init__(self, goods: Iterable[Good]):
         goods_list: List[Good] = list(goods)
@@ -111,6 +111,9 @@ class GoodsBundle:
             by_id[good.good_id] = good
         self._goods: Tuple[Good, ...] = tuple(goods_list)
         self._by_id: Dict[str, Good] = by_id
+        # Immutable, so the two totals are computed once, here.
+        self._total_supplier_cost = total(good.supplier_cost for good in goods_list)
+        self._total_consumer_value = total(good.consumer_value for good in goods_list)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -214,12 +217,12 @@ class GoodsBundle:
     @property
     def total_supplier_cost(self) -> float:
         """``Vs`` of the whole bundle: sum of the items' supplier costs."""
-        return total(good.supplier_cost for good in self._goods)
+        return self._total_supplier_cost
 
     @property
     def total_consumer_value(self) -> float:
         """``Vc`` of the whole bundle: sum of the items' consumer values."""
-        return total(good.consumer_value for good in self._goods)
+        return self._total_consumer_value
 
     @property
     def total_surplus(self) -> float:

@@ -8,7 +8,10 @@ by floating point rounding.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable
+
+import numpy as np
 
 #: Absolute tolerance used for all monetary comparisons in the core model.
 EPSILON = 1e-9
@@ -48,3 +51,54 @@ def total(values: Iterable[float]) -> float:
     if numerically harder workloads ever require it.
     """
     return float(sum(values))
+
+
+def sequential_total_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`total` along ``axis``, as the built-in ``sum`` before Python 3.12.
+
+    Each line of ``values`` along ``axis`` (the last by default) holds the
+    summands of one total; the result drops that axis.  The summands are
+    added in order from ``0.0``, one vectorised add per position, so each
+    total rounds exactly as the plain float ``sum`` over its line does.
+    ``np.sum`` would not: it adds in blocks of eight.  Summing along the
+    first axis of a C-contiguous array reads contiguous memory.
+    """
+    summands = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
+    result = np.zeros(summands.shape[1:])
+    for summand in summands:
+        result = result + summand
+    return result
+
+
+def compensated_total_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`total` along ``axis``, as the compensated ``sum`` of Python 3.12.
+
+    The vectorised form of Neumaier summation as CPython 3.12 runs it: a
+    running compensation term is added to the result at the end, unless it
+    is zero or not finite.
+    """
+    summands = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
+    result = np.zeros(summands.shape[1:])
+    compensation = np.zeros(summands.shape[1:])
+    with np.errstate(invalid="ignore"):
+        for summand in summands:
+            step = result + summand
+            compensation = compensation + np.where(
+                np.abs(result) >= np.abs(summand),
+                (result - step) + summand,
+                (summand - step) + result,
+            )
+            result = step
+    return np.where(
+        (compensation != 0.0) & np.isfinite(compensation),
+        result + compensation,
+        result,
+    )
+
+
+#: Row-wise :func:`total`: the kernel that rounds as this interpreter's
+#: built-in ``sum`` does.  Batched code that must agree bit for bit with a
+#: scalar ``total`` calls this, so the two can be swapped together.
+total_rows = (
+    compensated_total_rows if sys.version_info >= (3, 12) else sequential_total_rows
+)

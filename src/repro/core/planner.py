@@ -15,6 +15,10 @@ This module contains the scheduling algorithms of the reproduction:
 * :func:`build_sequence` / :func:`plan_exchange` — turn a delivery order into
   a full :class:`~repro.core.exchange.ExchangeSequence` by inserting payment
   chunks according to a :class:`PaymentPolicy`.
+* :func:`plan_exchange_batch` — :func:`plan_exchange` for many candidates
+  at once, bit-identical to it: the community simulation plans each
+  round's candidates with one call, and the scalar functions stay the
+  reference it is tested against.
 * :func:`brute_force_delivery_order` — exhaustive search over delivery
   orders, used as the ground-truth oracle in tests and ablations.
 * :func:`required_total_tolerance` — the smallest total temptation allowance
@@ -39,13 +43,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.exchange import ExchangeAction, ExchangeSequence
+from repro.core.exchange import ExchangeAction, ExchangeSequence, TemptationProfile
 from repro.core.goods import Good, GoodsBundle
-from repro.core.numeric import EPSILON, approx_ge, approx_le, total
+from repro.core.numeric import EPSILON, approx_ge, approx_le, total, total_rows
 from repro.core.safety import ExchangeRequirements
 from repro.exceptions import NoSafeSequenceError
 
@@ -56,6 +60,7 @@ __all__ = [
     "order_is_feasible",
     "build_sequence",
     "plan_exchange",
+    "plan_exchange_batch",
     "exists_feasible_sequence",
     "max_prefix_demand",
     "max_prefix_demand_batch",
@@ -347,33 +352,42 @@ def max_prefix_demand(bundle: GoodsBundle) -> float:
     return demand
 
 
-def _max_prefix_demand_kernel(costs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`max_prefix_demand` for bundles sharing one shape.
+def _canonical_order(costs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row-wise permutation of ``(k, n)`` bundles into the canonical order.
 
-    ``costs``/``values`` are ``(k, n)`` arrays of the k bundles' per-item
-    supplier costs and consumer values.  Replays the greedy planner's
-    canonical order row by row with stable sorts and a sequential
-    accumulation, so every row agrees bit for bit with the scalar walk —
-    including tie-breaking (stable sorts preserve original item order, just
-    like ``sorted``) and floating-point accumulation order
-    (``np.add.accumulate`` adds strictly left to right).
+    The greedy planner's canonical order lists the surplus items by
+    ascending cost, then the deficit items by descending value; a stable
+    sort on the secondary key followed by a stable sort on the primary key
+    is exactly that lexicographic order, ties kept in bundle order just as
+    ``sorted`` keeps them.  Reversed, it is :func:`plan_delivery_order`'s
+    delivery order.
     """
-    if costs.shape[1] == 0:
-        return np.zeros(len(costs))
     surplus = values >= costs
-    # Canonical order = surplus items by ascending cost, then deficit items
-    # by descending value; a stable sort on the secondary key followed by a
-    # stable sort on the primary key is exactly that lexicographic order.
     primary = np.where(surplus, 0, 1)
     secondary = np.where(surplus, costs, -values)
     perm = np.argsort(secondary, axis=1, kind="stable")
-    perm = np.take_along_axis(
+    return np.take_along_axis(
         perm,
         np.argsort(
             np.take_along_axis(primary, perm, axis=1), axis=1, kind="stable"
         ),
         axis=1,
     )
+
+
+def _max_prefix_demand_kernel(
+    costs: np.ndarray, values: np.ndarray, perm: np.ndarray
+) -> np.ndarray:
+    """Vectorized :func:`max_prefix_demand` for bundles sharing one shape.
+
+    ``costs``/``values`` are ``(k, n)`` arrays of the k bundles' per-item
+    supplier costs and consumer values, ``perm`` their
+    :func:`_canonical_order`.  Replays the greedy planner's walk row by row
+    with a sequential accumulation, so every row agrees bit for bit with
+    the scalar walk (``np.add.accumulate`` adds strictly left to right).
+    """
+    if costs.shape[1] == 0:
+        return np.zeros(len(costs))
     ordered_costs = np.take_along_axis(costs, perm, axis=1)
     ordered_values = np.take_along_axis(values, perm, axis=1)
     deficits = ordered_costs - ordered_values
@@ -384,6 +398,23 @@ def _max_prefix_demand_kernel(costs: np.ndarray, values: np.ndarray) -> np.ndarr
     return np.maximum(0.0, np.max(running + ordered_costs, axis=1))
 
 
+def _valuation_groups(
+    bundles: Sequence[GoodsBundle],
+) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
+    """``(indices, costs, values)`` per item count, in first-seen order."""
+    groups: dict = {}
+    for index, bundle in enumerate(bundles):
+        groups.setdefault(len(bundle), []).append(index)
+    for indices in groups.values():
+        costs = np.array(
+            [[good.supplier_cost for good in bundles[i]] for i in indices]
+        )
+        values = np.array(
+            [[good.consumer_value for good in bundles[i]] for i in indices]
+        )
+        yield indices, costs, values
+
+
 def max_prefix_demand_batch(bundles: Sequence[GoodsBundle]) -> np.ndarray:
     """Batched :func:`max_prefix_demand` over many candidate bundles.
 
@@ -392,19 +423,10 @@ def max_prefix_demand_batch(bundles: Sequence[GoodsBundle]) -> np.ndarray:
     for bit identical to calling :func:`max_prefix_demand` per bundle.
     """
     demands = np.zeros(len(bundles))
-    groups: dict = {}
-    for index, bundle in enumerate(bundles):
-        groups.setdefault(len(bundle), []).append(index)
-    for size, indices in groups.items():
-        if size == 0:
-            continue
-        costs = np.array(
-            [[good.supplier_cost for good in bundles[i]] for i in indices]
+    for indices, costs, values in _valuation_groups(bundles):
+        demands[indices] = _max_prefix_demand_kernel(
+            costs, values, _canonical_order(costs, values)
         )
-        values = np.array(
-            [[good.consumer_value for good in bundles[i]] for i in indices]
-        )
-        demands[indices] = _max_prefix_demand_kernel(costs, values)
     return demands
 
 
@@ -434,6 +456,49 @@ def exchange_is_schedulable(
     return approx_le(prefix_demand, supplier_allowance + consumer_allowance)
 
 
+def _batch_inputs(
+    bundles: Sequence[GoodsBundle],
+    prices: Sequence[float],
+    requirements: Sequence[ExchangeRequirements],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aligned price and effective-allowance arrays of a candidate batch."""
+    count = len(bundles)
+    if not (count == len(prices) == len(requirements)):
+        raise ValueError(
+            "bundles, prices and requirements must be aligned, got "
+            f"{count}/{len(prices)}/{len(requirements)}"
+        )
+    price_arr = np.asarray(prices, dtype=np.float64)
+    supplier_allowances = np.empty(count)
+    consumer_allowances = np.empty(count)
+    for index, requirement in enumerate(requirements):
+        supplier_allowances[index], consumer_allowances[index] = (
+            _effective_allowances(requirement)
+        )
+    return price_arr, supplier_allowances, consumer_allowances
+
+
+def _schedulable(
+    bundles: Sequence[GoodsBundle],
+    prices: np.ndarray,
+    supplier_allowances: np.ndarray,
+    consumer_allowances: np.ndarray,
+    prefix_demands: np.ndarray,
+) -> np.ndarray:
+    """The boundary conditions and the prefix-demand test, elementwise."""
+    total_costs = np.array([bundle.total_supplier_cost for bundle in bundles])
+    total_values = np.array([bundle.total_consumer_value for bundle in bundles])
+    feasible = prices >= -EPSILON
+    feasible &= supplier_allowances >= -EPSILON
+    feasible &= consumer_allowances >= -EPSILON
+    feasible &= total_costs - prices <= supplier_allowances + EPSILON
+    feasible &= prices - total_values <= consumer_allowances + EPSILON
+    feasible &= prefix_demands <= (
+        supplier_allowances + consumer_allowances + EPSILON
+    )
+    return feasible
+
+
 def exchange_is_schedulable_batch(
     bundles: Sequence[GoodsBundle],
     prices: Sequence[float],
@@ -449,36 +514,146 @@ def exchange_is_schedulable_batch(
     None`` — on every candidate.  This is the candidate screen's hot path:
     one call replaces a Python loop over candidates.
     """
-    count = len(bundles)
-    if not (count == len(prices) == len(requirements)):
-        raise ValueError(
-            "bundles, prices and requirements must be aligned, got "
-            f"{count}/{len(prices)}/{len(requirements)}"
-        )
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    price_arr = np.asarray(prices, dtype=np.float64)
-    supplier_allowances = np.empty(count)
-    consumer_allowances = np.empty(count)
-    for index, requirement in enumerate(requirements):
-        supplier_allowances[index], consumer_allowances[index] = (
-            _effective_allowances(requirement)
-        )
+    price_arr, supplier_allowances, consumer_allowances = _batch_inputs(
+        bundles, prices, requirements
+    )
     if prefix_demands is None:
         prefix_demands = max_prefix_demand_batch(bundles)
     else:
         prefix_demands = np.asarray(prefix_demands, dtype=np.float64)
-    total_costs = np.array([bundle.total_supplier_cost for bundle in bundles])
-    total_values = np.array([bundle.total_consumer_value for bundle in bundles])
-    feasible = price_arr >= -EPSILON
-    feasible &= supplier_allowances >= -EPSILON
-    feasible &= consumer_allowances >= -EPSILON
-    feasible &= total_costs - price_arr <= supplier_allowances + EPSILON
-    feasible &= price_arr - total_values <= consumer_allowances + EPSILON
-    feasible &= prefix_demands <= (
-        supplier_allowances + consumer_allowances + EPSILON
+    return _schedulable(
+        bundles, price_arr, supplier_allowances, consumer_allowances, prefix_demands
     )
-    return feasible
+
+
+def _larger(a: "np.ndarray | float", b: "np.ndarray | float") -> np.ndarray:
+    """Elementwise ``max(a, b)`` with Python's tie and NaN rules."""
+    return np.where(b > a, b, a)
+
+
+def _smaller(a: "np.ndarray | float", b: "np.ndarray | float") -> np.ndarray:
+    """Elementwise ``min(a, b)`` with Python's tie and NaN rules."""
+    return np.where(b < a, b, a)
+
+
+def _payment_chunks(
+    costs: np.ndarray,
+    values: np.ndarray,
+    prices: np.ndarray,
+    supplier_allowances: np.ndarray,
+    consumer_allowances: np.ndarray,
+    payment_policy: PaymentPolicy,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`build_sequence`'s payment recurrence for a group of schedules.
+
+    ``costs``/``values`` are ``(m, k)`` valuations in delivery order.  Steps
+    the recurrence over the k positions with the whole group in each array
+    operation: the same float operations, in the same order, as the scalar
+    loop.  Returns ``(payments, paying)`` of shape ``(m, k + 1)``: the chunk
+    paid before each delivery and, in column k, the final payment, with
+    ``paying`` marking the ones that are made.
+    """
+    count, size = costs.shape
+    payments = np.zeros((count, size + 1))
+    paying = np.zeros((count, size + 1), dtype=bool)
+    remaining_payment = prices
+    remaining_cost, remaining_value = total_rows(np.stack([costs, values]))
+    for position in range(size):
+        cost = costs[:, position]
+        value = values[:, position]
+        lower_now = _larger(0.0, remaining_cost - supplier_allowances)
+        value_after = remaining_value - value
+        highest_allowed = _smaller(
+            remaining_payment, value_after + consumer_allowances
+        )
+        if payment_policy is PaymentPolicy.LAZY:
+            target = highest_allowed
+        elif payment_policy is PaymentPolicy.EAGER:
+            target = lower_now
+        elif payment_policy is PaymentPolicy.MINIMAL_EXPOSURE:
+            target = _larger(lower_now, value_after)
+        else:
+            target = (lower_now + highest_allowed) / 2.0
+        target = _smaller(
+            _larger(_larger(target, lower_now), 0.0), highest_allowed
+        )
+        chunk = remaining_payment - target
+        pay = chunk > EPSILON / 2
+        payments[:, position] = chunk
+        paying[:, position] = pay
+        remaining_payment = np.where(pay, target, remaining_payment)
+        remaining_cost = remaining_cost - cost
+        remaining_value = remaining_value - value
+    payments[:, size] = remaining_payment
+    paying[:, size] = remaining_payment > EPSILON
+    return payments, paying
+
+
+def plan_exchange_batch(
+    bundles: Sequence[GoodsBundle],
+    prices: Sequence[float],
+    requirements: Sequence[ExchangeRequirements],
+    payment_policy: PaymentPolicy = PaymentPolicy.LAZY,
+) -> List[Optional[ExchangeSequence]]:
+    """:func:`plan_exchange` over aligned candidates, one pass per item count.
+
+    Bundles sharing an item count are planned together.  Feasibility is
+    :func:`exchange_is_schedulable_batch`'s test; the delivery order of the
+    feasible ones is their :func:`_canonical_order` reversed; the payment
+    chunks come from :func:`_payment_chunks` and the temptation profiles
+    from :meth:`TemptationProfile.build_many`.  Every entry equals
+    ``plan_exchange(bundle, price, requirement, payment_policy)`` bit for
+    bit: ``None`` where no schedule exists, otherwise a validated
+    :class:`ExchangeSequence` with the same actions and a profile equal to
+    the one it would build.
+    """
+    price_arr, supplier_allowances, consumer_allowances = _batch_inputs(
+        bundles, prices, requirements
+    )
+    sequences: List[Optional[ExchangeSequence]] = [None] * len(bundles)
+    for indices, costs, values in _valuation_groups(bundles):
+        perm = _canonical_order(costs, values)
+        feasible = _schedulable(
+            [bundles[i] for i in indices],
+            price_arr[indices],
+            supplier_allowances[indices],
+            consumer_allowances[indices],
+            _max_prefix_demand_kernel(costs, values, perm),
+        )
+        rows = np.flatnonzero(feasible)
+        if not len(rows):
+            continue
+        costs, values = costs[rows], values[rows]
+        order = perm[rows, ::-1]
+        group = [indices[row] for row in rows.tolist()]
+        group_prices = price_arr[group]
+        payments, paying = _payment_chunks(
+            np.take_along_axis(costs, order, axis=1),
+            np.take_along_axis(values, order, axis=1),
+            group_prices,
+            supplier_allowances[group],
+            consumer_allowances[group],
+            payment_policy,
+        )
+        profiles = TemptationProfile.build_many(
+            costs, values, order, group_prices, payments, paying
+        )
+        for index, items, chunks, pays, profile in zip(
+            group, order.tolist(), payments.tolist(), paying.tolist(), profiles
+        ):
+            bundle = bundles[index]
+            goods = bundle.goods
+            actions: List[ExchangeAction] = []
+            for position, item in enumerate(items):
+                if pays[position]:
+                    actions.append(ExchangeAction.pay(chunks[position]))
+                actions.append(ExchangeAction.deliver(goods[item]))
+            if pays[-1]:
+                actions.append(ExchangeAction.pay(chunks[-1]))
+            sequences[index] = ExchangeSequence(
+                bundle, prices[index], actions, profile=profile
+            )
+    return sequences
 
 
 def brute_force_delivery_order(

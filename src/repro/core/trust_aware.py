@@ -17,6 +17,7 @@ This module wires the three steps together behind a single façade,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,8 +149,8 @@ class TrustAwareExchangePlanner:
         consumer: PartnerModel,
     ) -> TrustAwarePlan:
         """Run assessment, scheduling and the final accept/reject decisions."""
-        if price < 0:
-            raise InvalidPriceError(f"price must be non-negative, got {price}")
+        if not 0.0 <= price < math.inf:
+            raise InvalidPriceError(f"price must be finite and >= 0, got {price}")
         supplier_gain = max(0.0, price - bundle.total_supplier_cost)
         consumer_gain = max(0.0, bundle.total_consumer_value - price)
         supplier_assessment = supplier.decision_maker.assess(

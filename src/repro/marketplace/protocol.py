@@ -1,14 +1,17 @@
-"""End-to-end exchange protocol: negotiate, plan, execute, record.
+"""End-to-end exchange protocol: execute a planned schedule and record it.
 
-:func:`run_exchange` glues the pieces together for one prospective trade and
-is the unit of work the community simulation performs once per match:
+Planning happens before this module, for a whole round of candidates at once
+(:meth:`~repro.marketplace.strategy.ExchangeStrategy.plan_many`).
+:func:`run_exchange` is the unit of work the community simulation performs
+once per *scheduled* match:
 
-1. the strategy plans a schedule from the bundle, price and trust context
-   (or declines),
-2. the schedule is executed against the two parties' behaviour models, and
-3. the outcome is condensed into an :class:`ExchangeOutcome` carrying the
+1. the schedule is executed against the two parties' behaviour models, and
+2. the outcome is condensed into an :class:`ExchangeOutcome` carrying the
    :class:`~repro.reputation.records.InteractionRecord` to feed back into the
    reputation layer.
+
+A declined trade never reaches execution; :meth:`ExchangeOutcome.unscheduled`
+records it.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.exchange import ExchangeSequence, Role
+from repro.core.exchange import ExchangeSequence
 from repro.core.goods import GoodsBundle
 from repro.exceptions import MarketplaceError
-from repro.marketplace.strategy import ExchangeStrategy, StrategyContext
 from repro.marketplace.transaction import TransactionResult, execute_sequence
 from repro.reputation.records import InteractionRecord
 
@@ -44,6 +46,28 @@ class ExchangeOutcome:
     record: Optional[InteractionRecord]
     timestamp: float = 0.0
 
+    @classmethod
+    def unscheduled(
+        cls,
+        supplier_id: str,
+        consumer_id: str,
+        bundle: GoodsBundle,
+        price: float,
+        timestamp: float = 0.0,
+    ) -> "ExchangeOutcome":
+        """The outcome of a trade the strategy declined: nothing executed."""
+        return cls(
+            supplier_id=supplier_id,
+            consumer_id=consumer_id,
+            bundle=bundle,
+            price=price,
+            scheduled=False,
+            sequence=None,
+            result=None,
+            record=None,
+            timestamp=timestamp,
+        )
+
     @property
     def completed(self) -> bool:
         return self.result is not None and self.result.completed
@@ -65,31 +89,15 @@ class ExchangeOutcome:
 def run_exchange(
     supplier_id: str,
     consumer_id: str,
-    bundle: GoodsBundle,
-    price: float,
-    strategy: ExchangeStrategy,
-    context: StrategyContext,
+    sequence: ExchangeSequence,
     supplier_behavior: "BehaviorModel",
     consumer_behavior: "BehaviorModel",
     rng: random.Random,
     timestamp: float = 0.0,
 ) -> ExchangeOutcome:
-    """Plan and execute one exchange; returns the full outcome."""
+    """Execute one planned exchange and record it; returns the full outcome."""
     if supplier_id == consumer_id:
         raise MarketplaceError("supplier and consumer must be distinct agents")
-    sequence = strategy.plan(bundle, price, context)
-    if sequence is None:
-        return ExchangeOutcome(
-            supplier_id=supplier_id,
-            consumer_id=consumer_id,
-            bundle=bundle,
-            price=price,
-            scheduled=False,
-            sequence=None,
-            result=None,
-            record=None,
-            timestamp=timestamp,
-        )
     result = execute_sequence(
         sequence, supplier_behavior, consumer_behavior, rng, time=timestamp
     )
@@ -98,14 +106,14 @@ def run_exchange(
         consumer_id=consumer_id,
         completed=result.completed,
         defector=result.defector.value if result.defector is not None else None,
-        value=price,
+        value=sequence.price,
         timestamp=timestamp,
     )
     return ExchangeOutcome(
         supplier_id=supplier_id,
         consumer_id=consumer_id,
-        bundle=bundle,
-        price=price,
+        bundle=sequence.bundle,
+        price=sequence.price,
         scheduled=True,
         sequence=sequence,
         result=result,

@@ -427,28 +427,63 @@ class CommunitySimulation:
             )
         return listings
 
-    def _build_matches(self, round_index: int) -> List[Tuple[str, Listing]]:
+    def _build_matches(
+        self, round_index: int
+    ) -> List[Tuple[str, Listing, Optional[float]]]:
+        """The round's ``(consumer_id, listing, consumer_trust)`` matches.
+
+        Under trust matching ``consumer_trust`` is the consumer's entry in
+        the round's score matrix, its trust in the listing's supplier now;
+        random matching reads no trust and leaves it ``None``.
+        """
         listings = self._build_listings(round_index)
         consumer_ids = [peer.peer_id for peer in self._peers if peer.consumes_goods]
         rng = self._streams("matching")
-        if self._config.matching == "trust":
-            now = float(round_index)
-            # One batched backend read per consumer fills its score row,
-            # asked in listing order so column j is listing j's supplier
-            # (each supplier posts at most one listing per round).
-            supplier_ids = [listing.supplier_id for listing in listings]
-            scores = np.empty((len(consumer_ids), len(listings)))
-            for row, consumer_id in enumerate(consumer_ids):
-                scores[row] = self.peer_by_id(consumer_id).trust_in_many(
-                    supplier_ids, now=now
-                )
-            return trust_weighted_matching(consumer_ids, listings, scores, rng)
-        return random_matching(consumer_ids, listings, rng)
+        if self._config.matching != "trust":
+            return [
+                (consumer_id, listing, None)
+                for consumer_id, listing in random_matching(consumer_ids, listings, rng)
+            ]
+        now = float(round_index)
+        # One batched backend read per consumer fills its score row, asked
+        # in listing order so column j is listing j's supplier (each
+        # supplier posts at most one listing per round).
+        supplier_ids = [listing.supplier_id for listing in listings]
+        scores = np.empty((len(consumer_ids), len(listings)))
+        for row, consumer_id in enumerate(consumer_ids):
+            scores[row] = self.peer_by_id(consumer_id).trust_in_many(
+                supplier_ids, now=now
+            )
+        matches = trust_weighted_matching(consumer_ids, listings, scores, rng)
+        consumer_rows = {
+            consumer_id: row for row, consumer_id in enumerate(consumer_ids)
+        }
+        supplier_columns = {
+            supplier_id: column for column, supplier_id in enumerate(supplier_ids)
+        }
+        trusts = scores[
+            [consumer_rows[consumer_id] for consumer_id, _ in matches],
+            [supplier_columns[listing.supplier_id] for _, listing in matches],
+        ].tolist()
+        return [
+            (consumer_id, listing, trust)
+            for (consumer_id, listing), trust in zip(matches, trusts)
+        ]
 
     def _prepare_match(
-        self, consumer_id: str, listing: Listing, timestamp: float
+        self,
+        consumer_id: str,
+        listing: Listing,
+        consumer_trust: Optional[float],
+        timestamp: float,
     ) -> Optional[Tuple[CommunityPeer, CommunityPeer, float, StrategyContext]]:
-        """Negotiate the price and assemble the trust context for one match."""
+        """Negotiate the price and assemble the trust context for one match.
+
+        ``consumer_trust`` is the consumer's trust in the supplier when the
+        matching already read it this round; nothing writes evidence between
+        that read and this one, so it is the value ``trust_in`` returns.
+        Witness reads fold in second-hand reports and always read afresh.
+        """
         supplier = self.peer_by_id(listing.supplier_id)
         consumer = self.peer_by_id(consumer_id)
         try:
@@ -466,7 +501,8 @@ class CommunitySimulation:
             )
         else:
             supplier_trust = supplier.trust_in(consumer_id, now=timestamp)
-            consumer_trust = consumer.trust_in(listing.supplier_id, now=timestamp)
+            if consumer_trust is None:
+                consumer_trust = consumer.trust_in(listing.supplier_id, now=timestamp)
         context = StrategyContext(
             supplier_trust_in_consumer=supplier_trust,
             consumer_trust_in_supplier=consumer_trust,
@@ -481,25 +517,23 @@ class CommunitySimulation:
         return supplier, consumer, negotiation.price, context
 
     def _execute_matches(
-        self, matches: List[Tuple[str, Listing]], timestamp: float
+        self, matches: List[Tuple[str, Listing, Optional[float]]], timestamp: float
     ) -> List[ExchangeOutcome]:
-        """Prepare, batch-screen and execute one round's matches.
+        """Prepare, plan and execute one round's matches.
 
-        All candidates' trust contexts are assembled first, the strategy's
-        batched :meth:`~repro.marketplace.strategy.ExchangeStrategy.
-        screen_candidates` pre-filter rejects the provably unschedulable
-        ones in one vectorized pass, and only survivors pay for full
-        ``plan_exchange`` scheduling.  A screened-out candidate produces
-        the same declined outcome ``run_exchange`` would have returned
-        (and, like it, draws nothing from the execution RNG stream), so
-        screening never changes a result — it only skips dead planning
-        work on the hot path.
+        All candidates' trust contexts are assembled first, then the
+        strategy plans the whole round in one
+        :meth:`~repro.marketplace.strategy.ExchangeStrategy.plan_many` call
+        (screen, schedule and both sides' decisions, batched), and each
+        scheduled match is executed with ``run_exchange``, in match order.
+        A declined candidate draws nothing from the execution RNG stream,
+        so the behaviours' draws stay in the same order.
         """
         telemetry = self._telemetry
-        with telemetry.span("exchange.screen"):
+        with telemetry.span("exchange.prepare"):
             prepared = [
-                (listing, self._prepare_match(consumer_id, listing, timestamp))
-                for consumer_id, listing in matches
+                (listing, self._prepare_match(consumer_id, listing, trust, timestamp))
+                for consumer_id, listing, trust in matches
             ]
             candidates = [
                 (listing, plan_inputs)
@@ -508,33 +542,30 @@ class CommunitySimulation:
             ]
             if not candidates:
                 return []
-            keep = self._strategy.screen_candidates(
+        with telemetry.span("exchange.plan"):
+            sequences = self._strategy.plan_many(
                 [listing.bundle for listing, _ in candidates],
                 [price for _, (_, _, price, _) in candidates],
                 [context for _, (_, _, _, context) in candidates],
             )
         if telemetry.enabled:
-            kept = sum(1 for passed in keep if passed)
+            kept = int(np.count_nonzero(sequences.screened))
             telemetry.count("exchange.candidates", len(candidates))
             telemetry.count("exchange.screened_out", len(candidates) - kept)
             telemetry.observe("exchange.round_candidates", len(candidates))
         outcomes: List[ExchangeOutcome] = []
-        with telemetry.span("exchange.plan"):
-            for (listing, (supplier, consumer, price, context)), passed in zip(
-                candidates, keep
+        with telemetry.span("exchange.execute"):
+            for (listing, (supplier, consumer, price, _)), sequence in zip(
+                candidates, sequences
             ):
-                if not passed:
+                if sequence is None:
                     outcomes.append(
-                        ExchangeOutcome(
-                            supplier_id=supplier.peer_id,
-                            consumer_id=consumer.peer_id,
-                            bundle=listing.bundle,
-                            price=price,
-                            scheduled=False,
-                            sequence=None,
-                            result=None,
-                            record=None,
-                            timestamp=timestamp,
+                        ExchangeOutcome.unscheduled(
+                            supplier.peer_id,
+                            consumer.peer_id,
+                            listing.bundle,
+                            price,
+                            timestamp,
                         )
                     )
                     continue
@@ -542,10 +573,7 @@ class CommunitySimulation:
                     run_exchange(
                         supplier_id=supplier.peer_id,
                         consumer_id=consumer.peer_id,
-                        bundle=listing.bundle,
-                        price=price,
-                        strategy=self._strategy,
-                        context=context,
+                        sequence=sequence,
                         supplier_behavior=supplier.behavior,
                         consumer_behavior=consumer.behavior,
                         rng=self._streams("execution"),

@@ -82,6 +82,7 @@ Semantics
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import zlib
 from bisect import bisect_left, bisect_right
@@ -437,9 +438,9 @@ class RebalancePolicy:
     check_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.threshold <= 1.0:
+        if not 1.0 < self.threshold < math.inf:
             raise TrustModelError(
-                f"rebalance threshold must be > 1, got {self.threshold}"
+                f"rebalance threshold must be finite and > 1, got {self.threshold}"
             )
         if self.max_shards < 1:
             raise TrustModelError(f"max_shards must be >= 1, got {self.max_shards}")

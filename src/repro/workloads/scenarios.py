@@ -16,6 +16,7 @@ The discoverable catalogue over these builders lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
@@ -179,9 +180,9 @@ def build_scenario(
         raise WorkloadError(
             f"rebalance must be 'off' or 'auto', got {rebalance!r}"
         )
-    if rebalance_threshold <= 1.0:
+    if not 1.0 < rebalance_threshold < math.inf:
         raise WorkloadError(
-            f"rebalance_threshold must be > 1, got {rebalance_threshold}"
+            f"rebalance_threshold must be finite and > 1, got {rebalance_threshold}"
         )
     if max_shards < 1:
         raise WorkloadError(f"max_shards must be >= 1, got {max_shards}")

@@ -196,6 +196,29 @@ def test_perf001_flags_scalar_calls_in_loops(make_tree):
     assert "assess_many" in result.findings[1].message
 
 
+def test_perf001_flags_scalar_planning_and_decisions_in_loops(make_tree):
+    root = make_tree(
+        {
+            "core/fixture.py": """\
+            from repro.core import planner
+            from repro.core.planner import plan_exchange
+
+            def per_candidate(maker, candidates):
+                plans = [plan_exchange(b, p, r) for b, p, r in candidates]
+                for bundle, price, requirements in candidates:
+                    planner.plan_exchange(bundle, price, requirements)
+                    maker.decide(0.5, 1.0, 0.0)
+                return plans, maker.decide_many([0.5], [1.0], [0.0])
+            """
+        }
+    )
+    result = run_check(root, [NPlusOneRule()])
+    assert [finding.line for finding in result.findings] == [5, 7, 8]
+    assert "plan_exchange_batch" in result.findings[0].message
+    assert "plan_exchange_batch" in result.findings[1].message
+    assert "decide_many" in result.findings[2].message
+
+
 def test_perf001_clean_fixture(make_tree):
     root = make_tree(
         {

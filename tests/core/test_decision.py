@@ -71,6 +71,18 @@ class TestExpectedLossBudgetPolicy:
         exposures = [policy.accepted_exposure(t, 10.0) for t in (0.1, 0.5, 0.9)]
         assert exposures == sorted(exposures)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(budget_fraction=math.nan),
+            dict(budget_fraction=math.inf),
+            dict(absolute_cap=math.nan),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        with pytest.raises(DecisionError):
+            ExpectedLossBudgetPolicy(**kwargs)
+
     def test_invalid_parameters(self):
         with pytest.raises(DecisionError):
             ExpectedLossBudgetPolicy(budget_fraction=-1.0)

@@ -1,5 +1,6 @@
 """Unit tests for the numeric helpers."""
 
+import numpy as np
 import pytest
 
 from repro.core.numeric import (
@@ -53,3 +54,52 @@ class TestTotal:
         assert total([1.0, 2.0, 3.0]) == pytest.approx(6.0)
         assert total(x for x in (0.5, 0.5)) == pytest.approx(1.0)
         assert total([]) == 0.0
+
+
+class TestRowTotals:
+    """The row kernels round as the scalar ``sum`` they stand in for."""
+
+    ROWS = [
+        [1e16, 1.0, -1e16],
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+        [3.0, 1e-17, 1e-17, 1e-17, -3.0],
+        [0.0, -0.0],
+        [],
+    ]
+
+    def test_kernel_matches_this_interpreters_sum(self):
+        from repro.core.numeric import total_rows
+
+        for row in self.ROWS:
+            [result] = total_rows(np.array([row], dtype=float).reshape(1, -1)).tolist()
+            assert result.hex() == total(row).hex()
+
+    def test_kernels_match_their_scalar_summations_row_by_row(self):
+        from summation import compensated_total
+
+        from repro.core.numeric import (
+            compensated_total_rows,
+            sequential_total_rows,
+        )
+
+        rng = np.random.default_rng(5)
+        values = rng.choice([1e12, 1.0, 1e-9, 0.0], size=(40, 9)) * rng.normal(
+            size=(40, 9)
+        )
+        sequential = sequential_total_rows(values).tolist()
+        compensated = compensated_total_rows(values).tolist()
+        for row, plain, neumaier in zip(values.tolist(), sequential, compensated):
+            running = 0.0
+            for value in row:
+                running += value
+            assert plain.hex() == running.hex()
+            assert neumaier.hex() == compensated_total(row).hex()
+        # The two summations do differ, so the oracles test both.
+        assert sequential != compensated
+
+    def test_kernel_sums_the_last_axis(self):
+        from repro.core.numeric import total_rows
+
+        values = np.arange(24, dtype=float).reshape(2, 3, 4)
+        assert total_rows(values).shape == (2, 3)
+        assert total_rows(values)[1, 2] == 20.0 + 21.0 + 22.0 + 23.0

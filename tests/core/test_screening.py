@@ -21,8 +21,14 @@ from repro.core.planner import (
     max_prefix_demand_batch,
     plan_delivery_order,
 )
+from repro.core.decision import DecisionMaker, ExpectedLossBudgetPolicy
 from repro.core.safety import ExchangeRequirements
-from repro.marketplace.strategy import StrategyContext, TrustAwareStrategy
+from repro.core.trust_aware import PartnerModel, TrustAwareExchangePlanner
+from repro.marketplace.strategy import (
+    ExchangeStrategy,
+    StrategyContext,
+    TrustAwareStrategy,
+)
 from repro.simulation.community import CommunityConfig, CommunitySimulation
 from repro.workloads.populations import PopulationSpec, build_population
 
@@ -148,23 +154,42 @@ def test_screen_never_rejects_a_plannable_candidate(trust_pairs):
             assert planned is None
 
 
-class _UnscreenedTrustAware(TrustAwareStrategy):
-    """The trust-aware strategy with screening disabled (plans everything)."""
+class _ScalarTrustAware(TrustAwareStrategy):
+    """The trust-aware strategy unscreened, planned match by match with the
+    scalar reference planner."""
+
+    plan_many = ExchangeStrategy.plan_many
 
     def screen_candidates(self, bundles, prices, contexts):
-        import numpy as np
-
         return np.ones(len(bundles), dtype=bool)
+
+    def plan(self, bundle, price, context):
+        plan = TrustAwareExchangePlanner().plan(
+            bundle,
+            price,
+            PartnerModel(
+                context.supplier_trust_in_consumer,
+                DecisionMaker(ExpectedLossBudgetPolicy()),
+                context.supplier_defection_penalty,
+            ),
+            PartnerModel(
+                context.consumer_trust_in_supplier,
+                DecisionMaker(ExpectedLossBudgetPolicy()),
+                context.consumer_defection_penalty,
+            ),
+        )
+        return plan.sequence if plan.agreed else None
 
 
 def test_community_run_identical_with_and_without_screening():
-    """Screening is a pure fast path: whole-run results must not move."""
+    """Screening and batched planning are a pure fast path: whole-run
+    results must not move against unscreened scalar planning."""
     spec = PopulationSpec(
         size=12, honest_fraction=0.5, dishonest_fraction=0.3,
         probabilistic_fraction=0.2,
     )
     results = []
-    for strategy in (TrustAwareStrategy(), _UnscreenedTrustAware()):
+    for strategy in (TrustAwareStrategy(), _ScalarTrustAware()):
         peers = build_population(spec, seed=7)
         config = CommunityConfig(rounds=12, seed=7)
         result = CommunitySimulation(peers, strategy, config).run(
@@ -179,3 +204,6 @@ def test_community_run_identical_with_and_without_screening():
     assert [o.scheduled for o in screened.outcomes] == [
         o.scheduled for o in unscreened.outcomes
     ]
+    assert [
+        o.sequence.actions for o in screened.outcomes if o.scheduled
+    ] == [o.sequence.actions for o in unscreened.outcomes if o.scheduled]

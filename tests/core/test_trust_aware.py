@@ -104,6 +104,17 @@ class TestTrustAwarePlanner:
         assert plan.supplier_gain_if_completed == pytest.approx(2.0)
         assert plan.consumer_gain_if_completed == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("price", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_price_rejected(self, easy_bundle, price):
+        planner = TrustAwareExchangePlanner()
+        with pytest.raises(InvalidPriceError, match="finite"):
+            planner.plan(
+                easy_bundle,
+                price=price,
+                supplier=make_partner(0.5),
+                consumer=make_partner(0.5),
+            )
+
     def test_negative_price_rejected(self, easy_bundle):
         planner = TrustAwareExchangePlanner()
         with pytest.raises(InvalidPriceError):

@@ -8,7 +8,7 @@ from repro.core.exchange import Role
 from repro.core.goods import Good, GoodsBundle
 from repro.exceptions import MarketplaceError
 from repro.marketplace.accounting import CommunityAccounts, Ledger
-from repro.marketplace.protocol import run_exchange
+from repro.marketplace.protocol import ExchangeOutcome, run_exchange
 from repro.marketplace.strategy import StrategyContext, TrustAwareStrategy
 from repro.marketplace.transaction import TransactionResult
 from repro.baselines import GoodsFirstStrategy, SafeOnlyStrategy
@@ -112,14 +112,16 @@ class TestRunExchange:
             ]
         )
 
+    def planned(self, strategy, context=None):
+        return strategy.plan(
+            self.bundle(), 7.0, context if context is not None else StrategyContext()
+        )
+
     def test_successful_exchange_produces_record(self):
         outcome = run_exchange(
             supplier_id="sup",
             consumer_id="con",
-            bundle=self.bundle(),
-            price=7.0,
-            strategy=GoodsFirstStrategy(),
-            context=StrategyContext(),
+            sequence=self.planned(GoodsFirstStrategy()),
             supplier_behavior=HonestBehavior(),
             consumer_behavior=HonestBehavior(),
             rng=random.Random(0),
@@ -127,37 +129,30 @@ class TestRunExchange:
         )
         assert outcome.scheduled
         assert outcome.completed
+        assert outcome.price == 7.0
         assert outcome.record is not None
         assert outcome.record.completed
+        assert outcome.record.value == 7.0
         assert outcome.record.timestamp == 4.0
         assert outcome.welfare == pytest.approx(5.0)
         assert outcome.potential_welfare == pytest.approx(5.0)
 
     def test_declined_exchange_has_no_record(self):
-        outcome = run_exchange(
-            supplier_id="sup",
-            consumer_id="con",
-            bundle=self.bundle(),
-            price=7.0,
-            strategy=SafeOnlyStrategy(),  # no penalties: not schedulable
-            context=StrategyContext(),
-            supplier_behavior=HonestBehavior(),
-            consumer_behavior=HonestBehavior(),
-            rng=random.Random(0),
-        )
+        # No penalties: not schedulable, so nothing reaches execution.
+        assert self.planned(SafeOnlyStrategy()) is None
+        outcome = ExchangeOutcome.unscheduled("sup", "con", self.bundle(), 7.0, 2.0)
         assert outcome.declined
         assert outcome.record is None
         assert outcome.result is None
+        assert outcome.timestamp == 2.0
         assert outcome.welfare == 0.0
+        assert outcome.potential_welfare == pytest.approx(5.0)
 
     def test_defection_recorded_with_defector_role(self):
         outcome = run_exchange(
             supplier_id="sup",
             consumer_id="con",
-            bundle=self.bundle(),
-            price=7.0,
-            strategy=GoodsFirstStrategy(),
-            context=StrategyContext(),
+            sequence=self.planned(GoodsFirstStrategy()),
             supplier_behavior=HonestBehavior(),
             consumer_behavior=RationalDefectorBehavior(),
             rng=random.Random(0),
@@ -172,25 +167,23 @@ class TestRunExchange:
             run_exchange(
                 supplier_id="x",
                 consumer_id="x",
-                bundle=self.bundle(),
-                price=7.0,
-                strategy=GoodsFirstStrategy(),
-                context=StrategyContext(),
+                sequence=self.planned(GoodsFirstStrategy()),
                 supplier_behavior=HonestBehavior(),
                 consumer_behavior=HonestBehavior(),
                 rng=random.Random(0),
             )
 
     def test_trust_aware_strategy_in_protocol(self):
+        sequence = self.planned(
+            TrustAwareStrategy(),
+            StrategyContext(
+                supplier_trust_in_consumer=0.9, consumer_trust_in_supplier=0.9
+            ),
+        )
         outcome = run_exchange(
             supplier_id="sup",
             consumer_id="con",
-            bundle=self.bundle(),
-            price=7.0,
-            strategy=TrustAwareStrategy(),
-            context=StrategyContext(
-                supplier_trust_in_consumer=0.9, consumer_trust_in_supplier=0.9
-            ),
+            sequence=sequence,
             supplier_behavior=HonestBehavior(),
             consumer_behavior=HonestBehavior(),
             rng=random.Random(0),

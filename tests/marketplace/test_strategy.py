@@ -1,12 +1,17 @@
 """Unit tests for the strategy interface and the trust-aware strategy."""
 
+import numpy as np
 import pytest
 
 from repro.core.decision import FractionalGainPolicy, ZeroExposurePolicy
 from repro.core.goods import Good, GoodsBundle
 from repro.core.safety import ExchangeRequirements, verify_sequence
 from repro.exceptions import MarketplaceError
-from repro.marketplace.strategy import StrategyContext, TrustAwareStrategy
+from repro.marketplace.strategy import (
+    ExchangeStrategy,
+    StrategyContext,
+    TrustAwareStrategy,
+)
 
 
 @pytest.fixture
@@ -105,3 +110,41 @@ class TestTrustAwareStrategy:
     def test_describe(self):
         text = TrustAwareStrategy().describe()
         assert "trust-aware" in text
+
+
+class TestDefaultPlanMany:
+    """Strategies without a batched planner screen, then plan match by match."""
+
+    def test_baselines_plan_each_survivor_with_plan(self, hard_bundle, easy_bundle):
+        from repro.baselines import GoodsFirstStrategy, SafeOnlyStrategy
+
+        bundles = [hard_bundle, easy_bundle, hard_bundle]
+        prices = [9.0, 7.5, 9.0]
+        contexts = [StrategyContext()] * 3
+        for strategy in (GoodsFirstStrategy(), SafeOnlyStrategy()):
+            planned = strategy.plan_many(bundles, prices, contexts)
+            assert planned.screened.tolist() == strategy.screen_candidates(
+                bundles, prices, contexts
+            ).tolist()
+            expected = [strategy.plan(b, p, c) for b, p, c in zip(bundles, prices, contexts)]
+            assert [s is None for s in planned] == [s is None for s in expected]
+            assert [s.actions for s in planned if s is not None] == [
+                s.actions for s in expected if s is not None
+            ]
+
+    def test_screened_out_candidates_are_not_planned(self, easy_bundle):
+        class Screening(ExchangeStrategy):
+            planned = []
+
+            def plan(self, bundle, price, context):
+                self.planned.append(price)
+                return None
+
+            def screen_candidates(self, bundles, prices, contexts):
+                return np.array([price > 7.0 for price in prices])
+
+        strategy = Screening()
+        result = strategy.plan_many([easy_bundle] * 3, [6.0, 8.0, 9.0], [StrategyContext()] * 3)
+        assert list(result) == [None, None, None]
+        assert result.screened.tolist() == [False, True, True]
+        assert strategy.planned == [8.0, 9.0]

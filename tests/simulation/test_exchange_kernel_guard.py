@@ -1,37 +1,44 @@
 """Complexity guard of the exchange kernel (deterministic, no timing).
 
-The round loop plans and executes every exchange from each sequence's cached
-temptation profile.  It replays no ``ExchangeState`` at all, and it builds
-each scheduled sequence's profile exactly once, although the planner reads
-both maximum temptations and the executor reads every step.
+The round loop plans each round's schedules in one batch, which builds
+their temptation profiles together as arrays, and then executes every
+exchange from those profiles.  It replays no ``ExchangeState`` at all and
+never builds a profile one schedule at a time, although the decision gates
+read both maximum temptations and the executor reads every step.
 """
 
 from collections import Counter
 
-from repro.core.exchange import ExchangeSequence, ExchangeState
+from repro.core.exchange import ExchangeState, TemptationProfile
 from repro.workloads.registry import build_registered_scenario
 
 
 def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
-    applies = Counter()
-    builds = Counter()
-    # Holds every counted sequence, so no two of them share an id().
-    built = []
+    calls = Counter()
+    # Holds every batch-built profile, so no two of them share an id().
+    batch_built = []
     original_apply = ExchangeState.apply
-    original_profile = ExchangeSequence.profile.fget
+    original_build = TemptationProfile.build.__func__
+    original_build_many = TemptationProfile.build_many.__func__
 
     def counting_apply(self, action):
-        applies["apply"] += 1
+        calls["apply"] += 1
         return original_apply(self, action)
 
-    def counting_profile(self):
-        if self._profile is None:
-            builds[id(self)] += 1
-            built.append(self)
-        return original_profile(self)
+    def counting_build(cls, *args):
+        calls["build"] += 1
+        return original_build(cls, *args)
+
+    def recording_build_many(cls, *args):
+        profiles = original_build_many(cls, *args)
+        batch_built.extend(profiles)
+        return profiles
 
     monkeypatch.setattr(ExchangeState, "apply", counting_apply)
-    monkeypatch.setattr(ExchangeSequence, "profile", property(counting_profile))
+    monkeypatch.setattr(TemptationProfile, "build", classmethod(counting_build))
+    monkeypatch.setattr(
+        TemptationProfile, "build_many", classmethod(recording_build_many)
+    )
 
     scenario = build_registered_scenario(
         "sybil-coalition", size=20, rounds=4, seed=0
@@ -42,6 +49,8 @@ def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
 
     scheduled = [outcome for outcome in result.outcomes if outcome.scheduled]
     assert scheduled
-    assert applies["apply"] == 0
-    assert all(builds[id(outcome.sequence)] == 1 for outcome in scheduled)
-    assert max(builds.values()) == 1
+    assert calls["apply"] == 0
+    assert calls["build"] == 0
+    built_ids = {id(profile) for profile in batch_built}
+    assert len(built_ids) == len(batch_built)
+    assert all(id(outcome.sequence.profile) in built_ids for outcome in scheduled)

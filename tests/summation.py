@@ -4,14 +4,17 @@ Python 3.12 made the built-in ``sum`` of floats compensated (Neumaier
 summation), so code that totals floats with ``sum`` can round differently
 on 3.12 than on earlier interpreters.  An oracle that claims bit-identity
 for such code runs under both: this interpreter's ``sum`` and an emulation
-of 3.12's, by patching the module's ``total`` helper.
+of 3.12's, by patching the module's ``total`` helper — and, for batched
+code, the row-wise ``total_rows`` kernel that rounds the same way.
 """
 
 import math
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
 import pytest
 
-from repro.core.numeric import total
+from repro.core.numeric import compensated_total_rows, total, total_rows
 
 
 def compensated_total(values):
@@ -37,3 +40,24 @@ SUMMATIONS = [
     pytest.param(total, id="builtin-sum"),
     pytest.param(compensated_total, id="compensated-sum"),
 ]
+
+#: The row-wise kernel that rounds as each entry of ``SUMMATIONS`` does.
+ROW_KERNELS = {total: total_rows, compensated_total: compensated_total_rows}
+
+
+@contextmanager
+def summation_patched(summation, *modules):
+    """Patch ``total`` (and ``total_rows`` where present) in each module.
+
+    ``summation`` is an entry of ``SUMMATIONS``; the row kernel patched
+    alongside it is its ``ROW_KERNELS`` partner, so scalar and batched code
+    round alike.
+    """
+    with ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "total", summation))
+            if hasattr(module, "total_rows"):
+                stack.enter_context(
+                    mock.patch.object(module, "total_rows", ROW_KERNELS[summation])
+                )
+        yield

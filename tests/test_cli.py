@@ -52,6 +52,24 @@ class TestPlanCommand:
         assert exit_code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--price", "nan", "price must be finite"),
+            ("--price", "inf", "price must be finite"),
+            ("--price", "-1", "price must be finite"),
+            ("--budget", "nan", "budget_fraction must be finite"),
+            ("--budget", "inf", "budget_fraction must be finite"),
+            ("--budget", "-0.5", "budget_fraction must be finite"),
+        ],
+    )
+    def test_non_finite_or_negative_inputs_rejected(self, capsys, flag, value, message):
+        exit_code = main(["plan", "a=4:6", "b=5:7", flag, value])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestScenarioCommand:
     def test_runs_small_scenario(self, capsys):
@@ -458,6 +476,17 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["scenario", "ebay", "--strategy", "alternating"])
         assert args.strategy == "alternating"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1.0"])
+    def test_rebalance_threshold_must_be_finite_and_above_one(self, capsys, value):
+        exit_code = main(
+            ["run", "--scenario", "ebay", "--size", "6", "--rounds", "2",
+             "--rebalance-threshold", value]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "rebalance_threshold must be finite and > 1" in captured.err
+        assert captured.out == ""
 
     def test_run_accepts_every_registered_scenario(self):
         from repro.workloads import scenario_names

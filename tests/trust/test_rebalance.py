@@ -298,6 +298,11 @@ class TestComplaintSplitIntegrity:
 
 
 class TestAutoRebalance:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(TrustModelError, match="finite"):
+            RebalancePolicy(threshold=threshold)
+
     def test_policy_validation(self):
         with pytest.raises(TrustModelError):
             RebalancePolicy(threshold=1.0)
