@@ -1,22 +1,22 @@
-"""Million-peer fast path — a memory-bounded complaint store under a flash crowd.
+"""Million-peer fast path — the sharded complaint store under a flash crowd.
 
-The scaling story of the compact storage layer: a synthetic flash-crowd
-observation stream (every tick a new wave of never-seen peers arrives on
-top of a growing base, each observation filed by a random member) is
-ingested into a compact, sharded, score-cached complaint store — the
-community's shared store, the one backend that is ever sharded — with a
-full score sweep over a query sample after every tick and
-one *streaming* snapshot/restore mid-run — the four tentpole mechanisms
-(chunked compact arrays, dirty-row score caching, scatter/gather sharding,
-zero-copy snapshot streaming) exercised together at community sizes the
-dense float64 layout cannot reach.
+A synthetic flash-crowd observation stream (every tick a new wave of
+never-seen peers arrives on top of a growing base, each observation filed
+by a random member) is ingested into a sharded, score-cached complaint
+store — the community's shared store, the one backend that is ever
+sharded, on the plain flat float64 evidence layout — with a full score
+sweep over a query sample after every tick and one *streaming*
+snapshot/restore mid-run.  Column growth, dirty-row score caching,
+scatter/gather sharding and snapshot streaming are exercised together at
+community sizes from 100k to a million peers.
 
 Scales:
 
 * **CI / default (also the smoke pass)** — 100k peers; regression bars on
   per-tick wall clock, tracemalloc peak, and streaming-restore fidelity
   are enforced.  The 100k scale IS the smoke scale: the whole drive takes
-  seconds, and shrinking it further would stop exercising chunked growth.
+  seconds, and shrinking it further would stop exercising column growth at
+  scale.
 * **million** (``REPRO_BENCH_MILLION=1``) — 1,000,000 peers, opt-in; the
   bar is completion within generous wall-clock/memory envelopes.
 
@@ -70,7 +70,7 @@ def _tick_pool_size(tick: int) -> int:
 
     Half the community exists up front; the other half arrives in equal
     flash-crowd waves, so every tick both updates known rows (cache
-    invalidation) and interns never-seen peers (chunked growth).
+    invalidation) and interns never-seen peers (column growth).
     """
     base = NUM_PEERS // 2
     wave = (NUM_PEERS - base) // NUM_TICKS
@@ -101,9 +101,7 @@ def _query_sample(rng: np.random.Generator, tick: int):
 
 
 def _build_backend():
-    return create_backend(
-        "complaint", shards=SHARDS, router="ring", compact=True
-    )
+    return create_backend("complaint", shards=SHARDS, router="ring")
 
 
 def _drive(record_memory: bool):
@@ -182,7 +180,7 @@ def build_table() -> Table:
         columns=["metric", "value"],
         title=(
             f"Million-peer fast path: {NUM_PEERS} peers, {NUM_TICKS} ticks x "
-            f"{OBS_PER_TICK} observations, {SHARDS} compact complaint shards"
+            f"{OBS_PER_TICK} observations, {SHARDS} complaint shards"
         ),
     )
     table.add_row("peers interned", timed["rows"])
@@ -229,7 +227,7 @@ def test_million_peer_flash_crowd(benchmark):
     )
     # Per-tick latency must stay flat enough for the simulation loop.
     assert max_tick < MAX_TICK_SECONDS
-    # The compact layout's Python-level footprint is the point of the PR.
+    # The store's Python-level footprint must stay inside its envelope.
     assert traced["peak_mb"] < MAX_TRACEMALLOC_MB
     # A mid-run streaming checkpoint must be invisible to scores.
     assert timed["restore_identical"]

@@ -1,7 +1,7 @@
 """Contract-enforcing static analysis for the repro codebase.
 
 The ROADMAP states invariants that runtime tests only catch after the
-fact: sharded/compact runs must stay bit-identical to the baseline
+fact: sharded runs must stay bit-identical to the baseline
 (determinism), and ``telemetry=off`` must stay architecturally free
 (``NULL_REGISTRY`` discipline).  This package enforces those
 contracts *statically*: a dependency-free AST engine walks every module
@@ -22,8 +22,8 @@ PERF001   N+1 lint — scalar backend/decision calls inside loops where a
           batched API exists
 EXC001    ``except Exception`` anywhere in the package must re-raise,
           forward the error, or carry a justified allow-marker
-DTYPE001  snapshot paths emit canonical flat float64/int64 (compact
-          float32/int32 layouts live in ``trust/storage.py`` only)
+DTYPE001  snapshot and evidence paths emit canonical flat float64/int64
+          (no narrow dtype literal anywhere in the package)
 ========  =============================================================
 """
 

@@ -1,7 +1,7 @@
 """DET001 — no nondeterminism in simulation/trust paths.
 
-The reproduction's headline invariant is that sharded and compact runs
-are bit-identical to the unsharded baseline for the same seed.  One
+The reproduction's headline invariant is that sharded runs are
+bit-identical to the unsharded baseline for the same seed.  One
 wall-clock read or one unseeded RNG draw anywhere in the
 simulation/trust pipeline silently breaks that, and the failure only
 shows up later as an unexplainable score diff.  This rule bans, in every

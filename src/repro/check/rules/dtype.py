@@ -1,19 +1,17 @@
-"""DTYPE001 — canonical float64/int64 outside the compact-storage module.
+"""DTYPE001 — canonical float64/int64 everywhere in the package.
 
-Snapshots are the interchange format of the whole system: compact and
-default layouts and different shard counts all round-trip through the
-same canonical *flat float64/int64* manifest — that is what makes
-compact↔default and re-sharded restores exact.  The only module allowed to traffic in narrow dtypes is
-``trust/storage.py``, where the compact ``ChunkedArray`` layout lives
-and where widening back to canonical happens.  A ``float32`` literal
-anywhere else is either a snapshot path about to emit a non-canonical
-manifest or evidence math about to fork from the bit-identical baseline.
+Snapshots are the interchange format of the whole system: every backend
+and every shard count round-trips through the same canonical *flat
+float64/int64* manifest — that is what makes re-sharded restores exact.
+The evidence columns are declared once, with their canonical dtypes, in
+``storage.COLUMNS``; backends name columns and never select a dtype
+themselves.  A ``float32`` literal anywhere in the package is either a
+snapshot path about to emit a non-canonical manifest or evidence math
+about to fork from the bit-identical baseline.
 
-Flagged outside ``repro.trust.storage``: ``np.float32`` / ``np.int32``
-(and 16-bit variants) attribute references, and ``dtype="float32"`` /
-``dtype="int32"`` string keywords.  The compact dtypes are declared once,
-next to their canonical dtypes, in ``storage.COLUMNS``; backends name
-columns and never select a dtype themselves.
+Flagged in every ``repro`` module except the checker itself:
+``np.float32`` / ``np.int32`` (and 16-bit and 8-bit variants) attribute
+references, and ``dtype="float32"`` / ``dtype="int32"`` string keywords.
 """
 
 from __future__ import annotations
@@ -31,12 +29,12 @@ _NARROW = frozenset({"float32", "int32", "float16", "int16", "int8", "uint8"})
 
 class CanonicalDtypeRule(Rule):
     rule_id = "DTYPE001"
-    summary = "narrow dtype literal outside trust/storage.py"
+    summary = "narrow dtype literal in the package"
 
     def applies_to(self, source: Source) -> bool:
         if not source.in_package("repro"):
             return False
-        return not source.in_package("repro.trust.storage", "repro.check")
+        return not source.in_package("repro.check")
 
     def check(self, source: Source) -> Iterator[Finding]:
         aliases = module_aliases(source.tree)
@@ -50,10 +48,10 @@ class CanonicalDtypeRule(Rule):
                     yield self.finding(
                         source,
                         node,
-                        "narrow dtype {}.{} outside trust/storage.py; "
-                        "snapshot/evidence paths must stay canonical flat "
-                        "float64/int64 (compact layouts live in the "
-                        "storage module)".format(base, node.attr),
+                        "narrow dtype {}.{}; snapshot/evidence paths must "
+                        "stay canonical flat float64/int64".format(
+                            base, node.attr
+                        ),
                     )
             elif isinstance(node, ast.Call):
                 for keyword in node.keywords:
@@ -65,8 +63,8 @@ class CanonicalDtypeRule(Rule):
                         yield self.finding(
                             source,
                             keyword.value,
-                            "narrow dtype={!r} outside trust/storage.py; "
-                            "emit canonical float64/int64 arrays".format(
+                            "narrow dtype={!r}; emit canonical "
+                            "float64/int64 arrays".format(
                                 keyword.value.value
                             ),
                         )

@@ -293,15 +293,6 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
     run_parser.add_argument("--max-shards", type=int, default=16,
                             help="upper bound on the shard count the "
                             "auto-rebalanced complaint store may grow to")
-    run_parser.add_argument("--compact", action="store_true",
-                            help="memory-bounded trust storage for very "
-                            "large communities: chunked float32/int32 "
-                            "evidence arrays that grow without copying "
-                            "the whole table; beta-family scores stay "
-                            "within float32 tolerance of the default "
-                            "float64 layout (complaint counts are exact) "
-                            "and decisions on the registered scenarios "
-                            "are unchanged")
 
 
 def _default_price(bundle: GoodsBundle, price: Optional[float]) -> float:
@@ -360,7 +351,7 @@ def _print_result(
     print(f"Scenario:          {scenario_name}")
     if store is not None:
         # One canonical config string from the store itself — the effective
-        # backend deployment (shards, router, rebalance, compact, caching),
+        # backend deployment (shards, router, rebalance),
         # not a re-derivation from CLI flags.
         print(f"Backend:           {backend} (store: {store.describe_config()})")
     else:
@@ -453,7 +444,6 @@ def _build_scenario_from_args(
         shard_router=args.shard_router,
         rebalance_threshold=args.rebalance_threshold,
         max_shards=args.max_shards,
-        compact=args.compact,
         telemetry=telemetry,
     )
     if args.rebalance is not None:

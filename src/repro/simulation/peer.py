@@ -58,9 +58,7 @@ class CommunityPeer:
     ``beta`` backend, the ``complaint`` backend (``complaint_store``, the
     community's shared one, or else a private balanced-metric backend), and
     a ``decay`` backend (half-life 100) built on the first DECAY read from
-    the replayed outcome history — most peers never read it.  ``compact``
-    switches the backends the peer builds itself to memory-bounded storage;
-    a shared complaint backend keeps whatever layout it was built with.
+    the replayed outcome history — most peers never read it.
     """
 
     def __init__(
@@ -73,7 +71,6 @@ class CommunityPeer:
         consumes_goods: bool = True,
         trust_method: str = TrustMethod.BETA,
         witness_policy: Optional[WitnessReportPolicy] = None,
-        compact: bool = False,
     ):
         if not peer_id:
             raise SimulationError("peer_id must be non-empty")
@@ -84,9 +81,7 @@ class CommunityPeer:
                 f"trust_method must be one of {TrustMethod.ALL}, got {trust_method!r}"
             )
         if complaint_store is None:
-            complaint_store = create_backend(
-                "complaint", metric_mode="balanced", compact=compact
-            )
+            complaint_store = create_backend("complaint", metric_mode="balanced")
         elif not isinstance(complaint_store, TrustBackend):
             raise SimulationError(
                 "complaint_store must be a complaint TrustBackend such as "
@@ -95,8 +90,7 @@ class CommunityPeer:
             )
         self.peer_id = peer_id
         self.behavior: BehaviorModel = behavior if behavior is not None else HonestBehavior()
-        self._compact = compact
-        self._beta = create_backend("beta", compact=compact)
+        self._beta = create_backend("beta")
         self._complaint = complaint_store
         self._decay: Optional[TrustBackend] = None
         # Every observation this peer has made, replayed into the decay
@@ -135,9 +129,7 @@ class CommunityPeer:
             return self._complaint
         if method == TrustMethod.DECAY:
             if self._decay is None:
-                self._decay = create_backend(
-                    "decay", half_life=100.0, compact=self._compact
-                )
+                self._decay = create_backend("decay", half_life=100.0)
                 self._decay.update_many(self._history)
                 self._history = []
             return self._decay

@@ -80,18 +80,7 @@ from repro.trust.aggregation import (
 )
 from repro.trust.beta import BetaBelief, BetaTrustModel
 from repro.trust.evidence import Complaint
-from repro.trust.storage import (
-    EvidenceTable,
-    gather,
-    gather_f64,
-    get_item,
-    multiply_at,
-    prefix_chunks,
-    prefix_view,
-    scatter_add,
-    scatter_max,
-    scatter_set,
-)
+from repro.trust.storage import EvidenceTable
 
 __all__ = [
     "TrustObservation",
@@ -344,21 +333,15 @@ class TrustBackend:
     def describe_config(self) -> str:
         """The full effective configuration as one canonical line.
 
-        Reports kind, sharding, router, rebalance and storage layout — the
-        single source the run summary prints instead of re-deriving the
-        line from CLI flags.  The sharded store overrides
+        Reports kind, sharding, router and rebalance — the single source
+        the run summary prints instead of re-deriving the line from CLI
+        flags.  The sharded store overrides
         :meth:`_config_parts` to fill in its layout.
         """
         return ", ".join(self._config_parts())
 
     def _config_parts(self) -> List[str]:
-        compact = bool(getattr(self, "compact", False))
-        return [
-            self.name,
-            "unsharded",
-            "rebalance off",
-            "compact " + ("on" if compact else "off"),
-        ]
+        return [self.name, "unsharded", "rebalance off"]
 
 
 class BetaTrustBackend(TrustBackend):
@@ -373,14 +356,9 @@ class BetaTrustBackend(TrustBackend):
     per-peer list appends and rescans.  :class:`DecayTrustBackend` is this
     kernel plus a reference-time column and a decay factor.
 
-    ``compact=True`` switches the evidence columns to the memory-bounded
-    layout (float32 pseudo-counts, int32 observation counts, chunked growth
-    that never copies the table; see :mod:`repro.trust.storage`).  Scores
-    then carry float32 evidence rounding — documented tolerance 1e-6
-    relative — while the default layout stays bit-for-bit the historical
-    float64 path.  Repeated queries are answered from the table's dirty-row
-    score cache, which ``update_many`` invalidates row by row; cached
-    scores are bit-identical to the per-row formula.
+    Repeated queries are answered from the table's dirty-row score cache,
+    which ``update_many`` invalidates row by row; cached scores are
+    bit-identical to the per-row formula.
     """
 
     name = "beta"
@@ -396,21 +374,16 @@ class BetaTrustBackend(TrustBackend):
         self,
         prior_alpha: float = 1.0,
         prior_beta: float = 1.0,
-        compact: bool = False,
     ) -> None:
         if prior_alpha <= 0 or prior_beta <= 0:
             raise TrustModelError("priors must be positive")
         self._prior_alpha = prior_alpha
         self._prior_beta = prior_beta
-        self._table = EvidenceTable(self.COLUMNS, compact)
+        self._table = EvidenceTable(self.COLUMNS)
 
     @property
     def prior(self) -> BetaBelief:
         return BetaBelief(self._prior_alpha, self._prior_beta)
-
-    @property
-    def compact(self) -> bool:
-        return self._table.compact
 
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
         if not observations:
@@ -423,9 +396,9 @@ class BetaTrustBackend(TrustBackend):
         honest = np.fromiter((o.honest for o in observations), dtype=bool, count=n)
         touched = np.unique(idx)
         weights = self._evidence_weights(observations, idx, touched, weights)
-        scatter_add(table["alpha"], idx[honest], weights[honest])
-        scatter_add(table["beta"], idx[~honest], weights[~honest])
-        scatter_add(table["count"], idx, 1)
+        np.add.at(table["alpha"], idx[honest], weights[honest])
+        np.add.at(table["beta"], idx[~honest], weights[~honest])
+        np.add.at(table["count"], idx, 1)
         table.invalidate(touched)
 
     def _evidence_weights(
@@ -448,8 +421,8 @@ class BetaTrustBackend(TrustBackend):
         self, rows: np.ndarray, now: Optional[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior ``(alpha, beta)`` of known ``rows`` at ``now``."""
-        alpha = gather_f64(self._table["alpha"], rows)
-        beta = gather_f64(self._table["beta"], rows)
+        alpha = self._table["alpha"][rows]
+        beta = self._table["beta"][rows]
         factor = self._decay_factor(rows, now)
         if factor is not None:
             alpha = alpha * factor
@@ -509,8 +482,8 @@ class BetaTrustBackend(TrustBackend):
         row = self._table.index.get(subject_id)
         if row is None:
             return self.prior
-        alpha = float(get_item(self._table["alpha"], row))
-        beta = float(get_item(self._table["beta"], row))
+        alpha = float(self._table["alpha"][row])
+        beta = float(self._table["beta"][row])
         factor = self._decay_factor(np.array([row]), now) if self.DECAYS else None
         if factor is not None:
             alpha, beta = alpha * float(factor[0]), beta * float(factor[0])
@@ -518,7 +491,7 @@ class BetaTrustBackend(TrustBackend):
 
     def observation_count(self, subject_id: str) -> int:
         row = self._table.index.get(subject_id)
-        return 0 if row is None else int(get_item(self._table["count"], row))
+        return 0 if row is None else int(self._table["count"][row])
 
     def known_subjects(self) -> Tuple[str, ...]:
         return self._table.index.names()
@@ -558,11 +531,9 @@ class DecayTrustBackend(BetaTrustBackend):
     queried at any ``now >= ref``; scoring with ``now=None`` evaluates at the
     reference time (the newest evidence).
 
-    ``compact=True`` selects the memory-bounded layout; the reference-time
-    column stays float64 so long simulations never lose timestamp
-    precision.  Decayed scores depend on the query time, so the score cache
-    is keyed by ``now``: a query at a new ``now`` lazily recomputes only
-    the rows it actually touches.
+    Decayed scores depend on the query time, so the score cache is keyed by
+    ``now``: a query at a new ``now`` lazily recomputes only the rows it
+    actually touches.
     """
 
     name = "decay"
@@ -575,9 +546,8 @@ class DecayTrustBackend(BetaTrustBackend):
         prior_alpha: float = 1.0,
         prior_beta: float = 1.0,
         half_life: float = 100.0,
-        compact: bool = False,
     ) -> None:
-        super().__init__(prior_alpha, prior_beta, compact)
+        super().__init__(prior_alpha, prior_beta)
         if half_life <= 0:
             raise TrustModelError(f"half_life must be > 0, got {half_life}")
         self._half_life = half_life
@@ -602,19 +572,19 @@ class DecayTrustBackend(BetaTrustBackend):
             (o.timestamp for o in observations), dtype=np.float64, count=len(idx)
         )
         ref = self._table["ref"]
-        old_ref = gather(ref, touched)
-        scatter_max(ref, idx, times)
-        factor = np.power(0.5, (gather(ref, touched) - old_ref) / self._half_life)
-        multiply_at(self._table["alpha"], touched, factor)
-        multiply_at(self._table["beta"], touched, factor)
-        return weights * np.power(0.5, (gather(ref, idx) - times) / self._half_life)
+        old_ref = ref[touched]
+        np.maximum.at(ref, idx, times)
+        factor = np.power(0.5, (ref[touched] - old_ref) / self._half_life)
+        self._table["alpha"][touched] *= factor
+        self._table["beta"][touched] *= factor
+        return weights * np.power(0.5, (ref[idx] - times) / self._half_life)
 
     def _decay_factor(
         self, rows: np.ndarray, now: Optional[float]
     ) -> Optional[np.ndarray]:
         if now is None:
             return None
-        age = np.maximum(0.0, now - gather(self._table["ref"], rows))
+        age = np.maximum(0.0, now - self._table["ref"][rows])
         return np.power(0.5, age / self._half_life)
 
     def _config_items(self) -> Iterator[Tuple[str, np.ndarray]]:
@@ -653,7 +623,6 @@ class ComplaintTrustBackend(TrustBackend):
         tolerance_factor: float = 4.0,
         trust_scale: float = 3.0,
         metric_mode: str = "product",
-        compact: bool = False,
     ) -> None:
         if tolerance_factor <= 0:
             raise TrustModelError(
@@ -669,7 +638,7 @@ class ComplaintTrustBackend(TrustBackend):
         self._trust_scale = trust_scale
         self._metric_mode = metric_mode
         self._row_filter: Optional[Callable[[str], bool]] = None
-        self._table = EvidenceTable(self.COLUMNS, compact)
+        self._table = EvidenceTable(self.COLUMNS)
         self._reference_cache: Optional[float] = None
         self._log: List[Complaint] = []
 
@@ -681,10 +650,6 @@ class ComplaintTrustBackend(TrustBackend):
     @property
     def metric_mode(self) -> str:
         return self._metric_mode
-
-    @property
-    def compact(self) -> bool:
-        return self._table.compact
 
     def restrict_rows(self, row_filter: Callable[[str], bool]) -> None:
         """Maintain complaint counters only for agents passing ``row_filter``.
@@ -731,8 +696,8 @@ class ComplaintTrustBackend(TrustBackend):
         self._log.extend(complaints)
         accused, filed_by = self._count(complaints)
         in_store = self._table["in_store"]
-        scatter_set(in_store, accused, True)
-        scatter_set(in_store, filed_by, True)
+        in_store[accused] = True
+        in_store[filed_by] = True
         self._reference_cache = None
 
     def _count(
@@ -752,8 +717,8 @@ class ComplaintTrustBackend(TrustBackend):
         table = self._table
         accused = table.intern_many(accused_ids)
         filed_by = table.intern_many(filed_ids)
-        scatter_add(table["received"], accused, 1.0)
-        scatter_add(table["filed"], filed_by, 1.0)
+        np.add.at(table["received"], accused, 1.0)
+        np.add.at(table["filed"], filed_by, 1.0)
         return accused, filed_by
 
     # -- assessment -------------------------------------------------------
@@ -768,11 +733,8 @@ class ComplaintTrustBackend(TrustBackend):
     def _in_store_metrics(self) -> np.ndarray:
         table = self._table
         size = len(table)
-        metrics = self._metric_of(
-            prefix_view(table["received"], size).astype(np.float64, copy=False),
-            prefix_view(table["filed"], size).astype(np.float64, copy=False),
-        )
-        return metrics[prefix_view(table["in_store"], size)]
+        metrics = self._metric_of(table["received"][:size], table["filed"][:size])
+        return metrics[table["in_store"][:size]]
 
     def _counts_of(self, subject_ids: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
         """``(received, filed)`` count vectors, zero for unknown subjects.
@@ -784,8 +746,8 @@ class ComplaintTrustBackend(TrustBackend):
         received = np.zeros(len(rows))
         filed = np.zeros(len(rows))
         known = rows >= 0
-        received[known] = gather_f64(self._table["received"], rows[known])
-        filed[known] = gather_f64(self._table["filed"], rows[known])
+        received[known] = self._table["received"][rows[known]]
+        filed[known] = self._table["filed"][rows[known]]
         return received, filed
 
     def scores_from_metrics(
@@ -835,8 +797,8 @@ class ComplaintTrustBackend(TrustBackend):
         if row is None:
             return (0, 0)
         return (
-            int(get_item(self._table["received"], row)),
-            int(get_item(self._table["filed"], row)),
+            int(self._table["received"][row]),
+            int(self._table["filed"][row]),
         )
 
     def scores_for(
@@ -910,15 +872,12 @@ class ComplaintTrustBackend(TrustBackend):
     def known_subjects(self) -> Tuple[str, ...]:
         table = self._table
         names = table.index.names()
-        in_store = prefix_view(table["in_store"], len(table))
+        in_store = table["in_store"][: len(table)]
         return tuple(names[row] for row in np.flatnonzero(in_store))
 
     def row_count(self) -> int:
         table = self._table
-        return sum(
-            int(np.count_nonzero(chunk))
-            for _, chunk in prefix_chunks(table["in_store"], len(table))
-        )
+        return int(np.count_nonzero(table["in_store"][: len(table)]))
 
     def all_complaints(self) -> Tuple[Complaint, ...]:
         """Every complaint the backend holds, in filing order."""
@@ -1087,9 +1046,7 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     :class:`~repro.exceptions.TrustModelError`.
 
     All remaining keyword parameters are forwarded to the backend factory
-    (and, when sharded, to every shard).  The built-in backends accept
-    ``compact=True`` for the memory-bounded evidence layout (narrow dtypes +
-    chunked growth; see :mod:`repro.trust.storage`).
+    (and, when sharded, to every shard).
     """
     shards = int(params.pop("shards", 1))  # type: ignore[arg-type]
     router = params.pop("router", "hash")

@@ -644,7 +644,6 @@ class ShardedBackend(TrustBackend):
             self.kind,
             "{} shards, {} router".format(len(self._shards), self._router.name),
             rebalance,
-            "compact " + ("on" if self._shard_params.get("compact") else "off"),
         ]
 
     def bind_telemetry(self, registry) -> None:
@@ -892,8 +891,7 @@ class ShardedBackend(TrustBackend):
             float(value) for value in shard_state["config"]
         )
         # The snapshot's scoring configuration overrides whatever the shard
-        # params carry; the storage layout (compact) is deployment
-        # configuration and stays with this wrapper's params.
+        # params carry.
         return self._create_shard(
             home_index,
             tolerance_factor=tolerance_factor,

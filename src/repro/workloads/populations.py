@@ -113,7 +113,6 @@ def build_population(
     complaint_store: Optional[TrustBackend] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
-    compact: bool = False,
 ) -> List[CommunityPeer]:
     """Build the peers described by ``spec``.
 
@@ -123,10 +122,8 @@ def build_population(
     modelling the community-wide complaint system; otherwise each peer keeps
     a private store (direct evidence only).
     ``trust_method`` selects the trust backend every peer consults (one of
-    :data:`repro.simulation.peer.TrustMethod.ALL`); ``compact`` switches
-    every peer's backends to memory-bounded chunked float32/int32 storage
-    (large-community mode).  Each peer's own backends are plain; only a
-    shared ``complaint_store`` may be sharded.
+    :data:`repro.simulation.peer.TrustMethod.ALL`).  Each peer's own
+    backends are plain; only a shared ``complaint_store`` may be sharded.
     """
     rng = random.Random(seed)
     peers: List[CommunityPeer] = []
@@ -139,7 +136,6 @@ def build_population(
                 complaint_store=complaint_store,
                 defection_penalty=spec.defection_penalty,
                 trust_method=trust_method,
-                compact=compact,
             )
         )
     return peers
@@ -150,7 +146,6 @@ def population_factory(
     complaint_store: Optional[TrustBackend] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
-    compact: bool = False,
 ) -> Callable[[int], CommunityPeer]:
     """A factory for churn arrivals drawing behaviours from the same spec."""
     rng = random.Random(seed + 1)
@@ -164,7 +159,6 @@ def population_factory(
             complaint_store=complaint_store,
             defection_penalty=spec.defection_penalty,
             trust_method=trust_method,
-            compact=compact,
         )
 
     return factory

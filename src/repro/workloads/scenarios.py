@@ -105,7 +105,6 @@ def build_scenario(
     rebalance: str = "off",
     rebalance_threshold: float = 2.0,
     max_shards: int = 16,
-    compact: bool = False,
     telemetry: Optional[object] = None,
 ) -> ScenarioSpec:
     """Construct one of the named scenarios.
@@ -159,12 +158,7 @@ def build_scenario(
     request is upgraded to ``ring`` (consistent hashing — same hash-style
     assignment, but a split moves only the hot shard's keys).  Splits are
     score-invisible: results stay bit-identical to an unsharded run
-    before, during and after every split.  ``compact=True`` switches every
-    trust backend in the scenario (each peer's own and the shared complaint
-    store) to memory-bounded storage — chunked float32/int32 evidence
-    arrays that grow without copying — trading bit-identity for a
-    documented float32 tolerance on beta-family scores (complaint counters
-    remain exact); decisions on the registered scenarios are unchanged.
+    before, during and after every split.
     ``telemetry`` binds a :class:`repro.obs.MetricsRegistry` to the shared
     complaint store and the community run (``None`` keeps the zero-cost
     null recorder); telemetry is purely observational and never changes a
@@ -216,7 +210,6 @@ def build_scenario(
         shards=shards,
         router=shard_router,
         rebalance=rebalance_policy,
-        compact=compact,
     )
     if telemetry is not None and getattr(telemetry, "enabled", False):
         shared_store.bind_telemetry(telemetry)
@@ -308,7 +301,6 @@ def build_scenario(
             complaint_store=shared_store,
             seed=seed,
             trust_method=trust_method,
-            compact=compact,
         )
     elif name == "collusive-witness":
         spec = PopulationSpec(
@@ -392,7 +384,6 @@ def build_scenario(
             complaint_store=shared_store,
             seed=seed,
             trust_method=trust_method,
-            compact=compact,
         )
     elif name == "partition-heal":
         # Two cliques (even/odd peer index) lose every cross-partition
@@ -522,7 +513,6 @@ def build_scenario(
         complaint_store=shared_store,
         seed=seed,
         trust_method=trust_method,
-        compact=compact,
     )
     if name == "sybil-coalition":
         coalition_peers = [

@@ -363,7 +363,8 @@ def test_dtype001_flags_narrow_dtypes(make_tree):
     assert len(result.findings) == 2
 
 
-def test_dtype001_clean_fixture_and_storage_exemption(make_tree):
+def test_dtype001_clean_fixture_and_no_storage_exemption(make_tree):
+    """Canonical dtypes pass; the storage module gets no narrow-dtype pass."""
     root = make_tree(
         {
             "trust/fixture.py": """\
@@ -375,12 +376,14 @@ def test_dtype001_clean_fixture_and_storage_exemption(make_tree):
             "trust/storage.py": """\
             import numpy as np
 
-            def compact_chunk(rows):
+            def narrow_column(rows):
                 return np.zeros(rows, dtype=np.float32)
             """,
         }
     )
-    assert run_check(root, [CanonicalDtypeRule()]).clean
+    result = run_check(root, [CanonicalDtypeRule()])
+    assert rule_ids(result) == ["DTYPE001"]
+    assert [finding.path for finding in result.findings] == ["trust/storage.py"]
 
 
 def test_dtype001_ignores_non_numpy_attributes(make_tree):

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
@@ -36,10 +35,6 @@ def complainants_about(backend, accused):
     """Who filed the complaints about ``accused`` in ``backend``, in filing order."""
     return [c.complainant_id for c in backend.all_complaints() if c.accused_id == accused]
 
-
-#: Compact (float32) backends keep beta-family scores within this absolute
-#: distance of the float64 layout (mirrors the storage fast-path tests).
-COMPACT_SCORE_TOLERANCE = 1e-5
 
 PARTNERS = [f"p{index}" for index in range(5)]
 
@@ -185,17 +180,26 @@ class TestTrustMethodDispatch:
         ]
 
     @pytest.mark.parametrize("method", TrustMethod.ALL)
-    def test_compact_peer_tracks_the_default_layout(self, method):
-        plain = CommunityPeer("alice", trust_method=method)
-        compact = CommunityPeer("alice", trust_method=method, compact=True)
-        history = mixed_history(seed=11)
-        plain.observe_outcomes(history)
-        compact.observe_outcomes(history)
-        np.testing.assert_allclose(
-            compact.trust_in_many(PARTNERS, now=40.0),
-            plain.trust_in_many(PARTNERS, now=40.0),
-            rtol=0.0,
-            atol=COMPACT_SCORE_TOLERANCE,
+    def test_reads_between_outcomes_leave_trust_unchanged(self, method):
+        """Reading trust while the peer's tables grow past their doubling
+        boundaries (8 -> 16 -> 32 partners) moves no later answer."""
+        partners = [f"q{index}" for index in range(40)]
+        history = mixed_history(seed=5, length=40) + [
+            completed(partner, "alice", value=float(index % 4), t=40.0 + index)
+            if index % 3
+            else defected(partner, "alice", "supplier", t=40.0 + index)
+            for index, partner in enumerate(partners)
+        ]
+        queries = PARTNERS + partners + ["stranger"]
+        reader = CommunityPeer("alice", trust_method=method)
+        silent = CommunityPeer("alice", trust_method=method)
+        for start in range(0, len(history), 6):
+            batch = history[start:start + 6]
+            reader.observe_outcomes(batch)
+            silent.observe_outcomes(batch)
+            reader.trust_in_many(queries, now=batch[-1].timestamp)
+        assert reader.trust_in_many(queries, now=90.0).tolist() == (
+            silent.trust_in_many(queries, now=90.0).tolist()
         )
 
     def test_backend_for_rejects_combined_and_unknown_names(self):

@@ -157,6 +157,37 @@ class TestSnapshotSafety:
         with pytest.raises(TrustModelError):
             BetaTrustBackend().restore(state)
 
+    @pytest.mark.parametrize("length", ("short", "one", "long"))
+    @pytest.mark.parametrize("kind", ("beta", "decay", "complaint"))
+    def test_column_length_mismatch_rejected(self, kind, length):
+        """Every evidence column must hold one row per peer id.
+
+        A length-1 column would otherwise broadcast to every row, and a
+        longer one would be truncated or fail deep inside numpy.
+        """
+        source = create_backend(kind)
+        source.update_many(_observations())
+        rows = len(source.snapshot()["peer_ids"])
+        assert rows > 2
+        cut = {"short": rows - 1, "one": 1, "long": rows + 1}[length]
+        for column in source.COLUMNS:
+            state = source.snapshot()
+            state[column] = np.resize(state[column], cut)
+            target = create_backend(kind)
+            with pytest.raises(TrustModelError, match=repr(column)):
+                target.restore(state)
+            assert target.known_subjects() == ()
+
+    @pytest.mark.parametrize("kind", ("beta", "decay", "complaint"))
+    def test_duplicate_peer_ids_rejected(self, kind):
+        backend = create_backend(kind)
+        state = backend.snapshot()
+        state["peer_ids"] = np.array(["bob", "bob"], dtype=object)
+        for column in backend.COLUMNS:
+            state[column] = np.zeros(2, dtype=state[column].dtype)
+        with pytest.raises(TrustModelError, match="distinct peer id"):
+            backend.restore(state)
+
     def test_empty_backend_round_trips(self):
         for factory in (BetaTrustBackend, DecayTrustBackend):
             restored = factory()
@@ -171,10 +202,9 @@ class TestSnapshotSafety:
 class TestSnapshotFormat:
     """The per-backend snapshot layout is a stable on-disk format.
 
-    Key order and dtypes are pinned for every kind and both storage layouts
-    (``compact=True`` still writes the canonical float64/int64/bool
-    columns), and a manifest spelled out key by key restores and answers
-    the hand-computed scores.
+    Key order and dtypes (canonical float64/int64/bool columns) are pinned
+    for every kind, and a manifest spelled out key by key restores and
+    answers the hand-computed scores.
     """
 
     LAYOUTS = {
@@ -210,10 +240,9 @@ class TestSnapshotFormat:
         ],
     }
 
-    @pytest.mark.parametrize("compact", (False, True))
     @pytest.mark.parametrize("kind", ("beta", "decay", "complaint"))
-    def test_key_order_and_dtypes_are_pinned(self, kind, compact):
-        backend = create_backend(kind, compact=compact)
+    def test_key_order_and_dtypes_are_pinned(self, kind):
+        backend = create_backend(kind)
         backend.update_many(_observations())
         items = [(key, str(value.dtype)) for key, value in backend.snapshot_items()]
         assert items == self.LAYOUTS[kind]
@@ -231,8 +260,7 @@ class TestSnapshotFormat:
             assert actual[key].dtype == value.dtype, key
             assert np.array_equal(actual[key], value), key
 
-    @pytest.mark.parametrize("compact", (False, True))
-    def test_handwritten_beta_manifest_restores(self, compact):
+    def test_handwritten_beta_manifest_restores(self):
         state = {
             "backend": np.array("beta"),
             "peer_ids": np.array(["bob", "carol"], dtype=object),
@@ -241,7 +269,7 @@ class TestSnapshotFormat:
             "beta": np.array([1.0, 2.0]),
             "count": np.array([2, 1], dtype=np.int64),
         }
-        backend = create_backend("beta", compact=compact)
+        backend = create_backend("beta")
         backend.restore(state)
         assert backend.known_subjects() == ("bob", "carol")
         assert backend.prior == BetaBelief(2.0, 1.0)
@@ -252,8 +280,7 @@ class TestSnapshotFormat:
         assert backend.observation_count("stranger") == 0
         self._assert_same_state(backend.snapshot(), state)
 
-    @pytest.mark.parametrize("compact", (False, True))
-    def test_handwritten_decay_manifest_restores(self, compact):
+    def test_handwritten_decay_manifest_restores(self):
         state = {
             "backend": np.array("decay"),
             "peer_ids": np.array(["bob"], dtype=object),
@@ -264,7 +291,7 @@ class TestSnapshotFormat:
             "ref": np.array([5.0]),
             "count": np.array([1], dtype=np.int64),
         }
-        backend = create_backend("decay", compact=compact)
+        backend = create_backend("decay")
         backend.restore(state)
         assert backend.half_life == 10.0
         # One half-life after the reference time the evidence halves.
@@ -276,8 +303,7 @@ class TestSnapshotFormat:
         assert backend.belief("bob", now=15.0) == BetaBelief(3.0, 2.0)
         assert backend.observation_count("bob") == 2
 
-    @pytest.mark.parametrize("compact", (False, True))
-    def test_handwritten_complaint_manifest_restores(self, compact):
+    def test_handwritten_complaint_manifest_restores(self):
         log = [("victim", "cheat", 1.0), ("cheat", "victim", 2.0),
                ("victim", "cheat", 3.0)]
         state = {
@@ -292,7 +318,7 @@ class TestSnapshotFormat:
             "accused": np.array([a for _, a, _ in log], dtype=object),
             "timestamps": np.array([t for _, _, t in log]),
         }
-        backend = create_backend("complaint", compact=compact)
+        backend = create_backend("complaint")
         backend.restore(state)
         assert backend.counts("cheat") == (2, 1)
         assert backend.counts("victim") == (1, 2)

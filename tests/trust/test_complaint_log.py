@@ -69,9 +69,8 @@ def _filed(backend, stream):
 
 
 class TestOneLog:
-    @pytest.mark.parametrize("compact", (False, True))
-    def test_every_write_path_appends_in_filing_order(self, compact):
-        backend = ComplaintTrustBackend(compact=compact)
+    def test_every_write_path_appends_in_filing_order(self):
+        backend = ComplaintTrustBackend()
         backend.update_many(
             [
                 TrustObservation("a", "b", honest=False, timestamp=1.0),
@@ -93,12 +92,11 @@ class TestOneLog:
             Complaint("a", "c", 7.0),
         )
 
-    @pytest.mark.parametrize("compact", (False, True))
     @pytest.mark.parametrize("metric_mode", ComplaintTrustBackend.METRIC_MODES)
     @settings(max_examples=30, deadline=None)
     @given(stream=writes)
-    def test_counters_equal_a_recount_of_the_log(self, stream, metric_mode, compact):
-        backend = ComplaintTrustBackend(metric_mode=metric_mode, compact=compact)
+    def test_counters_equal_a_recount_of_the_log(self, stream, metric_mode):
+        backend = ComplaintTrustBackend(metric_mode=metric_mode)
         filed = _filed(backend, stream)
         assert backend.all_complaints() == tuple(filed)
         received = Counter(c.accused_id for c in filed)
@@ -150,11 +148,10 @@ class TestReferenceCache:
 
 
 class TestRestore:
-    @pytest.mark.parametrize("compact", (False, True))
-    def test_restore_replaces_log_and_counters(self, compact):
-        source = ComplaintTrustBackend(compact=compact)
+    def test_restore_replaces_log_and_counters(self):
+        source = ComplaintTrustBackend()
         source.record_complaints([Complaint("a", "b", 1.0), Complaint("b", "a", 2.0)])
-        target = ComplaintTrustBackend(compact=compact)
+        target = ComplaintTrustBackend()
         target.record_complaints([Complaint("c", "d", 9.0)] * 3)
         target.restore(source.snapshot())
         assert target.all_complaints() == source.all_complaints()
@@ -174,9 +171,8 @@ class TestRestore:
         )
         assert restored.counts("b") == (1, 1)
 
-    @pytest.mark.parametrize("compact", (False, True))
-    def test_snapshot_log_columns_are_filing_order(self, compact):
-        backend = ComplaintTrustBackend(compact=compact)
+    def test_snapshot_log_columns_are_filing_order(self):
+        backend = ComplaintTrustBackend()
         log = [Complaint("v", "c", 3.0), Complaint("c", "v", 1.0), Complaint("w", "c", 2.0)]
         backend.record_complaints(log)
         state = backend.snapshot()

@@ -7,8 +7,9 @@ shard — initial, split successor or re-sharded — is built by one
 constructor that merges the wrapper's shard parameters with a manifest's
 scoring configuration.  These tests pin both halves against one plain
 complaint backend: the complaint-store protocol under every router and
-metric mode, the compact layout, gather order after live splits, the per-write-version reference cache, the
-configuration and telemetry binding of shards minted after construction,
+metric mode, shard tables grown between reads, gather order after live
+splits, the per-write-version reference cache, the configuration and
+telemetry binding of shards minted after construction,
 restores across router strategies, and streamed manifests of uneven
 post-split layouts.
 """
@@ -82,6 +83,29 @@ def _witness_inputs(subject_count, seed=5, witnesses=4):
     return matrix, discounts
 
 
+def _growth_stream(peers=64, seed=6):
+    """Observations that intern ``grower-000 .. grower-063`` one at a time:
+    two earlier peers observe each newcomer, filing complaints half the
+    time."""
+    rng = random.Random(seed)
+    names = [f"grower-{index:03d}" for index in range(peers)]
+    observations = []
+    for index in range(1, peers):
+        for observer in (names[rng.randrange(index)], names[index - 1]):
+            honest = rng.random() < 0.5
+            observations.append(
+                TrustObservation(
+                    observer_id=observer,
+                    subject_id=names[index],
+                    honest=honest,
+                    timestamp=float(index),
+                    weight=1.0,
+                    files_complaint=True if honest else None,
+                )
+            )
+    return observations
+
+
 def _split_hottest(sharded, times=1):
     for _ in range(times):
         sharded.split_shard(int(np.argmax(sharded.shard_row_counts())))
@@ -105,27 +129,30 @@ class TestComplaintStoreProtocol:
         assert sharded.tolerance_factor == plain.tolerance_factor
         assert sharded.metric_mode == metric_mode
 
-    def test_compact_shards_are_exact(self, router, metric_mode):
-        """Complaint counts are small integers, exact in float32."""
-        observations = _observation_stream(seed=4)
+    def test_shards_grow_between_queries(self, router, metric_mode):
+        """Shard tables grown past two doubling boundaries (8 -> 16 -> 32
+        rows) between reads keep answering exactly like the plain store."""
         plain = create_backend("complaint", metric_mode=metric_mode)
-        compact = ShardedBackend(
-            4, router=router, metric_mode=metric_mode, compact=True
-        )
-        _feed(plain, observations)
-        _feed(compact, observations)
-        assert all(shard.compact for shard in compact.shards)
-        queries = _shuffled_queries()
-        np.testing.assert_array_equal(
-            plain.scores_for(queries), compact.scores_for(queries)
-        )
-        np.testing.assert_array_equal(
-            plain.trust_decisions(queries), compact.trust_decisions(queries)
-        )
+        sharded = ShardedBackend(2, router=router, metric_mode=metric_mode)
+        observations = _growth_stream()
+        for start in range(0, len(observations), 10):
+            batch = observations[start:start + 10]
+            plain.update_many(batch)
+            sharded.update_many(batch)
+            queries = list(plain.known_subjects()) + ["stranger"]
+            np.testing.assert_array_equal(
+                plain.scores_for(queries), sharded.scores_for(queries)
+            )
+            np.testing.assert_array_equal(
+                plain.trust_decisions(queries), sharded.trust_decisions(queries)
+            )
+        assert max(sharded.shard_row_counts()) > 16
+        assert sorted(sharded.known_subjects()) == sorted(plain.known_subjects())
+        random.Random(2).shuffle(queries)
         matrix, discounts = _witness_inputs(len(queries))
         np.testing.assert_array_equal(
             plain.aggregate_witness_reports(queries, matrix, discounts),
-            compact.aggregate_witness_reports(queries, matrix, discounts),
+            sharded.aggregate_witness_reports(queries, matrix, discounts),
         )
 
 
@@ -198,15 +225,9 @@ def test_reference_cache_follows_every_write_path(metric_mode):
 class TestShardConstruction:
     """Initial, split and re-sharded shards come from one constructor."""
 
-    @pytest.mark.parametrize("compact", (False, True))
     @pytest.mark.parametrize("router", SPLITTABLE)
-    def test_split_successors_inherit_shard_params(self, router, compact):
-        params = dict(
-            tolerance_factor=6.0,
-            trust_scale=2.0,
-            metric_mode="received",
-            compact=compact,
-        )
+    def test_split_successors_inherit_shard_params(self, router):
+        params = dict(tolerance_factor=6.0, trust_scale=2.0, metric_mode="received")
         observations = _observation_stream(seed=11)
         plain = create_backend("complaint", **params)
         sharded = ShardedBackend(2, router=router, **params)
@@ -214,13 +235,10 @@ class TestShardConstruction:
         _feed(sharded, observations)
         _split_hottest(sharded, times=2)
         assert sharded.num_shards == 4
-        flag = "on" if compact else "off"
         for shard in sharded.shards:
             assert shard.tolerance_factor == 6.0
             assert shard.metric_mode == "received"
-            assert shard.describe_config() == (
-                f"complaint, unsharded, rebalance off, compact {flag}"
-            )
+            assert shard.describe_config() == "complaint, unsharded, rebalance off"
         queries = _shuffled_queries()
         np.testing.assert_array_equal(
             plain.scores_for(queries), sharded.scores_for(queries)
@@ -237,12 +255,11 @@ class TestShardConstruction:
         _feed(plain, observations)
         _feed(source, observations)
         # Layout knobs belong to the restoring store; scoring to the manifest.
-        target = ShardedBackend(2, router="hash", compact=True)
+        target = ShardedBackend(2, router="hash")
         target.restore(source.snapshot())
         for shard in target.shards:
             assert shard.tolerance_factor == 6.0
             assert shard.metric_mode == metric_mode
-            assert shard.compact
         assert target.tolerance_factor == 6.0
         assert target.metric_mode == metric_mode
         queries = _shuffled_queries()

@@ -321,18 +321,16 @@ class TestFactoryAndGuards:
 def test_describe_config_pins_the_store_line():
     """The run summary's Backend line, for a plain and a rebalanced store."""
     assert create_backend("complaint").describe_config() == (
-        "complaint, unsharded, rebalance off, compact off"
+        "complaint, unsharded, rebalance off"
     )
     rebalanced = create_backend(
         "complaint",
         shards=2,
         router="ring",
         rebalance=RebalancePolicy(threshold=1.5, max_shards=8),
-        compact=True,
     )
     assert rebalanced.describe_config() == (
-        "complaint, 2 shards, ring router, rebalance auto@1.5 (max 8), "
-        "compact on"
+        "complaint, 2 shards, ring router, rebalance auto@1.5 (max 8)"
     )
 
 

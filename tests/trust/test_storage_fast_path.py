@@ -5,17 +5,19 @@ Four mechanisms are pinned here:
 * **dirty-row score caching** (always on) must be *bit-identical* to the
   reference formulas on every backend kind (and on the sharded complaint
   store), under arbitrary interleavings of updates and queries — the cache
-  only skips recomputation, never changes it — and must recompute only
-  the rows a query asks for that a write or a new ``now`` made stale;
-* **compact storage** (``compact=True``) keeps beta-family scores within a
-  documented float32 accumulation tolerance of the float64 layout and is
-  exactly equal for the complaint backend (its counts are small integers,
-  exactly representable in float32);
+  only skips recomputation, never changes it, so reads between writes
+  move no later answer — and must recompute only the rows a query asks
+  for that a write or a new ``now`` made stale.  Growing the evidence
+  columns past their doubling boundaries must keep every existing row,
+  cached score and generation;
 * **streaming snapshots** (``snapshot_items``/``restore_items``) must
-  round-trip across layouts — shard counts and compactness may differ
-  between writer and reader — without moving any score;
-* the **ChunkedArray** growth layer and the vectorized ``intern_many``
-  fast path behave exactly like their flat / sequential counterparts.
+  round-trip across layouts — shard counts may differ between writer and
+  reader — without moving any score, and a restore replaces whatever
+  evidence and cached scores the target held;
+* **flat growth** (``grow`` and ``EvidenceTable``) doubles every column
+  and the score cache in lockstep, keeping rows and canonical dtypes;
+* the vectorized ``intern_many`` fast path behaves exactly like
+  sequential interning.
 """
 
 from __future__ import annotations
@@ -27,36 +29,63 @@ from hypothesis import strategies as st
 
 from repro.trust.backend import TrustObservation, create_backend
 from repro.trust.sharding import ShardedBackend
-from repro.trust.storage import ChunkedArray, PeerIndex
+from repro.trust.storage import COLUMNS, EvidenceTable, PeerIndex, grow
 
 KINDS = ("beta", "decay", "complaint")
 #: (kind, shards) layouts: only the complaint store is ever sharded.
 LAYOUTS = tuple((kind, 1) for kind in KINDS) + (("complaint", 3),)
-#: Documented tolerance of compact (float32) beta-family scores; scores are
-#: probabilities in [0, 1], so this is an absolute bound.
-COMPACT_SCORE_TOLERANCE = 1e-5
 
 SUBJECTS = tuple(f"s{i}" for i in range(6))
+#: Subjects a growth stream interns, in order: enough rows to carry the
+#: evidence columns (and the score cache) across the 8 -> 16 -> 32 doubling
+#: boundaries.
+GROWTH_SUBJECTS = 30
 
-# One event: (subject index, honest, weight, timestamp, files_complaint).
-event_streams = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=len(SUBJECTS) - 1),
+
+def _events(subjects):
+    """One event: (subject index, honest, weight, timestamp, files_complaint)."""
+    return st.tuples(
+        subjects,
         st.booleans(),
         st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
         st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
         st.booleans(),
-    ),
+    )
+
+
+event_streams = st.lists(
+    _events(st.integers(min_value=0, max_value=len(SUBJECTS) - 1)),
     min_size=0,
     max_size=50,
 )
+
+
+@st.composite
+def growth_streams(draw):
+    """Subjects ``s0 .. s29`` interned in order, with repeats of ``SUBJECTS``.
+
+    Fed in batches with queries between them, the table grows past two
+    doubling boundaries while earlier rows hold cached scores.
+    """
+    events = []
+    for subject in range(GROWTH_SUBJECTS):
+        events.append(draw(_events(st.just(subject))))
+        events.extend(
+            draw(
+                st.lists(
+                    _events(st.integers(min_value=0, max_value=len(SUBJECTS) - 1)),
+                    max_size=2,
+                )
+            )
+        )
+    return events
 
 
 def _to_observations(stream):
     return [
         TrustObservation(
             observer_id=f"observer-{index % 3}",
-            subject_id=SUBJECTS[subject],
+            subject_id=f"s{subject}",
             honest=honest,
             timestamp=timestamp,
             weight=weight,
@@ -73,25 +102,6 @@ def _build(kind, shards, **params):
         return create_backend(kind, **params)
     assert kind == "complaint"
     return ShardedBackend(shards, **params)
-
-
-def _drive_interleaved(backend, observations, chunk=7):
-    """Feed observations in chunks with queries between them.
-
-    Returns the concatenation of every intermediate query result — the
-    interleaving is what exercises dirty-row invalidation (queries between
-    writes populate the cache; the next write must invalidate exactly the
-    touched rows).
-    """
-    outputs = []
-    for start in range(0, len(observations) + 1, chunk):
-        batch = observations[start:start + chunk]
-        if batch:
-            backend.update_many(batch)
-        now = max((o.timestamp for o in observations[:start + chunk]), default=0.0)
-        outputs.append(backend.scores_for(SUBJECTS, now=now))
-        outputs.append(backend.scores_for(SUBJECTS[:2]))
-    return np.concatenate(outputs) if outputs else np.zeros(0)
 
 
 def _reference_scores(backend, subject_ids, now):
@@ -121,19 +131,54 @@ def _reference_scores(backend, subject_ids, now):
     return shards[0].scores_from_metrics(metrics, reference)
 
 
+def _row_state(backend):
+    """``(names, arrays)``: every evidence column and score-cache array, cut
+    to the table's live rows (``None`` for the sharded store)."""
+    if isinstance(backend, ShardedBackend):
+        return None
+    table = backend._table
+    size = len(table)
+    arrays = [table[name] for name in backend.COLUMNS]
+    arrays += [
+        cache
+        for cache in (table._scores, table._score_generations)
+        if cache is not None
+    ]
+    return table.index.names(), [array[:size].copy() for array in arrays]
+
+
+def _assert_untouched_rows_kept(before, after, batch):
+    """A write batch (and the growth it causes) leaves other rows alone."""
+    names, old_arrays = before
+    touched = {o.subject_id for o in batch} | {o.observer_id for o in batch}
+    kept = [row for row, name in enumerate(names) if name not in touched]
+    assert after[0][: len(names)] == names
+    for old, new in zip(old_arrays, after[1]):
+        assert np.array_equal(new[kept], old[kept])
+
+
 def _assert_cache_matches_reference(backend, observations, chunk=7):
     """Interleave write batches with queries; every answer must be exact.
 
     Queries between writes populate the cache and the next write must
-    invalidate exactly the touched rows; the second query at ``now=None``
-    switches the decay backend's cache key back and forth.
+    invalidate exactly the touched rows, while every other row keeps its
+    evidence, cached score and generation through any column growth; the
+    query at ``now=None`` switches the decay backend's cache key back and
+    forth.
     """
     for start in range(0, len(observations) + 1, chunk):
         batch = observations[start:start + chunk]
         if batch:
+            before = _row_state(backend)
             backend.update_many(batch)
+            if before is not None:
+                _assert_untouched_rows_kept(before, _row_state(backend), batch)
         now = max((o.timestamp for o in observations[:start + chunk]), default=0.0)
-        for subjects, at in ((SUBJECTS, now), (SUBJECTS[:2], None)):
+        for subjects, at in (
+            (SUBJECTS, now),
+            (SUBJECTS[:2], None),
+            (backend.known_subjects(), now),
+        ):
             expected = _reference_scores(backend, subjects, at)
             assert np.array_equal(backend.scores_for(subjects, now=at), expected)
 
@@ -141,19 +186,35 @@ def _assert_cache_matches_reference(backend, observations, chunk=7):
 class TestDirtyRowCacheBitIdentity:
     @pytest.mark.parametrize("kind,shards", LAYOUTS)
     @settings(max_examples=40, deadline=None)
-    @given(stream=event_streams)
+    @given(stream=st.one_of(event_streams, growth_streams()))
     def test_cached_equals_reference_formula(self, kind, shards, stream):
         _assert_cache_matches_reference(
             _build(kind, shards), _to_observations(stream)
         )
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind,shards", LAYOUTS)
     @settings(max_examples=25, deadline=None)
-    @given(stream=event_streams)
-    def test_cached_compact_equals_reference_formula(self, kind, stream):
-        """The cache must also be exact on top of the compact layout."""
-        _assert_cache_matches_reference(
-            _build(kind, 1, compact=True), _to_observations(stream)
+    @given(stream=st.one_of(event_streams, growth_streams()))
+    def test_reads_between_writes_move_no_score(self, kind, shards, stream):
+        """A backend queried between write batches ends bit-identical to
+        one fed the same batches and queried once."""
+        observations = _to_observations(stream)
+        reader = _build(kind, shards)
+        silent = _build(kind, shards)
+        for start in range(0, len(observations), 7):
+            batch = observations[start:start + 7]
+            reader.update_many(batch)
+            silent.update_many(batch)
+            reader.scores_for(SUBJECTS, now=batch[-1].timestamp)
+            reader.trust_decisions(reader.known_subjects())
+        now = max((o.timestamp for o in observations), default=0.0)
+        subjects = silent.known_subjects() + ("missing",)
+        assert np.array_equal(
+            reader.scores_for(subjects, now=now), silent.scores_for(subjects, now=now)
+        )
+        assert np.array_equal(
+            reader.trust_decisions(subjects, now=now),
+            silent.trust_decisions(subjects, now=now),
         )
 
     def test_decay_cache_tracks_now(self):
@@ -226,41 +287,23 @@ class TestScoreCacheWork:
         assert recomputed == [2, 1]
 
 
-class TestCompactTolerance:
-    @pytest.mark.parametrize("kind", ("beta", "decay"))
-    @settings(max_examples=30, deadline=None)
-    @given(stream=event_streams)
-    def test_beta_family_within_tolerance(self, kind, stream):
-        observations = _to_observations(stream)
-        compact = _build(kind, 1, compact=True)
-        default = _build(kind, 1)
-        delta = np.abs(
-            _drive_interleaved(compact, observations)
-            - _drive_interleaved(default, observations)
-        )
-        assert delta.size == 0 or float(delta.max()) <= COMPACT_SCORE_TOLERANCE
+#: (kind, source shards, target shards) snapshot round trips.
+ROUNDTRIPS = tuple((kind, 1, 1) for kind in KINDS) + tuple(
+    ("complaint", source, target) for source, target in ((4, 4), (4, 2), (2, 4))
+)
 
-    @pytest.mark.parametrize("shards", (1, 3))
-    @settings(max_examples=30, deadline=None)
-    @given(stream=event_streams)
-    def test_complaint_is_exact(self, shards, stream):
-        """Complaint counts are small integers: float32 holds them exactly."""
-        observations = _to_observations(stream)
-        compact = _build("complaint", shards, compact=True)
-        default = _build("complaint", shards)
-        assert np.array_equal(
-            _drive_interleaved(compact, observations),
-            _drive_interleaved(default, observations),
-        )
-        assert np.array_equal(
-            compact.trust_decisions(SUBJECTS), default.trust_decisions(SUBJECTS)
-        )
+
+def _roundtrip_observations():
+    return _to_observations(
+        [(i % len(SUBJECTS), i % 3 != 0, 1.0 + i, float(i), i % 4 == 0)
+         for i in range(40)]
+    )
 
 
 class TestStreamingSnapshots:
     @pytest.mark.parametrize("kind", KINDS)
     def test_items_match_snapshot(self, kind):
-        backend = create_backend(kind, compact=True)
+        backend = create_backend(kind)
         backend.update_many(_to_observations([(0, True, 2.0, 1.0, False),
                                               (1, False, 1.0, 2.0, True)]))
         streamed = dict(backend.snapshot_items())
@@ -271,25 +314,11 @@ class TestStreamingSnapshots:
                 np.asarray(streamed[key]), np.asarray(snapshot[key])
             ), key
 
-    @pytest.mark.parametrize(
-        "kind,source_shards,target_shards",
-        tuple((kind, 1, 1) for kind in KINDS)
-        + tuple(
-            ("complaint", source, target)
-            for source, target in ((4, 4), (4, 2), (2, 4))
-        ),
-    )
-    @pytest.mark.parametrize("target_compact", (False, True))
-    def test_roundtrip_across_layouts(
-        self, kind, source_shards, target_shards, target_compact
-    ):
-        observations = _to_observations(
-            [(i % len(SUBJECTS), i % 3 != 0, 1.0 + i, float(i), i % 4 == 0)
-             for i in range(40)]
-        )
-        source = _build(kind, source_shards, compact=True)
-        source.update_many(observations)
-        target = _build(kind, target_shards, compact=target_compact)
+    @pytest.mark.parametrize("kind,source_shards,target_shards", ROUNDTRIPS)
+    def test_roundtrip_across_layouts(self, kind, source_shards, target_shards):
+        source = _build(kind, source_shards)
+        source.update_many(_roundtrip_observations())
+        target = _build(kind, target_shards)
         target.restore_items(iter(source.snapshot_items()))
         now = 39.0
         assert np.array_equal(
@@ -297,6 +326,30 @@ class TestStreamingSnapshots:
             target.scores_for(SUBJECTS, now=now),
         )
         assert sorted(source.known_subjects()) == sorted(target.known_subjects())
+
+    @pytest.mark.parametrize("kind,source_shards,target_shards", ROUNDTRIPS)
+    def test_restore_replaces_a_populated_target(
+        self, kind, source_shards, target_shards
+    ):
+        """Restoring over evidence and warm cached scores keeps none of it."""
+        source = _build(kind, source_shards)
+        source.update_many(_roundtrip_observations())
+        target = _build(kind, target_shards)
+        target.update_many(
+            _to_observations([(i, False, 3.0, 50.0, True) for i in range(4)])
+            + [TrustObservation("o", "only-in-target", False, timestamp=50.0)]
+        )
+        target.scores_for(SUBJECTS + ("only-in-target",), now=60.0)
+        target.restore(source.snapshot())
+        assert sorted(target.known_subjects()) == sorted(source.known_subjects())
+        for now in (60.0, 39.0):
+            assert np.array_equal(
+                source.scores_for(SUBJECTS, now=now),
+                target.scores_for(SUBJECTS, now=now),
+            )
+        assert np.array_equal(
+            source.trust_decisions(SUBJECTS), target.trust_decisions(SUBJECTS)
+        )
 
     def test_streaming_restore_is_incremental_per_shard(self):
         """Same-layout streaming restore loads one shard at a time."""
@@ -323,52 +376,61 @@ class TestStreamingSnapshots:
         )
 
 
-class TestChunkedArray:
-    def test_growth_crosses_chunk_boundaries(self):
-        array = ChunkedArray(np.float64, chunk_size=8)
-        array.ensure(20)
-        idx = np.arange(20, dtype=np.int64)
-        array.scatter_add(idx, np.ones(20))
-        array.scatter_add(np.array([3, 9, 17], dtype=np.int64), np.full(3, 0.5))
-        flat = array.materialize(20, np.float64)
-        expected = np.ones(20)
-        expected[[3, 9, 17]] += 0.5
-        assert np.array_equal(flat, expected)
+class TestFlatGrowth:
+    """The evidence columns grow by amortised doubling, in lockstep."""
 
-    def test_scatter_ops_match_flat(self):
-        rng = np.random.default_rng(3)
-        flat = np.zeros(50)
-        chunked = ChunkedArray(np.float64, chunk_size=16)
-        chunked.ensure(50)
-        for _ in range(10):
-            idx = rng.integers(0, 50, 12)
-            values = rng.normal(size=12)
-            np.add.at(flat, idx, values)
-            chunked.scatter_add(idx.astype(np.int64), values)
-        assert np.array_equal(chunked.materialize(50, np.float64), flat)
-        idx = rng.integers(0, 50, 12).astype(np.int64)
-        values = rng.normal(size=12)
-        np.maximum.at(flat, idx, values)
-        chunked.scatter_max(idx, values)
-        assert np.array_equal(chunked.materialize(50, np.float64), flat)
-        assert np.array_equal(chunked.gather(idx), flat[idx])
+    @pytest.mark.parametrize("name,dtype", COLUMNS)
+    def test_grow_keeps_rows_and_dtype(self, name, dtype):
+        values = np.arange(1, 6).astype(dtype)
+        grown = grow(values, 20)
+        assert grown.dtype == np.dtype(dtype), name
+        assert len(grown) == 32
+        assert np.array_equal(grown[:5], values)
+        assert not grown[5:].any()
 
-    def test_empty_index_operations_are_noops(self):
-        array = ChunkedArray(np.float64, chunk_size=8)
-        array.ensure(4)
-        empty = np.zeros(0, dtype=np.int64)
-        array.scatter_add(empty, np.zeros(0))
-        array.scatter_max(empty, np.zeros(0))
-        array.scatter_set(empty, np.zeros(0))
-        assert np.array_equal(array.gather(empty), np.zeros(0))
+    def test_grow_within_capacity_is_the_same_array(self):
+        array = np.zeros(16)
+        assert grow(array, 16) is array
+        assert grow(array, 0) is array
+        assert len(grow(np.zeros(0), 1)) == 8
 
-    def test_nbytes_stays_chunked(self):
-        """Growth allocates per chunk — no whole-table copy, bounded slack."""
-        array = ChunkedArray(np.float32, chunk_size=1 << 10)
-        array.ensure(5_000)
-        # Five chunks of 1Ki float32 = 20 KiB; a doubling flat array would
-        # have jumped to 8Ki entries (32 KiB).
-        assert array.nbytes() == 5 * (1 << 10) * 4
+    def test_columns_and_score_cache_grow_in_lockstep(self):
+        table = EvidenceTable(("alpha", "count", "in_store"))
+        capacities = []
+        for index in range(33):
+            table.intern_many([f"p{index}"])
+            if index == 0:
+                table.cached_scores(np.zeros(1, dtype=np.int64), 0.5, np.ones_like)
+            capacities.append(len(table["alpha"]))
+            assert len(table["count"]) == len(table["in_store"]) == capacities[-1]
+            assert len(table._scores) == len(table._score_generations)
+            assert len(table._scores) == capacities[-1]
+        assert sorted(set(capacities)) == [8, 16, 32, 64]
+
+    def test_empty_intern_leaves_the_table_empty(self):
+        table = EvidenceTable(("alpha", "beta"))
+        rows = table.intern_many([])
+        assert rows.shape == (0,) and len(table) == 0
+        assert len(table["alpha"]) == 0
+        assert table.cached_scores(rows, 0.5, np.ones_like).shape == (0,)
+
+    @pytest.mark.parametrize("rows", (0, 1, 8, 9))
+    def test_restore_then_grow_keeps_restored_rows(self, rows):
+        table = EvidenceTable(("alpha", "count"))
+        alpha = np.linspace(1.0, 2.0, rows)
+        table.restore(
+            {
+                "peer_ids": np.array([f"p{i}" for i in range(rows)], dtype=object),
+                "alpha": alpha,
+                "count": np.arange(rows),
+            }
+        )
+        assert len(table) == rows
+        table.intern_many([f"new{i}" for i in range(10)])
+        assert np.array_equal(table["alpha"][:rows], alpha)
+        assert np.array_equal(table["count"][:rows], np.arange(rows))
+        assert not table["alpha"][rows:].any()
+        assert table["count"].dtype == np.int64
 
 
 class TestInternMany:
