@@ -41,7 +41,7 @@ from _harness import bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.marketplace.strategy import TrustAwareStrategy
-from repro.workloads import build_scenario
+from repro.workloads import build_registered_scenario
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SIZE = 10 if SMOKE else 20
@@ -62,7 +62,7 @@ MAX_OVERHEAD = 3.0
 
 
 def _run_policy(policy: str, witness_count=None):
-    scenario = build_scenario(
+    scenario = build_registered_scenario(
         "p2p-file-trading",
         size=SIZE,
         rounds=ROUNDS,

@@ -25,7 +25,7 @@ from repro.marketplace import TrustAwareStrategy, execute_sequence
 from repro.reputation import InteractionRecord
 from repro.simulation import CommunityPeer
 from repro.simulation.behaviors import HonestBehavior, RationalDefectorBehavior
-from repro.workloads import build_scenario, workload_bundle
+from repro.workloads import build_registered_scenario, workload_bundle
 
 
 def single_auction() -> None:
@@ -100,7 +100,7 @@ def community_comparison() -> None:
         ("safe-only", SafeOnlyStrategy()),
         ("goods-first", GoodsFirstStrategy()),
     ]:
-        scenario = build_scenario(
+        scenario = build_registered_scenario(
             "ebay", size=20, rounds=25, dishonest_fraction=0.3, seed=2
         )
         result = scenario.simulation(strategy).run()

@@ -21,7 +21,7 @@ from repro.marketplace import TrustAwareStrategy
 from repro.pgrid import PGridNetwork
 from repro.reputation import DistributedReputationStore
 from repro.trust.complaint import ComplaintTrustModel
-from repro.workloads import build_scenario
+from repro.workloads import build_registered_scenario
 
 
 def distributed_reputation_demo() -> None:
@@ -76,7 +76,7 @@ def community_run() -> None:
     print("=" * 70)
     print("Part 2: the P2P file-trading community with trust-aware exchanges")
     print("=" * 70)
-    scenario = build_scenario(
+    scenario = build_registered_scenario(
         "p2p-file-trading", size=24, rounds=30, dishonest_fraction=0.25, seed=5
     )
     result = scenario.simulation(TrustAwareStrategy()).run()

@@ -23,7 +23,10 @@ from repro.baselines import SafeOnlyStrategy
 from repro.core.planner import required_total_tolerance
 from repro.core.valuation import make_bundle
 from repro.marketplace import TrustAwareStrategy
-from repro.workloads import build_scenario, teamwork_service_valuations
+from repro.workloads import (
+    build_registered_scenario,
+    teamwork_service_valuations,
+)
 
 
 def tolerance_analysis() -> None:
@@ -60,7 +63,7 @@ def community_comparison() -> None:
         ("safe-only", SafeOnlyStrategy()),
         ("trust-aware", TrustAwareStrategy()),
     ]:
-        scenario = build_scenario(
+        scenario = build_registered_scenario(
             "teamwork", size=18, rounds=30, dishonest_fraction=0.15, seed=11
         )
         results[name] = scenario.simulation(strategy).run()

@@ -36,9 +36,9 @@ Most users only need the re-exports below; the subpackages are:
 ``repro.baselines``
     Non-trust-aware exchange strategies used for comparison.
 ``repro.workloads``
-    Valuation, population and scenario generators, plus the scenario
-    registry (:mod:`repro.workloads.registry`) the CLI's
-    ``list-scenarios`` / ``run`` subcommands are driven by.
+    Valuation and population generators, plus the scenario table
+    (:mod:`repro.workloads.registry`) the CLI's ``list-scenarios`` /
+    ``run`` / ``audit`` subcommands are driven by.
 ``repro.analysis``
     Summary statistics and table/series rendering.
 

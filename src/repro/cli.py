@@ -1,12 +1,12 @@
 """Command-line interface for quick experiments.
 
-Seven subcommands cover the common interactive uses of the library:
+The subcommands cover the common interactive uses of the library:
 
 ``repro plan``
     Plan a trust-aware exchange for an ad-hoc bundle given on the command
     line and print the schedule plus the safety verification.
 ``repro list-scenarios``
-    Print the scenario registry: every named workload with its summary and
+    Print the scenario table: every named workload with its summary and
     tags, plus the available trust backends.
 ``repro run``
     Run any registered scenario with a chosen trust backend and exchange
@@ -21,12 +21,10 @@ Seven subcommands cover the common interactive uses of the library:
     (double-apply or drop) to prove the audit detects it.
 ``repro check``
     Static contract analysis over the source tree (:mod:`repro.check`):
-    determinism, wire-safety, telemetry discipline, N+1 lint, exception
-    hygiene and canonical dtypes.  ``--rule`` narrows to one rule,
+    determinism, telemetry discipline, N+1 lint, exception hygiene and
+    canonical dtypes.  ``--rule`` narrows to one rule,
     ``--format json`` emits the machine-readable report, ``--baseline``
     subtracts grandfathered findings; exits non-zero on any new finding.
-``repro scenario``
-    Legacy spelling of ``run`` (positional scenario name, beta backend).
 ``repro tolerance``
     Report how much combined tolerance (continuation value / accepted
     exposure) a bundle needs to become schedulable, and the repeated-game
@@ -73,13 +71,7 @@ from repro.obs import (
 from repro.simulation.peer import TrustMethod
 from repro.simulation.repair import REPAIR_POLICIES
 from repro.trust import ROUTER_NAMES, ShardedBackend
-from repro.workloads import (
-    SCENARIO_NAMES,
-    build_registered_scenario,
-    build_scenario,
-    list_scenarios,
-    scenario_names,
-)
+from repro.workloads import SCENARIOS, build_registered_scenario, scenario_names
 
 __all__ = ["main", "build_parser"]
 
@@ -145,14 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser.add_argument("--budget", type=float, default=0.5,
                              help="expected-loss budget fraction of both parties")
 
-    scenario_parser = subparsers.add_parser(
-        "scenario", help="run a named community scenario (legacy spelling of 'run')"
-    )
-    scenario_parser.add_argument("name", choices=SCENARIO_NAMES)
-    _add_run_options(scenario_parser)
-
     list_parser = subparsers.add_parser(
-        "list-scenarios", help="print the scenario registry and trust backends"
+        "list-scenarios", help="print the scenario table and trust backends"
     )
     list_parser.add_argument("--tag", default=None,
                              help="only show scenarios carrying this tag")
@@ -198,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = subparsers.add_parser(
         "check",
-        help="static contract analysis: determinism, wire-safety, "
-        "telemetry discipline, N+1 lint, exception hygiene, dtypes",
+        help="static contract analysis: determinism, telemetry "
+        "discipline, N+1 lint, exception hygiene, dtypes",
     )
     check_parser.add_argument("--root", default=None, metavar="DIR",
                               help="package tree to scan (default: the "
@@ -343,19 +329,16 @@ def _print_result(
     scenario_name: str,
     backend: str,
     result,
-    store=None,
-    repair: str = "off",
-    rebalance_line: Optional[str] = None,
-    telemetry_lines: Optional[List[str]] = None,
+    store,
+    repair: str,
+    rebalance_line: Optional[str],
+    telemetry_lines: Optional[List[str]],
 ) -> None:
     print(f"Scenario:          {scenario_name}")
-    if store is not None:
-        # One canonical config string from the store itself — the effective
-        # backend deployment (shards, router, rebalance),
-        # not a re-derivation from CLI flags.
-        print(f"Backend:           {backend} (store: {store.describe_config()})")
-    else:
-        print(f"Backend:           {backend}")
+    # One canonical config string from the store itself — the effective
+    # backend deployment (shards, router, rebalance), not a re-derivation
+    # from CLI flags.
+    print(f"Backend:           {backend} (store: {store.describe_config()})")
     print(f"Strategy:          {result.strategy_name}")
     print(f"Attempted trades:  {result.accounts.attempted}")
     print(f"Completed trades:  {result.accounts.completed}")
@@ -390,34 +373,20 @@ def _print_result(
             print(f"  {line}")
 
 
-def _command_scenario(args: argparse.Namespace) -> int:
-    strategy = STRATEGY_FACTORIES[args.strategy]()
-    scenario = build_scenario(
-        args.name,
-        size=args.size,
-        rounds=args.rounds,
-        dishonest_fraction=args.dishonest,
-        seed=args.seed,
-    )
-    result = scenario.simulation(strategy).run()
-    _print_result(
-        args.name, scenario.trust_method, result, store=scenario.complaint_store
-    )
-    return 0
-
-
 def _command_list_scenarios(args: argparse.Namespace) -> int:
-    definitions = list_scenarios()
-    if args.tag is not None:
-        definitions = tuple(d for d in definitions if args.tag in d.tags)
-    if not definitions:
+    rows = {
+        name: row
+        for name, row in SCENARIOS.items()
+        if args.tag is None or args.tag in row.tags
+    }
+    if not rows:
         print(f"no scenarios tagged {args.tag!r}")
         return 1
-    width = max(len(definition.name) for definition in definitions)
-    print(f"{len(definitions)} registered scenario(s):")
-    for definition in definitions:
-        tags = f"  [{', '.join(definition.tags)}]" if definition.tags else ""
-        print(f"  {definition.name:<{width}}  {definition.summary}{tags}")
+    width = max(len(name) for name in rows)
+    print(f"{len(rows)} registered scenario(s):")
+    for name, row in rows.items():
+        tags = f"  [{', '.join(row.tags)}]" if row.tags else ""
+        print(f"  {name:<{width}}  {row.summary}{tags}")
     print(f"trust backends: {', '.join(BACKEND_CHOICES)}")
     return 0
 
@@ -425,8 +394,9 @@ def _command_list_scenarios(args: argparse.Namespace) -> int:
 def _build_scenario_from_args(
     args: argparse.Namespace, telemetry=None
 ):
-    """Build the registered scenario a ``run``/``audit`` invocation names."""
-    params = dict(
+    """Build the scenario a ``run``/``audit`` invocation names."""
+    return build_registered_scenario(
+        args.scenario,
         backend=args.backend,
         size=args.size,
         rounds=args.rounds,
@@ -442,15 +412,11 @@ def _build_scenario_from_args(
         witness_count=args.witnesses,
         shards=args.shards,
         shard_router=args.shard_router,
+        rebalance=args.rebalance,
         rebalance_threshold=args.rebalance_threshold,
         max_shards=args.max_shards,
         telemetry=telemetry,
     )
-    if args.rebalance is not None:
-        # Only override when asked: flash-crowd and high-churn carry an
-        # "auto" registry default that an unset flag must not clobber.
-        params["rebalance"] = args.rebalance
-    return build_registered_scenario(args.scenario, **params)
 
 
 def _drain_repair(scenario, simulation) -> None:
@@ -478,7 +444,7 @@ def _command_run(args: argparse.Namespace) -> int:
             registry.write_jsonl(jsonl_path)
             telemetry_lines.append(f"trace written to {jsonl_path}")
     _print_result(
-        # Report what actually ran: the registry may supply the backend
+        # Report what actually ran: the scenario may supply the backend
         # (partition-heal -> complaint, fluctuating-behaviour -> decay) and
         # scenarios may upgrade the repair policy (partition-heal -> gossip)
         # or the shard router (rebalance auto upgrades hash -> ring, which
@@ -605,8 +571,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "plan":
             return _command_plan(args)
-        if args.command == "scenario":
-            return _command_scenario(args)
         if args.command == "list-scenarios":
             return _command_list_scenarios(args)
         if args.command == "run":

@@ -15,6 +15,7 @@ library implements throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,9 +35,10 @@ class Good:
         Unique identifier of the item inside its bundle.
     supplier_cost:
         The supplier's cost ``Vs(x)`` for producing and delivering the item.
-        Must be non-negative.
+        Must be finite and non-negative.
     consumer_value:
-        The consumer's value ``Vc(x)`` for the item.  Must be non-negative.
+        The consumer's value ``Vc(x)`` for the item.  Must be finite and
+        non-negative.
     description:
         Optional free-text description (not used by any algorithm).
     """
@@ -49,14 +51,15 @@ class Good:
     def __post_init__(self) -> None:
         if not self.good_id:
             raise InvalidGoodError("good_id must be a non-empty string")
-        if self.supplier_cost < 0:
+        # ``0 <= x < inf`` is false for NaN, which ``x < 0`` would let pass.
+        if not 0.0 <= self.supplier_cost < math.inf:
             raise InvalidGoodError(
-                f"good {self.good_id!r}: supplier_cost must be >= 0, "
+                f"good {self.good_id!r}: supplier_cost must be finite and >= 0, "
                 f"got {self.supplier_cost}"
             )
-        if self.consumer_value < 0:
+        if not 0.0 <= self.consumer_value < math.inf:
             raise InvalidGoodError(
-                f"good {self.good_id!r}: consumer_value must be >= 0, "
+                f"good {self.good_id!r}: consumer_value must be finite and >= 0, "
                 f"got {self.consumer_value}"
             )
 

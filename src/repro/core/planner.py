@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +52,7 @@ from repro.core.exchange import ExchangeAction, ExchangeSequence, TemptationProf
 from repro.core.goods import Good, GoodsBundle
 from repro.core.numeric import EPSILON, approx_ge, approx_le, total, total_rows
 from repro.core.safety import ExchangeRequirements
-from repro.exceptions import NoSafeSequenceError
+from repro.exceptions import InvalidPriceError, NoSafeSequenceError
 
 __all__ = [
     "PaymentPolicy",
@@ -691,7 +692,11 @@ def required_total_tolerance(
     reputation continuation value and/or trust-based accepted exposure the
     partners need before the bundle can be exchanged at the given price.
     Returns ``0.0`` when a fully safe (non-strict) schedule already exists.
+    Raises :class:`InvalidPriceError` for a negative or non-finite price, and
+    when the search's upper bound overflows.
     """
+    if not 0.0 <= price < math.inf:
+        raise InvalidPriceError(f"price must be finite and >= 0, got {price}")
 
     def feasible(total_tolerance: float) -> bool:
         half = total_tolerance / 2.0
@@ -704,8 +709,13 @@ def required_total_tolerance(
     if feasible(0.0):
         return 0.0
     upper = 2.0 * (
-        bundle.total_supplier_cost + bundle.total_consumer_value + abs(price) + 1.0
+        bundle.total_supplier_cost + bundle.total_consumer_value + price + 1.0
     )
+    if upper == math.inf:
+        raise InvalidPriceError(
+            f"tolerance search bound overflows at price {price} for bundle "
+            f"totals {bundle.total_supplier_cost}/{bundle.total_consumer_value}"
+        )
     if not feasible(upper):
         # Should not happen: with a huge allowance any order is feasible.
         raise NoSafeSequenceError(
@@ -715,6 +725,10 @@ def required_total_tolerance(
     low, high = 0.0, upper
     while high - low > precision:
         mid = (low + high) / 2.0
+        if not low < mid < high:
+            # ``low`` and ``high`` are adjacent floats: at this magnitude the
+            # bracket cannot narrow to ``precision``.
+            break
         if feasible(mid):
             high = mid
         else:

@@ -26,7 +26,7 @@ checkpoint a backend.  The simulation layer flushes a tick's observations
 in one ``update_many`` call; the decision layer reads whole score vectors.
 
 Three backends are provided and discoverable through a small registry
-(mirroring the scenario registry in :mod:`repro.workloads.registry`):
+(as scenarios are through the table in :mod:`repro.workloads.registry`):
 
 ``beta``
     Bayesian beta-Bernoulli posterior per subject (Mui et al., HICSS 2002) —

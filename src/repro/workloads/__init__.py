@@ -1,20 +1,17 @@
-"""Workload generators: valuations, populations and the scenario registry."""
+"""Workload generators: valuations, populations and the scenario table."""
 
 from repro.workloads.populations import (
     PopulationSpec,
     build_population,
-    honesty_map,
     population_factory,
 )
 from repro.workloads.registry import (
-    ScenarioDefinition,
+    SCENARIOS,
+    Scenario,
+    ScenarioSpec,
     build_registered_scenario,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
     scenario_names,
 )
-from repro.workloads.scenarios import SCENARIO_NAMES, ScenarioSpec, build_scenario
 from repro.workloads.valuations import (
     MixtureValuationModel,
     digital_goods_valuations,
@@ -38,14 +35,9 @@ __all__ = [
     "PopulationSpec",
     "build_population",
     "population_factory",
-    "honesty_map",
+    "Scenario",
+    "SCENARIOS",
     "ScenarioSpec",
-    "build_scenario",
-    "SCENARIO_NAMES",
-    "ScenarioDefinition",
-    "register_scenario",
-    "get_scenario",
-    "list_scenarios",
     "scenario_names",
     "build_registered_scenario",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.exceptions import WorkloadError
 from repro.simulation.behaviors import (
@@ -25,7 +25,7 @@ from repro.simulation.behaviors import (
 from repro.simulation.peer import CommunityPeer, TrustMethod
 from repro.trust import TrustBackend
 
-__all__ = ["PopulationSpec", "build_population", "population_factory", "honesty_map"]
+__all__ = ["PopulationSpec", "build_population", "population_factory"]
 
 
 @dataclass
@@ -162,8 +162,3 @@ def population_factory(
         )
 
     return factory
-
-
-def honesty_map(peers: List[CommunityPeer]) -> Dict[str, float]:
-    """Ground-truth honesty probabilities keyed by peer id."""
-    return {peer.peer_id: peer.true_honesty for peer in peers}

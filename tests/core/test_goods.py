@@ -1,5 +1,7 @@
 """Unit tests for the goods and bundle model."""
 
+import math
+
 import pytest
 
 from repro.core.goods import Good, GoodsBundle
@@ -30,6 +32,13 @@ class TestGood:
     def test_negative_value_rejected(self):
         with pytest.raises(InvalidGoodError):
             Good(good_id="g1", supplier_cost=1.0, consumer_value=-5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["supplier_cost", "consumer_value"])
+    def test_non_finite_values_rejected(self, field, bad):
+        values = {"supplier_cost": 1.0, "consumer_value": 5.0, field: bad}
+        with pytest.raises(InvalidGoodError, match=f"good 'g1': {field} must be finite"):
+            Good(good_id="g1", **values)
 
     def test_empty_id_rejected(self):
         with pytest.raises(InvalidGoodError):

@@ -18,7 +18,7 @@ from repro.core.planner import (
 )
 from repro.core.safety import ExchangeRequirements, verify_sequence
 from repro.core.valuation import MarginValuationModel, make_bundle
-from repro.exceptions import NoSafeSequenceError
+from repro.exceptions import InvalidPriceError, NoSafeSequenceError
 
 
 def simple_bundle():
@@ -280,6 +280,27 @@ class TestRequiredTolerance:
         assert required_total_tolerance(small, 3.0) <= required_total_tolerance(
             large, 12.0
         )
+
+    @pytest.mark.parametrize("price", [float("inf"), float("nan"), -1.0])
+    def test_invalid_price_rejected(self, price):
+        with pytest.raises(InvalidPriceError, match="price must be finite"):
+            required_total_tolerance(single_item_bundle(), price)
+
+    def test_overflowing_search_bound_rejected(self):
+        with pytest.raises(InvalidPriceError, match="bound overflows"):
+            required_total_tolerance(single_item_bundle(), 1e308)
+
+    def test_huge_finite_price_terminates(self):
+        # At this magnitude adjacent floats are further apart than the
+        # precision; the bisection stops there instead of spinning.
+        bundle = GoodsBundle([Good(good_id="x", supplier_cost=4.0, consumer_value=9.0)])
+        tolerance = required_total_tolerance(bundle, 1e15)
+        requirements = ExchangeRequirements(
+            consumer_accepted_exposure=tolerance / 2,
+            supplier_accepted_exposure=tolerance / 2,
+        )
+        assert exists_feasible_sequence(bundle, 1e15, requirements)
+        assert tolerance == pytest.approx(2 * (1e15 - 9.0))
 
     def test_result_is_sufficient(self):
         rng = random.Random(5)

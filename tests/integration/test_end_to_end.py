@@ -32,7 +32,11 @@ from repro.simulation.peer import CommunityPeer
 from repro.trust import create_backend
 from repro.trust.complaint import ComplaintTrustModel
 from repro.trust.metrics import mean_absolute_error
-from repro.workloads import PopulationSpec, build_population, build_scenario
+from repro.workloads import (
+    PopulationSpec,
+    build_population,
+    build_registered_scenario,
+)
 
 
 class TestSafeExchangeClaims:
@@ -138,7 +142,7 @@ class TestReputationLoop:
     def test_strategy_ordering_matches_paper_story(self):
         """Trust-aware sits between safe-only (no trade) and naive (no protection)."""
         def run(strategy, seed=17):
-            scenario = build_scenario(
+            scenario = build_registered_scenario(
                 "ebay", size=16, rounds=25, dishonest_fraction=0.25,
                 defection_penalty=1.0, seed=seed,
             )

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.simulation.peer import TrustMethod
 from repro.trust import ShardedBackend
 from repro.trust.sharding import HashShardRouter, RangeShardRouter, RingShardRouter
-from repro.workloads import build_scenario
+from repro.workloads import build_registered_scenario
 
 #: scenario -> the backend kind its rebalanced run exercises.
 SCENARIOS = {
@@ -30,9 +30,15 @@ SCENARIOS = {
 }
 
 
-def _run(name, backend, seed, size, rounds, **sharding):
-    scenario = build_scenario(
-        name, size=size, rounds=rounds, seed=seed, backend=backend, **sharding
+def _run(name, backend, seed, size, rounds, rebalance="off", **sharding):
+    scenario = build_registered_scenario(
+        name,
+        size=size,
+        rounds=rounds,
+        seed=seed,
+        backend=backend,
+        rebalance=rebalance,
+        **sharding,
     )
     simulation = scenario.simulation()
     result = simulation.run()
@@ -132,7 +138,7 @@ class TestForcedMidRunSplits:
 def test_only_the_shared_store_rebalances():
     """Live splits happen in the shared complaint store; every peer's own
     backends, live or churned out, stay plain."""
-    scenario = build_scenario(
+    scenario = build_registered_scenario(
         "high-churn", size=16, rounds=12, seed=2,
         shards=2, rebalance="auto", rebalance_threshold=1.05, max_shards=32,
     )
@@ -167,7 +173,7 @@ def test_match_scoring_does_no_shard_routing(monkeypatch):
             return _original(self, peer_id)
 
         monkeypatch.setattr(router, "shard_of", counted)
-    scenario = build_scenario(
+    scenario = build_registered_scenario(
         "flash-crowd", size=60, rounds=5, seed=1, shards=2, rebalance="auto"
     )
     result = scenario.simulation().run()

@@ -16,14 +16,24 @@ import pytest
 
 from repro.simulation.peer import TrustMethod
 from repro.trust import ROUTER_NAMES, ShardedBackend, create_backend
-from repro.workloads import build_scenario, scenario_names
+from repro.workloads import build_registered_scenario, scenario_names
 
 #: Rounds each run lasts; trust is read at its end.
 ROUNDS = 6
 
 
-def _run(name, size=10, rounds=ROUNDS, seed=3, **params):
-    scenario = build_scenario(name, size=size, rounds=rounds, seed=seed, **params)
+def _run(
+    name, size=10, rounds=ROUNDS, seed=3, backend="beta", rebalance="off", **params
+):
+    scenario = build_registered_scenario(
+        name,
+        size=size,
+        rounds=rounds,
+        seed=seed,
+        backend=backend,
+        rebalance=rebalance,
+        **params,
+    )
     simulation = scenario.simulation()
     simulation.run()
     return scenario, simulation

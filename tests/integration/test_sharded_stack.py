@@ -12,12 +12,18 @@ import pytest
 from repro.reputation.records import InteractionRecord
 from repro.simulation.peer import CommunityPeer, TrustMethod
 from repro.trust import ShardedBackend, create_backend
-from repro.workloads import build_scenario, scenario_names
+from repro.workloads import build_registered_scenario, scenario_names
 
 
 def _run_scenario(name, backend, shards, size=10, rounds=6, seed=3):
-    scenario = build_scenario(
-        name, size=size, rounds=rounds, seed=seed, backend=backend, shards=shards
+    scenario = build_registered_scenario(
+        name,
+        size=size,
+        rounds=rounds,
+        seed=seed,
+        backend=backend,
+        shards=shards,
+        rebalance="off",
     )
     simulation = scenario.simulation()
     result = simulation.run()
@@ -61,14 +67,19 @@ class TestScenarioEquivalence:
 
     def test_every_registered_scenario_runs_sharded(self):
         for name in scenario_names():
-            scenario = build_scenario(name, size=8, rounds=3, seed=1, shards=2)
+            scenario = build_registered_scenario(
+                name, size=8, rounds=3, seed=1, backend="beta", shards=2,
+                rebalance="off",
+            )
             result = scenario.simulation().run()
             assert result.accounts.attempted >= 0
 
 
 class TestFlashCrowdScenario:
     def test_flash_crowd_grows_the_population(self):
-        scenario = build_scenario("flash-crowd", size=10, rounds=8, seed=2)
+        scenario = build_registered_scenario(
+            "flash-crowd", size=10, rounds=8, seed=2, rebalance="off"
+        )
         simulation = scenario.simulation()
         simulation.run()
         arrivals = [
@@ -98,7 +109,9 @@ class TestPlainPeerBackends:
             assert not isinstance(peer.backend_for(method), ShardedBackend)
 
     def test_sharded_scenario_shards_only_the_store(self):
-        scenario = build_scenario("high-churn", size=10, rounds=6, seed=3, shards=4)
+        scenario = build_registered_scenario(
+            "high-churn", size=10, rounds=6, seed=3, shards=4, rebalance="off"
+        )
         simulation = scenario.simulation()
         simulation.run()
         store = scenario.complaint_store

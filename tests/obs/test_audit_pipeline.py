@@ -11,8 +11,7 @@ from repro.obs import (
     inject_dropped_entry,
     reconcile,
 )
-from repro.workloads.registry import build_registered_scenario
-from repro.workloads.scenarios import SCENARIO_NAMES
+from repro.workloads.registry import build_registered_scenario, scenario_names
 
 
 def run_audited(name, **params):
@@ -35,12 +34,12 @@ def audit(scenario, simulation, trail):
 
 
 class TestCleanRunsReconcile:
-    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("name", scenario_names())
     def test_every_registry_scenario_sync(self, name):
         report = audit(*run_audited(name, size=10, rounds=3, seed=1))
         assert report.passed, report.render()
 
-    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("name", scenario_names())
     def test_every_registry_scenario_async_gossip(self, name):
         report = audit(
             *run_audited(

@@ -12,8 +12,7 @@ Two regression surfaces:
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.workloads.registry import build_registered_scenario
-from repro.workloads.scenarios import SCENARIO_NAMES
+from repro.workloads.registry import build_registered_scenario, scenario_names
 
 
 def _fingerprint(name, telemetry, **params):
@@ -37,7 +36,7 @@ def _fingerprint(name, telemetry, **params):
 
 
 class TestTelemetryOffIsBitIdentical:
-    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("name", scenario_names())
     def test_summary_registry_never_perturbs_a_run(self, name):
         params = {"size": 8, "rounds": 3, "seed": 7}
         baseline = _fingerprint(name, None, **params)

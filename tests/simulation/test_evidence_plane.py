@@ -25,7 +25,7 @@ from repro.simulation.network import (
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.peer import CommunityPeer
 from repro.trust.beta import BetaBelief
-from repro.workloads import build_scenario
+from repro.workloads import build_registered_scenario
 
 
 def _record(supplier="s", consumer="c", supplier_honest=True, consumer_honest=True):
@@ -226,7 +226,7 @@ class TestWitnessPolicies:
 
 class TestCommunityIntegration:
     def _run(self, mode, latency=0.0, loss=0.0, seed=7):
-        scenario = build_scenario("p2p-file-trading", size=16, rounds=20, seed=seed)
+        scenario = build_registered_scenario("p2p-file-trading", size=16, rounds=20, seed=seed)
         config = dataclasses.replace(
             scenario.config,
             evidence_mode=mode,
@@ -296,7 +296,7 @@ class TestCommunityIntegration:
 
 class TestSybilCoalitionScenario:
     def test_scenario_builds_with_coalition_policies(self):
-        scenario = build_scenario("sybil-coalition", size=16, rounds=5, seed=1)
+        scenario = build_registered_scenario("sybil-coalition", size=16, rounds=5, seed=1)
         coalition = [
             peer
             for peer in scenario.peers
@@ -308,7 +308,7 @@ class TestSybilCoalitionScenario:
         assert {peer.peer_id for peer in coalition} == set(members)
 
     def test_scenario_runs_and_witness_reports_flow(self):
-        scenario = build_scenario("sybil-coalition", size=14, rounds=8, seed=2)
+        scenario = build_registered_scenario("sybil-coalition", size=14, rounds=8, seed=2)
         simulation = scenario.simulation(TrustAwareStrategy())
         result = simulation.run()
         assert result.accounts.attempted > 0

@@ -32,7 +32,7 @@ from repro.simulation.repair import (
     SequenceTracker,
     create_repair_policy,
 )
-from repro.workloads import build_registered_scenario, build_scenario
+from repro.workloads import build_registered_scenario
 
 
 def _record(supplier="s", consumer="c", supplier_honest=True, consumer_honest=True,
@@ -674,8 +674,8 @@ class TestChurnHardening:
         assert plane.drain(max_ticks=20) == 0
 
     def test_async_churned_community_run_keeps_ledger_consistent(self):
-        scenario = build_scenario(
-            "high-churn", size=12, rounds=10, seed=4,
+        scenario = build_registered_scenario(
+            "high-churn", size=12, rounds=10, seed=4, rebalance="off",
             evidence_mode="async", evidence_latency=1.5, evidence_loss=0.3,
             evidence_repair="retransmit",
         )
@@ -706,7 +706,7 @@ def _trust_free_run(evidence_mode, repair="off", loss=0.0, latency=0.0, seed=11)
     acting, so sync and async runs execute identical interactions — which
     makes the final backend states comparable.
     """
-    scenario = build_scenario("ebay", size=10, rounds=12, seed=seed)
+    scenario = build_registered_scenario("ebay", size=10, rounds=12, seed=seed)
     config = dataclasses.replace(
         scenario.config,
         evidence_mode=evidence_mode,
@@ -773,7 +773,9 @@ class TestConvergenceToSyncState:
 
 class TestPartitionHealScenario:
     def test_scenario_defaults_to_async_gossip_with_fault(self):
-        scenario = build_scenario("partition-heal", size=10, rounds=8, seed=1)
+        scenario = build_registered_scenario(
+            "partition-heal", size=10, rounds=8, seed=1
+        )
         config = scenario.config
         assert config.evidence_mode == "async"
         assert config.evidence_repair == "gossip"
@@ -784,8 +786,9 @@ class TestPartitionHealScenario:
         assert not config.evidence_fault("heal-000", "heal-001", 4.0)
 
     def test_partition_drops_then_heals_and_reconverges(self):
-        scenario = build_scenario(
-            "partition-heal", size=12, rounds=14, seed=3, evidence_loss=0.1
+        scenario = build_registered_scenario(
+            "partition-heal", size=12, rounds=14, seed=3, backend="beta",
+            evidence_loss=0.1,
         )
         simulation = scenario.simulation(TrustAwareStrategy())
         result = simulation.run()
@@ -797,7 +800,7 @@ class TestPartitionHealScenario:
         assert counters.missing_entries == 0
 
     def test_explicit_repair_choice_is_respected(self):
-        scenario = build_scenario(
+        scenario = build_registered_scenario(
             "partition-heal", size=8, rounds=6, seed=1,
             evidence_repair="retransmit",
         )
@@ -806,7 +809,9 @@ class TestPartitionHealScenario:
 
 class TestFluctuatingBehaviourScenario:
     def test_population_contains_milkers(self):
-        scenario = build_scenario("fluctuating-behaviour", size=12, rounds=10, seed=2)
+        scenario = build_registered_scenario(
+            "fluctuating-behaviour", size=12, rounds=10, seed=2
+        )
         milkers = [
             peer for peer in scenario.peers
             if isinstance(peer.behavior, FluctuatingBehavior)
@@ -817,7 +822,9 @@ class TestFluctuatingBehaviourScenario:
         assert behavior.honesty_at(10.0) < 0.5  # switch at rounds/2 = 5
 
     def test_milkers_defect_only_after_the_switch(self):
-        scenario = build_scenario("fluctuating-behaviour", size=16, rounds=20, seed=6)
+        scenario = build_registered_scenario(
+            "fluctuating-behaviour", size=16, rounds=20, seed=6, backend="beta"
+        )
         milker_ids = {
             peer.peer_id for peer in scenario.peers
             if isinstance(peer.behavior, FluctuatingBehavior)
@@ -843,8 +850,6 @@ class TestFluctuatingBehaviourScenario:
         assert early_defections == []
 
     def test_registry_defaults_to_decay_backend(self):
-        from repro.workloads import build_registered_scenario
-
         scenario = build_registered_scenario(
             "fluctuating-behaviour", size=8, rounds=4, seed=1
         )

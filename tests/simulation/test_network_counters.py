@@ -17,7 +17,7 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.evidence import EvidencePlane
 from repro.simulation.network import FixedLatency, NetworkCounters, SimulatedNetwork
 from repro.simulation.peer import CommunityPeer
-from repro.workloads import build_scenario
+from repro.workloads import build_registered_scenario
 
 
 def _assert_finite_ledger(counters: NetworkCounters) -> None:
@@ -187,7 +187,7 @@ class TestEntryLedger:
 
 class TestMidDrainQueries:
     def test_counters_stay_consistent_through_drain_ticks(self):
-        scenario = build_scenario(
+        scenario = build_registered_scenario(
             "p2p-file-trading",
             size=10,
             rounds=6,

@@ -71,33 +71,6 @@ class TestPlanCommand:
         assert captured.out == ""
 
 
-class TestScenarioCommand:
-    def test_runs_small_scenario(self, capsys):
-        exit_code = main(
-            [
-                "scenario", "ebay",
-                "--size", "8",
-                "--rounds", "3",
-                "--strategy", "goods-first",
-                "--seed", "1",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "Attempted trades" in output
-        assert "Honest welfare" in output
-
-    def test_trust_aware_default_strategy(self, capsys):
-        exit_code = main(["scenario", "teamwork", "--size", "8", "--rounds", "3"])
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "trust-aware" in output
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["scenario", "atlantis"])
-
-
 class TestToleranceCommand:
     def test_reports_tolerance_and_threshold(self, capsys):
         exit_code = main(["tolerance", "task=5:10"])
@@ -112,6 +85,23 @@ class TestToleranceCommand:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "not sustainable" in output
+
+    @pytest.mark.parametrize("price", ["inf", "1e308"])
+    def test_unbounded_price_is_an_error_not_a_hang(self, capsys, price):
+        exit_code = main(["tolerance", "book=4:9", "--price", price])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["plan", "tolerance"])
+    @pytest.mark.parametrize("item", ["book=4:nan", "book=4:inf", "book=-inf:9"])
+    def test_non_finite_good_names_the_good(self, capsys, command, item):
+        exit_code = main([command, item])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: good 'book': ")
+        assert "must be finite" in captured.err
 
 
 class TestListScenariosCommand:
@@ -137,6 +127,32 @@ class TestListScenariosCommand:
 
 
 class TestRunCommand:
+    def test_runs_small_scenario_with_strategy(self, capsys):
+        exit_code = main(
+            [
+                "run",
+                "--scenario", "ebay",
+                "--size", "8",
+                "--rounds", "3",
+                "--strategy", "goods-first",
+                "--seed", "1",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "Strategy:          goods-first" in output
+        assert "Honest welfare" in output
+
+    def test_trust_aware_default_strategy(self, capsys):
+        exit_code = main(["run", "--scenario", "teamwork", "--size", "8", "--rounds", "3"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "Strategy:          trust-aware" in output
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["run", "--scenario", "atlantis"])
+
     def test_runs_scenario_with_backend(self, capsys):
         exit_code = main(
             [
@@ -162,7 +178,7 @@ class TestRunCommand:
         assert "Backend:           beta" in output
 
     def test_registry_backend_preference_applies_without_flag(self, capsys):
-        # Scenarios may declare a preferred backend in the registry
+        # Scenario rows may declare a preferred backend
         # (fluctuating-behaviour stresses decay); without an explicit
         # --backend the CLI must honour it — and report it.
         exit_code = main(
@@ -393,6 +409,8 @@ class TestRunCommand:
         assert exit_code == 0
         assert "Evidence plane:" in output
         assert "Evidence repair:   gossip:" in output
+        # One scenario name means one configuration: the row's backend.
+        assert "Backend:           complaint" in output
 
     def test_witness_override_accepted(self, capsys):
         exit_code = main(
@@ -474,7 +492,9 @@ class TestParser:
 
     def test_strategy_choices_cover_all_baselines(self):
         parser = build_parser()
-        args = parser.parse_args(["scenario", "ebay", "--strategy", "alternating"])
+        args = parser.parse_args(
+            ["run", "--scenario", "ebay", "--strategy", "alternating"]
+        )
         assert args.strategy == "alternating"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1.0"])

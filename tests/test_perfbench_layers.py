@@ -1,29 +1,38 @@
-"""The traced perfbench run can still wrap every layer entry point.
+"""The perfbench harness can still build its workloads and wrap every layer.
 
 ``perfbench/layers.py`` replaces each entry point named by ``_wrap_points()``
-with a tracing wrapper, looking it up as ``vars(owner)[attribute]``.  The
-tier-1 suite never runs the traced mode, so a deletion or a move that breaks
-one of those lookups would otherwise only show when ``make perf-layers``
-fails.  The module is loaded by path; nothing under ``perfbench/`` changes.
+with a tracing wrapper, looking it up as ``vars(owner)[attribute]``, and
+``perfbench/workloads.py`` passes each workload's params to
+``build_registered_scenario``.  The tier-1 suite never runs perfbench, so a
+deletion, a move or a dropped scenario parameter that breaks either would
+otherwise only show when ``make perf`` fails.  Both modules are loaded by
+path; nothing under ``perfbench/`` changes.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-LAYERS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
+    # A dataclass resolves its module through ``sys.modules`` while the
+    # class body runs.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-LAYERS = _load_layers()
+LAYERS = _load("layers")
 WRAP_POINTS = LAYERS._wrap_points()
+WORKLOADS = _load("workloads").WORKLOADS
 
 
 def _point_id(point):
@@ -56,3 +65,18 @@ def test_traced_run_records_known_spans_and_restores_every_point():
     assert names <= set(LAYERS.TIMED_LAYERS)
     assert tracer.counts["exchange.run_calls"] > 0
     assert [vars(owner)[attribute] for owner, attribute, *_ in WRAP_POINTS] == originals
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_params_build_and_run(name):
+    """Every param a workload passes is still a scenario parameter."""
+    from repro.workloads.registry import build_registered_scenario
+
+    workload = WORKLOADS[name]
+    params = workload.build_params(seed=0, size=8)
+    params["rounds"] = 2
+    scenario = build_registered_scenario(workload.scenario, **params)
+    simulation = scenario.simulation()
+    result = simulation.run()
+    simulation.evidence_plane.drain()
+    assert result.accounts.attempted > 0

@@ -1,75 +1,88 @@
-"""Tests for the scenario registry and the backend x scenario matrix."""
+"""Tests for the scenario table and the backend x scenario matrix."""
 
 import pytest
 
 from repro.exceptions import WorkloadError
 from repro.simulation.peer import TrustMethod
+from repro.trust import ShardedBackend
 from repro.trust.backend import BACKEND_NAMES, ComplaintTrustBackend
 from repro.workloads.registry import (
-    ScenarioDefinition,
+    SCENARIOS,
     build_registered_scenario,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
     scenario_names,
 )
-from repro.workloads.scenarios import SCENARIO_NAMES, build_scenario
 
 
-class TestCatalogue:
-    def test_at_least_ten_scenarios_registered(self):
-        assert len(list_scenarios()) >= 10
+class TestTable:
+    def test_ten_scenarios_in_table_order(self):
+        assert scenario_names() == (
+            "ebay",
+            "p2p-file-trading",
+            "teamwork",
+            "high-churn",
+            "collusive-witness",
+            "mixed-goods",
+            "sybil-coalition",
+            "flash-crowd",
+            "partition-heal",
+            "fluctuating-behaviour",
+        )
 
-    def test_repair_scenarios_are_discoverable(self):
-        partition = get_scenario("partition-heal")
-        assert "repair" in partition.tags
-        milking = get_scenario("fluctuating-behaviour")
-        assert "milking" in milking.tags
+    def test_repair_scenarios_are_tagged(self):
+        assert "repair" in SCENARIOS["partition-heal"].tags
+        assert "milking" in SCENARIOS["fluctuating-behaviour"].tags
 
-    def test_sybil_coalition_is_discoverable(self):
-        definition = get_scenario("sybil-coalition")
-        assert "sybil" in definition.tags
-        scenario = definition.build(size=10, rounds=3, seed=1)
+    def test_sybil_coalition_polls_witnesses(self):
+        assert "sybil" in SCENARIOS["sybil-coalition"].tags
+        scenario = build_registered_scenario("sybil-coalition", size=10, rounds=3, seed=1)
         assert scenario.config.witness_count > 0
 
-    def test_names_match_legacy_tuple(self):
-        assert set(scenario_names()) == set(SCENARIO_NAMES)
+    def test_every_row_has_summary_and_tags(self):
+        for row in SCENARIOS.values():
+            assert row.summary
+            assert row.tags
 
-    def test_every_entry_has_summary_and_tags(self):
-        for definition in list_scenarios():
-            assert definition.summary
-            assert definition.tags
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(WorkloadError, match="unknown scenario"):
+            build_registered_scenario("mars-colony")
 
-    def test_get_unknown_scenario_rejected(self):
-        with pytest.raises(WorkloadError):
-            get_scenario("mars-colony")
+    @pytest.mark.parametrize(
+        "name, backend",
+        [
+            ("ebay", TrustMethod.BETA),
+            ("partition-heal", TrustMethod.COMPLAINT),
+            ("fluctuating-behaviour", TrustMethod.DECAY),
+        ],
+    )
+    def test_backend_none_means_row_default(self, name, backend):
+        scenario = build_registered_scenario(name, size=8, rounds=2, seed=1)
+        assert scenario.trust_method == backend
 
-    def test_duplicate_registration_rejected(self):
-        existing = get_scenario("ebay")
-        with pytest.raises(WorkloadError):
-            register_scenario(existing)
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_rebalance_none_means_row_default(self, name):
+        scenario = build_registered_scenario(name, size=8, rounds=2, seed=1)
+        store = scenario.complaint_store
+        rebalanced = isinstance(store, ShardedBackend) and store.rebalance_policy is not None
+        assert rebalanced == (SCENARIOS[name].rebalance == "auto")
+        explicit = build_registered_scenario(name, size=8, rounds=2, seed=1, rebalance="off")
+        assert not isinstance(explicit.complaint_store, ShardedBackend)
 
-    def test_replace_registration_allowed(self):
-        existing = get_scenario("ebay")
-        register_scenario(existing, replace=True)
-        assert get_scenario("ebay") is existing
-
-    def test_definition_defaults_are_layered_under_params(self):
-        definition = ScenarioDefinition(
-            name="tiny-ebay",
-            summary="ebay with tiny defaults",
-            builder=lambda **params: build_scenario("ebay", **params),
-            tags=("test",),
-            defaults={"size": 6, "rounds": 2},
+    def test_teamwork_floors_the_defection_penalty(self):
+        low = build_registered_scenario("teamwork", size=8, rounds=2, seed=1)
+        assert low.config.defection_penalty == 2.0
+        assert all(peer.defection_penalty == 2.0 for peer in low.peers)
+        high = build_registered_scenario(
+            "teamwork", size=8, rounds=2, seed=1, defection_penalty=3.0
         )
-        scenario = definition.build(seed=3)
-        assert len(scenario.peers) == 6
-        overridden = definition.build(size=8, seed=3)
-        assert len(overridden.peers) == 8
+        assert high.config.defection_penalty == 3.0
+
+    def test_other_rows_reject_a_negative_penalty(self):
+        with pytest.raises(WorkloadError, match="defection_penalty"):
+            build_registered_scenario("ebay", size=8, rounds=2, defection_penalty=-1.0)
 
 
 class TestBackendScenarioMatrix:
-    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("name", scenario_names())
     @pytest.mark.parametrize("backend", BACKEND_NAMES + ("combined",))
     def test_every_backend_scenario_pair_runs(self, name, backend):
         scenario = build_registered_scenario(
@@ -87,7 +100,7 @@ class TestBackendScenarioMatrix:
 
 class TestScenarioWiring:
     def test_shared_store_is_a_complaint_backend(self):
-        scenario = build_scenario("ebay", size=6, rounds=2, seed=1)
+        scenario = build_registered_scenario("ebay", size=6, rounds=2, seed=1)
         assert isinstance(scenario.complaint_store, ComplaintTrustBackend)
         backends = {
             id(peer.backend_for(TrustMethod.COMPLAINT))
@@ -97,7 +110,7 @@ class TestScenarioWiring:
         assert backends == {id(scenario.complaint_store)}
 
     def test_high_churn_scenario_carries_churn_model(self):
-        scenario = build_scenario("high-churn", size=9, rounds=3, seed=1)
+        scenario = build_registered_scenario("high-churn", size=9, rounds=3, seed=1)
         assert scenario.churn is not None
         assert scenario.peer_factory is not None
         result = scenario.simulation().run()
@@ -105,7 +118,7 @@ class TestScenarioWiring:
         assert churn_events
 
     def test_collusive_witness_population_pollutes_complaints(self):
-        scenario = build_scenario(
+        scenario = build_registered_scenario(
             "collusive-witness", size=10, rounds=4, dishonest_fraction=0.4, seed=2
         )
         probabilities = {
@@ -119,7 +132,7 @@ class TestScenarioWiring:
     def test_mixed_goods_bundles_are_heterogeneous(self):
         import random
 
-        scenario = build_scenario("mixed-goods", size=6, rounds=2, seed=1)
+        scenario = build_registered_scenario("mixed-goods", size=6, rounds=2, seed=1)
         model = scenario.config.valuation_model
         rng = random.Random(0)
         costs = [model.sample_item(rng, i)[0] for i in range(200)]

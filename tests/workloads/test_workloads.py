@@ -17,10 +17,9 @@ from repro.trust import create_backend
 from repro.workloads.populations import (
     PopulationSpec,
     build_population,
-    honesty_map,
     population_factory,
 )
-from repro.workloads.scenarios import SCENARIO_NAMES, build_scenario
+from repro.workloads.registry import build_registered_scenario, scenario_names
 from repro.workloads.valuations import (
     digital_goods_valuations,
     ebay_auction_valuations,
@@ -113,14 +112,13 @@ class TestPopulationSpec:
             with pytest.raises(WorkloadError):
                 PopulationSpec(size=10, defection_penalty=bad)
 
-    def test_honesty_map(self):
+    def test_true_honesty_of_pure_population(self):
         peers = build_population(
             PopulationSpec(size=10, honest_fraction=0.5, dishonest_fraction=0.5,
                            probabilistic_fraction=0.0),
             seed=1,
         )
-        truth = honesty_map(peers)
-        assert set(truth.values()) == {0.0, 1.0}
+        assert {peer.true_honesty for peer in peers} == {0.0, 1.0}
 
     def test_population_factory_produces_new_peers(self):
         spec = PopulationSpec(size=10)
@@ -132,8 +130,8 @@ class TestPopulationSpec:
 
 class TestScenarios:
     def test_all_named_scenarios_build_and_run(self):
-        for name in SCENARIO_NAMES:
-            scenario = build_scenario(name, size=10, rounds=3, seed=1)
+        for name in scenario_names():
+            scenario = build_registered_scenario(name, size=10, rounds=3, seed=1)
             assert scenario.name == name
             assert len(scenario.peers) == 10
             result = scenario.simulation(GoodsFirstStrategy()).run()
@@ -141,15 +139,15 @@ class TestScenarios:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(WorkloadError):
-            build_scenario("mars-colony")
+            build_registered_scenario("mars-colony")
 
     def test_default_strategy_is_trust_aware(self):
-        scenario = build_scenario("ebay", size=8, rounds=2, seed=1)
+        scenario = build_registered_scenario("ebay", size=8, rounds=2, seed=1)
         simulation = scenario.simulation()
         assert isinstance(simulation._strategy, TrustAwareStrategy)  # noqa: SLF001
 
     def test_dishonest_fraction_parameter(self):
-        scenario = build_scenario(
+        scenario = build_registered_scenario(
             "ebay", size=20, rounds=2, dishonest_fraction=0.5, seed=1
         )
         dishonest = [
