@@ -46,8 +46,8 @@ bench:
 # <= 2/N after auto splits at < 10% pause cost), the evidence-repair
 # convergence/overhead/compactness bars (bench_evidence_repair: gossip
 # >= 0.99 effective delivery at < 3x message overhead under 20% loss, and
-# gossip_digest_compact: zero explicit digest extras once a gossip run
-# with witness traffic has settled).  A BENCH_*.json "passed" flag covers
+# gossip_digest_compact: once a gossip run with witness traffic has
+# settled, every journal holds each origin's seqs 1..n and none past them).  A BENCH_*.json "passed" flag covers
 # enforced bars only.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PY) -m pytest benchmarks -x -q

@@ -19,17 +19,18 @@ trade:
 
 A fourth run repeats gossip with every party polling 3 witnesses, so
 transient witness traffic interleaves with each origin's evidence; once its
-journals agree after the drain, it reports the **digest extras** — explicit
-sequence numbers past the contiguous prefix, summed over every journal.
+journals agree after the drain, it reports the **digest extras** — held
+sequence numbers past each origin's contiguous prefix, read from every
+journal's keys and summed.
 
 Enforced bars: the gossip policy must reach **>= 0.99 effective delivery**
 within the drain budget at **< 3x message overhead** vs no-repair (the
 retransmit policy must also fully recover, but its one-ack-per-delivery
 protocol is allowed to cost more), the no-repair baseline must actually
 lose evidence — otherwise the experiment proves nothing — and the settled
-witness run's digests must carry **zero extras** (``gossip_digest_compact``:
+witness run's journals must hold **zero extras** (``gossip_digest_compact``:
 witness traffic never punches holes into the journaled sequence space, so
-a converged origin is summarised as ``(n, frozenset())``).  The extras
+a converged journal holds seqs ``1..n`` of every origin).  The extras
 count is deterministic, not a timing.
 """
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 from _harness import bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
@@ -87,7 +89,7 @@ def _run_policy(policy: str, witness_count=None):
 
 
 def _settled_extras(plane, clock: float):
-    """Explicit digest extras over every journal, once the journals agree.
+    """Held seqs beyond each origin's contiguous prefix, once journals agree.
 
     The drain stops when every entry is applied; journals still missing
     relayed copies keep gossiping here (at most ``MAX_DRAIN_TICKS`` more
@@ -96,15 +98,21 @@ def _settled_extras(plane, clock: float):
     journals = list(plane.journals.values())
     for _ in range(MAX_DRAIN_TICKS):
         digests = [journal.digest() for journal in journals]
-        if all(digest == digests[0] for digest in digests):
+        if all(np.array_equal(digest, digests[0]) for digest in digests):
             break
         clock += 1.0
         plane.advance(clock)
-    return sum(
-        len(extras)
-        for journal in journals
-        for _, extras in journal.digest().values()
-    )
+    extras = 0
+    for journal in journals:
+        seqs = {}
+        for origin, seq in journal.keys():
+            seqs.setdefault(origin, []).append(seq)
+        for held in seqs.values():
+            prefix = 0
+            while prefix < len(held) and held[prefix] == prefix + 1:
+                prefix += 1
+            extras += len(held) - prefix
+    return extras
 
 
 def build_table() -> Table:

@@ -48,6 +48,8 @@ import math
 import random
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.exceptions import SimulationError
 from repro.obs.metrics import NULL_REGISTRY
 from repro.simulation.engine import SimulationEngine
@@ -59,6 +61,7 @@ from repro.simulation.network import (
     SimulatedNetwork,
 )
 from repro.simulation.repair import (
+    EntryCatalog,
     EvidenceEntry,
     EvidenceJournal,
     RepairPolicy,
@@ -194,7 +197,9 @@ class EvidencePlane:
         #: count up from 1, transient (witness) entries down from -1.
         self._seq: Dict[str, int] = {}
         self._transient_seq: Dict[str, int] = {}
-        #: Per-holder journals (only maintained for journaling policies).
+        #: Per-holder journals over one entry catalog (only maintained for
+        #: journaling policies).
+        self._catalog = EntryCatalog() if policy.journaling else None
         self._journals: Dict[str, EvidenceJournal] = {}
         #: Keys of persistent entries already applied (dedup guard).
         self._applied: Set[Tuple[str, int]] = set()
@@ -343,13 +348,14 @@ class EvidencePlane:
                 for keys in self._unapplied.values()
                 for key in keys
                 if key[0] not in self._peers
-                and not (
-                    self._policy.journaling
-                    and any(
-                        key in journal for journal in self._journals.values()
-                    )
-                )
             ]
+            if orphaned and self._catalog is not None:
+                held = np.zeros(len(self._catalog), dtype=bool)
+                for journal in self._journals.values():
+                    digest = journal.digest()
+                    held[: len(digest)] |= digest
+                id_of = self._catalog.id_of
+                orphaned = [key for key in orphaned if not held[id_of(key)]]
             for key in orphaned:
                 self._expire(key, counters)
 
@@ -562,7 +568,8 @@ class EvidencePlane:
     def journal_for(self, holder_id: str) -> EvidenceJournal:
         journal = self._journals.get(holder_id)
         if journal is None:
-            journal = self._journals[holder_id] = EvidenceJournal()
+            assert self._catalog is not None
+            journal = self._journals[holder_id] = EvidenceJournal(self._catalog)
         return journal
 
     def repair_send(
@@ -585,27 +592,29 @@ class EvidencePlane:
         self, holder_id: str, entry: EvidenceEntry, now: float
     ) -> None:
         """Fold one gossip-relayed entry into ``holder_id``'s journal."""
-        self.ingest_entries(holder_id, (entry,), now)
+        assert self._catalog is not None
+        ids = np.array([self._catalog.intern(entry)], dtype=np.int64)
+        self.ingest_entries(holder_id, ids, now)
 
-    def ingest_entries(
-        self, holder_id: str, entries: Sequence[EvidenceEntry], now: float
-    ) -> None:
-        """Fold a batch of gossip-relayed entries into ``holder_id``'s journal.
+    def ingest_entries(self, holder_id: str, ids: np.ndarray, now: float) -> None:
+        """Fold a batch of gossip-relayed catalog ids into a journal.
 
         The holder stores (and will relay) every entry regardless of who it
         is addressed to; a fresh entry is *applied* only when the holder is
         its recipient (or, for complaint entries, forwarded to the sink so
         the filing pays the same network path every direct complaint does).
-        The whole batch is journaled first and the fresh entries are then
-        handled in batch order; applying never reads a journal, so this is
-        the entry-by-entry outcome.
+        The whole batch of distinct ids is journaled first and the fresh
+        entries are then handled in batch order; applying never reads a
+        journal, so this is the entry-by-entry outcome.
         """
-        fresh = self.journal_for(holder_id).add_many(entries)
+        assert self._catalog is not None
+        fresh = self.journal_for(holder_id).add_ids(ids)
         if self._network is not None:
-            self._network.counters.duplicates_suppressed += (
-                len(entries) - len(fresh)
-            )
-        for entry in fresh:
+            self._network.counters.duplicates_suppressed += len(ids) - len(fresh)
+        # Only entries addressed to the holder or the complaint sink need
+        # handling; every other fresh entry is just held for relaying.
+        targets = self._catalog.addressed(fresh, holder_id, COMPLAINT_SINK)
+        for entry in map(self._catalog.entry, targets.tolist()):
             if entry.recipient_id == holder_id:
                 self._apply_entry(entry, now)
             elif (

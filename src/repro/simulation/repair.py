@@ -8,25 +8,24 @@ piece of evidence entering the async plane is wrapped in an
 whole community shares one global naming scheme ``(origin_peer, seq)`` for
 evidence units.  On top of that identity three mechanisms compose:
 
-* an append-only :class:`EvidenceJournal` per peer storing every entry the
-  peer has originated or learned of, summarised by a compact per-origin
-  digest (highest contiguous sequence number + explicit holes set), so two
-  peers can compare what they know in one small message.  Each origin
-  names its entries from two sequence spaces: journaled evidence counts up
-  from 1 and transient witness traffic counts down from -1, so the
-  journaled space is dense and a converged origin's digest is just
-  ``(n, frozenset())``.  Digests are cached and rebuilt only for the
-  origins that changed, and the digest comparisons skip every origin whose
-  digest matches the partner's, so anti-entropy costs what changed rather
-  than the whole history;
+* an append-only :class:`EvidenceJournal` per peer recording every entry
+  the peer has originated or learned of.  A plane that journals keeps one
+  :class:`EntryCatalog` giving each journaled entry a dense id, and a
+  journal is one bool row over those ids; its digest is a frozen copy of
+  the row, so comparing two peers' knowledge, picking the entries to push
+  or pull, and dropping duplicates are whole-row numpy operations.  Each
+  origin names its entries from two sequence spaces: journaled evidence
+  counts up from 1 and transient witness traffic counts down from -1, so
+  the journaled space is dense and a converged journal holds seqs
+  ``1..n`` of every origin;
 * a pluggable :class:`RepairPolicy` — ``off`` (today's fire-and-forget),
   ``retransmit`` (recipients ack every delivered entry, origins re-send
   unacked entries with capped exponential backoff), and ``gossip``
   (periodic anti-entropy rounds: each peer exchanges digests with
-  ``fanout`` random partners and push/pulls the missing entries as batched
-  messages) — all repair traffic flows through the same
-  :class:`~repro.simulation.network.SimulatedNetwork`, so it pays latency,
-  loss and link faults like first-class evidence does;
+  ``fanout`` random partners and push/pulls the missing entries, as
+  catalog ids, in batched messages) — all repair traffic flows through the
+  same :class:`~repro.simulation.network.SimulatedNetwork`, so it pays
+  latency, loss and link faults like first-class evidence does;
 * idempotent delivery — the plane dedups by ``(origin, seq)`` before
   applying anything to a backend or the complaint store, so repaired
   duplicates never double-count evidence
@@ -48,19 +47,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.trust.storage import PeerIndex, grow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evidence imports us)
     from repro.simulation.evidence import EvidencePlane
@@ -69,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evidence imports us)
 __all__ = [
     "REPAIR_POLICIES",
     "EvidenceEntry",
-    "SequenceTracker",
+    "EntryCatalog",
     "EvidenceJournal",
     "RepairPolicy",
     "OffPolicy",
@@ -79,11 +71,6 @@ __all__ = [
 ]
 
 REPAIR_POLICIES = ("off", "retransmit", "gossip")
-
-#: A per-origin digest: (highest contiguous seq, explicit extras beyond it).
-Digest = Tuple[int, frozenset]
-
-_EMPTY_DIGEST: Digest = (0, frozenset())
 
 
 @dataclass(frozen=True)
@@ -115,172 +102,165 @@ class EvidenceEntry:
         return (self.origin_id, self.seq)
 
 
-class SequenceTracker:
-    """Which sequence numbers of one origin a peer has seen.
+class EntryCatalog:
+    """Every journaled entry of one plane, under a dense id ``0, 1, 2, ...``.
 
-    Kept as the highest contiguous prefix (``1..contiguous`` all seen) plus
-    an explicit set of extras beyond it; the holes between them are exactly
-    what a repair partner needs to fill.  ``contiguous + 1`` is never an
-    extra.  This is the compact form the digest messages carry; the digest
-    tuple is cached until the next :meth:`add`, so ``contiguous`` and
-    ``extras`` are read-only outside this class.
+    Ids are handed out in first-seen order (the plane interns each entry as
+    it emits it).  Beside the entry objects the catalog keeps an origin, a
+    recipient and a seq column (peer names interned in one
+    :class:`~repro.trust.storage.PeerIndex`): enough to order any set of ids
+    by ``(origin, seq)`` and to pick out the entries addressed to a peer
+    without touching the others.
     """
 
-    __slots__ = ("contiguous", "extras", "_digest")
-
     def __init__(self) -> None:
-        self.contiguous = 0
-        self.extras: set = set()
-        self._digest: Optional[Digest] = None
-
-    def add(self, seq: int) -> bool:
-        """Record ``seq``; returns ``False`` when it was already known."""
-        if seq <= self.contiguous or seq in self.extras:
-            return False
-        if seq == self.contiguous + 1:
-            self.contiguous = seq
-            while self.contiguous + 1 in self.extras:
-                self.contiguous += 1
-                self.extras.remove(self.contiguous)
-        else:
-            self.extras.add(seq)
-        self._digest = None
-        return True
-
-    def __contains__(self, seq: int) -> bool:
-        return seq <= self.contiguous or seq in self.extras
+        self._entries: List[EvidenceEntry] = []
+        self._ids: Dict[Tuple[str, int], int] = {}
+        self._peers = PeerIndex()
+        self._origin = np.zeros(0, dtype=np.int64)
+        self._recipient = np.zeros(0, dtype=np.int64)
+        self._seq = np.zeros(0, dtype=np.int64)
+        #: Every id in ``(origin, seq)`` order; rebuilt after an intern.
+        self._order: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return self.contiguous + len(self.extras)
+        return len(self._entries)
 
-    def digest(self) -> Digest:
-        digest = self._digest
-        if digest is None:
-            digest = self._digest = (self.contiguous, frozenset(self.extras))
-        return digest
+    def intern(self, entry: EvidenceEntry) -> int:
+        """The id of ``entry``'s key, assigning the next one if it is new."""
+        key = entry.key
+        gid = self._ids.get(key)
+        if gid is None:
+            if entry.transient:
+                raise SimulationError(f"transient entry {key} cannot be journaled")
+            gid = self._ids[key] = len(self._entries)
+            self._entries.append(entry)
+            self._order = None
+            self._origin = grow(self._origin, gid + 1)
+            self._recipient = grow(self._recipient, gid + 1)
+            self._seq = grow(self._seq, gid + 1)
+            self._origin[gid] = self._peers.intern(entry.origin_id)
+            self._recipient[gid] = self._peers.intern(entry.recipient_id)
+            self._seq[gid] = entry.seq
+        return gid
+
+    def id_of(self, key: Tuple[str, int]) -> Optional[int]:
+        return self._ids.get(key)
+
+    def entry(self, gid: int) -> EvidenceEntry:
+        return self._entries[gid]
+
+    def ordered(self, mask: np.ndarray) -> np.ndarray:
+        """Ids set in the bool ``mask`` over ids, in ``(origin, seq)`` order."""
+        order = self._order
+        if order is None:
+            names = self._peers.names()
+            rank = np.empty(len(names), dtype=np.int64)
+            rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
+                len(names)
+            )
+            count = len(self._entries)
+            order = self._order = np.lexsort(
+                (self._seq[:count], rank[self._origin[:count]])
+            )
+        if len(mask) < len(order):
+            mask = np.concatenate((mask, np.zeros(len(order) - len(mask), bool)))
+        return order[mask[order]]
+
+    def addressed(self, ids: np.ndarray, *recipients: str) -> np.ndarray:
+        """The ``ids`` whose recipient is one of ``recipients``, in order."""
+        column = self._recipient[ids]
+        mask = np.zeros(len(ids), dtype=bool)
+        for row in map(self._peers.get, recipients):
+            if row is not None:
+                mask |= column == row
+        return ids[mask]
 
 
 class EvidenceJournal:
-    """Append-only store of the evidence entries one peer knows about.
+    """Append-only record of the catalog entries one peer knows about.
 
-    Holds the entries themselves (so the peer can answer pull requests and
-    relay third-party evidence onward) plus one :class:`SequenceTracker` per
-    origin.  ``digest()`` summarises the whole journal for an anti-entropy
-    exchange; ``entries_missing_from`` / ``is_missing_any`` are the two
-    sides of the digest comparison.  Both skip every origin whose digest
-    equals the partner's and scan only above the partner's contiguous
-    prefix, so a converged exchange costs one pass over the digest.
+    One bool row over the plane's :class:`EntryCatalog` ids plus a count;
+    the entries themselves live in the catalog (so the peer can answer pull
+    requests and relay third-party evidence onward).  ``digest()`` is a
+    read-only copy of the row up to its highest held id, cached until the
+    next add, so equal journals have equal digests and a digest already
+    handed out never changes.  ``entries_missing_from`` (``mine & ~theirs``)
+    and ``is_missing_any`` (``any(theirs & ~mine)``) are the two sides of an
+    anti-entropy comparison, each a few whole-row numpy operations.
     """
 
-    def __init__(self) -> None:
-        #: origin -> seq -> entry, each origin's entries in insertion order.
-        self._held: Dict[str, Dict[int, EvidenceEntry]] = {}
-        self._trackers: Dict[str, SequenceTracker] = {}
-        #: The last built digest; never mutated once handed out.
-        self._digest: Dict[str, Digest] = {}
-        #: Origins added to since ``_digest`` was built (insertion-ordered).
-        self._touched: Dict[str, None] = {}
+    __slots__ = ("_catalog", "_row", "_end", "_count", "_digest")
+
+    def __init__(self, catalog: EntryCatalog) -> None:
+        self._catalog = catalog
+        self._row = np.zeros(0, dtype=bool)
+        #: One past the highest held id: the digest's length.
+        self._end = 0
+        self._count = 0
+        self._digest: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return sum(map(len, self._held.values()))
+        return self._count
 
     def __contains__(self, key: Tuple[str, int]) -> bool:
-        held = self._held.get(key[0])
-        return held is not None and key[1] in held
+        gid = self._catalog.id_of(key)
+        return gid is not None and gid < self._end and bool(self._row[gid])
 
     def get(self, key: Tuple[str, int]) -> EvidenceEntry:
-        return self._held[key[0]][key[1]]
+        if key not in self:
+            raise KeyError(key)
+        return self._catalog.entry(self._catalog.id_of(key))
 
     def keys(self) -> Tuple[Tuple[str, int], ...]:
-        """Every ``(origin, seq)`` key held, per origin in insertion order."""
-        return tuple(
-            (origin, seq) for origin, held in self._held.items() for seq in held
-        )
+        """Every ``(origin, seq)`` key held, in ``(origin, seq)`` order."""
+        ids = self._catalog.ordered(self._row[: self._end])
+        return tuple(self._catalog.entry(gid).key for gid in ids.tolist())
 
     def add(self, entry: EvidenceEntry) -> bool:
         """Store an entry; returns ``False`` when it was already journaled."""
-        return bool(self.add_many((entry,)))
+        ids = np.array([self._catalog.intern(entry)], dtype=np.int64)
+        return len(self.add_ids(ids)) == 1
 
-    def add_many(self, entries: Sequence[EvidenceEntry]) -> List[EvidenceEntry]:
-        """Store ``entries``; returns the ones that were new, in order."""
-        fresh: List[EvidenceEntry] = []
-        for entry in entries:
-            if entry.transient:
-                raise SimulationError(
-                    f"transient entry {entry.key} cannot be journaled"
-                )
-            origin, seq = entry.origin_id, entry.seq
-            held = self._held.get(origin)
-            if held is None:
-                held = self._held[origin] = {}
-                self._trackers[origin] = SequenceTracker()
-            elif seq in held:
-                continue
-            held[seq] = entry
-            self._trackers[origin].add(seq)
-            self._touched[origin] = None
-            fresh.append(entry)
+    def add_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Record the distinct catalog ``ids``; returns the new ones, in order."""
+        end = int(ids.max()) + 1 if len(ids) else 0
+        if end > len(self._row):
+            self._row = grow(self._row, end)
+        fresh = ids[~self._row[ids]]
+        if len(fresh):
+            self._row[fresh] = True
+            self._count += len(fresh)
+            self._end = max(self._end, end)
+            self._digest = None
         return fresh
 
-    def digest(self) -> Dict[str, Digest]:
-        """Compact per-origin summary of everything this journal holds.
+    def digest(self) -> np.ndarray:
+        """Read-only bool row of the held ids (cached until the next add)."""
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = self._row[: self._end].copy()
+            digest.flags.writeable = False
+        return digest
 
-        Rebuilds only the origins touched since the last call, into a new
-        dict: a digest already handed out (say, riding a message) never
-        changes afterwards.
-        """
-        if self._touched:
-            digest = dict(self._digest)
-            for origin in self._touched:
-                digest[origin] = self._trackers[origin].digest()
-            self._touched.clear()
-            self._digest = digest
-        return self._digest
-
-    def entries_missing_from(
-        self, their_digest: Mapping[str, Digest]
-    ) -> List[EvidenceEntry]:
-        """Entries this journal holds that ``their_digest`` does not cover.
+    def entries_missing_from(self, their_digest: np.ndarray) -> np.ndarray:
+        """Ids this journal holds that ``their_digest`` lacks.
 
         Returned in deterministic ``(origin, seq)`` order — the push half of
-        an anti-entropy exchange.  Origins whose digests match are skipped
-        outright; the rest are scanned only above the partner's contiguous
-        prefix.
+        an anti-entropy exchange.
         """
-        differing = self.digest().items() - their_digest.items()
-        missing: List[EvidenceEntry] = []
-        for origin in sorted(origin for origin, _ in differing):
-            tracker = self._trackers[origin]
-            held = self._held[origin]
-            floor, their_extras = their_digest.get(origin, _EMPTY_DIGEST)
-            seqs: Iterable[int] = range(floor + 1, tracker.contiguous + 1)
-            if their_extras:
-                seqs = [seq for seq in seqs if seq not in their_extras]
-            missing.extend(map(held.__getitem__, seqs))
-            if tracker.extras:
-                missing.extend(
-                    held[seq]
-                    for seq in sorted(tracker.extras)
-                    if seq > floor and seq not in their_extras
-                )
-        return missing
+        missing = self._row[: self._end].copy()
+        shared = min(self._end, len(their_digest))
+        missing[:shared] &= ~their_digest[:shared]
+        return self._catalog.ordered(missing)
 
-    def is_missing_any(self, their_digest: Mapping[str, Digest]) -> bool:
+    def is_missing_any(self, their_digest: np.ndarray) -> bool:
         """Whether ``their_digest`` claims entries this journal lacks."""
-        for origin, (contiguous, extras) in (
-            their_digest.items() - self.digest().items()
-        ):
-            mine = self._trackers.get(origin)
-            if mine is None:
-                if contiguous > 0 or extras:
-                    return True
-            elif contiguous > mine.contiguous or any(
-                seq not in mine for seq in extras
-            ):
-                # Their prefix passing ours means they hold ours + 1,
-                # which is never one of our extras.
-                return True
-        return False
+        shared = min(self._end, len(their_digest))
+        return bool(
+            their_digest[shared:].any()
+            or (their_digest[:shared] > self._row[:shared]).any()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -433,11 +413,11 @@ class GossipPolicy(RepairPolicy):
     partners and sends them its journal digest.  A partner that holds
     entries the digest lacks — or is itself missing entries the digest
     claims — answers with one batched ``repair-entries`` message carrying
-    its deltas (and its own digest when it wants a push back); the initiator
-    then pushes the reverse delta.  Entries spread epidemically through
-    relays, so evidence reaches its recipient even when every direct path
-    keeps failing — and a healed partition backfills through the first
-    cross-clique exchange.
+    its deltas as catalog ids (and its own digest when it wants a push
+    back); the initiator then pushes the reverse delta.  Entries spread
+    epidemically through relays, so evidence reaches its recipient even
+    when every direct path keeps failing — and a healed partition backfills
+    through the first cross-clique exchange.
     """
 
     name = "gossip"
@@ -484,27 +464,23 @@ class GossipPolicy(RepairPolicy):
             sender_id, their_digest = message.payload
             push = journal.entries_missing_from(their_digest)
             wants_pull = journal.is_missing_any(their_digest)
-            if push or wants_pull:
+            if len(push) or wants_pull:
                 plane.repair_send(
                     holder_id,
                     sender_id,
-                    (
-                        holder_id,
-                        tuple(push),
-                        journal.digest() if wants_pull else None,
-                    ),
+                    (holder_id, push, journal.digest() if wants_pull else None),
                     kind="repair-entries",
                 )
         elif message.kind == "repair-entries":
-            sender_id, entries, their_digest = message.payload
-            plane.ingest_entries(holder_id, entries, now)
+            sender_id, ids, their_digest = message.payload
+            plane.ingest_entries(holder_id, ids, now)
             if their_digest is not None:
                 push_back = journal.entries_missing_from(their_digest)
-                if push_back:
+                if len(push_back):
                     plane.repair_send(
                         holder_id,
                         sender_id,
-                        (holder_id, tuple(push_back), None),
+                        (holder_id, push_back, None),
                         kind="repair-entries",
                     )
 

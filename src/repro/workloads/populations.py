@@ -67,8 +67,13 @@ class PopulationSpec:
         # ``>= 0`` is false for NaN; an infinite fraction fails the sum check.
         if not all(fraction >= 0 for fraction in fractions):
             raise WorkloadError("population fractions must be non-negative numbers")
-        if sum(fractions) > 1.0 + 1e-9:
-            raise WorkloadError("population fractions must sum to at most 1")
+        total = sum(fractions)
+        if total > 1.0 + 1e-9:
+            raise WorkloadError(
+                "population fractions must sum to at most 1, but "
+                f"dishonest_fraction {self.dishonest_fraction:g} brings them "
+                f"to {total:.6g}"
+            )
         if not 0.0 <= self.probabilistic_honesty <= 1.0:
             raise WorkloadError("probabilistic_honesty must lie in [0, 1]")
         if not 0.0 <= self.false_complaint_probability <= 1.0:

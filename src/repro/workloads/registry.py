@@ -401,13 +401,16 @@ def build_registered_scenario(
 
     if row.min_defection_penalty is not None:
         defection_penalty = max(defection_penalty, row.min_defection_penalty)
-    spec = PopulationSpec(
-        size=size,
-        dishonest_fraction=dishonest_fraction,
-        defection_penalty=defection_penalty,
-        id_prefix=row.id_prefix,
-        **row.population(dishonest_fraction, rounds),
-    )
+    try:
+        spec = PopulationSpec(
+            size=size,
+            dishonest_fraction=dishonest_fraction,
+            defection_penalty=defection_penalty,
+            id_prefix=row.id_prefix,
+            **row.population(dishonest_fraction, rounds),
+        )
+    except WorkloadError as error:
+        raise WorkloadError(f"scenario {name!r}: {error}") from error
     evidence_fault: Optional[Callable[[str, str, float], bool]] = None
     if name == "partition-heal":
         if evidence_mode == "sync":

@@ -1,6 +1,6 @@
 """Tests for the anti-entropy evidence repair subsystem.
 
-Covers the building blocks (sequence trackers, journals, digests), the two
+Covers the building blocks (entry catalog, journals, digests), the two
 repair policies against a lossy network (retransmit recovers direct
 messages, gossip heals through relays), idempotent delivery under forced
 duplicates, churn hardening of the accounting, the convergence property
@@ -27,9 +27,9 @@ from repro.simulation.network import FixedLatency
 from repro.simulation.peer import CommunityPeer, TrustMethod
 from repro.simulation.repair import (
     REPAIR_POLICIES,
+    EntryCatalog,
     EvidenceEntry,
     EvidenceJournal,
-    SequenceTracker,
     create_repair_policy,
 )
 from repro.workloads import build_registered_scenario
@@ -70,88 +70,87 @@ def _entry(origin, seq, recipient="r", kind="evidence", payload=(), emitted_at=0
     )
 
 
-def _covers(digest, seq):
-    """Whether a ``(contiguous, extras)`` digest claims ``seq``."""
-    contiguous, extras = digest
-    return seq <= contiguous or seq in extras
+def _journals(count):
+    """An entry catalog and ``count`` empty journals over it."""
+    catalog = EntryCatalog()
+    return (catalog, *(EvidenceJournal(catalog) for _ in range(count)))
 
 
-class TestSequenceTracker:
-    def test_contiguous_prefix_collapses(self):
-        tracker = SequenceTracker()
-        assert tracker.add(1) and tracker.add(3) and tracker.add(2)
-        assert tracker.contiguous == 3
-        assert tracker.extras == set()
+def _keys(catalog, ids):
+    return [catalog.entry(gid).key for gid in ids]
 
-    def test_duplicates_rejected(self):
-        tracker = SequenceTracker()
-        assert tracker.add(2)
-        assert not tracker.add(2)
-        assert tracker.add(1)
-        assert not tracker.add(1)
-        assert len(tracker) == 2
 
-    def test_digest_ordered_across_holes(self):
-        tracker = SequenceTracker()
-        for seq in (1, 4, 6):
-            tracker.add(seq)
-        assert tracker.digest() == (1, frozenset({4, 6}))
-        assert [seq for seq in range(1, 7) if not _covers(tracker.digest(), seq)] == [2, 3, 5]
-
-    def test_digest_covers_exactly_known(self):
-        tracker = SequenceTracker()
-        for seq in (1, 2, 5):
-            tracker.add(seq)
-        digest = tracker.digest()
-        for seq in range(1, 8):
-            assert _covers(digest, seq) == (seq in tracker)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(min_value=1, max_value=40), max_size=40))
-    def test_insertion_order_invariance(self, seqs):
-        tracker = SequenceTracker()
-        for seq in seqs:
-            tracker.add(seq)
-        expected = set(seqs)
-        assert {seq for seq in range(1, 45) if seq in tracker} == expected
-        assert len(tracker) == len(expected)
-        digest = tracker.digest()
-        for seq in range(1, 45):
-            assert _covers(digest, seq) == (seq in expected)
-
-    def test_digest_is_cached_until_the_next_add(self):
-        tracker = SequenceTracker()
-        tracker.add(2)
-        digest = tracker.digest()
-        assert tracker.digest() is digest
-        assert not tracker.add(2)
-        assert tracker.digest() is digest
-        tracker.add(1)
-        assert tracker.digest() == (2, frozenset())
-        assert digest == (0, frozenset({2}))
+def _claimed(catalog, digest):
+    """The ``(origin, seq)`` keys a digest claims, in sorted order."""
+    return sorted(_keys(catalog, np.flatnonzero(digest)))
 
 
 class TestEvidenceJournal:
     def test_add_and_dedup(self):
-        journal = EvidenceJournal()
+        _, journal = _journals(1)
         entry = _entry("a", 1)
         assert journal.add(entry)
         assert not journal.add(entry)
+        assert not journal.add(_entry("a", 1))  # same key, another object
         assert entry.key in journal
         assert journal.get(entry.key) is entry
         assert len(journal) == 1
+        with pytest.raises(KeyError):
+            journal.get(("a", 2))
 
     def test_missing_from_and_is_missing_any(self):
-        ours = EvidenceJournal()
-        theirs = EvidenceJournal()
+        catalog, ours, theirs = _journals(2)
         for seq in (1, 2, 3):
             ours.add(_entry("a", seq))
         theirs.add(_entry("a", 2))
         theirs.add(_entry("b", 1))
         push = ours.entries_missing_from(theirs.digest())
-        assert [entry.key for entry in push] == [("a", 1), ("a", 3)]
+        assert _keys(catalog, push) == [("a", 1), ("a", 3)]
         assert ours.is_missing_any(theirs.digest())  # lacks ("b", 1)
         assert theirs.is_missing_any(ours.digest())
+
+    def test_out_of_order_adds_hold_the_same_set(self):
+        _, in_order, out_of_order = _journals(2)
+        for seq in (1, 2, 3):
+            in_order.add(_entry("a", seq))
+        for seq in (1, 3, 2):
+            out_of_order.add(_entry("a", seq))
+        assert out_of_order.keys() == (("a", 1), ("a", 2), ("a", 3))
+        assert np.array_equal(out_of_order.digest(), in_order.digest())
+
+    def test_holes_are_what_a_full_partner_pushes(self):
+        catalog, full, holey = _journals(2)
+        for seq in range(1, 7):
+            full.add(_entry("a", seq))
+        for seq in (1, 4, 6):
+            holey.add(_entry("a", seq))
+        push = full.entries_missing_from(holey.digest())
+        assert _keys(catalog, push) == [("a", 2), ("a", 3), ("a", 5)]
+        assert not holey.entries_missing_from(full.digest()).size
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=40), max_size=40))
+    def test_insertion_order_invariance(self, seqs):
+        catalog, journal = _journals(1)
+        for seq in seqs:
+            journal.add(_entry("a", seq))
+        expected = sorted(set(seqs))
+        assert journal.keys() == tuple(("a", seq) for seq in expected)
+        assert len(journal) == len(expected)
+        assert _claimed(catalog, journal.digest()) == list(journal.keys())
+        for seq in range(1, 45):
+            assert (("a", seq) in journal) == (seq in expected)
+
+    def test_digest_is_cached_until_the_next_add(self):
+        catalog, journal = _journals(1)
+        journal.add(_entry("a", 2))
+        digest = journal.digest()
+        assert journal.digest() is digest
+        assert not journal.add(_entry("a", 2))
+        assert journal.digest() is digest
+        journal.add(_entry("a", 1))
+        assert _claimed(catalog, journal.digest()) == [("a", 1), ("a", 2)]
+        assert _claimed(catalog, digest) == [("a", 2)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -164,16 +163,15 @@ class TestEvidenceJournal:
     )
     def test_one_push_pull_round_trip_converges(self, keys_a, keys_b):
         """Exchanging the two missing-sets makes both journals identical."""
-        journal_a, journal_b = EvidenceJournal(), EvidenceJournal()
+        _, journal_a, journal_b = _journals(2)
         for origin, seq in keys_a:
             journal_a.add(_entry(origin, seq))
         for origin, seq in keys_b:
             journal_b.add(_entry(origin, seq))
-        for entry in journal_a.entries_missing_from(journal_b.digest()):
-            journal_b.add(entry)
-        for entry in journal_b.entries_missing_from(journal_a.digest()):
-            journal_a.add(entry)
-        assert journal_a.digest() == journal_b.digest()
+        journal_b.add_ids(journal_a.entries_missing_from(journal_b.digest()))
+        journal_a.add_ids(journal_b.entries_missing_from(journal_a.digest()))
+        assert np.array_equal(journal_a.digest(), journal_b.digest())
+        assert journal_a.keys() == journal_b.keys() == tuple(sorted(keys_a | keys_b))
         assert not journal_a.is_missing_any(journal_b.digest())
         assert not journal_b.is_missing_any(journal_a.digest())
 
@@ -200,36 +198,21 @@ def _named_entries(emissions):
     for origin, journal in plane.journals.items():
         keys = journal.keys()
         # The journaled sequence space stays dense: 1..n, no holes.
-        assert journal.digest() == {origin: (len(keys), frozenset())}
+        assert keys == tuple((origin, seq) for seq in range(1, len(keys) + 1))
         entries.extend(journal.get(key) for key in keys)
     return entries
 
 
-def _brute_missing(keys, digest):
-    return sorted(
-        key for key in keys
-        if key[0] not in digest or not _covers(digest[key[0]], key[1])
-    )
+def _brute_missing(keys, claimed):
+    return sorted(set(keys) - set(claimed))
 
 
-def _brute_missing_any(keys, digest):
-    claimed = {
-        (origin, seq)
-        for origin, (contiguous, extras) in digest.items()
-        for seq in (*range(1, contiguous + 1), *extras)
-    }
-    return bool(claimed - set(keys))
-
-
-def _digest_of(keys):
-    trackers = {}
-    for origin, seq in keys:
-        trackers.setdefault(origin, SequenceTracker()).add(seq)
-    return {origin: tracker.digest() for origin, tracker in trackers.items()}
+def _brute_missing_any(keys, claimed):
+    return bool(set(claimed) - set(keys))
 
 
 class TestDigestScanOracle:
-    """The skipping scans against brute-force set differences."""
+    """The row scans against brute-force set differences of keys."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -244,24 +227,28 @@ class TestDigestScanOracle:
         flags = st.lists(st.booleans(), min_size=count, max_size=count)
         order = data.draw(st.permutations(entries))
         in_ours, in_theirs = data.draw(flags), data.draw(flags)
-        ours, theirs = EvidenceJournal(), EvidenceJournal()
-        ours.add_many([entry for entry, flag in zip(order, in_ours) if flag])
+        # A fresh catalog interns in the drawn order, so ids follow neither
+        # origin nor seq order: the scans must sort by key themselves.
+        catalog, ours, theirs = _journals(2)
+        for entry, flag in zip(order, in_ours):
+            if flag:
+                ours.add(entry)
         theirs_entries = [
             entry for entry, flag in zip(order, in_theirs) if flag
         ]
         stale_at = data.draw(st.integers(0, len(theirs_entries)))
-        theirs.add_many(theirs_entries[:stale_at])
+        for entry in theirs_entries[:stale_at]:
+            theirs.add(entry)
         stale = theirs.digest()
         for entry in theirs_entries[stale_at:]:
             theirs.add(entry)
         for mine, other in ((ours, theirs), (theirs, ours)):
             for digest in (stale, other.digest()):
-                keys = mine.keys()
-                assert [
-                    entry.key for entry in mine.entries_missing_from(digest)
-                ] == _brute_missing(keys, digest)
+                keys, claimed = mine.keys(), _claimed(catalog, digest)
+                push = mine.entries_missing_from(digest)
+                assert _keys(catalog, push) == _brute_missing(keys, claimed)
                 assert mine.is_missing_any(digest) == _brute_missing_any(
-                    keys, digest
+                    keys, claimed
                 )
 
     @settings(max_examples=60, deadline=None)
@@ -275,34 +262,38 @@ class TestDigestScanOracle:
         )
     )
     def test_handed_out_digest_never_changes(self, batches):
-        journal = EvidenceJournal()
+        catalog, journal = _journals(1)
         handed = []
         for batch in batches:
             digest = journal.digest()
-            handed.append((digest, dict(digest)))
-            journal.add_many([_entry(origin, seq) for origin, seq in batch])
+            handed.append((digest, digest.copy()))
+            with pytest.raises(ValueError):
+                digest[...] = True  # read-only for every holder
+            for origin, seq in batch:
+                journal.add(_entry(origin, seq))
             journal.add(_entry("a", 1))
         for digest, copy in handed:
-            assert digest == copy
-        assert journal.digest() == _digest_of(journal.keys())
+            assert np.array_equal(digest, copy)
+        assert _claimed(catalog, journal.digest()) == list(journal.keys())
 
     def test_transient_entries_are_never_journaled(self):
-        journal = EvidenceJournal()
+        catalog, journal = _journals(1)
         transient = dataclasses.replace(_entry("a", -1), transient=True)
+        assert journal.add(_entry("a", 1))
         with pytest.raises(SimulationError):
             journal.add(transient)
-        with pytest.raises(SimulationError):
-            journal.add_many([_entry("a", 1), transient])
         assert ("a", -1) not in journal
+        assert journal.keys() == (("a", 1),)
+        assert len(catalog) == 1
 
 
 class TestDigestCompactness:
-    """A converged gossip run's digests are all ``(n, frozenset())``."""
+    """A converged gossip run's journals all hold a dense prefix per origin."""
 
     ROUNDS = 4
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_settled_digests_carry_no_explicit_extras(self, seed):
+    def test_settled_journals_hold_dense_prefixes(self, seed):
         scenario = build_registered_scenario(
             "sybil-coalition", backend="beta", size=40, rounds=self.ROUNDS,
             seed=seed, evidence_mode="async", evidence_latency=1.0,
@@ -313,55 +304,76 @@ class TestDigestCompactness:
         plane = simulation.evidence_plane
         clock = self.ROUNDS + plane.drain()
         journals = plane.journals
+
+        def seqs_by_origin(journal):
+            seqs = {}
+            for origin, seq in journal.keys():
+                seqs.setdefault(origin, []).append(seq)
+            return seqs
+
         # Witness traffic interleaves with every origin's evidence, yet an
         # origin's own journal has no holes.
+        emitted = {}
         for origin, journal in journals.items():
-            contiguous, extras = journal.digest()[origin]
-            assert contiguous > 0 and not extras
-        # Once anti-entropy has carried every entry everywhere, no digest
-        # names a hole.
+            own = seqs_by_origin(journal).get(origin, [])
+            assert own and own == list(range(1, len(own) + 1))
+            emitted[origin] = len(own)
+        # Once anti-entropy has carried every entry everywhere, every
+        # journal holds seqs 1..n of every origin, n its emitted count.
         for _ in range(40):
             digests = [journal.digest() for journal in journals.values()]
-            if all(digest == digests[0] for digest in digests):
+            if all(np.array_equal(digest, digests[0]) for digest in digests):
                 break
             clock += 1
             plane.advance(float(clock))
         else:
             pytest.fail("journals did not converge")
-        emitted = {
-            origin: journal.digest()[origin][0]
-            for origin, journal in journals.items()
-        }
-        assert digests[0] == {
-            origin: (emitted[origin], frozenset()) for origin in digests[0]
-        }
+        for journal in journals.values():
+            assert seqs_by_origin(journal) == {
+                origin: list(range(1, count + 1))
+                for origin, count in emitted.items()
+            }
 
 
 class TestMessageIdentityPins:
-    """Final traffic of two witness-heavy async runs, message for message.
+    """Final traffic of witness-heavy async runs, message for message.
 
     Journal, digest and ingest internals may change how fast repair runs,
     never what it sends: the retransmission order, the gossip exchanges and
-    what counts as a duplicate are all pinned here.
+    what counts as a duplicate are all pinned here.  ``flash-crowd`` churns
+    peers out mid-run, so its pin also covers the write-off of entries whose
+    last journal copy left; ``partition-heal`` cuts every cross-clique link
+    until it heals, so its gossip backfills through the first cross-clique
+    exchanges.
     """
 
     PINS = {
-        "retransmit": dict(
+        ("sybil-coalition", "retransmit"): dict(
             sent=2348, dropped=449, repair_messages=1620,
             duplicates_suppressed=323, entries_emitted=174,
             entries_applied=174, entries_expired=0,
         ),
-        "gossip": dict(
+        ("sybil-coalition", "gossip"): dict(
             sent=1261, dropped=228, repair_messages=562,
             duplicates_suppressed=3707, entries_emitted=168,
             entries_applied=168, entries_expired=0,
         ),
+        ("flash-crowd", "gossip"): dict(
+            sent=3168, dropped=615, repair_messages=1943,
+            duplicates_suppressed=26164, entries_emitted=311,
+            entries_applied=304, entries_expired=7,
+        ),
+        ("partition-heal", "gossip"): dict(
+            sent=1463, dropped=424, repair_messages=784,
+            duplicates_suppressed=6451, entries_emitted=168,
+            entries_applied=168, entries_expired=0,
+        ),
     }
 
-    @pytest.mark.parametrize("repair", sorted(PINS))
-    def test_final_counters_are_pinned(self, repair):
+    @pytest.mark.parametrize("name,repair", sorted(PINS))
+    def test_final_counters_are_pinned(self, name, repair):
         scenario = build_registered_scenario(
-            "sybil-coalition", backend="beta", size=20, rounds=4, seed=7,
+            name, size=20, rounds=4, seed=7,
             evidence_mode="async", evidence_latency=1.0, evidence_loss=0.2,
             evidence_repair=repair, witness_count=3,
         )
@@ -369,10 +381,13 @@ class TestMessageIdentityPins:
         result = simulation.run()
         simulation.evidence_plane.drain()
         counters = result.evidence_counters
-        assert {
-            name: getattr(counters, name) for name in self.PINS[repair]
-        } == self.PINS[repair]
-        assert counters.effective_delivery_ratio == 1.0
+        pin = self.PINS[name, repair]
+        assert {name: getattr(counters, name) for name in pin} == pin
+        # Every emitted entry ends applied or written off.
+        assert counters.missing_entries == 0
+        assert counters.effective_delivery_ratio == (
+            pin["entries_applied"] / pin["entries_emitted"]
+        )
 
 
 class TestPolicyFactory:
@@ -561,7 +576,7 @@ class _SamplingPlane:
         return self._peer_ids
 
     def journal_for(self, peer_id):
-        return EvidenceJournal()
+        return EvidenceJournal(EntryCatalog())
 
     def repair_send(self, sender_id, recipient_id, payload, kind):
         self.sent.append((sender_id, recipient_id))

@@ -153,6 +153,40 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--scenario", "atlantis"])
 
+    @pytest.mark.parametrize(
+        "scenario,dishonest,total",
+        [
+            ("p2p-file-trading", "0.5", "1.1"),
+            ("ebay", "0.7", "1.05"),
+            ("mixed-goods", "0.7", "1.05"),
+            ("flash-crowd", "0.7", "1.05"),
+            ("partition-heal", "0.7", "1.05"),
+        ],
+    )
+    def test_overfull_population_names_scenario_fraction_and_sum(
+        self, capsys, scenario, dishonest, total
+    ):
+        exit_code = main(
+            ["run", "--scenario", scenario, "--dishonest", dishonest,
+             "--size", "8", "--rounds", "2"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: scenario {scenario!r}: population fractions must sum to "
+            f"at most 1, but dishonest_fraction {dishonest} brings them to "
+            f"{total}\n"
+        )
+
+    def test_population_that_fits_still_runs(self, capsys):
+        exit_code = main(
+            ["run", "--scenario", "p2p-file-trading", "--dishonest", "0.4",
+             "--size", "8", "--rounds", "2"]
+        )
+        assert exit_code == 0
+        assert "Honest welfare" in capsys.readouterr().out
+
     def test_runs_scenario_with_backend(self, capsys):
         exit_code = main(
             [
