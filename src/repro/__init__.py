@@ -4,7 +4,7 @@ A Python implementation of the trust-aware safe-exchange mechanism of
 Despotovic, Aberer & Hauswirth (ICDCS 2002) together with every substrate the
 paper depends on: Sandholm-style safe exchange planning, Bayesian and
 complaint-based trust learning, decentralised (P-Grid style) reputation
-storage, a discrete-event peer community simulator, a marketplace layer and
+storage, a round-based peer community simulator, a marketplace layer and
 baseline exchange strategies.
 
 Most users only need the re-exports below; the subpackages are:
@@ -26,7 +26,8 @@ Most users only need the re-exports below; the subpackages are:
 ``repro.pgrid``
     Decentralised binary-trie storage substrate for reputation data.
 ``repro.simulation``
-    Discrete-event simulator: engine, network, peers, behaviours, community.
+    Community simulator: network, evidence plane, peers, behaviours,
+    community.
     Each peer owns its trust backends (beta, complaint, lazy decay) and one
     trust-method dispatch over them; the community loop queues interaction
     outcomes per round and flushes them to each peer's backends in one batch

@@ -65,7 +65,7 @@ class RoutingError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulation engine was used incorrectly."""
+    """The community simulation or its network was used incorrectly."""
 
 
 class MarketplaceError(ReproError):

@@ -1,7 +1,7 @@
 """Marketplace layer: listings, matching, exchange execution and accounting."""
 
 from repro.marketplace.accounting import CommunityAccounts, Ledger, LedgerEntry
-from repro.marketplace.listing import Listing, ListingBook
+from repro.marketplace.listing import Listing
 from repro.marketplace.matching import random_matching, trust_weighted_matching
 from repro.marketplace.protocol import ExchangeOutcome, run_exchange
 from repro.marketplace.strategy import (
@@ -13,7 +13,6 @@ from repro.marketplace.transaction import TransactionResult, execute_sequence
 
 __all__ = [
     "Listing",
-    "ListingBook",
     "random_matching",
     "trust_weighted_matching",
     "StrategyContext",

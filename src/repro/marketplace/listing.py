@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.goods import GoodsBundle
 from repro.exceptions import MarketplaceError
 
-__all__ = ["Listing", "ListingBook"]
+__all__ = ["Listing"]
 
 _listing_counter = itertools.count(1)
 
@@ -57,40 +57,3 @@ class Listing:
         if self.reserve_price is not None:
             return self.reserve_price
         return self.bundle.total_supplier_cost
-
-
-class ListingBook:
-    """The set of currently open listings."""
-
-    def __init__(self) -> None:
-        self._listings: Dict[str, Listing] = {}
-
-    def __len__(self) -> int:
-        return len(self._listings)
-
-    def __iter__(self):
-        return iter(self._listings.values())
-
-    def add(self, listing: Listing) -> None:
-        if listing.listing_id in self._listings:
-            raise MarketplaceError(f"listing {listing.listing_id!r} already exists")
-        self._listings[listing.listing_id] = listing
-
-    def remove(self, listing_id: str) -> Optional[Listing]:
-        return self._listings.pop(listing_id, None)
-
-    def get(self, listing_id: str) -> Optional[Listing]:
-        return self._listings.get(listing_id)
-
-    def by_supplier(self, supplier_id: str) -> Tuple[Listing, ...]:
-        return tuple(
-            listing
-            for listing in self._listings.values()
-            if listing.supplier_id == supplier_id
-        )
-
-    def active(self) -> Tuple[Listing, ...]:
-        return tuple(self._listings.values())
-
-    def clear(self) -> None:
-        self._listings.clear()

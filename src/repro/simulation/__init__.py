@@ -1,8 +1,9 @@
-"""Discrete-event simulation of the peer community.
+"""Simulation of the peer community.
 
-Contains the deterministic event engine, a latency/loss network model,
-behaviour models (ground truth), peers, churn, and the round-based community
-orchestration used by the end-to-end experiments.
+Contains a latency/loss network model with its own delivery queue, the
+evidence plane that routes trust evidence over it, behaviour models (ground
+truth), peers, churn, and the round-based community orchestration used by
+the end-to-end experiments.
 """
 
 from repro.simulation.behaviors import (
@@ -24,8 +25,6 @@ from repro.simulation.community import (
     CommunitySimulation,
     RoundStats,
 )
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event, EventQueue
 from repro.simulation.network import (
     ExponentialLatency,
     FixedLatency,
@@ -33,20 +32,15 @@ from repro.simulation.network import (
     Message,
     NetworkCounters,
     SimulatedNetwork,
-    UniformLatency,
 )
 from repro.simulation.peer import CommunityPeer
 from repro.simulation.rng import RandomStreams
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "SimulationEngine",
     "RandomStreams",
     "Message",
     "LatencyModel",
     "FixedLatency",
-    "UniformLatency",
     "ExponentialLatency",
     "NetworkCounters",
     "SimulatedNetwork",

@@ -14,12 +14,12 @@ propagation model explicit and pluggable:
 ``async``
     Every piece of evidence becomes a :class:`~repro.simulation.network.
     Message` routed through a :class:`~repro.simulation.network.
-    SimulatedNetwork` bound to a discrete-event engine: observation
-    ``update_many`` payloads, complaint filings and witness-report
-    requests/replies all pay a sampled latency and face a drop probability,
-    so trust state lags reality and may miss evidence.  The driver advances
-    the plane's clock once per tick (:meth:`EvidencePlane.advance`),
-    delivering everything that has matured.
+    SimulatedNetwork`, which keeps the plane's clock and delivery queue:
+    observation ``update_many`` payloads, complaint filings and
+    witness-report requests/replies all pay a sampled latency and face a
+    drop probability, so trust state lags reality and may miss evidence.
+    The community loop advances the clock once per tick
+    (:meth:`EvidencePlane.advance`), delivering everything that has matured.
 
 The plane carries three message kinds:
 
@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.obs.metrics import NULL_REGISTRY
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.network import (
     ExponentialLatency,
     LatencyModel,
@@ -125,7 +124,8 @@ class EvidencePlane:
         lost evidence never arrives; with one, loss becomes extra
         convergence latency instead of information loss.
     latency_model:
-        Overrides the latency distribution built from ``latency``.
+        Overrides the latency distribution built from ``latency``.  A sync
+        plane rejects ``latency > 0``, ``loss > 0`` and a latency model.
     rng:
         Drives loss sampling and latency draws (deterministic experiments
         hand in a seeded stream).
@@ -178,15 +178,21 @@ class EvidencePlane:
                 gossip_fanout=gossip_fanout,
                 retransmit_timeout=retransmit_timeout,
             )
+        if mode == "sync" and (
+            latency > 0 or loss > 0 or latency_model is not None
+        ):
+            # A lossless zero-latency plane that *looks* configured for
+            # delay or loss is a silent experiment-design bug; refuse it.
+            raise SimulationError(
+                "evidence latency, loss and latency models require mode='async'"
+            )
         if mode == "sync" and (policy.name != "off" or fault is not None):
-            # Repair/fault knobs on a sync plane would be silently inert — a
-            # misconfigured experiment; refuse like the latency/loss knobs.
+            # Same rationale: repair/fault knobs on a sync plane are inert.
             raise SimulationError(
                 "evidence repair and link faults require mode='async'"
             )
         self._mode = mode
         self._peers: Dict[str, "CommunityPeer"] = {}
-        self._engine: Optional[SimulationEngine] = None
         self._network: Optional[SimulatedNetwork] = None
         self._policy = policy
         self._policy.bind(self)
@@ -218,9 +224,7 @@ class EvidencePlane:
                 latency_model = ExponentialLatency(
                     mean=max(latency, 1e-9), minimum=0.0
                 )
-            self._engine = SimulationEngine()
             self._network = SimulatedNetwork(
-                self._engine,
                 latency=latency_model,
                 loss_probability=loss,
                 rng=rng if rng is not None else random.Random(0),
@@ -255,7 +259,7 @@ class EvidencePlane:
     @property
     def pending_messages(self) -> int:
         """Evidence messages still in flight."""
-        return self._engine.pending_events if self._engine is not None else 0
+        return self._network.pending if self._network is not None else 0
 
     @property
     def effective_delivery_ratio(self) -> float:
@@ -374,9 +378,9 @@ class EvidencePlane:
     # ------------------------------------------------------------------
     def advance(self, now: float) -> int:
         """Deliver every message matured by ``now`` and run one repair round."""
-        if self._engine is None or now < self._engine.now:
+        if self._network is None or now < self._network.now:
             return 0
-        delivered = self._engine.run_until(now)
+        delivered = self._network.deliver_until(now)
         self._policy.on_round(now)
         return delivered
 
@@ -386,9 +390,13 @@ class EvidencePlane:
         Advances the clock past the simulation horizon so in-flight messages
         mature and the repair policy can finish recovering lost entries;
         returns the number of extra ticks consumed.  With repair ``off``
-        this simply flushes the in-flight queue.
+        this simply flushes the in-flight queue.  ``tick`` must be finite
+        and > 0: a NaN tick would deliver the whole queue in one tick, and
+        a zero tick would spin through ``max_ticks`` empty ticks.
         """
-        if self._engine is None:
+        if not (math.isfinite(tick) and tick > 0):
+            raise SimulationError(f"drain tick must be finite and > 0, got {tick}")
+        if self._network is None:
             return 0
         ticks = 0
         while ticks < max_ticks:
@@ -398,11 +406,11 @@ class EvidencePlane:
                 working = self._policy.has_pending()
             else:
                 working = (
-                    self._engine.pending_events > 0 or self._policy.has_pending()
+                    self._network.pending > 0 or self._policy.has_pending()
                 )
             if not working:
                 break
-            self.advance(self._engine.now + tick)
+            self.advance(self._network.now + tick)
             ticks += 1
         return ticks
 
@@ -528,14 +536,14 @@ class EvidencePlane:
         else:
             seq = self._seq.get(origin_id, 0) + 1
             self._seq[origin_id] = seq
-        assert self._engine is not None and self._network is not None
+        assert self._network is not None
         entry = EvidenceEntry(
             origin_id=origin_id,
             seq=seq,
             recipient_id=recipient_id,
             kind=kind,
             payload=payload,
-            emitted_at=self._engine.now,
+            emitted_at=self._network.now,
             transient=transient,
         )
         if not transient:
@@ -558,11 +566,11 @@ class EvidencePlane:
         return entry
 
     def _send_entry(self, entry: EvidenceEntry) -> None:
-        assert self._network is not None and self._engine is not None
+        assert self._network is not None
         self._network.send(
             entry.origin_id, entry.recipient_id, entry, kind=entry.kind
         )
-        self._policy.on_emit(entry, self._engine.now)
+        self._policy.on_emit(entry, self._network.now)
 
     # Helpers the repair policies call -----------------------------------
     def journal_for(self, holder_id: str) -> EvidenceJournal:
@@ -633,8 +641,8 @@ class EvidencePlane:
     # Message handling (async deliveries)
     # ------------------------------------------------------------------
     def _handle_message(self, message: Message) -> None:
-        assert self._engine is not None
-        now = self._engine.now
+        assert self._network is not None
+        now = self._network.now
         if message.kind == "repair-ack":
             self._policy.on_ack(message.payload)
             return

@@ -1,27 +1,31 @@
 """Simulated message-passing network (latency and loss).
 
 The community experiments are round-based and do not need packet-level
-fidelity, but the reputation queries and the P-Grid substrate should pay a
-realistic, accountable communication cost.  :class:`SimulatedNetwork` binds a
-latency/loss model to the discrete-event engine and delivers messages to
-registered handlers after a sampled delay.
+fidelity, but evidence traffic should pay a realistic, accountable
+communication cost.  :class:`SimulatedNetwork` samples a delay (and a loss)
+for every message and keeps its own clock and delivery queue: a message sent
+at ``now`` with delay ``d`` is handed to the recipient's handler at
+``now + d``, messages due at the same time arrive in the order they were
+sent, and :meth:`SimulatedNetwork.deliver_until` delivers everything due by
+a horizon, including what handlers send for delivery by that horizon.
 """
 
 from __future__ import annotations
 
 import abc
+import heapq
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
-from repro.simulation.engine import SimulationEngine
 
 __all__ = [
     "Message",
     "LatencyModel",
     "FixedLatency",
-    "UniformLatency",
     "ExponentialLatency",
     "NetworkCounters",
     "SimulatedNetwork",
@@ -59,23 +63,6 @@ class FixedLatency(LatencyModel):
 
     def sample(self, rng: random.Random) -> float:
         return self.delay
-
-
-@dataclass
-class UniformLatency(LatencyModel):
-    """Delays drawn uniformly from ``[low, high]``."""
-
-    low: float = 0.5
-    high: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise SimulationError(
-                f"invalid latency range [{self.low}, {self.high}]"
-            )
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
 
 
 @dataclass
@@ -224,6 +211,10 @@ class NetworkCounters:
 class SimulatedNetwork:
     """Delivers messages between registered handlers with latency and loss.
 
+    The network owns the simulation clock :attr:`now` and one heap of
+    ``(deliver_at, sequence, message, delay)`` entries, so deliveries run in
+    ``(time, send order)`` order.  Equal times compare exactly (no epsilon).
+
     ``fault`` is an optional link-fault predicate ``(sender_id,
     recipient_id, now) -> bool``; a faulted link drops the message
     deterministically (counted as ``dropped``, no loss RNG draw), which is
@@ -232,7 +223,6 @@ class SimulatedNetwork:
 
     def __init__(
         self,
-        engine: SimulationEngine,
         latency: Optional[LatencyModel] = None,
         loss_probability: float = 0.0,
         rng: Optional[random.Random] = None,
@@ -242,13 +232,21 @@ class SimulatedNetwork:
             raise SimulationError(
                 f"loss_probability must lie in [0, 1), got {loss_probability}"
             )
-        self._engine = engine
         self._latency: LatencyModel = latency if latency is not None else FixedLatency()
         self._loss_probability = loss_probability
         self._rng = rng if rng is not None else random.Random(0)
         self._fault = fault
         self._handlers: Dict[str, Callable[[Message], None]] = {}
+        self._queue: List[Tuple[float, int, Message, float]] = []
+        self._sequence = itertools.count()
+        #: Current simulation time.
+        self.now = 0.0
         self.counters = NetworkCounters()
+
+    @property
+    def pending(self) -> int:
+        """Messages queued for delivery (equals ``counters.in_flight``)."""
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Registration
@@ -266,7 +264,7 @@ class SimulatedNetwork:
         return peer_id in self._handlers
 
     # ------------------------------------------------------------------
-    # Sending
+    # Sending and delivery
     # ------------------------------------------------------------------
     def send(
         self, sender_id: str, recipient_id: str, payload: Any, kind: str = "generic"
@@ -274,7 +272,7 @@ class SimulatedNetwork:
         """Send a message; returns ``False`` when it is dropped immediately.
 
         Dropped means either a sampled loss or an unknown recipient; in both
-        cases no delivery event is scheduled.
+        cases nothing is queued for delivery.
         """
         self.counters.sent += 1
         if recipient_id not in self._handlers:
@@ -282,30 +280,51 @@ class SimulatedNetwork:
             return False
         # A faulted link is a deterministic drop: it must not consume a loss
         # sample, so fault-free runs draw exactly the same RNG stream.
-        if self._fault is not None and self._fault(
-            sender_id, recipient_id, self._engine.now
-        ):
+        if self._fault is not None and self._fault(sender_id, recipient_id, self.now):
             self.counters.dropped += 1
             return False
         if self._loss_probability > 0 and self._rng.random() < self._loss_probability:
             self.counters.dropped += 1
             return False
         delay = self._latency.sample(self._rng)
+        if not delay >= 0:
+            raise SimulationError(f"latency must be >= 0, got {delay}")
         message = Message(
             sender_id=sender_id,
             recipient_id=recipient_id,
             payload=payload,
-            sent_at=self._engine.now,
+            sent_at=self.now,
             kind=kind,
         )
-        self._engine.schedule_in(delay, self._deliver, message, delay)
+        heapq.heappush(
+            self._queue, (self.now + delay, next(self._sequence), message, delay)
+        )
         return True
 
-    def _deliver(self, message: Message, delay: float) -> None:
-        handler = self._handlers.get(message.recipient_id)
-        if handler is None:
-            self.counters.undeliverable += 1
-            return
-        self.counters.delivered += 1
-        self.counters.total_latency += delay
-        handler(message)
+    def deliver_until(self, horizon: float) -> int:
+        """Deliver every message due by ``horizon``, then stop the clock there.
+
+        The horizon is inclusive, and a message that a handler sends for
+        delivery by the horizon arrives within the same call.  Returns the
+        number of messages taken off the queue (a recipient that left since
+        the send counts as ``undeliverable``).
+        """
+        if not math.isfinite(horizon) or horizon < self.now:
+            raise SimulationError(
+                f"horizon must be finite and >= now ({self.now}), got {horizon}"
+            )
+        queue = self._queue
+        counters = self.counters
+        taken = 0
+        while queue and queue[0][0] <= horizon:
+            self.now, _, message, delay = heapq.heappop(queue)
+            taken += 1
+            handler = self._handlers.get(message.recipient_id)
+            if handler is None:
+                counters.undeliverable += 1
+                continue
+            counters.delivered += 1
+            counters.total_latency += delay
+            handler(message)
+        self.now = horizon
+        return taken

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.goods import GoodsBundle
 from repro.exceptions import MarketplaceError
-from repro.marketplace.listing import Listing, ListingBook
+from repro.marketplace.listing import Listing
 from repro.marketplace.matching import random_matching, trust_weighted_matching
 
 
@@ -42,33 +42,6 @@ class TestListing:
             Listing(listing_id="l", supplier_id="s", bundle=GoodsBundle([]))
         with pytest.raises(MarketplaceError):
             Listing(listing_id="l", supplier_id="s", bundle=bundle(), reserve_price=-1.0)
-
-
-class TestListingBook:
-    def test_add_get_remove(self):
-        book = ListingBook()
-        listing = make_listing("s1", "l1")
-        book.add(listing)
-        assert len(book) == 1
-        assert book.get("l1") is listing
-        assert book.by_supplier("s1") == (listing,)
-        assert book.remove("l1") is listing
-        assert book.get("l1") is None
-        assert book.remove("l1") is None
-
-    def test_duplicate_rejected(self):
-        book = ListingBook()
-        book.add(make_listing("s1", "l1"))
-        with pytest.raises(MarketplaceError):
-            book.add(make_listing("s2", "l1"))
-
-    def test_active_and_clear(self):
-        book = ListingBook()
-        book.add(make_listing("s1", "l1"))
-        book.add(make_listing("s2", "l2"))
-        assert len(book.active()) == 2
-        book.clear()
-        assert len(book) == 0
 
 
 class TestRandomMatching:

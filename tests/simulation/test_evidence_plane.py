@@ -22,7 +22,6 @@ from repro.simulation.network import (
     NetworkCounters,
     SimulatedNetwork,
 )
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.peer import CommunityPeer
 from repro.trust.beta import BetaBelief
 from repro.workloads import build_registered_scenario
@@ -156,6 +155,59 @@ class TestAsyncPlane:
         plane.advance(5.0)
         assert [c.accused_id for c in store.all_complaints()] == ["villain"]
 
+    @pytest.mark.parametrize("tick", [math.nan, math.inf, 0.0, -1.0])
+    def test_drain_rejects_a_tick_that_is_not_finite_and_positive(self, tick):
+        plane = self._plane(latency=3.0)
+        peer = CommunityPeer("c")
+        plane.register_peer(peer)
+        plane.submit_records("c", [_record()])
+        with pytest.raises(SimulationError):
+            plane.drain(max_ticks=1, tick=tick)
+        # Nothing was delivered and the clock did not move.
+        assert plane.pending_messages == 1
+        assert _observed(peer) == 0
+        assert plane.drain(max_ticks=3) == 3
+        assert _observed(peer) == 1
+
+    def test_advance_rejects_a_nan_horizon(self):
+        plane = self._plane(latency=3.0)
+        plane.register_peer(CommunityPeer("c"))
+        plane.submit_records("c", [_record()])
+        with pytest.raises(SimulationError):
+            plane.advance(math.nan)
+        assert plane.pending_messages == 1
+
+    def test_a_nan_tick_does_not_flush_a_run_in_one_drain_tick(self):
+        scenario = build_registered_scenario(
+            "sybil-coalition", size=30, rounds=4, seed=0,
+            evidence_mode="async", evidence_latency=3.0,
+        )
+        simulation = scenario.simulation()
+        simulation.run()
+        plane = simulation.evidence_plane
+        in_flight = plane.pending_messages
+        assert in_flight > 0
+        with pytest.raises(SimulationError):
+            plane.drain(max_ticks=1, tick=math.nan)
+        assert plane.pending_messages == in_flight
+        assert plane.drain(max_ticks=1) == 1
+        assert 0 < plane.pending_messages < in_flight
+
+    def test_pending_messages_equal_in_flight(self):
+        scenario = build_registered_scenario(
+            "sybil-coalition", size=30, rounds=4, seed=0,
+            evidence_mode="async", evidence_latency=3.0, evidence_loss=0.2,
+            evidence_repair="retransmit",
+        )
+        simulation = scenario.simulation()
+        simulation.run()
+        plane = simulation.evidence_plane
+        counters = plane.counters
+        assert plane.pending_messages == counters.in_flight > 0
+        while plane.drain(max_ticks=1):
+            assert plane.pending_messages == counters.in_flight
+        assert plane.pending_messages == counters.in_flight == 0
+
     def test_invalid_configurations_rejected(self):
         with pytest.raises(SimulationError):
             EvidencePlane(mode="carrier-pigeon")
@@ -171,15 +223,14 @@ class TestAsyncPlane:
 
 class TestNetworkCounters:
     def test_dropped_counted_separately_from_delivered(self):
-        engine = SimulationEngine()
         network = SimulatedNetwork(
-            engine, latency=FixedLatency(1.0), loss_probability=0.5
+            latency=FixedLatency(1.0), loss_probability=0.5
         )
         received = []
         network.register("b", received.append)
         for _ in range(200):
             network.send("a", "b", "payload")
-        engine.run_until(2.0)
+        network.deliver_until(2.0)
         counters = network.counters
         assert counters.sent == 200
         assert counters.dropped > 0
@@ -193,8 +244,7 @@ class TestNetworkCounters:
         counters = NetworkCounters()
         assert counters.delivery_ratio == 1.0
         assert counters.loss_ratio == 0.0
-        engine = SimulationEngine()
-        network = SimulatedNetwork(engine, latency=FixedLatency(10.0))
+        network = SimulatedNetwork(latency=FixedLatency(10.0))
         network.register("b", lambda message: None)
         network.send("a", "b", "payload")
         assert network.counters.in_flight == 1

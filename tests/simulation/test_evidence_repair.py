@@ -9,6 +9,7 @@ run), and the two new scenarios (partition-heal, fluctuating-behaviour).
 """
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -390,6 +391,71 @@ class TestMessageIdentityPins:
         )
 
 
+class TestDeliveryOrderPins:
+    """The order and timing of every delivery in the message-identity runs.
+
+    Counter pins cannot see a reordering that leaves the counts equal, so
+    each configuration of :class:`TestMessageIdentityPins` also pins a
+    digest of the delivered sequence (deliver time, sender, recipient,
+    kind), the summed latency and the convergence-lag quantiles.  Times
+    are compared bit for bit (``repr`` of the floats).
+    """
+
+    PINS = {
+        ("sybil-coalition", "retransmit"): dict(
+            delivered=1899, digest="3afb3691f27ff9e8",
+            total_latency=1845.0513781864463,
+            lag_p50=0.8045385342799296, lag_p95=3.585698050163521,
+        ),
+        ("sybil-coalition", "gossip"): dict(
+            delivered=941, digest="af876fd148d4393e",
+            total_latency=848.8663021279738,
+            lag_p50=0.8998334830127903, lag_p95=4.1675300124685135,
+        ),
+        ("flash-crowd", "gossip"): dict(
+            delivered=2330, digest="d8418922b08c677a",
+            total_latency=2084.936666013218,
+            lag_p50=0.980037818598019, lag_p95=5.1440054040947425,
+        ),
+        ("partition-heal", "gossip"): dict(
+            delivered=973, digest="a5ea1515494bef4d",
+            total_latency=900.8447577139191,
+            lag_p50=1.5026738306026122, lag_p95=6.3111611486372645,
+        ),
+    }
+
+    @pytest.mark.parametrize("name,repair", sorted(PINS))
+    def test_delivery_sequence_is_pinned(self, monkeypatch, name, repair):
+        deliveries = []
+        handle = EvidencePlane._handle_message
+
+        def recording(plane, message):
+            deliveries.append((
+                plane._network.now, message.sender_id,
+                message.recipient_id, message.kind,
+            ))
+            handle(plane, message)
+
+        monkeypatch.setattr(EvidencePlane, "_handle_message", recording)
+        scenario = build_registered_scenario(
+            name, size=20, rounds=4, seed=7,
+            evidence_mode="async", evidence_latency=1.0, evidence_loss=0.2,
+            evidence_repair=repair, witness_count=3,
+        )
+        simulation = scenario.simulation()
+        result = simulation.run()
+        simulation.evidence_plane.drain()
+        counters = result.evidence_counters
+        digest = hashlib.sha256(repr(deliveries).encode()).hexdigest()[:16]
+        assert dict(
+            delivered=len(deliveries), digest=digest,
+            total_latency=counters.total_latency,
+            lag_p50=counters.convergence_lag_p50,
+            lag_p95=counters.convergence_lag_p95,
+        ) == self.PINS[name, repair]
+        assert counters.delivered == len(deliveries)
+
+
 class TestPolicyFactory:
     def test_known_policies(self):
         assert REPAIR_POLICIES == ("off", "retransmit", "gossip")
@@ -413,6 +479,19 @@ class TestPolicyFactory:
             EvidencePlane(mode="sync", repair="gossip")
         with pytest.raises(SimulationError):
             EvidencePlane(mode="sync", fault=lambda s, r, now: False)
+
+    @pytest.mark.parametrize("knobs", [
+        dict(latency=3.0),
+        dict(loss=0.9),
+        dict(latency=3.0, loss=0.9),
+        dict(latency_model=FixedLatency(0.0)),
+    ])
+    def test_sync_plane_rejects_latency_and_loss(self, knobs):
+        # A sync plane applies evidence at once and loses none, so delay or
+        # loss knobs on it would be silently inert.
+        with pytest.raises(SimulationError):
+            EvidencePlane(mode="sync", **knobs)
+        assert EvidencePlane(mode="async", **knobs).is_async
 
 
 class TestDedupIdempotency:

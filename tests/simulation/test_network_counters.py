@@ -13,7 +13,6 @@ import random
 
 from repro.reputation.records import InteractionRecord
 from repro.simulation.community import CommunitySimulation
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.evidence import EvidencePlane
 from repro.simulation.network import FixedLatency, NetworkCounters, SimulatedNetwork
 from repro.simulation.peer import CommunityPeer
@@ -69,8 +68,7 @@ class TestZeroTraffic:
 
 class TestInFlightAccounting:
     def test_in_flight_counts_against_delivery_ratio(self):
-        engine = SimulationEngine()
-        network = SimulatedNetwork(engine, latency=FixedLatency(5.0))
+        network = SimulatedNetwork(latency=FixedLatency(5.0))
         network.register("a", lambda message: None)
         network.register("b", lambda message: None)
         network.send("a", "b", payload="x")
@@ -81,7 +79,7 @@ class TestInFlightAccounting:
         assert counters.delivery_ratio == 0.0
         assert counters.loss_ratio == 0.0
         _assert_finite_ledger(counters)
-        engine.run_until(10.0)
+        network.deliver_until(10.0)
         assert counters.in_flight == 0
         assert counters.delivered == 1
         assert counters.delivery_ratio == 1.0
@@ -89,9 +87,8 @@ class TestInFlightAccounting:
         _assert_finite_ledger(counters)
 
     def test_dropped_and_undeliverable_traffic(self):
-        engine = SimulationEngine()
         network = SimulatedNetwork(
-            engine, fault=lambda sender, recipient, now: recipient == "b"
+            fault=lambda sender, recipient, now: recipient == "b"
         )
         network.register("a", lambda message: None)
         network.register("b", lambda message: None)
