@@ -41,11 +41,16 @@ from repro.marketplace.protocol import ExchangeOutcome, run_exchange
 from repro.marketplace.strategy import ExchangeStrategy, StrategyContext
 from repro.obs.metrics import NULL_REGISTRY
 from repro.simulation.churn import ChurnEvent, ChurnModel
-from repro.simulation.evidence import EVIDENCE_MODES, EvidencePlane
+from repro.simulation.evidence import (
+    EVIDENCE_MODES,
+    EvidencePlane,
+    require_async_knobs,
+)
 from repro.simulation.network import NetworkCounters
 from repro.simulation.repair import REPAIR_POLICIES
 from repro.simulation.peer import CommunityPeer
 from repro.simulation.rng import RandomStreams
+from repro.trust import CommunityBetaTable
 
 __all__ = ["CommunityConfig", "RoundStats", "CommunityResult", "CommunitySimulation"]
 
@@ -113,26 +118,17 @@ class CommunityConfig:
             raise SimulationError("evidence_latency must be finite and >= 0")
         if not 0.0 <= self.evidence_loss < 1.0:
             raise SimulationError("evidence_loss must lie in [0, 1)")
-        if self.evidence_mode == "sync" and (
-            self.evidence_latency > 0 or self.evidence_loss > 0
-        ):
-            # A lossless zero-latency run that *looks* configured for loss is
-            # a silent experiment-design bug; refuse it.
-            raise SimulationError(
-                "evidence_latency/evidence_loss require evidence_mode='async'"
-            )
         if self.evidence_repair not in REPAIR_POLICIES:
             raise SimulationError(
                 f"evidence_repair must be one of {REPAIR_POLICIES}, "
                 f"got {self.evidence_repair!r}"
             )
-        if self.evidence_mode == "sync" and (
-            self.evidence_repair != "off" or self.evidence_fault is not None
-        ):
-            # Same rationale: repair/fault knobs on a sync run are inert.
-            raise SimulationError(
-                "evidence_repair/evidence_fault require evidence_mode='async'"
-            )
+        require_async_knobs(
+            self.evidence_mode,
+            delayed=self.evidence_latency > 0 or self.evidence_loss > 0,
+            repaired=self.evidence_repair != "off"
+            or self.evidence_fault is not None,
+        )
         if not 0.0 < self.gossip_period < math.inf:
             raise SimulationError("gossip_period must be finite and > 0")
         if self.gossip_fanout < 1:
@@ -290,8 +286,14 @@ class CommunitySimulation:
         telemetry = self._config.telemetry
         self._telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._evidence.bind_telemetry(self._telemetry)
+        self._beta = CommunityBetaTable()
         for peer in self._peers:
-            self._evidence.register_peer(peer)
+            self._register(peer)
+
+    def _register(self, peer: CommunityPeer) -> None:
+        """Join the peer to the community beta table and the evidence plane."""
+        peer.join_table(self._beta)
+        self._evidence.register_peer(peer)
 
     # ------------------------------------------------------------------
     @property
@@ -310,6 +312,11 @@ class CommunitySimulation:
     @property
     def evidence_plane(self) -> EvidencePlane:
         return self._evidence
+
+    @property
+    def beta_table(self) -> CommunityBetaTable:
+        """Every member's beta evidence, keyed by dense peer gids."""
+        return self._beta
 
     def peer_by_id(self, peer_id: str) -> CommunityPeer:
         try:
@@ -403,7 +410,7 @@ class CommunitySimulation:
         arrived = set(event.arrived)
         for peer in self._peers:
             if peer.peer_id in arrived:
-                self._evidence.register_peer(peer)
+                self._register(peer)
         return event
 
     def _build_listings(self, round_index: int) -> List[Listing]:
@@ -437,7 +444,8 @@ class CommunitySimulation:
         random matching reads no trust and leaves it ``None``.
         """
         listings = self._build_listings(round_index)
-        consumer_ids = [peer.peer_id for peer in self._peers if peer.consumes_goods]
+        consumers = [peer for peer in self._peers if peer.consumes_goods]
+        consumer_ids = [peer.peer_id for peer in consumers]
         rng = self._streams("matching")
         if self._config.matching != "trust":
             return [
@@ -445,15 +453,17 @@ class CommunitySimulation:
                 for consumer_id, listing in random_matching(consumer_ids, listings, rng)
             ]
         now = float(round_index)
-        # One batched backend read per consumer fills its score row, asked
-        # in listing order so column j is listing j's supplier (each
-        # supplier posts at most one listing per round).
-        supplier_ids = [listing.supplier_id for listing in listings]
+        # One batched read per consumer fills its score row, asked in
+        # listing order so column j is listing j's supplier (each supplier
+        # posts at most one listing per round).  The suppliers' names are
+        # resolved in the community table once, so a consumer's row costs
+        # only the partners it knows.
+        supplier_ids = self._beta.columns(
+            [listing.supplier_id for listing in listings]
+        )
         scores = np.empty((len(consumer_ids), len(listings)))
-        for row, consumer_id in enumerate(consumer_ids):
-            scores[row] = self.peer_by_id(consumer_id).trust_in_many(
-                supplier_ids, now=now
-            )
+        for row, consumer in enumerate(consumers):
+            scores[row] = consumer.trust_in_many(supplier_ids, now=now)
         matches = trust_weighted_matching(consumer_ids, listings, scores, rng)
         consumer_rows = {
             consumer_id: row for row, consumer_id in enumerate(consumer_ids)

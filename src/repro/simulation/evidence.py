@@ -70,7 +70,7 @@ from repro.simulation.repair import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (peer imports us)
     from repro.simulation.peer import CommunityPeer
 
-__all__ = ["EVIDENCE_MODES", "EvidencePlane"]
+__all__ = ["EVIDENCE_MODES", "EvidencePlane", "require_async_knobs"]
 
 EVIDENCE_MODES = ("sync", "async")
 
@@ -105,6 +105,30 @@ def _derived_complaints(recipient_id: str, records: Sequence):
             continue
         filings.append((recipient_id, partner_id, float(record.timestamp)))
     return filings
+
+
+def require_async_knobs(mode: str, delayed: bool, repaired: bool) -> None:
+    """Refuse delay, loss, repair or fault settings on a sync plane.
+
+    A lossless zero-latency plane that *looks* configured for delay, loss,
+    repair or link faults is a silent experiment-design bug: those knobs
+    only act on the async plane.  ``delayed`` says whether latency, loss or
+    a latency model is set, ``repaired`` whether a repair policy or a link
+    fault is.  :class:`EvidencePlane` and
+    :class:`~repro.simulation.community.CommunityConfig` both call this,
+    so a bad configuration fails when it is built.
+    """
+    if mode != "sync":
+        return
+    if delayed:
+        raise SimulationError(
+            "evidence latency, loss and latency models require "
+            "evidence mode 'async'"
+        )
+    if repaired:
+        raise SimulationError(
+            "evidence repair and link faults require evidence mode 'async'"
+        )
 
 
 class EvidencePlane:
@@ -178,19 +202,11 @@ class EvidencePlane:
                 gossip_fanout=gossip_fanout,
                 retransmit_timeout=retransmit_timeout,
             )
-        if mode == "sync" and (
-            latency > 0 or loss > 0 or latency_model is not None
-        ):
-            # A lossless zero-latency plane that *looks* configured for
-            # delay or loss is a silent experiment-design bug; refuse it.
-            raise SimulationError(
-                "evidence latency, loss and latency models require mode='async'"
-            )
-        if mode == "sync" and (policy.name != "off" or fault is not None):
-            # Same rationale: repair/fault knobs on a sync plane are inert.
-            raise SimulationError(
-                "evidence repair and link faults require mode='async'"
-            )
+        require_async_knobs(
+            mode,
+            delayed=latency > 0 or loss > 0 or latency_model is not None,
+            repaired=policy.name != "off" or fault is not None,
+        )
         self._mode = mode
         self._peers: Dict[str, "CommunityPeer"] = {}
         self._network: Optional[SimulatedNetwork] = None

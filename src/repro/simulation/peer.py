@@ -18,6 +18,7 @@ from repro.simulation.behaviors import (
 )
 from repro.trust import (
     BetaBelief,
+    CommunityBetaTable,
     TrustBackend,
     TrustObservation,
     create_backend,
@@ -54,10 +55,15 @@ class CommunityPeer:
     decision layer needs (its reputation continuation value, i.e. how much
     future business a defection would destroy for it).
 
-    The trust state is one backend per :class:`TrustMethod`: a private
-    ``beta`` backend, the ``complaint`` backend (``complaint_store``, the
-    community's shared one, or else a private balanced-metric backend), and
-    a ``decay`` backend (half-life 100) built on the first DECAY read from
+    The trust state answers each :class:`TrustMethod`.  BETA evidence
+    lives in a :class:`~repro.trust.community.CommunityBetaTable` under
+    the peer's gid there: a simulation moves every peer it registers into
+    its one community table (:meth:`join_table`), and a peer used outside
+    a simulation builds a private table on first use.
+    :meth:`backend_for` ``("beta")`` copies the peer's cells into a plain
+    beta backend.  The ``complaint`` backend is ``complaint_store``, the
+    community's shared one, or else a private balanced-metric backend; the
+    ``decay`` backend (half-life 100) is built on the first DECAY read from
     the replayed outcome history — most peers never read it.
     """
 
@@ -90,7 +96,10 @@ class CommunityPeer:
             )
         self.peer_id = peer_id
         self.behavior: BehaviorModel = behavior if behavior is not None else HonestBehavior()
-        self._beta = create_backend("beta")
+        #: The beta evidence table and this peer's gid in it (see
+        #: :meth:`_beta_table`).
+        self._table: Optional[CommunityBetaTable] = None
+        self._gid = -1
         self._complaint = complaint_store
         self._decay: Optional[TrustBackend] = None
         # Every observation this peer has made, replayed into the decay
@@ -121,10 +130,34 @@ class CommunityPeer:
     # ------------------------------------------------------------------
     # Trust backends and the one trust-method dispatch
     # ------------------------------------------------------------------
+    def _beta_table(self) -> CommunityBetaTable:
+        """The table holding this peer's beta evidence (private until joined)."""
+        if self._table is None:
+            self.join_table(CommunityBetaTable())
+        assert self._table is not None
+        return self._table
+
+    def join_table(self, table: CommunityBetaTable) -> None:
+        """Keep this peer's beta evidence in ``table`` from now on.
+
+        The peer is interned there, and the evidence it gathered so far
+        (in a private table or another community's) is adopted.
+        """
+        if table is self._table:
+            return
+        gid = table.ids.intern(self.peer_id)
+        if self._table is not None:
+            table.adopt(gid, self._table.backend_for(self._gid))
+        self._table, self._gid = table, gid
+
     def backend_for(self, method: str) -> TrustBackend:
-        """The backend answering ``method`` (BETA, COMPLAINT or DECAY)."""
+        """The backend answering ``method`` (BETA, COMPLAINT or DECAY).
+
+        BETA returns a snapshot of the peer's beta cells (writing to it
+        changes nothing); COMPLAINT and DECAY return the live backends.
+        """
         if method == TrustMethod.BETA:
-            return self._beta
+            return self._beta_table().backend_for(self._gid)
         if method == TrustMethod.COMPLAINT:
             return self._complaint
         if method == TrustMethod.DECAY:
@@ -139,21 +172,27 @@ class CommunityPeer:
 
     def _by_method(
         self,
-        read: Callable[[TrustBackend], _Read],
+        read_beta: Callable[[CommunityBetaTable], _Read],
+        read_decay: Callable[[TrustBackend], _Read],
         read_complaint: Callable[[TrustBackend], _Read],
         combine: Callable[[_Read, _Read], _Read],
     ) -> _Read:
         """Answer a trust read with the peer's configured method.
 
-        ``read`` queries a beta-family backend, ``read_complaint`` the
-        complaint backend; COMBINED ``combine``s (the minimum of) both.
+        ``read_beta`` queries the beta table, ``read_decay`` the decay
+        backend and ``read_complaint`` the complaint backend; COMBINED
+        ``combine``s (the minimum of) the beta and complaint reads.
         """
         method = self.trust_method
         if method == TrustMethod.COMBINED:
-            return combine(read(self._beta), read_complaint(self._complaint))
+            return combine(
+                read_beta(self._beta_table()), read_complaint(self._complaint)
+            )
         if method == TrustMethod.COMPLAINT:
             return read_complaint(self._complaint)
-        return read(self.backend_for(method))
+        if method == TrustMethod.BETA:
+            return read_beta(self._beta_table())
+        return read_decay(self.backend_for(method))
 
     # ------------------------------------------------------------------
     # Trust interface used by the community orchestration
@@ -161,6 +200,9 @@ class CommunityPeer:
     def trust_in(self, partner_id: str, now: Optional[float] = None) -> float:
         """Current trust estimate in a partner using the peer's configured method."""
         return self._by_method(
+            lambda table: table.belief(
+                table.pair_keys(self._gid, (partner_id,))[0]
+            ).mean,
             lambda backend: backend.score(partner_id, now=now),
             lambda complaint: complaint.score(partner_id),
             min,
@@ -169,8 +211,14 @@ class CommunityPeer:
     def trust_in_many(
         self, partner_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
-        """Vectorized trust estimates for a batch of prospective partners."""
+        """Vectorized trust estimates for a batch of prospective partners.
+
+        ``partner_ids`` may be :class:`~repro.trust.community.SubjectColumns`
+        already resolved in the peer's table (the round resolves its listed
+        suppliers once); plain names are resolved first.
+        """
         return self._by_method(
+            lambda table: table.row(self._gid, table.columns(partner_ids)),
             lambda backend: backend.scores_for(partner_ids, now=now),
             lambda complaint: complaint.scores_for(partner_ids),
             np.minimum,
@@ -209,7 +257,7 @@ class CommunityPeer:
         observations = [self._observation_from(record) for record in records]
         if not observations:
             return
-        self._beta.update_many(observations)
+        self._beta_table().observe(self._gid, observations)
         self._complaint.update_many(observations)
         if self._decay is None:
             self._history.extend(observations)
@@ -272,17 +320,19 @@ class CommunityPeer:
         evidence about are omitted, except that a forging policy may still
         fabricate a report about them.
         """
-        backend = self._beta
+        table = self._beta_table()
         reports: List[Tuple[str, float, float]] = []
-        for subject_id in subject_ids:
+        for subject_id, key in zip(
+            subject_ids, table.pair_keys(self._gid, subject_ids)
+        ):
             if subject_id == self.peer_id:
                 continue
-            belief = backend.belief(subject_id)  # repro: allow(PERF001) — each witness request names one subject, so a batched beliefs_for read buys nothing
+            belief = table.belief(key)  # repro: allow(PERF001) — a witness request names one subject; this scalar read costs a few µs, the batched beliefs_for read several times that
             reported = self.witness_policy.report(subject_id, belief)
             forged = (
                 reported.alpha != belief.alpha or reported.beta != belief.beta
             )
-            if not forged and backend.observation_count(subject_id) == 0:
+            if not forged and table.observation_count(key) == 0:
                 continue
             reports.append((subject_id, reported.alpha, reported.beta))
         return reports
@@ -337,15 +387,21 @@ class CommunityPeer:
         ):
             return self.trust_in(partner_id, now=now)
         witness_ids, matrix = self._witness_matrix_for(partner_id)
+        table = self._beta_table()
         discounts = np.clip(
-            self._beta.scores_for(witness_ids, now=now), 0.0, 1.0
+            table.scores_for(table.pair_keys(self._gid, witness_ids)), 0.0, 1.0
         )
-        return self._by_method(
-            lambda backend: float(
+
+        def aggregate(backend: TrustBackend, subjects: Sequence[object]) -> float:
+            return float(
                 backend.aggregate_witness_reports(
-                    (partner_id,), matrix, discounts, now=now
+                    subjects, matrix, discounts, now=now
                 )[0]
-            ),
+            )
+
+        return self._by_method(
+            lambda table: aggregate(table, table.pair_keys(self._gid, (partner_id,))),
+            lambda backend: aggregate(backend, (partner_id,)),
             lambda complaint: complaint.score(partner_id),
             min,
         )

@@ -26,6 +26,7 @@ from repro.trust.backend import (
     create_backend,
     register_backend,
 )
+from repro.trust.community import CommunityBetaTable, SubjectColumns
 from repro.trust.aggregation import (
     WitnessReport,
     combine_beta_evidence,
@@ -75,6 +76,9 @@ __all__ = [
     "register_backend",
     "create_backend",
     "backend_names",
+    # community table
+    "CommunityBetaTable",
+    "SubjectColumns",
     # sharding
     "ShardRouter",
     "HashShardRouter",

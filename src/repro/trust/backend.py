@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -386,12 +387,23 @@ class BetaTrustBackend(TrustBackend):
         return BetaBelief(self._prior_alpha, self._prior_beta)
 
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
-        if not observations:
-            return
+        if observations:
+            self._add_evidence([o.subject_id for o in observations], observations)
+
+    def _add_evidence(
+        self, keys: Sequence[Any], observations: Sequence[TrustObservation]
+    ) -> np.ndarray:
+        """Add each observation's evidence to the row interned for its key.
+
+        The columnar core under :meth:`update_many`, whose keys are the
+        subject ids; the community table
+        (:class:`~repro.trust.community.CommunityBetaTable`) passes
+        ``(observer, subject)`` pair keys instead.  Returns the rows.
+        """
         n = len(observations)
         self._record_update(n)
         table = self._table
-        idx = table.intern_many([o.subject_id for o in observations])
+        idx = table.intern_many(keys)
         weights = np.fromiter((o.weight for o in observations), dtype=np.float64, count=n)
         honest = np.fromiter((o.honest for o in observations), dtype=bool, count=n)
         touched = np.unique(idx)
@@ -400,6 +412,7 @@ class BetaTrustBackend(TrustBackend):
         np.add.at(table["beta"], idx[~honest], weights[~honest])
         np.add.at(table["count"], idx, 1)
         table.invalidate(touched)
+        return idx
 
     def _evidence_weights(
         self,

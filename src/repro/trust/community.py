@@ -1,0 +1,253 @@
+"""One community-wide beta evidence table over dense integer peer ids.
+
+Every peer of a simulated community keeps first-hand beta evidence
+(Jøsang & Ismail's *Beta Reputation System*): one ``(alpha, beta)``
+posterior per ``(observer, subject)`` pair.  :class:`CommunityBetaTable`
+holds all of those cells in one :class:`~repro.trust.backend.
+BetaTrustBackend` kernel whose keys are *pair keys*
+``observer_gid << 32 | subject_gid``, where a gid is a peer name interned
+once in the table's :attr:`~CommunityBetaTable.ids`.  The kernel's columns,
+growth and score formula are the per-peer backend's, so every read is
+bit-identical to what a private ``create_backend("beta")`` per observer
+answers.
+
+Writes are queued and applied as one kernel batch before the next read:
+a round's many small per-peer batches cost one vectorized pass.  Each pair
+row receives its observations in the order they were written, so the sums
+are the ones per-batch writes produce.
+
+The table also remembers, per observer, the subjects it has evidence about
+in first-observation order.  A trust row over many names is then filled
+from those subjects alone: the names are resolved once into
+:class:`SubjectColumns` (the round resolves its listed suppliers once and
+every consumer reuses them), and one observer's row costs O(the subjects it
+knows) plus one fill of the prior.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.exceptions import TrustModelError
+from repro.trust.backend import BetaTrustBackend, TrustObservation
+from repro.trust.storage import PeerIndex
+
+__all__ = ["CommunityBetaTable", "SubjectColumns"]
+
+#: Bits of a pair key that hold the subject gid.
+_SUBJECT_BITS = 32
+
+
+class SubjectColumns(tuple):
+    """Subject names whose columns are resolved in one table.
+
+    Iterates, indexes and measures like the tuple of names, so a backend
+    that reads names reads it unchanged.  ``table`` is the resolving table,
+    ``column_of`` maps a subject gid to one column of that subject, and
+    ``gather`` maps every column to its subject's ``column_of`` column, or
+    is ``None`` when no name repeats.  A name the table had not interned
+    when it resolved them has no column and reads the prior.
+    """
+
+    table: "CommunityBetaTable"
+    column_of: Dict[int, int]
+    gather: Optional[np.ndarray]
+
+
+class CommunityBetaTable(BetaTrustBackend):
+    """Beta evidence of every observer about every subject, one row per pair.
+
+    As a :class:`~repro.trust.backend.BetaTrustBackend` its subject ids are
+    pair keys (:meth:`pair_keys`, which applies queued writes first), so
+    ``belief``, ``observation_count``, ``scores_for`` and
+    ``aggregate_witness_reports`` take pair keys.  :meth:`update_many` takes
+    observations from any number of observers; :meth:`observe` is the same
+    write for one observer whose gid is known.  The whole table has no
+    snapshot: :meth:`backend_for` copies one observer's cells into a plain
+    beta backend.
+    """
+
+    def __init__(self, prior_alpha: float = 1.0, prior_beta: float = 1.0) -> None:
+        super().__init__(prior_alpha, prior_beta)
+        self._ids = PeerIndex()
+        #: observer gid -> (subject gids, pair rows), in first-observation
+        #: order.
+        self._known: Dict[int, Tuple[List[int], List[int]]] = {}
+        #: Observations written since the last read, with their observers'
+        #: gids; ``_settle`` applies them.
+        self._pending: List[TrustObservation] = []
+        self._pending_observers: List[int] = []
+
+    @property
+    def ids(self) -> PeerIndex:
+        """The peer-name -> gid index (observers and subjects alike)."""
+        return self._ids
+
+    # -- writes ----------------------------------------------------------
+    def update_many(self, observations: Sequence[TrustObservation]) -> None:
+        """Queue a batch of observations by any observers."""
+        observers = self._ids.intern_many([o.observer_id for o in observations])
+        self._pending_observers.extend(observers.tolist())
+        self._pending.extend(observations)
+
+    def observe(
+        self, observer: int, observations: Sequence[TrustObservation]
+    ) -> None:
+        """Queue a batch of observations made by the observer with gid ``observer``."""
+        self._pending_observers.extend(itertools.repeat(observer, len(observations)))
+        self._pending.extend(observations)
+
+    def _settle(self) -> None:
+        """Apply every queued observation in one kernel batch."""
+        if not self._pending:
+            return
+        observations, self._pending = self._pending, []
+        observers = np.array(self._pending_observers, dtype=np.int64)
+        self._pending_observers = []
+        subjects = self._ids.intern_many([o.subject_id for o in observations])
+        size = len(self._table)
+        keys = (observers << _SUBJECT_BITS) | subjects
+        rows = self._add_evidence(keys.tolist(), observations)
+        self._remember(observers, subjects, rows, size)
+
+    def adopt(self, observer: int, cells: BetaTrustBackend) -> None:
+        """Add the evidence held in ``cells`` as the observer's own.
+
+        ``cells`` is a plain beta backend about one observer's subjects, as
+        :meth:`backend_for` returns it; its subjects keep their order.
+        """
+        self._settle()
+        state = cells.snapshot()
+        subjects = self._ids.intern_many(state["peer_ids"].tolist())
+        observers = np.full(len(subjects), observer, dtype=np.int64)
+        table = self._table
+        size = len(table)
+        rows = table.intern_many(((observers << _SUBJECT_BITS) | subjects).tolist())
+        for name in self.COLUMNS:
+            table[name][rows] += state[name]
+        table.invalidate(rows)
+        self._remember(observers, subjects, rows, size)
+
+    def _remember(
+        self,
+        observers: np.ndarray,
+        subjects: np.ndarray,
+        rows: np.ndarray,
+        size: int,
+    ) -> None:
+        """Append every pair row at or past ``size`` to its observer's list.
+
+        New rows are interned in first-occurrence order, so sorting them
+        keeps each observer's subjects in first-observation order.
+        """
+        if len(self._table) == size:
+            return
+        new = np.flatnonzero(rows >= size)
+        fresh, first = np.unique(rows[new], return_index=True)
+        at = new[first]
+        for observer, subject, row in zip(
+            observers[at].tolist(), subjects[at].tolist(), fresh.tolist()
+        ):
+            known_subjects, known_rows = self._known.setdefault(observer, ([], []))
+            known_subjects.append(subject)
+            known_rows.append(row)
+
+    # -- reads -----------------------------------------------------------
+    def columns(self, names: Sequence[str]) -> SubjectColumns:
+        """``names`` with their columns resolved in this table.
+
+        Names this table resolved already pass through unchanged, so a
+        caller may resolve once and read many rows.
+        """
+        if isinstance(names, SubjectColumns) and names.table is self:
+            return names
+        self._settle()
+        columns = SubjectColumns(names)
+        gids = self._ids.lookup_many(columns)
+        listed = np.flatnonzero(gids >= 0)
+        listed_gids = gids[listed].tolist()
+        column_of = dict(zip(listed_gids, listed.tolist()))
+        gather = None
+        if len(column_of) < len(listed_gids):
+            gather = np.arange(len(columns))
+            gather[listed] = [column_of[gid] for gid in listed_gids]
+        columns.table, columns.column_of, columns.gather = self, column_of, gather
+        return columns
+
+    def row(self, observer: int, columns: SubjectColumns) -> np.ndarray:
+        """The observer's trust in each subject of ``columns``.
+
+        Only the observer's known subjects are looked up; every other
+        column holds the prior score.
+        """
+        self._settle()
+        out = np.full(
+            len(columns), self._prior_alpha / (self._prior_alpha + self._prior_beta)
+        )
+        known = self._known.get(observer)
+        if known is not None:
+            subjects, rows = known
+            cols = np.fromiter(
+                map(columns.column_of.get, subjects, itertools.repeat(-1)),
+                dtype=np.int64,
+                count=len(subjects),
+            )
+            listed = cols >= 0
+            if listed.any():
+                rows_listed = np.asarray(rows, dtype=np.int64)[listed]
+                out[cols[listed]] = self._row_scores(rows_listed, None)
+        if columns.gather is not None:
+            out = out[columns.gather]
+        return out
+
+    def pair_keys(self, observer: int, names: Sequence[str]) -> List[int]:
+        """Pair keys of the observer with each name (-1 for unknown names).
+
+        Applies queued writes first, so kernel reads by these keys see
+        them.
+        """
+        self._settle()
+        base = observer << _SUBJECT_BITS
+        gid_of = self._ids.get
+        keys = []
+        for name in names:
+            gid = gid_of(name)
+            keys.append(-1 if gid is None else base | gid)
+        return keys
+
+    def backend_for(self, observer: int) -> BetaTrustBackend:
+        """A copy of the observer's cells as a plain beta backend.
+
+        Subjects come in first-observation order, so the copy's snapshot is
+        the one a private backend fed the same observations would take.  It
+        is a snapshot: writing to it does not reach the table.
+        """
+        self._settle()
+        subjects, rows = self._known.get(observer, ([], []))
+        row_index = np.asarray(rows, dtype=np.int64)
+        backend = BetaTrustBackend(self._prior_alpha, self._prior_beta)
+        state = dict(self._config_items())
+        state["backend"] = np.array(backend.name)
+        state["peer_ids"] = np.array(
+            [self._ids.name_of(subject) for subject in subjects], dtype=object
+        )
+        for name in self.COLUMNS:
+            state[name] = self._table[name][row_index]
+        backend.restore(state)
+        return backend
+
+    # -- no whole-table snapshot ----------------------------------------
+    def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
+        raise TrustModelError(
+            "the community table has no snapshot; copy one observer's cells "
+            "with backend_for(observer)"
+        )
+
+    def restore(self, state: Dict[str, np.ndarray]) -> None:
+        raise TrustModelError(
+            "the community table cannot be restored; restore a per-observer "
+            "backend instead"
+        )

@@ -9,8 +9,8 @@ the peer-id space across ``N`` inner
 the *same* interface as one complaint backend, so every
 consumer — the community's peers, witness aggregation, the community
 simulation — stays unchanged and shard-agnostic.  Only the complaint kind
-is sharded: each peer's private beta and decay backends hold at most one
-row per community member and gain nothing from partitioning.
+is sharded: the community beta table and each peer's decay backend stay
+single plain arenas.
 
 Routing
 -------

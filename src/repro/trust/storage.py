@@ -106,6 +106,9 @@ class PeerIndex:
     def get(self, name: str) -> Optional[int]:
         return self._ids.get(name)
 
+    def name_of(self, index: int) -> str:
+        return self._names[index]
+
     def names(self) -> Tuple[str, ...]:
         return tuple(self._names)
 
