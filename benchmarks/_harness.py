@@ -1,16 +1,19 @@
 """Shared helpers for the benchmark / experiment harness.
 
-Every benchmark module regenerates one table or figure of the designed
-evaluation (see DESIGN.md and EXPERIMENTS.md).  Because ``pytest`` captures
-stdout by default, each experiment's rendered output is also written to
-``benchmarks/results/<experiment id>.txt`` so the regenerated tables survive
-a plain ``pytest benchmarks/ --benchmark-only`` run.
+Every benchmark module regenerates one table or figure of the evaluation
+(each module's docstring states the claim it checks).  Because ``pytest``
+captures stdout by default, each experiment's rendered output is also
+written to ``benchmarks/results/<experiment id>.txt`` so the regenerated
+tables survive a plain ``pytest benchmarks/ --benchmark-only`` run.
 
 Alongside the human-readable text, :func:`emit_json` persists a
 machine-readable ``benchmarks/results/BENCH_<name>.json`` per experiment —
-metrics, regression bars with their verdicts, and an overall pass flag.
-The payload is deliberately timestamp-free so reruns on unchanged code
-produce byte-identical files (diffable in CI artifacts).
+metrics, regression bars with their verdicts, and an overall pass flag —
+and is the experiment's one verdict: it fails the test on any enforced bar
+that reads ``ok: false``.  The payload is timestamp-free so reruns on
+unchanged code produce byte-identical files.  Under ``REPRO_BENCH_SMOKE``
+every output goes to ``benchmarks/results/smoke/`` instead, so a smoke
+pass never overwrites the committed full-scale results.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from typing import Any, Dict, Optional, Union
 from repro.analysis.figures import Figure
 from repro.analysis.tables import Table
 
+SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+if SMOKE:
+    RESULTS_DIR = os.path.join(RESULTS_DIR, "smoke")
 
 
 def emit(experiment_id: str, rendered: Union[str, Table, Figure]) -> str:
@@ -101,31 +107,36 @@ def emit_json(
     name: str,
     metrics: Dict[str, Any],
     bars: Optional[Dict[str, Dict[str, Any]]] = None,
-) -> bool:
-    """Persist ``benchmarks/results/BENCH_<name>.json`` and return pass/fail.
+) -> None:
+    """Persist ``BENCH_<name>.json``; raise if an enforced bar missed.
 
     ``metrics`` holds the experiment's measurements (typically
     :func:`table_metrics`); ``bars`` maps bar names to :func:`bar` entries.
-    The overall ``passed`` flag is the conjunction of the *enforced* bars'
-    verdicts (vacuously true without any); unenforced bars are recorded
-    with their real ``ok`` but never fail the run.  No timestamps or host details are
-    recorded, so the file is stable across reruns of unchanged code.
+    ``passed`` records whether every *enforced* bar reads ``ok`` (vacuously
+    true without any).  The file is written first; then an
+    :class:`AssertionError` names each enforced bar that missed, with its
+    value and limit.  Unenforced bars never fail the run.  No timestamps or
+    host details are recorded, so the file is stable across reruns of
+    unchanged code.
     """
-    bars = bars or {}
-    passed = all(
-        bool(entry.get("ok", True))
-        for entry in bars.values()
-        if entry.get("enforced", True)
-    )
+    bars = _jsonable(bars or {})
+    failed = [
+        f"{bar_name} (value {entry['value']!r}, limit {entry['limit']!r})"
+        for bar_name, entry in sorted(bars.items())
+        if entry["enforced"] and not entry["ok"]
+    ]
     payload = {
         "name": name,
         "metrics": _jsonable(metrics),
-        "bars": _jsonable(bars),
-        "passed": passed,
+        "bars": bars,
+        "passed": not failed,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return passed
+    if failed:
+        raise AssertionError(
+            f"BENCH_{name}: enforced bars failed: " + "; ".join(failed)
+        )

@@ -106,10 +106,3 @@ def test_ablation_ordering(benchmark):
             "ascending_incomplete": bar(ascending[3], 1.0, ascending[3] < 1.0),
         },
     )
-    # Completeness: the greedy planner finds a schedule for every instance
-    # the exhaustive search can schedule.
-    assert greedy[3] == 1.0
-    # The naive orderings miss a nontrivial share of feasible instances,
-    # which is exactly why the ordering rule matters.
-    assert naive[3] < 1.0
-    assert ascending[3] < 1.0

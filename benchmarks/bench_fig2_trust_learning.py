@@ -110,11 +110,3 @@ def test_fig2_trust_learning(benchmark):
             "direct_converges": bar(direct.ys[-1], 0.15, direct.ys[-1] < 0.15),
         },
     )
-    # Error decreases as evidence accumulates (compare 1 vs 40 interactions).
-    assert direct.ys[-1] < direct.ys[0]
-    assert witnessed.ys[-1] < witnessed.ys[0]
-    # Pooling witness evidence converges at least as fast as direct-only for
-    # small evidence counts.
-    assert witnessed.ys[0] <= direct.ys[0] + 0.02
-    # With plenty of evidence the Bayesian estimates get close to the truth.
-    assert direct.ys[-1] < 0.15

@@ -97,11 +97,3 @@ def test_fig5_community_dynamics(benchmark):
             ),
         },
     )
-    # Trust-aware losses shrink over time: the second half of the run loses
-    # less than the first half (the first windows are the learning phase).
-    assert sum(aware.ys[half:]) < sum(aware.ys[:half])
-    # The naive strategy keeps losing value at a roughly steady (high) rate:
-    # its final window still loses more than the trust-aware final window.
-    assert naive.ys[-1] > aware.ys[-1]
-    # Total losses are lower under the trust-aware strategy.
-    assert sum(aware.ys) < sum(naive.ys)

@@ -105,9 +105,3 @@ def test_table1_safe_existence(benchmark):
             ),
         },
     )
-    # Sanity of the claimed shape: fully safe schedules are rare for the
-    # physical-goods workloads, and reputation continuation helps.
-    assert all(row[2] <= 50.0 for row in ebay_rows)
-    assert all(row[3] >= row[2] for row in table.rows)
-    # Digital goods (near-zero cost) need far less tolerance than stress bundles.
-    assert max(row[4] for row in digital_rows) < min(row[4] for row in stress_rows)

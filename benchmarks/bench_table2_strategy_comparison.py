@@ -120,6 +120,10 @@ def test_table2_strategy_comparison(benchmark):
             trust_aware[4] < rows["goods-first"][4]
             and trust_aware[4] < rows["payment-first"][4],
         )
+        # Once the dishonest population is substantial, protection dominates:
+        # the honest population is better off trust-aware than under either
+        # naive extreme (with few cheaters the naive strategies' extra volume
+        # can still win — the crossover the experiment is designed to show).
         if fraction >= 0.3:
             bars[f"welfare_beats_naive_{fraction}"] = bar(
                 trust_aware[3],
@@ -127,27 +131,11 @@ def test_table2_strategy_comparison(benchmark):
                 trust_aware[3] > rows["goods-first"][3]
                 and trust_aware[3] > rows["payment-first"][3],
             )
-    emit_json("table2_strategy_comparison", table_metrics(table), bars)
-    for fraction in DISHONEST_FRACTIONS:
-        rows = _rows_for(table, fraction)
-        trust_aware = rows["trust-aware"]
-        safe_only = rows["safe-only"]
-        goods_first = rows["goods-first"]
-        payment_first = rows["payment-first"]
-        # Trust-aware enables far more trade than the safe-only baseline...
-        assert trust_aware[2] > safe_only[2]
-        assert trust_aware[3] > safe_only[3]
-        # ...and loses far less to defectors than the naive extremes.
-        assert trust_aware[4] < goods_first[4]
-        assert trust_aware[4] < payment_first[4]
-        # Once the dishonest population is substantial, protection dominates:
-        # the honest population is better off trust-aware than under either
-        # naive extreme (with few cheaters the naive strategies' extra volume
-        # can still win — the crossover the experiment is designed to show).
-        if fraction >= 0.3:
-            assert trust_aware[3] > goods_first[3]
-            assert trust_aware[3] > payment_first[3]
+        # With half the community dishonest even the exposure-splitting
+        # alternating baseline is beaten.
         if fraction >= 0.5:
-            # With half the community dishonest even the exposure-splitting
-            # alternating baseline is beaten.
-            assert trust_aware[3] > rows["alternating"][3]
+            bars[f"beats_alternating_{fraction}"] = bar(
+                trust_aware[3], rows["alternating"][3],
+                trust_aware[3] > rows["alternating"][3],
+            )
+    emit_json("table2_strategy_comparison", table_metrics(table), bars)

@@ -15,8 +15,8 @@ runs first alternating from pair to pair.  Each run is timed in reference
 seconds by ``perfbench/hostclock.py``'s ``HostClock``, which probes the
 host's speed while the runs go on, so a host that slows down or speeds up
 between the two runs of a pair does not show as overhead.  The overhead is
-the median of the per-pair ratios summary/off, minus 1.  A sanity check
-first asserts the instrumented run actually recorded the hot-path metrics
+the median of the per-pair ratios summary/off, minus 1.  A sanity bar
+checks that the instrumented run actually recorded the hot-path metrics
 it claims to measure.
 
 Scales: **full / default** a 60-peer, 20-round flash crowd; **smoke**
@@ -134,7 +134,7 @@ def build_table() -> Table:
         "{:.4f}".format(measured["summary_seconds"]),
         "{:+.2%}".format(measured["overhead_fraction"]),
     )
-    table.meta = measured  # stashed for the assertions below
+    table.meta = measured  # stashed for the bars
     return table
 
 
@@ -168,8 +168,3 @@ def test_telemetry_summary_overhead(benchmark):
             ),
         },
     )
-    # The instrumented arm really was instrumented, and did the same work.
-    assert recorded
-    assert measured["attempted_summary"] == measured["attempted_off"]
-    # The headline bar: summary-mode telemetry costs < 5% wall clock.
-    assert measured["overhead_fraction"] < MAX_OVERHEAD

@@ -1,17 +1,19 @@
 """Benchmark-suite hooks.
 
 pytest captures stdout, so the tables and figures the benchmarks regenerate
-would normally only be visible in ``benchmarks/results/*.txt``.  This hook
-replays every regenerated artefact at the end of the terminal summary so that
-``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` leaves a fully
-self-contained record of the reproduced evaluation.
+would normally only be visible as ``*.txt`` files in the harness's results
+directory (``benchmarks/results/``, or ``benchmarks/results/smoke/`` under
+``REPRO_BENCH_SMOKE``).  This hook replays every regenerated artefact at the
+end of the terminal summary so that ``pytest benchmarks/ --benchmark-only |
+tee bench_output.txt`` leaves a fully self-contained record of the
+reproduced evaluation.
 """
 
 from __future__ import annotations
 
 import os
 
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+from _harness import RESULTS_DIR
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):  # noqa: D103

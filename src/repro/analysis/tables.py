@@ -1,8 +1,8 @@
 """Plain-text tables for experiment output.
 
 The benchmark harness prints the regenerated tables in a fixed-width format
-(and can emit CSV) so the paper-versus-measured comparison in
-``EXPERIMENTS.md`` can be read straight off the benchmark logs.
+(and can emit CSV) so the paper-versus-measured comparison can be read
+straight off the benchmark logs and ``benchmarks/results/*.txt``.
 """
 
 from __future__ import annotations

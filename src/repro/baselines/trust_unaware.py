@@ -22,7 +22,11 @@ __all__ = ["FixedExposureStrategy", "OptimisticStrategy"]
 
 
 class FixedExposureStrategy(ExchangeStrategy):
-    """Accept the same exposure for every partner, trusted or not."""
+    """Accept the same exposure for every partner, trusted or not.
+
+    The context's defection penalties (the reputation a defector would
+    forfeit) still count towards safety.
+    """
 
     name = "fixed-exposure"
 
@@ -30,13 +34,11 @@ class FixedExposureStrategy(ExchangeStrategy):
         self,
         exposure: float = 10.0,
         payment_policy: PaymentPolicy = PaymentPolicy.LAZY,
-        include_reputation_continuation: bool = True,
     ):
         if exposure < 0:
             raise MarketplaceError(f"exposure must be >= 0, got {exposure}")
         self._exposure = exposure
         self._payment_policy = payment_policy
-        self._include_reputation_continuation = include_reputation_continuation
 
     def plan(
         self,
@@ -44,19 +46,9 @@ class FixedExposureStrategy(ExchangeStrategy):
         price: float,
         context: StrategyContext,
     ) -> Optional[ExchangeSequence]:
-        supplier_penalty = (
-            context.supplier_defection_penalty
-            if self._include_reputation_continuation
-            else 0.0
-        )
-        consumer_penalty = (
-            context.consumer_defection_penalty
-            if self._include_reputation_continuation
-            else 0.0
-        )
         requirements = ExchangeRequirements(
-            supplier_defection_penalty=supplier_penalty,
-            consumer_defection_penalty=consumer_penalty,
+            supplier_defection_penalty=context.supplier_defection_penalty,
+            consumer_defection_penalty=context.consumer_defection_penalty,
             consumer_accepted_exposure=self._exposure,
             supplier_accepted_exposure=self._exposure,
         )

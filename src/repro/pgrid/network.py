@@ -80,9 +80,7 @@ class PGridNetwork:
     def __init__(
         self,
         peer_ids: Iterable[str],
-        key_bits: int = DEFAULT_KEY_BITS,
         seed: Optional[int] = None,
-        replicate_inserts: bool = True,
     ):
         ids = list(peer_ids)
         if len(set(ids)) != len(ids):
@@ -90,9 +88,7 @@ class PGridNetwork:
         self._peers: Dict[str, PGridPeer] = {
             peer_id: PGridPeer(peer_id=peer_id) for peer_id in ids
         }
-        self._key_bits = key_bits
         self._rng = random.Random(seed)
-        self._replicate_inserts = replicate_inserts
         self.stats = NetworkStats()
 
     # ------------------------------------------------------------------
@@ -156,7 +152,7 @@ class PGridNetwork:
     # Operations
     # ------------------------------------------------------------------
     def binary_key(self, application_key: str) -> str:
-        return hash_to_bits(application_key, self._key_bits)
+        return hash_to_bits(application_key, DEFAULT_KEY_BITS)
 
     def _random_start(self) -> str:
         return self._rng.choice(list(self._peers.keys()))
@@ -164,7 +160,10 @@ class PGridNetwork:
     def insert(
         self, application_key: str, value: str, from_peer: Optional[str] = None
     ) -> InsertResult:
-        """Store a value under an application key on the responsible peer(s)."""
+        """Store a value under an application key on its responsible peer.
+
+        The value is also copied to every other replica of the key.
+        """
         if not self._peers:
             raise StorageError("cannot insert into an empty network")
         key = self.binary_key(application_key)
@@ -176,13 +175,12 @@ class PGridNetwork:
             responsible = self.peer(result.responsible_peer_id)
             responsible.store_local(key, value)
             stored_on.append(responsible.peer_id)
-            if self._replicate_inserts:
-                for replica_id in replicas_for_key(self._peers, key):
-                    if replica_id == responsible.peer_id:
-                        continue
-                    self.peer(replica_id).store_local(key, value)
-                    stored_on.append(replica_id)
-                    messages += 1
+            for replica_id in replicas_for_key(self._peers, key):
+                if replica_id == responsible.peer_id:
+                    continue
+                self.peer(replica_id).store_local(key, value)
+                stored_on.append(replica_id)
+                messages += 1
         self.stats.record(result.hops, messages, result.success, query=False)
         return InsertResult(
             key=key,

@@ -66,7 +66,6 @@ class CommunityConfig:
     matching: str = "random"  # "random" or "trust"
     defection_penalty: float = 0.0
     seed: int = 0
-    max_trades_per_round: Optional[int] = None
     #: How trust evidence propagates: "sync" applies each round's batches
     #: immediately (legacy behaviour); "async" routes them through the
     #: simulated network with latency/loss (the evidence plane).
@@ -348,8 +347,6 @@ class CommunitySimulation:
             churn_event = self._apply_churn(round_index)
             round_accounts = CommunityAccounts()
             matches = self._build_matches(round_index)
-            if self._config.max_trades_per_round is not None:
-                matches = matches[: self._config.max_trades_per_round]
             round_outcomes = self._execute_matches(matches, timestamp)
             for outcome in round_outcomes:
                 if outcome.scheduled and outcome.result is not None:

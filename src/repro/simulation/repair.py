@@ -46,6 +46,7 @@ evidence-plane pinning tests hold.)
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -71,6 +72,11 @@ __all__ = [
 ]
 
 REPAIR_POLICIES = ("off", "retransmit", "gossip")
+
+#: Each resend multiplies an entry's retry interval by this factor...
+RETRANSMIT_BACKOFF = 2.0
+#: ...up to this many initial timeouts.
+RETRANSMIT_MAX_TIMEOUTS = 8.0
 
 
 @dataclass(frozen=True)
@@ -330,28 +336,22 @@ class RetransmitPolicy(RepairPolicy):
 
     Every delivered entry is acknowledged back to its origin; the origin
     keeps unacknowledged entries pending and re-sends them whenever their
-    deadline passes, doubling the retry interval (``backoff``) up to
-    ``max_interval`` (default ``8 x timeout``).  Acks ride the lossy network
-    too, so a lost ack produces a duplicate delivery — which the plane's
-    ``(origin, seq)`` dedup suppresses and re-acks.
+    deadline passes, doubling the retry interval (``RETRANSMIT_BACKOFF``)
+    up to ``8 x timeout`` (``RETRANSMIT_MAX_TIMEOUTS``).  Acks ride the
+    lossy network too, so a lost ack produces a duplicate delivery — which
+    the plane's ``(origin, seq)`` dedup suppresses and re-acks.
     """
 
     name = "retransmit"
     acking = True
 
-    def __init__(
-        self,
-        timeout: float = 2.0,
-        backoff: float = 2.0,
-        max_interval: float = 0.0,
-    ) -> None:
-        if timeout <= 0:
-            raise SimulationError(f"retransmit timeout must be > 0, got {timeout}")
-        if backoff < 1.0:
-            raise SimulationError(f"retransmit backoff must be >= 1, got {backoff}")
+    def __init__(self, timeout: float = 2.0) -> None:
+        if not 0.0 < timeout < math.inf:
+            raise SimulationError(
+                f"retransmit timeout must be finite and > 0, got {timeout}"
+            )
         self._timeout = timeout
-        self._backoff = backoff
-        self._max_interval = max_interval if max_interval > 0 else 8.0 * timeout
+        self._max_interval = RETRANSMIT_MAX_TIMEOUTS * timeout
         self._pending: Dict[Tuple[str, int], _PendingRetransmit] = {}
 
     def on_emit(self, entry: EvidenceEntry, now: float) -> None:
@@ -382,7 +382,7 @@ class RetransmitPolicy(RepairPolicy):
                 continue
             self._plane.resend_entry(state.entry)
             state.interval = min(
-                state.interval * self._backoff, self._max_interval
+                state.interval * RETRANSMIT_BACKOFF, self._max_interval
             )
             state.deadline = now + state.interval
 
@@ -424,8 +424,10 @@ class GossipPolicy(RepairPolicy):
     journaling = True
 
     def __init__(self, period: float = 1.0, fanout: int = 2) -> None:
-        if period <= 0:
-            raise SimulationError(f"gossip period must be > 0, got {period}")
+        if not 0.0 < period < math.inf:
+            raise SimulationError(
+                f"gossip period must be finite and > 0, got {period}"
+            )
         if fanout < 1:
             raise SimulationError(f"gossip fanout must be >= 1, got {fanout}")
         self._period = period

@@ -47,7 +47,6 @@ class PopulationSpec:
     fluctuating_fraction: float = 0.0
     probabilistic_honesty: float = 0.85
     opportunist_threshold: float = 5.0
-    fluctuating_initial_honesty: float = 1.0
     fluctuating_later_honesty: float = 0.1
     fluctuating_switch_time: float = 25.0
     false_complaint_probability: float = 0.0
@@ -106,7 +105,6 @@ class PopulationSpec:
             honest_count + dishonest_count + opportunist_count + fluctuating_count
         ):
             return FluctuatingBehavior(
-                initial_honesty=self.fluctuating_initial_honesty,
                 later_honesty=self.fluctuating_later_honesty,
                 switch_time=self.fluctuating_switch_time,
             )

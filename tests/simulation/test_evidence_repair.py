@@ -474,6 +474,20 @@ class TestPolicyFactory:
         with pytest.raises(SimulationError):
             create_repair_policy("retransmit", retransmit_timeout=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("repair, knob", [
+        ("gossip", "gossip_period"),
+        ("retransmit", "retransmit_timeout"),
+    ])
+    def test_non_finite_knobs_rejected(self, repair, knob, value):
+        # An infinite gossip period would never gossip and a NaN one would
+        # gossip every round; a NaN timeout would re-send every pending
+        # entry every round and an infinite one never.
+        with pytest.raises(SimulationError, match="finite"):
+            EvidencePlane(mode="async", latency=1.0, repair=repair, **{knob: value})
+        with pytest.raises(SimulationError, match="finite"):
+            create_repair_policy(repair, **{knob: value})
+
     def test_sync_plane_rejects_repair(self):
         with pytest.raises(SimulationError):
             EvidencePlane(mode="sync", repair="gossip")
