@@ -4,30 +4,28 @@ The async evidence plane at ``loss > 0`` permanently discards evidence; the
 repair subsystem (:mod:`repro.simulation.repair`) is supposed to turn that
 information loss back into bounded extra latency at bounded extra traffic.
 This experiment runs the same lossy community workload (20% per-message
-loss, exponential latency) under the three repair policies and prices the
-trade:
+loss, exponential latency) without repair and under gossip repair and
+prices the trade:
 
 * **effective delivery** — fraction of evidence *entries* eventually
-  applied after the plane drains (dedup makes retransmitted/gossiped
-  duplicates free of double counting);
+  applied after the plane drains (dedup makes gossiped duplicates free of
+  double counting);
 * **drain ticks** — extra rounds past the simulation horizon until the
-  policy converges (the "bounded number of ticks" of the acceptance bar);
-* **overhead** — total messages sent (evidence + acks + digests + entry
-  batches + retransmissions) relative to the no-repair run;
+  plane converges (the "bounded number of ticks" of the acceptance bar);
+* **overhead** — total messages sent (evidence + digests + entry batches)
+  relative to the no-repair run;
 * **convergence lag** — p50/p95 rounds from entry emission to final
   application.
 
-A fourth run repeats gossip with every party polling 3 witnesses, so
-transient witness traffic interleaves with each origin's evidence; once its
+A third run repeats gossip with every party polling 3 witnesses, so
+witness traffic interleaves with each origin's evidence; once its
 journals agree after the drain, it reports the **digest extras** — held
 sequence numbers past each origin's contiguous prefix, read from every
 journal's keys and summed.
 
-Enforced bars: the gossip policy must reach **>= 0.99 effective delivery**
-within the drain budget at **< 3x message overhead** vs no-repair (the
-retransmit policy must also fully recover, but its one-ack-per-delivery
-protocol is allowed to cost more), the no-repair baseline must actually
-lose evidence — otherwise the experiment proves nothing — and the settled
+Enforced bars: gossip must reach **>= 0.99 effective delivery** within
+the drain budget at **< 3x message overhead** vs no-repair, the no-repair
+baseline must actually lose evidence — otherwise the experiment proves nothing — and the settled
 witness run's journals must hold **zero extras** (``gossip_digest_compact``:
 witness traffic never punches holes into the journaled sequence space, so
 a converged journal holds seqs ``1..n`` of every origin).  The extras
@@ -51,14 +49,14 @@ ROUNDS = 10 if SMOKE else 30
 LOSS = 0.2
 LATENCY = 1.0
 SEED = 7
-POLICIES = ("off", "retransmit", "gossip")
+POLICIES = ("off", "gossip")
 #: Label and witness count of the gossip run with witness traffic on.
 WITNESS_RUN = "gossip+witnesses"
 WITNESS_COUNT = 3
-#: Extra ticks past the horizon a policy gets to converge.
+#: Extra ticks past the horizon a run gets to converge.
 MAX_DRAIN_TICKS = 40 if SMOKE else 60
 
-#: Acceptance bars (gossip policy).
+#: Acceptance bars (gossip repair).
 REQUIRED_EFFECTIVE = 0.99
 MAX_OVERHEAD = 3.0
 
@@ -79,7 +77,6 @@ def _run_policy(policy: str, witness_count=None):
         # traffic for faster healing.
         gossip_period=2.0,
         gossip_fanout=1,
-        retransmit_timeout=2.0,
         witness_count=witness_count,
     )
     simulation = scenario.simulation(TrustAwareStrategy())
@@ -153,7 +150,7 @@ def build_table() -> Table:
             round(counters.convergence_lag_p95, 2),
             counters.duplicates_suppressed,
         ]
-        if plane.repair_policy.journaling:
+        if plane.journaling:
             row.append(_settled_extras(plane, ROUNDS + drain_ticks))
         else:
             row.append("-")
@@ -183,14 +180,6 @@ def test_evidence_repair_convergence(benchmark):
             ),
             "gossip_overhead": bar(
                 overhead["gossip"], MAX_OVERHEAD, overhead["gossip"] < MAX_OVERHEAD
-            ),
-            "retransmit_effective": bar(
-                effective["retransmit"], REQUIRED_EFFECTIVE,
-                effective["retransmit"] >= REQUIRED_EFFECTIVE,
-            ),
-            "retransmit_drain": bar(
-                drain["retransmit"], MAX_DRAIN_TICKS,
-                drain["retransmit"] < MAX_DRAIN_TICKS,
             ),
             "gossip_digest_compact": bar(extras, 0, extras == 0),
         },

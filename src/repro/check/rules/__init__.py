@@ -1,6 +1,6 @@
 """Project-specific rules, one module per contract family.
 
-Shared helpers live here: import-alias tracking (so ``import numpy as
+Shared helpers live here: an import-alias map (so ``import numpy as
 np`` and ``from random import choice`` both resolve) and dotted-name
 flattening for attribute chains.
 """

@@ -232,8 +232,7 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
     run_parser.add_argument("--evidence-repair", choices=REPAIR_POLICIES,
                             default="off",
                             help="recover lost evidence: 'off' (lost stays "
-                            "lost), 'retransmit' (ack + capped exponential "
-                            "backoff) or 'gossip' (periodic anti-entropy "
+                            "lost) or 'gossip' (periodic anti-entropy "
                             "digest exchange); async mode only")
     run_parser.add_argument("--gossip-period", type=float, default=1.0,
                             help="rounds between anti-entropy gossip "
@@ -241,9 +240,6 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
     run_parser.add_argument("--gossip-fanout", type=int, default=2,
                             help="random partners each peer exchanges "
                             "digests with per gossip round")
-    run_parser.add_argument("--retransmit-timeout", type=float, default=2.0,
-                            help="rounds before an unacknowledged evidence "
-                            "entry is re-sent (retransmit repair)")
     run_parser.add_argument("--witnesses", type=int, default=None,
                             help="witnesses polled per exchange (default: "
                             "the scenario's own setting)")
@@ -408,7 +404,6 @@ def _build_scenario_from_args(
         evidence_repair=args.evidence_repair,
         gossip_period=args.gossip_period,
         gossip_fanout=args.gossip_fanout,
-        retransmit_timeout=args.retransmit_timeout,
         witness_count=args.witnesses,
         shards=args.shards,
         shard_router=args.shard_router,

@@ -408,7 +408,7 @@ def collect_audit_inputs(simulation: Any, store: Any = None) -> Dict[str, Any]:
             for c in store.all_complaints()
         ]
     journal_keys: Optional[Dict[str, Set[Key]]] = None
-    if plane.repair_policy.journaling:
+    if plane.journaling:
         journal_keys = {
             holder: set(journal.keys())
             for holder, journal in plane.journals.items()

@@ -77,16 +77,13 @@ class CommunityConfig:
     #: Witnesses each party asks about its partner after an exchange
     #: (0 disables witness reporting entirely).
     witness_count: int = 0
-    #: Evidence repair policy: "off" (lost evidence stays lost),
-    #: "retransmit" (ack + capped exponential backoff) or "gossip"
+    #: Evidence repair: "off" (lost evidence stays lost) or "gossip"
     #: (periodic anti-entropy digest exchange); async mode only.
     evidence_repair: str = "off"
-    #: Ticks between anti-entropy rounds (gossip policy).
+    #: Ticks between anti-entropy rounds (gossip repair).
     gossip_period: float = 1.0
     #: Random partners each peer exchanges digests with per round (gossip).
     gossip_fanout: int = 2
-    #: Initial ack deadline in ticks before an entry is re-sent (retransmit).
-    retransmit_timeout: float = 2.0
     #: Optional link-fault predicate ``(sender, recipient, now) -> bool``;
     #: a faulted link drops deterministically (partition scenarios).
     evidence_fault: Optional[Callable[[str, str, float], bool]] = None
@@ -132,8 +129,6 @@ class CommunityConfig:
             raise SimulationError("gossip_period must be finite and > 0")
         if self.gossip_fanout < 1:
             raise SimulationError("gossip_fanout must be >= 1")
-        if not 0.0 < self.retransmit_timeout < math.inf:
-            raise SimulationError("retransmit_timeout must be finite and > 0")
         if self.witness_count < 0:
             raise SimulationError("witness_count must be >= 0")
         if self.valuation_model is None:
@@ -278,7 +273,6 @@ class CommunitySimulation:
             repair=self._config.evidence_repair,
             gossip_period=self._config.gossip_period,
             gossip_fanout=self._config.gossip_fanout,
-            retransmit_timeout=self._config.retransmit_timeout,
             repair_rng=self._streams("evidence-repair"),
             fault=self._config.evidence_fault,
         )
@@ -598,8 +592,8 @@ class CommunitySimulation:
         batch applied immediately (the legacy data path, bit-for-bit).  In
         async mode the batches are split per *counterparty*: each partner
         sends the peer one outcome-receipt message per round, so every
-        evidence entry has a real origin the repair subsystem can journal,
-        retransmit from and gossip about (a drop costs that counterparty's
+        evidence entry has a real origin the repair subsystem can journal
+        and gossip about (a drop costs that counterparty's
         receipts for the round).  The false-complaint pass then replays the
         outcomes in execution order so the complaint RNG stream stays
         deterministic, and finally witness-report requests go out for the

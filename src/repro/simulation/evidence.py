@@ -31,15 +31,16 @@ The plane carries three message kinds:
   set of subjects and the witness's (policy-filtered) answer, landing in the
   requester's witness inbox for the next trust query.
 
-In async mode every unit of evidence is wrapped in an
-:class:`~repro.simulation.repair.EvidenceEntry` named ``(origin, seq)``:
-delivery is **idempotent** (duplicates are suppressed before any backend or
-complaint-store write), effective delivery is accounted per entry rather
-than per message, and a pluggable
-:class:`~repro.simulation.repair.RepairPolicy` (``off`` / ``retransmit`` /
-``gossip``) recovers lost entries through the same lossy network — see
-:mod:`repro.simulation.repair`.  With repair ``off`` and zero loss the plane
-behaves exactly as before the repair subsystem existed.
+In async mode every observation batch and complaint is wrapped in an
+:class:`~repro.simulation.repair.EvidenceEntry` named ``(origin, seq)``,
+each origin counting its entries up from 1: delivery is **idempotent**
+(duplicates are suppressed before any backend or complaint-store write),
+effective delivery is accounted per entry rather than per message, and
+repair ``gossip`` recovers lost entries by anti-entropy through the same
+lossy network — see :mod:`repro.simulation.repair`.  Witness requests and
+replies are plain messages: no repair recovers them and the entry ledger
+never counts them.  With repair ``off`` and zero loss the plane behaves
+exactly as before the repair subsystem existed.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ from repro.simulation.network import (
     SimulatedNetwork,
 )
 from repro.simulation.repair import (
+    REPAIR_POLICIES,
     EntryCatalog,
     EvidenceEntry,
     EvidenceJournal,
-    RepairPolicy,
-    create_repair_policy,
+    GossipPolicy,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (peer imports us)
@@ -77,8 +78,8 @@ EVIDENCE_MODES = ("sync", "async")
 #: Pseudo-recipient for complaint filings (the community complaint system).
 COMPLAINT_SINK = "__complaint-sink__"
 
-#: Message kinds owned by the repair subsystem rather than the evidence flow.
-_REPAIR_KINDS = ("repair-ack", "repair-digest", "repair-entries")
+#: Message kinds owned by gossip repair rather than the evidence flow.
+_REPAIR_KINDS = ("repair-digest", "repair-entries")
 
 
 def _derived_complaints(recipient_id: str, records: Sequence):
@@ -144,8 +145,8 @@ class EvidencePlane:
         the sync plane's evidence-next-round cadence, larger values make
         trust state progressively staler.
     loss:
-        Per-message drop probability in ``[0, 1)`` — without a repair policy
-        lost evidence never arrives; with one, loss becomes extra
+        Per-message drop probability in ``[0, 1)`` — without repair lost
+        evidence never arrives; with gossip repair, loss becomes extra
         convergence latency instead of information loss.
     latency_model:
         Overrides the latency distribution built from ``latency``.  A sync
@@ -154,12 +155,12 @@ class EvidencePlane:
         Drives loss sampling and latency draws (deterministic experiments
         hand in a seeded stream).
     repair:
-        Repair policy name (:data:`~repro.simulation.repair.REPAIR_POLICIES`)
-        or a ready :class:`~repro.simulation.repair.RepairPolicy` instance.
-        Only meaningful in async mode; ``"off"`` keeps fire-and-forget.
-    gossip_period, gossip_fanout, retransmit_timeout:
-        Tuning knobs forwarded to :func:`~repro.simulation.repair.
-        create_repair_policy` when ``repair`` is given by name.
+        One of :data:`~repro.simulation.repair.REPAIR_POLICIES`: ``"off"``
+        keeps fire-and-forget, ``"gossip"`` runs
+        :class:`~repro.simulation.repair.GossipPolicy` anti-entropy.  Only
+        meaningful in async mode.
+    gossip_period, gossip_fanout:
+        Tuning knobs of the gossip repair.
     repair_rng:
         Drives gossip partner selection (separate stream so enabling repair
         never perturbs the loss/latency draws of the evidence traffic).
@@ -176,10 +177,9 @@ class EvidencePlane:
         loss: float = 0.0,
         latency_model: Optional[LatencyModel] = None,
         rng: Optional[random.Random] = None,
-        repair: "str | RepairPolicy" = "off",
+        repair: str = "off",
         gossip_period: float = 1.0,
         gossip_fanout: int = 2,
-        retransmit_timeout: float = 2.0,
         repair_rng: Optional[random.Random] = None,
         fault=None,
     ):
@@ -193,40 +193,34 @@ class EvidencePlane:
             )
         if not 0.0 <= loss < 1.0:
             raise SimulationError(f"evidence loss must lie in [0, 1), got {loss}")
-        if isinstance(repair, RepairPolicy):
-            policy = repair
-        else:
-            policy = create_repair_policy(
-                repair,
-                gossip_period=gossip_period,
-                gossip_fanout=gossip_fanout,
-                retransmit_timeout=retransmit_timeout,
+        if repair not in REPAIR_POLICIES:
+            raise SimulationError(
+                f"evidence repair policy must be one of {REPAIR_POLICIES}, "
+                f"got {repair!r}"
+            )
+        self._gossip: Optional[GossipPolicy] = None
+        if repair == "gossip":
+            self._gossip = GossipPolicy(
+                self, period=gossip_period, fanout=gossip_fanout
             )
         require_async_knobs(
             mode,
             delayed=latency > 0 or loss > 0 or latency_model is not None,
-            repaired=policy.name != "off" or fault is not None,
+            repaired=self._gossip is not None or fault is not None,
         )
         self._mode = mode
         self._peers: Dict[str, "CommunityPeer"] = {}
         self._network: Optional[SimulatedNetwork] = None
-        self._policy = policy
-        self._policy.bind(self)
         self._repair_rng = (
             repair_rng if repair_rng is not None else random.Random(1)
         )
-        #: Per-origin sequence counters for entry naming: journaled entries
-        #: count up from 1, transient (witness) entries down from -1.
+        #: Per-origin sequence counters for entry naming (1, 2, 3, ...).
         self._seq: Dict[str, int] = {}
-        self._transient_seq: Dict[str, int] = {}
-        #: Per-holder journals over one entry catalog (only maintained for
-        #: journaling policies).
-        self._catalog = EntryCatalog() if policy.journaling else None
+        #: Per-holder journals over one entry catalog (gossip repair only).
+        self._catalog = EntryCatalog() if self._gossip is not None else None
         self._journals: Dict[str, EvidenceJournal] = {}
-        #: Keys of persistent entries already applied (dedup guard).
+        #: Keys of entries already applied (dedup guard).
         self._applied: Set[Tuple[str, int]] = set()
-        #: Keys of transient (witness) entries already processed.
-        self._seen_transient: Set[Tuple[str, int]] = set()
         #: Keys written off after their recipient churned out.
         self._expired: Set[Tuple[str, int]] = set()
         #: recipient -> keys of entries emitted to it but not yet applied.
@@ -260,8 +254,9 @@ class EvidencePlane:
         return self._mode == "async"
 
     @property
-    def repair_policy(self) -> RepairPolicy:
-        return self._policy
+    def journaling(self) -> bool:
+        """Whether peers keep evidence journals (gossip repair is on)."""
+        return self._gossip is not None
 
     @property
     def repair_rng(self) -> random.Random:
@@ -285,7 +280,7 @@ class EvidencePlane:
 
     @property
     def journals(self) -> Dict[str, EvidenceJournal]:
-        """Per-holder evidence journals (populated under journaling repair)."""
+        """Per-holder evidence journals (populated under gossip repair)."""
         return dict(self._journals)
 
     def attach_audit(self, trail) -> None:
@@ -307,17 +302,6 @@ class EvidencePlane:
         if registry.enabled and self._network is not None:
             registry.add_view("evidence", self._network.counters.metrics_view)
 
-    def is_settled(self, entry: EvidenceEntry) -> bool:
-        """Whether an entry has reached its destination (or been written off).
-
-        Transient (witness) entries settle on first delivery; persistent
-        entries settle when applied or expired.  The repair policies use
-        this to tell unrecovered evidence from mere ack bookkeeping.
-        """
-        if entry.transient:
-            return entry.key in self._seen_transient
-        return entry.key in self._applied or entry.key in self._expired
-
     def registered_ids(self) -> Tuple[str, ...]:
         """Currently registered peer ids in deterministic (sorted) order."""
         return tuple(sorted(self._peers))
@@ -338,12 +322,11 @@ class EvidencePlane:
 
         Entries addressed to the departed peer (queued, in flight, or held
         only in journals) are counted as ``entries_expired`` rather than
-        left dangling, the repair policy drops retransmit/gossip state that
-        targets it, and unapplied entries whose origin is gone — this peer
-        or one that left earlier — and that survive in no remaining journal
-        are written off too (the departing peer may have held the last
-        copy), so drain loops terminate and the effective-delivery
-        accounting stays honest under churn.
+        left dangling.  Under gossip, unapplied entries whose origin is gone
+        — this peer or one that left earlier — and that survive in no
+        remaining journal are written off too (the departing peer may have
+        held the last copy), so drain loops terminate and the
+        effective-delivery accounting stays honest under churn.
         """
         self._peers.pop(peer_id, None)
         if self._network is None:
@@ -353,13 +336,11 @@ class EvidencePlane:
         for key in self._unapplied.pop(peer_id, ()):  # addressed to departed
             self._expire(key, counters)
         self._journals.pop(peer_id, None)
-        self._policy.on_peer_departed(peer_id)
-        if self._policy.name != "off":
-            # An entry whose origin has left has no repair driver: under
-            # gossip it survives only while some remaining journal holds a
-            # copy — and the departing peer's journal may have been the
-            # last one, even for an origin that left earlier; under
-            # retransmit only a copy already in flight can still land
+        if self._catalog is not None:
+            # An entry whose origin has left survives only while some
+            # remaining journal holds a copy — and the departing peer's
+            # journal may have been the last one, even for an origin that
+            # left earlier.  A copy already in flight can still land
             # (application then reconciles the write-off).  With repair
             # off, unapplied entries are the plain missing-evidence
             # baseline and stay on the ledger as such.
@@ -369,15 +350,15 @@ class EvidencePlane:
                 for key in keys
                 if key[0] not in self._peers
             ]
-            if orphaned and self._catalog is not None:
+            if orphaned:
                 held = np.zeros(len(self._catalog), dtype=bool)
                 for journal in self._journals.values():
                     digest = journal.digest()
                     held[: len(digest)] |= digest
                 id_of = self._catalog.id_of
-                orphaned = [key for key in orphaned if not held[id_of(key)]]
-            for key in orphaned:
-                self._expire(key, counters)
+                for key in orphaned:
+                    if not held[id_of(key)]:
+                        self._expire(key, counters)
 
     def _expire(self, key: Tuple[str, int], counters: NetworkCounters) -> None:
         if key in self._applied or key in self._expired:
@@ -397,36 +378,34 @@ class EvidencePlane:
         if self._network is None or now < self._network.now:
             return 0
         delivered = self._network.deliver_until(now)
-        self._policy.on_round(now)
+        if self._gossip is not None:
+            self._gossip.on_round(now)
         return delivered
 
-    def drain(self, max_ticks: int = 200, tick: float = 1.0) -> int:
+    def drain(self, max_ticks: int = 200) -> int:
         """Keep ticking until the plane converges (or ``max_ticks`` pass).
 
-        Advances the clock past the simulation horizon so in-flight messages
-        mature and the repair policy can finish recovering lost entries;
-        returns the number of extra ticks consumed.  With repair ``off``
-        this simply flushes the in-flight queue.  ``tick`` must be finite
-        and > 0: a NaN tick would deliver the whole queue in one tick, and
-        a zero tick would spin through ``max_ticks`` empty ticks.
+        Advances the clock one tick at a time past the simulation horizon so
+        in-flight messages mature and gossip can finish recovering lost
+        entries; returns the number of extra ticks consumed.  With repair
+        ``off`` this simply flushes the in-flight queue.
         """
-        if not (math.isfinite(tick) and tick > 0):
-            raise SimulationError(f"drain tick must be finite and > 0, got {tick}")
-        if self._network is None:
+        network = self._network
+        if network is None:
             return 0
         ticks = 0
         while ticks < max_ticks:
-            if self._policy.journaling:
+            if self._gossip is not None:
                 # Gossip chatter never leaves the wire fully idle; what
-                # matters is that every recoverable entry has been applied.
-                working = self._policy.has_pending()
+                # matters is that every emitted entry has been applied or
+                # written off (a journal still holds every other one, so
+                # anti-entropy will eventually carry it home).
+                working = network.counters.missing_entries > 0
             else:
-                working = (
-                    self._network.pending > 0 or self._policy.has_pending()
-                )
+                working = network.pending > 0
             if not working:
                 break
-            self.advance(self._network.now + tick)
+            self.advance(network.now + 1.0)
             ticks += 1
         return ticks
 
@@ -466,10 +445,7 @@ class EvidencePlane:
                 self._telemetry.count("evidence.records_applied", len(records))
             return
         origin = sender_id if sender_id is not None else recipient_id
-        entry = self._make_entry(
-            origin, recipient_id, "evidence", tuple(records)
-        )
-        self._send_entry(entry)
+        self._emit(origin, recipient_id, "evidence", tuple(records))
 
     def submit_complaint(
         self, filer: "CommunityPeer", accused_id: str, timestamp: float = 0.0
@@ -490,13 +466,9 @@ class EvidencePlane:
         # The payload carries the filer itself (not just its id): a complaint
         # already in flight still reaches the shared store even when the
         # filer churns out before the message matures.
-        entry = self._make_entry(
-            filer.peer_id,
-            COMPLAINT_SINK,
-            "complaint",
-            (filer, accused_id, timestamp),
+        self._emit(
+            filer.peer_id, COMPLAINT_SINK, "complaint", (filer, accused_id, timestamp)
         )
-        self._send_entry(entry)
 
     def request_witness_reports(
         self,
@@ -508,8 +480,7 @@ class EvidencePlane:
 
         Sync: replies land in the requester's witness inbox immediately.
         Async: one request message per witness, one reply message back —
-        either leg can be dropped or delayed (and, under the retransmit
-        policy, re-sent until acknowledged).
+        either leg can be dropped or delayed, and neither is repaired.
         """
         subjects = tuple(subject_ids)
         if not subjects:
@@ -526,32 +497,19 @@ class EvidencePlane:
                 if reports:
                     requester.receive_witness_reports(witness_id, reports)
                 continue
-            entry = self._make_entry(
+            self._network.send(
                 requester_id,
                 witness_id,
-                "witness-request",
                 (requester_id, subjects),
-                transient=True,
+                kind="witness-request",
             )
-            self._send_entry(entry)
 
     # ------------------------------------------------------------------
     # Entry plumbing (async only)
     # ------------------------------------------------------------------
-    def _make_entry(
-        self,
-        origin_id: str,
-        recipient_id: str,
-        kind: str,
-        payload,
-        transient: bool = False,
-    ) -> EvidenceEntry:
-        if transient:
-            seq = self._transient_seq.get(origin_id, 0) - 1
-            self._transient_seq[origin_id] = seq
-        else:
-            seq = self._seq.get(origin_id, 0) + 1
-            self._seq[origin_id] = seq
+    def _emit(self, origin_id: str, recipient_id: str, kind: str, payload) -> None:
+        """Name a new entry ``(origin, next seq)``, ledger it and send it."""
+        seq = self._seq[origin_id] = self._seq.get(origin_id, 0) + 1
         assert self._network is not None
         entry = EvidenceEntry(
             origin_id=origin_id,
@@ -560,35 +518,26 @@ class EvidencePlane:
             kind=kind,
             payload=payload,
             emitted_at=self._network.now,
-            transient=transient,
         )
-        if not transient:
-            counters = self._network.counters
-            counters.entries_emitted += 1
+        counters = self._network.counters
+        counters.entries_emitted += 1
+        if self._audit is not None:
+            units = len(payload) if kind == "evidence" else 1
+            self._audit.on_emitted(entry.key, kind, recipient_id, units)
+        if recipient_id == COMPLAINT_SINK or recipient_id in self._peers:
+            self._unapplied.setdefault(recipient_id, set()).add(entry.key)
+        else:
+            # Addressed to nobody: written off at emission so the
+            # effective-delivery ledger balances.
+            self._expired.add(entry.key)
+            counters.entries_expired += 1
             if self._audit is not None:
-                units = len(payload) if kind == "evidence" else 1
-                self._audit.on_emitted(entry.key, kind, recipient_id, units)
-            if recipient_id == COMPLAINT_SINK or recipient_id in self._peers:
-                self._unapplied.setdefault(recipient_id, set()).add(entry.key)
-            else:
-                # Addressed to nobody: written off at emission so the
-                # effective-delivery ledger balances.
-                self._expired.add(entry.key)
-                counters.entries_expired += 1
-                if self._audit is not None:
-                    self._audit.on_expired(entry.key)
-            if self._policy.journaling:
-                self.journal_for(origin_id).add(entry)
-        return entry
+                self._audit.on_expired(entry.key)
+        if self._catalog is not None:
+            self.journal_for(origin_id).add(entry)
+        self._network.send(origin_id, recipient_id, entry, kind=kind)
 
-    def _send_entry(self, entry: EvidenceEntry) -> None:
-        assert self._network is not None
-        self._network.send(
-            entry.origin_id, entry.recipient_id, entry, kind=entry.kind
-        )
-        self._policy.on_emit(entry, self._network.now)
-
-    # Helpers the repair policies call -----------------------------------
+    # Helpers gossip repair calls ----------------------------------------
     def journal_for(self, holder_id: str) -> EvidenceJournal:
         journal = self._journals.get(holder_id)
         if journal is None:
@@ -603,14 +552,6 @@ class EvidencePlane:
         assert self._network is not None
         self._network.counters.repair_messages += 1
         return self._network.send(sender_id, recipient_id, payload, kind=kind)
-
-    def resend_entry(self, entry: EvidenceEntry) -> bool:
-        """Retransmit a direct entry copy (tallied in ``repair_messages``)."""
-        assert self._network is not None
-        self._network.counters.repair_messages += 1
-        return self._network.send(
-            entry.origin_id, entry.recipient_id, entry, kind=entry.kind
-        )
 
     def ingest_entry(
         self, holder_id: str, entry: EvidenceEntry, now: float
@@ -659,60 +600,43 @@ class EvidencePlane:
     def _handle_message(self, message: Message) -> None:
         assert self._network is not None
         now = self._network.now
-        if message.kind == "repair-ack":
-            self._policy.on_ack(message.payload)
-            return
         if message.kind in _REPAIR_KINDS:
-            self._policy.on_repair_message(message, now)
+            assert self._gossip is not None
+            self._gossip.on_repair_message(message, now)
+            return
+        if message.kind in ("witness-request", "witness-reply"):
+            self._deliver_witness(message)
             return
         entry: EvidenceEntry = message.payload
         holder_id = message.recipient_id
-        if entry.transient:
-            self._deliver_transient(entry, holder_id, now)
-            return
-        if self._policy.journaling and holder_id != COMPLAINT_SINK:
+        if self._catalog is not None and holder_id != COMPLAINT_SINK:
             self.journal_for(holder_id).add(entry)
         if entry.key in self._applied:
-            assert self._network is not None
             self._network.counters.duplicates_suppressed += 1
         else:
             # An entry already written off as expired may still arrive (a
             # copy that was in flight when its origin churned);
             # _apply_entry reconciles the ledger in that case.
             self._apply_entry(entry, now)
-        # Ack even duplicates: the retransmitting origin may never have seen
-        # the first ack.
-        if self._policy.acking:
-            self._policy.on_entry_delivered(entry, holder_id, now)
 
-    def _deliver_transient(
-        self, entry: EvidenceEntry, holder_id: str, now: float
-    ) -> None:
-        duplicate = entry.key in self._seen_transient
-        if duplicate:
-            assert self._network is not None
-            self._network.counters.duplicates_suppressed += 1
+    def _deliver_witness(self, message: Message) -> None:
+        """Answer a witness request, or hand a reply to the requester."""
+        # The network delivers only to registered peers (never the sink).
+        peer = self._peers[message.recipient_id]
+        if message.kind == "witness-request":
+            requester_id, subjects = message.payload
+            reports = peer.build_witness_reports(subjects)
+            if reports:
+                assert self._network is not None
+                self._network.send(
+                    peer.peer_id,
+                    requester_id,
+                    (peer.peer_id, tuple(reports)),
+                    kind="witness-reply",
+                )
         else:
-            self._seen_transient.add(entry.key)
-            peer = self._peers.get(holder_id)
-            if peer is not None:
-                if entry.kind == "witness-request":
-                    requester_id, subjects = entry.payload
-                    reports = peer.build_witness_reports(subjects)
-                    if reports:
-                        reply = self._make_entry(
-                            peer.peer_id,
-                            requester_id,
-                            "witness-reply",
-                            (peer.peer_id, tuple(reports)),
-                            transient=True,
-                        )
-                        self._send_entry(reply)
-                elif entry.kind == "witness-reply":
-                    witness_id, reports = entry.payload
-                    peer.receive_witness_reports(witness_id, reports)
-        if self._policy.acking:
-            self._policy.on_entry_delivered(entry, holder_id, now)
+            witness_id, reports = message.payload
+            peer.receive_witness_reports(witness_id, reports)
 
     def _apply_entry(self, entry: EvidenceEntry, now: float) -> None:
         """Apply a fresh entry to its destination, exactly once."""

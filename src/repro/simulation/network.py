@@ -91,8 +91,8 @@ class NetworkCounters:
 
     The repair subsystem (see :mod:`repro.simulation.repair`) adds a second
     ledger in units of *evidence entries* rather than messages: an entry is
-    ``emitted`` once, may be carried by many messages (retransmissions,
-    gossip relays), is ``applied`` at most once thanks to ``(origin, seq)``
+    ``emitted`` once, may be carried by many messages (gossip relays,
+    forwarded complaints), is ``applied at most once thanks to ``(origin, seq)``
     dedup (``duplicates_suppressed`` counts the suppressed copies), and is
     ``expired`` when its recipient churns out before delivery.  The
     :attr:`effective_delivery_ratio` over entries is the post-repair
@@ -107,8 +107,8 @@ class NetworkCounters:
     total_latency: float = 0.0
     #: Duplicate deliveries suppressed by ``(origin, seq)`` dedup.
     duplicates_suppressed: int = 0
-    #: Repair-plane messages sent (acks, retransmissions, digests, entry
-    #: batches); a subset of ``sent``.
+    #: Repair-plane messages sent (gossip digests, entry batches and
+    #: forwarded complaints); a subset of ``sent``.
     repair_messages: int = 0
     #: Evidence entries emitted / applied / expired (churned recipient).
     entries_emitted: int = 0
@@ -155,10 +155,10 @@ class NetworkCounters:
     def effective_delivery_ratio(self) -> float:
         """Fraction of emitted evidence entries eventually applied.
 
-        This is the *post-repair* delivery ratio: a retransmitted or
-        gossip-relayed entry that finally lands counts as delivered no matter
-        how many of its copies were lost along the way.  1.0 when no entries
-        were emitted (idle or sync plane).
+        This is the *post-repair* delivery ratio: a gossip-relayed entry
+        that finally lands counts as delivered no matter how many of its
+        copies were lost along the way.  1.0 when no entries were emitted
+        (idle or sync plane).
         """
         if self.entries_emitted == 0:
             return 1.0

@@ -1,4 +1,4 @@
-"""Anti-entropy evidence repair: journals, digests, and repair policies.
+"""Anti-entropy evidence repair: entry names, journals and gossip.
 
 The async evidence plane (:mod:`repro.simulation.evidence`) loses messages
 permanently: a sampled drop is hard information loss, not slower
@@ -9,43 +9,40 @@ whole community shares one global naming scheme ``(origin_peer, seq)`` for
 evidence units.  On top of that identity three mechanisms compose:
 
 * an append-only :class:`EvidenceJournal` per peer recording every entry
-  the peer has originated or learned of.  A plane that journals keeps one
-  :class:`EntryCatalog` giving each journaled entry a dense id, and a
+  the peer has originated or learned of.  A plane under gossip repair keeps
+  one :class:`EntryCatalog` giving each journaled entry a dense id, and a
   journal is one bool row over those ids; its digest is a frozen copy of
   the row, so comparing two peers' knowledge, picking the entries to push
   or pull, and dropping duplicates are whole-row numpy operations.  Each
-  origin names its entries from two sequence spaces: journaled evidence
-  counts up from 1 and transient witness traffic counts down from -1, so
-  the journaled space is dense and a converged journal holds seqs
+  origin counts its entries up from 1, so a converged journal holds seqs
   ``1..n`` of every origin;
-* a pluggable :class:`RepairPolicy` — ``off`` (today's fire-and-forget),
-  ``retransmit`` (recipients ack every delivered entry, origins re-send
-  unacked entries with capped exponential backoff), and ``gossip``
-  (periodic anti-entropy rounds: each peer exchanges digests with
-  ``fanout`` random partners and push/pulls the missing entries, as
-  catalog ids, in batched messages) — all repair traffic flows through the
-  same :class:`~repro.simulation.network.SimulatedNetwork`, so it pays
-  latency, loss and link faults like first-class evidence does;
+* one repair protocol, :class:`GossipPolicy` (periodic anti-entropy rounds:
+  each peer exchanges digests with ``fanout`` random partners and
+  push/pulls the missing entries, as catalog ids, in batched messages),
+  chosen by ``repair="gossip"`` from :data:`REPAIR_POLICIES`.  Repair
+  traffic flows through the same
+  :class:`~repro.simulation.network.SimulatedNetwork`, so it pays latency,
+  loss and link faults like first-class evidence does.  Replicated
+  journals follow the source paper's storage design, which keeps
+  complaints at every P-Grid replica responsible for a key, and they still
+  recover an entry whose origin has left while some journal holds a copy;
 * idempotent delivery — the plane dedups by ``(origin, seq)`` before
   applying anything to a backend or the complaint store, so repaired
   duplicates never double-count evidence
   (``NetworkCounters.duplicates_suppressed`` counts the copies thrown
   away).
 
-With the policy ``off`` nothing here costs anything: entries still get
+With repair ``off`` nothing here costs anything: entries still get
 sequence numbers (which is what makes the effective-delivery accounting and
 the dedup guard exact), but no journal is kept and no repair message is
 ever sent — for a given submission stream the plane's wire traffic is
-exactly the fire-and-forget traffic it always was.  (The community driver's
-async flush granularity did change with this subsystem — per-counterparty
-receipt batches instead of one self-addressed batch per peer, so entries
-have a real origin to repair from — with identical evidence *content*; the
-evidence-plane pinning tests hold.)
+exactly the fire-and-forget traffic it always was.  Witness requests and
+replies are plain messages outside this naming scheme: they are neither
+journaled nor counted as evidence entries.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -64,19 +61,10 @@ __all__ = [
     "EvidenceEntry",
     "EntryCatalog",
     "EvidenceJournal",
-    "RepairPolicy",
-    "OffPolicy",
-    "RetransmitPolicy",
     "GossipPolicy",
-    "create_repair_policy",
 ]
 
-REPAIR_POLICIES = ("off", "retransmit", "gossip")
-
-#: Each resend multiplies an entry's retry interval by this factor...
-RETRANSMIT_BACKOFF = 2.0
-#: ...up to this many initial timeouts.
-RETRANSMIT_MAX_TIMEOUTS = 8.0
+REPAIR_POLICIES = ("off", "gossip")
 
 
 @dataclass(frozen=True)
@@ -84,15 +72,10 @@ class EvidenceEntry:
     """One immutable unit of evidence on the wire, named ``(origin, seq)``.
 
     ``origin_id`` is the peer that emitted the entry (the counterparty of an
-    interaction for observation batches, the filer for complaints, the
-    requester/witness for witness traffic).  ``seq`` comes from one of two
-    per-origin counters: journaled evidence counts up ``1, 2, 3, ...`` and
-    transient request/reply traffic (witness polling) counts down
-    ``-1, -2, ...``, so the pair is a community-wide unique name and the
-    journaled sequence space of every origin stays dense — a hole in it is
-    always a real loss.  ``transient`` entries are acked and deduped but
-    never journaled or gossiped: a stale witness reply is not evidence
-    worth replicating.
+    interaction for observation batches, the filer for complaints).  ``seq``
+    counts each origin's entries up ``1, 2, 3, ...``, so the pair is a
+    community-wide unique name and every origin's sequence space stays
+    dense — a hole in it is always a real loss.
     """
 
     origin_id: str
@@ -101,7 +84,6 @@ class EvidenceEntry:
     kind: str
     payload: Any
     emitted_at: float
-    transient: bool = False
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -137,8 +119,6 @@ class EntryCatalog:
         key = entry.key
         gid = self._ids.get(key)
         if gid is None:
-            if entry.transient:
-                raise SimulationError(f"transient entry {key} cannot be journaled")
             gid = self._ids[key] = len(self._entries)
             self._entries.append(entry)
             self._order = None
@@ -269,144 +249,7 @@ class EvidenceJournal:
         )
 
 
-# ----------------------------------------------------------------------
-# Repair policies
-# ----------------------------------------------------------------------
-class RepairPolicy(abc.ABC):
-    """How the evidence plane recovers from lost messages.
-
-    A policy is bound to exactly one :class:`EvidencePlane` and receives the
-    plane's lifecycle callbacks; everything it sends goes through
-    ``plane.repair_send`` so repair traffic is first-class network traffic
-    (it pays latency, loss and faults, and is tallied in
-    ``NetworkCounters.repair_messages``).
-    """
-
-    #: Registry/CLI name of the policy.
-    name = "abstract"
-    #: Whether the plane should maintain per-peer evidence journals.
-    journaling = False
-    #: Whether recipients acknowledge delivered entries.
-    acking = False
-
-    def bind(self, plane: "EvidencePlane") -> None:
-        self._plane = plane
-
-    # Lifecycle hooks -------------------------------------------------
-    def on_emit(self, entry: EvidenceEntry, now: float) -> None:
-        """An entry was just sent directly to its recipient."""
-
-    def on_entry_delivered(
-        self, entry: EvidenceEntry, holder_id: str, now: float
-    ) -> None:
-        """A direct copy of ``entry`` reached ``holder_id`` (maybe again)."""
-
-    def on_ack(self, keys: Tuple[Tuple[str, int], ...]) -> None:
-        """An acknowledgement for ``keys`` reached the origin."""
-
-    def on_repair_message(self, message: "Message", now: float) -> None:
-        """A policy-specific repair message (digest / entry batch) arrived."""
-
-    def on_round(self, now: float) -> None:
-        """The plane's clock advanced to ``now`` (once per tick)."""
-
-    def on_peer_departed(self, peer_id: str) -> None:
-        """``peer_id`` churned out; drop any state that targets it."""
-
-    def has_pending(self) -> bool:
-        """Whether the policy still has repair work to do (drain predicate)."""
-        return False
-
-
-class OffPolicy(RepairPolicy):
-    """No repair: lost evidence stays lost (the pre-repair behaviour)."""
-
-    name = "off"
-
-
-@dataclass
-class _PendingRetransmit:
-    entry: EvidenceEntry
-    deadline: float
-    interval: float
-
-
-class RetransmitPolicy(RepairPolicy):
-    """Ack-and-retransmit with capped exponential backoff.
-
-    Every delivered entry is acknowledged back to its origin; the origin
-    keeps unacknowledged entries pending and re-sends them whenever their
-    deadline passes, doubling the retry interval (``RETRANSMIT_BACKOFF``)
-    up to ``8 x timeout`` (``RETRANSMIT_MAX_TIMEOUTS``).  Acks ride the
-    lossy network too, so a lost ack produces a duplicate delivery — which
-    the plane's ``(origin, seq)`` dedup suppresses and re-acks.
-    """
-
-    name = "retransmit"
-    acking = True
-
-    def __init__(self, timeout: float = 2.0) -> None:
-        if not 0.0 < timeout < math.inf:
-            raise SimulationError(
-                f"retransmit timeout must be finite and > 0, got {timeout}"
-            )
-        self._timeout = timeout
-        self._max_interval = RETRANSMIT_MAX_TIMEOUTS * timeout
-        self._pending: Dict[Tuple[str, int], _PendingRetransmit] = {}
-
-    def on_emit(self, entry: EvidenceEntry, now: float) -> None:
-        self._pending[entry.key] = _PendingRetransmit(
-            entry=entry,
-            deadline=now + self._timeout,
-            interval=self._timeout,
-        )
-
-    def on_entry_delivered(
-        self, entry: EvidenceEntry, holder_id: str, now: float
-    ) -> None:
-        self._plane.repair_send(
-            holder_id, entry.origin_id, (entry.key,), kind="repair-ack"
-        )
-
-    def on_ack(self, keys: Tuple[Tuple[str, int], ...]) -> None:
-        for key in keys:
-            self._pending.pop(key, None)
-
-    def on_round(self, now: float) -> None:
-        # Grouped by origin, each origin's entries in emission order: a
-        # stable sort on the origin alone (transient seqs count down, so a
-        # sort on the whole key would not be emission order).
-        pending = sorted(self._pending.items(), key=lambda item: item[0][0])
-        for _, state in pending:
-            if state.deadline > now:
-                continue
-            self._plane.resend_entry(state.entry)
-            state.interval = min(
-                state.interval * RETRANSMIT_BACKOFF, self._max_interval
-            )
-            state.deadline = now + state.interval
-
-    def on_peer_departed(self, peer_id: str) -> None:
-        # Entries *to* the departed peer can never be delivered and entries
-        # *from* it have no one left to drive retries; both are dead state.
-        self._pending = {
-            key: state
-            for key, state in self._pending.items()
-            if peer_id not in (state.entry.recipient_id, state.entry.origin_id)
-        }
-
-    def has_pending(self) -> bool:
-        # Pending state for an already-settled entry is just an ack that has
-        # not made it home yet — noise, not unrecovered evidence — so the
-        # drain predicate only counts pendings whose entry never reached its
-        # destination.
-        return any(
-            not self._plane.is_settled(state.entry)
-            for state in self._pending.values()
-        )
-
-
-class GossipPolicy(RepairPolicy):
+class GossipPolicy:
     """Periodic anti-entropy: digest exchange plus push/pull of the deltas.
 
     Every ``period`` ticks each registered peer picks ``fanout`` random
@@ -418,23 +261,28 @@ class GossipPolicy(RepairPolicy):
     epidemically through relays, so evidence reaches its recipient even
     when every direct path keeps failing — and a healed partition backfills
     through the first cross-clique exchange.
+
+    All of it goes through ``plane.repair_send``, so repair traffic pays
+    latency, loss and link faults like first-class evidence does and is
+    tallied in ``NetworkCounters.repair_messages``.
     """
 
-    name = "gossip"
-    journaling = True
-
-    def __init__(self, period: float = 1.0, fanout: int = 2) -> None:
+    def __init__(
+        self, plane: "EvidencePlane", period: float = 1.0, fanout: int = 2
+    ) -> None:
         if not 0.0 < period < math.inf:
             raise SimulationError(
                 f"gossip period must be finite and > 0, got {period}"
             )
         if fanout < 1:
             raise SimulationError(f"gossip fanout must be >= 1, got {fanout}")
+        self._plane = plane
         self._period = period
         self._fanout = fanout
         self._last_round = 0.0
 
     def on_round(self, now: float) -> None:
+        """Start an anti-entropy round if ``period`` ticks have passed."""
         if now - self._last_round < self._period:
             return
         self._last_round = now
@@ -457,6 +305,7 @@ class GossipPolicy(RepairPolicy):
                 )
 
     def on_repair_message(self, message: "Message", now: float) -> None:
+        """Answer a ``repair-digest`` or fold in a ``repair-entries`` batch."""
         plane = self._plane
         holder_id = message.recipient_id
         if not plane.is_registered(holder_id):
@@ -485,28 +334,3 @@ class GossipPolicy(RepairPolicy):
                         (holder_id, push_back, None),
                         kind="repair-entries",
                     )
-
-    def has_pending(self) -> bool:
-        # Gossip keeps working exactly while some emitted entry has neither
-        # been applied nor written off (its origin's journal still holds it,
-        # so anti-entropy will eventually carry it home).
-        counters = self._plane.counters
-        return counters is not None and counters.missing_entries > 0
-
-
-def create_repair_policy(
-    name: str,
-    gossip_period: float = 1.0,
-    gossip_fanout: int = 2,
-    retransmit_timeout: float = 2.0,
-) -> RepairPolicy:
-    """Build a repair policy from its registry name and tuning knobs."""
-    if name == "off":
-        return OffPolicy()
-    if name == "retransmit":
-        return RetransmitPolicy(timeout=retransmit_timeout)
-    if name == "gossip":
-        return GossipPolicy(period=gossip_period, fanout=gossip_fanout)
-    raise SimulationError(
-        f"evidence repair policy must be one of {REPAIR_POLICIES}, got {name!r}"
-    )

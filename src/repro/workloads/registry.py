@@ -312,7 +312,6 @@ def build_registered_scenario(
     evidence_repair: str = "off",
     gossip_period: float = 1.0,
     gossip_fanout: int = 2,
-    retransmit_timeout: float = 2.0,
     witness_count: Optional[int] = None,
     shards: int = 1,
     shard_router: str = "hash",
@@ -328,7 +327,7 @@ def build_registered_scenario(
     synchronous flush and asynchronous propagation over the simulated
     network (``evidence_mode``/``evidence_latency``/``evidence_loss``) and
     how lost evidence is repaired (``evidence_repair``/``gossip_period``/
-    ``gossip_fanout``/``retransmit_timeout``).  ``partition-heal`` is
+    ``gossip_fanout``).  ``partition-heal`` is
     inherently asynchronous: a sync request is upgraded to async (latency
     1 unless given) and repair ``off`` to gossip, so anti-entropy can
     backfill the evidence the partition cut.
@@ -433,7 +432,6 @@ def build_registered_scenario(
         evidence_repair=evidence_repair,
         gossip_period=gossip_period,
         gossip_fanout=gossip_fanout,
-        retransmit_timeout=retransmit_timeout,
         evidence_fault=evidence_fault,
         witness_count=witness_count if witness_count is not None else row.witness_count,
         telemetry=telemetry,

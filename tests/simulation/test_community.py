@@ -63,12 +63,6 @@ class TestCommunityConfig:
                 CommunityConfig(
                     evidence_mode="async", evidence_repair="gossip", gossip_period=bad
                 )
-            with pytest.raises(SimulationError):
-                CommunityConfig(
-                    evidence_mode="async",
-                    evidence_repair="retransmit",
-                    retransmit_timeout=bad,
-                )
 
 
 class TestCommunitySimulation:

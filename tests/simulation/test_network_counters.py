@@ -127,23 +127,23 @@ def _two_peer_plane(**plane_kwargs):
 
 class TestEntryLedger:
     def test_duplicate_delivery_suppressed_once(self):
-        plane, _, _, record = _two_peer_plane(repair="retransmit",
-                                              retransmit_timeout=1.0)
+        plane, _, _, record = _two_peer_plane(repair="gossip")
         plane.submit_records("target", [record], sender_id="origin")
-        # Acks travel back through the lossy plane too; with zero loss the
-        # first copy lands and every retransmitted copy is a duplicate.
+        (key,) = plane.journals["origin"].keys()
+        # A gossip relay reaches the target before the direct copy does:
+        # the direct copy is then a duplicate.
+        plane.ingest_entry("target", plane.journals["origin"].get(key), 0.0)
         for tick in range(1, 8):
             plane.advance(float(tick))
         counters = plane.counters
+        assert counters.duplicates_suppressed >= 1
         assert counters.entries_emitted == 1
         assert counters.entries_applied == 1
         assert counters.missing_entries == 0
         _assert_finite_ledger(counters)
 
     def test_expired_entry_reconciled_by_late_arrival(self):
-        plane, origin, target, record = _two_peer_plane(
-            repair="retransmit", retransmit_timeout=2.0
-        )
+        plane, origin, target, record = _two_peer_plane(repair="gossip")
         plane.submit_records("target", [record], sender_id="origin")
         counters = plane.counters
         # The origin churns out while its only copy is still in flight: the
@@ -171,8 +171,8 @@ class TestEntryLedger:
         plane.request_witness_reports("origin", ["target"], ("origin",))
         plane.advance(20.0)
         counters = plane.counters
-        # Pinned: witness request/reply messages are transient — they are
-        # counted as messages (delivery_ratio) but never as evidence
+        # Pinned: witness request/reply messages are plain messages — they
+        # are counted as messages (delivery_ratio) but never as evidence
         # entries, so effective_delivery_ratio stays the vacuous 1.0 even
         # if every witness message were lost.  The run summary prints both
         # ratios for exactly this reason.

@@ -399,22 +399,26 @@ class TestRunCommand:
         assert "repair messages" in output
         assert "lag p50/p95" in output
 
-    def test_retransmit_repair_accepted(self, capsys):
+    @pytest.mark.parametrize("repair", ("off", "gossip"))
+    def test_lossy_flash_crowd_audit_reconciles(self, repair, capsys):
+        """The async ledger audit is clean with and without repair traffic."""
         exit_code = main(
             [
-                "run",
-                "--scenario", "ebay",
-                "--size", "8",
-                "--rounds", "3",
+                "audit",
+                "--scenario", "flash-crowd",
+                "--size", "12",
+                "--rounds", "4",
                 "--evidence-mode", "async",
-                "--evidence-loss", "0.3",
-                "--evidence-repair", "retransmit",
-                "--retransmit-timeout", "1.0",
+                "--evidence-latency", "1",
+                "--evidence-loss", "0.2",
+                "--evidence-repair", repair,
+                "--witnesses", "3",
             ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "Evidence repair:   retransmit:" in output
+        assert "ledger_consistency" in output
+        assert "verdict: CLEAN" in output
 
     def test_repair_without_async_rejected(self, capsys):
         exit_code = main(
@@ -481,11 +485,9 @@ class TestRunCommand:
             ["--dishonest", "inf"],
             ["--evidence-mode", "async", "--evidence-repair", "gossip",
              "--gossip-period", "nan"],
-            ["--evidence-mode", "async", "--evidence-repair", "retransmit",
-             "--retransmit-timeout", "nan"],
         ),
         ids=("latency-inf", "latency-nan", "dishonest-nan", "dishonest-inf",
-             "gossip-period-nan", "retransmit-timeout-nan"),
+             "gossip-period-nan"),
     )
     def test_non_finite_inputs_rejected(self, command, flags, capsys):
         """A non-finite number is a usage error, not a traceback or a NaN run."""
@@ -513,6 +515,24 @@ class TestParser:
             )
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("run", "audit"))
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["--evidence-repair", "retransmit"],
+            ["--retransmit-timeout", "1.0"],
+        ),
+        ids=("retransmit-repair", "retransmit-timeout"),
+    )
+    def test_retransmit_flags_are_rejected(self, command, flags, capsys):
+        """Gossip is the one repair protocol; there is no retransmit knob."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, "--scenario", "ebay", "--evidence-mode", "async", *flags]
+            )
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ("run", "audit"))
     def test_cache_scores_flag_is_rejected(self, command, capsys):
