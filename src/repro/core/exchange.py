@@ -22,6 +22,10 @@ planner and executor read its :class:`TemptationProfile` instead, which
 holds the same per-state quantities, bit for bit, from one walk over the
 actions (or, for a batch of planned schedules, from one array pass over all
 of them).
+
+A batch planner returns each :class:`ExchangeSequence` in a columnar
+*planned* form, validated as arrays, which an executor runs from the step
+owners and the profile without building any :class:`ExchangeAction`.
 """
 
 from __future__ import annotations
@@ -445,28 +449,106 @@ class TemptationProfile:
 class ExchangeSequence:
     """A complete schedule of deliveries and payments for one exchange.
 
-    The sequence is validated on construction: every good of the bundle must
-    be delivered exactly once, every payment must be positive and the
-    payments must add up to the agreed price.  A planner that has already
-    built the schedule's profile (:meth:`TemptationProfile.build_many`)
-    passes it as ``profile``; it must equal what :meth:`TemptationProfile.build`
-    returns for the actions.
+    A sequence takes one of two forms with the same behaviour:
+
+    * the *actions* form, ``ExchangeSequence(bundle, price, actions)``, is
+      validated on construction: every good of the bundle must be
+      delivered exactly once, every payment must be positive and the
+      payments must add up to the agreed price;
+    * the *planned* form, :meth:`planned`, holds one row of a batch
+      planner's arrays (the delivery order, the ``k + 1`` payment slots and
+      which of them are paid) together with the row's batch-built
+      :class:`TemptationProfile`.  :meth:`validate_planned` has checked the
+      same rules for the whole batch as array operations, so the planned
+      form builds its :class:`ExchangeAction` tuple only when something
+      reads :attr:`actions` (or iterates, renders or replays it).
+
+    :attr:`actors` and :attr:`profile` are all an executor reads; the
+    planned form has both without building its actions.
     """
 
-    __slots__ = ("_bundle", "_price", "_actions", "_profile")
+    __slots__ = ("_bundle", "_price", "_actions", "_profile", "_actors", "_planned")
 
     def __init__(
         self,
         bundle: GoodsBundle,
         price: float,
         actions: Sequence[ExchangeAction],
-        profile: Optional[TemptationProfile] = None,
     ):
         self._bundle = bundle
         self._price = float(price)
-        self._actions: Tuple[ExchangeAction, ...] = tuple(actions)
-        self._profile: Optional[TemptationProfile] = profile
+        self._actions: Optional[Tuple[ExchangeAction, ...]] = tuple(actions)
+        self._profile: Optional[TemptationProfile] = None
+        self._actors: Optional[Tuple[bool, ...]] = None
+        self._planned: Optional[Tuple[List[int], List[float], List[bool]]] = None
         self._validate()
+
+    @classmethod
+    def planned(
+        cls,
+        bundle: GoodsBundle,
+        price: float,
+        items: List[int],
+        chunks: List[float],
+        pays: List[bool],
+        profile: TemptationProfile,
+    ) -> "ExchangeSequence":
+        """One row of a batch-planned schedule, validated by the batch.
+
+        Before its ``p``-th delivery the schedule pays ``chunks[p]`` if
+        ``pays[p]``, then delivers bundle item ``items[p]``; at the end it
+        pays ``chunks[k]`` if ``pays[k]``.  The row must have passed
+        :meth:`validate_planned`, and ``profile`` must equal what
+        :meth:`TemptationProfile.build` returns for the actions.
+        """
+        sequence = cls.__new__(cls)
+        sequence._bundle = bundle
+        sequence._price = float(price)
+        sequence._actions = None
+        sequence._profile = profile
+        sequence._actors = None
+        sequence._planned = (items, chunks, pays)
+        return sequence
+
+    @staticmethod
+    def validate_planned(
+        bundles: Sequence[GoodsBundle],
+        prices: np.ndarray,
+        order: np.ndarray,
+        payments: np.ndarray,
+        paying: np.ndarray,
+    ) -> None:
+        """Check :meth:`planned` rows with the constructor's rules, as arrays.
+
+        Row ``i`` is bundle ``bundles[i]`` at ``prices[i]`` delivered in
+        ``order[i]`` (bundle positions) with the payment slots
+        ``payments[i]``/``paying[i]``, laid out as :meth:`planned` reads
+        them.  The rules are those of :class:`ExchangeAction` and
+        :meth:`_validate`: the price is non-negative, each ``order`` row is
+        a permutation (every good delivered exactly once), every paid chunk
+        is positive and the paid chunks, summed in schedule order, meet the
+        price within 1e-6.  A row that breaks one is rebuilt through the
+        actions constructor, which raises that rule's exception and
+        message.
+        """
+        count, size = order.shape
+        paid = np.zeros(count)
+        for position in range(size + 1):
+            # Adding an exact 0.0 for an unpaid slot leaves the running sum
+            # unchanged, so this is _validate's sum in schedule order.
+            paid = paid + np.where(paying[:, position], payments[:, position], 0.0)
+        broken = prices < 0
+        broken |= (np.sort(order, axis=1) != np.arange(size)).any(axis=1)
+        broken |= (paying & (payments <= 0)).any(axis=1)
+        broken |= ~(np.abs(paid - prices) <= 1e-6)
+        for row in np.flatnonzero(broken).tolist():
+            actions = _planned_actions(
+                bundles[row].goods,
+                order[row].tolist(),
+                payments[row].tolist(),
+                paying[row].tolist(),
+            )
+            ExchangeSequence(bundles[row], prices[row], actions)
 
     def _validate(self) -> None:
         if self._price < 0:
@@ -511,17 +593,40 @@ class ExchangeSequence:
 
     @property
     def actions(self) -> Tuple[ExchangeAction, ...]:
+        if self._actions is None:
+            assert self._planned is not None
+            self._actions = tuple(_planned_actions(self._bundle.goods, *self._planned))
         return self._actions
 
+    @property
+    def actors(self) -> Tuple[bool, ...]:
+        """Per step, ``True`` when the supplier acts (delivers a good)."""
+        if self._actors is None:
+            if self._planned is None:
+                self._actors = tuple(
+                    action.kind is ActionKind.DELIVER for action in self.actions
+                )
+            else:
+                pays = self._planned[2]
+                actors: List[bool] = []
+                for pay in pays[:-1]:
+                    if pay:
+                        actors.append(False)
+                    actors.append(True)
+                if pays[-1]:
+                    actors.append(False)
+                self._actors = tuple(actors)
+        return self._actors
+
     def __len__(self) -> int:
-        return len(self._actions)
+        return len(self.actors)
 
     def __iter__(self) -> Iterator[ExchangeAction]:
-        return iter(self._actions)
+        return iter(self.actions)
 
     def __repr__(self) -> str:
         return (
-            f"ExchangeSequence(n_actions={len(self._actions)}, "
+            f"ExchangeSequence(n_actions={len(self)}, "
             f"price={self._price:.3f}, goods={len(self._bundle)})"
         )
 
@@ -530,7 +635,7 @@ class ExchangeSequence:
         """Good ids in the order they are delivered."""
         return tuple(
             action.good_id  # type: ignore[misc]
-            for action in self._actions
+            for action in self.actions
             if action.kind is ActionKind.DELIVER
         )
 
@@ -539,7 +644,7 @@ class ExchangeSequence:
         """The payment chunks in order."""
         return tuple(
             action.amount
-            for action in self._actions
+            for action in self.actions
             if action.kind is ActionKind.PAY
         )
 
@@ -558,14 +663,14 @@ class ExchangeSequence:
         """Yield the initial state and the state after every action."""
         state = ExchangeState.initial(self._bundle, self._price)
         yield state
-        for action in self._actions:
+        for action in self.actions:
             state = state.apply(action)
             yield state
 
     def final_state(self) -> ExchangeState:
         """The state after the last action (complete by construction)."""
         state = ExchangeState.initial(self._bundle, self._price)
-        for action in self._actions:
+        for action in self.actions:
             state = state.apply(action)
         return state
 
@@ -574,7 +679,7 @@ class ExchangeSequence:
         """The schedule's per-state temptations and utilities, built once."""
         if self._profile is None:
             self._profile = TemptationProfile.build(
-                self._bundle, self._price, self._actions
+                self._bundle, self._price, self.actions
             )
         return self._profile
 
@@ -594,7 +699,7 @@ class ExchangeSequence:
         lines = [
             f"Exchange of {len(self._bundle)} goods for {self._price:.3f}",
         ]
-        for index, action in enumerate(self._actions, start=1):
+        for index, action in enumerate(self.actions, start=1):
             remaining_payment = non_negative(self._price - profile.paid[index])
             lines.append(
                 f"  {index:3d}. {action.describe():<40s} "
@@ -603,3 +708,17 @@ class ExchangeSequence:
                 f"temptation(c)={profile.consumer_temptation[index]:8.3f}"
             )
         return "\n".join(lines)
+
+
+def _planned_actions(
+    goods: Sequence[Good], items: List[int], chunks: List[float], pays: List[bool]
+) -> List[ExchangeAction]:
+    """The actions of a :meth:`ExchangeSequence.planned` row, in order."""
+    actions: List[ExchangeAction] = []
+    for position, item in enumerate(items):
+        if pays[position]:
+            actions.append(ExchangeAction.pay(chunks[position]))
+        actions.append(ExchangeAction.deliver(goods[item]))
+    if pays[-1]:
+        actions.append(ExchangeAction.pay(chunks[-1]))
+    return actions

@@ -602,11 +602,13 @@ def plan_exchange_batch(
     :func:`exchange_is_schedulable_batch`'s test; the delivery order of the
     feasible ones is their :func:`_canonical_order` reversed; the payment
     chunks come from :func:`_payment_chunks` and the temptation profiles
-    from :meth:`TemptationProfile.build_many`.  Every entry equals
-    ``plan_exchange(bundle, price, requirement, payment_policy)`` bit for
-    bit: ``None`` where no schedule exists, otherwise a validated
-    :class:`ExchangeSequence` with the same actions and a profile equal to
-    the one it would build.
+    from :meth:`TemptationProfile.build_many`.  Each group is validated once
+    by :meth:`ExchangeSequence.validate_planned` and every schedule is
+    returned in the planned form (:meth:`ExchangeSequence.planned`), which
+    builds no :class:`ExchangeAction` until one is read.  Every entry
+    equals ``plan_exchange(bundle, price, requirement, payment_policy)``
+    bit for bit: ``None`` where no schedule exists, otherwise a sequence
+    with the same actions and a profile equal to the one it would build.
     """
     price_arr, supplier_allowances, consumer_allowances = _batch_inputs(
         bundles, prices, requirements
@@ -636,23 +638,23 @@ def plan_exchange_batch(
             consumer_allowances[group],
             payment_policy,
         )
+        group_bundles = [bundles[index] for index in group]
+        ExchangeSequence.validate_planned(
+            group_bundles, group_prices, order, payments, paying
+        )
         profiles = TemptationProfile.build_many(
             costs, values, order, group_prices, payments, paying
         )
-        for index, items, chunks, pays, profile in zip(
-            group, order.tolist(), payments.tolist(), paying.tolist(), profiles
+        for index, bundle, items, chunks, pays, profile in zip(
+            group,
+            group_bundles,
+            order.tolist(),
+            payments.tolist(),
+            paying.tolist(),
+            profiles,
         ):
-            bundle = bundles[index]
-            goods = bundle.goods
-            actions: List[ExchangeAction] = []
-            for position, item in enumerate(items):
-                if pays[position]:
-                    actions.append(ExchangeAction.pay(chunks[position]))
-                actions.append(ExchangeAction.deliver(goods[item]))
-            if pays[-1]:
-                actions.append(ExchangeAction.pay(chunks[-1]))
-            sequences[index] = ExchangeSequence(
-                bundle, prices[index], actions, profile=profile
+            sequences[index] = ExchangeSequence.planned(
+                bundle, prices[index], items, chunks, pays, profile
             )
     return sequences
 

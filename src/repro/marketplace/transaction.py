@@ -3,9 +3,10 @@
 The planner guarantees that *rational* parties have no incentive to defect
 within the agreed allowances — but the community contains parties that
 defect anyway (malicious or opportunistic behaviour models).  Execution
-walks the schedule action by action; before performing its own next action a
+walks the schedule step by step; before performing its own next step a
 party consults its behaviour model with its current temptation and either
-continues or walks away with what it holds.
+continues or walks away with what it holds.  The walk reads only who acts
+at each step and the schedule's temptation profile.
 """
 
 from __future__ import annotations
@@ -65,14 +66,16 @@ def execute_sequence(
 
     The defecting party keeps its current holdings; payoffs of both sides are
     the realised utilities at that point (which is exactly the exposure the
-    safety analysis bounds).  Every quantity is read from the sequence's
-    :attr:`~repro.core.exchange.ExchangeSequence.profile` at the state
-    before the step.
+    safety analysis bounds).  The walk reads only the sequence's
+    :attr:`~repro.core.exchange.ExchangeSequence.actors` (who acts at each
+    step) and, at the state before the step, its
+    :attr:`~repro.core.exchange.ExchangeSequence.profile`, so a planned
+    sequence is executed without building its actions.
     """
     profile = sequence.profile
-    for step_index, action in enumerate(sequence.actions):
-        actor = action.actor
-        if actor is Role.SUPPLIER:
+    actors = sequence.actors
+    for step_index, supplier_acts in enumerate(actors):
+        if supplier_acts:
             behavior = supplier_behavior
             temptation = profile.supplier_temptation[step_index]
         else:
@@ -80,8 +83,9 @@ def execute_sequence(
             temptation = profile.consumer_temptation[step_index]
         continuation_gain = max(0.0, -temptation)
         if behavior.will_defect(temptation, continuation_gain, rng, time):
+            actor = Role.SUPPLIER if supplier_acts else Role.CONSUMER
             return _result(sequence, step_index, actor)
-    return _result(sequence, len(sequence), None)
+    return _result(sequence, len(actors), None)
 
 
 def _result(

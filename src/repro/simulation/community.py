@@ -553,6 +553,10 @@ class CommunitySimulation:
             kept = int(np.count_nonzero(sequences.screened))
             telemetry.count("exchange.candidates", len(candidates))
             telemetry.count("exchange.screened_out", len(candidates) - kept)
+            telemetry.count(
+                "exchange.planned",
+                sum(sequence is not None for sequence in sequences),
+            )
             telemetry.observe("exchange.round_candidates", len(candidates))
         outcomes: List[ExchangeOutcome] = []
         with telemetry.span("exchange.execute"):
@@ -580,6 +584,15 @@ class CommunitySimulation:
                         rng=self._streams("execution"),
                         timestamp=timestamp,
                     )
+                )
+            if telemetry.enabled:
+                telemetry.count(
+                    "exchange.steps",
+                    sum(
+                        _steps_walked(outcome)
+                        for outcome in outcomes
+                        if outcome.result is not None
+                    ),
                 )
         return outcomes
 
@@ -675,3 +688,9 @@ class CommunitySimulation:
                 self._evidence.request_witness_reports(
                     requester_id, witnesses, (subject_id,)
                 )
+
+
+def _steps_walked(outcome: ExchangeOutcome) -> int:
+    """Steps the executor walked: all of them, or up to the defection."""
+    step = outcome.result.defection_step
+    return len(outcome.sequence) if step is None else step + 1

@@ -399,8 +399,12 @@ class EvidencePlane:
                 # Gossip chatter never leaves the wire fully idle; what
                 # matters is that every emitted entry has been applied or
                 # written off (a journal still holds every other one, so
-                # anti-entropy will eventually carry it home).
-                working = network.counters.missing_entries > 0
+                # anti-entropy will eventually carry it home), and that no
+                # write-off can still reverse.
+                working = (
+                    network.counters.missing_entries > 0
+                    or self._write_off_reversible()
+                )
             else:
                 working = network.pending > 0
             if not working:
@@ -408,6 +412,35 @@ class EvidencePlane:
             self.advance(network.now + 1.0)
             ticks += 1
         return ticks
+
+    def _write_off_reversible(self) -> bool:
+        """Whether a written-off entry can still land and be applied.
+
+        A write-off of an entry whose recipient is still registered (or is
+        the complaint sink) reverses when a copy in flight lands, either as
+        the entry itself or in a ``repair-entries`` batch.  A drain that
+        stopped before then would report an expiry that is not final.  The
+        scan runs only while something is written off.
+        """
+        if not self._expired:
+            return False
+        catalog = self._catalog
+        assert catalog is not None and self._network is not None
+        live = np.zeros(len(catalog), dtype=bool)
+        for key in self._expired:
+            gid = catalog.id_of(key)
+            recipient_id = catalog.entry(gid).recipient_id
+            live[gid] = recipient_id == COMPLAINT_SINK or recipient_id in self._peers
+        if not live.any():
+            return False
+        for message in self._network.queued():
+            if message.kind == "repair-entries":
+                if live[message.payload[1]].any():
+                    return True
+            elif message.kind in ("evidence", "complaint"):
+                if live[catalog.id_of(message.payload.key)]:
+                    return True
+        return False
 
     # ------------------------------------------------------------------
     # Evidence submission

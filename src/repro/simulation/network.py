@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
@@ -247,6 +247,10 @@ class SimulatedNetwork:
     def pending(self) -> int:
         """Messages queued for delivery (equals ``counters.in_flight``)."""
         return len(self._queue)
+
+    def queued(self) -> Iterator[Message]:
+        """The messages queued for delivery, in no particular order."""
+        return (message for _, _, message, _ in self._queue)
 
     # ------------------------------------------------------------------
     # Registration

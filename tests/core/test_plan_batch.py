@@ -7,7 +7,9 @@ as ``(group, k + 1)`` totals.  ``TrustAwareStrategy.plan_many`` adds the
 batched exposures and decisions on top.  The scalar ``plan_exchange`` and
 ``TrustAwareExchangePlanner.plan`` stay the reference; every oracle here
 runs under this interpreter's ``sum`` and under the compensated ``sum`` of
-Python 3.12.
+Python 3.12.  The batch returns planned-form sequences, validated once per
+group as arrays; the mutation cases check that this array validation
+raises what the fully validated actions constructor raises.
 """
 
 import numpy as np
@@ -24,11 +26,16 @@ from repro.core.decision import (
     FractionalGainPolicy,
     RiskNeutralPolicy,
 )
+from repro.core.exchange import ExchangeAction, ExchangeSequence
 from repro.core.goods import Good, GoodsBundle
 from repro.core.planner import PaymentPolicy, plan_exchange, plan_exchange_batch
 from repro.core.safety import ExchangeRequirements
 from repro.core.trust_aware import PartnerModel, TrustAwareExchangePlanner
-from repro.exceptions import InvalidPriceError
+from repro.exceptions import (
+    InvalidActionError,
+    InvalidPriceError,
+    InvalidSequenceError,
+)
 from repro.marketplace.strategy import StrategyContext, TrustAwareStrategy
 
 from summation import SUMMATIONS, summation_patched
@@ -124,6 +131,12 @@ def test_batch_planner_matches_plan_exchange(summation, payment_policy, batch):
             bundles, prices, requirements, planned
         ):
             reference = plan_exchange(bundle, price, reqs, payment_policy)
+            if reference is not None:
+                assert sequence.actors == reference.actors
+                assert len(sequence) == len(reference)
+                assert sequence.delivery_order == reference.delivery_order
+                assert sequence.payments == reference.payments
+                ExchangeSequence(bundle, price, sequence.actions)
             assert _bits(sequence) == _bits(reference)
 
 
@@ -137,6 +150,70 @@ def test_batch_planner_handles_empty_batches_and_bundles():
         assert _bits(sequence) == _bits(
             plan_exchange(empty, price, ExchangeRequirements())
         )
+
+
+def _mutation_group():
+    """One valid planned row: (bundles, prices, order, payments, paying)."""
+    bundle = GoodsBundle(
+        [
+            Good(good_id="a", supplier_cost=1.0, consumer_value=2.0),
+            Good(good_id="b", supplier_cost=2.0, consumer_value=3.0),
+            Good(good_id="c", supplier_cost=1.0, consumer_value=1.0),
+        ]
+    )
+    return (
+        [bundle],
+        np.array([5.0]),
+        np.array([[2, 0, 1]]),
+        np.array([[1.0, 2.0, 0.0, 2.0]]),
+        np.array([[True, True, False, True]]),
+    )
+
+
+def _repeat_item(group):
+    group[2][0, 2] = 0
+
+
+def _zero_chunk(group):
+    group[3][0, 1] = 0.0
+
+
+def _sum_off(group):
+    group[3][0, 3] += 1e-3
+
+
+def _negative_price(group):
+    group[1][0] = -1.0
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (_repeat_item, InvalidSequenceError),
+        (_zero_chunk, InvalidActionError),
+        (_sum_off, InvalidSequenceError),
+        (_negative_price, InvalidSequenceError),
+    ],
+)
+def test_array_validation_raises_what_the_actions_constructor_raises(
+    mutate, error
+):
+    ExchangeSequence.validate_planned(*_mutation_group())
+    group = _mutation_group()
+    mutate(group)
+    [bundle], [price], [items], [chunks], [pays] = group
+    with pytest.raises(error) as scalar:
+        actions = []
+        for chunk, pay, item in zip(chunks, pays, items):
+            if pay:
+                actions.append(ExchangeAction.pay(chunk))
+            actions.append(ExchangeAction.deliver(bundle.goods[item]))
+        if pays[-1]:
+            actions.append(ExchangeAction.pay(chunks[-1]))
+        ExchangeSequence(bundle, price, actions)
+    with pytest.raises(error) as batched:
+        ExchangeSequence.validate_planned(*group)
+    assert str(batched.value) == str(scalar.value)
 
 
 policies = st.one_of(

@@ -880,6 +880,34 @@ class TestChurnHardening:
             == counters.entries_emitted
         )
 
+    @pytest.mark.parametrize(
+        "name, seed, latency, loss, drained",
+        [
+            # A repair-entries batch in flight carries the written-off entry.
+            ("high-churn", 4, 1, 0.2, (334, 37)),
+            # The entry's own first send is still in flight.
+            ("flash-crowd", 10, 3, 0.1, (1066, 51)),
+        ],
+    )
+    def test_drained_write_offs_are_final(self, name, seed, latency, loss, drained):
+        # These runs reach missing_entries == 0 while a copy of an entry
+        # written off at a departure is still in flight to a peer that is
+        # still here.  The copy lands later and reverses the write-off, so
+        # the drain waits for it: 50 more ticks leave the counters as drained.
+        scenario = build_registered_scenario(
+            name, size=20, rounds=10, seed=seed,
+            evidence_mode="async", evidence_latency=latency, evidence_loss=loss,
+            evidence_repair="gossip", witness_count=3,
+        )
+        simulation = scenario.simulation()
+        simulation.run()
+        plane = simulation.evidence_plane
+        counters = plane.counters
+        plane.drain()
+        assert (counters.entries_applied, counters.entries_expired) == drained
+        for _ in range(50):
+            plane.advance(plane._network.now + 1.0)
+            assert (counters.entries_applied, counters.entries_expired) == drained
 
 def _trust_free_run(evidence_mode, repair="off", loss=0.0, latency=0.0, seed=11):
     """An ebay run whose outcomes cannot depend on trust state.

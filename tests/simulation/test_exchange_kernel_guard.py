@@ -1,20 +1,29 @@
 """Complexity guard of the exchange kernel (deterministic, no timing).
 
-The round loop plans each round's schedules in one batch, which builds
-their temptation profiles together as arrays, and then executes every
-exchange from those profiles.  It replays no ``ExchangeState`` at all and
-never builds a profile one schedule at a time, although the decision gates
-read both maximum temptations and the executor reads every step.
+The round loop plans each round's schedules in one batch, which validates
+them and builds their temptation profiles together as arrays, and then
+executes every exchange from those profiles and the schedules' step
+owners.  It replays no ``ExchangeState`` at all, never builds a profile one
+schedule at a time, and builds and re-validates no ``ExchangeAction``,
+although the decision gates read both maximum temptations and the executor
+reads every step.
 """
 
 from collections import Counter
 
-from repro.core.exchange import ExchangeState, TemptationProfile
+from repro.core.exchange import (
+    ExchangeAction,
+    ExchangeSequence,
+    ExchangeState,
+    TemptationProfile,
+)
 from repro.workloads.registry import build_registered_scenario
 
 
 def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
     calls = Counter()
+    original_post_init = ExchangeAction.__post_init__
+    original_validate = ExchangeSequence._validate
     # Holds every batch-built profile, so no two of them share an id().
     batch_built = []
     original_apply = ExchangeState.apply
@@ -25,6 +34,14 @@ def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
         calls["apply"] += 1
         return original_apply(self, action)
 
+    def counting_post_init(self):
+        calls["action"] += 1
+        original_post_init(self)
+
+    def counting_validate(self):
+        calls["validate"] += 1
+        original_validate(self)
+
     def counting_build(cls, *args):
         calls["build"] += 1
         return original_build(cls, *args)
@@ -34,6 +51,8 @@ def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
         batch_built.extend(profiles)
         return profiles
 
+    monkeypatch.setattr(ExchangeAction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ExchangeSequence, "_validate", counting_validate)
     monkeypatch.setattr(ExchangeState, "apply", counting_apply)
     monkeypatch.setattr(TemptationProfile, "build", classmethod(counting_build))
     monkeypatch.setattr(
@@ -51,6 +70,8 @@ def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
     assert scheduled
     assert calls["apply"] == 0
     assert calls["build"] == 0
+    assert calls["action"] == 0
+    assert calls["validate"] == 0
     built_ids = {id(profile) for profile in batch_built}
     assert len(built_ids) == len(batch_built)
     assert all(id(outcome.sequence.profile) in built_ids for outcome in scheduled)

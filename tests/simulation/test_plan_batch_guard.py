@@ -4,7 +4,10 @@ A sync round loop plans its candidates in exactly one ``plan_many`` call per
 round that has any, and never takes the scalar reference path: no
 ``DecisionMaker.assess``/``decide`` call and no ``plan_exchange`` call.  The
 ``exchange.screened_out`` telemetry counter keeps counting the screen's
-rejections only, not the decision declines after planning.
+rejections only, not the decision declines after planning.  The
+``exchange.planned`` and ``exchange.steps`` work counters equal the
+schedules ``plan_many`` returned and the behaviour consultations the
+executor made.
 """
 
 from collections import Counter
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import planner, trust_aware
+from repro.marketplace import protocol
 from repro.core.decision import DecisionMaker
 from repro.marketplace.strategy import TrustAwareStrategy
 from repro.obs.metrics import MetricsRegistry
@@ -91,3 +95,47 @@ def test_screened_out_counts_screen_rejections_only(monkeypatch, name):
     metrics = registry.snapshot()["metrics"]
     assert metrics["exchange.screened_out"] == screened_out
     assert metrics["exchange.candidates"] == sum(len(p) for _, _, p in batches)
+
+
+class _CountingBehavior:
+    """Forwards ``will_defect`` to a behaviour and counts the calls."""
+
+    def __init__(self, behavior, calls):
+        self._behavior = behavior
+        self._calls = calls
+
+    def will_defect(self, *args):
+        self._calls["steps"] += 1
+        return self._behavior.will_defect(*args)
+
+
+@pytest.mark.parametrize("name", ["ebay", "sybil-coalition"])
+def test_planned_and_steps_counters_count_the_work(monkeypatch, name):
+    batches = _record_plan_many(monkeypatch)
+    calls = Counter()
+    original = protocol.execute_sequence
+
+    def counting_execute(sequence, supplier, consumer, rng, time=0.0):
+        return original(
+            sequence,
+            _CountingBehavior(supplier, calls),
+            _CountingBehavior(consumer, calls),
+            rng,
+            time,
+        )
+
+    monkeypatch.setattr(protocol, "execute_sequence", counting_execute)
+    registry = MetricsRegistry()
+    scenario = build_registered_scenario(
+        name, size=30, rounds=4, seed=0, telemetry=registry
+    )
+    scenario.simulation().run()
+
+    metrics = registry.snapshot()["metrics"]
+    planned = sum(
+        sum(sequence is not None for sequence in planned)
+        for _, _, planned in batches
+    )
+    assert planned > 0 and calls["steps"] > planned
+    assert metrics["exchange.planned"] == planned
+    assert metrics["exchange.steps"] == calls["steps"]
