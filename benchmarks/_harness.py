@@ -27,6 +27,26 @@ from repro.analysis.tables import Table
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+
+#: The results under ``benchmarks/results/`` that are committed: the
+#: repository's ``.gitignore`` ignores that directory except for exactly
+#: these files, and every ``BENCH_*.json`` among them must read ``passed``.
+COMMITTED_RESULTS = (
+    "BENCH_ablation_payment_policy.json",
+    "BENCH_evidence_repair.json",
+    "BENCH_million_peer.json",
+    "BENCH_shard_rebalance.json",
+    "BENCH_sharded_backend_overhead.json",
+    "BENCH_table2_strategy_comparison.json",
+    "BENCH_telemetry_overhead.json",
+    "backend_batch_throughput.txt",
+    "evidence_repair.txt",
+    "million_peer.txt",
+    "shard_rebalance.txt",
+    "sharded_backend_overhead.txt",
+    "telemetry_overhead.txt",
+    "witness_aggregation_throughput.txt",
+)
 if SMOKE:
     RESULTS_DIR = os.path.join(RESULTS_DIR, "smoke")
 

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.numeric import EPSILON, total
 from repro.exceptions import InvalidBundleError, InvalidGoodError
 
@@ -94,10 +96,13 @@ class GoodsBundle:
     The bundle exposes the aggregate valuations the safety analysis needs:
     total supplier cost, total consumer value and the surplus of the trade.
     Subset views (used to represent the *remaining* goods during an exchange)
-    are created with :meth:`subset` and :meth:`without`.
+    are created with :meth:`subset` and :meth:`without`.  ``valuation_rows``
+    is the ``(2, len)`` array of the items' costs and values; a bundle made by
+    :meth:`from_valuations` holds it and builds its goods on first read.
     """
 
-    __slots__ = ("_goods", "_by_id", "_total_supplier_cost", "_total_consumer_value")
+    __slots__ = ("_goods", "_by_id", "valuation_rows", "_prefix", "_size",
+                 "_total_supplier_cost", "_total_consumer_value")
 
     def __init__(self, goods: Iterable[Good]):
         goods_list: List[Good] = list(goods)
@@ -114,9 +119,25 @@ class GoodsBundle:
             by_id[good.good_id] = good
         self._goods: Tuple[Good, ...] = tuple(goods_list)
         self._by_id: Dict[str, Good] = by_id
+        self._size = len(goods_list)
         # Immutable, so the two totals are computed once, here.
         self._total_supplier_cost = total(good.supplier_cost for good in goods_list)
         self._total_consumer_value = total(good.consumer_value for good in goods_list)
+
+    def __getattr__(self, name: str) -> object:
+        """Build the valuation rows, or a lazy bundle's goods, on first read."""
+        if name == "valuation_rows":
+            pairs = [(good.supplier_cost, good.consumer_value) for good in self._goods]
+            self.valuation_rows = np.array(pairs, np.float64).reshape(-1, 2).T
+        elif name in ("_goods", "_by_id"):
+            self._goods = tuple(
+                Good(f"{self._prefix}-{index}", cost, value)
+                for index, (cost, value) in enumerate(self.valuation_rows.T.tolist())
+            )
+            self._by_id = {good.good_id: good for good in self._goods}
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -127,24 +148,28 @@ class GoodsBundle:
         supplier_costs: Sequence[float],
         consumer_values: Sequence[float],
         prefix: str = "good",
+        totals: Optional[Sequence[float]] = None,
     ) -> "GoodsBundle":
         """Build a bundle from two parallel sequences of valuations.
 
-        Ids are generated as ``{prefix}-0``, ``{prefix}-1``, ...
+        Ids are generated as ``{prefix}-0``, ``{prefix}-1``, ...; ``totals``
+        are the two rows' :func:`total`, when the caller has them already.
         """
         if len(supplier_costs) != len(consumer_values):
             raise InvalidBundleError(
                 "supplier_costs and consumer_values must have the same length"
             )
-        goods = [
-            Good(
-                good_id=f"{prefix}-{index}",
-                supplier_cost=float(cost),
-                consumer_value=float(value),
-            )
-            for index, (cost, value) in enumerate(zip(supplier_costs, consumer_values))
-        ]
-        return cls(goods)
+        bundle = cls.__new__(cls)
+        bundle.valuation_rows = rows = np.array(
+            [supplier_costs, consumer_values], dtype=np.float64
+        )
+        bundle._prefix, bundle._size = prefix, len(supplier_costs)
+        # Good's own rule; where it fails, the goods are built, and raise, here.
+        if not all(0.0 <= value < math.inf for value in rows.ravel().tolist()):
+            bundle._goods
+        totals = [total(row) for row in rows.tolist()] if totals is None else totals
+        bundle._total_supplier_cost, bundle._total_consumer_value = totals
+        return bundle
 
     @classmethod
     def from_pairs(
@@ -161,7 +186,7 @@ class GoodsBundle:
     # Container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._goods)
+        return self._size
 
     def __iter__(self) -> Iterator[Good]:
         return iter(self._goods)
@@ -212,7 +237,7 @@ class GoodsBundle:
 
     @property
     def is_empty(self) -> bool:
-        return not self._goods
+        return not self._size
 
     # ------------------------------------------------------------------
     # Aggregate valuations

@@ -407,13 +407,8 @@ def _valuation_groups(
     for index, bundle in enumerate(bundles):
         groups.setdefault(len(bundle), []).append(index)
     for indices in groups.values():
-        costs = np.array(
-            [[good.supplier_cost for good in bundles[i]] for i in indices]
-        )
-        values = np.array(
-            [[good.consumer_value for good in bundles[i]] for i in indices]
-        )
-        yield indices, costs, values
+        block = np.array([bundles[i].valuation_rows for i in indices])
+        yield indices, block[:, 0], block[:, 1]
 
 
 def max_prefix_demand_batch(bundles: Sequence[GoodsBundle]) -> np.ndarray:

@@ -3,9 +3,11 @@
 The paper assumes the two value functions ``Vs`` and ``Vc`` are given.  For
 experiments we need families of bundles whose shapes can be controlled: how
 large the per-item surplus is, how correlated cost and value are, whether a
-few items dominate the bundle, and so on.  Each :class:`ValuationModel`
-produces :class:`~repro.core.goods.Good` items deterministically from a
-supplied random generator, so experiments are reproducible from a seed.
+few items dominate the bundle, and so on.  Each :class:`ValuationModel` is
+one array kernel over a fixed number of ``rng.random()`` draws per item,
+taken in item order from a supplied generator, so experiments are
+reproducible from a seed.  ``rng.uniform(a, b)`` is ``a + (b - a) *
+rng.random()``, which the kernels repeat in float64, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.goods import Good, GoodsBundle
+import numpy as np
+
+from repro.core.goods import GoodsBundle
 from repro.exceptions import WorkloadError
 
 __all__ = [
@@ -31,27 +35,32 @@ __all__ = [
 class ValuationModel(abc.ABC):
     """Abstract generator of per-item valuations ``(Vs(x), Vc(x))``."""
 
+    #: ``rng.random()`` draws one item takes.
+    draws: int = 2
+
     @abc.abstractmethod
-    def sample_item(self, rng: random.Random, index: int) -> Tuple[float, float]:
-        """Return ``(supplier_cost, consumer_value)`` for item ``index``."""
+    def kernel(self, *draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(supplier_costs, consumer_values)`` from an item's ``draws`` arrays."""
+
+    def sample_columns(
+        self, rng: random.Random, n: int, size: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(costs, values)``, each ``(n, size)``: ``n`` bundles' items in draw
+        order, clamped as ``max(0.0, x)`` clamps (-0.0 and NaN become 0.0)."""
+        if size < 0:
+            raise WorkloadError(f"bundle size must be >= 0, got {size}")
+        draws = np.fromiter(iter(rng.random, None), np.float64, n * size * self.draws)
+        columns = draws.reshape(n, size, self.draws).transpose(2, 0, 1)
+        with np.errstate(all="ignore"):  # as float arithmetic, which never warns
+            costs, values = self.kernel(*columns)
+        return np.where(costs > 0.0, costs, 0.0), np.where(values > 0.0, values, 0.0)
 
     def sample_bundle(
         self, rng: random.Random, size: int, prefix: str = "good"
     ) -> GoodsBundle:
         """Sample a bundle of ``size`` items using ``rng``."""
-        if size < 0:
-            raise WorkloadError(f"bundle size must be >= 0, got {size}")
-        goods: List[Good] = []
-        for index in range(size):
-            cost, value = self.sample_item(rng, index)
-            goods.append(
-                Good(
-                    good_id=f"{prefix}-{index}",
-                    supplier_cost=max(0.0, cost),
-                    consumer_value=max(0.0, value),
-                )
-            )
-        return GoodsBundle(goods)
+        costs, values = self.sample_columns(rng, 1, size)
+        return GoodsBundle.from_valuations(costs[0], values[0], prefix)
 
 
 @dataclass
@@ -73,10 +82,9 @@ class UniformValuationModel(ValuationModel):
         if self.cost_high < self.cost_low or self.value_high < self.value_low:
             raise WorkloadError("upper bounds must not be below lower bounds")
 
-    def sample_item(self, rng: random.Random, index: int) -> Tuple[float, float]:
-        cost = rng.uniform(self.cost_low, self.cost_high)
-        value = rng.uniform(self.value_low, self.value_high)
-        return cost, value
+    def kernel(self, *draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        cost = self.cost_low + (self.cost_high - self.cost_low) * draws[0]
+        return cost, self.value_low + (self.value_high - self.value_low) * draws[1]
 
 
 @dataclass
@@ -106,9 +114,9 @@ class MarginValuationModel(ValuationModel):
         if self.margin_low < -1.0:
             raise WorkloadError("margin_low must be >= -1 (values cannot go negative)")
 
-    def sample_item(self, rng: random.Random, index: int) -> Tuple[float, float]:
-        cost = rng.uniform(self.cost_low, self.cost_high)
-        margin = rng.uniform(self.margin_low, self.margin_high)
+    def kernel(self, *draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        cost = self.cost_low + (self.cost_high - self.cost_low) * draws[0]
+        margin = self.margin_low + (self.margin_high - self.margin_low) * draws[1]
         return cost, cost * (1.0 + margin)
 
 
@@ -136,9 +144,9 @@ class CorrelatedValuationModel(ValuationModel):
         if self.value_scale < 0:
             raise WorkloadError("value_scale must be non-negative")
 
-    def sample_item(self, rng: random.Random, index: int) -> Tuple[float, float]:
-        cost = rng.uniform(self.cost_low, self.cost_high)
-        independent = rng.uniform(self.value_low, self.value_high)
+    def kernel(self, *draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        cost = self.cost_low + (self.cost_high - self.cost_low) * draws[0]
+        independent = self.value_low + (self.value_high - self.value_low) * draws[1]
         value = self.correlation * cost + (1.0 - self.correlation) * independent
         return cost, value * self.value_scale
 
@@ -164,12 +172,10 @@ class BimodalValuationModel(ValuationModel):
         if self.margin < -1.0:
             raise WorkloadError("margin must be >= -1")
 
-    def sample_item(self, rng: random.Random, index: int) -> Tuple[float, float]:
-        if rng.random() < self.big_fraction:
-            low, high = self.big_cost
-        else:
-            low, high = self.small_cost
-        cost = rng.uniform(low, high)
+    def kernel(self, *draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        big = draws[0] < self.big_fraction
+        low, high = (np.where(big, *ends) for ends in zip(self.big_cost, self.small_cost))
+        cost = low + (high - low) * draws[1]
         return cost, cost * (1.0 + self.margin)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,12 +10,14 @@ from repro.exceptions import MarketplaceError
 
 __all__ = ["Listing"]
 
-_listing_counter = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class Listing:
-    """A supplier's offer of a bundle of goods."""
+    """A supplier's offer of a bundle of goods.
+
+    A community round names each listing ``{supplier_id}-r{round}``, so
+    same-seed runs repeat their listing ids.
+    """
 
     listing_id: str
     supplier_id: str
@@ -33,23 +34,6 @@ class Listing:
             raise MarketplaceError("a listing must offer at least one good")
         if self.reserve_price is not None and self.reserve_price < 0:
             raise MarketplaceError("reserve_price must be >= 0")
-
-    @classmethod
-    def create(
-        cls,
-        supplier_id: str,
-        bundle: GoodsBundle,
-        reserve_price: Optional[float] = None,
-        created_at: float = 0.0,
-    ) -> "Listing":
-        """Create a listing with an auto-generated identifier."""
-        return cls(
-            listing_id=f"listing-{next(_listing_counter)}",
-            supplier_id=supplier_id,
-            bundle=bundle,
-            reserve_price=reserve_price,
-            created_at=created_at,
-        )
 
     @property
     def minimum_acceptable_price(self) -> float:

@@ -274,9 +274,9 @@ class MetricsRegistry:
             lines.append("  {:<44} {}".format(key, value))
         if len(lines) > limit:
             lines = lines[:limit] + ["  ... ({} more metrics)".format(len(snap["metrics"]) - limit)]
-        span_count = len(snap["timings"])
-        if span_count:
-            lines.append("  ({} timed spans; wall-clock detail in jsonl mode)".format(span_count))
+        if snap["timings"]:
+            lines.append("  ({} timed spans: {}; wall-clock detail in jsonl mode)".format(
+                len(snap["timings"]), ", ".join(snap["timings"])))
         return lines
 
     def write_jsonl(self, path: str) -> None:

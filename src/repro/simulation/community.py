@@ -31,7 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.goods import GoodsBundle
 from repro.core.negotiation import split_surplus_price
+from repro.core.numeric import EPSILON, total_rows
 from repro.core.valuation import MarginValuationModel, ValuationModel
 from repro.exceptions import NegotiationError, SimulationError
 from repro.marketplace.accounting import CommunityAccounts, Ledger
@@ -405,23 +407,26 @@ class CommunitySimulation:
         return event
 
     def _build_listings(self, round_index: int) -> List[Listing]:
-        rng = self._streams("valuations")
+        """One block of bundles, a row per supplier in peer order; a listing
+        (whose goods are built on first read) per row that is a rational trade."""
+        model = self._config.valuation_model
+        assert model is not None
+        suppliers = [peer.peer_id for peer in self._peers if peer.supplies_goods]
+        costs, values = block = np.stack(model.sample_columns(
+            self._streams("valuations"), len(suppliers), self._config.bundle_size
+        ))
+        self._telemetry.count("listings.bundles", len(suppliers))
+        totals = total_rows(block)
+        rational = (totals[1] - totals[0] >= -EPSILON) & (block.shape[2] > 0)
+        row_totals = totals.T.tolist()
         listings: List[Listing] = []
-        for peer in self._peers:
-            if not peer.supplies_goods:
-                continue
-            assert self._config.valuation_model is not None
-            bundle = self._config.valuation_model.sample_bundle(
-                rng, self._config.bundle_size, prefix=f"{peer.peer_id}-r{round_index}"
+        for row in np.flatnonzero(rational).tolist():
+            prefix = f"{suppliers[row]}-r{round_index}"
+            bundle = GoodsBundle.from_valuations(
+                costs[row], values[row], prefix, row_totals[row]
             )
-            if len(bundle) == 0 or not bundle.is_rational_trade:
-                continue
             listings.append(
-                Listing.create(
-                    supplier_id=peer.peer_id,
-                    bundle=bundle,
-                    created_at=float(round_index),
-                )
+                Listing(prefix, suppliers[row], bundle, created_at=float(round_index))
             )
         return listings
 
@@ -434,7 +439,8 @@ class CommunitySimulation:
         the round's score matrix, its trust in the listing's supplier now;
         random matching reads no trust and leaves it ``None``.
         """
-        listings = self._build_listings(round_index)
+        with self._telemetry.span("listings.sample"):
+            listings = self._build_listings(round_index)
         consumers = [peer for peer in self._peers if peer.consumes_goods]
         consumer_ids = [peer.peer_id for peer in consumers]
         rng = self._streams("matching")

@@ -8,8 +8,9 @@ these factories encode so experiments and examples can refer to them by name.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.goods import GoodsBundle
 from repro.core.valuation import (
@@ -42,6 +43,8 @@ class MixtureValuationModel(ValuationModel):
     bundle picks its component model according to the mixture weights, so a
     single bundle can mix radically different cost/value shapes — the
     workload that stresses exchange scheduling and trust weighting the most.
+    An item's first draw picks its component; the component's draws follow,
+    so every component must take the same number of draws.
     """
 
     def __init__(
@@ -57,18 +60,23 @@ class MixtureValuationModel(ValuationModel):
             raise WorkloadError("weights must match the number of components")
         if any(weight < 0 for weight in weights) or sum(weights) <= 0:
             raise WorkloadError("mixture weights must be non-negative, sum > 0")
+        if len({component.draws for component in components}) != 1:
+            raise WorkloadError("mixture components must take equal draws per item")
         self._components = tuple(components)
+        self.draws = 1 + components[0].draws
         total = float(sum(weights))
-        self._cumulative: Tuple[float, ...] = tuple(
-            sum(weights[: index + 1]) / total for index in range(len(weights))
+        self._cumulative = np.array(
+            [sum(weights[: index + 1]) / total for index in range(len(weights))]
         )
 
-    def sample_item(self, rng: random.Random, index: int) -> Tuple[float, float]:
-        draw = rng.random()
-        for component, bound in zip(self._components, self._cumulative):
-            if draw <= bound:
-                return component.sample_item(rng, index)
-        return self._components[-1].sample_item(rng, index)
+    def kernel(self, *draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        pick = np.searchsorted(self._cumulative, draws[0])  # first bound >= draw
+        pick = np.minimum(pick, len(self._components) - 1)[None]
+        pairs = [component.kernel(*draws[1:]) for component in self._components]
+        costs, values = (
+            np.take_along_axis(np.stack(column), pick, 0)[0] for column in zip(*pairs)
+        )
+        return costs, values
 
 
 def mixed_goods_valuations() -> ValuationModel:

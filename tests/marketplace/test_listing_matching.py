@@ -16,21 +16,18 @@ def bundle():
 
 
 def make_listing(supplier_id, listing_id=None):
-    if listing_id is None:
-        return Listing.create(supplier_id=supplier_id, bundle=bundle())
-    return Listing(listing_id=listing_id, supplier_id=supplier_id, bundle=bundle())
+    return Listing(
+        listing_id=listing_id or f"{supplier_id}-r0",
+        supplier_id=supplier_id,
+        bundle=bundle(),
+    )
 
 
 class TestListing:
-    def test_create_generates_unique_ids(self):
-        a = Listing.create("s1", bundle())
-        b = Listing.create("s1", bundle())
-        assert a.listing_id != b.listing_id
-
     def test_minimum_acceptable_price(self):
-        listing = Listing.create("s1", bundle())
+        listing = Listing("s1-r0", "s1", bundle())
         assert listing.minimum_acceptable_price == pytest.approx(3.0)
-        reserved = Listing.create("s1", bundle(), reserve_price=5.0)
+        reserved = Listing("s1-r0", "s1", bundle(), reserve_price=5.0)
         assert reserved.minimum_acceptable_price == pytest.approx(5.0)
 
     def test_invalid_listing(self):

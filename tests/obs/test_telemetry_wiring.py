@@ -142,3 +142,42 @@ class TestViewsEqualLegacyAttributes:
         assert metrics["audit.entries_emitted"] == counters.entries_emitted
         assert metrics["audit.entries_applied"] == counters.entries_applied
         assert metrics["audit.entries_expired"] == counters.entries_expired
+
+
+class TestListingsLayer:
+    """The round's listings have a span and a work counter of their own."""
+
+    def test_snapshot_counts_every_sampled_row_under_one_span_per_round(self):
+        registry = MetricsRegistry()
+        scenario = build_registered_scenario(
+            "flash-crowd", size=12, rounds=4, seed=3, telemetry=registry
+        )
+        simulation = scenario.simulation()
+        sampled = []
+        original = simulation._build_listings
+
+        def counting_build(round_index):
+            sampled.append(
+                sum(peer.supplies_goods for peer in simulation.peers)
+            )
+            return original(round_index)
+
+        simulation._build_listings = counting_build
+        simulation.run()
+        snapshot = registry.snapshot()
+        assert snapshot["metrics"]["listings.bundles"] == sum(sampled) > 0
+        assert snapshot["timings"]["listings.sample"]["count"] == 4
+
+    def test_run_summary_shows_the_counter_and_the_span(self, capsys):
+        from repro.cli import main
+
+        exit_code = main(
+            [
+                "run", "--scenario", "flash-crowd", "--size", "12",
+                "--rounds", "3", "--seed", "3", "--telemetry", "summary",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "listings.bundles" in output
+        assert "listings.sample" in output

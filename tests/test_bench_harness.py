@@ -78,9 +78,16 @@ def test_no_bars_pass_vacuously(harness, tmp_path):
     assert _written(tmp_path, "demo")["passed"] is True
 
 
+COMMITTED = _load_harness().COMMITTED_RESULTS
+
+
 @pytest.mark.parametrize(
     "path",
-    sorted((BENCHMARKS / "results").glob("BENCH_*.json")),
+    [
+        BENCHMARKS / "results" / name
+        for name in COMMITTED
+        if name.startswith("BENCH_") and name.endswith(".json")
+    ],
     ids=lambda path: path.name,
 )
 def test_committed_results_pass_and_mark_enforcement(path):
@@ -89,6 +96,14 @@ def test_committed_results_pass_and_mark_enforcement(path):
     assert result["bars"]
     for name, entry in result["bars"].items():
         assert isinstance(entry.get("enforced"), bool), name
+
+
+def test_committed_results_exist_and_are_the_only_ones_unignored():
+    assert all((BENCHMARKS / "results" / name).is_file() for name in COMMITTED)
+    lines = (BENCHMARKS.parent / ".gitignore").read_text().splitlines()
+    assert "benchmarks/results/*" in lines
+    unignored = [line for line in lines if line.startswith("!")]
+    assert unignored == [f"!benchmarks/results/{name}" for name in COMMITTED]
 
 
 def _bench_tests():

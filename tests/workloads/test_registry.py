@@ -135,7 +135,7 @@ class TestScenarioWiring:
         scenario = build_registered_scenario("mixed-goods", size=6, rounds=2, seed=1)
         model = scenario.config.valuation_model
         rng = random.Random(0)
-        costs = [model.sample_item(rng, i)[0] for i in range(200)]
+        costs = model.sample_columns(rng, 1, 200)[0][0].tolist()
         # Big-ticket physical items and near-free digital goods coexist.
         assert max(costs) > 20.0
         assert min(costs) < 0.5
