@@ -19,6 +19,7 @@ scalar call         batched equivalent
 ``trust_decision``  ``trust_decisions``
 ``score_of``        ``scores_for``
 ``plan_exchange``   ``plan_exchange_batch``
+``trust_in``        ``trust_in_pairs``
 ==================  =======================
 
 A call matches by the name it is made through, ``obj.plan_exchange(...)``
@@ -47,6 +48,7 @@ SCALAR_TO_BATCH = {
     "trust_decision": "trust_decisions",
     "score_of": "scores_for",
     "plan_exchange": "plan_exchange_batch",
+    "trust_in": "trust_in_pairs",
 }
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor)

@@ -264,16 +264,15 @@ class MetricsRegistry:
             "timings": {key: timings[key] for key in sorted(timings)},
         }
 
-    def summary_lines(self, limit: int = 12) -> List[str]:
-        """A compact, deterministic digest for the run summary."""
+    def summary_lines(self) -> List[str]:
+        """A deterministic digest for the run summary: every metric, one a
+        line, then a note naming the timed spans."""
         snap = self.snapshot()
         lines: List[str] = []
         for key, value in snap["metrics"].items():
             if isinstance(value, dict):  # histogram
                 value = "n={} total={}".format(value["count"], value["total"])
             lines.append("  {:<44} {}".format(key, value))
-        if len(lines) > limit:
-            lines = lines[:limit] + ["  ... ({} more metrics)".format(len(snap["metrics"]) - limit)]
         if snap["timings"]:
             lines.append("  ({} timed spans: {}; wall-clock detail in jsonl mode)".format(
                 len(snap["timings"]), ", ".join(snap["timings"])))

@@ -243,6 +243,10 @@ class WitnessReportPolicy(abc.ABC):
     aggregation path is built to withstand.
     """
 
+    #: Whether :meth:`report` may put something other than the peer's true
+    #: belief on the wire; a policy that never forges is not consulted.
+    forges: bool = True
+
     @abc.abstractmethod
     def report(self, subject_id: str, belief: BetaBelief) -> BetaBelief:
         """The belief reported about ``subject_id`` (possibly forged)."""
@@ -253,6 +257,8 @@ class WitnessReportPolicy(abc.ABC):
 
 class TruthfulWitness(WitnessReportPolicy):
     """Reports the peer's true belief unchanged."""
+
+    forges = False
 
     def report(self, subject_id: str, belief: BetaBelief) -> BetaBelief:
         return belief

@@ -50,7 +50,7 @@ from repro.simulation.evidence import (
 )
 from repro.simulation.network import NetworkCounters
 from repro.simulation.repair import REPAIR_POLICIES
-from repro.simulation.peer import CommunityPeer
+from repro.simulation.peer import CommunityPeer, trust_in_pairs
 from repro.simulation.rng import RandomStreams
 from repro.trust import CommunityBetaTable
 
@@ -430,25 +430,15 @@ class CommunitySimulation:
             )
         return listings
 
-    def _build_matches(
-        self, round_index: int
-    ) -> List[Tuple[str, Listing, Optional[float]]]:
-        """The round's ``(consumer_id, listing, consumer_trust)`` matches.
-
-        Under trust matching ``consumer_trust`` is the consumer's entry in
-        the round's score matrix, its trust in the listing's supplier now;
-        random matching reads no trust and leaves it ``None``.
-        """
+    def _build_matches(self, round_index: int) -> List[Tuple[str, Listing]]:
+        """The round's ``(consumer_id, listing)`` matches."""
         with self._telemetry.span("listings.sample"):
             listings = self._build_listings(round_index)
         consumers = [peer for peer in self._peers if peer.consumes_goods]
         consumer_ids = [peer.peer_id for peer in consumers]
         rng = self._streams("matching")
         if self._config.matching != "trust":
-            return [
-                (consumer_id, listing, None)
-                for consumer_id, listing in random_matching(consumer_ids, listings, rng)
-            ]
+            return random_matching(consumer_ids, listings, rng)
         now = float(round_index)
         # One batched read per consumer fills its score row, asked in
         # listing order so column j is listing j's supplier (each supplier
@@ -461,70 +451,67 @@ class CommunitySimulation:
         scores = np.empty((len(consumer_ids), len(listings)))
         for row, consumer in enumerate(consumers):
             scores[row] = consumer.trust_in_many(supplier_ids, now=now)
-        matches = trust_weighted_matching(consumer_ids, listings, scores, rng)
-        consumer_rows = {
-            consumer_id: row for row, consumer_id in enumerate(consumer_ids)
-        }
-        supplier_columns = {
-            supplier_id: column for column, supplier_id in enumerate(supplier_ids)
-        }
-        trusts = scores[
-            [consumer_rows[consumer_id] for consumer_id, _ in matches],
-            [supplier_columns[listing.supplier_id] for _, listing in matches],
-        ].tolist()
+        return trust_weighted_matching(consumer_ids, listings, scores, rng)
+
+    def _prepare_matches(
+        self, matches: List[Tuple[str, Listing]], timestamp: float
+    ) -> List[Tuple[Listing, CommunityPeer, CommunityPeer, float, StrategyContext]]:
+        """Negotiate each match's price and assemble its trust context.
+
+        A match whose negotiation fails is dropped.  Both trust directions
+        of every other match are read in one :func:`~repro.simulation.peer.
+        trust_in_pairs` call, with the gids of the matched peers, so the
+        beta table resolves no partner name; with witness reporting on, a
+        row whose observer holds reports about its partner folds them in.
+        """
+        candidates = []
+        for consumer_id, listing in matches:
+            try:
+                negotiation = split_surplus_price(
+                    listing.bundle, supplier_share=self._config.supplier_surplus_share
+                )
+            except NegotiationError:
+                continue
+            candidates.append((
+                listing,
+                self.peer_by_id(listing.supplier_id),
+                self.peer_by_id(consumer_id),
+                negotiation.price,
+            ))
+        # Row 2i is the supplier's trust in the consumer, row 2i + 1 the
+        # consumer's trust in the supplier.
+        pairs = [
+            (observer, subject)
+            for _, supplier, consumer, _ in candidates
+            for observer, subject in ((supplier, consumer), (consumer, supplier))
+        ]
+        trusts = trust_in_pairs(
+            [observer for observer, _ in pairs],
+            [subject.peer_id for _, subject in pairs],
+            [observer.gid_of(subject.peer_id, subject) for observer, subject in pairs],
+            now=timestamp,
+            witnesses=self._config.witness_count > 0,
+        ).tolist()
+        penalty = self._config.defection_penalty
         return [
-            (consumer_id, listing, trust)
-            for (consumer_id, listing), trust in zip(matches, trusts)
+            (
+                listing,
+                supplier,
+                consumer,
+                price,
+                StrategyContext(
+                    supplier_trust_in_consumer=trusts[2 * index],
+                    consumer_trust_in_supplier=trusts[2 * index + 1],
+                    supplier_defection_penalty=max(penalty, supplier.defection_penalty),
+                    consumer_defection_penalty=max(penalty, consumer.defection_penalty),
+                    timestamp=timestamp,
+                ),
+            )
+            for index, (listing, supplier, consumer, price) in enumerate(candidates)
         ]
 
-    def _prepare_match(
-        self,
-        consumer_id: str,
-        listing: Listing,
-        consumer_trust: Optional[float],
-        timestamp: float,
-    ) -> Optional[Tuple[CommunityPeer, CommunityPeer, float, StrategyContext]]:
-        """Negotiate the price and assemble the trust context for one match.
-
-        ``consumer_trust`` is the consumer's trust in the supplier when the
-        matching already read it this round; nothing writes evidence between
-        that read and this one, so it is the value ``trust_in`` returns.
-        Witness reads fold in second-hand reports and always read afresh.
-        """
-        supplier = self.peer_by_id(listing.supplier_id)
-        consumer = self.peer_by_id(consumer_id)
-        try:
-            negotiation = split_surplus_price(
-                listing.bundle, supplier_share=self._config.supplier_surplus_share
-            )
-        except NegotiationError:
-            return None
-        if self._config.witness_count > 0:
-            supplier_trust = supplier.trust_in_with_witnesses(
-                consumer_id, now=timestamp
-            )
-            consumer_trust = consumer.trust_in_with_witnesses(
-                listing.supplier_id, now=timestamp
-            )
-        else:
-            supplier_trust = supplier.trust_in(consumer_id, now=timestamp)
-            if consumer_trust is None:
-                consumer_trust = consumer.trust_in(listing.supplier_id, now=timestamp)
-        context = StrategyContext(
-            supplier_trust_in_consumer=supplier_trust,
-            consumer_trust_in_supplier=consumer_trust,
-            supplier_defection_penalty=max(
-                self._config.defection_penalty, supplier.defection_penalty
-            ),
-            consumer_defection_penalty=max(
-                self._config.defection_penalty, consumer.defection_penalty
-            ),
-            timestamp=timestamp,
-        )
-        return supplier, consumer, negotiation.price, context
-
     def _execute_matches(
-        self, matches: List[Tuple[str, Listing, Optional[float]]], timestamp: float
+        self, matches: List[Tuple[str, Listing]], timestamp: float
     ) -> List[ExchangeOutcome]:
         """Prepare, plan and execute one round's matches.
 
@@ -538,22 +525,14 @@ class CommunitySimulation:
         """
         telemetry = self._telemetry
         with telemetry.span("exchange.prepare"):
-            prepared = [
-                (listing, self._prepare_match(consumer_id, listing, trust, timestamp))
-                for consumer_id, listing, trust in matches
-            ]
-            candidates = [
-                (listing, plan_inputs)
-                for listing, plan_inputs in prepared
-                if plan_inputs is not None
-            ]
+            candidates = self._prepare_matches(matches, timestamp)
             if not candidates:
                 return []
         with telemetry.span("exchange.plan"):
             sequences = self._strategy.plan_many(
-                [listing.bundle for listing, _ in candidates],
-                [price for _, (_, _, price, _) in candidates],
-                [context for _, (_, _, _, context) in candidates],
+                [listing.bundle for listing, _, _, _, _ in candidates],
+                [price for _, _, _, price, _ in candidates],
+                [context for _, _, _, _, context in candidates],
             )
         if telemetry.enabled:
             kept = int(np.count_nonzero(sequences.screened))
@@ -566,7 +545,7 @@ class CommunitySimulation:
             telemetry.observe("exchange.round_candidates", len(candidates))
         outcomes: List[ExchangeOutcome] = []
         with telemetry.span("exchange.execute"):
-            for (listing, (supplier, consumer, price, _)), sequence in zip(
+            for (listing, supplier, consumer, price, _), sequence in zip(
                 candidates, sequences
             ):
                 if sequence is None:
@@ -671,9 +650,17 @@ class CommunitySimulation:
     def _request_witness_reports(
         self, round_outcomes: List[ExchangeOutcome]
     ) -> None:
-        """Each party asks sampled witnesses about the partner it just met."""
-        witness_rng = self._streams("witnesses")
+        """Each party asks sampled witnesses about the partner it just met.
+
+        The round's questions go to the evidence plane as one batch of
+        ``(requester, witness, subject)`` rows, in draw order.
+        """
         peer_ids = [peer.peer_id for peer in self._peers]
+        count = min(self._config.witness_count, len(peer_ids) - 2)
+        if count <= 0:
+            return
+        witness_rng = self._streams("witnesses")
+        rows: List[Tuple[str, str, str]] = []
         for outcome in round_outcomes:
             if outcome.record is None:
                 continue
@@ -684,16 +671,15 @@ class CommunitySimulation:
                 # Over-sample by the two excluded ids and filter, instead of
                 # materialising an O(peers) candidate list per party.
                 excluded = (requester_id, subject_id)
-                count = min(self._config.witness_count, len(peer_ids) - 2)
-                if count <= 0:
-                    continue
                 drawn = witness_rng.sample(peer_ids, min(count + 2, len(peer_ids)))
-                witnesses = [
-                    peer_id for peer_id in drawn if peer_id not in excluded
-                ][:count]
-                self._evidence.request_witness_reports(
-                    requester_id, witnesses, (subject_id,)
+                rows.extend(
+                    [
+                        (requester_id, witness_id, subject_id)
+                        for witness_id in drawn
+                        if witness_id not in excluded
+                    ][:count]
                 )
+        self._evidence.request_witness_reports(rows)
 
 
 def _steps_walked(outcome: ExchangeOutcome) -> int:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from repro.simulation.network import (
     NetworkCounters,
     SimulatedNetwork,
 )
+from repro.simulation.peer import CommunityPeer, witness_reports_for
 from repro.simulation.repair import (
     REPAIR_POLICIES,
     EntryCatalog,
@@ -67,9 +68,6 @@ from repro.simulation.repair import (
     EvidenceJournal,
     GossipPolicy,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (peer imports us)
-    from repro.simulation.peer import CommunityPeer
 
 __all__ = ["EVIDENCE_MODES", "EvidencePlane", "require_async_knobs"]
 
@@ -209,7 +207,7 @@ class EvidencePlane:
             repaired=self._gossip is not None or fault is not None,
         )
         self._mode = mode
-        self._peers: Dict[str, "CommunityPeer"] = {}
+        self._peers: Dict[str, CommunityPeer] = {}
         self._network: Optional[SimulatedNetwork] = None
         self._repair_rng = (
             repair_rng if repair_rng is not None else random.Random(1)
@@ -312,7 +310,7 @@ class EvidencePlane:
     # ------------------------------------------------------------------
     # Peer registration
     # ------------------------------------------------------------------
-    def register_peer(self, peer: "CommunityPeer") -> None:
+    def register_peer(self, peer: CommunityPeer) -> None:
         self._peers[peer.peer_id] = peer
         if self._network is not None:
             self._network.register(peer.peer_id, self._handle_message)
@@ -481,7 +479,7 @@ class EvidencePlane:
         self._emit(origin, recipient_id, "evidence", tuple(records))
 
     def submit_complaint(
-        self, filer: "CommunityPeer", accused_id: str, timestamp: float = 0.0
+        self, filer: CommunityPeer, accused_id: str, timestamp: float = 0.0
     ) -> None:
         """Route a complaint filing through the plane to the complaint system."""
         if self._network is None:
@@ -504,38 +502,49 @@ class EvidencePlane:
         )
 
     def request_witness_reports(
-        self,
-        requester_id: str,
-        witness_ids: Sequence[str],
-        subject_ids: Sequence[str],
+        self, rows: Sequence[Tuple[str, str, str]]
     ) -> None:
-        """Ask ``witness_ids`` for their beliefs about ``subject_ids``.
+        """Ask witnesses about subjects, one ``(requester, witness, subject)``
+        row per question; rows whose witness is the requester are skipped.
 
-        Sync: replies land in the requester's witness inbox immediately.
-        Async: one request message per witness, one reply message back —
-        either leg can be dropped or delayed, and neither is repaired.
+        Sync: one gather answers every row
+        (:func:`~repro.simulation.peer.witness_reports_for`, gids taken from
+        the registered peers), and the reports land in the requesters'
+        witness inboxes in row order.  Async: one ``witness-request``
+        message per row, in row order, which the witness answers on
+        delivery with one ``witness-reply`` — either leg can be dropped or
+        delayed, and neither is repaired.
         """
-        subjects = tuple(subject_ids)
-        if not subjects:
+        asked = [row for row in rows if row[0] != row[1]]
+        self._telemetry.count("evidence.witness_requests", len(asked))
+        if self._network is not None:
+            for requester_id, witness_id, subject_id in asked:
+                self._network.send(
+                    requester_id,
+                    witness_id,
+                    (requester_id, (subject_id,)),
+                    kind="witness-request",
+                )
             return
-        for witness_id in witness_ids:
-            if witness_id == requester_id:
-                continue
-            if self._network is None:
-                witness = self._peers.get(witness_id)
-                requester = self._peers.get(requester_id)
-                if witness is None or requester is None:
-                    continue
-                reports = witness.build_witness_reports(subjects)
-                if reports:
-                    requester.receive_witness_reports(witness_id, reports)
-                continue
-            self._network.send(
-                requester_id,
-                witness_id,
-                (requester_id, subjects),
-                kind="witness-request",
-            )
+        peers = self._peers
+        requesters: List[CommunityPeer] = []
+        witnesses: List[CommunityPeer] = []
+        subject_ids: List[str] = []
+        subject_gids: List[int] = []
+        for requester_id, witness_id, subject_id in asked:
+            requester, witness = peers.get(requester_id), peers.get(witness_id)
+            if requester is not None and witness is not None:
+                requesters.append(requester)
+                witnesses.append(witness)
+                subject_ids.append(subject_id)
+                subject_gids.append(witness.gid_of(subject_id, peers.get(subject_id)))
+        reports = witness_reports_for(witnesses, subject_ids, subject_gids)
+        delivered = 0
+        for requester, witness, report in zip(requesters, witnesses, reports):
+            if report is not None:
+                requester.receive_witness_reports(witness.peer_id, (report,), witness)
+                delivered += 1
+        self._telemetry.count("evidence.witness_reports", delivered)
 
     # ------------------------------------------------------------------
     # Entry plumbing (async only)
@@ -669,7 +678,10 @@ class EvidencePlane:
                 )
         else:
             witness_id, reports = message.payload
-            peer.receive_witness_reports(witness_id, reports)
+            peer.receive_witness_reports(
+                witness_id, reports, self._peers.get(witness_id)
+            )
+            self._telemetry.count("evidence.witness_reports", len(reports))
 
     def _apply_entry(self, entry: EvidenceEntry, now: float) -> None:
         """Apply a fresh entry to its destination, exactly once."""

@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -21,13 +32,18 @@ from repro.trust import (
     CommunityBetaTable,
     TrustBackend,
     TrustObservation,
+    combine_beta_evidence_matrix,
     create_backend,
     stack_witness_beliefs,
 )
 
-__all__ = ["CommunityPeer", "TrustMethod"]
+__all__ = ["CommunityPeer", "TrustMethod", "trust_in_pairs", "witness_reports_for"]
 
 _Read = TypeVar("_Read")
+_Owner = TypeVar("_Owner")
+
+#: A witness report on the wire: ``(subject_id, alpha, beta)``.
+WitnessReport = Tuple[str, float, float]
 
 
 class TrustMethod:
@@ -44,6 +60,23 @@ class TrustMethod:
     DECAY = "decay"
 
     ALL = (BETA, COMPLAINT, COMBINED, DECAY)
+
+    _READS = {
+        BETA: (BETA,),
+        COMPLAINT: (COMPLAINT,),
+        COMBINED: (BETA, COMPLAINT),
+        DECAY: (DECAY,),
+    }
+
+    @classmethod
+    def reads_of(cls, method: str) -> Tuple[str, ...]:
+        """The backend reads whose minimum is ``method``'s trust."""
+        try:
+            return cls._READS[method]
+        except KeyError:
+            raise SimulationError(
+                f"unknown trust method {method!r}; valid names: {cls.ALL}"
+            ) from None
 
 
 class CommunityPeer:
@@ -118,9 +151,10 @@ class CommunityPeer:
         # matrix per subject is cached between deliveries — trust reads per
         # round far outnumber inbox updates.
         self._witness_inbox: Dict[str, Dict[str, Tuple[float, float]]] = {}
-        self._witness_matrix_cache: Dict[
-            str, Tuple[Tuple[str, ...], np.ndarray]
-        ] = {}
+        self._witness_matrix_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        #: witness_id -> its gid in this peer's beta table, made on the
+        #: first delivery (most peers of a run without witnesses get none).
+        self._witness_gids: Optional[Dict[str, int]] = None
 
     def __repr__(self) -> str:
         return (
@@ -149,6 +183,12 @@ class CommunityPeer:
         if self._table is not None:
             table.adopt(gid, self._table.backend_for(self._gid))
         self._table, self._gid = table, gid
+        if self._witness_gids:
+            self._witness_gids = {
+                witness_id: table.ids.intern(witness_id)
+                for witness_id in self._witness_gids
+            }
+            self._witness_matrix_cache.clear()
 
     def backend_for(self, method: str) -> TrustBackend:
         """The backend answering ``method`` (BETA, COMPLAINT or DECAY).
@@ -180,32 +220,41 @@ class CommunityPeer:
         """Answer a trust read with the peer's configured method.
 
         ``read_beta`` queries the beta table, ``read_decay`` the decay
-        backend and ``read_complaint`` the complaint backend; COMBINED
-        ``combine``s (the minimum of) the beta and complaint reads.
+        backend and ``read_complaint`` the complaint backend; the method's
+        :meth:`TrustMethod.reads_of` are ``combine``d (COMBINED: the minimum
+        of the beta and complaint reads).
         """
-        method = self.trust_method
-        if method == TrustMethod.COMBINED:
-            return combine(
-                read_beta(self._beta_table()), read_complaint(self._complaint)
-            )
-        if method == TrustMethod.COMPLAINT:
-            return read_complaint(self._complaint)
-        if method == TrustMethod.BETA:
-            return read_beta(self._beta_table())
-        return read_decay(self.backend_for(method))
+        reads = [
+            read_beta(self._beta_table())
+            if read == TrustMethod.BETA
+            else read_complaint(self._complaint)
+            if read == TrustMethod.COMPLAINT
+            else read_decay(self.backend_for(read))
+            for read in TrustMethod.reads_of(self.trust_method)
+        ]
+        return functools.reduce(combine, reads)
+
+    def gid_of(self, partner_id: str, partner: Optional["CommunityPeer"] = None) -> int:
+        """``partner_id``'s gid in this peer's beta table (-1: it has none).
+
+        A ``partner`` peer kept in the same table answers with its own gid,
+        so no name is resolved.
+        """
+        table = self._table
+        if partner is not None and table is not None and partner._table is table:
+            return partner._gid
+        return self._beta_table().gid(partner_id)
 
     # ------------------------------------------------------------------
     # Trust interface used by the community orchestration
     # ------------------------------------------------------------------
     def trust_in(self, partner_id: str, now: Optional[float] = None) -> float:
-        """Current trust estimate in a partner using the peer's configured method."""
-        return self._by_method(
-            lambda table: table.belief(
-                table.pair_keys(self._gid, (partner_id,))[0]
-            ).mean,
-            lambda backend: backend.score(partner_id, now=now),
-            lambda complaint: complaint.score(partner_id),
-            min,
+        """Current trust estimate in a partner using the peer's configured method.
+
+        One row of :func:`trust_in_pairs`, which holds each method's rule.
+        """
+        return float(
+            trust_in_pairs((self,), (partner_id,), (self.gid_of(partner_id),), now)[0]
         )
 
     def trust_in_many(
@@ -311,36 +360,51 @@ class CommunityPeer:
     # ------------------------------------------------------------------
     def build_witness_reports(
         self, subject_ids: Sequence[str]
-    ) -> List[Tuple[str, float, float]]:
-        """Answer a witness-report request about ``subject_ids``.
+    ) -> List[WitnessReport]:
+        """Answer one witness-report request about ``subject_ids``.
 
         Returns ``(subject_id, alpha, beta)`` triples — the peer's beta
         posterior filtered through its :class:`WitnessReportPolicy` (a
         coalition member forges here).  Subjects the peer has no first-hand
         evidence about are omitted, except that a forging policy may still
-        fabricate a report about them.
+        fabricate a report about them.  The async plane answers each
+        request message with it; a sync round answers all its requests at
+        once through :func:`witness_reports_for`.
         """
         table = self._beta_table()
-        reports: List[Tuple[str, float, float]] = []
+        reports: List[WitnessReport] = []
         for subject_id, key in zip(
             subject_ids, table.pair_keys(self._gid, subject_ids)
         ):
             if subject_id == self.peer_id:
                 continue
-            belief = table.belief(key)  # repro: allow(PERF001) — a witness request names one subject; this scalar read costs a few µs, the batched beliefs_for read several times that
-            reported = self.witness_policy.report(subject_id, belief)
-            forged = (
-                reported.alpha != belief.alpha or reported.beta != belief.beta
-            )
-            if not forged and table.observation_count(key) == 0:
-                continue
-            reports.append((subject_id, reported.alpha, reported.beta))
+            belief = table.belief(key)  # repro: allow(PERF001) — async per-message only: a request names one subject, and this scalar read costs a few µs where a one-row gather costs several times that
+            reported, forged = _reported(self.witness_policy, subject_id, belief)
+            if _sends(table.observation_count(key), forged):
+                reports.append((subject_id, reported.alpha, reported.beta))
         return reports
 
     def receive_witness_reports(
-        self, witness_id: str, reports: Sequence[Tuple[str, float, float]]
+        self,
+        witness_id: str,
+        reports: Sequence[WitnessReport],
+        witness: Optional["CommunityPeer"] = None,
     ) -> None:
-        """Store delivered witness reports (latest report per witness wins)."""
+        """Store delivered witness reports (latest report per witness wins).
+
+        The witness's gid in this peer's table, which its discount is read
+        by, is taken from ``witness`` when the caller holds that peer and
+        it keeps its evidence in the same table, else interned by name.
+        """
+        if self._witness_gids is None:
+            self._witness_gids = {}
+        if witness_id not in self._witness_gids:
+            table = self._beta_table()
+            self._witness_gids[witness_id] = (
+                witness._gid
+                if witness is not None and witness._table is table
+                else table.ids.intern(witness_id)
+            )
         for subject_id, alpha, beta in reports:
             self._witness_inbox.setdefault(subject_id, {})[witness_id] = (
                 float(alpha),
@@ -348,18 +412,23 @@ class CommunityPeer:
             )
             self._witness_matrix_cache.pop(subject_id, None)
 
-    def _witness_matrix_for(
-        self, subject_id: str
-    ) -> Tuple[Tuple[str, ...], np.ndarray]:
-        """The inbox's reports about one subject as a (W, 1, 2) matrix."""
+    def _witness_matrix_for(self, subject_id: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The inbox's reports about one subject as a (W, 1, 2) matrix,
+        with the witnesses' gids, in witness-name order."""
         cached = self._witness_matrix_cache.get(subject_id)
         if cached is None:
             inbox = self._witness_inbox.get(subject_id, {})
-            witness_ids = tuple(sorted(inbox))
+            witness_ids = sorted(inbox)
             matrix = stack_witness_beliefs(
                 [[BetaBelief(*inbox[witness_id])] for witness_id in witness_ids]
             )
-            cached = (witness_ids, matrix)
+            witness_gids = self._witness_gids
+            assert witness_gids is not None  # every inbox entry came with one
+            gids = np.array(
+                [witness_gids[witness_id] for witness_id in witness_ids],
+                dtype=np.int64,
+            )
+            cached = (gids, matrix)
             self._witness_matrix_cache[subject_id] = cached
         return cached
 
@@ -369,8 +438,19 @@ class CommunityPeer:
         """The second-hand reports currently held about one subject."""
         return dict(self._witness_inbox.get(subject_id, {}))
 
+    def _folds_reports_about(self, partner_id: str) -> bool:
+        """Whether a witness-aware read of ``partner_id`` folds in reports:
+        the peer holds some about it and its method is not COMPLAINT."""
+        return (
+            self.trust_method != TrustMethod.COMPLAINT
+            and bool(self._witness_inbox.get(partner_id))
+        )
+
     def trust_in_with_witnesses(
-        self, partner_id: str, now: Optional[float] = None
+        self,
+        partner_id: str,
+        now: Optional[float] = None,
+        partner_gid: Optional[int] = None,
     ) -> float:
         """Trust in a partner, folding in received witness reports.
 
@@ -380,28 +460,34 @@ class CommunityPeer:
         second-hand evidence path of the paper's reference model (COMBINED
         takes the minimum with the complaint estimate).  With an empty inbox
         (or a complaint-only trust method) this equals :meth:`trust_in`.
+        ``partner_gid`` is the partner's gid in this peer's table when the
+        caller knows it (:meth:`gid_of`); the beta cells of the partner and
+        of every witness are then read by gid in one gather.
         """
-        if (
-            not self._witness_inbox.get(partner_id)
-            or self.trust_method == TrustMethod.COMPLAINT
-        ):
+        if not self._folds_reports_about(partner_id):
             return self.trust_in(partner_id, now=now)
-        witness_ids, matrix = self._witness_matrix_for(partner_id)
-        table = self._beta_table()
-        discounts = np.clip(
-            table.scores_for(table.pair_keys(self._gid, witness_ids)), 0.0, 1.0
+        witness_gids, matrix = self._witness_matrix_for(partner_id)
+        if partner_gid is None:
+            partner_gid = self.gid_of(partner_id)
+        alpha, beta, _ = self._beta_table().pair_beliefs(
+            np.full(len(witness_gids) + 1, self._gid),
+            np.append(partner_gid, witness_gids),
         )
+        discounts = np.clip(alpha[1:] / (alpha[1:] + beta[1:]), 0.0, 1.0)
 
-        def aggregate(backend: TrustBackend, subjects: Sequence[object]) -> float:
-            return float(
-                backend.aggregate_witness_reports(
-                    subjects, matrix, discounts, now=now
-                )[0]
+        def read_beta(_table: CommunityBetaTable) -> float:
+            combined_alpha, combined_beta = combine_beta_evidence_matrix(
+                alpha[:1], beta[:1], matrix, discounts
             )
+            return float(combined_alpha[0] / (combined_alpha[0] + combined_beta[0]))
 
         return self._by_method(
-            lambda table: aggregate(table, table.pair_keys(self._gid, (partner_id,))),
-            lambda backend: aggregate(backend, (partner_id,)),
+            read_beta,
+            lambda backend: float(
+                backend.aggregate_witness_reports(
+                    (partner_id,), matrix, discounts, now=now
+                )[0]
+            ),
             lambda complaint: complaint.score(partner_id),
             min,
         )
@@ -410,3 +496,133 @@ class CommunityPeer:
     def true_honesty(self) -> float:
         """Ground-truth honesty probability (for evaluating trust models)."""
         return self.behavior.honesty_probability
+
+
+def _grouped(
+    rows: Iterable[int], owners: Sequence[_Owner]
+) -> List[Tuple[_Owner, List[int]]]:
+    """``rows`` grouped by owner (``owners[i]`` owns the i-th row), in order."""
+    if len(set(map(id, owners))) <= 1:
+        return [(owners[0], list(rows))] if owners else []
+    groups: Dict[int, Tuple[_Owner, List[int]]] = {}
+    for row, owner in zip(rows, owners):
+        groups.setdefault(id(owner), (owner, []))[1].append(row)
+    return list(groups.values())
+
+
+def _beliefs_of(
+    observers: Sequence[CommunityPeer], subject_gids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each observer's ``pair_beliefs`` about the subject gid of its row.
+
+    One gather per beta table (a simulation's peers share one).
+    """
+    tables = [observer._beta_table() for observer in observers]
+    gids = np.array([observer._gid for observer in observers], dtype=np.int64)
+    groups = _grouped(range(len(observers)), tables)
+    if len(groups) == 1:
+        return tables[0].pair_beliefs(gids, subject_gids)
+    alpha, beta = np.empty(len(observers)), np.empty(len(observers))
+    count = np.empty(len(observers), dtype=np.int64)
+    for table, rows in groups:
+        alpha[rows], beta[rows], count[rows] = table.pair_beliefs(
+            gids[rows], subject_gids[rows]
+        )
+    return alpha, beta, count
+
+
+def trust_in_pairs(
+    observers: Sequence[CommunityPeer],
+    subject_ids: Sequence[str],
+    subject_gids: Sequence[int],
+    now: Optional[float] = None,
+    witnesses: bool = False,
+) -> np.ndarray:
+    """``observers[i].trust_in(subject_ids[i])`` for every row, batched.
+
+    ``subject_gids[i]`` is the subject's gid in its observer's beta table
+    (:meth:`CommunityPeer.gid_of`), so the beta read resolves no name.  A
+    row's trust is the minimum of its method's :meth:`TrustMethod.reads_of`:
+    the beta read is one ``pair_beliefs`` gather scored ``alpha / (alpha +
+    beta)``; the complaint read is one ``scores_for`` per distinct
+    complaint backend, the decay read one per observer's decay backend.
+    With ``witnesses``, a row whose observer holds reports about its
+    subject reads through ``trust_in_with_witnesses`` instead.
+    """
+    gids = np.asarray(subject_gids, dtype=np.int64)
+    methods = [observer.trust_method for observer in observers]
+    reads = {method: TrustMethod.reads_of(method) for method in set(methods)}
+
+    def reading(source: str) -> List[int]:
+        return [row for row, method in enumerate(methods) if source in reads[method]]
+
+    scores = np.full(len(observers), np.inf)
+    rows = reading(TrustMethod.BETA)
+    if rows:
+        alpha, beta, _ = _beliefs_of([observers[row] for row in rows], gids[rows])
+        scores[rows] = alpha / (alpha + beta)
+    for source in (TrustMethod.COMPLAINT, TrustMethod.DECAY):
+        rows = reading(source)
+        owners = [observers[row].backend_for(source) for row in rows]
+        for backend, group in _grouped(rows, owners):
+            scores[group] = np.minimum(
+                scores[group],
+                backend.scores_for([subject_ids[row] for row in group], now=now),
+            )
+    if witnesses:
+        for row, (observer, subject_id) in enumerate(zip(observers, subject_ids)):
+            if observer._folds_reports_about(subject_id):
+                scores[row] = observer.trust_in_with_witnesses(
+                    subject_id, now, int(gids[row])
+                )
+    return scores
+
+
+def _reported(
+    policy: WitnessReportPolicy, subject_id: str, belief: BetaBelief
+) -> Tuple[BetaBelief, bool]:
+    """The belief ``policy`` puts on the wire about a subject, and whether
+    it is forged (a policy that never forges is not consulted)."""
+    if not policy.forges:
+        return belief, False
+    reported = policy.report(subject_id, belief)
+    return reported, reported.alpha != belief.alpha or reported.beta != belief.beta
+
+
+def _sends(count: Any, forged: Any) -> Any:
+    """Whether a witness sends its report (elementwise over arrays): only
+    about a subject it holds first-hand evidence about, or a forged one."""
+    return (count > 0) | forged
+
+
+def witness_reports_for(
+    witnesses: Sequence[CommunityPeer],
+    subject_ids: Sequence[str],
+    subject_gids: Sequence[int],
+) -> List[Optional[WitnessReport]]:
+    """Each witness's report about the subject of its row, or ``None``.
+
+    The batched :meth:`CommunityPeer.build_witness_reports`, one subject a
+    row: one ``pair_beliefs`` gather answers every row (``subject_gids``
+    are gids in the witnesses' table), only forging witnesses' policies
+    are consulted, and a row whose subject is its witness is answered
+    ``None``.
+    """
+    alpha, beta, count = _beliefs_of(
+        witnesses, np.asarray(subject_gids, dtype=np.int64)
+    )
+    alphas, betas = alpha.tolist(), beta.tolist()
+    forged = np.zeros(len(witnesses), dtype=bool)
+    for row, witness in enumerate(witnesses):
+        if witness.witness_policy.forges:
+            reported, forged[row] = _reported(
+                witness.witness_policy,
+                subject_ids[row],
+                BetaBelief(alphas[row], betas[row]),
+            )
+            alphas[row], betas[row] = reported.alpha, reported.beta
+    reports: List[Optional[WitnessReport]] = [None] * len(witnesses)
+    for row in np.flatnonzero(_sends(count, forged)).tolist():
+        if subject_ids[row] != witnesses[row].peer_id:
+            reports[row] = (subject_ids[row], alphas[row], betas[row])
+    return reports

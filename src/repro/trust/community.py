@@ -16,6 +16,10 @@ a round's many small per-peer batches cost one vectorized pass.  Each pair
 row receives its observations in the order they were written, so the sums
 are the ones per-batch writes produce.
 
+A round's pair reads by gid are one gather: :meth:`CommunityBetaTable.
+pair_beliefs` answers many ``(observer, subject)`` gid pairs at once, which
+is how a round answers its witness requests and reads its match trusts.
+
 The table also remembers, per observer, the subjects it has evidence about
 in first-observation order.  A trust row over many names is then filled
 from those subjects alone: the names are resolved once into
@@ -63,7 +67,8 @@ class CommunityBetaTable(BetaTrustBackend):
     As a :class:`~repro.trust.backend.BetaTrustBackend` its subject ids are
     pair keys (:meth:`pair_keys`, which applies queued writes first), so
     ``belief``, ``observation_count``, ``scores_for`` and
-    ``aggregate_witness_reports`` take pair keys.  :meth:`update_many` takes
+    ``aggregate_witness_reports`` take pair keys; :meth:`pair_beliefs`
+    reads many pairs by their gids.  :meth:`update_many` takes
     observations from any number of observers; :meth:`observe` is the same
     write for one observer whose gid is known.  The whole table has no
     snapshot: :meth:`backend_for` copies one observer's cells into a plain
@@ -202,6 +207,37 @@ class CommunityBetaTable(BetaTrustBackend):
         if columns.gather is not None:
             out = out[columns.gather]
         return out
+
+    def gid(self, name: str) -> int:
+        """The gid of ``name`` (-1 if the table has none), after queued writes."""
+        self._settle()
+        gid = self._ids.get(name)
+        return -1 if gid is None else gid
+
+    def pair_beliefs(
+        self, observers: Sequence[int], subjects: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Posterior ``alpha``, ``beta`` and ``count`` of each pair, by gids.
+
+        Row ``i`` is the pair ``(observers[i], subjects[i])``; a pair
+        without a row, or a subject gid of -1, reads the prior and a count
+        of 0.  One gather, bit-identical to :meth:`belief` and
+        :meth:`observation_count` of each pair's key.
+        """
+        self._settle()
+        observers = np.asarray(observers, dtype=np.int64)
+        subjects = np.asarray(subjects, dtype=np.int64)
+        keys = np.where(subjects >= 0, (observers << _SUBJECT_BITS) | subjects, -1)
+        rows = self._table.index.lookup_many(keys.tolist())
+        alpha = np.full(len(rows), self._prior_alpha)
+        beta = np.full(len(rows), self._prior_beta)
+        count = np.zeros(len(rows), dtype=np.int64)
+        known = rows >= 0
+        if known.any():
+            rows = rows[known]
+            alpha[known], beta[known] = self._posterior(rows, None)
+            count[known] = self._table["count"][rows]
+        return alpha, beta, count
 
     def pair_keys(self, observer: int, names: Sequence[str]) -> List[int]:
         """Pair keys of the observer with each name (-1 for unknown names).

@@ -219,6 +219,33 @@ def test_perf001_flags_scalar_planning_and_decisions_in_loops(make_tree):
     assert "decide_many" in result.findings[2].message
 
 
+def test_perf001_flags_scalar_trust_reads_in_loops(make_tree):
+    root = make_tree(
+        {
+            "simulation/fixture.py": """\
+            from repro.simulation.peer import trust_in_pairs
+
+            def per_match(matches, now):
+                trusts = [consumer.trust_in(supplier.peer_id) for consumer, supplier in matches]
+                for consumer, supplier in matches:
+                    supplier.trust_in_with_witnesses(consumer.peer_id)
+                batched = trust_in_pairs(
+                    [consumer for consumer, _ in matches],
+                    [supplier.peer_id for _, supplier in matches],
+                    [consumer.gid_of(supplier.peer_id, supplier) for consumer, supplier in matches],
+                    now,
+                )
+                return trusts, batched, matches[0][0].trust_in("x")
+            """
+        }
+    )
+    result = run_check(root, [NPlusOneRule()])
+    # Only the scalar read in the comprehension: the witness-aware read and
+    # the batched read are not trust_in, and the last call is in no loop.
+    assert [finding.line for finding in result.findings] == [4]
+    assert "trust_in_pairs" in result.findings[0].message
+
+
 def test_perf001_clean_fixture(make_tree):
     root = make_tree(
         {

@@ -117,16 +117,18 @@ class TestMetricsRegistry:
         registry.count("m")
         assert list(registry.snapshot()["metrics"]) == ["a", "m", "z"]
 
-    def test_summary_lines_truncate_and_note_spans(self):
+    def test_summary_lines_print_every_metric_and_note_spans(self):
         registry = MetricsRegistry()
         for index in range(20):
             registry.count("metric.{:02d}".format(index))
         with registry.span("work"):
             pass
-        lines = registry.summary_lines(limit=5)
-        assert len(lines) == 7  # 5 metrics + "... more" + span note
-        assert "more metrics" in lines[5]
-        assert "timed spans" in lines[-1]
+        lines = registry.summary_lines()
+        assert len(lines) == 21  # 20 metrics + span note
+        for index, line in enumerate(lines[:20]):
+            assert line.split() == ["metric.{:02d}".format(index), "1"]
+        assert "more metrics" not in "".join(lines)
+        assert "timed spans: work" in lines[-1]
 
     def test_write_jsonl_ends_with_snapshot_line(self, tmp_path):
         registry, path = create_registry(

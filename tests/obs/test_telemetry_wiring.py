@@ -181,3 +181,80 @@ class TestListingsLayer:
         assert exit_code == 0
         assert "listings.bundles" in output
         assert "listings.sample" in output
+
+
+class TestRunSummaryPrintsEveryMetric:
+    def test_no_metric_is_cut_from_the_summary(self, capsys):
+        from repro.cli import main
+
+        registry = MetricsRegistry()
+        build_registered_scenario(
+            "flash-crowd", size=20, rounds=3, seed=0, telemetry=registry
+        ).simulation().run()
+        names = list(registry.snapshot()["metrics"])
+        assert "sharded.write_batches" in names and len(names) > 12
+        exit_code = main(
+            [
+                "run", "--scenario", "flash-crowd", "--size", "20",
+                "--rounds", "3", "--seed", "0", "--telemetry", "summary",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        printed = {line.split()[0] for line in output.splitlines() if line.strip()}
+        assert set(names) <= printed
+        assert "more metrics" not in output
+
+
+class TestWitnessCounters:
+    """``evidence.witness_requests`` counts the rows asked (a witness is
+    never asked about its own requester) and ``evidence.witness_reports``
+    the reports that reached a requester's inbox."""
+
+    def _run(self, monkeypatch, **params):
+        from repro.simulation.evidence import EvidencePlane
+        from repro.simulation.peer import CommunityPeer
+
+        seen = {"rows": 0, "reports": 0}
+        request = EvidencePlane.request_witness_reports
+        receive = CommunityPeer.receive_witness_reports
+
+        def counting_request(self, rows):
+            rows = list(rows)
+            seen["rows"] += sum(requester != witness for requester, witness, _ in rows)
+            return request(self, rows)
+
+        def counting_receive(self, witness_id, reports, *rest):
+            seen["reports"] += len(reports)
+            return receive(self, witness_id, reports, *rest)
+
+        monkeypatch.setattr(EvidencePlane, "request_witness_reports", counting_request)
+        monkeypatch.setattr(CommunityPeer, "receive_witness_reports", counting_receive)
+        registry = MetricsRegistry()
+        scenario = build_registered_scenario(
+            "sybil-coalition", size=30, rounds=4, seed=5, telemetry=registry,
+            **params,
+        )
+        simulation = scenario.simulation()
+        simulation.run()
+        simulation.evidence_plane.drain()
+        return registry.snapshot()["metrics"], seen
+
+    @pytest.mark.parametrize("evidence_mode", ["sync", "async"])
+    def test_counts_equal_the_rows_asked_and_reports_delivered(
+        self, monkeypatch, evidence_mode
+    ):
+        params = {"evidence_mode": evidence_mode}
+        if evidence_mode == "async":
+            params.update(evidence_latency=0.5, evidence_loss=0.1)
+        metrics, seen = self._run(monkeypatch, **params)
+        assert metrics["evidence.witness_requests"] == seen["rows"] > 0
+        assert metrics["evidence.witness_reports"] == seen["reports"] > 0
+        assert seen["reports"] <= seen["rows"]
+
+    def test_same_seed_runs_agree(self, monkeypatch):
+        first, _ = self._run(monkeypatch)
+        second, _ = self._run(monkeypatch)
+        assert first["evidence.witness_requests"] == second["evidence.witness_requests"]
+        assert first["evidence.witness_reports"] == second["evidence.witness_reports"]
+        assert first == second

@@ -67,7 +67,7 @@ class TestSyncPlane:
         plane.register_peer(witness)
         plane.register_peer(requester)
         witness.observe_outcome(_record(supplier="target", consumer="w"))
-        plane.request_witness_reports("r", ["w"], ["target"])
+        plane.request_witness_reports([("r", "w", "target")])
         reports = requester.witness_reports_about("target")
         assert "w" in reports
 
@@ -118,7 +118,7 @@ class TestAsyncPlane:
         plane.register_peer(witness)
         plane.register_peer(requester)
         witness.observe_outcome(_record(supplier="target", consumer="w"))
-        plane.request_witness_reports("r", ["w"], ["target"])
+        plane.request_witness_reports([("r", "w", "target")])
         plane.advance(1.0)  # request delivered, reply goes out
         assert requester.witness_reports_about("target") == {}
         plane.advance(2.0)  # reply delivered

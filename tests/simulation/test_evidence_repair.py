@@ -192,7 +192,7 @@ def _named_entries(emissions):
     for index, witness in emissions:
         origin, other = origins[index], origins[(index + 1) % len(origins)]
         if witness:
-            plane.request_witness_reports(origin, [other], ("x",))
+            plane.request_witness_reports([(origin, other, "x")])
         else:
             plane.submit_records(other, [_record()], sender_id=origin)
     entries = []
@@ -286,7 +286,7 @@ class TestDigestScanOracle:
             plane.register_peer(peer)
         witness.observe_outcome(_record(supplier="x", consumer="b"))
         plane.submit_records("c", [_record()], sender_id="a")
-        plane.request_witness_reports("a", ["b"], ("x",))
+        plane.request_witness_reports([("a", "b", "x")])
         for tick in (1.0, 2.0, 3.0):
             plane.advance(tick)
         counters = plane.counters

@@ -2,14 +2,16 @@
 
 Every peer name the community beta table resolves goes through its
 ``ids`` index.  A round resolves its listed suppliers once (the columns
-every consumer's score row reuses), one partner name per scalar trust read
-of a match and one name per arriving peer.  The table applies queued
-writes before its next read, so the subject names of a round's
-observations (two per record) are resolved when the next round first
-reads.  That is O(listings + exchanges) a round, where reading each
-consumer's row by name cost consumers x listings.  The guard counts the
-names per round of a sync flash-crowd run at N and 2N and pins the count to
-at most that sum.
+every consumer's score row reuses) and one name per arriving peer; its
+match trusts and its witness answers take gids from the peer objects, so
+they resolve no name.  The table applies queued writes before its next
+read, so the subject names of a round's observations (two per record) are
+resolved when the table is next read: by the round's witness answers when
+witnesses are asked, else when the next round first reads.  That is
+O(listings + exchanges) a round, where reading each consumer's row by name
+cost consumers x listings.  The guard counts the names per round of sync
+flash-crowd and sybil-coalition (4 witnesses) runs at N and 2N and pins the
+count to at most that sum.
 """
 
 from collections import Counter
@@ -52,14 +54,18 @@ def _count_names(monkeypatch, simulation):
     return rounds
 
 
+@pytest.mark.parametrize(
+    "scenario_name, witnesses",
+    [("flash-crowd", 0), ("sybil-coalition", 4)],
+)
 @pytest.mark.parametrize("size", [24, 48])
 def test_names_resolved_per_round_are_linear_in_listings_and_exchanges(
-    monkeypatch, size
+    monkeypatch, size, scenario_name, witnesses
 ):
-    scenario = build_registered_scenario("flash-crowd", size=size, rounds=4, seed=0)
+    scenario = build_registered_scenario(scenario_name, size=size, rounds=4, seed=0)
     simulation = scenario.simulation()
     assert simulation.config.evidence_mode == "sync"
-    assert simulation.config.witness_count == 0
+    assert simulation.config.witness_count == witnesses
     listings = []
     original_matching = community_module.trust_weighted_matching
 
@@ -80,12 +86,9 @@ def test_names_resolved_per_round_are_linear_in_listings_and_exchanges(
     for index, ((consumers, listed), resolved) in enumerate(zip(listings, per_round)):
         stats = result.rounds[index]
         arrivals = len(stats.churn.arrived) if stats.churn is not None else 0
-        bound = (
-            listed
-            + stats.accounts.attempted
-            + arrivals
-            + 2 * records[float(index - 1)]
-        )
+        # With witnesses the round's own records settle in the round.
+        settled = records[float(index if witnesses else index - 1)]
+        bound = listed + arrivals + 2 * settled
         assert 0 < resolved <= bound
         quadratic += consumers * listed
     # The row reads by name the guard replaces would have cost far more.

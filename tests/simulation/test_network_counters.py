@@ -168,7 +168,7 @@ class TestEntryLedger:
         plane, origin, target, record = _two_peer_plane()
         # Give the witness something to report, synchronously applied.
         target.observe_outcomes([record])
-        plane.request_witness_reports("origin", ["target"], ("origin",))
+        plane.request_witness_reports([("origin", "target", "origin")])
         plane.advance(20.0)
         counters = plane.counters
         # Pinned: witness request/reply messages are plain messages — they
