@@ -149,11 +149,14 @@ class GoodsBundle:
         consumer_values: Sequence[float],
         prefix: str = "good",
         totals: Optional[Sequence[float]] = None,
+        checked: bool = False,
     ) -> "GoodsBundle":
         """Build a bundle from two parallel sequences of valuations.
 
         Ids are generated as ``{prefix}-0``, ``{prefix}-1``, ...; ``totals``
         are the two rows' :func:`total`, when the caller has them already.
+        ``checked`` says the caller found every valuation finite and
+        non-negative already (a whole block checked at once).
         """
         if len(supplier_costs) != len(consumer_values):
             raise InvalidBundleError(
@@ -165,7 +168,9 @@ class GoodsBundle:
         )
         bundle._prefix, bundle._size = prefix, len(supplier_costs)
         # Good's own rule; where it fails, the goods are built, and raise, here.
-        if not all(0.0 <= value < math.inf for value in rows.ravel().tolist()):
+        if not checked and not all(
+            0.0 <= value < math.inf for value in rows.ravel().tolist()
+        ):
             bundle._goods
         totals = [total(row) for row in rows.tolist()] if totals is None else totals
         bundle._total_supplier_cost, bundle._total_consumer_value = totals

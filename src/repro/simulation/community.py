@@ -11,15 +11,16 @@ welfare, defection losses) plus the data needed to evaluate the trust models
 against the peers' ground-truth honesty.
 
 Trust evidence follows the batched backend data path: outcomes observed
-during a round are queued and flushed in one ``update_many`` batch per peer
-at the end of the round (the simulation's tick), instead of one callback per
-interaction.  *How* those batches reach the backends is the
-:class:`~repro.simulation.evidence.EvidencePlane`'s job: in ``sync`` mode
-(the default) they are applied immediately — today's behaviour — while in
-``async`` mode they travel as messages through the simulated network with
-latency and loss, so trust state lags reality and may permanently miss
-evidence.  Witness reports (second-hand evidence) ride the same plane when
-``witness_count`` is enabled.
+during a round are flushed at the end of the round (the simulation's
+tick), instead of one callback per interaction.  *How* they reach the
+stores is the :class:`~repro.simulation.evidence.EvidencePlane`'s job: in
+``sync`` mode (the default) the round's records and complaints are applied
+immediately, as one columnar block (one beta-table write, one write per
+complaint store), while in ``async`` mode per-counterparty batches travel
+as messages through the simulated network with latency and loss, so trust
+state lags reality and may permanently miss evidence.  Witness reports
+(second-hand evidence) ride the same plane when ``witness_count`` is
+enabled.
 """
 
 from __future__ import annotations
@@ -50,7 +51,13 @@ from repro.simulation.evidence import (
 )
 from repro.simulation.network import NetworkCounters
 from repro.simulation.repair import REPAIR_POLICIES
-from repro.simulation.peer import CommunityPeer, trust_in_pairs
+from repro.simulation.peer import (
+    CommunityPeer,
+    Filing,
+    RecordBlock,
+    WitnessQuestions,
+    trust_in_pairs,
+)
 from repro.simulation.rng import RandomStreams
 from repro.trust import CommunityBetaTable
 
@@ -408,7 +415,10 @@ class CommunitySimulation:
 
     def _build_listings(self, round_index: int) -> List[Listing]:
         """One block of bundles, a row per supplier in peer order; a listing
-        (whose goods are built on first read) per row that is a rational trade."""
+        (whose goods are built on first read) per row that is a rational trade.
+
+        The block's valuations are checked at once; a row holding a
+        negative or non-finite valuation builds its goods, which raise."""
         model = self._config.valuation_model
         assert model is not None
         suppliers = [peer.peer_id for peer in self._peers if peer.supplies_goods]
@@ -419,11 +429,12 @@ class CommunitySimulation:
         totals = total_rows(block)
         rational = (totals[1] - totals[0] >= -EPSILON) & (block.shape[2] > 0)
         row_totals = totals.T.tolist()
+        valid = ((block >= 0.0) & (block < math.inf)).all(axis=(0, 2)).tolist()
         listings: List[Listing] = []
         for row in np.flatnonzero(rational).tolist():
             prefix = f"{suppliers[row]}-r{round_index}"
             bundle = GoodsBundle.from_valuations(
-                costs[row], values[row], prefix, row_totals[row]
+                costs[row], values[row], prefix, row_totals[row], checked=valid[row]
             )
             listings.append(
                 Listing(prefix, suppliers[row], bundle, created_at=float(round_index))
@@ -444,13 +455,17 @@ class CommunitySimulation:
         # listing order so column j is listing j's supplier (each supplier
         # posts at most one listing per round).  The suppliers' names are
         # resolved in the community table once, so a consumer's row costs
-        # only the partners it knows.
+        # only the partners it knows, and each complaint store is read
+        # once for every consumer that reads it.
         supplier_ids = self._beta.columns(
             [listing.supplier_id for listing in listings]
         )
         scores = np.empty((len(consumer_ids), len(listings)))
+        complaint_rows: Dict[int, np.ndarray] = {}
         for row, consumer in enumerate(consumers):
-            scores[row] = consumer.trust_in_many(supplier_ids, now=now)
+            scores[row] = consumer.trust_in_many(
+                supplier_ids, now=now, complaint_rows=complaint_rows
+            )
         return trust_weighted_matching(consumer_ids, listings, scores, rng)
 
     def _prepare_matches(
@@ -584,102 +599,108 @@ class CommunitySimulation:
     def _flush_observations(
         self, round_outcomes: List[ExchangeOutcome], timestamp: float
     ) -> None:
-        """Flush the round's queued evidence through the evidence plane.
+        """Flush the round's evidence through the evidence plane.
 
-        In sync mode each participant's records form one ``update_many``
-        batch applied immediately (the legacy data path, bit-for-bit).  In
-        async mode the batches are split per *counterparty*: each partner
-        sends the peer one outcome-receipt message per round, so every
-        evidence entry has a real origin the repair subsystem can journal
-        and gossip about (a drop costs that counterparty's
-        receipts for the round).  The false-complaint pass then replays the
-        outcomes in execution order so the complaint RNG stream stays
-        deterministic, and finally witness-report requests go out for the
-        partners just interacted with.
+        Each record is evidence for both its parties.  The false-complaint
+        pass then replays the records in execution order, so the complaint
+        RNG stream stays deterministic, and finally witness-report requests
+        go out for the partners just interacted with.
+
+        In sync mode the round reaches the stores as one block
+        (:meth:`~repro.simulation.evidence.EvidencePlane.submit_block`),
+        after the false-complaint pass: one beta-table write of every
+        observation, in per-peer batches (peers by first appearance, a
+        peer's records in outcome order), and one complaint write per
+        store — the dishonest partners' complaints, then the false ones —
+        ending exactly as one ``update_many`` per peer batch and one write
+        per filing would.  In async mode the batches are split per
+        *counterparty*: each partner sends the peer one outcome-receipt
+        message per round, so every evidence entry has a real origin the
+        repair subsystem can journal and gossip about (a drop costs that
+        counterparty's receipts for the round); complaint filings are
+        messages too.
         """
-        if not self._evidence.is_async:
-            per_peer: Dict[str, List] = {}
-            for outcome in round_outcomes:
-                if outcome.record is None:
-                    continue
-                per_peer.setdefault(outcome.supplier_id, []).append(outcome.record)
-                per_peer.setdefault(outcome.consumer_id, []).append(outcome.record)
-            for peer_id, records in per_peer.items():
-                self._evidence.submit_records(peer_id, records)
-        else:
-            per_pair: Dict[Tuple[str, str], List] = {}
-            for outcome in round_outcomes:
-                if outcome.record is None:
-                    continue
-                per_pair.setdefault(
-                    (outcome.consumer_id, outcome.supplier_id), []
-                ).append(outcome.record)
-                per_pair.setdefault(
-                    (outcome.supplier_id, outcome.consumer_id), []
-                ).append(outcome.record)
-            for (sender_id, recipient_id), records in per_pair.items():
-                self._evidence.submit_records(
-                    recipient_id, records, sender_id=sender_id
-                )
-        complaint_rng = self._streams("complaints")
+        records, suppliers, consumers = [], [], []
         for outcome in round_outcomes:
-            record = outcome.record
-            if record is None:
-                continue
-            supplier = self.peer_by_id(outcome.supplier_id)
-            consumer = self.peer_by_id(outcome.consumer_id)
+            if outcome.record is not None:
+                records.append(outcome.record)
+                suppliers.append(self.peer_by_id(outcome.supplier_id))
+                consumers.append(self.peer_by_id(outcome.consumer_id))
+        plane = self._evidence
+        filings: List[Filing] = []
+        if plane.is_async:
+            per_pair: Dict[Tuple[str, str], List] = {}
+            for record in records:
+                per_pair.setdefault(
+                    (record.consumer_id, record.supplier_id), []
+                ).append(record)
+                per_pair.setdefault(
+                    (record.supplier_id, record.consumer_id), []
+                ).append(record)
+            for (sender_id, recipient_id), batch in per_pair.items():
+                plane.submit_records(recipient_id, batch, sender_id=sender_id)
+            via = plane.submit_complaint
+        else:
+            def via(filer: CommunityPeer, accused_id: str, at: float) -> None:
+                filings.append((filer, accused_id, at))
+        complaint_rng = self._streams("complaints")
+        for record, supplier, consumer in zip(records, suppliers, consumers):
             # Malicious peers may additionally pollute the complaint store
             # after interactions in which the partner did not defect.
             if record.consumer_honest:
                 supplier.maybe_file_false_complaint(
-                    consumer.peer_id,
-                    complaint_rng,
-                    timestamp,
-                    via=self._evidence.submit_complaint,
+                    consumer.peer_id, complaint_rng, timestamp, via=via
                 )
             if record.supplier_honest:
                 consumer.maybe_file_false_complaint(
-                    supplier.peer_id,
-                    complaint_rng,
-                    timestamp,
-                    via=self._evidence.submit_complaint,
+                    supplier.peer_id, complaint_rng, timestamp, via=via
                 )
+        if not plane.is_async and records:
+            plane.submit_block(
+                RecordBlock.of_round(self._beta, records, suppliers, consumers),
+                filings,
+            )
         if self._config.witness_count > 0:
-            self._request_witness_reports(round_outcomes)
+            self._request_witness_reports(suppliers, consumers)
 
     def _request_witness_reports(
-        self, round_outcomes: List[ExchangeOutcome]
+        self, suppliers: List[CommunityPeer], consumers: List[CommunityPeer]
     ) -> None:
         """Each party asks sampled witnesses about the partner it just met.
 
-        The round's questions go to the evidence plane as one batch of
-        ``(requester, witness, subject)`` rows, in draw order.
+        The round's questions go to the evidence plane as one block of
+        :class:`~repro.simulation.peer.WitnessQuestions` over the peers, in
+        draw order.  Each party draws peer positions (``random.sample``
+        draws depend only on the population's size), over-sampled by the
+        two excluded parties and filtered, instead of materialising an
+        O(peers) candidate list per party.
         """
-        peer_ids = [peer.peer_id for peer in self._peers]
-        count = min(self._config.witness_count, len(peer_ids) - 2)
+        peers = self._peers
+        count = min(self._config.witness_count, len(peers) - 2)
         if count <= 0:
             return
-        witness_rng = self._streams("witnesses")
-        rows: List[Tuple[str, str, str]] = []
-        for outcome in round_outcomes:
-            if outcome.record is None:
-                continue
-            for requester_id, subject_id in (
-                (outcome.supplier_id, outcome.consumer_id),
-                (outcome.consumer_id, outcome.supplier_id),
-            ):
-                # Over-sample by the two excluded ids and filter, instead of
-                # materialising an O(peers) candidate list per party.
-                excluded = (requester_id, subject_id)
-                drawn = witness_rng.sample(peer_ids, min(count + 2, len(peer_ids)))
-                rows.extend(
-                    [
-                        (requester_id, witness_id, subject_id)
-                        for witness_id in drawn
-                        if witness_id not in excluded
-                    ][:count]
-                )
-        self._evidence.request_witness_reports(rows)
+        position = {id(peer): index for index, peer in enumerate(peers)}
+        sample = self._streams("witnesses").sample
+        population = range(len(peers))
+        parties, drawn = [], []
+        for supplier, consumer in zip(suppliers, consumers):
+            for requester, subject in ((supplier, consumer), (consumer, supplier)):
+                parties.append((position[id(requester)], position[id(subject)]))
+                drawn.extend(sample(population, count + 2))
+        asking = np.array(parties, dtype=np.int64).reshape(-1, 2)
+        candidates = np.array(drawn, dtype=np.int64).reshape(len(asking), count + 2)
+        kept = (candidates != asking[:, :1]) & (candidates != asking[:, 1:])
+        kept &= np.cumsum(kept, axis=1) <= count
+        party = np.nonzero(kept)[0]
+        self._evidence.request_witness_reports(
+            WitnessQuestions(
+                [peer.peer_id for peer in peers],
+                peers,
+                asking[party, 0],
+                candidates[kept],
+                asking[party, 1],
+            )
+        )
 
 
 def _steps_walked(outcome: ExchangeOutcome) -> int:

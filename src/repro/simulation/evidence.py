@@ -8,8 +8,10 @@ propagation model explicit and pluggable:
 
 ``sync``
     Evidence (observation batches, complaints, witness reports) is applied
-    immediately — bit-for-bit today's behaviour, the default, and what the
-    backward-compatible tests pin.
+    immediately — the default, and what the backward-compatible tests pin.
+    A round's records and complaints arrive as one block
+    (:meth:`EvidencePlane.submit_block`) and its witness questions as one
+    set of columns, each applied in one pass.
 
 ``async``
     Every piece of evidence becomes a :class:`~repro.simulation.network.
@@ -60,7 +62,13 @@ from repro.simulation.network import (
     NetworkCounters,
     SimulatedNetwork,
 )
-from repro.simulation.peer import CommunityPeer, witness_reports_for
+from repro.simulation.peer import (
+    CommunityPeer,
+    Filing,
+    RecordBlock,
+    WitnessQuestions,
+    observe_block,
+)
 from repro.simulation.repair import (
     REPAIR_POLICIES,
     EntryCatalog,
@@ -80,30 +88,20 @@ COMPLAINT_SINK = "__complaint-sink__"
 _REPAIR_KINDS = ("repair-digest", "repair-entries")
 
 
-def _derived_complaints(recipient_id: str, records: Sequence):
-    """Complaint filings that applying ``records`` to ``recipient_id`` causes.
+def _derived_complaints(block: RecordBlock) -> List[List[Tuple[str, str, float]]]:
+    """Each batch's complaint filings that applying ``block`` causes.
 
-    ``observe_outcomes`` converts each record into an observation about the
-    partner (``files_complaint=None`` — "file exactly when dishonest"), and
-    the recipient's complaint backend turns every dishonest-partner
-    observation into a filing against the partner in the shared store.  The
-    audit trail needs those filings on its ledger, so this mirrors that
-    derivation exactly (self-observations excluded, as the backend does).
+    A peer's complaint backend turns every dishonest-partner observation
+    into a filing against the partner in the shared store
+    (:meth:`~repro.simulation.peer.RecordBlock.complaints`); the audit
+    trail needs those filings on its ledger.
     """
-    filings = []
-    for record in records:
-        if recipient_id == record.supplier_id:
-            partner_id = record.consumer_id
-            partner_honest = record.consumer_honest
-        elif recipient_id == record.consumer_id:
-            partner_id = record.supplier_id
-            partner_honest = record.supplier_honest
-        else:
-            continue
-        if partner_honest or partner_id == recipient_id:
-            continue
-        filings.append((recipient_id, partner_id, float(record.timestamp)))
-    return filings
+    derived: List[List[Tuple[str, str, float]]] = [[] for _ in block.peers]
+    for filer, batch, complaint in block.complaints():
+        derived[batch].append(
+            (filer.peer_id, complaint.accused_id, float(complaint.timestamp))
+        )
+    return derived
 
 
 def require_async_knobs(mode: str, delayed: bool, repaired: bool) -> None:
@@ -451,29 +449,19 @@ class EvidencePlane:
     ) -> None:
         """Route one ``update_many`` payload (a record batch) to a peer.
 
-        Sync: applied to the peer's backends immediately.  Async: one
-        message on the wire — a single loss event costs the whole batch.
-        ``sender_id`` names the counterparty the batch originates from (its
-        outcome receipt); it defaults to the recipient for callers that
-        predate the repair subsystem.
+        Sync: applied to the peer's stores immediately, as a one-batch
+        :meth:`submit_block`.  Async: one message on the wire — a single
+        loss event costs the whole batch.  ``sender_id`` names the
+        counterparty the batch originates from (its outcome receipt); it
+        defaults to the recipient for callers that predate the repair
+        subsystem.
         """
         if not records:
             return
         if self._network is None:
             peer = self._peers.get(recipient_id)
             if peer is not None:
-                peer.observe_outcomes(records)
-                if self._audit is not None:
-                    self._audit.on_applied(
-                        None,
-                        "evidence",
-                        recipient_id,
-                        len(records),
-                        derived_complaints=_derived_complaints(
-                            recipient_id, records
-                        ),
-                    )
-                self._telemetry.count("evidence.records_applied", len(records))
+                self.submit_block(RecordBlock.of_peer(peer, records))
             return
         origin = sender_id if sender_id is not None else recipient_id
         self._emit(origin, recipient_id, "evidence", tuple(records))
@@ -483,16 +471,7 @@ class EvidencePlane:
     ) -> None:
         """Route a complaint filing through the plane to the complaint system."""
         if self._network is None:
-            filer.file_complaint(accused_id, timestamp=timestamp)
-            if self._audit is not None:
-                self._audit.on_applied(
-                    None,
-                    "complaint",
-                    COMPLAINT_SINK,
-                    1,
-                    complaint=(filer.peer_id, accused_id, float(timestamp)),
-                )
-            self._telemetry.count("evidence.complaints_applied")
+            self.submit_block(None, ((filer, accused_id, timestamp),))
             return
         # The payload carries the filer itself (not just its id): a complaint
         # already in flight still reaches the shared store even when the
@@ -501,50 +480,88 @@ class EvidencePlane:
             filer.peer_id, COMPLAINT_SINK, "complaint", (filer, accused_id, timestamp)
         )
 
-    def request_witness_reports(
-        self, rows: Sequence[Tuple[str, str, str]]
+    def submit_block(
+        self, block: Optional[RecordBlock], filings: Sequence[Filing] = ()
     ) -> None:
-        """Ask witnesses about subjects, one ``(requester, witness, subject)``
-        row per question; rows whose witness is the requester are skipped.
+        """Apply a block of record batches and complaint filings (sync only).
 
-        Sync: one gather answers every row
-        (:func:`~repro.simulation.peer.witness_reports_for`, gids taken from
-        the registered peers), and the reports land in the requesters'
-        witness inboxes in row order.  Async: one ``witness-request``
-        message per row, in row order, which the witness answers on
-        delivery with one ``witness-reply`` — either leg can be dropped or
-        delayed, and neither is repaired.
+        One write per store (:func:`~repro.simulation.peer.observe_block`):
+        the state equals one :meth:`submit_records` per batch followed by
+        one :meth:`submit_complaint` per filing, and the audit trail is told
+        of each batch and each filing as those calls tell it.
         """
-        asked = [row for row in rows if row[0] != row[1]]
-        self._telemetry.count("evidence.witness_requests", len(asked))
         if self._network is not None:
-            for requester_id, witness_id, subject_id in asked:
-                self._network.send(
+            raise SimulationError("an async plane sends its evidence as messages")
+        observe_block(block, filings)
+        if block is not None and len(block):
+            if self._audit is not None:
+                for (peer, start, end), derived in zip(
+                    block.batches(), _derived_complaints(block)
+                ):
+                    self._audit.on_applied(
+                        None,
+                        "evidence",
+                        peer.peer_id,
+                        end - start,
+                        derived_complaints=derived,
+                    )
+            self._telemetry.count("evidence.records_applied", len(block))
+        if filings:
+            if self._audit is not None:
+                for filer, accused_id, timestamp in filings:
+                    self._audit.on_applied(
+                        None,
+                        "complaint",
+                        COMPLAINT_SINK,
+                        1,
+                        complaint=(filer.peer_id, accused_id, float(timestamp)),
+                    )
+            self._telemetry.count("evidence.complaints_applied", len(filings))
+
+    def request_witness_reports(self, rows: WitnessQuestions) -> None:
+        """Ask witnesses about subjects, one row of ``rows`` per question;
+        rows whose witness is the requester are skipped.
+
+        Sync: :meth:`~repro.simulation.peer.WitnessQuestions.answers`
+        answers every row whose requester and witness are registered, and
+        the reports sent land in the requesters' witness inboxes in row
+        order.  Async: one ``witness-request`` message per row, in row
+        order, which the witness answers on delivery with one
+        ``witness-reply`` — either leg can be dropped or delayed, and
+        neither is repaired.
+        """
+        asked = rows.requesters != rows.witnesses
+        if not asked.all():
+            rows = rows._replace(
+                requesters=rows.requesters[asked],
+                witnesses=rows.witnesses[asked],
+                subjects=rows.subjects[asked],
+            )
+        self._telemetry.count("evidence.witness_requests", len(rows.requesters))
+        names, peers = rows.names, rows.peers
+        if self._network is not None:
+            send = self._network.send
+            for requester, witness, subject in zip(
+                rows.requesters.tolist(), rows.witnesses.tolist(), rows.subjects.tolist()
+            ):
+                requester_id = names[requester]
+                send(
                     requester_id,
-                    witness_id,
-                    (requester_id, (subject_id,)),
+                    names[witness],
+                    (requester_id, (names[subject],)),
                     kind="witness-request",
                 )
             return
-        peers = self._peers
-        requesters: List[CommunityPeer] = []
-        witnesses: List[CommunityPeer] = []
-        subject_ids: List[str] = []
-        subject_gids: List[int] = []
-        for requester_id, witness_id, subject_id in asked:
-            requester, witness = peers.get(requester_id), peers.get(witness_id)
-            if requester is not None and witness is not None:
-                requesters.append(requester)
-                witnesses.append(witness)
-                subject_ids.append(subject_id)
-                subject_gids.append(witness.gid_of(subject_id, peers.get(subject_id)))
-        reports = witness_reports_for(witnesses, subject_ids, subject_gids)
-        delivered = 0
-        for requester, witness, report in zip(requesters, witnesses, reports):
-            if report is not None:
-                requester.receive_witness_reports(witness.peer_id, (report,), witness)
-                delivered += 1
-        self._telemetry.count("evidence.witness_reports", delivered)
+        answered, reports = rows.answers()
+        for requester, witness, report in zip(
+            rows.requesters[answered].tolist(), rows.witnesses[answered].tolist(), reports
+        ):
+            witness_peer = peers[witness]
+            assert witness_peer is not None
+            peers[requester].receive_witness_reports(  # type: ignore[union-attr]
+                witness_peer.peer_id, (report,), witness_peer
+            )
+        self._telemetry.count("evidence.witness_reports", len(reports))
 
     # ------------------------------------------------------------------
     # Entry plumbing (async only)
@@ -687,10 +704,12 @@ class EvidencePlane:
         """Apply a fresh entry to its destination, exactly once."""
         applied = False
         complaint = None
+        block = None
         if entry.kind == "evidence":
             peer = self._peers.get(entry.recipient_id)
             if peer is not None:
-                peer.observe_outcomes(list(entry.payload))
+                block = RecordBlock.of_peer(peer, entry.payload)
+                observe_block(block)
                 applied = True
         elif entry.kind == "complaint":
             filer, accused_id, timestamp = entry.payload
@@ -705,13 +724,10 @@ class EvidencePlane:
         counters.entries_applied += 1
         counters.convergence_lags.append(now - entry.emitted_at)
         if self._audit is not None:
-            if entry.kind == "evidence":
-                units = len(entry.payload)
-                derived = _derived_complaints(
-                    entry.recipient_id, entry.payload
-                )
+            if block is not None:
+                units, (derived,) = len(block), _derived_complaints(block)
             else:
-                units, derived = 1, ()
+                units, derived = 1, []
             self._audit.on_applied(
                 entry.key, entry.kind, entry.recipient_id, units,
                 complaint=complaint, derived_complaints=derived,

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import random
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -30,6 +34,7 @@ from repro.simulation.behaviors import (
 from repro.trust import (
     BetaBelief,
     CommunityBetaTable,
+    Complaint,
     TrustBackend,
     TrustObservation,
     combine_beta_evidence_matrix,
@@ -37,7 +42,14 @@ from repro.trust import (
     stack_witness_beliefs,
 )
 
-__all__ = ["CommunityPeer", "TrustMethod", "trust_in_pairs", "witness_reports_for"]
+__all__ = [
+    "CommunityPeer",
+    "RecordBlock",
+    "TrustMethod",
+    "WitnessQuestions",
+    "observe_block",
+    "trust_in_pairs",
+]
 
 _Read = TypeVar("_Read")
 _Owner = TypeVar("_Owner")
@@ -135,9 +147,9 @@ class CommunityPeer:
         self._gid = -1
         self._complaint = complaint_store
         self._decay: Optional[TrustBackend] = None
-        # Every observation this peer has made, replayed into the decay
+        # Every record this peer has observed, replayed into the decay
         # backend when it is built; dropped from then on.
-        self._history: List[TrustObservation] = []
+        self._history: List[InteractionRecord] = []
         self.defection_penalty = defection_penalty
         self.supplies_goods = supplies_goods
         self.consumes_goods = consumes_goods
@@ -203,7 +215,9 @@ class CommunityPeer:
         if method == TrustMethod.DECAY:
             if self._decay is None:
                 self._decay = create_backend("decay", half_life=100.0)
-                self._decay.update_many(self._history)
+                if self._history:
+                    block = RecordBlock.of_peer(self, self._history)
+                    self._decay.update_columns(*block.decay_columns(0, len(block)))
                 self._history = []
             return self._decay
         raise SimulationError(
@@ -258,37 +272,34 @@ class CommunityPeer:
         )
 
     def trust_in_many(
-        self, partner_ids: Sequence[str], now: Optional[float] = None
+        self,
+        partner_ids: Sequence[str],
+        now: Optional[float] = None,
+        complaint_rows: Optional[Dict[int, np.ndarray]] = None,
     ) -> np.ndarray:
         """Vectorized trust estimates for a batch of prospective partners.
 
         ``partner_ids`` may be :class:`~repro.trust.community.SubjectColumns`
         already resolved in the peer's table (the round resolves its listed
-        suppliers once); plain names are resolved first.
+        suppliers once); plain names are resolved first.  A caller reading
+        many peers' rows over the same ``partner_ids`` may pass one
+        ``complaint_rows`` dict to every call: each distinct complaint
+        backend is then read once, and its row reused.
         """
+
+        def read_complaint(complaint: TrustBackend) -> np.ndarray:
+            if complaint_rows is None:
+                return complaint.scores_for(partner_ids)
+            row = complaint_rows.get(id(complaint))
+            if row is None:
+                row = complaint_rows[id(complaint)] = complaint.scores_for(partner_ids)
+            return row
+
         return self._by_method(
             lambda table: table.row(self._gid, table.columns(partner_ids)),
             lambda backend: backend.scores_for(partner_ids, now=now),
-            lambda complaint: complaint.scores_for(partner_ids),
+            read_complaint,
             np.minimum,
-        )
-
-    def _observation_from(self, record: InteractionRecord) -> TrustObservation:
-        """The record as one observation about this peer's partner."""
-        if self.peer_id == record.supplier_id:
-            partner_role = Role.CONSUMER
-        elif self.peer_id == record.consumer_id:
-            partner_role = Role.SUPPLIER
-        else:
-            raise SimulationError(
-                f"peer {self.peer_id!r} is not a participant of the record"
-            )
-        return TrustObservation(
-            observer_id=self.peer_id,
-            subject_id=record.participant(partner_role),
-            honest=record.honest(partner_role),
-            timestamp=record.timestamp,
-            weight=max(1.0, record.value) if record.value > 0 else 1.0,
         )
 
     def observe_outcome(self, record: InteractionRecord) -> None:
@@ -298,20 +309,13 @@ class CommunityPeer:
     def observe_outcomes(self, records: Sequence[InteractionRecord]) -> None:
         """Feed a batch of outcomes back in one flush per backend.
 
-        Every record is converted (and checked to involve this peer) before
-        any backend is written, so a bad record leaves the peer untouched.
-        A partner's defection files a complaint through the complaint
-        backend; the peer's own defection does not.
+        One batch of :func:`observe_block`.  Every record is checked to
+        involve this peer before any backend is written, so a bad record
+        leaves the peer untouched.  A partner's defection files a complaint
+        through the complaint backend; the peer's own defection does not.
         """
-        observations = [self._observation_from(record) for record in records]
-        if not observations:
-            return
-        self._beta_table().observe(self._gid, observations)
-        self._complaint.update_many(observations)
-        if self._decay is None:
-            self._history.extend(observations)
-        else:
-            self._decay.update_many(observations)
+        if records:
+            observe_block(RecordBlock.of_peer(self, records))
 
     def file_complaint(self, accused_id: str, timestamp: float = 0.0) -> None:
         """File a complaint about ``accused_id`` through the complaint backend.
@@ -319,15 +323,7 @@ class CommunityPeer:
         Used for the spurious complaints of malicious behaviour models and
         for complaints delivered by the evidence plane.
         """
-        self._complaint.update(
-            TrustObservation(
-                observer_id=self.peer_id,
-                subject_id=accused_id,
-                honest=True,
-                timestamp=timestamp,
-                files_complaint=True,
-            )
-        )
+        observe_block(None, ((self, accused_id, timestamp),))
 
     def maybe_file_false_complaint(
         self,
@@ -369,7 +365,7 @@ class CommunityPeer:
         evidence about are omitted, except that a forging policy may still
         fabricate a report about them.  The async plane answers each
         request message with it; a sync round answers all its requests at
-        once through :func:`witness_reports_for`.
+        once through :meth:`WitnessQuestions.answers`.
         """
         table = self._beta_table()
         reports: List[WitnessReport] = []
@@ -511,22 +507,26 @@ def _grouped(
 
 
 def _beliefs_of(
-    observers: Sequence[CommunityPeer], subject_gids: np.ndarray
+    observers: Sequence[CommunityPeer],
+    subject_gids: Callable[[CommunityBetaTable], np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each observer's ``pair_beliefs`` about the subject gid of its row.
+    """Each observer's ``pair_beliefs`` about the subject of its row.
 
-    One gather per beta table (a simulation's peers share one).
+    ``subject_gids(table)`` is every row's subject gid in ``table``.  One
+    gather per beta table (a simulation's peers share one).
     """
-    tables = [observer._beta_table() for observer in observers]
-    gids = np.array([observer._gid for observer in observers], dtype=np.int64)
+    tables = list(map(CommunityPeer._beta_table, observers))
+    gids = np.fromiter(
+        map(attrgetter("_gid"), observers), dtype=np.int64, count=len(observers)
+    )
     groups = _grouped(range(len(observers)), tables)
     if len(groups) == 1:
-        return tables[0].pair_beliefs(gids, subject_gids)
+        return tables[0].pair_beliefs(gids, subject_gids(tables[0]))
     alpha, beta = np.empty(len(observers)), np.empty(len(observers))
     count = np.empty(len(observers), dtype=np.int64)
     for table, rows in groups:
         alpha[rows], beta[rows], count[rows] = table.pair_beliefs(
-            gids[rows], subject_gids[rows]
+            gids[rows], subject_gids(table)[rows]
         )
     return alpha, beta, count
 
@@ -559,7 +559,9 @@ def trust_in_pairs(
     scores = np.full(len(observers), np.inf)
     rows = reading(TrustMethod.BETA)
     if rows:
-        alpha, beta, _ = _beliefs_of([observers[row] for row in rows], gids[rows])
+        alpha, beta, _ = _beliefs_of(
+            [observers[row] for row in rows], lambda table: gids[rows]
+        )
         scores[rows] = alpha / (alpha + beta)
     for source in (TrustMethod.COMPLAINT, TrustMethod.DECAY):
         rows = reading(source)
@@ -595,34 +597,281 @@ def _sends(count: Any, forged: Any) -> Any:
     return (count > 0) | forged
 
 
-def witness_reports_for(
-    witnesses: Sequence[CommunityPeer],
-    subject_ids: Sequence[str],
-    subject_gids: Sequence[int],
-) -> List[Optional[WitnessReport]]:
-    """Each witness's report about the subject of its row, or ``None``.
+class WitnessQuestions(NamedTuple):
+    """Witness questions as columns over a list of parties.
 
-    The batched :meth:`CommunityPeer.build_witness_reports`, one subject a
-    row: one ``pair_beliefs`` gather answers every row (``subject_gids``
-    are gids in the witnesses' table), only forging witnesses' policies
-    are consulted, and a row whose subject is its witness is answered
-    ``None``.
+    Party ``i`` is the peer id ``names[i]`` and the peer ``peers[i]``, or
+    ``None`` when no registered peer has that id.  Row ``j`` asks party
+    ``witnesses[j]`` about party ``subjects[j]`` on behalf of party
+    ``requesters[j]``.
     """
-    alpha, beta, count = _beliefs_of(
-        witnesses, np.asarray(subject_gids, dtype=np.int64)
-    )
-    alphas, betas = alpha.tolist(), beta.tolist()
-    forged = np.zeros(len(witnesses), dtype=bool)
-    for row, witness in enumerate(witnesses):
-        if witness.witness_policy.forges:
-            reported, forged[row] = _reported(
-                witness.witness_policy,
-                subject_ids[row],
-                BetaBelief(alphas[row], betas[row]),
+
+    names: Sequence[str]
+    peers: Sequence[Optional[CommunityPeer]]
+    requesters: np.ndarray
+    witnesses: np.ndarray
+    subjects: np.ndarray
+
+    @classmethod
+    def of_rows(
+        cls,
+        rows: Sequence[Tuple[str, str, str]],
+        peer_of: Callable[[str], Optional[CommunityPeer]],
+    ) -> "WitnessQuestions":
+        """``(requester, witness, subject)`` name rows as columns; ``peer_of``
+        finds a party's peer (``None``: it has none)."""
+        names = list(dict.fromkeys(name for row in rows for name in row))
+        position = {name: index for index, name in enumerate(names)}
+        columns = np.array(
+            [[position[name] for name in row] for row in rows], dtype=np.int64
+        ).reshape(len(rows), 3)
+        return cls(names, [peer_of(name) for name in names], *columns.T)
+
+    def answers(self) -> Tuple[np.ndarray, List[WitnessReport]]:
+        """The rows whose witness sends a report, and those reports.
+
+        The batched :meth:`CommunityPeer.build_witness_reports`, one subject
+        a row.  Rows whose requester or witness has no peer get no answer;
+        neither does a row whose subject is its witness.  One
+        ``pair_beliefs`` gather per beta table answers every row (a
+        simulation's peers share one), and only forging witnesses'
+        policies are consulted.
+        """
+        names, peers = self.names, self.peers
+        witnesses, subjects = self.witnesses, self.subjects
+        has_peer = np.array([peer is not None for peer in peers], dtype=bool)
+        answered = np.flatnonzero(
+            has_peer[self.requesters] & has_peer[witnesses] & (subjects != witnesses)
+        )
+        asked = witnesses[answered].tolist()
+
+        def subject_gids(table: CommunityBetaTable) -> np.ndarray:
+            # Every party's gid in ``table``: a party kept in another table,
+            # or with no peer, is resolved by name.
+            gids = np.array(
+                [
+                    peer._gid
+                    if peer is not None and peer._table is table
+                    else table.gid(name)
+                    for name, peer in zip(names, peers)
+                ],
+                dtype=np.int64,
             )
-            alphas[row], betas[row] = reported.alpha, reported.beta
-    reports: List[Optional[WitnessReport]] = [None] * len(witnesses)
-    for row in np.flatnonzero(_sends(count, forged)).tolist():
-        if subject_ids[row] != witnesses[row].peer_id:
-            reports[row] = (subject_ids[row], alphas[row], betas[row])
-    return reports
+            return gids[subjects[answered]]
+
+        # Only parties with a peer are asked (``has_peer``).
+        alpha, beta, count = _beliefs_of(
+            [peers[party] for party in asked], subject_gids  # type: ignore[misc]
+        )
+        alphas, betas = alpha.tolist(), beta.tolist()
+        about = subjects[answered].tolist()
+        forges = [peer is not None and peer.witness_policy.forges for peer in peers]
+        forged = np.zeros(len(answered), dtype=bool)
+        for index, party in enumerate(asked):
+            if forges[party]:
+                reported, forged[index] = _reported(
+                    peers[party].witness_policy,  # type: ignore[union-attr]
+                    names[about[index]],
+                    BetaBelief(alphas[index], betas[index]),
+                )
+                alphas[index], betas[index] = reported.alpha, reported.beta
+        sent = np.flatnonzero(_sends(count, forged)).tolist()
+        return answered[sent], [
+            (names[about[index]], alphas[index], betas[index]) for index in sent
+        ]
+
+
+#: A complaint filing: the filer, the accused's id and the time.
+Filing = Tuple[CommunityPeer, str, float]
+
+
+class RecordBlock:
+    """Interaction records as first-hand evidence, one row per observation.
+
+    Row ``i`` is an observation, by the peer of its batch, of its partner in
+    ``rows[i]`` (a record): the consumer when ``consumer_side[i]`` is
+    false, else the supplier.  Rows come in batches, one per observing
+    peer: batch ``b`` is rows ``bounds[b]:bounds[b + 1]``, observed by
+    ``peers[b]``.  ``honest`` says whether the partner was honest and
+    ``weights`` is each observation's weight; :meth:`gids` places the rows
+    in the observers' beta table.
+    """
+
+    def __init__(
+        self,
+        rows: List[InteractionRecord],
+        consumer_side: List[bool],
+        peers: Sequence[CommunityPeer],
+        bounds: List[int],
+        gids: Optional[Tuple[CommunityBetaTable, List[int], List[int]]] = None,
+    ):
+        self.rows = rows
+        self.consumer_side = consumer_side
+        self.peers = peers
+        self.bounds = bounds
+        self._gids = gids
+        self.honest = [
+            record.supplier_honest if side else record.consumer_honest
+            for record, side in zip(rows, consumer_side)
+        ]
+        # A record's value is the weight at stake, and at least 1.
+        self.weights = [
+            max(1.0, record.value) if record.value > 0 else 1.0 for record in rows
+        ]
+
+    @classmethod
+    def of_round(
+        cls,
+        table: CommunityBetaTable,
+        records: Sequence[InteractionRecord],
+        suppliers: Sequence[CommunityPeer],
+        consumers: Sequence[CommunityPeer],
+    ) -> "RecordBlock":
+        """Both sides of every record, whose peers all keep their evidence in
+        ``table``: one batch per peer, peers by first appearance (each
+        record's supplier before its consumer), a batch's rows in record
+        order."""
+        observers = [peer for pair in zip(suppliers, consumers) for peer in pair]
+        gids = np.fromiter(
+            (peer._gid for peer in observers), dtype=np.int64, count=len(observers)
+        )
+        _, first, batch = np.unique(gids, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        batch = rank[batch.reshape(-1)]
+        # Row 2r observes record r from its supplier, row 2r + 1 from its
+        # consumer.
+        rows = np.argsort(batch, kind="stable")
+        return cls(
+            [records[index] for index in (rows >> 1).tolist()],
+            (rows & 1).astype(bool).tolist(),
+            [observers[row] for row in np.sort(first).tolist()],
+            np.concatenate(([0], np.cumsum(np.bincount(batch)))).tolist(),
+            (table, gids[rows].tolist(), gids[rows ^ 1].tolist()),
+        )
+
+    @classmethod
+    def of_peer(
+        cls, peer: CommunityPeer, records: Sequence[InteractionRecord]
+    ) -> "RecordBlock":
+        """One batch: ``peer`` observes its partner in each record.
+
+        Raises :class:`SimulationError` when the peer takes part in some
+        record neither as supplier nor as consumer.
+        """
+        consumer_side = []
+        for record in records:
+            if peer.peer_id == record.supplier_id:
+                consumer_side.append(False)
+            elif peer.peer_id == record.consumer_id:
+                consumer_side.append(True)
+            else:
+                raise SimulationError(
+                    f"peer {peer.peer_id!r} is not a participant of the record"
+                )
+        return cls(list(records), consumer_side, [peer], [0, len(records)])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def gids(self) -> Tuple[CommunityBetaTable, List[int], List[int]]:
+        """The observers' beta table, and each row's observer and partner
+        gids there (a one-batch block resolves them on first use)."""
+        if self._gids is None:
+            (peer,) = self.peers
+            table = peer._beta_table()
+            self._gids = (
+                table,
+                [peer._gid] * len(self.rows),
+                list(map(table.ids.intern, self.partner_ids(0, len(self.rows)))),
+            )
+        return self._gids
+
+    def batches(self) -> Iterator[Tuple[CommunityPeer, int, int]]:
+        """Each batch's peer and its first and past-the-end rows."""
+        return zip(self.peers, self.bounds[:-1], self.bounds[1:])
+
+    def partner_ids(self, start: int, end: int) -> List[str]:
+        """The ids of the partners rows ``start:end`` observe."""
+        return [
+            record.supplier_id if side else record.consumer_id
+            for record, side in zip(
+                self.rows[start:end], self.consumer_side[start:end]
+            )
+        ]
+
+    def decay_columns(
+        self, start: int, end: int
+    ) -> Tuple[List[str], List[bool], List[float], List[float]]:
+        """Rows ``start:end`` as ``update_columns`` arguments of a decay
+        backend: partner ids, honest, weights and timestamps."""
+        return (
+            self.partner_ids(start, end),
+            self.honest[start:end],
+            self.weights[start:end],
+            [record.timestamp for record in self.rows[start:end]],
+        )
+
+    def complaints(self) -> List[Tuple[CommunityPeer, int, Complaint]]:
+        """Each complaint the block files, with its filer and batch: one per
+        row whose partner was dishonest, filed by its observer against that
+        partner (no peer complains about itself)."""
+        filed: List[Tuple[CommunityPeer, int, Complaint]] = []
+        rows, consumer_side, bounds = self.rows, self.consumer_side, self.bounds
+        for row, honest in enumerate(self.honest):
+            if not honest:
+                batch = bisect.bisect_right(bounds, row) - 1
+                filer = self.peers[batch]
+                record = rows[row]
+                partner_id = (
+                    record.supplier_id if consumer_side[row] else record.consumer_id
+                )
+                if partner_id != filer.peer_id:
+                    filed.append(
+                        (filer, batch, Complaint(filer.peer_id, partner_id, record.timestamp))
+                    )
+        return filed
+
+
+def observe_block(
+    block: Optional[RecordBlock], filings: Sequence[Filing] = ()
+) -> None:
+    """Write a block of evidence and complaint filings to the peers' stores.
+
+    The one evidence writer: the state equals one write per batch, in
+    batch order, followed by one complaint per filing.  The block is one
+    queued write to the beta table; a peer whose decay backend is built
+    gets its batch as one write there, and any other peer keeps its records
+    for that backend; every complaint backend gets one write of its
+    complaints (the dishonest partners', then the filings), tagged with
+    their batches when there are several (each filing is a batch of its
+    own, after the block's).
+    """
+    filed: List[Tuple[CommunityPeer, int, Complaint]] = []
+    first_filing = 0
+    if block is not None:
+        table, observer_gids, subject_gids = block.gids()
+        table.observe_columns(observer_gids, subject_gids, block.honest, block.weights)
+        for peer, start, end in block.batches():
+            if peer._decay is None:
+                peer._history.extend(block.rows[start:end])
+            else:
+                peer._decay.update_columns(*block.decay_columns(start, end))
+        filed = block.complaints()
+        first_filing = len(block.peers)
+    for offset, (filer, accused_id, timestamp) in enumerate(filings):
+        if accused_id != filer.peer_id:  # no peer complains about itself
+            filed.append(
+                (filer, first_filing + offset, Complaint(filer.peer_id, accused_id, timestamp))
+            )
+    stores: Dict[int, Tuple[TrustBackend, List[Complaint], List[int]]] = {}
+    for filer, batch, complaint in filed:
+        store = stores.get(id(filer._complaint))
+        if store is None:
+            store = stores[id(filer._complaint)] = (filer._complaint, [], [])
+        store[1].append(complaint)
+        store[2].append(batch)
+    for store_backend, complaints, batches in stores.values():
+        store_backend.record_complaints(
+            complaints, batches if batches[0] != batches[-1] else None
+        )

@@ -54,6 +54,7 @@ configured for; pass an explicit ``now`` where the distinction matters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -387,27 +388,57 @@ class BetaTrustBackend(TrustBackend):
         return BetaBelief(self._prior_alpha, self._prior_beta)
 
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
-        if observations:
-            self._add_evidence([o.subject_id for o in observations], observations)
+        if not observations:
+            return
+        n = len(observations)
+        self.update_columns(
+            [o.subject_id for o in observations],
+            np.fromiter((o.honest for o in observations), dtype=bool, count=n),
+            np.fromiter((o.weight for o in observations), dtype=np.float64, count=n),
+            np.fromiter((o.timestamp for o in observations), dtype=np.float64, count=n)
+            if self.DECAYS
+            else None,
+        )
+
+    def update_columns(
+        self,
+        subject_ids: Sequence[str],
+        honest: Sequence[bool],
+        weights: Sequence[float],
+        timestamps: Optional[Sequence[float]] = None,
+    ) -> None:
+        """:meth:`update_many` over columns: one row per observation.
+
+        ``honest`` and ``weights`` (each positive) are the observations'
+        fields; ``timestamps`` is required when scores decay.
+        """
+        if len(subject_ids):
+            self._add_evidence(
+                subject_ids,
+                np.asarray(honest, dtype=bool),
+                np.asarray(weights, dtype=np.float64),
+                None if timestamps is None else np.asarray(timestamps, dtype=np.float64),
+            )
 
     def _add_evidence(
-        self, keys: Sequence[Any], observations: Sequence[TrustObservation]
+        self,
+        keys: Sequence[Any],
+        honest: np.ndarray,
+        weights: np.ndarray,
+        timestamps: Optional[np.ndarray],
     ) -> np.ndarray:
         """Add each observation's evidence to the row interned for its key.
 
-        The columnar core under :meth:`update_many`, whose keys are the
+        The columnar core under :meth:`update_columns`, whose keys are the
         subject ids; the community table
         (:class:`~repro.trust.community.CommunityBetaTable`) passes
         ``(observer, subject)`` pair keys instead.  Returns the rows.
         """
-        n = len(observations)
-        self._record_update(n)
+        self._record_update(len(keys))
         table = self._table
         idx = table.intern_many(keys)
-        weights = np.fromiter((o.weight for o in observations), dtype=np.float64, count=n)
-        honest = np.fromiter((o.honest for o in observations), dtype=bool, count=n)
         touched = np.unique(idx)
-        weights = self._evidence_weights(observations, idx, touched, weights)
+        weights = self._evidence_weights(idx, touched, weights, timestamps)
         np.add.at(table["alpha"], idx[honest], weights[honest])
         np.add.at(table["beta"], idx[~honest], weights[~honest])
         np.add.at(table["count"], idx, 1)
@@ -416,10 +447,10 @@ class BetaTrustBackend(TrustBackend):
 
     def _evidence_weights(
         self,
-        observations: Sequence[TrustObservation],
         idx: np.ndarray,
         touched: np.ndarray,
         weights: np.ndarray,
+        timestamps: Optional[np.ndarray],
     ) -> np.ndarray:
         """Evidence each observation adds to its row (undecayed: its weight)."""
         return weights
@@ -571,19 +602,19 @@ class DecayTrustBackend(BetaTrustBackend):
 
     def _evidence_weights(
         self,
-        observations: Sequence[TrustObservation],
         idx: np.ndarray,
         touched: np.ndarray,
         weights: np.ndarray,
+        timestamps: Optional[np.ndarray],
     ) -> np.ndarray:
         # Advance each touched subject's reference time to the newest
         # timestamp seen, renormalising the existing accumulators, then add
         # every observation decayed from its own timestamp to the new
         # reference.  The result is order-independent, so the whole batch
         # vectorizes.
-        times = np.fromiter(
-            (o.timestamp for o in observations), dtype=np.float64, count=len(idx)
-        )
+        if timestamps is None:
+            raise TrustModelError("decaying evidence needs its timestamps")
+        times = np.asarray(timestamps, dtype=np.float64)
         ref = self._table["ref"]
         old_ref = ref[touched]
         np.maximum.at(ref, idx, times)
@@ -699,35 +730,72 @@ class ComplaintTrustBackend(TrustBackend):
         if complaints:
             self._ingest(complaints)
 
-    def record_complaints(self, complaints: Sequence[Complaint]) -> None:
-        """Ingest a batch of ready-made complaints (the sharded scatter unit)."""
+    def record_complaints(
+        self,
+        complaints: Sequence[Complaint],
+        batches: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Ingest ready-made complaints as one write.
+
+        ``batches`` tags each complaint, in non-decreasing order, with the
+        write batch it stands for: the store then ends exactly as one
+        write per batch would leave it (log order and the order unseen
+        agents are interned in alike).  Untagged complaints are one batch.
+        """
+        self._record_update(len(complaints))
+        if complaints:
+            self._ingest(complaints, batches)
+
+    def refile(self, complaints: Sequence[Complaint]) -> None:
+        """Ingest complaints moved here from another store (a shard split
+        or a re-sharded restore): the state changes as under
+        :meth:`record_complaints`, but moving evidence is not a write, so
+        none is tallied."""
         if complaints:
             self._ingest(complaints)
 
-    def _ingest(self, complaints: Sequence[Complaint]) -> None:
-        """Log a batch of complaints and add it to the counters."""
+    def _ingest(
+        self,
+        complaints: Sequence[Complaint],
+        batches: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Log complaints and add them to the counters."""
         self._log.extend(complaints)
-        accused, filed_by = self._count(complaints)
+        accused, filed_by = self._count(complaints, batches)
         in_store = self._table["in_store"]
         in_store[accused] = True
         in_store[filed_by] = True
         self._reference_cache = None
 
     def _count(
-        self, complaints: Sequence[Complaint]
+        self,
+        complaints: Sequence[Complaint],
+        batches: Optional[Sequence[int]],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Add a batch to the received/filed counters; return the rows hit.
+        """Add complaints to the received/filed counters; return the rows hit.
 
         Agents failing the row filter are skipped.  Unseen agents are
-        interned all accused first, then all complainants, in batch order.
+        interned batch by batch: each batch's accused first, then its
+        complainants, in complaint order.
         """
         accused_ids = [c.accused_id for c in complaints]
         filed_ids = [c.complainant_id for c in complaints]
+        accused_tags = filed_tags = batches
         row_filter = self._row_filter
         if row_filter is not None:
-            accused_ids = [agent for agent in accused_ids if row_filter(agent)]
-            filed_ids = [agent for agent in filed_ids if row_filter(agent)]
+            keep_accused = [row_filter(agent) for agent in accused_ids]
+            keep_filed = [row_filter(agent) for agent in filed_ids]
+            accused_ids = list(itertools.compress(accused_ids, keep_accused))
+            filed_ids = list(itertools.compress(filed_ids, keep_filed))
+            if batches is not None:
+                accused_tags = list(itertools.compress(batches, keep_accused))
+                filed_tags = list(itertools.compress(batches, keep_filed))
         table = self._table
+        if accused_tags is not None and filed_tags is not None:
+            names = accused_ids + filed_ids
+            sides = [0] * len(accused_ids) + [1] * len(filed_ids)
+            order = np.lexsort((sides, list(accused_tags) + list(filed_tags)))
+            table.intern_many([names[position] for position in order.tolist()])
         accused = table.intern_many(accused_ids)
         filed_by = table.intern_many(filed_ids)
         np.add.at(table["received"], accused, 1.0)

@@ -11,10 +11,15 @@ growth and score formula are the per-peer backend's, so every read is
 bit-identical to what a private ``create_backend("beta")`` per observer
 answers.
 
-Writes are queued and applied as one kernel batch before the next read:
-a round's many small per-peer batches cost one vectorized pass.  Each pair
-row receives its observations in the order they were written, so the sums
-are the ones per-batch writes produce.
+Writes are queued and applied as one kernel batch before the next read.
+A write is columns (:meth:`CommunityBetaTable.observe_columns`: observer
+and subject gids, honest, weight), queued as lists and converted to
+arrays once, when the queue is applied; a simulated round writes all its
+observations at once, in per-peer batch order, so no
+:class:`~repro.trust.backend.TrustObservation` is built.  Each pair row
+receives its observations in the order they were written, and new pair
+rows are interned in that order, so the sums and the row order are the
+ones per-batch writes produce.
 
 A round's pair reads by gid are one gather: :meth:`CommunityBetaTable.
 pair_beliefs` answers many ``(observer, subject)`` gid pairs at once, which
@@ -44,7 +49,6 @@ __all__ = ["CommunityBetaTable", "SubjectColumns"]
 #: Bits of a pair key that hold the subject gid.
 _SUBJECT_BITS = 32
 
-
 class SubjectColumns(tuple):
     """Subject names whose columns are resolved in one table.
 
@@ -69,8 +73,8 @@ class CommunityBetaTable(BetaTrustBackend):
     ``belief``, ``observation_count``, ``scores_for`` and
     ``aggregate_witness_reports`` take pair keys; :meth:`pair_beliefs`
     reads many pairs by their gids.  :meth:`update_many` takes
-    observations from any number of observers; :meth:`observe` is the same
-    write for one observer whose gid is known.  The whole table has no
+    observations from any number of observers; :meth:`observe_columns` is
+    the same write as columns of gids.  The whole table has no
     snapshot: :meth:`backend_for` copies one observer's cells into a plain
     beta backend.
     """
@@ -81,10 +85,15 @@ class CommunityBetaTable(BetaTrustBackend):
         #: observer gid -> (subject gids, pair rows), in first-observation
         #: order.
         self._known: Dict[int, Tuple[List[int], List[int]]] = {}
-        #: Observations written since the last read, with their observers'
-        #: gids; ``_settle`` applies them.
-        self._pending: List[TrustObservation] = []
-        self._pending_observers: List[int] = []
+        #: Observation columns written since the last read (observer and
+        #: subject gids, honest, weights), in write order; ``_settle``
+        #: applies them.
+        self._queued: Tuple[List[int], List[int], List[bool], List[float]] = (
+            [],
+            [],
+            [],
+            [],
+        )
 
     @property
     def ids(self) -> PeerIndex:
@@ -94,28 +103,51 @@ class CommunityBetaTable(BetaTrustBackend):
     # -- writes ----------------------------------------------------------
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
         """Queue a batch of observations by any observers."""
-        observers = self._ids.intern_many([o.observer_id for o in observations])
-        self._pending_observers.extend(observers.tolist())
-        self._pending.extend(observations)
+        ids = self._ids
+        self.observe_columns(
+            ids.intern_many([o.observer_id for o in observations]).tolist(),
+            ids.intern_many([o.subject_id for o in observations]).tolist(),
+            [o.honest for o in observations],
+            [o.weight for o in observations],
+        )
 
-    def observe(
-        self, observer: int, observations: Sequence[TrustObservation]
+    def observe_columns(
+        self,
+        observers: Sequence[int],
+        subjects: Sequence[int],
+        honest: Sequence[bool],
+        weights: Sequence[float],
     ) -> None:
-        """Queue a batch of observations made by the observer with gid ``observer``."""
-        self._pending_observers.extend(itertools.repeat(observer, len(observations)))
-        self._pending.extend(observations)
+        """Queue observations given as columns, one row each: observer and
+        subject gids, whether the subject was honest, and the observation's
+        (positive) weight.  The columns join the queue as lists and become
+        arrays once, when the queue is applied."""
+        queued_observers, queued_subjects, queued_honest, queued_weights = (
+            self._queued
+        )
+        queued_observers.extend(observers)
+        queued_subjects.extend(subjects)
+        queued_honest.extend(honest)
+        queued_weights.extend(weights)
 
     def _settle(self) -> None:
         """Apply every queued observation in one kernel batch."""
-        if not self._pending:
+        queued_observers, queued_subjects, queued_honest, queued_weights = (
+            self._queued
+        )
+        if not queued_observers:
             return
-        observations, self._pending = self._pending, []
-        observers = np.array(self._pending_observers, dtype=np.int64)
-        self._pending_observers = []
-        subjects = self._ids.intern_many([o.subject_id for o in observations])
+        self._queued = ([], [], [], [])
+        observers = np.array(queued_observers, dtype=np.int64)
+        subjects = np.array(queued_subjects, dtype=np.int64)
         size = len(self._table)
         keys = (observers << _SUBJECT_BITS) | subjects
-        rows = self._add_evidence(keys.tolist(), observations)
+        rows = self._add_evidence(
+            keys.tolist(),
+            np.array(queued_honest, dtype=bool),
+            np.array(queued_weights, dtype=np.float64),
+            None,
+        )
         self._remember(observers, subjects, rows, size)
 
     def adopt(self, observer: int, cells: BetaTrustBackend) -> None:

@@ -777,20 +777,39 @@ class ShardedBackend(TrustBackend):
                 telemetry.observe("sharded.update_fanout", fanout)
         self._maybe_rebalance()
 
-    def record_complaints(self, complaints: Sequence[Complaint]) -> None:
-        """Scatter ready-made complaints to the accused's and filer's shards."""
-        buckets: Dict[int, List[Complaint]] = {}
-        for complaint in complaints:
+    def record_complaints(
+        self,
+        complaints: Sequence[Complaint],
+        batches: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Scatter ready-made complaints to the accused's and filer's shards.
+
+        One write: each shard gets its complaints, with their ``batches``
+        tags, in one ``record_complaints``, and the split policy is checked
+        once.
+        """
+        self._writes += 1
+        for index, positions in self._complaint_buckets(complaints):
+            self._shard_updates[index] += len(positions)
+            self._shards[index].record_complaints(
+                [complaints[position] for position in positions],
+                None if batches is None else [batches[position] for position in positions],
+            )
+        self._maybe_rebalance()
+
+    def _complaint_buckets(
+        self, complaints: Sequence[Complaint]
+    ) -> List[Tuple[int, List[int]]]:
+        """Each shard that gets complaints, in shard order, with their
+        positions: a complaint goes to its accused's and its filer's home."""
+        buckets: Dict[int, List[int]] = {}
+        for position, complaint in enumerate(complaints):
             home = self.shard_index_of(complaint.accused_id)
-            buckets.setdefault(home, []).append(complaint)
+            buckets.setdefault(home, []).append(position)
             filer_home = self.shard_index_of(complaint.complainant_id)
             if filer_home != home:
-                buckets.setdefault(filer_home, []).append(complaint)
-        self._writes += 1
-        for index in sorted(buckets):
-            self._shard_updates[index] += len(buckets[index])
-            self._shards[index].record_complaints(buckets[index])
-        self._maybe_rebalance()
+                buckets.setdefault(filer_home, []).append(position)
+        return sorted(buckets.items())
 
     # ------------------------------------------------------------------
     # Live rebalancing
@@ -925,8 +944,7 @@ class ShardedBackend(TrustBackend):
             if moved_index in targets:
                 batches[1].append(complaint)
         for side in (0, 1):
-            if batches[side]:
-                successors[side].record_complaints(batches[side])
+            successors[side].refile(batches[side])
         return (
             successors[0],
             successors[1],
@@ -1225,15 +1243,9 @@ class ShardedBackend(TrustBackend):
                 shard.restore(shard_state)
             self._shard_updates = [0] * len(self._shards)
             return
-        self._in_rebalance = True  # a restore is not a load signal
-        try:
-            self._restore_resharded(old_router, shard_states)
-        finally:
-            self._in_rebalance = False
-            # Re-filing a complaint log goes through record_complaints,
-            # which tallies routed units; a restore is not traffic, so the
-            # load counters reset *after* the redistribution.
-            self._shard_updates = [0] * len(self._shards)
+        # A restore is not traffic: re-filing the log tallies no load.
+        self._restore_resharded(old_router, shard_states)
+        self._shard_updates = [0] * len(self._shards)
 
     def _restore_resharded(
         self, old_router: ShardRouter, shard_states: List[Dict[str, np.ndarray]]
@@ -1257,4 +1269,5 @@ class ShardedBackend(TrustBackend):
             self._complaint_shard_from_config(shard_states[0], index)
             for index in range(len(self._shards))
         )
-        self.record_complaints(complaints)
+        for index, positions in self._complaint_buckets(complaints):
+            self._shards[index].refile([complaints[position] for position in positions])

@@ -9,9 +9,11 @@ Two regression surfaces:
   the snapshot must agree exactly with the legacy attribute API.
 """
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.trust import Complaint, ShardedBackend
 from repro.workloads.registry import build_registered_scenario, scenario_names
 
 
@@ -213,15 +215,16 @@ class TestWitnessCounters:
 
     def _run(self, monkeypatch, **params):
         from repro.simulation.evidence import EvidencePlane
-        from repro.simulation.peer import CommunityPeer
+        from repro.simulation.peer import CommunityPeer, WitnessQuestions
 
         seen = {"rows": 0, "reports": 0}
         request = EvidencePlane.request_witness_reports
         receive = CommunityPeer.receive_witness_reports
 
         def counting_request(self, rows):
-            rows = list(rows)
-            seen["rows"] += sum(requester != witness for requester, witness, _ in rows)
+            # The round asks its questions as one block of party columns.
+            assert isinstance(rows, WitnessQuestions)
+            seen["rows"] += int(np.count_nonzero(rows.requesters != rows.witnesses))
             return request(self, rows)
 
         def counting_receive(self, witness_id, reports, *rest):
@@ -258,3 +261,65 @@ class TestWitnessCounters:
         assert first["evidence.witness_requests"] == second["evidence.witness_requests"]
         assert first["evidence.witness_reports"] == second["evidence.witness_reports"]
         assert first == second
+
+
+class TestComplaintWriteCounters:
+    """``backend.complaint.update_batches`` tallies complaint writes where
+    they are filed: one per shard written, one per sync round on a plain
+    store.  A shard split and a re-sharded restore move complaints between
+    shards, which is no write."""
+
+    BURST = [
+        Complaint(f"peer-{index:02d}", f"peer-{(index * 7 + 3) % 40:02d}", float(index))
+        for index in range(60)
+    ]
+
+    @staticmethod
+    def _writes(registry):
+        metrics = registry.snapshot()["metrics"]
+        histogram = metrics.get("backend.complaint.update_batch_size", {"count": 0})
+        return metrics.get("backend.complaint.update_batches", 0), histogram["count"]
+
+    def test_a_split_tallies_no_write(self):
+        registry = MetricsRegistry()
+        store = ShardedBackend(2, router="range")
+        store.bind_telemetry(registry)
+        store.record_complaints(self.BURST)
+        written = self._writes(registry)
+        homes = {
+            store.shard_index_of(agent)
+            for complaint in self.BURST
+            for agent in (complaint.accused_id, complaint.complainant_id)
+        }
+        assert written == (len(homes), len(homes))
+        updates = sum(store.shard_update_counts)
+        store.split_shard(0)
+        assert store.num_shards == 3
+        assert self._writes(registry) == written
+        assert sum(store.shard_update_counts) == updates
+
+    def test_a_resharded_restore_tallies_no_write(self):
+        source = ShardedBackend(2, router="range")
+        source.record_complaints(self.BURST)
+        registry = MetricsRegistry()
+        target = ShardedBackend(3, router="ring")
+        target.bind_telemetry(registry)
+        target.restore(source.snapshot())
+        assert self._writes(registry) == (0, 0)
+        assert target.shard_update_counts == (0, 0, 0)
+        peers = sorted({c.accused_id for c in self.BURST})
+        assert target.scores_for(peers).tolist() == source.scores_for(peers).tolist()
+
+    def test_a_sync_round_is_one_write_of_a_plain_store(self):
+        registry = MetricsRegistry()
+        scenario = build_registered_scenario(
+            "sybil-coalition", size=30, rounds=4, seed=5, rebalance="off",
+            telemetry=registry,
+        )
+        store = scenario.complaint_store
+        assert not isinstance(store, ShardedBackend)
+        scenario.simulation().run()
+        batches, sizes = self._writes(registry)
+        assert 0 < batches == sizes <= 4
+        histogram = registry.snapshot()["metrics"]["backend.complaint.update_batch_size"]
+        assert histogram["total"] == len(store.all_complaints())

@@ -22,7 +22,7 @@ from repro.simulation.network import (
     NetworkCounters,
     SimulatedNetwork,
 )
-from repro.simulation.peer import CommunityPeer
+from repro.simulation.peer import CommunityPeer, WitnessQuestions
 from repro.trust.beta import BetaBelief
 from repro.workloads import build_registered_scenario
 
@@ -67,7 +67,10 @@ class TestSyncPlane:
         plane.register_peer(witness)
         plane.register_peer(requester)
         witness.observe_outcome(_record(supplier="target", consumer="w"))
-        plane.request_witness_reports([("r", "w", "target")])
+        by_id = {"r": requester, "w": witness}
+        plane.request_witness_reports(
+            WitnessQuestions.of_rows([("r", "w", "target")], by_id.get)
+        )
         reports = requester.witness_reports_about("target")
         assert "w" in reports
 
@@ -118,7 +121,10 @@ class TestAsyncPlane:
         plane.register_peer(witness)
         plane.register_peer(requester)
         witness.observe_outcome(_record(supplier="target", consumer="w"))
-        plane.request_witness_reports([("r", "w", "target")])
+        by_id = {"r": requester, "w": witness}
+        plane.request_witness_reports(
+            WitnessQuestions.of_rows([("r", "w", "target")], by_id.get)
+        )
         plane.advance(1.0)  # request delivered, reply goes out
         assert requester.witness_reports_about("target") == {}
         plane.advance(2.0)  # reply delivered

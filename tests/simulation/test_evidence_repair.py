@@ -25,7 +25,7 @@ from repro.simulation.behaviors import FluctuatingBehavior
 from repro.simulation.community import CommunityConfig, CommunitySimulation
 from repro.simulation.evidence import EvidencePlane
 from repro.simulation.network import FixedLatency, SimulatedNetwork
-from repro.simulation.peer import CommunityPeer, TrustMethod
+from repro.simulation.peer import CommunityPeer, TrustMethod, WitnessQuestions
 from repro.simulation.repair import (
     REPAIR_POLICIES,
     EntryCatalog,
@@ -187,12 +187,15 @@ def _named_entries(emissions):
         mode="async", latency_model=FixedLatency(1.0), repair="gossip"
     )
     origins = ("a", "b", "c", "d")
-    for origin in origins:
-        plane.register_peer(CommunityPeer(origin))
+    peers = {origin: CommunityPeer(origin) for origin in origins}
+    for peer in peers.values():
+        plane.register_peer(peer)
     for index, witness in emissions:
         origin, other = origins[index], origins[(index + 1) % len(origins)]
         if witness:
-            plane.request_witness_reports([(origin, other, "x")])
+            plane.request_witness_reports(
+                WitnessQuestions.of_rows([(origin, other, "x")], peers.get)
+            )
         else:
             plane.submit_records(other, [_record()], sender_id=origin)
     entries = []
@@ -284,9 +287,10 @@ class TestDigestScanOracle:
         requester, witness = CommunityPeer("a"), CommunityPeer("b")
         for peer in (requester, witness, CommunityPeer("c")):
             plane.register_peer(peer)
+        by_id = {"a": requester, "b": witness}
         witness.observe_outcome(_record(supplier="x", consumer="b"))
         plane.submit_records("c", [_record()], sender_id="a")
-        plane.request_witness_reports([("a", "b", "x")])
+        plane.request_witness_reports(WitnessQuestions.of_rows([("a", "b", "x")], by_id.get))
         for tick in (1.0, 2.0, 3.0):
             plane.advance(tick)
         counters = plane.counters

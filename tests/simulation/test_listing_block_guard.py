@@ -8,9 +8,14 @@ the block's rational rows, in supplier order, and their ids derive from
 the supplier and the round, so same-seed runs repeat them.
 """
 
+import math
 from collections import Counter
 
-from repro.core.goods import Good
+import numpy as np
+import pytest
+
+from repro.core.goods import Good, GoodsBundle
+from repro.exceptions import InvalidGoodError
 from repro.core.numeric import EPSILON, total
 from repro.core.valuation import ValuationModel
 from repro.simulation.community import CommunitySimulation
@@ -93,3 +98,46 @@ def test_same_seed_simulations_repeat_their_listing_ids(monkeypatch):
     ]
     assert ids[:3] == ids[3:]
     assert all(ids)
+
+
+def _listings_of_block(monkeypatch, costs, values):
+    """``_build_listings`` over one crafted block, a row per supplier."""
+    scenario = build_registered_scenario("flash-crowd", size=len(costs), rounds=1, seed=0)
+    simulation = scenario.simulation()
+    assert all(peer.supplies_goods for peer in simulation.peers)
+    block = (np.array(costs, dtype=float), np.array(values, dtype=float))
+    monkeypatch.setattr(
+        type(simulation.config.valuation_model),
+        "sample_columns",
+        lambda self, rng, n, size: block,
+    )
+    return simulation._build_listings(0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf])
+def test_a_row_with_an_invalid_valuation_raises_as_its_goods_do(monkeypatch, bad):
+    good = ([1.0] * 6, [3.0] * 6)
+    costs, values = [list(good[0]) for _ in range(4)], [list(good[1]) for _ in range(4)]
+    # Row 2's consumer value is invalid, but the row is still a rational trade.
+    values[2][3] = bad
+    with pytest.raises(InvalidGoodError) as raised:
+        _listings_of_block(monkeypatch, costs, values)
+    with pytest.raises(InvalidGoodError) as expected:
+        Good("x", supplier_cost=1.0, consumer_value=bad)
+    assert str(raised.value).split(":", 1)[1] == str(expected.value).split(":", 1)[1]
+    assert "-r0-3" in str(raised.value)
+    # The per-row check the block check replaces raises the same way.
+    with pytest.raises(InvalidGoodError):
+        GoodsBundle.from_valuations(costs[2], values[2], "x")
+
+
+def test_a_nan_row_is_no_rational_trade_and_lists_nothing(monkeypatch):
+    costs = [[1.0] * 6 for _ in range(4)]
+    values = [[3.0] * 6 for _ in range(4)]
+    values[1][0] = math.nan
+    listings = _listings_of_block(monkeypatch, costs, values)
+    assert len(listings) == 3
+    assert all(listing.supplier_id.endswith(("000", "002", "003")) for listing in listings)
+    # Built on its own, a NaN row raises like its goods.
+    with pytest.raises(InvalidGoodError):
+        GoodsBundle.from_valuations(costs[1], values[1], "x")

@@ -26,6 +26,7 @@ EVIDENCE_WRITES = [
     (CommunityPeer, "receive_witness_reports"),
     (EvidencePlane, "submit_records"),
     (EvidencePlane, "submit_complaint"),
+    (EvidencePlane, "submit_block"),
     (EvidencePlane, "request_witness_reports"),
     (EvidencePlane, "advance"),
     (EvidencePlane, "ingest_entry"),

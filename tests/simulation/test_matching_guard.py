@@ -32,9 +32,9 @@ def test_one_score_row_per_consumer_and_no_listing_comparisons(monkeypatch):
         counts["listing_eq"] += 1
         return original_eq(self, other)
 
-    def recording_trust_in_many(self, partner_ids, now=None):
+    def recording_trust_in_many(self, partner_ids, now=None, **kwargs):
         scored.append((self.peer_id, len(partner_ids)))
-        return original_trust_in_many(self, partner_ids, now=now)
+        return original_trust_in_many(self, partner_ids, now=now, **kwargs)
 
     def recording_matching(consumer_ids, listings, scores, *args, **kwargs):
         rounds.append((list(consumer_ids), len(listings), list(scored), scores.size))

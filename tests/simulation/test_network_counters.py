@@ -15,7 +15,7 @@ from repro.reputation.records import InteractionRecord
 from repro.simulation.community import CommunitySimulation
 from repro.simulation.evidence import EvidencePlane
 from repro.simulation.network import FixedLatency, NetworkCounters, SimulatedNetwork
-from repro.simulation.peer import CommunityPeer
+from repro.simulation.peer import CommunityPeer, WitnessQuestions
 from repro.workloads import build_registered_scenario
 
 
@@ -168,7 +168,10 @@ class TestEntryLedger:
         plane, origin, target, record = _two_peer_plane()
         # Give the witness something to report, synchronously applied.
         target.observe_outcomes([record])
-        plane.request_witness_reports([("origin", "target", "origin")])
+        by_id = {"origin": origin, "target": target}
+        plane.request_witness_reports(
+            WitnessQuestions.of_rows([("origin", "target", "origin")], by_id.get)
+        )
         plane.advance(20.0)
         counters = plane.counters
         # Pinned: witness request/reply messages are plain messages — they

@@ -9,7 +9,7 @@ pairs to grow the table past several capacity doublings, subjects that are
 no peer, and self-observations.  Every read a peer makes must be
 bit-identical to the reference: ``trust_in``, ``trust_in_many`` over plain
 names and over resolved columns, ``trust_in_with_witnesses``,
-``build_witness_reports`` and its batched form ``witness_reports_for``
+``build_witness_reports`` and its batched form ``WitnessQuestions.answers``
 under truthful and coalition witnesses, and the ``backend_for("beta")``
 snapshot.  The table's own batched read ``pair_beliefs`` must equal
 ``belief`` and ``observation_count`` of each pair key.
@@ -24,7 +24,7 @@ from repro.exceptions import TrustModelError
 from repro.reputation.records import InteractionRecord
 from repro.simulation.behaviors import CoalitionWitness, TruthfulWitness
 from repro.simulation.evidence import EvidencePlane
-from repro.simulation.peer import CommunityPeer, TrustMethod, witness_reports_for
+from repro.simulation.peer import CommunityPeer, TrustMethod, WitnessQuestions
 from repro.trust import (
     CommunityBetaTable,
     SubjectColumns,
@@ -62,6 +62,19 @@ def _peers(table):
         peers[name] = CommunityPeer(name, witness_policy=policy)
         peers[name].join_table(table)
     return peers
+
+
+def witness_reports_for(witness, subject_ids):
+    """``witness``'s batched answer about each subject (``None``: no report)."""
+    questions = WitnessQuestions.of_rows(
+        [(witness.peer_id, witness.peer_id, subject) for subject in subject_ids],
+        {witness.peer_id: witness}.get,
+    )
+    reports = [None] * len(subject_ids)
+    rows, sent = questions.answers()
+    for row, report in zip(rows.tolist(), sent):
+        reports[row] = report
+    return reports
 
 
 def _reference_reports(peer, backend, subject_ids):
@@ -117,9 +130,7 @@ def _check_reads(peers, references, names, table):
         assert peer.build_witness_reports(names) == _reference_reports(
             peer, reference, names
         )
-        batched = witness_reports_for(
-            [peer] * len(names), names, [peer.gid_of(subject) for subject in names]
-        )
+        batched = witness_reports_for(peer, names)
         assert [report for report in batched if report is not None] == (
             _reference_reports(peer, reference, names)
         )
@@ -278,7 +289,7 @@ class TestPairBeliefs:
     def test_queued_writes_are_applied_first(self):
         table = CommunityBetaTable()
         a = table.ids.intern("a")
-        table.observe(a, [TrustObservation("a", "b", honest=True)])
+        table.observe_columns([a], [table.ids.intern("b")], [True], [1.0])
         _, _, count = table.pair_beliefs([a], [table.gid("b")])
         assert count.tolist() == [1]
 
@@ -304,7 +315,7 @@ class TestBatchedWitnessAnswers:
         for name, peer in peers.items():
             peer_observations = [o for o in observations if o.observer_id == name]
             if peer_observations:
-                table.observe(table.ids.get(name), peer_observations)
+                table.update_many(peer_observations)
         references = {name: create_backend("beta") for name in OBSERVERS}
         for name, reference in references.items():
             reference.update_many([o for o in observations if o.observer_id == name])
@@ -321,7 +332,7 @@ class TestBatchedWitnessAnswers:
             for witness in ("o0", "o1", "o3")
             for subject in ("s1", "s3", "s5", "o2", "o1", "s1", "stranger")
         ]
-        plane.request_witness_reports(rows)
+        plane.request_witness_reports(WitnessQuestions.of_rows(rows, peers.get))
         for requester in ("o2", "o3"):
             expected = {}
             for _, witness, subject in (r for r in rows if r[0] == requester):
@@ -345,9 +356,7 @@ class TestBatchedWitnessAnswers:
         # beta after two observations, so sent as it is.  s1 (a member) is
         # vouched for.
         names = ["s5", "s3", "s1", "o1"]
-        batched = witness_reports_for(
-            [coalition] * len(names), names, [coalition.gid_of(n) for n in names]
-        )
+        batched = witness_reports_for(coalition, names)
         assert batched == [None, ("s3", 2.0, 2.0), ("s1", 21.0, 1.0), None]
         assert [r for r in batched if r is not None] == _reference_reports(
             coalition, references["o1"], names
@@ -369,7 +378,8 @@ class TestBatchedWitnessAnswers:
             for subject in ("x", "y", "m", "t", "nobody")
             for witness in ("t", "f")
         ]
-        plane.request_witness_reports(rows)
+        by_id = {peer.peer_id: peer for peer in (truthful, forger, requester)}
+        plane.request_witness_reports(WitnessQuestions.of_rows(rows, by_id.get))
         for subject in ("x", "y", "m", "t", "nobody"):
             expected = {
                 witness.peer_id: (alpha, beta)
@@ -381,8 +391,12 @@ class TestBatchedWitnessAnswers:
 
     def test_rows_whose_witness_is_the_requester_are_skipped(self):
         peers, _, plane = self._community()
-        plane.request_witness_reports([("o1", "o1", "s3"), ("o0", "o0", "s1")])
+        plane.request_witness_reports(
+            WitnessQuestions.of_rows([("o1", "o1", "s3"), ("o0", "o0", "s1")], peers.get)
+        )
         assert peers["o1"].witness_reports_about("s3") == {}
         assert peers["o0"].witness_reports_about("s1") == {}
-        plane.request_witness_reports([("o0", "o1", "s3")])
+        plane.request_witness_reports(
+            WitnessQuestions.of_rows([("o0", "o1", "s3")], peers.get)
+        )
         assert peers["o0"].witness_reports_about("s3") == {"o1": (2.0, 2.0)}

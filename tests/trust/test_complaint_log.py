@@ -200,3 +200,82 @@ class TestRestrictedRows:
         backend.file_complaint(Complaint("a", "b"))
         with pytest.raises(TrustModelError, match="restrict_rows"):
             backend.restrict_rows(lambda agent: True)
+
+
+# Batches of complaints among agents a0..a9, so later batches meet new agents.
+complaint_batches = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=0, max_value=5),
+        ).filter(lambda row: row[0] != row[1]),
+        max_size=6,
+    ),
+    max_size=8,
+)
+
+
+def _same_snapshots(left, right):
+    assert sorted(left) == sorted(right)
+    for key in left:
+        assert np.asarray(left[key]).tolist() == np.asarray(right[key]).tolist(), key
+
+
+class TestTaggedBatches:
+    """A tagged write ends exactly as one write per batch: the same log,
+    counters and row order (each batch's accused, then its complainants,
+    interned in complaint order)."""
+
+    @staticmethod
+    def _tagged(batches):
+        complaints, tags = [], []
+        for tag, batch in enumerate(batches):
+            for filer, accused, timestamp in batch:
+                complaints.append(Complaint(f"a{filer}", f"a{accused}", float(timestamp)))
+                tags.append(tag)
+        return complaints, tags
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=complaint_batches)
+    def test_plain_store(self, batches):
+        per_batch, tagged = ComplaintTrustBackend(), ComplaintTrustBackend()
+        complaints, tags = self._tagged(batches)
+        for tag in range(len(batches)):
+            per_batch.record_complaints(
+                [c for c, t in zip(complaints, tags) if t == tag]
+            )
+        tagged.record_complaints(complaints, tags)
+        _same_snapshots(per_batch.snapshot(), tagged.snapshot())
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches=complaint_batches)
+    def test_restricted_rows(self, batches):
+        def restricted():
+            backend = ComplaintTrustBackend()
+            backend.restrict_rows(lambda agent: int(agent[1:]) % 2 == 0)
+            return backend
+
+        per_batch, tagged = restricted(), restricted()
+        complaints, tags = self._tagged(batches)
+        for tag in range(len(batches)):
+            per_batch.record_complaints(
+                [c for c, t in zip(complaints, tags) if t == tag]
+            )
+        tagged.record_complaints(complaints, tags)
+        _same_snapshots(per_batch.snapshot(), tagged.snapshot())
+
+    @settings(max_examples=30, deadline=None)
+    @given(batches=complaint_batches)
+    def test_sharded_store(self, batches):
+        from repro.trust import create_backend
+
+        per_batch = create_backend("complaint", shards=3, router="range")
+        tagged = create_backend("complaint", shards=3, router="range")
+        complaints, tags = self._tagged(batches)
+        for tag in range(len(batches)):
+            per_batch.record_complaints(
+                [c for c, t in zip(complaints, tags) if t == tag]
+            )
+        tagged.record_complaints(complaints, tags)
+        _same_snapshots(per_batch.snapshot(), tagged.snapshot())
