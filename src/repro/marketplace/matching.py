@@ -6,10 +6,12 @@ prefers suppliers it estimates to be trustworthy — the "discover someone
 based on a profile (skills, reputations)" part of the paper's motivation.
 
 Trust-weighted matching reads one round's trust as a matrix: a row per
-consumer, a column per listing, filled by one batched backend query per
-consumer.  Selection then works on arrays: a boolean availability mask
-instead of removing taken listings from a list, and a running sum searched
-for the random draw instead of a per-listing loop.  It stays bit-identical
+consumer, a column per listing, filled by one round-level read
+(:func:`~repro.simulation.peer.trust_rows` in a simulation).  Selection
+then works on arrays: a boolean availability mask instead of removing
+taken listings from a list, each pick's weights taken from its consumer's
+row and floored alone, and a running sum searched for the random draw
+instead of a per-listing loop.  It stays bit-identical
 to that loop for the same scores and random state; the argument is in
 :func:`trust_weighted_matching`'s docstring.
 """
@@ -78,13 +80,15 @@ def trust_weighted_matching(
     ``allow_self_trade``.
 
     Each consumer's weights are the floored scores of the listings still
-    available, in listing order; the pick is one ``rng.uniform(0, total)``
-    draw located on their running sum (``rng.choice`` when every weight is
-    zero).  Same scores, same ``rng`` state: same matches and same ``rng``
-    state afterwards as the per-listing Python loop this replaced, because
+    available, in listing order, taken from its row for that pick alone;
+    the pick is one ``rng.uniform(0, total)`` draw located on their running
+    sum (``rng.choice`` when every weight is zero).  Same scores, same
+    ``rng`` state: same matches and same ``rng`` state afterwards as the
+    per-listing Python loop this replaced, because
 
-    - ``np.where(t > exploration, t, exploration)`` is exactly
-      ``max(exploration, t)``, NaN scores included (both give the floor);
+    - ``np.fmax(t, exploration)`` is ``max(exploration, t)``, NaN scores
+      included (both give the floor), up to the sign of a zero weight,
+      which no sum or comparison below can tell;
     - ``total`` is the built-in ``sum`` over the weights as Python floats,
       so an interpreter whose float ``sum`` is compensated (3.12) draws the
       same ``pick``;
@@ -123,17 +127,18 @@ def trust_weighted_matching(
             own = codes.get(consumer_id)
             if own is not None:
                 eligible = available & (supplier_codes != own)
-        candidates = np.flatnonzero(eligible)
+        candidates = eligible.nonzero()[0]
         if not len(candidates):
             continue
-        trust = scores[row, candidates]
-        weights = np.where(trust > exploration, trust, exploration)
+        # Only this pick's weights are taken and floored, in place.
+        weights = scores[row].take(candidates)
+        np.fmax(weights, exploration, out=weights)
         total_weight = total(weights.tolist())
         if total_weight <= 0:
             chosen = rng.choice(candidates)
         else:
             pick = rng.uniform(0.0, total_weight)
-            position = int(np.searchsorted(np.cumsum(weights), pick, side="left"))
+            position = int(weights.cumsum().searchsorted(pick, side="left"))
             chosen = candidates[min(position, len(candidates) - 1)]
         available[chosen] = False
         matches.append((consumer_id, listings[chosen]))

@@ -57,6 +57,7 @@ from repro.simulation.peer import (
     RecordBlock,
     WitnessQuestions,
     trust_in_pairs,
+    trust_rows,
 )
 from repro.simulation.rng import RandomStreams
 from repro.trust import CommunityBetaTable
@@ -450,23 +451,22 @@ class CommunitySimulation:
         rng = self._streams("matching")
         if self._config.matching != "trust":
             return random_matching(consumer_ids, listings, rng)
-        now = float(round_index)
-        # One batched read per consumer fills its score row, asked in
-        # listing order so column j is listing j's supplier (each supplier
-        # posts at most one listing per round).  The suppliers' names are
-        # resolved in the community table once, so a consumer's row costs
-        # only the partners it knows, and each complaint store is read
-        # once for every consumer that reads it.
-        supplier_ids = self._beta.columns(
-            [listing.supplier_id for listing in listings]
-        )
-        scores = np.empty((len(consumer_ids), len(listings)))
-        complaint_rows: Dict[int, np.ndarray] = {}
-        for row, consumer in enumerate(consumers):
-            scores[row] = consumer.trust_in_many(
-                supplier_ids, now=now, complaint_rows=complaint_rows
+        # One round-level read fills the score matrix, a row per consumer
+        # and a column per listing's supplier (each supplier posts at most
+        # one listing per round).  The suppliers' names are resolved in the
+        # community table once, the consumers' beta cells are gathered from
+        # the subjects they know, and each complaint store is read once.
+        telemetry = self._telemetry
+        with telemetry.span("match.score"):
+            scores = trust_rows(
+                consumers,
+                self._beta.columns([listing.supplier_id for listing in listings]),
+                float(round_index),
+                telemetry,
             )
-        return trust_weighted_matching(consumer_ids, listings, scores, rng)
+        telemetry.count("match.score_cells", scores.size)
+        with telemetry.span("match.select"):
+            return trust_weighted_matching(consumer_ids, listings, scores, rng)
 
     def _prepare_matches(
         self, matches: List[Tuple[str, Listing]], timestamp: float

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import functools
 import random
 from operator import attrgetter
 from typing import (
@@ -24,6 +23,7 @@ import numpy as np
 
 from repro.core.exchange import Role
 from repro.exceptions import SimulationError
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.reputation.records import InteractionRecord
 from repro.simulation.behaviors import (
     BehaviorModel,
@@ -49,9 +49,9 @@ __all__ = [
     "WitnessQuestions",
     "observe_block",
     "trust_in_pairs",
+    "trust_rows",
 ]
 
-_Read = TypeVar("_Read")
 _Owner = TypeVar("_Owner")
 
 #: A witness report on the wire: ``(subject_id, alpha, beta)``.
@@ -174,7 +174,7 @@ class CommunityPeer:
         )
 
     # ------------------------------------------------------------------
-    # Trust backends and the one trust-method dispatch
+    # Trust backends
     # ------------------------------------------------------------------
     def _beta_table(self) -> CommunityBetaTable:
         """The table holding this peer's beta evidence (private until joined)."""
@@ -224,30 +224,6 @@ class CommunityPeer:
             f"unknown trust method {method!r}; valid names: {TrustMethod.ALL}"
         )
 
-    def _by_method(
-        self,
-        read_beta: Callable[[CommunityBetaTable], _Read],
-        read_decay: Callable[[TrustBackend], _Read],
-        read_complaint: Callable[[TrustBackend], _Read],
-        combine: Callable[[_Read, _Read], _Read],
-    ) -> _Read:
-        """Answer a trust read with the peer's configured method.
-
-        ``read_beta`` queries the beta table, ``read_decay`` the decay
-        backend and ``read_complaint`` the complaint backend; the method's
-        :meth:`TrustMethod.reads_of` are ``combine``d (COMBINED: the minimum
-        of the beta and complaint reads).
-        """
-        reads = [
-            read_beta(self._beta_table())
-            if read == TrustMethod.BETA
-            else read_complaint(self._complaint)
-            if read == TrustMethod.COMPLAINT
-            else read_decay(self.backend_for(read))
-            for read in TrustMethod.reads_of(self.trust_method)
-        ]
-        return functools.reduce(combine, reads)
-
     def gid_of(self, partner_id: str, partner: Optional["CommunityPeer"] = None) -> int:
         """``partner_id``'s gid in this peer's beta table (-1: it has none).
 
@@ -272,35 +248,15 @@ class CommunityPeer:
         )
 
     def trust_in_many(
-        self,
-        partner_ids: Sequence[str],
-        now: Optional[float] = None,
-        complaint_rows: Optional[Dict[int, np.ndarray]] = None,
+        self, partner_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
         """Vectorized trust estimates for a batch of prospective partners.
 
-        ``partner_ids`` may be :class:`~repro.trust.community.SubjectColumns`
-        already resolved in the peer's table (the round resolves its listed
-        suppliers once); plain names are resolved first.  A caller reading
-        many peers' rows over the same ``partner_ids`` may pass one
-        ``complaint_rows`` dict to every call: each distinct complaint
-        backend is then read once, and its row reused.
+        One row of :func:`trust_rows`.  ``partner_ids`` may be
+        :class:`~repro.trust.community.SubjectColumns` already resolved in
+        the peer's table; plain names are resolved first.
         """
-
-        def read_complaint(complaint: TrustBackend) -> np.ndarray:
-            if complaint_rows is None:
-                return complaint.scores_for(partner_ids)
-            row = complaint_rows.get(id(complaint))
-            if row is None:
-                row = complaint_rows[id(complaint)] = complaint.scores_for(partner_ids)
-            return row
-
-        return self._by_method(
-            lambda table: table.row(self._gid, table.columns(partner_ids)),
-            lambda backend: backend.scores_for(partner_ids, now=now),
-            read_complaint,
-            np.minimum,
-        )
+        return trust_rows((self,), partner_ids, now)[0]
 
     def observe_outcome(self, record: InteractionRecord) -> None:
         """Feed an interaction outcome back into the peer's trust backends."""
@@ -471,22 +427,23 @@ class CommunityPeer:
         )
         discounts = np.clip(alpha[1:] / (alpha[1:] + beta[1:]), 0.0, 1.0)
 
-        def read_beta(_table: CommunityBetaTable) -> float:
-            combined_alpha, combined_beta = combine_beta_evidence_matrix(
-                alpha[:1], beta[:1], matrix, discounts
-            )
-            return float(combined_alpha[0] / (combined_alpha[0] + combined_beta[0]))
-
-        return self._by_method(
-            read_beta,
-            lambda backend: float(
-                backend.aggregate_witness_reports(
+        reads = []
+        for read in TrustMethod.reads_of(self.trust_method):
+            if read == TrustMethod.BETA:
+                combined_alpha, combined_beta = combine_beta_evidence_matrix(
+                    alpha[:1], beta[:1], matrix, discounts
+                )
+                reads.append(
+                    float(combined_alpha[0] / (combined_alpha[0] + combined_beta[0]))
+                )
+            elif read == TrustMethod.COMPLAINT:
+                reads.append(self._complaint.score(partner_id))
+            else:
+                aggregated = self.backend_for(read).aggregate_witness_reports(
                     (partner_id,), matrix, discounts, now=now
-                )[0]
-            ),
-            lambda complaint: complaint.score(partner_id),
-            min,
-        )
+                )
+                reads.append(float(aggregated[0]))
+        return min(reads)
 
     @property
     def true_honesty(self) -> float:
@@ -577,6 +534,60 @@ def trust_in_pairs(
                 scores[row] = observer.trust_in_with_witnesses(
                     subject_id, now, int(gids[row])
                 )
+    return scores
+
+
+def trust_rows(
+    observers: Sequence[CommunityPeer],
+    names: Sequence[str],
+    now: Optional[float] = None,
+    telemetry: MetricsRegistry = NULL_REGISTRY,
+) -> np.ndarray:
+    """``observers[i].trust_in_many(names)`` as row ``i`` of one matrix.
+
+    ``names`` may be :class:`~repro.trust.community.SubjectColumns`
+    resolved in the observers' beta table (a round resolves its listed
+    suppliers once).  A row's trust is the minimum of its method's
+    :meth:`TrustMethod.reads_of`, folded in that order (in place when one
+    backend answers every row): the beta read is one
+    :meth:`~repro.trust.community.CommunityBetaTable.rows` call per beta
+    table; the complaint read is one ``scores_for`` per distinct complaint
+    backend, broadcast to its rows, the decay read one per observer's decay
+    backend.  A row without a beta read starts at ``inf``, which the
+    minimum leaves bit for bit, NaN included.  ``match.known_cells``
+    counts the cells the beta reads filled from first-hand evidence.
+    """
+    methods = [observer.trust_method for observer in observers]
+    reads = {method: TrustMethod.reads_of(method) for method in set(methods)}
+
+    def reading(source: str) -> List[int]:
+        return [row for row, method in enumerate(methods) if source in reads[method]]
+
+    rows = reading(TrustMethod.BETA)
+    tables = [observers[row]._beta_table() for row in rows]
+    gids = np.fromiter(
+        map(attrgetter("_gid"), observers), dtype=np.int64, count=len(observers)
+    )
+    groups = _grouped(rows, tables)
+    if len(groups) == 1 and len(rows) == len(observers):
+        table = tables[0]
+        scores, known = table.rows(gids, table.columns(names))
+    else:
+        scores = np.full((len(observers), len(names)), np.inf)
+        known = 0
+        for table, group in groups:
+            scores[group], filled = table.rows(gids[group], table.columns(names))
+            known += filled
+    for source in (TrustMethod.COMPLAINT, TrustMethod.DECAY):
+        rows = reading(source)
+        owners = [observers[row].backend_for(source) for row in rows]
+        for backend, group in _grouped(rows, owners):
+            read = backend.scores_for(names, now=now)
+            if len(group) == len(observers):
+                np.minimum(scores, read, out=scores)
+            else:
+                scores[group] = np.minimum(scores[group], read)
+    telemetry.count("match.known_cells", known)
     return scores
 
 

@@ -185,6 +185,61 @@ class TestListingsLayer:
         assert "listings.sample" in output
 
 
+class TestMatchingLayer:
+    """The round's match scoring and selection have a span each, and the
+    score read counts its cells and those filled from evidence."""
+
+    def test_snapshot_counts_every_score_cell_under_one_span_each_per_round(self):
+        import repro.simulation.community as community_module
+
+        registry = MetricsRegistry()
+        scenario = build_registered_scenario(
+            "flash-crowd", size=12, rounds=4, seed=3, telemetry=registry
+        )
+        simulation = scenario.simulation()
+        cells = []
+        known = []
+        original = community_module.trust_rows
+
+        def counting_read(observers, names, *args, **kwargs):
+            table = simulation.beta_table
+            gids = table.columns(names).column_of
+            known.append(
+                sum(
+                    subject in gids
+                    for peer in observers
+                    for subject in table._known.get(peer._gid, ([], []))[0]
+                )
+            )
+            cells.append(len(observers) * len(names))
+            return original(observers, names, *args, **kwargs)
+
+        community_module.trust_rows = counting_read
+        try:
+            simulation.run()
+        finally:
+            community_module.trust_rows = original
+        snapshot = registry.snapshot()
+        assert snapshot["metrics"]["match.score_cells"] == sum(cells) > 0
+        assert snapshot["metrics"]["match.known_cells"] == sum(known) > 0
+        assert snapshot["timings"]["match.score"]["count"] == 4
+        assert snapshot["timings"]["match.select"]["count"] == 4
+
+    def test_run_summary_shows_the_counters_and_the_spans(self, capsys):
+        from repro.cli import main
+
+        exit_code = main(
+            [
+                "run", "--scenario", "flash-crowd", "--size", "12",
+                "--rounds", "3", "--seed", "3", "--telemetry", "summary",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        for name in ("match.score_cells", "match.known_cells", "match.score", "match.select"):
+            assert name in output
+
+
 class TestRunSummaryPrintsEveryMetric:
     def test_no_metric_is_cut_from_the_summary(self, capsys):
         from repro.cli import main

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.core.exchange import Role
-from repro.simulation.community import CommunitySimulation
 from repro.simulation.evidence import EvidencePlane
 from repro.simulation.peer import CommunityPeer
 from repro.simulation.rng import RandomStreams
@@ -213,9 +212,9 @@ def test_witness_positions_draw_as_the_names_did():
 
 
 def test_one_complaint_read_per_store_fills_every_consumer_row(monkeypatch):
-    """Under COMPLAINT and COMBINED the round reads the shared complaint
-    store once for its whole score matrix, and every row equals the
-    consumer's own ``trust_in_many``."""
+    """Under COMPLAINT and COMBINED the round's score read, ``trust_rows``,
+    reads the shared complaint store once for its whole score matrix, and
+    every row equals the consumer's own ``trust_in_many``."""
     checked = Counter()
     for method in ("complaint", "combined"):
         scenario = build_registered_scenario(
@@ -224,16 +223,16 @@ def test_one_complaint_read_per_store_fills_every_consumer_row(monkeypatch):
         simulation = scenario.simulation()
         store = scenario.complaint_store
         phase = {"matching": False}
-        original_build = CommunitySimulation._build_matches
-        original_read = vars(type(store))["scores_for"]
         import repro.simulation.community as community_module
 
+        original_rows = community_module.trust_rows
+        original_read = vars(type(store))["scores_for"]
         original_select = community_module.trust_weighted_matching
 
-        def build(self, round_index):
+        def rows(*args, **kwargs):
             phase["matching"] = True
             try:
-                return original_build(self, round_index)
+                return original_rows(*args, **kwargs)
             finally:
                 phase["matching"] = False
 
@@ -244,16 +243,14 @@ def test_one_complaint_read_per_store_fills_every_consumer_row(monkeypatch):
 
         def select(consumer_ids, listings, scores, rng):
             suppliers = [listing.supplier_id for listing in listings]
-            phase["matching"] = False
             for consumer_id, row in zip(consumer_ids, scores):
                 consumer = simulation.peer_by_id(consumer_id)
                 expected = consumer.trust_in_many(suppliers)
                 assert row.tobytes() == expected.tobytes()
                 checked[method, "rows"] += 1
-            phase["matching"] = True
             return original_select(consumer_ids, listings, scores, rng)
 
-        monkeypatch.setattr(CommunitySimulation, "_build_matches", build)
+        monkeypatch.setattr(community_module, "trust_rows", rows)
         monkeypatch.setattr(type(store), "scores_for", read)
         monkeypatch.setattr(community_module, "trust_weighted_matching", select)
         simulation.run()

@@ -1,8 +1,9 @@
 """Complexity guard of trust-weighted matching (deterministic, no timing).
 
 Each round the consumers' trust in the listed suppliers is read as one score
-matrix: exactly one batched ``trust_in_many`` call per consumer, each asking
-about every listing.  Selection works on that matrix and never compares
+matrix: exactly one round-level ``trust_rows`` read, its observers the
+round's consumers in order and its names every listing, and no per-consumer
+``trust_in_many`` call.  Selection works on that matrix and never compares
 ``Listing`` objects (the old loop paid one dataclass ``__eq__`` per scan step
 of ``list.remove``).
 
@@ -26,15 +27,21 @@ def test_one_score_row_per_consumer_and_no_listing_comparisons(monkeypatch):
     rounds = []  # (consumer ids, listing count, score rows, weights) per round
     original_eq = Listing.__eq__
     original_trust_in_many = CommunityPeer.trust_in_many
+    original_trust_rows = community_module.trust_rows
     original_matching = community_module.trust_weighted_matching
 
     def counting_eq(self, other):
         counts["listing_eq"] += 1
         return original_eq(self, other)
 
-    def recording_trust_in_many(self, partner_ids, now=None, **kwargs):
-        scored.append((self.peer_id, len(partner_ids)))
-        return original_trust_in_many(self, partner_ids, now=now, **kwargs)
+    def counting_trust_in_many(self, *args, **kwargs):
+        counts["trust_in_many"] += 1
+        return original_trust_in_many(self, *args, **kwargs)
+
+    def recording_trust_rows(observers, names, *args, **kwargs):
+        counts["trust_rows"] += 1
+        scored.extend((peer.peer_id, len(names)) for peer in observers)
+        return original_trust_rows(observers, names, *args, **kwargs)
 
     def recording_matching(consumer_ids, listings, scores, *args, **kwargs):
         rounds.append((list(consumer_ids), len(listings), list(scored), scores.size))
@@ -42,7 +49,8 @@ def test_one_score_row_per_consumer_and_no_listing_comparisons(monkeypatch):
         return original_matching(consumer_ids, listings, scores, *args, **kwargs)
 
     monkeypatch.setattr(Listing, "__eq__", counting_eq)
-    monkeypatch.setattr(CommunityPeer, "trust_in_many", recording_trust_in_many)
+    monkeypatch.setattr(CommunityPeer, "trust_in_many", counting_trust_in_many)
+    monkeypatch.setattr(community_module, "trust_rows", recording_trust_rows)
     monkeypatch.setattr(community_module, "trust_weighted_matching", recording_matching)
 
     scenario = build_registered_scenario("flash-crowd", size=24, rounds=4, seed=0)
@@ -53,7 +61,8 @@ def test_one_score_row_per_consumer_and_no_listing_comparisons(monkeypatch):
 
     assert result.accounts.attempted > 0
     assert counts["listing_eq"] == 0
-    assert len(rounds) == 4
+    assert counts["trust_in_many"] == 0
+    assert len(rounds) == counts["trust_rows"] == 4
     # The crowd arrives: later rounds match more consumers.
     assert len(rounds[-1][0]) > len(rounds[0][0])
     for consumer_ids, listing_count, rows, weights in rounds:

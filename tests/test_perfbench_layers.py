@@ -61,7 +61,7 @@ def test_traced_run_records_known_spans_and_restores_every_point():
     with LAYERS.installed(LAYERS.Tracer()) as tracer:
         scenario.simulation().run()
     names = {name for name, _start, _end, _parent in tracer.spans}
-    assert {"exchange.run", "match.score"} <= names
+    assert {"exchange.run", "match.select"} <= names
     assert names <= set(LAYERS.TIMED_LAYERS)
     assert tracer.counts["exchange.run_calls"] > 0
     assert [vars(owner)[attribute] for owner, attribute, *_ in WRAP_POINTS] == originals

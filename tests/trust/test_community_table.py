@@ -246,14 +246,16 @@ class TestColumns:
         assert table.columns(columns) is columns
         assert list(columns) == ["b", "c", "b"] and len(columns) == 3
         observer = table.ids.get("a")
-        assert table.row(observer, columns).tolist() == [2 / 3, 0.5, 2 / 3]
+        scores, known = table.rows([observer], columns)
+        assert scores.tolist() == [[2 / 3, 0.5, 2 / 3]] and known == 1
 
     def test_columns_of_another_table_are_resolved_again(self):
         first, second = CommunityBetaTable(), CommunityBetaTable()
         second.update_many([TrustObservation("a", "b", honest=False)])
         columns = first.columns(["b"])
         observer = second.ids.get("a")
-        assert second.row(observer, second.columns(columns)).tolist() == [1 / 3]
+        scores, _ = second.rows([observer], second.columns(columns))
+        assert scores.tolist() == [[1 / 3]]
 
 
 class TestPairBeliefs:
