@@ -8,19 +8,22 @@ dispatch per row instead of one per batch.  This rule flags known scalar
 methods and functions called inside ``for``/``while`` bodies or
 comprehensions when a batched equivalent exists on the same interface:
 
-==================  =======================
-scalar call         batched equivalent
-==================  =======================
-``assess``          ``assess_many``
-``decide``          ``decide_many``
-``belief``          ``scores_for``
-``file_complaint``  ``record_complaints``
-``counts``          ``metrics_for``
-``trust_decision``  ``trust_decisions``
-``score_of``        ``scores_for``
-``plan_exchange``   ``plan_exchange_batch``
-``trust_in``        ``trust_in_pairs``
-==================  =======================
+====================  =======================
+scalar call           batched equivalent
+====================  =======================
+``assess``            ``assess_many``
+``decide``            ``decide_many``
+``belief``            ``scores_for``
+``file_complaint``    ``record_complaints``
+``counts``            ``metrics_for``
+``trust_decision``    ``trust_decisions``
+``score_of``          ``scores_for``
+``plan_exchange``     ``plan_exchange_batch``
+``trust_in``          ``trust_in_pairs``
+``execute_sequence``  ``execute_many``
+``run_exchange``      ``run_exchanges``
+``will_defect``       ``execute_many``
+====================  =======================
 
 A call matches by the name it is made through, ``obj.plan_exchange(...)``
 and ``plan_exchange(...)`` alike.
@@ -49,6 +52,9 @@ SCALAR_TO_BATCH = {
     "score_of": "scores_for",
     "plan_exchange": "plan_exchange_batch",
     "trust_in": "trust_in_pairs",
+    "execute_sequence": "execute_many",
+    "run_exchange": "run_exchanges",
+    "will_defect": "execute_many",
 }
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor)

@@ -18,14 +18,15 @@ quantities the safety analysis revolves around are derived:
   received).
 
 :class:`ExchangeState` is the reference model of one state.  A sequence's
-planner and executor read its :class:`TemptationProfile` instead, which
-holds the same per-state quantities, bit for bit, from one walk over the
-actions (or, for a batch of planned schedules, from one array pass over all
-of them).
+planner reads its :class:`TemptationProfile` instead, which holds the same
+per-state quantities, bit for bit, from one walk over the actions.  A batch
+of planned schedules keeps them as one :class:`ProfileBlock`: flat arrays
+over every schedule's states, from one array pass over all of them.
 
 A batch planner returns each :class:`ExchangeSequence` in a columnar
-*planned* form, validated as arrays, which an executor runs from the step
-owners and the profile without building any :class:`ExchangeAction`.
+*planned* form, a row of its block, validated as arrays, which an executor
+runs from the block without building any :class:`ExchangeAction` or tuple
+profile.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "ExchangeAction",
     "ExchangeState",
     "TemptationProfile",
+    "ProfileBlock",
     "ExchangeSequence",
 ]
 
@@ -354,8 +356,8 @@ class TemptationProfile:
         prices: np.ndarray,
         payments: np.ndarray,
         paying: np.ndarray,
-    ) -> List["TemptationProfile"]:
-        """:meth:`build` for ``m`` schedules of ``k`` goods each, as arrays.
+    ) -> "ProfileBlock":
+        """:meth:`build` for ``m`` schedules of ``k`` goods each, as one block.
 
         Row ``i`` describes the schedule the planner builds: before its
         ``p``-th delivery it pays ``payments[i, p]`` if ``paying[i, p]``,
@@ -369,7 +371,9 @@ class TemptationProfile:
         valuations in bundle order, so they round as :meth:`build`'s
         :func:`total` calls do.  The payment walk and the per-state
         differences are the same float operations, one column at a time, so
-        every profile equals :meth:`build`'s bit for bit.
+        every row of the returned :class:`ProfileBlock` equals
+        :meth:`build`'s profile bit for bit.  The block also keeps the
+        schedule arrays, from which a row's actions are built on demand.
         """
         count, size = costs.shape
         rows = np.arange(count)[:, None]
@@ -396,6 +400,7 @@ class TemptationProfile:
         # State columns: the initial state, then per delivery p a payment
         # state and a delivery state, then the final payment state.
         deliveries = [0]
+        is_delivery = [False]
         active = [np.ones(count, dtype=bool)]
         paid = np.zeros(count)
         paid_after = [paid]
@@ -414,10 +419,12 @@ class TemptationProfile:
                 paying_now, np.where(prices < new_paid, prices, new_paid), paid
             )
             deliveries.append(position)
+            is_delivery.append(False)
             active.append(paying_now)
             paid_after.append(paid)
             if position < size:
                 deliveries.append(position + 1)
+                is_delivery.append(True)
                 active.append(np.ones(count, dtype=bool))
                 paid_after.append(paid)
         columns = np.array(deliveries)
@@ -429,6 +436,14 @@ class TemptationProfile:
             0.0,
             remaining_payment,
         )
+        starts = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(is_state.sum(axis=1), out=starts[1:])
+        # The step leaving a state is the one that reaches the row's next
+        # state, so the supplier acts there when that state is a delivery.
+        delivers = np.broadcast_to(np.array(is_delivery), is_state.shape)[is_state]
+        supplier_acts = np.zeros_like(delivers)
+        supplier_acts[:-1] = delivers[1:]
+        supplier_acts[starts[1:] - 1] = False
         fields = [
             remaining_cost[:, columns] - remaining_payment,
             remaining_payment - remaining_value[:, columns],
@@ -437,13 +452,110 @@ class TemptationProfile:
             paid_matrix,
             np.broadcast_to(columns, is_state.shape),
         ]
-        flat = [field[is_state].tolist() for field in fields]
-        ends = np.cumsum(is_state.sum(axis=1)).tolist()
-        starts = [0] + ends[:-1]
-        return [
-            cls(*(tuple(entries[start:end]) for entries in flat))
-            for start, end in zip(starts, ends)
-        ]
+        return ProfileBlock(
+            *(field[is_state] for field in fields),
+            starts,
+            supplier_acts,
+            schedule=(order, payments, paying),
+        )
+
+
+@dataclass(eq=False)
+class ProfileBlock:
+    """The temptation profiles of a batch of schedules, as flat arrays.
+
+    Row ``i``'s states are entries ``starts[i]:starts[i + 1]`` of the six
+    per-state fields, in the order and with the values of
+    :class:`TemptationProfile`'s fields; ``supplier_acts[s]`` is ``True``
+    when the supplier acts at the step leaving state ``s`` (``False`` at a
+    row's final state, which no step leaves).  A batch planner's block
+    (:meth:`TemptationProfile.build_many`) also keeps its ``schedule``: the
+    delivery order, payment slots and paying mask its rows were built
+    from.  An executor reads the block directly; :meth:`profile` builds one
+    row's tuple :class:`TemptationProfile` for readers that want it.
+    """
+
+    supplier_temptation: np.ndarray
+    consumer_temptation: np.ndarray
+    supplier_utility: np.ndarray
+    consumer_utility: np.ndarray
+    paid: np.ndarray
+    delivered: np.ndarray
+    starts: np.ndarray
+    supplier_acts: np.ndarray
+    schedule: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    _maxima: Optional[Tuple[List[float], List[float]]] = field(
+        default=None, init=False, repr=False
+    )
+
+    @classmethod
+    def of_sequences(cls, sequences: Sequence["ExchangeSequence"]) -> "ProfileBlock":
+        """One block of the sequences' own profiles and step owners."""
+        profiles = [sequence.profile for sequence in sequences]
+        lengths = [len(profile.paid) for profile in profiles]
+        starts = np.zeros(len(profiles) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        supplier_acts = np.fromiter(
+            (
+                acts
+                for sequence in sequences
+                for acts in sequence.actors + (False,)
+            ),
+            dtype=bool,
+            count=int(starts[-1]),
+        )
+
+        def flat(name: str, dtype: type) -> np.ndarray:
+            return np.fromiter(
+                (entry for profile in profiles for entry in getattr(profile, name)),
+                dtype=dtype,
+                count=int(starts[-1]),
+            )
+
+        return cls(
+            flat("supplier_temptation", np.float64),
+            flat("consumer_temptation", np.float64),
+            flat("supplier_utility", np.float64),
+            flat("consumer_utility", np.float64),
+            flat("paid", np.float64),
+            flat("delivered", np.int64),
+            starts,
+            supplier_acts,
+        )
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def profile(self, row: int) -> TemptationProfile:
+        """Row ``row`` as a tuple :class:`TemptationProfile`, bit for bit."""
+        start, end = int(self.starts[row]), int(self.starts[row + 1])
+        return TemptationProfile(
+            tuple(self.supplier_temptation[start:end].tolist()),
+            tuple(self.consumer_temptation[start:end].tolist()),
+            tuple(self.supplier_utility[start:end].tolist()),
+            tuple(self.consumer_utility[start:end].tolist()),
+            tuple(self.paid[start:end].tolist()),
+            tuple(self.delivered[start:end].tolist()),
+        )
+
+    def actors(self, row: int) -> Tuple[bool, ...]:
+        """Per step of row ``row``, ``True`` when the supplier acts."""
+        start, end = int(self.starts[row]), int(self.starts[row + 1])
+        return tuple(self.supplier_acts[start : end - 1].tolist())
+
+    def max_temptations(self, row: int) -> Tuple[float, float]:
+        """Row ``row``'s largest supplier and consumer temptations.
+
+        One ``np.maximum.reduceat`` per field over the whole block, on the
+        first read; ``max`` over a row's tuple gives the same value.
+        """
+        if self._maxima is None:
+            offsets = self.starts[:-1]
+            self._maxima = (
+                np.maximum.reduceat(self.supplier_temptation, offsets).tolist(),
+                np.maximum.reduceat(self.consumer_temptation, offsets).tolist(),
+            )
+        return self._maxima[0][row], self._maxima[1][row]
 
 
 class ExchangeSequence:
@@ -455,16 +567,19 @@ class ExchangeSequence:
       validated on construction: every good of the bundle must be
       delivered exactly once, every payment must be positive and the
       payments must add up to the agreed price;
-    * the *planned* form, :meth:`planned`, holds one row of a batch
-      planner's arrays (the delivery order, the ``k + 1`` payment slots and
-      which of them are paid) together with the row's batch-built
-      :class:`TemptationProfile`.  :meth:`validate_planned` has checked the
-      same rules for the whole batch as array operations, so the planned
-      form builds its :class:`ExchangeAction` tuple only when something
-      reads :attr:`actions` (or iterates, renders or replays it).
+    * the *planned* form, :meth:`planned`, is one row of a batch
+      planner's :class:`ProfileBlock` (which keeps the delivery order, the
+      ``k + 1`` payment slots and which of them are paid, beside the
+      profiles).  :meth:`validate_planned` has checked the same rules for
+      the whole batch as array operations, so the planned form builds its
+      :class:`ExchangeAction` tuple only when something reads
+      :attr:`actions` (or iterates, renders or replays it), and its tuple
+      :attr:`profile` only when something reads that.
 
-    :attr:`actors` and :attr:`profile` are all an executor reads; the
-    planned form has both without building its actions.
+    An executor reads a planned row from its block (:attr:`planned_row`);
+    an actions-form sequence is executed from a block of its own
+    :attr:`profile` and :attr:`actors`
+    (:meth:`ProfileBlock.of_sequences`).
     """
 
     __slots__ = ("_bundle", "_price", "_actions", "_profile", "_actors", "_planned")
@@ -480,34 +595,29 @@ class ExchangeSequence:
         self._actions: Optional[Tuple[ExchangeAction, ...]] = tuple(actions)
         self._profile: Optional[TemptationProfile] = None
         self._actors: Optional[Tuple[bool, ...]] = None
-        self._planned: Optional[Tuple[List[int], List[float], List[bool]]] = None
+        self._planned: Optional[Tuple[ProfileBlock, int]] = None
         self._validate()
 
     @classmethod
     def planned(
-        cls,
-        bundle: GoodsBundle,
-        price: float,
-        items: List[int],
-        chunks: List[float],
-        pays: List[bool],
-        profile: TemptationProfile,
+        cls, bundle: GoodsBundle, price: float, block: ProfileBlock, row: int
     ) -> "ExchangeSequence":
-        """One row of a batch-planned schedule, validated by the batch.
+        """Row ``row`` of a batch-planned block, validated by the batch.
 
-        Before its ``p``-th delivery the schedule pays ``chunks[p]`` if
-        ``pays[p]``, then delivers bundle item ``items[p]``; at the end it
-        pays ``chunks[k]`` if ``pays[k]``.  The row must have passed
-        :meth:`validate_planned`, and ``profile`` must equal what
-        :meth:`TemptationProfile.build` returns for the actions.
+        Before its ``p``-th delivery the schedule pays ``payments[row, p]``
+        if ``paying[row, p]``, then delivers bundle item ``order[row, p]``;
+        at the end it pays ``payments[row, k]`` if ``paying[row, k]``
+        (``block.schedule`` is ``(order, payments, paying)``).  The row must
+        have passed :meth:`validate_planned`, and the block must come from
+        :meth:`TemptationProfile.build_many` over the same arrays.
         """
         sequence = cls.__new__(cls)
         sequence._bundle = bundle
         sequence._price = float(price)
         sequence._actions = None
-        sequence._profile = profile
+        sequence._profile = None
         sequence._actors = None
-        sequence._planned = (items, chunks, pays)
+        sequence._planned = (block, row)
         return sequence
 
     @staticmethod
@@ -592,10 +702,22 @@ class ExchangeSequence:
         return self._price
 
     @property
+    def planned_row(self) -> Optional[Tuple[ProfileBlock, int]]:
+        """``(block, row)`` of a planned sequence; ``None`` in the actions form."""
+        return self._planned
+
+    @property
     def actions(self) -> Tuple[ExchangeAction, ...]:
         if self._actions is None:
             assert self._planned is not None
-            self._actions = tuple(_planned_actions(self._bundle.goods, *self._planned))
+            block, row = self._planned
+            assert block.schedule is not None
+            self._actions = tuple(
+                _planned_actions(
+                    self._bundle.goods,
+                    *(column[row].tolist() for column in block.schedule),
+                )
+            )
         return self._actions
 
     @property
@@ -607,15 +729,7 @@ class ExchangeSequence:
                     action.kind is ActionKind.DELIVER for action in self.actions
                 )
             else:
-                pays = self._planned[2]
-                actors: List[bool] = []
-                for pay in pays[:-1]:
-                    if pay:
-                        actors.append(False)
-                    actors.append(True)
-                if pays[-1]:
-                    actors.append(False)
-                self._actors = tuple(actors)
+                self._actors = self._planned[0].actors(self._planned[1])
         return self._actors
 
     def __len__(self) -> int:
@@ -676,21 +790,30 @@ class ExchangeSequence:
 
     @property
     def profile(self) -> TemptationProfile:
-        """The schedule's per-state temptations and utilities, built once."""
+        """The schedule's per-state temptations and utilities, built once.
+
+        A planned sequence reads it off its block's row on first access."""
         if self._profile is None:
-            self._profile = TemptationProfile.build(
-                self._bundle, self._price, self.actions
-            )
+            if self._planned is not None:
+                self._profile = self._planned[0].profile(self._planned[1])
+            else:
+                self._profile = TemptationProfile.build(
+                    self._bundle, self._price, self.actions
+                )
         return self._profile
 
     @property
     def max_supplier_temptation(self) -> float:
         """Largest supplier temptation reached anywhere in the schedule."""
+        if self._planned is not None:
+            return self._planned[0].max_temptations(self._planned[1])[0]
         return max(self.profile.supplier_temptation)
 
     @property
     def max_consumer_temptation(self) -> float:
         """Largest consumer temptation reached anywhere in the schedule."""
+        if self._planned is not None:
+            return self._planned[0].max_temptations(self._planned[1])[1]
         return max(self.profile.consumer_temptation)
 
     def describe(self) -> str:

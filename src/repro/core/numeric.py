@@ -9,7 +9,7 @@ by floating point rounding.
 from __future__ import annotations
 
 import sys
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -53,42 +53,66 @@ def total(values: Iterable[float]) -> float:
     return float(sum(values))
 
 
-def sequential_total_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
+def _lines(values: np.ndarray, axis: int) -> np.ndarray:
+    """``values`` as float64 with ``axis`` moved to the front."""
+    values = np.asarray(values, dtype=np.float64)
+    return values if values.ndim == 1 else np.moveaxis(values, axis, 0)
+
+
+def sequential_total_rows(
+    values: np.ndarray, axis: int = -1, running: Optional[np.ndarray] = None
+) -> np.ndarray:
     """:func:`total` along ``axis``, as the built-in ``sum`` before Python 3.12.
 
     Each line of ``values`` along ``axis`` (the last by default) holds the
-    summands of one total; the result drops that axis.  The summands are
-    added in order from ``0.0``, one vectorised add per position, so each
-    total rounds exactly as the plain float ``sum`` over its line does.
-    ``np.sum`` would not: it adds in blocks of eight.  Summing along the
-    first axis of a C-contiguous array reads contiguous memory.
+    summands of one total; the result drops that axis.  The total is the
+    last running sum of ``np.add.accumulate``, which adds in order, one
+    vectorised add per position, so each total rounds exactly as the plain
+    float ``sum`` over its line does (``np.sum`` would not: it adds in
+    blocks of eight).  ``sum`` starts from ``0.0``, so ``+ 0.0`` turns a
+    line of ``-0.0`` into its ``0.0``.  ``running``, when given, is that
+    ``np.add.accumulate`` of ``values`` along ``axis``, and is reused.
     """
-    summands = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
-    result = np.zeros(summands.shape[1:])
-    for summand in summands:
-        result = result + summand
-    return result
+    summands = _lines(values, axis)
+    if not len(summands):
+        return np.zeros(summands.shape[1:])
+    running = (
+        np.add.accumulate(summands, axis=0)
+        if running is None
+        else _lines(running, axis)
+    )
+    return running[-1] + 0.0
 
 
-def compensated_total_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
+def compensated_total_rows(
+    values: np.ndarray, axis: int = -1, running: Optional[np.ndarray] = None
+) -> np.ndarray:
     """:func:`total` along ``axis``, as the compensated ``sum`` of Python 3.12.
 
-    The vectorised form of Neumaier summation as CPython 3.12 runs it: a
-    running compensation term is added to the result at the end, unless it
-    is zero or not finite.
+    Neumaier summation as CPython 3.12 runs it, vectorised: the running
+    sums are one ``np.add.accumulate`` pass, each position's compensation
+    increment is computed from the previous running sum, and the
+    increments are accumulated in a second pass.  The compensation is added
+    to the result unless it is zero or not finite.  ``running`` is as for
+    :func:`sequential_total_rows`.
     """
-    summands = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
-    result = np.zeros(summands.shape[1:])
-    compensation = np.zeros(summands.shape[1:])
+    summands = _lines(values, axis)
+    if not len(summands):
+        return np.zeros(summands.shape[1:])
+    running = (
+        np.add.accumulate(summands, axis=0)
+        if running is None
+        else _lines(running, axis)
+    )
+    previous = np.concatenate([np.zeros((1,) + running.shape[1:]), running[:-1]])
     with np.errstate(invalid="ignore"):
-        for summand in summands:
-            step = result + summand
-            compensation = compensation + np.where(
-                np.abs(result) >= np.abs(summand),
-                (result - step) + summand,
-                (summand - step) + result,
-            )
-            result = step
+        increments = np.where(
+            np.abs(previous) >= np.abs(summands),
+            (previous - running) + summands,
+            (summands - running) + previous,
+        )
+    compensation = np.add.accumulate(increments, axis=0)[-1]
+    result = running[-1] + 0.0
     return np.where(
         (compensation != 0.0) & np.isfinite(compensation),
         result + compensation,

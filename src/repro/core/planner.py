@@ -596,11 +596,13 @@ def plan_exchange_batch(
     Bundles sharing an item count are planned together.  Feasibility is
     :func:`exchange_is_schedulable_batch`'s test; the delivery order of the
     feasible ones is their :func:`_canonical_order` reversed; the payment
-    chunks come from :func:`_payment_chunks` and the temptation profiles
-    from :meth:`TemptationProfile.build_many`.  Each group is validated once
-    by :meth:`ExchangeSequence.validate_planned` and every schedule is
-    returned in the planned form (:meth:`ExchangeSequence.planned`), which
-    builds no :class:`ExchangeAction` until one is read.  Every entry
+    chunks come from :func:`_payment_chunks` and the temptation profiles,
+    one :class:`~repro.core.exchange.ProfileBlock` per group, from
+    :meth:`TemptationProfile.build_many`.  Each group is validated once by
+    :meth:`ExchangeSequence.validate_planned` and every schedule is
+    returned in the planned form (:meth:`ExchangeSequence.planned`), a row
+    of its group's block, which builds no :class:`ExchangeAction` and no
+    tuple profile until one is read.  Every entry
     equals ``plan_exchange(bundle, price, requirement, payment_policy)``
     bit for bit: ``None`` where no schedule exists, otherwise a sequence
     with the same actions and a profile equal to the one it would build.
@@ -637,19 +639,12 @@ def plan_exchange_batch(
         ExchangeSequence.validate_planned(
             group_bundles, group_prices, order, payments, paying
         )
-        profiles = TemptationProfile.build_many(
+        block = TemptationProfile.build_many(
             costs, values, order, group_prices, payments, paying
         )
-        for index, bundle, items, chunks, pays, profile in zip(
-            group,
-            group_bundles,
-            order.tolist(),
-            payments.tolist(),
-            paying.tolist(),
-            profiles,
-        ):
+        for row, (index, bundle) in enumerate(zip(group, group_bundles)):
             sequences[index] = ExchangeSequence.planned(
-                bundle, prices[index], items, chunks, pays, profile
+                bundle, prices[index], block, row
             )
     return sequences
 

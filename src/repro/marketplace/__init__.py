@@ -3,13 +3,17 @@
 from repro.marketplace.accounting import CommunityAccounts, Ledger, LedgerEntry
 from repro.marketplace.listing import Listing
 from repro.marketplace.matching import random_matching, trust_weighted_matching
-from repro.marketplace.protocol import ExchangeOutcome, run_exchange
+from repro.marketplace.protocol import ExchangeOutcome, run_exchange, run_exchanges
 from repro.marketplace.strategy import (
     ExchangeStrategy,
     StrategyContext,
     TrustAwareStrategy,
 )
-from repro.marketplace.transaction import TransactionResult, execute_sequence
+from repro.marketplace.transaction import (
+    TransactionResult,
+    execute_many,
+    execute_sequence,
+)
 
 __all__ = [
     "Listing",
@@ -20,8 +24,10 @@ __all__ = [
     "TrustAwareStrategy",
     "TransactionResult",
     "execute_sequence",
+    "execute_many",
     "ExchangeOutcome",
     "run_exchange",
+    "run_exchanges",
     "LedgerEntry",
     "Ledger",
     "CommunityAccounts",

@@ -31,18 +31,24 @@ class LedgerEntry:
 
 
 class Ledger:
-    """Per-agent accumulation of transaction outcomes."""
+    """Per-agent accumulation of transaction outcomes.
+
+    Each booked side is kept as one plain row, ``(agent_id, role, payoff,
+    completed, was_defector, was_victim, timestamp)``; the
+    :class:`LedgerEntry` objects are built only when :attr:`entries` or
+    :meth:`entries_of` is read.
+    """
 
     def __init__(self) -> None:
-        self._entries: List[LedgerEntry] = []
+        self._rows: List[Tuple[str, Role, float, bool, bool, bool, float]] = []
         self._balances: Dict[str, float] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     @property
     def entries(self) -> Tuple[LedgerEntry, ...]:
-        return tuple(self._entries)
+        return tuple(LedgerEntry(*row) for row in self._rows)
 
     def record(
         self,
@@ -51,25 +57,27 @@ class Ledger:
         consumer_id: str,
         timestamp: float = 0.0,
     ) -> None:
-        """Book both sides of one executed transaction."""
+        """Book both sides of one executed transaction, supplier first."""
         if supplier_id == consumer_id:
             raise MarketplaceError("supplier and consumer must be distinct agents")
-        for role, agent_id in (
-            (Role.SUPPLIER, supplier_id),
-            (Role.CONSUMER, consumer_id),
+        completed = result.completed
+        defector = result.defector
+        victim = result.victim
+        balances = self._balances
+        for role, agent_id, payoff in (
+            (Role.SUPPLIER, supplier_id, result.supplier_payoff),
+            (Role.CONSUMER, consumer_id, result.consumer_payoff),
         ):
-            payoff = result.payoff_of(role)
-            entry = LedgerEntry(
-                agent_id=agent_id,
-                role=role,
-                payoff=payoff,
-                completed=result.completed,
-                was_defector=result.defector is role,
-                was_victim=result.victim is role,
-                timestamp=timestamp,
-            )
-            self._entries.append(entry)
-            self._balances[agent_id] = self._balances.get(agent_id, 0.0) + payoff
+            self._rows.append((
+                agent_id,
+                role,
+                payoff,
+                completed,
+                defector is role,
+                victim is role,
+                timestamp,
+            ))
+            balances[agent_id] = balances.get(agent_id, 0.0) + payoff
 
     def balance(self, agent_id: str) -> float:
         """Cumulative realised payoff of one agent."""
@@ -79,18 +87,20 @@ class Ledger:
         return dict(self._balances)
 
     def entries_of(self, agent_id: str) -> Tuple[LedgerEntry, ...]:
-        return tuple(entry for entry in self._entries if entry.agent_id == agent_id)
+        return tuple(LedgerEntry(*row) for row in self._rows if row[0] == agent_id)
 
-    def _victim_loss_entries(self) -> Iterator[LedgerEntry]:
-        """Entries in which a defection victim lost value, in entry order."""
-        return (e for e in self._entries if e.was_victim and e.payoff < 0)
+    def _victim_losses(self) -> Iterator[Tuple[str, float]]:
+        """``(agent_id, loss)`` of each row in which a defection victim lost
+        value, in booking order."""
+        return (
+            (row[0], -row[2]) for row in self._rows if row[5] and row[2] < 0
+        )
 
     def victim_losses_by_agent(self) -> Dict[str, float]:
         """:meth:`victim_losses` of every agent with a loss, in one pass."""
         losses: Dict[str, float] = {}
-        for entry in self._victim_loss_entries():
-            agent_id = entry.agent_id
-            losses[agent_id] = losses.get(agent_id, 0.0) + -entry.payoff
+        for agent_id, loss in self._victim_losses():
+            losses[agent_id] = losses.get(agent_id, 0.0) + loss
         return losses
 
     def victim_losses(self, agent_id: Optional[str] = None) -> float:
@@ -98,8 +108,8 @@ class Ledger:
         if agent_id is not None:
             return self.victim_losses_by_agent().get(agent_id, 0.0)
         losses = 0.0
-        for entry in self._victim_loss_entries():
-            losses += -entry.payoff
+        for _, loss in self._victim_losses():
+            losses += loss
         return losses
 
 

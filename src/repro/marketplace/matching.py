@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.numeric import total
+from repro.core.numeric import total_rows
 from repro.exceptions import MarketplaceError
 from repro.marketplace.listing import Listing
 
@@ -89,9 +89,10 @@ def trust_weighted_matching(
     - ``np.fmax(t, exploration)`` is ``max(exploration, t)``, NaN scores
       included (both give the floor), up to the sign of a zero weight,
       which no sum or comparison below can tell;
-    - ``total`` is the built-in ``sum`` over the weights as Python floats,
-      so an interpreter whose float ``sum`` is compensated (3.12) draws the
-      same ``pick``;
+    - the total is :func:`~repro.core.numeric.total_rows` of the weights,
+      read off the running sum the search uses; it rounds as the built-in
+      ``sum`` does, so an interpreter whose float ``sum`` is compensated
+      (3.12) draws the same ``pick``;
     - ``np.cumsum`` adds left to right like the loop's ``cumulative +=``,
       and ``searchsorted(..., side="left")`` finds the first running sum
       ``>= pick``; a pick past the end takes the last candidate, as the
@@ -133,12 +134,13 @@ def trust_weighted_matching(
         # Only this pick's weights are taken and floored, in place.
         weights = scores[row].take(candidates)
         np.fmax(weights, exploration, out=weights)
-        total_weight = total(weights.tolist())
+        running = weights.cumsum()
+        total_weight = float(total_rows(weights, running=running))
         if total_weight <= 0:
             chosen = rng.choice(candidates)
         else:
             pick = rng.uniform(0.0, total_weight)
-            position = int(weights.cumsum().searchsorted(pick, side="left"))
+            position = int(running.searchsorted(pick, side="left"))
             chosen = candidates[min(position, len(candidates) - 1)]
         available[chosen] = False
         matches.append((consumer_id, listings[chosen]))

@@ -2,18 +2,25 @@
 
 During the execution of a (possibly not fully safe) exchange schedule every
 party repeatedly faces the choice "perform the next action or walk away with
-what I have".  A behaviour model answers that question.  It also carries the
-ground-truth honesty probability the trust-learning experiments compare
-estimates against, and whether the peer pollutes the complaint system with
-spurious complaints (the threat model of the complaint-based trust scheme).
+what I have".  A behaviour model answers that question with one declared
+rule, :meth:`BehaviorModel.defection_rule`: a temptation threshold and an
+optional honesty probability.  The batched executor
+(:func:`~repro.marketplace.transaction.execute_many`) reads the rule once per
+exchange and applies it to every step as array operations; the scalar
+:meth:`BehaviorModel.will_defect` is derived from the same rule.  A model
+also carries the ground-truth honesty probability the trust-learning
+experiments compare estimates against, and whether the peer pollutes the
+complaint system with spurious complaints (the threat model of the
+complaint-based trust scheme).
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, Optional, Tuple
 
 from repro.exceptions import SimulationError
 from repro.trust.beta import BetaBelief
@@ -39,6 +46,17 @@ class BehaviorModel(abc.ABC):
     false_complaint_probability: float = 0.0
 
     @abc.abstractmethod
+    def defection_rule(self, time: float = 0.0) -> Tuple[float, Optional[float]]:
+        """``(threshold, honesty)``: when the peer defects at time ``time``.
+
+        At a decision point the peer is *tempted* when its own temptation in
+        the current state (positive when defecting is myopically
+        profitable) exceeds ``threshold``.  A tempted peer defects outright
+        when ``honesty`` is ``None``, and otherwise when one
+        ``rng.random()`` draw exceeds ``honesty``; an untempted peer draws
+        nothing.
+        """
+
     def will_defect(
         self,
         temptation: float,
@@ -46,13 +64,16 @@ class BehaviorModel(abc.ABC):
         rng: random.Random,
         time: float = 0.0,
     ) -> bool:
-        """Whether the peer defects now.
+        """Whether the peer defects now, by :meth:`defection_rule`.
 
-        ``temptation`` is the peer's own temptation in the current state
-        (positive when defecting is myopically profitable) and
-        ``value_at_stake`` the total gain the peer realises by completing the
-        exchange honestly.
+        ``temptation`` is the peer's own temptation in the current state;
+        ``value_at_stake`` (what completing would gain it) is read by no
+        rule.
         """
+        threshold, honesty = self.defection_rule(time)
+        if not temptation > threshold:
+            return False
+        return honesty is None or rng.random() > honesty
 
     @property
     @abc.abstractmethod
@@ -66,14 +87,8 @@ class BehaviorModel(abc.ABC):
 class HonestBehavior(BehaviorModel):
     """Never defects, regardless of temptation."""
 
-    def will_defect(
-        self,
-        temptation: float,
-        value_at_stake: float,
-        rng: random.Random,
-        time: float = 0.0,
-    ) -> bool:
-        return False
+    def defection_rule(self, time: float = 0.0) -> Tuple[float, Optional[float]]:
+        return math.inf, None
 
     @property
     def honesty_probability(self) -> float:
@@ -97,14 +112,8 @@ class RationalDefectorBehavior(BehaviorModel):
         if not 0.0 <= self.false_complaint_probability <= 1.0:
             raise SimulationError("false_complaint_probability must lie in [0, 1]")
 
-    def will_defect(
-        self,
-        temptation: float,
-        value_at_stake: float,
-        rng: random.Random,
-        time: float = 0.0,
-    ) -> bool:
-        return temptation > self.epsilon
+    def defection_rule(self, time: float = 0.0) -> Tuple[float, Optional[float]]:
+        return self.epsilon, None
 
     @property
     def honesty_probability(self) -> float:
@@ -131,14 +140,8 @@ class OpportunisticBehavior(BehaviorModel):
         if not 0.0 <= self.false_complaint_probability <= 1.0:
             raise SimulationError("false_complaint_probability must lie in [0, 1]")
 
-    def will_defect(
-        self,
-        temptation: float,
-        value_at_stake: float,
-        rng: random.Random,
-        time: float = 0.0,
-    ) -> bool:
-        return temptation > self.threshold
+    def defection_rule(self, time: float = 0.0) -> Tuple[float, Optional[float]]:
+        return self.threshold, None
 
     @property
     def honesty_probability(self) -> float:
@@ -164,16 +167,8 @@ class ProbabilisticBehavior(BehaviorModel):
         if not 0.0 <= self.false_complaint_probability <= 1.0:
             raise SimulationError("false_complaint_probability must lie in [0, 1]")
 
-    def will_defect(
-        self,
-        temptation: float,
-        value_at_stake: float,
-        rng: random.Random,
-        time: float = 0.0,
-    ) -> bool:
-        if temptation <= self.epsilon:
-            return False
-        return rng.random() > self.honesty
+    def defection_rule(self, time: float = 0.0) -> Tuple[float, Optional[float]]:
+        return self.epsilon, self.honesty
 
     @property
     def honesty_probability(self) -> float:
@@ -210,16 +205,8 @@ class FluctuatingBehavior(BehaviorModel):
     def honesty_at(self, time: float) -> float:
         return self.initial_honesty if time < self.switch_time else self.later_honesty
 
-    def will_defect(
-        self,
-        temptation: float,
-        value_at_stake: float,
-        rng: random.Random,
-        time: float = 0.0,
-    ) -> bool:
-        if temptation <= self.epsilon:
-            return False
-        return rng.random() > self.honesty_at(time)
+    def defection_rule(self, time: float = 0.0) -> Tuple[float, Optional[float]]:
+        return self.epsilon, self.honesty_at(time)
 
     @property
     def honesty_probability(self) -> float:

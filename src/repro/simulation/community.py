@@ -40,7 +40,13 @@ from repro.exceptions import NegotiationError, SimulationError
 from repro.marketplace.accounting import CommunityAccounts, Ledger
 from repro.marketplace.listing import Listing
 from repro.marketplace.matching import random_matching, trust_weighted_matching
-from repro.marketplace.protocol import ExchangeOutcome, run_exchange
+# ``run_exchange`` (one row of ``run_exchanges``) stays importable from here:
+# tracing tools look the per-exchange entry point up in this namespace.
+from repro.marketplace.protocol import (  # noqa: F401
+    ExchangeOutcome,
+    run_exchange,
+    run_exchanges,
+)
 from repro.marketplace.strategy import ExchangeStrategy, StrategyContext
 from repro.obs.metrics import NULL_REGISTRY
 from repro.simulation.churn import ChurnEvent, ChurnModel
@@ -533,10 +539,10 @@ class CommunitySimulation:
         All candidates' trust contexts are assembled first, then the
         strategy plans the whole round in one
         :meth:`~repro.marketplace.strategy.ExchangeStrategy.plan_many` call
-        (screen, schedule and both sides' decisions, batched), and each
-        scheduled match is executed with ``run_exchange``, in match order.
-        A declined candidate draws nothing from the execution RNG stream,
-        so the behaviours' draws stay in the same order.
+        (screen, schedule and both sides' decisions, batched), and the
+        scheduled matches are executed in one ``run_exchanges`` call, in
+        match order.  A declined candidate draws nothing from the execution
+        RNG stream, so the behaviours' draws stay in the same order.
         """
         telemetry = self._telemetry
         with telemetry.span("exchange.prepare"):
@@ -558,42 +564,32 @@ class CommunitySimulation:
                 sum(sequence is not None for sequence in sequences),
             )
             telemetry.observe("exchange.round_candidates", len(candidates))
-        outcomes: List[ExchangeOutcome] = []
+        scheduled = [
+            index for index, sequence in enumerate(sequences) if sequence is not None
+        ]
         with telemetry.span("exchange.execute"):
-            for (listing, supplier, consumer, price, _), sequence in zip(
-                candidates, sequences
-            ):
-                if sequence is None:
-                    outcomes.append(
-                        ExchangeOutcome.unscheduled(
-                            supplier.peer_id,
-                            consumer.peer_id,
-                            listing.bundle,
-                            price,
-                            timestamp,
-                        )
-                    )
-                    continue
-                outcomes.append(
-                    run_exchange(
-                        supplier_id=supplier.peer_id,
-                        consumer_id=consumer.peer_id,
-                        sequence=sequence,
-                        supplier_behavior=supplier.behavior,
-                        consumer_behavior=consumer.behavior,
-                        rng=self._streams("execution"),
-                        timestamp=timestamp,
-                    )
+            executed = run_exchanges(
+                [candidates[index][1].peer_id for index in scheduled],
+                [candidates[index][2].peer_id for index in scheduled],
+                [sequences[index] for index in scheduled],
+                [candidates[index][1].behavior for index in scheduled],
+                [candidates[index][2].behavior for index in scheduled],
+                self._streams("execution"),
+                timestamp,
+                telemetry,
+            )
+        outcomes: List[ExchangeOutcome] = []
+        runs = iter(executed)
+        for (listing, supplier, consumer, price, _), sequence in zip(
+            candidates, sequences
+        ):
+            outcomes.append(
+                next(runs)
+                if sequence is not None
+                else ExchangeOutcome.unscheduled(
+                    supplier.peer_id, consumer.peer_id, listing.bundle, price, timestamp
                 )
-            if telemetry.enabled:
-                telemetry.count(
-                    "exchange.steps",
-                    sum(
-                        _steps_walked(outcome)
-                        for outcome in outcomes
-                        if outcome.result is not None
-                    ),
-                )
+            )
         return outcomes
 
     def _flush_observations(
@@ -701,9 +697,3 @@ class CommunitySimulation:
                 asking[party, 1],
             )
         )
-
-
-def _steps_walked(outcome: ExchangeOutcome) -> int:
-    """Steps the executor walked: all of them, or up to the defection."""
-    step = outcome.result.defection_step
-    return len(outcome.sequence) if step is None else step + 1

@@ -1,5 +1,7 @@
 """Per-rule fixtures: one flagging and one clean tree for every contract."""
 
+import pytest
+
 from repro.check import default_rules, run_check
 from repro.check.rules.determinism import DeterminismRule
 from repro.check.rules.dtype import CanonicalDtypeRule
@@ -244,6 +246,32 @@ def test_perf001_flags_scalar_trust_reads_in_loops(make_tree):
     # the batched read are not trust_in, and the last call is in no loop.
     assert [finding.line for finding in result.findings] == [4]
     assert "trust_in_pairs" in result.findings[0].message
+
+
+@pytest.mark.parametrize(
+    "call, batched",
+    [
+        ("execute_sequence(sequence, supplier, consumer, rng)", "execute_many"),
+        ("protocol.run_exchange(s, c, sequence, supplier, consumer, rng)", "run_exchanges"),
+        ("supplier.will_defect(1.0, 0.0, rng)", "execute_many"),
+    ],
+    ids=["execute_sequence", "run_exchange", "will_defect"],
+)
+def test_perf001_flags_scalar_execution_in_loops(make_tree, call, batched):
+    root = make_tree(
+        {
+            "marketplace/fixture.py": f"""\
+            def per_exchange(rows, rng):
+                for sequence, supplier, consumer, s, c in rows:
+                    {call}
+                return {call}
+            """
+        }
+    )
+    result = run_check(root, [NPlusOneRule()])
+    # The call in the loop is flagged; the one after it is in no loop.
+    assert [finding.line for finding in result.findings] == [3]
+    assert batched in result.findings[0].message
 
 
 def test_perf001_clean_fixture(make_tree):

@@ -4,11 +4,22 @@
 ``ExchangeSequence.profile`` must equal the replay bit for bit (``==`` on
 floats), on random bundles with zero-cost and zero-value goods, random
 prices and every payment policy.  The pre-profile executor, which walked
-``ExchangeState`` objects, is kept below as ``reference_execute``; the
-profile-based ``execute_sequence`` must return the identical result after
-making the identical behaviour calls.
+``ExchangeState`` objects and asked each behaviour's own ``will_defect`` at
+every step, is kept below as ``reference_execute``, with those per-class
+methods as ``legacy_will_defect``.  The batched ``execute_many`` (and
+``execute_sequence``, one row of it) must return the identical results and
+leave the random generator in the identical state, over batches that mix
+planned rows of several blocks with actions-form rows.
+
+The unified rule: a party defects when its temptation exceeds its
+``defection_rule`` threshold and, if the rule has an honesty, a draw
+exceeds it.  The per-class methods agree with it on every finite
+temptation; on a NaN temptation they disagreed (the probabilistic and the
+fluctuating ones drew, the others did not), but bundles and prices are
+validated finite, so no schedule has a NaN temptation.
 """
 
+import math
 import random
 from unittest import mock
 
@@ -17,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.exchange as exchange_module
+import repro.core.goods as goods_module
+import repro.core.planner as planner_module
 from repro.core.exchange import (
     ExchangeAction,
     ExchangeSequence,
@@ -25,10 +38,14 @@ from repro.core.exchange import (
     TemptationProfile,
 )
 from repro.core.goods import Good, GoodsBundle
-from repro.core.planner import PaymentPolicy, build_sequence
+from repro.core.planner import PaymentPolicy, build_sequence, plan_exchange_batch
 from repro.core.safety import ExchangeRequirements
 from repro.exceptions import InvalidActionError
-from repro.marketplace.transaction import TransactionResult, execute_sequence
+from repro.marketplace.transaction import (
+    TransactionResult,
+    execute_many,
+    execute_sequence,
+)
 from repro.simulation.behaviors import (
     BehaviorModel,
     FluctuatingBehavior,
@@ -37,7 +54,7 @@ from repro.simulation.behaviors import (
     ProbabilisticBehavior,
     RationalDefectorBehavior,
 )
-from summation import SUMMATIONS
+from summation import SUMMATIONS, summation_patched
 
 
 def replay_profile(sequence):
@@ -53,17 +70,35 @@ def replay_profile(sequence):
     )
 
 
+def legacy_will_defect(behavior, temptation, rng, time=0.0):
+    """The per-class ``will_defect`` methods ``defection_rule`` replaced."""
+    if isinstance(behavior, HonestBehavior):
+        return False
+    if isinstance(behavior, RationalDefectorBehavior):
+        return temptation > behavior.epsilon
+    if isinstance(behavior, OpportunisticBehavior):
+        return temptation > behavior.threshold
+    if isinstance(behavior, ProbabilisticBehavior):
+        if temptation <= behavior.epsilon:
+            return False
+        return rng.random() > behavior.honesty
+    if isinstance(behavior, FluctuatingBehavior):
+        if temptation <= behavior.epsilon:
+            return False
+        return rng.random() > behavior.honesty_at(time)
+    assert isinstance(behavior, DefectAtOnce)
+    return True
+
+
 def reference_execute(sequence, supplier_behavior, consumer_behavior, rng, time=0.0):
-    """The state-walking executor the profile-based one replaced."""
+    """The state-walking executor the batched one replaced."""
     state = ExchangeState.initial(sequence.bundle, sequence.price)
     for step_index, action in enumerate(sequence.actions):
         actor = action.actor
         behavior = (
             supplier_behavior if actor is Role.SUPPLIER else consumer_behavior
         )
-        temptation = state.temptation_of(actor)
-        continuation_gain = max(0.0, -temptation)
-        if behavior.will_defect(temptation, continuation_gain, rng, time):
+        if legacy_will_defect(behavior, state.temptation_of(actor), rng, time):
             return TransactionResult(
                 completed=False,
                 defector=actor,
@@ -87,19 +122,6 @@ def reference_execute(sequence, supplier_behavior, consumer_behavior, rng, time=
         goods_delivered=len(state.delivered_ids),
         goods_total=len(sequence.bundle),
     )
-
-
-class RecordingBehavior:
-    """Delegates to a behaviour model and logs every ``will_defect`` call."""
-
-    def __init__(self, inner, log):
-        self._inner = inner
-        self._log = log
-
-    def will_defect(self, temptation, value_at_stake, rng, time=0.0):
-        decision = self._inner.will_defect(temptation, value_at_stake, rng, time)
-        self._log.append((temptation, value_at_stake, time, decision))
-        return decision
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +208,8 @@ sequences = st.one_of(planned_sequences(), interleaved_sequences())
 class DefectAtOnce(BehaviorModel):
     """Defects at its first decision point."""
 
-    def will_defect(self, temptation, value_at_stake, rng, time=0.0):
-        return True
+    def defection_rule(self, time=0.0):
+        return -math.inf, None
 
     @property
     def honesty_probability(self):
@@ -277,7 +299,36 @@ class TestOverPayment:
 
 
 # ----------------------------------------------------------------------
-# execute_sequence == the state-walking executor
+# The derived will_defect == the per-class methods it replaced
+# ----------------------------------------------------------------------
+RULES = BEHAVIORS + [DefectAtOnce()]
+
+
+@pytest.mark.parametrize("behavior", RULES, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(
+    temptations=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-9, 2.0, 5.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=20,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    time=st.sampled_from([0.0, 4.0, 5.0, 9.0]),
+)
+def test_derived_will_defect_equals_the_per_class_methods(
+    behavior, temptations, seed, time
+):
+    rngs = (random.Random(seed), random.Random(seed))
+    derived = [behavior.will_defect(t, 0.0, rngs[0], time) for t in temptations]
+    legacy = [legacy_will_defect(behavior, t, rngs[1], time) for t in temptations]
+    assert derived == legacy
+    assert rngs[0].getstate() == rngs[1].getstate()
+
+
+# ----------------------------------------------------------------------
+# execute_many == the state-walking executor
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("supplier_behavior", BEHAVIORS, ids=repr)
 @pytest.mark.parametrize("consumer_behavior", BEHAVIORS, ids=repr)
@@ -290,20 +341,98 @@ class TestOverPayment:
 def test_execution_matches_state_walk(
     supplier_behavior, consumer_behavior, sequence, seed, time
 ):
-    logs = ([], [])
+    # The executor consults no behaviour per step, so the draws are
+    # compared through the generator's state afterwards.
     rngs = (random.Random(seed), random.Random(seed))
     results = [
-        executor(
-            sequence,
-            RecordingBehavior(supplier_behavior, log),
-            RecordingBehavior(consumer_behavior, log),
-            rng,
-            time=time,
-        )
-        for executor, log, rng in zip(
-            (reference_execute, execute_sequence), logs, rngs
-        )
+        executor(sequence, supplier_behavior, consumer_behavior, rng, time=time)
+        for executor, rng in zip((reference_execute, execute_sequence), rngs)
     ]
     assert results[1] == results[0]
-    assert logs[1] == logs[0]
     assert rngs[1].getstate() == rngs[0].getstate()
+
+
+@st.composite
+def planned_specs(draw):
+    """A candidate for ``plan_exchange_batch``: bundle, price, requirements."""
+    bundle = draw(bundles())
+    price = draw(prices_for(bundle))
+    exposures = st.floats(min_value=0.0, max_value=25.0)
+    requirements = ExchangeRequirements(
+        consumer_accepted_exposure=draw(exposures),
+        supplier_accepted_exposure=draw(exposures),
+    )
+    return bundle, price, requirements
+
+
+@st.composite
+def execution_batches(draw):
+    """Rows that are planned specs or actions-form sequences, in a drawn
+    order, each with a supplier and a consumer rule and whether it is
+    executed (a planned row left out is one its block holds but the call
+    does not execute, as a declined trade)."""
+    rows = draw(
+        st.lists(
+            st.one_of(planned_specs(), interleaved_sequences()),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    behaviors = st.sampled_from(RULES)
+    executed = st.sampled_from([True, True, False])
+    return [
+        (row, draw(behaviors), draw(behaviors), draw(executed)) for row in rows
+    ]
+
+
+@pytest.mark.parametrize("summation", SUMMATIONS)
+@settings(max_examples=120, deadline=None)
+@given(
+    batch=execution_batches(),
+    policy=st.sampled_from(list(PaymentPolicy)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    time=st.sampled_from([0.0, 4.0, 9.0]),
+)
+def test_execute_many_matches_the_state_walk_row_by_row(
+    summation, batch, policy, seed, time
+):
+    """Planned rows (several blocks, one per item count) and actions-form
+    rows, mixed in one call, with every rule on either side and the
+    fluctuating one on both sides of its switch time."""
+    with summation_patched(summation, goods_module, planner_module, exchange_module):
+        specs = [row for row, *_ in batch if isinstance(row, tuple)]
+        planned = iter(
+            plan_exchange_batch(
+                [bundle for bundle, _, _ in specs],
+                [price for _, price, _ in specs],
+                [requirements for _, _, requirements in specs],
+                policy,
+            )
+        )
+        rows = []
+        for row, supplier, consumer, executed in batch:
+            sequence = next(planned) if isinstance(row, tuple) else row
+            if sequence is not None and executed:
+                rows.append((sequence, supplier, consumer))
+        expected_rng = random.Random(seed)
+        expected = [
+            reference_execute(sequence, supplier, consumer, expected_rng, time)
+            for sequence, supplier, consumer in rows
+        ]
+        rng = random.Random(seed)
+        results = execute_many(
+            [sequence for sequence, _, _ in rows],
+            [supplier for _, supplier, _ in rows],
+            [consumer for _, _, consumer in rows],
+            rng,
+            time,
+        )
+    assert results == expected
+    assert rng.getstate() == expected_rng.getstate()
+
+
+def test_execute_many_of_nothing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert execute_many([], [], [], rng) == []
+    assert rng.getstate() == state

@@ -1,7 +1,11 @@
 """Unit tests for the numeric helpers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.numeric import (
     EPSILON,
@@ -9,8 +13,15 @@ from repro.core.numeric import (
     approx_ge,
     approx_le,
     approx_lt,
+    compensated_total_rows,
     non_negative,
+    sequential_total_rows,
     total,
+)
+from summation import (
+    compensated_total,
+    loop_compensated_total_rows,
+    loop_sequential_total_rows,
 )
 
 
@@ -103,3 +114,64 @@ class TestRowTotals:
         values = np.arange(24, dtype=float).reshape(2, 3, 4)
         assert total_rows(values).shape == (2, 3)
         assert total_rows(values)[1, 2] == 20.0 + 21.0 + 22.0 + 23.0
+
+
+#: Summands that exercise signed zeros, infinities, overflow and cancellation.
+summands = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 1e16, -1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+def _plain_sum(values):
+    """The built-in ``sum`` before Python 3.12: left to right from 0.0."""
+    result = 0.0
+    for value in values:
+        result += value
+    return result
+
+
+class TestAccumulateKernels:
+    """The ``np.add.accumulate`` kernels equal the loop kernels they replaced
+    and the scalar summations, bit for bit, on every line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.integers(min_value=1, max_value=4).flatmap(
+            lambda width: st.lists(
+                st.lists(summands, min_size=width, max_size=width), max_size=6
+            )
+        )
+    )
+    def test_kernels_equal_the_loops_and_the_scalar_sums(self, lines):
+        # Rows are lines of summands; the kernels total along axis 0.
+        width = len(lines[0]) if lines else 1
+        values = np.array(lines, dtype=np.float64).reshape(len(lines), width)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sequential = sequential_total_rows(values, axis=0)
+            compensated = compensated_total_rows(values, axis=0)
+            running = np.add.accumulate(values, axis=0)
+            reused = (
+                sequential_total_rows(values, axis=0, running=running),
+                compensated_total_rows(values, axis=0, running=running),
+            )
+            references = (
+                loop_sequential_total_rows(values, axis=0),
+                loop_compensated_total_rows(values, axis=0),
+            )
+        for column in range(width):
+            line = values[:, column].tolist()
+            expected = (_plain_sum(line), compensated_total(line))
+            for kernel_results in ((sequential, compensated), reused, references):
+                got = [float(result[column]) for result in kernel_results]
+                assert [value.hex() for value in got] == [
+                    value.hex() for value in expected
+                ]
+
+    @pytest.mark.parametrize("kernel", [sequential_total_rows, compensated_total_rows])
+    def test_empty_and_negative_zero_lines(self, kernel):
+        assert kernel(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+        [result] = kernel(np.array([[-0.0, -0.0]])).tolist()
+        assert result.hex() == (0.0).hex()
+        assert float(kernel(np.array([-0.0]))).hex() == (0.0).hex()

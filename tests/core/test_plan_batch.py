@@ -136,6 +136,13 @@ def test_batch_planner_matches_plan_exchange(summation, payment_policy, batch):
                 assert len(sequence) == len(reference)
                 assert sequence.delivery_order == reference.delivery_order
                 assert sequence.payments == reference.payments
+                # The block's per-row maxima, read before any tuple profile.
+                assert sequence.max_supplier_temptation.hex() == (
+                    reference.max_supplier_temptation.hex()
+                )
+                assert sequence.max_consumer_temptation.hex() == (
+                    reference.max_consumer_temptation.hex()
+                )
                 ExchangeSequence(bundle, price, sequence.actions)
             assert _bits(sequence) == _bits(reference)
 

@@ -8,7 +8,8 @@ and the same random state the matrix version must return the same matches,
 with the very same ``Listing`` objects, and leave the random generator in
 the same state.  Scores are drawn at, just above and just below the
 exploration floor, plus zeros and NaN, under this interpreter's ``sum`` and
-the compensated ``sum`` of Python 3.12.
+the compensated ``sum`` of Python 3.12; the matching totals its weights with
+the row kernel, which is patched to the one that rounds as each summation.
 """
 
 import math
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 import repro.marketplace.matching as matching_module
 from repro.core.goods import GoodsBundle
 from repro.marketplace.listing import Listing
+from repro.core.numeric import sequential_total_rows
 from repro.marketplace.matching import trust_weighted_matching
-from summation import SUMMATIONS, compensated_total
+from summation import ROW_KERNELS, SUMMATIONS, compensated_total
 
 PEERS = ["p0", "p1", "p2", "p3", "p4", "p5"]
 
@@ -93,6 +95,13 @@ def score_matrix(consumer_ids, listings, trust):
     ).reshape(len(consumer_ids), len(listings))
 
 
+def patched_kernel(summation):
+    """Patch the matching's row kernel to the one rounding as ``summation``."""
+    kernels = dict(ROW_KERNELS)
+    kernels[left_to_right_total] = sequential_total_rows
+    return mock.patch.object(matching_module, "total_rows", kernels[summation])
+
+
 def by_identity(matches):
     return [(consumer_id, id(listing)) for consumer_id, listing in matches]
 
@@ -111,7 +120,7 @@ def assert_same_matching(
         summation=summation,
     )
     actual_rng = make_rng()
-    with mock.patch.object(matching_module, "total", summation):
+    with patched_kernel(summation):
         actual = trust_weighted_matching(
             consumer_ids,
             listings,
@@ -265,7 +274,7 @@ def test_the_total_decides_a_pick_at_the_end():
         assert_same_matching(
             ["c"], listings, trust, lambda: PickAtTotal(0), 0.0, False, summation
         )
-        with mock.patch.object(matching_module, "total", summation):
+        with patched_kernel(summation):
             [(_, listing)] = trust_weighted_matching(
                 ["c"],
                 listings,

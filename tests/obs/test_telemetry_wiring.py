@@ -240,6 +240,58 @@ class TestMatchingLayer:
             assert name in output
 
 
+class TestExecutionLayer:
+    """``exchange.steps`` counts the steps the round's exchanges executed
+    and ``exchange.draws`` the execution stream's draws."""
+
+    def test_counters_equal_the_wrapped_executor_work(self, monkeypatch):
+        from repro.marketplace import protocol
+
+        seen = {"steps": 0, "draws": 0}
+        original = protocol.execute_many
+
+        class CountingStream:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self):
+                seen["draws"] += 1
+                return self._rng.random()
+
+        def counting_execute(sequences, suppliers, consumers, rng, *args, **kwargs):
+            results = original(
+                sequences, suppliers, consumers, CountingStream(rng), *args, **kwargs
+            )
+            seen["steps"] += sum(
+                len(sequence) if result.completed else result.defection_step + 1
+                for sequence, result in zip(sequences, results)
+            )
+            return results
+
+        monkeypatch.setattr(protocol, "execute_many", counting_execute)
+        registry = MetricsRegistry()
+        build_registered_scenario(
+            "sybil-coalition", size=30, rounds=4, seed=5, telemetry=registry
+        ).simulation().run()
+        metrics = registry.snapshot()["metrics"]
+        assert metrics["exchange.steps"] == seen["steps"] > 0
+        assert metrics["exchange.draws"] == seen["draws"] > 0
+
+    def test_run_summary_shows_both_counters(self, capsys):
+        from repro.cli import main
+
+        exit_code = main(
+            [
+                "run", "--scenario", "flash-crowd", "--size", "12",
+                "--rounds", "3", "--seed", "3", "--telemetry", "summary",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "exchange.steps" in output
+        assert "exchange.draws" in output
+
+
 class TestRunSummaryPrintsEveryMetric:
     def test_no_metric_is_cut_from_the_summary(self, capsys):
         from repro.cli import main

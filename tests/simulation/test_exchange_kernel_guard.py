@@ -1,12 +1,13 @@
 """Complexity guard of the exchange kernel (deterministic, no timing).
 
 The round loop plans each round's schedules in one batch, which validates
-them and builds their temptation profiles together as arrays, and then
-executes every exchange from those profiles and the schedules' step
-owners.  It replays no ``ExchangeState`` at all, never builds a profile one
-schedule at a time, and builds and re-validates no ``ExchangeAction``,
-although the decision gates read both maximum temptations and the executor
-reads every step.
+them and builds their temptation profiles together as one block of arrays
+per plan group, and then executes every exchange from those blocks.  It
+replays no ``ExchangeState`` at all, never builds a profile one schedule at
+a time, and builds and re-validates no ``ExchangeAction``, although the
+decision gates read both maximum temptations and the executor reads every
+step.  A scheduled sequence is a row of a batch-built block; its tuple
+profile is built from that row on its first read, once.
 """
 
 from collections import Counter
@@ -20,11 +21,10 @@ from repro.core.exchange import (
 from repro.workloads.registry import build_registered_scenario
 
 
-def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
+def test_round_loop_replays_no_states_and_builds_profiles_lazily_once(monkeypatch):
     calls = Counter()
     original_post_init = ExchangeAction.__post_init__
     original_validate = ExchangeSequence._validate
-    # Holds every batch-built profile, so no two of them share an id().
     batch_built = []
     original_apply = ExchangeState.apply
     original_build = TemptationProfile.build.__func__
@@ -47,9 +47,9 @@ def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
         return original_build(cls, *args)
 
     def recording_build_many(cls, *args):
-        profiles = original_build_many(cls, *args)
-        batch_built.extend(profiles)
-        return profiles
+        block = original_build_many(cls, *args)
+        batch_built.append(block)
+        return block
 
     monkeypatch.setattr(ExchangeAction, "__post_init__", counting_post_init)
     monkeypatch.setattr(ExchangeSequence, "_validate", counting_validate)
@@ -72,6 +72,12 @@ def test_round_loop_replays_no_states_and_builds_each_profile_once(monkeypatch):
     assert calls["build"] == 0
     assert calls["action"] == 0
     assert calls["validate"] == 0
-    built_ids = {id(profile) for profile in batch_built}
+    built_ids = {id(block) for block in batch_built}
     assert len(built_ids) == len(batch_built)
-    assert all(id(outcome.sequence.profile) in built_ids for outcome in scheduled)
+    for outcome in scheduled:
+        block, row = outcome.sequence.planned_row
+        assert id(block) in built_ids
+        profile = outcome.sequence.profile
+        assert outcome.sequence.profile is profile
+        assert profile == block.profile(row)
+    assert calls["build"] == 0

@@ -5,11 +5,12 @@ round that has any, and never takes the scalar reference path: no
 ``DecisionMaker.assess``/``decide`` call and no ``plan_exchange`` call.  The
 ``exchange.screened_out`` telemetry counter keeps counting the screen's
 rejections only, not the decision declines after planning.  The
-``exchange.planned`` and ``exchange.steps`` work counters equal the
-schedules ``plan_many`` returned and the behaviour consultations the
-executor made.
+``exchange.planned``, ``exchange.steps`` and ``exchange.draws`` work
+counters equal the schedules ``plan_many`` returned and the steps and
+random draws of a reference step-by-step walk.
 """
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -97,34 +98,57 @@ def test_screened_out_counts_screen_rejections_only(monkeypatch, name):
     assert metrics["exchange.candidates"] == sum(len(p) for _, _, p in batches)
 
 
-class _CountingBehavior:
-    """Forwards ``will_defect`` to a behaviour and counts the calls."""
+class _CountingRandom(random.Random):
+    """A generator that counts its ``random()`` draws."""
 
-    def __init__(self, behavior, calls):
-        self._behavior = behavior
-        self._calls = calls
+    def __init__(self, state):
+        super().__init__()
+        self.setstate(state)
+        self.draws = 0
 
-    def will_defect(self, *args):
-        self._calls["steps"] += 1
-        return self._behavior.will_defect(*args)
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def _walk(sequence, supplier, consumer, rng, time):
+    """A step-by-step walk: (result's stop, steps executed), asking each
+    behaviour's ``will_defect`` at every step until one defects."""
+    profile = sequence.profile
+    for step, supplier_acts in enumerate(sequence.actors):
+        behavior, temptation = (
+            (supplier, profile.supplier_temptation[step])
+            if supplier_acts
+            else (consumer, profile.consumer_temptation[step])
+        )
+        if behavior.will_defect(temptation, 0.0, rng, time):
+            return step, step + 1
+    return None, len(sequence.actors)
 
 
 @pytest.mark.parametrize("name", ["ebay", "sybil-coalition"])
-def test_planned_and_steps_counters_count_the_work(monkeypatch, name):
+def test_planned_steps_and_draws_counters_count_the_work(monkeypatch, name):
+    """``exchange.steps`` and ``exchange.draws``, computed from the batch's
+    stop columns, equal the steps and draws of a reference walk that
+    replays each batch from the same generator state."""
     batches = _record_plan_many(monkeypatch)
-    calls = Counter()
-    original = protocol.execute_sequence
+    walked = Counter()
+    original = protocol.execute_many
 
-    def counting_execute(sequence, supplier, consumer, rng, time=0.0):
-        return original(
-            sequence,
-            _CountingBehavior(supplier, calls),
-            _CountingBehavior(consumer, calls),
-            rng,
-            time,
-        )
+    def walking_execute(sequences, suppliers, consumers, rng, time=0.0, **kwargs):
+        reference_rng = _CountingRandom(rng.getstate())
+        stops = []
+        for sequence, supplier, consumer in zip(sequences, suppliers, consumers):
+            stop, steps = _walk(sequence, supplier, consumer, reference_rng, time)
+            stops.append(stop)
+            walked["steps"] += steps
+        results = original(sequences, suppliers, consumers, rng, time, **kwargs)
+        assert [result.defection_step for result in results] == stops
+        assert rng.getstate() == reference_rng.getstate()
+        walked["draws"] += reference_rng.draws
+        return results
 
-    monkeypatch.setattr(protocol, "execute_sequence", counting_execute)
+    monkeypatch.setattr(protocol, "execute_many", walking_execute)
     registry = MetricsRegistry()
     scenario = build_registered_scenario(
         name, size=30, rounds=4, seed=0, telemetry=registry
@@ -136,6 +160,7 @@ def test_planned_and_steps_counters_count_the_work(monkeypatch, name):
         sum(sequence is not None for sequence in planned)
         for _, _, planned in batches
     )
-    assert planned > 0 and calls["steps"] > planned
+    assert planned > 0 and walked["steps"] > planned
     assert metrics["exchange.planned"] == planned
-    assert metrics["exchange.steps"] == calls["steps"]
+    assert metrics["exchange.steps"] == walked["steps"]
+    assert metrics["exchange.draws"] == walked["draws"]

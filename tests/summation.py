@@ -12,6 +12,7 @@ import math
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.core.numeric import compensated_total_rows, total, total_rows
@@ -34,6 +35,45 @@ def compensated_total(values):
     return result
 
 
+def loop_sequential_total_rows(values, axis=-1):
+    """Row totals as the plain ``sum``: one vectorised add per position.
+
+    The loop kernel ``numeric.sequential_total_rows`` replaced; kept as its
+    reference.
+    """
+    summands = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
+    result = np.zeros(summands.shape[1:])
+    for summand in summands:
+        result = result + summand
+    return result
+
+
+def loop_compensated_total_rows(values, axis=-1):
+    """Row totals as the compensated ``sum`` of Python 3.12, one position at
+    a time.
+
+    The loop kernel ``numeric.compensated_total_rows`` replaced; kept as
+    its reference.
+    """
+    summands = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
+    result = np.zeros(summands.shape[1:])
+    compensation = np.zeros(summands.shape[1:])
+    with np.errstate(invalid="ignore"):
+        for summand in summands:
+            step = result + summand
+            compensation = compensation + np.where(
+                np.abs(result) >= np.abs(summand),
+                (result - step) + summand,
+                (summand - step) + result,
+            )
+            result = step
+    return np.where(
+        (compensation != 0.0) & np.isfinite(compensation),
+        result + compensation,
+        result,
+    )
+
+
 #: Both summation strategies an oracle must hold under: this interpreter's
 #: ``sum`` and the compensated one of Python 3.12.
 SUMMATIONS = [
@@ -47,7 +87,7 @@ ROW_KERNELS = {total: total_rows, compensated_total: compensated_total_rows}
 
 @contextmanager
 def summation_patched(summation, *modules):
-    """Patch ``total`` (and ``total_rows`` where present) in each module.
+    """Patch ``total`` and ``total_rows``, each where present, in each module.
 
     ``summation`` is an entry of ``SUMMATIONS``; the row kernel patched
     alongside it is its ``ROW_KERNELS`` partner, so scalar and batched code
@@ -55,7 +95,8 @@ def summation_patched(summation, *modules):
     """
     with ExitStack() as stack:
         for module in modules:
-            stack.enter_context(mock.patch.object(module, "total", summation))
+            if hasattr(module, "total"):
+                stack.enter_context(mock.patch.object(module, "total", summation))
             if hasattr(module, "total_rows"):
                 stack.enter_context(
                     mock.patch.object(module, "total_rows", ROW_KERNELS[summation])

@@ -61,9 +61,11 @@ def test_traced_run_records_known_spans_and_restores_every_point():
     with LAYERS.installed(LAYERS.Tracer()) as tracer:
         scenario.simulation().run()
     names = {name for name, _start, _end, _parent in tracer.spans}
-    assert {"exchange.run", "match.select"} <= names
+    # A round executes its exchanges in one batch, so the per-exchange
+    # ``exchange.run`` point no longer fires; these two fire every round.
+    assert {"match.select", "churn.apply"} <= names
     assert names <= set(LAYERS.TIMED_LAYERS)
-    assert tracer.counts["exchange.run_calls"] > 0
+    assert tracer.counts["match.select_calls"] == 2
     assert [vars(owner)[attribute] for owner, attribute, *_ in WRAP_POINTS] == originals
 
 
